@@ -10,7 +10,7 @@ in :mod:`embedlab.moduli` measure what a given map actually attains.
 
 from .amenable import (HeisenbergModel, TreeACollection, TreeModel,
                        ZkFolnerSystem, ZkModel, char_embedding_bound_check,
-                       folner_defect, folner_to_acollection,
+                       folner_defect,
                        glued_group_embedding, heisenberg_growth_fit,
                        predicted_group_gap, radial_folner_upper)
 from .finite_geometry import (GkSpace, HammingCube, cube_distance, cube_report,
@@ -40,7 +40,7 @@ __all__ = [
     "char_embedding_bound_check", "cube_distance", "cube_report", "delta_q",
     "distortion", "enflo_lower_bound", "enflo_type2_certificate",
     "estimate_moduli", "fit_exponent", "folner_defect",
-    "folner_to_acollection", "generalized_inverse", "gk_distance", "gk_probe",
+    "generalized_inverse", "gk_distance", "gk_probe",
     "glued_group_embedding", "h_ab", "heisenberg_growth_fit",
     "lp_distance", "lp_sum_distance", "mazur_bounds_check", "mazur_constants",
     "mazur_map", "moduli_exponents", "per_pair_bounds_check", "phi_map",

@@ -3,9 +3,10 @@ characteristic-function embeddings into ell_p over the group, and the
 certified distance bounds of the glued coarse embeddings.
 
 Models are discrete (counting measure) so every defect and every block
-distance is exact integer set arithmetic; closed-form routes exist for
-box translates and on-ray tree segments, and enumeration cross-checks
-them at small scale.
+distance is exact integer set arithmetic.  The run paths use closed
+forms over arrays of pairs (box and tree-segment symmetric differences,
+hence every block distance; the worst box defect); the set enumerations
+stay as the oracles the tests compare them against.
 """
 
 from __future__ import annotations
@@ -138,12 +139,7 @@ class TreeModel:
             raise ValueError("node outside the truncated tree")
 
     def metric(self, x, y) -> float:
-        c = 0
-        for a, b in zip(x, y):
-            if a != b:
-                break
-            c += 1
-        return float(len(x) + len(y) - 2 * c)
+        return float(len(x) + len(y) - 2 * _common_prefix(x, y))
 
     def zeros_prefix(self, x) -> int:
         """Depth of the deepest ancestor of x lying on the designated ray."""
@@ -174,6 +170,15 @@ class TreeModel:
                     raise ValueError("truncation depth insufficient for segment")
                 out.append((0,) * d)
         return tuple(out)
+
+
+def _common_prefix(x, y) -> int:
+    c = 0
+    for a, b in zip(x, y):
+        if a != b:
+            break
+        c += 1
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +288,19 @@ class ZkFolnerSystem:
         m = self.half_side(n)
         return 2 * (self.size(n) - box_intersection_count(m, g))
 
+    def sym_diff_counts(self, pairs) -> np.ndarray:
+        """sym_diff_count per pair (rows) and index n_min..n_max (columns);
+        Python integers once a box reaches 2^53 points, so counts and their
+        float conversions stay exact."""
+        exact = np.int64 if self.size(self.n_max) < 1 << 53 else object
+        xy = np.array(pairs, dtype=exact).reshape(len(pairs), 2, self.group.k)
+        shift = np.abs(xy[:, 1] - xy[:, 0])
+        cols = []
+        for n in range(self.n_min, self.n_max + 1):
+            inter = np.prod(np.maximum(2 * self.half_side(n) + 1 - shift, 0), axis=1)
+            cols.append(2 * (self.size(n) - inter))
+        return np.stack(cols, axis=1)
+
     def block_distance_pth(self, x, y, n: int, p: float) -> float:
         """||phi_n(x) - phi_n(y)||_p^p; translates have equal measure so
         this is |A Delta B| / |F_n| regardless of p."""
@@ -323,104 +341,73 @@ class TreeACollection:
     def set_at(self, x, n: int) -> tuple:
         return self.tree.ray_segment(x, self.size(n))
 
-    def _encode(self, x, s: int, cp: int, side: str) -> set:
-        """Segment vertices as O(1)-size keys instead of path tuples.
+    def _geometry(self, pairs) -> np.ndarray:
+        """Rows: depths, zeros prefixes and common prefix of each pair."""
+        zp = self.tree.zeros_prefix
+        return np.array([(len(x), len(y), zp(x), zp(y), _common_prefix(x, y))
+                         for x, y in pairs], dtype=np.int64).reshape(-1, 5).T
 
-        A vertex is determined by its depth plus which branch it sits
-        on: the zeros ray ("z"), the common prefix of the pair ("c"),
-        or the private climb of one endpoint (``side``).  Encodings of
-        the two segments agree exactly on shared vertices, so set
-        algebra on them matches set algebra on the raw tuples at a
-        fraction of the hashing cost.
+    def _sym_diff(self, geometry: np.ndarray, s: int) -> np.ndarray:
+        """|A(x) Delta A(y)| for segments of s vertices.
+
+        A(x) is a path: the ancestors of x at depths [max(z, L-s+1), L]
+        (L = len(x), z = zeros_prefix(x)), then the zeros-ray depths
+        [z, 2z+s-L-1] when the climb reaches z.  Two segments share the
+        zeros-ray depths both reach and the off-ray ancestors at depths in
+        (max(zx, zy), cp] both climbs pass, cp the common prefix: the
+        intersection is two interval overlaps.
         """
-        tree = self.tree
-        z = tree.zeros_prefix(x)
-        length = len(x)
-        out = set()
-        for j in range(s):
-            u = length - j
-            if u >= z:
-                if u == z:
-                    out.add(("z", u))
-                elif u <= cp:
-                    out.add(("c", u))
-                else:
-                    out.add((side, u))
-            else:
-                d = z + (j - (length - z))
-                if d > tree.depth:
-                    raise ValueError("truncation depth insufficient for segment")
-                out.add(("z", d))
-        return out
-
-    def encoded_pair(self, x, y, n: int) -> tuple[set, set]:
-        cp = 0
-        for a, b in zip(x, y):
-            if a != b:
-                break
-            cp += 1
-        s = self.size(n)
-        return self._encode(x, s, cp, "a"), self._encode(y, s, cp, "b")
+        lx, ly, zx, zy, cp = geometry
+        top_x = np.where(lx - zx < s, 2 * zx + s - lx - 1, zx - 1)  # zx - 1: none
+        top_y = np.where(ly - zy < s, 2 * zy + s - ly - 1, zy - 1)
+        if np.any(np.maximum(top_x, top_y) > self.tree.depth):
+            raise ValueError("truncation depth insufficient for segment")
+        on_ray = np.minimum(top_x, top_y) - np.maximum(zx, zy) + 1
+        climb = cp - np.maximum.reduce([zx + 1, zy + 1, lx - s + 1, ly - s + 1]) + 1
+        return 2 * (s - np.maximum(on_ray, 0) - np.maximum(climb, 0))
 
     def sym_diff_count(self, x, y, n: int) -> int:
-        seg_x, seg_y = self.encoded_pair(x, y, n)
-        return len(seg_x ^ seg_y)
+        return int(self._sym_diff(self._geometry([(x, y)]), self.size(n))[0])
+
+    def sym_diff_counts(self, pairs) -> np.ndarray:
+        """sym_diff_count per pair (rows) and index n_min..n_max (columns)."""
+        geometry = self._geometry(pairs)
+        return np.stack([self._sym_diff(geometry, self.size(n))
+                         for n in range(self.n_min, self.n_max + 1)], axis=1)
+
+    def a_defects(self, pairs) -> np.ndarray:
+        """|A Delta B| / |A cap B| (+inf if disjoint) per pair and index;
+        both segments have s vertices, so |A cap B| = s - |A Delta B| / 2."""
+        counts = self.sym_diff_counts(pairs)
+        inter = np.array([self.size(n) for n in range(self.n_min, self.n_max + 1)]) - counts // 2
+        return np.divide(counts, inter, out=np.full(counts.shape, math.inf), where=inter > 0)
 
     def block_distance_pth(self, x, y, n: int, p: float) -> float:
         # segments share the size, so the equal-measure identity applies
         return self.sym_diff_count(x, y, n) / self.size(n)
 
 
-def folner_to_acollection(sys: ZkFolnerSystem) -> ZkFolnerSystem:
-    """Translate view of a Folner sequence: A_n(x) = x F_n.
+def block_distances_pth(sys, pairs) -> np.ndarray:
+    """block_distance_pth per pair (rows) and index n_min..n_max (columns)."""
+    counts = sys.sym_diff_counts(pairs)
+    sizes = [sys.size(n) for n in range(sys.n_min, sys.n_max + 1)]
+    return np.asarray(counts / np.array(sizes, dtype=counts.dtype), dtype=float)
 
-    The system already exposes the translate interface; this entry point
-    exists to certify the defect transfer eps -> eps/(1-eps) and fails
-    fast when some eps_n >= 1.
-    """
-    for n in range(sys.n_min, sys.n_max + 1):
-        if sys.eps(n) >= 1.0:
-            raise ValueError(f"eps_{n} >= 1: defect transfer degenerates")
-    return sys
+
+def _support_reach(sys, model, x, n: int) -> float:
+    """Largest distance from x to a point of the materialized A_n(x); a
+    Z^k box x + [-M, M]^k is built as one integer array, measured in ell_1."""
+    if not isinstance(sys, ZkFolnerSystem):
+        return max(model.metric(x, v) for v in sys.set_at(x, n))
+    if sys.size(n) > MAX_SET_SIZE:
+        raise ValueError("Folner set too large to materialize")
+    m = sys.half_side(n)
+    box = np.stack(np.meshgrid(*(np.arange(c - m, c + m + 1) for c in x), indexing="ij"), -1)
+    return float(np.abs(box - np.asarray(x)).sum(axis=-1).max())
 
 
 # ---------------------------------------------------------------------------
 # characteristic-function blocks
-
-
-@dataclass(frozen=True)
-class CharBlock:
-    """Normalized characteristic function: constant height on a support."""
-
-    keys: tuple
-    height: float
-    p: float
-
-    @property
-    def norm_pth(self) -> float:
-        return len(self.keys) * self.height ** self.p
-
-
-def char_embedding_block(x, n: int, sys, p) -> CharBlock:
-    """phi_n(x): the indicator of A_n(x) scaled to unit ell_p norm."""
-    regime = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
-    if regime.p < 1:
-        raise ValueError("characteristic-function blocks need p >= 1")
-    support = tuple(sorted(sys.set_at(x, n)))
-    if not support:
-        raise ValueError("empty support")
-    return CharBlock(keys=support, height=len(support) ** (-1.0 / regime.p), p=regime.p)
-
-
-def char_block_distance_pth(a: CharBlock, b: CharBlock) -> float:
-    """||a - b||_p^p by exact sparse set arithmetic."""
-    if a.p != b.p:
-        raise ValueError("mismatched exponents")
-    sa, sb = set(a.keys), set(b.keys)
-    inter = len(sa & sb)
-    na, nb = len(sa), len(sb)
-    return ((na - inter) / na + (nb - inter) / nb
-            + inter * abs(na ** (-1.0 / a.p) - nb ** (-1.0 / a.p)) ** a.p)
 
 
 @dataclass
@@ -498,26 +485,24 @@ def char_embedding_bound_check(sys, model, pairs, p, *, bound_scale: float = 1.0
         raise ValueError("characteristic-function blocks need p >= 1")
     checks = violations = support_bad = 0
     worst = math.inf
-    for x, y in pairs:
-        d = model.metric(x, y)
-        for n in range(sys.n_min, sys.n_max + 1):
-            if d > sys.r(n):
-                continue
-            val = sys.block_distance_pth(x, y, n, regime.p)
-            bound = 2.0 * sys.a_eps(n) * bound_scale
-            margin = bound - val
-            worst = min(worst, margin)
-            checks += 1
-            if val > bound * (1.0 + rel_tol):
-                violations += 1
+    d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
+    vals = block_distances_pth(sys, pairs)
+    for j, n in enumerate(range(sys.n_min, sys.n_max + 1)):
+        val = vals[d <= sys.r(n), j]
+        if not val.size:
+            continue
+        bound = 2.0 * sys.a_eps(n) * bound_scale
+        # fmin skips NaN margins (an infinite bound scaled by 0), as min() did
+        worst = float(np.fmin.reduce(bound - val, initial=worst))
+        checks += val.size
+        violations += int(np.count_nonzero(val > bound * (1.0 + rel_tol)))
     if audit_support:
-        for x, _ in pairs[: min(8, len(pairs))]:
+        for x, _ in pairs[:8]:
             for n in range(sys.n_min, min(sys.n_min + 3, sys.n_max) + 1):
                 try:
-                    support = sys.set_at(x, n)
+                    reach = _support_reach(sys, model, x, n)
                 except ValueError:
                     continue  # materialization cap; closed form still certified
-                reach = max(model.metric(x, v) for v in support)
                 if reach > sys.rad(n) + 1e-9:
                     support_bad += 1
     return CharBoundReport(
@@ -553,8 +538,16 @@ class GluedGroupEmbedding:
     def n_range(self) -> range:
         return range(self.sys.n_min, self.sys.n_max + 1)
 
+    def image_distances_pth(self, pairs) -> np.ndarray:
+        """||Phi(x) - Phi(y)||_p^p per pair: block distances summed in
+        index order, so each entry rounds like the scalar sum over n."""
+        acc = np.zeros(len(pairs))
+        for col in block_distances_pth(self.sys, pairs).T:
+            acc += col
+        return acc
+
     def image_distance_pth(self, x, y) -> float:
-        return sum(self.sys.block_distance_pth(x, y, n, self.p) for n in self.n_range)
+        return float(self.image_distances_pth([(x, y)])[0])
 
     def image_distance(self, x, y) -> float:
         return self.image_distance_pth(x, y) ** (1.0 / self.p)
@@ -580,12 +573,14 @@ class GluedGroupEmbedding:
         return 2.0 ** self.p * k + self.tail_constant()
 
     def bounds_check(self, pairs, *, upper_scale: float = 1.0,
-                     rel_tol: float = 1e-9) -> dict:
+                     rel_tol: float = 1e-9, image_pth=None) -> dict:
+        """``image_pth``: image_distances_pth(pairs), if already computed."""
+        if image_pth is None:
+            image_pth = self.image_distances_pth(pairs)
         upper_viol = lower_viol = 0
         worst_upper = worst_lower = math.inf
-        for x, y in pairs:
+        for (x, y), val in zip(pairs, np.asarray(image_pth).tolist()):
             d = self.model.metric(x, y)
-            val = self.image_distance_pth(x, y)
             ub = self.certified_upper_pth(d) * upper_scale
             lb = self.certified_lower_pth(d)
             worst_upper = min(worst_upper, ub - val)

@@ -193,7 +193,7 @@ def _suite_mazur(args: argparse.Namespace) -> dict:
     worst = math.inf
     sphere_dev = invol_dev = 0.0
     for p in grid:
-        x, _ = mazur.sample_sphere_pairs(p, args.samples, args.dim, args.seed)
+        x, y = mazur.sample_sphere_pairs(p, args.samples, args.dim, args.seed)
         for q in grid:
             mx = mazur.mazur_map(x, p, q)
             s_dev = float(np.max(np.abs(np.sum(np.abs(mx) ** q, axis=1) ** (1.0 / q) - 1.0)))
@@ -204,9 +204,8 @@ def _suite_mazur(args: argparse.Namespace) -> dict:
                     "involution_deviation": i_dev}
             bad = int(s_dev > 1e-12) + int(i_dev > 1e-12)
             if p != q:  # the two-sided distance bounds need distinct exponents
-                rep = mazur.mazur_bounds_check(p, q, samples=args.samples,
-                                               seed=args.seed, dim=args.dim,
-                                               upper_scale=upper_scale)
+                rep = mazur._audit_pairs(x, y, mazur.mazur_constants(p, q),
+                                         upper_scale=upper_scale)
                 worst = min(worst, rep["worst_margin"])
                 cell["worst_margin"] = rep["worst_margin"]
                 bad += rep["violations"]
@@ -274,17 +273,18 @@ def _suite_gluing(args: argparse.Namespace) -> dict:
 
 
 def _zk_worst_defects(system: amenable.ZkFolnerSystem) -> dict[int, float]:
-    """Exact worst translation defect per index over shifts up to r_n."""
-    model = system.group
-    out = {}
-    for n in range(system.n_min, system.n_max + 1):
-        M = system.half_side(n)
-        worst = 0.0
-        for g in model.ball(int(system.r(n))):
-            if any(g):
-                worst = max(worst, amenable.box_defect(M, g))
-        out[n] = worst
-    return out
+    """Exact worst translation defect per index over shifts up to r_n.
+
+    The defect 2 (1 - |F cap gF| / |F|) grows as |F cap gF| =
+    prod_i (m - |g_i|) shrinks, with m = 2 M + 1 > r >= |g_i| on the ball.
+    Since (m - a)(m - b) >= m (m - a - b) for a, b >= 0, merging two
+    coordinates of g into one never raises the product, so over the
+    ell_1 ball of radius r it is smallest at the axis vector
+    (r, 0, ..., 0).  Enumerating the ball stays as the test oracle.
+    """
+    return {n: amenable.box_defect(system.half_side(n),
+                                   (int(system.r(n)),) + (0,) * (system.group.k - 1))
+            for n in range(system.n_min, system.n_max + 1)}
 
 
 def _suite_folner(args: argparse.Namespace) -> dict:
@@ -314,7 +314,7 @@ def _suite_folner(args: argparse.Namespace) -> dict:
         for n in range(2, args.n_max + 1):
             if not math.isfinite(tsys.a_eps(n)):
                 continue
-            ad = amenable.a_defect(*tsys.encoded_pair((), (0,) * n, n))
+            ad = tsys.a_defects([((), (0,) * n)])[0, n - 2]
             if ad > tsys.a_eps(n) * 0.5 * (1 + 1e-12):
                 a_defect_viol += 1
     char = amenable.char_embedding_bound_check(system, model, pairs, args.p)
@@ -445,17 +445,17 @@ def _log_spread_zk_pairs(model, n_pairs: int, max_dist: float, seed: int):
     return out
 
 
-def _envelope_rows(system, emb, pairs, model, defects, max_dist):
+def _envelope_rows(system, emb, pairs, model, image_pth, defects, max_dist):
     """Per-index CSV rows: envelope estimates over schedule brackets."""
+    p = emb.p
     d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
-    img = np.array([emb.image_distance(x, y) for x, y in pairs], dtype=float)
+    img = np.array([v ** (1.0 / p) for v in image_pth.tolist()], dtype=float)
     order = np.argsort(d, kind="stable")
     d_sorted, img_sorted = d[order], img[order]
     suffix_min = np.minimum.accumulate(img_sorted[::-1])[::-1]
     prefix_max = np.maximum.accumulate(img_sorted)
     n_range = list(range(system.n_min, system.n_max + 1))
     edges = [float(system.r(n)) for n in n_range] + [float(max_dist)]
-    p = emb.p
     rows = []
     for j, n in enumerate(n_range):
         left, right = edges[j], edges[j + 1]
@@ -472,14 +472,11 @@ def _envelope_rows(system, emb, pairs, model, defects, max_dist):
 
 
 def _tree_defects(system, pairs, model) -> dict[int, float]:
-    out = {}
-    for n in range(system.n_min, system.n_max + 1):
-        worst = 0.0
-        for x, y in pairs:
-            if model.metric(x, y) <= system.r(n):
-                worst = max(worst, amenable.a_defect(*system.encoded_pair(x, y, n)))
-        out[n] = worst
-    return out
+    """Worst |A Delta B| / |A cap B| per index over the pairs within r_n."""
+    d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
+    ad = system.a_defects(pairs)
+    return {n: float(ad[d <= system.r(n), j].max(initial=0.0))
+            for j, n in enumerate(range(system.n_min, system.n_max + 1))}
 
 
 def _heis_defects(model, n_min, n_max) -> dict[int, float]:
@@ -516,45 +513,11 @@ def cmd_folner(args: argparse.Namespace) -> int:
     doc: dict = {"report_kind": "moduli_run", "run_kind": "folner",
                  "group": args.group, "domain": args.group, "target": "lp",
                  "regime": "large_t", "config": _echo(args)}
-    violations = 0
-    rows = []
-    if args.group in ("z1", "z2", "z3"):
-        model = amenable.ZkModel(int(args.group[1]))
-        system = amenable.ZkFolnerSystem(model, n_min=args.n_min, n_max=args.n_max)
-        emb = amenable.glued_group_embedding(system, model, args.p)
-        pairs = _log_spread_zk_pairs(model, args.pairs, args.max_dist, args.seed)
-        defects = _zk_worst_defects(system)
-        defect_viol = sum(1 for n, v in defects.items()
-                          if v > system.eps(n) * (1 + 1e-12))
-        char = amenable.char_embedding_bound_check(system, model, pairs, args.p,
-                                                  bound_scale=args.bound_scale)
-        bounds = emb.bounds_check(pairs)
-        rows = _envelope_rows(system, emb, pairs, model, defects, args.max_dist)
-        violations = (defect_viol + char.violations + char.support_violations
-                      + bounds["upper_violations"] + bounds["lower_violations"])
-        doc.update({"defect_violations": defect_viol, "char_check": char.to_dict(),
-                    "glued_bounds": bounds})
-    elif args.group == "tree":
-        model = amenable.TreeModel()
-        system = amenable.TreeACollection(model, n_min=args.n_min, n_max=args.n_max)
-        emb = amenable.glued_group_embedding(system, model, args.p)
-        pairs = amenable.sample_tree_pairs(model, args.pairs, int(args.max_dist),
-                                           args.seed)
-        defects = _tree_defects(system, pairs, model)
-        defect_viol = sum(1 for n, v in defects.items()
-                          if v > system.a_eps(n) * (1 + 1e-12))
-        char = amenable.char_embedding_bound_check(system, model, pairs, args.p,
-                                                  bound_scale=args.bound_scale)
-        bounds = emb.bounds_check(pairs)
-        rows = _envelope_rows(system, emb, pairs, model, defects, args.max_dist)
-        violations = (defect_viol + char.violations + char.support_violations
-                      + bounds["upper_violations"] + bounds["lower_violations"])
-        doc.update({"defect_violations": defect_viol, "char_check": char.to_dict(),
-                    "glued_bounds": bounds})
-    else:  # heis: translation defects (size-capped) and volume growth only
+    if args.group == "heis":  # translation defects (size-capped) and volume growth only
         model = amenable.HeisenbergModel()
         defects = _heis_defects(model, args.n_min, args.n_max)
         fit = amenable.heisenberg_growth_fit()
+        rows = []
         for n in range(args.n_min, args.n_max + 1):
             eps = amenable._preset_eps(n)
             rows.append((math.nan, math.nan, math.nan, 0, math.nan, math.nan,
@@ -565,6 +528,30 @@ def cmd_folner(args: argparse.Namespace) -> int:
         for key in ("domain", "target", "regime"):
             doc.pop(key)
         doc.update({"growth_fit": fit, "defects": {str(n): defects[n] for n in defects}})
+        violations = 0
+    else:
+        if args.group == "tree":
+            model = amenable.TreeModel()
+            system = amenable.TreeACollection(model, n_min=args.n_min, n_max=args.n_max)
+            pairs = amenable.sample_tree_pairs(model, args.pairs, int(args.max_dist),
+                                               args.seed)
+            defects, budget = _tree_defects(system, pairs, model), system.a_eps
+        else:
+            model = amenable.ZkModel(int(args.group[1]))
+            system = amenable.ZkFolnerSystem(model, n_min=args.n_min, n_max=args.n_max)
+            pairs = _log_spread_zk_pairs(model, args.pairs, args.max_dist, args.seed)
+            defects, budget = _zk_worst_defects(system), system.eps
+        emb = amenable.glued_group_embedding(system, model, args.p)
+        defect_viol = sum(1 for n, v in defects.items() if v > budget(n) * (1 + 1e-12))
+        char = amenable.char_embedding_bound_check(system, model, pairs, args.p,
+                                                  bound_scale=args.bound_scale)
+        image_pth = emb.image_distances_pth(pairs)
+        bounds = emb.bounds_check(pairs, image_pth=image_pth)
+        rows = _envelope_rows(system, emb, pairs, model, image_pth, defects, args.max_dist)
+        violations = (defect_viol + char.violations + char.support_violations
+                      + bounds["upper_violations"] + bounds["lower_violations"])
+        doc.update({"defect_violations": defect_viol, "char_check": char.to_dict(),
+                    "glued_bounds": bounds})
     if doc["report_kind"] == "moduli_run":
         doc.update(_bracket_slopes(rows))
     if args.out:

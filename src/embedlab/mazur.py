@@ -197,6 +197,15 @@ def mazur_bounds_check(p: float, q: float, samples: int = 10_000, seed: int = 0,
     """
     consts = mazur_constants(p, q)
     x, y = sample_sphere_pairs(p, samples, dim, seed)
+    return {"p": p, "q": q, "samples": samples, "seed": seed, "dim": dim,
+            **_audit_pairs(x, y, consts, upper_scale, lower_scale)}
+
+
+def _audit_pairs(x: np.ndarray, y: np.ndarray, consts: MazurConstants,
+                 upper_scale: float = 1.0, lower_scale: float = 1.0) -> dict:
+    """The two-sided audit of :func:`mazur_bounds_check` on given l_p
+    sphere pairs, so one draw can serve several target exponents."""
+    p, q = consts.p, consts.q
     s_p = np.sum(np.abs(x - y) ** p, axis=1)
     mx = np.sign(x) * np.abs(x) ** (p / q)
     my = np.sign(y) * np.abs(y) ** (p / q)
@@ -214,11 +223,6 @@ def mazur_bounds_check(p: float, q: float, samples: int = 10_000, seed: int = 0,
     violations = int(np.sum(lower_margin < 0) + np.sum(upper_margin < 0))
 
     return {
-        "p": p,
-        "q": q,
-        "samples": samples,
-        "seed": seed,
-        "dim": dim,
         "violations": violations,
         "worst_margin": float(min(lower_margin.min(), upper_margin.min())),
         "constants_used": {

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "Regime",
@@ -260,6 +259,7 @@ def generalized_inverse(T: MonotoneFunction | Callable[[float], float], y: float
     right = min(right, limit)
     if fn(right) < y:
         return math.inf
+    from scipy.optimize import brentq  # deferred: a ~0.2 s import no CLI path needs
     return float(brentq(lambda x: fn(x) - y, lo, right, rtol=1e-13, maxiter=200))
 
 
@@ -316,6 +316,7 @@ def h_ab(a: float, b: float, t: float) -> float:
     left = s0
     if fn(left) > t:  # can only happen from float jitter right at the minimum
         return s0
+    from scipy.optimize import brentq  # deferred, as in generalized_inverse
     return float(brentq(lambda s: fn(s) - t, left, right, rtol=1e-13, maxiter=200))
 
 

@@ -1,11 +1,11 @@
 """Lattice/tree models, defect arithmetic, indicator blocks, group gluings."""
 
+import itertools
 import math
 
 import pytest
 
 from embedlab.amenable import (
-    CharBlock,
     GluedGroupEmbedding,
     HeisenbergModel,
     TreeACollection,
@@ -14,13 +14,11 @@ from embedlab.amenable import (
     ZkModel,
     _preset_eps,
     a_defect,
+    block_distances_pth,
     box_defect,
     box_intersection_count,
-    char_block_distance_pth,
-    char_embedding_block,
     char_embedding_bound_check,
     folner_defect,
-    folner_to_acollection,
     glued_group_embedding,
     heisenberg_growth_fit,
     predicted_group_gap,
@@ -188,17 +186,6 @@ class TestZkFolnerSystem:
             sys.folner_set(20)  # 7181^2 points
         assert sys.sym_diff_count((0, 0), (3, 4), 20) > 0
 
-    def test_acollection_transfer(self):
-        sys = ZkFolnerSystem(ZkModel(1))
-        assert folner_to_acollection(sys) is sys
-
-        class Degenerate(ZkFolnerSystem):
-            def eps(self, n):
-                return 1.0
-
-        with pytest.raises(ValueError):
-            folner_to_acollection(Degenerate(ZkModel(1)))
-
     def test_index_validation(self):
         with pytest.raises(ValueError):
             ZkFolnerSystem(ZkModel(1), n_min=1)
@@ -241,26 +228,38 @@ class TestTreeACollection:
                 assert col.sym_diff_count(x, y, n) == 8
 
 
+def _char_block(x, n: int, sys, p: float) -> dict:
+    """phi_n(x) materialized: the indicator of A_n(x) at unit ell_p norm."""
+    support = sys.set_at(x, n)
+    return dict.fromkeys(support, len(support) ** (-1.0 / p))
+
+
+def _dense_distance_pth(a: dict, b: dict, p: float) -> float:
+    return sum(abs(a.get(v, 0.0) - b.get(v, 0.0)) ** p for v in a.keys() | b.keys())
+
+
 class TestCharBlocks:
+    """Materialized indicator blocks: the oracle of the block distances."""
+
     def test_unit_norm(self):
         sys = ZkFolnerSystem(ZkModel(1))
-        blk = char_embedding_block((3,), 2, sys, 1.0)
-        assert len(blk.keys) == 9
-        assert blk.norm_pth == pytest.approx(1.0, rel=1e-12)
-        with pytest.raises(ValueError):
-            char_embedding_block((3,), 2, sys, 0.5)
+        blk = _char_block((3,), 2, sys, 1.5)
+        assert len(blk) == 9
+        assert sum(h ** 1.5 for h in blk.values()) == pytest.approx(1.0, rel=1e-12)
 
     def test_distance_matches_dense_oracle(self):
-        p = 1.5
-        a = CharBlock(keys=(1, 2, 3), height=3 ** (-1.0 / p), p=p)
-        b = CharBlock(keys=(2, 3, 4, 5), height=4 ** (-1.0 / p), p=p)
-        dense = (a.height ** p                      # key 1, only in a
-                 + 2 * abs(a.height - b.height) ** p  # keys 2, 3
-                 + 2 * b.height ** p)               # keys 4, 5
-        assert char_block_distance_pth(a, b) == pytest.approx(dense, rel=1e-12)
-        assert char_block_distance_pth(a, a) == 0.0
-        with pytest.raises(ValueError):
-            char_block_distance_pth(a, CharBlock(keys=(1,), height=1.0, p=2.0))
+        tree = TreeModel()
+        cases = [(ZkFolnerSystem(ZkModel(2), n_max=4), sample_zk_pairs(ZkModel(2), 6, 12, seed=1)),
+                 (TreeACollection(tree, n_max=5), sample_tree_pairs(tree, 6, 12, seed=1))]
+        for sys, pairs in cases:
+            closed = block_distances_pth(sys, pairs)
+            for p in (1.0, 1.5, 3.0):  # the closed form holds whatever p
+                for i, (x, y) in enumerate(pairs):
+                    for j, n in enumerate(range(2, sys.n_max + 1)):
+                        dense = _dense_distance_pth(_char_block(x, n, sys, p),
+                                                    _char_block(y, n, sys, p), p)
+                        assert closed[i, j] == pytest.approx(dense, rel=1e-12, abs=1e-15)
+                        assert closed[i, j] == sys.block_distance_pth(x, y, n, p)
 
 
 class TestSamplers:
@@ -398,3 +397,109 @@ class TestPredictedGroupGap:
     def test_p_validation(self):
         with pytest.raises(ValueError):
             predicted_group_gap(ZkModel(1), 0.5)
+
+
+def _tree_nodes(branching: int, depth: int) -> list[tuple]:
+    return [node for d in range(depth + 1)
+            for node in itertools.product(range(branching), repeat=d)]
+
+
+class TestClosedFormOracles:
+    """The array closed forms against set enumeration."""
+
+    def test_tree_counts_match_segments_on_every_pair_to_depth_five(self):
+        tree = TreeModel()
+        col = TreeACollection(tree, n_min=2, n_max=4)
+        nodes = _tree_nodes(2, 5)  # 63 nodes, zero-heavy labels included
+        pairs = list(itertools.product(nodes, repeat=2))
+        counts = col.sym_diff_counts(pairs)
+        a_def = col.a_defects(pairs)
+        for j, n in enumerate(range(2, 5)):
+            s = col.size(n)
+            segs = {x: set(tree.ray_segment(x, s)) for x in nodes}
+            for i, (x, y) in enumerate(pairs):
+                assert counts[i, j] == len(segs[x] ^ segs[y]), (x, y, n)
+                assert a_def[i, j] == a_defect(segs[x], segs[y]), (x, y, n)
+        assert col.sym_diff_count((0, 0, 0), (1,), 3) == counts[
+            pairs.index(((0, 0, 0), (1,))), 1]
+
+    def test_tree_depth_overflow_still_raises(self):
+        tree = TreeModel(depth=6)
+        col = TreeACollection(tree, n_min=2, n_max=3)  # 11-vertex segments
+        with pytest.raises(ValueError, match="truncation depth"):
+            tree.ray_segment((0, 0), col.size(3))
+        with pytest.raises(ValueError, match="truncation depth"):
+            col.sym_diff_count((0, 0), (0,), 3)
+        with pytest.raises(ValueError, match="truncation depth"):
+            col.sym_diff_counts([((1,), (0, 0))])
+        assert col.sym_diff_count((1, 1, 1, 1, 1), (1, 1, 1, 1), 2) == 2
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zk_counts_match_scalar_and_sets(self, k):
+        model = ZkModel(k)
+        sys = ZkFolnerSystem(model, n_min=2, n_max=9)
+        pairs = sample_zk_pairs(model, 40, 30, seed=k)
+        counts = sys.sym_diff_counts(pairs)
+        for i, (x, y) in enumerate(pairs):
+            for j, n in enumerate(range(2, 10)):
+                assert counts[i, j] == sys.sym_diff_count(x, y, n)
+        x, y = pairs[0]
+        assert counts[0, 0] == len(sys.set_at(x, 2) ^ sys.set_at(y, 2))
+
+    def test_zk_counts_stay_exact_past_float_precision(self):
+        sys = ZkFolnerSystem(ZkModel(5), n_min=2, n_max=20)  # 14363^5 points
+        assert sys.size(20) > 1 << 53
+        pairs = [((0,) * 5, (7, -3, 0, 1, 9)), ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6))]
+        counts = sys.sym_diff_counts(pairs)
+        dist = block_distances_pth(sys, pairs)
+        for i, (x, y) in enumerate(pairs):
+            for j, n in enumerate(range(2, 21)):
+                assert counts[i, j] == sys.sym_diff_count(x, y, n)
+                assert dist[i, j] == sys.block_distance_pth(x, y, n, 1.0)
+
+    @pytest.mark.parametrize("tree", [False, True])
+    def test_glued_distances_equal_the_scalar_sum_bitwise(self, tree):
+        if tree:
+            model = TreeModel()
+            sys = TreeACollection(model, n_min=2, n_max=9)
+            pairs = sample_tree_pairs(model, 40, 60, seed=4)
+        else:
+            model = ZkModel(3)
+            sys = ZkFolnerSystem(model, n_min=2, n_max=12)
+            pairs = sample_zk_pairs(model, 40, 60, seed=4)
+        e = glued_group_embedding(sys, model, 1.5)
+        got = e.image_distances_pth(pairs)
+        for (x, y), val in zip(pairs, got):
+            want = sum(sys.block_distance_pth(x, y, n, 1.5) for n in range(sys.n_min, sys.n_max + 1))
+            assert val == want
+        assert e.bounds_check(pairs) == e.bounds_check(pairs, image_pth=got)
+
+
+class TestSupportAudit:
+    """rad(n) shrunk by one must trip the support-radius audit."""
+
+    def test_zk_shrunken_radius_detected(self):
+        class Shrunk(ZkFolnerSystem):
+            def rad(self, n):
+                return super().rad(n) - 1.0
+
+        model = ZkModel(3)
+        pairs = sample_zk_pairs(model, 10, 8, seed=2)
+        clean = char_embedding_bound_check(ZkFolnerSystem(model, n_max=6), model, pairs, 1.0)
+        assert clean.support_violations == 0
+        rep = char_embedding_bound_check(Shrunk(model, n_max=6), model, pairs, 1.0)
+        # every audited (point, n): n = 2, 3, 4; the n = 5 box is over the cap
+        assert rep.support_violations == 8 * 3
+        assert rep.violations == 0
+
+    def test_tree_shrunken_radius_detected(self):
+        class Shrunk(TreeACollection):
+            def rad(self, n):
+                return super().rad(n) - 1.0
+
+        tree = TreeModel()
+        pairs = sample_tree_pairs(tree, 10, 8, seed=2)
+        clean = char_embedding_bound_check(TreeACollection(tree, n_max=6), tree, pairs, 1.0)
+        assert clean.support_violations == 0
+        rep = char_embedding_bound_check(Shrunk(tree, n_max=6), tree, pairs, 1.0)
+        assert rep.support_violations == 8 * 4  # n = 2..5 for each audited point

@@ -2,10 +2,12 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
-from embedlab import cli
+from embedlab import amenable, cli, mazur
 
 
 def run(argv):
@@ -102,6 +104,19 @@ class TestVerifyCommand:
         assert doc["eps_scale"] == 0.5
         assert doc["violations"] > 0
 
+    def test_mazur_cells_match_the_standalone_check(self, tmp_path):
+        out = tmp_path / "mazur.json"
+        run(["verify", "--suite", "mazur", "--samples", "400", "--grid", "1,2,3",
+             "--dim", "6", "--seed", "4", "--out", str(out)])
+        cells = json.loads(out.read_text())["cells"]
+        assert len(cells) == 9
+        for cell in cells:
+            if cell["p"] == cell["q"]:
+                assert "worst_margin" not in cell
+                continue
+            rep = mazur.mazur_bounds_check(cell["p"], cell["q"], samples=400, seed=4, dim=6)
+            assert cell["worst_margin"] == rep["worst_margin"]
+
     def test_folner_quick_clean_and_control(self, tmp_path):
         code = run(["verify", "--suite", "folner", "--n-max", "6",
                     "--pairs", "80", "--out", str(tmp_path / "f.json")])
@@ -163,6 +178,25 @@ class TestFolnerCommand:
         assert doc["report_kind"] == "folner_run"
         assert "domain" not in doc
         assert 3.5 <= doc["growth_fit"] <= 4.5
+
+
+class TestGroupClosedForms:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_axis_vector_is_the_worst_box_shift(self, k):
+        model = amenable.ZkModel(k)
+        system = amenable.ZkFolnerSystem(model, n_min=2, n_max=12)
+        got = cli._zk_worst_defects(system)
+        for n in range(2, 13):
+            M = system.half_side(n)
+            want = max(amenable.box_defect(M, g) for g in model.ball(n) if any(g))
+            assert got[n] == want
+
+
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    code = "import sys, embedlab.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 class TestReportCommand:
