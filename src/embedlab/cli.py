@@ -22,7 +22,7 @@ from .finite_geometry import (HammingCube, cube_report,
                               enflo_type2_certificate, probe_audit)
 from .gaussian import (RandomFeatures, TruncatedExp, exp_coordinates_batch,
                        psi_distance_exact, rff_coordinates_batch)
-from .glue import (GaussianBlockFamily, glue as glue_embedding,
+from .glue import (ROW_QUANTUM, GaussianBlockFamily, glue as glue_embedding,
                    per_pair_bounds_check, preset_schedule)
 from .report import canonical_json, report_tables
 
@@ -30,11 +30,6 @@ EXIT_OK = 0
 EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-# Fixed work-splitting quantum.  Thread count must never influence the
-# arithmetic, so batches are cut at this size for 1 and N threads alike
-# and only the executor differs.
-_WORK_CHUNK = 2048
 
 _PRESETS = ("warmup_l2", "strong_qge2", "strong_1leqle2", "strong_qle1", "coarse_l2")
 _GROUPS = ("z1", "z2", "z3", "tree", "heis")
@@ -89,9 +84,10 @@ def _fmt(value) -> str:
 def _threaded(f, threads: int):
     """Row-chunked parallel wrapper with thread-count-independent output.
 
-    Chunks are fixed slices of the input; each is evaluated by the same
-    code on the same data whatever the executor, and results are placed
-    by slice, so the assembled array is bitwise reproducible.
+    Chunks are fixed slices of ROW_QUANTUM rows for 1 and N threads alike;
+    each is evaluated by the same code on the same data whatever the
+    executor, and results are placed by slice, so the assembled array is
+    bitwise reproducible.
     """
 
     def engine(X, Y, t):
@@ -99,7 +95,7 @@ def _threaded(f, threads: int):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         Y = np.atleast_2d(np.asarray(Y, dtype=float))
         n = len(t)
-        slices = [slice(i, min(i + _WORK_CHUNK, n)) for i in range(0, n, _WORK_CHUNK)]
+        slices = [slice(i, min(i + ROW_QUANTUM, n)) for i in range(0, n, ROW_QUANTUM)]
 
         def work(sl):
             return np.asarray(f(X[sl], Y[sl], t[sl]), dtype=float)

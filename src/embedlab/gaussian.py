@@ -18,9 +18,15 @@ Three interchangeable realizations are provided:
   approximation of the same kernel with O(D^{-1/2}) error.
 
 Composing psi_r with the (2, q) signed-power map yields the fundamental
-block maps of the glued embeddings.  Their image distances are sandwiched
-by transporting the exact psi distance through the certified signed-power
-constants; :func:`phi_moduli_envelope` returns that sandwich.
+block maps phi of the glued embeddings.  One batch kernel computes them
+for every coordinate backend: :func:`block_map` takes the backend's
+coordinates and applies the signed power 2/q, and :func:`block_mass`
+returns sum_n sum_i |phi_n(x)_i - phi_n(y)_i|^q per pair of rows over a
+list of blocks, summed in float64.  Random-feature coordinates are
+computed in the floating dtype of the input points, so float32 rows give
+float32 arithmetic with the same feature tables.  Block distances are sandwiched by transporting the
+exact psi distance through the certified signed-power constants
+(:func:`sphere_block_interval` of :func:`psi_distance_exact`).
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc
 
-from .mazur import mazur_constants, mazur_map
+from .mazur import _signed_power, mazur_constants
 from .metric_core import ExponentRegime
 
 __all__ = [
@@ -41,17 +47,14 @@ __all__ = [
     "RandomFeatures",
     "FundamentalMapSpec",
     "psi_distance_exact",
-    "psi_inner_exact",
-    "exp_coordinates",
     "exp_coordinates_batch",
-    "rff_coordinates",
     "rff_coordinates_batch",
+    "block_map",
+    "block_mass",
     "phi_map",
-    "phi_distance_batch",
     "sphere_block_interval",
     "moduli_exponents",
     "delta_q",
-    "phi_moduli_envelope",
     "SATURATION_LEVEL",
 ]
 
@@ -59,10 +62,7 @@ __all__ = [
 # (bandwidth * distance^2 = 1) the squared psi distance equals this level.
 SATURATION_LEVEL = 2.0 * (1.0 - math.exp(-1.0))  # = 2 (e-1)/e
 
-
-def psi_inner_exact(d, r: float):
-    """Exact kernel value <psi_r(x), psi_r(y)> for ||x-y|| = d."""
-    return np.exp(-r * np.asarray(d, dtype=float) ** 2)
+_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
 
 
 def psi_distance_exact(d, r):
@@ -158,13 +158,19 @@ def _multi_indices(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
     return exps, weights
 
 
-@functools.lru_cache(maxsize=512)
-def _rff_table(r: float, n_features: int, seed, dim: int) -> tuple[np.ndarray, np.ndarray]:
+# Unbounded: a glued embedding reads every block's table once per row
+# chunk, so a bounded cache smaller than its block count would redraw
+# each table on every chunk.
+@functools.lru_cache(maxsize=None)
+def _rff_table(r: float, n_features: int, seed, dim: int,
+               dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies (dim x n_features) and phases, drawn in float64 and
+    stored in ``dtype``, once per dtype rather than cast on every call."""
     entropy = (seed if isinstance(seed, tuple) else (seed,)) + (dim,)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
     w = rng.normal(0.0, math.sqrt(2.0 * r), size=(dim, n_features))
     b = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
-    return w, b
+    return w.astype(dtype), b.astype(dtype)
 
 
 def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndarray, np.ndarray]:
@@ -191,30 +197,39 @@ def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndar
     coords *= np.exp(-backend.r * sq)[:, None]
     residuals = gammainc(backend.degree + 1, 2.0 * backend.r * sq)
     norms = np.linalg.norm(coords, axis=1, keepdims=True)
+    # exp(-r ||x||^2) shrinks the series faster than its terms grow; once
+    # the squared norm leaves the normal float range the rows lose their
+    # precision, and then their norm, before the division below.
+    lost = ~(norms[:, 0] >= _SQRT_TINY)
+    if np.any(lost):
+        raise ValueError(
+            f"truncated exp series of degree {backend.degree} underflows at "
+            f"||x|| = {math.sqrt(sq[lost].min()):.6g} (bandwidth {backend.r:.6g}): "
+            f"its squared norm is below the smallest normal float")
     coords /= norms
     return coords, residuals
 
 
-def exp_coordinates(x, backend: TruncatedExp) -> tuple[np.ndarray, float]:
-    """Single-point version of :func:`exp_coordinates_batch`."""
-    coords, res = exp_coordinates_batch(np.asarray(x, dtype=float)[None, :], backend)
-    return coords[0], float(res[0])
+def rff_coordinates_batch(X: np.ndarray, backend: RandomFeatures,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """Renormalized random-feature coordinates, shape (batch, n_features).
 
-
-def rff_coordinates_batch(X: np.ndarray, backend: RandomFeatures) -> np.ndarray:
-    """Renormalized random-feature coordinates, shape (batch, n_features)."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
+    Computed in the floating dtype of ``X`` (other inputs become float64),
+    with the feature table drawn in float64 and stored in that dtype.
+    ``out``, if given, receives the result.
+    """
+    X = np.atleast_2d(np.asarray(X))
+    if X.dtype.kind != "f":
+        X = X.astype(float)
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite entries")
-    w, b = _rff_table(backend.r, backend.n_features, backend.seed, X.shape[1])
-    z = np.cos(X @ w + b)
+    w, b = _rff_table(backend.r, backend.n_features, backend.seed, X.shape[1], X.dtype)
+    z = np.matmul(X, w, out=out)
+    z += b
+    np.cos(z, out=z)
     z *= math.sqrt(2.0 / backend.n_features)
     z /= np.linalg.norm(z, axis=1, keepdims=True)
     return z
-
-
-def rff_coordinates(x, backend: RandomFeatures) -> np.ndarray:
-    return rff_coordinates_batch(np.asarray(x, dtype=float)[None, :], backend)[0]
 
 
 def moduli_exponents(q: float) -> tuple[float, float]:
@@ -293,49 +308,47 @@ class FundamentalMapSpec:
         return moduli_exponents(self.q.p)
 
 
-def phi_map(x, spec: FundamentalMapSpec) -> np.ndarray:
-    """Signed-power image of the Gaussian sphere point, on the unit q-sphere."""
-    if isinstance(spec.backend, KernelExact):
-        raise ValueError("KernelExact backend has no coordinates; use the envelope")
-    if isinstance(spec.backend, TruncatedExp):
-        psi, _ = exp_coordinates(x, spec.backend)
-    else:
-        psi = rff_coordinates(x, spec.backend)
-    return mazur_map(psi, 2.0, spec.q.p)
+def block_map(X: np.ndarray, spec: FundamentalMapSpec,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Block images phi(x) = s_{2/q}(psi_r(x)) of the rows of X, on the unit q-sphere.
 
-
-def phi_distance_batch(X: np.ndarray, Y: np.ndarray, spec: FundamentalMapSpec) -> np.ndarray:
-    """Block distances between phi images of paired rows of X and Y."""
-    if isinstance(spec.backend, KernelExact):
-        raise ValueError("KernelExact backend has no coordinates; use the envelope")
-    if isinstance(spec.backend, TruncatedExp):
-        px, _ = exp_coordinates_batch(X, spec.backend)
-        py, _ = exp_coordinates_batch(Y, spec.backend)
-    else:
-        px = rff_coordinates_batch(X, spec.backend)
-        py = rff_coordinates_batch(Y, spec.backend)
-    q = spec.q.p
-    diff_pow = np.abs(mazur_map(px, 2.0, q) - mazur_map(py, 2.0, q)) ** q
-    s = diff_pow.sum(axis=1)
-    return s if spec.q.is_power_sum else s ** (1.0 / q)
-
-
-def phi_moduli_envelope(spec: FundamentalMapSpec, t) -> tuple[np.ndarray, np.ndarray]:
-    """Certified (lower, upper) bounds on the block distance at separation t.
-
-    Built by transporting the exact psi distance through the certified
-    signed-power constants, so the sandwich holds for *every* separation.
-    Three analytic regimes are embedded in it:
-
-    * small separations: since 1 - e^{-u} <= u, the upper bound is below
-      ``const * (r t^2)^gamma_q``;
-    * while ``r t^2 <= 1``: since 1 - e^{-u} >= u/e, the lower bound is
-      above ``const * (r t^2 / e)^xi_q``;
-    * once ``r t^2 >= 1``: the lower bound is at least :func:`delta_q`.
+    psi_r is the backend's unit-sphere coordinates (truncated series or
+    random features) and s_{2/q} the coordinatewise signed power, the
+    (2, q) Mazur map.  Random features keep the floating dtype of ``X``;
+    the series is evaluated in float64.  ``out``, if given, receives the
+    result.
     """
-    t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("separations must be nonnegative")
-    D = psi_distance_exact(t, spec.r)
-    lo, hi = sphere_block_interval(D, spec.q.p)
-    return lo, hi
+    if isinstance(spec.backend, KernelExact):
+        raise ValueError("KernelExact backend has no coordinates; use the envelope")
+    if isinstance(spec.backend, TruncatedExp):
+        psi, _ = exp_coordinates_batch(X, spec.backend)
+    else:
+        psi = rff_coordinates_batch(X, spec.backend, out=out)
+    return _signed_power(psi, 2.0 / spec.q.p, out=out)
+
+
+def block_mass(X: np.ndarray, Y: np.ndarray, specs) -> np.ndarray:
+    """Power mass of paired rows summed over the blocks ``specs``, in float64.
+
+    Block n adds sum_i |phi_n(x)_i - phi_n(y)_i|^q, its share of the glued
+    mass in both regimes: the q-th power of the block distance for
+    q >= 1, the power-sum block distance itself for q < 1.  Blocks are
+    added in order.  The two image arrays are reused from block to block:
+    freeing and reallocating them for every block lets the C allocator
+    hand their pages back to the system and fault them in again.
+    """
+    total = np.zeros(len(np.atleast_2d(X)))
+    px = py = None
+    for spec in specs:
+        px = block_map(X, spec, out=px)
+        py = block_map(Y, spec, out=py)
+        diff = np.subtract(px, py, out=px)
+        np.abs(diff, out=diff)
+        diff **= spec.q.p
+        total += np.sum(diff, axis=1, dtype=np.float64)
+    return total
+
+
+def phi_map(x, spec: FundamentalMapSpec) -> np.ndarray:
+    """Single-point :func:`block_map`."""
+    return block_map(np.asarray(x)[None, :], spec)[0]

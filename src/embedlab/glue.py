@@ -39,6 +39,7 @@ power-sum regime are combined by plain summation).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -50,9 +51,9 @@ from .gaussian import (
     RandomFeatures,
     TruncatedExp,
     FundamentalMapSpec,
+    block_mass,
     delta_q,
     moduli_exponents,
-    phi_distance_batch,
     phi_map,
     psi_distance_exact,
     sphere_block_interval,
@@ -68,7 +69,7 @@ __all__ = [
     "GaussianBlockFamily",
     "GluedEmbedding",
     "glue",
-    "truncation_tail_bound",
+    "ROW_QUANTUM",
     "per_pair_bounds_check",
     "predicted_gap",
     "GluingCheckReport",
@@ -161,6 +162,13 @@ class GeometricSeq:
 
 
 _Seq = PowerLogSeq | GeometricSeq
+
+# Fixed row-chunk size of the coordinate path.  Glued distances are
+# evaluated over row slices of this size, and the CLI cuts its thread
+# work at the same size, so neither the thread count nor the caller
+# changes the slices the arithmetic sees; per-block temporaries stay at
+# ROW_QUANTUM rows.
+ROW_QUANTUM = 2048
 
 
 @dataclass(frozen=True)
@@ -423,30 +431,42 @@ class GluedEmbedding:
         """Concatenated block images phi_n(x) - phi_n(t0)."""
         if self.family.kernel_mode:
             raise ValueError("kernel-mode embeddings have no coordinates")
-        x = np.asarray(x, dtype=float)
+        x = self._rows(np.asarray(x, dtype=float))[0]
         base = self.t0 if self.t0 is not None else np.zeros_like(x)
-        blocks = []
-        for n in self.block_ids:
-            spec = self.family.spec(int(n))
-            blocks.append(phi_map(x, spec) - phi_map(base, spec))
+        blocks = [phi_map(x, spec) - phi_map(base, spec) for spec in self._specs]
         offsets = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
         return TruncatedVector(np.concatenate(blocks), offsets)
 
-    def image_distance(self, x, y) -> float:
-        d = self.image_distances(np.asarray(x, dtype=float)[None, :],
-                                 np.asarray(y, dtype=float)[None, :])
-        return float(d[0])
+    @functools.cached_property
+    def _specs(self) -> tuple[FundamentalMapSpec, ...]:
+        return tuple(self.family.spec(int(n)) for n in self.block_ids)
+
+    def _rows(self, P) -> np.ndarray:
+        """Points as rows, checked against the family's ambient dimension
+        (an rff table would otherwise be drawn for any dimension)."""
+        P = np.atleast_2d(P)
+        dim = self.family.ambient_dim
+        if P.shape[1] != dim:
+            raise ValueError(f"points have dim {P.shape[1]}, family expects {dim}")
+        return P
 
     def image_distances(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Glued distances for paired rows of X and Y (coordinate mode)."""
+        """Glued distances for paired rows of X and Y (coordinate mode).
+
+        The glued mass is :func:`~embedlab.gaussian.block_mass` over the
+        blocks, per slice of ROW_QUANTUM rows.  The block maps run in the
+        floating dtype of the points (float32 rows give float32 random
+        features); the masses are summed in float64.
+        """
         if self.family.kernel_mode:
             raise ValueError("kernel-mode embeddings have interval distances; "
                              "use distance_interval")
+        X, Y = self._rows(X), self._rows(Y)
+        total = np.zeros(len(X))
+        for start in range(0, len(X), ROW_QUANTUM):
+            sl = slice(start, start + ROW_QUANTUM)
+            total[sl] = block_mass(X[sl], Y[sl], self._specs)
         m = self.schedule.mass_power
-        total = np.zeros(len(np.atleast_2d(X)))
-        for n in self.block_ids:
-            spec = self.family.spec(int(n))
-            total += phi_distance_batch(X, Y, spec) ** m
         return total if self.schedule.q.is_power_sum else total ** (1.0 / m)
 
     # -- kernel mode -----------------------------------------------------
@@ -484,12 +504,6 @@ def glue(family, schedule: ParamSchedule | None = None,
          t0: np.ndarray | None = None, n_terms: int = 200) -> GluedEmbedding:
     """Assemble a truncated glued embedding from a block family."""
     return GluedEmbedding(family, schedule, t0, n_terms)
-
-
-def truncation_tail_bound(e: GluedEmbedding, d: float) -> float:
-    if d < 0:
-        raise ValueError("separation must be nonnegative")
-    return float(e.tail_bound(d))
 
 
 def _shape_values(m: MonotoneFunction, arr: np.ndarray) -> np.ndarray:

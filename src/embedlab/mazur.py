@@ -9,9 +9,8 @@ two-sided estimates
 
     c_a |u - v|^a  <=  |s_a(u) - s_a(v)|  <=  a |u - v| max(|u|, |v|)^(a - 1)
 
-hold on [-1, 1]^2; the left constant c_a is certified numerically here
-(dense grid + local refinement + 1% safety shrink).  By homogeneity of
-the ratio the restriction to [-1, 1]^2 loses nothing.  Summing the scalar
+hold for all real u, v, with the sharp left constant c_a = 2^(1 - a)
+(proved in :func:`signed_power_constant`).  Summing the scalar
 estimates over coordinates of a unit-sphere pair and applying Holder gives,
 for 0 < q < p and x, y on the unit sphere of l_p,
 
@@ -24,7 +23,6 @@ For p < q the inequalities reverse; the constants are derived from the
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -39,10 +37,10 @@ __all__ = [
     "sample_sphere_pairs",
 ]
 
-_SAFETY_SHRINK = 0.99
-_GRID_POINTS = 2001
-_REFINE_ROUNDS = 3
-_REFINE_POINTS = 201
+# Relative float guard on the closed-form constant: 2.0 ** (1 - a) is
+# rounded to within one ulp (1.1e-16 relative) of the exact infimum, so
+# scaling it by 1 - 1e-12 keeps the certified value strictly below it.
+_FLOAT_GUARD = 1.0 - 1e-12
 
 
 def mazur_map(x, p: float, q: float) -> np.ndarray:
@@ -56,59 +54,43 @@ def mazur_map(x, p: float, q: float) -> np.ndarray:
     xa = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(xa)):
         raise ValueError("input contains non-finite entries")
-    return np.sign(xa) * np.abs(xa) ** (p / q)
+    return _signed_power(xa, p / q)
 
 
-def _signed_power(t: np.ndarray, a: float) -> np.ndarray:
-    return np.sign(t) * np.abs(t) ** a
+def _signed_power(t: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Coordinatewise sgn(t) |t|^a, in the dtype of ``t``; ``out``, which
+    may be ``t`` itself, receives the result."""
+    sign = np.sign(t)
+    s = np.abs(t, out=out)
+    s **= a
+    s *= sign
+    return s
 
 
-def _grid_min_ratio(a_vals: np.ndarray, b_vals: np.ndarray, alpha: float) -> tuple[float, float, float]:
-    """Minimum of |s(u)-s(v)| / |u-v|^alpha over the grid, off the diagonal."""
-    best = math.inf
-    arg = (0.0, 0.0)
-    sb = _signed_power(b_vals, alpha)
-    # Row-chunked to keep the (len a x len b) temporaries modest.
-    chunk = max(1, int(4e6 / max(1, len(b_vals))))
-    for i0 in range(0, len(a_vals), chunk):
-        av = a_vals[i0:i0 + chunk, None]
-        num = np.abs(_signed_power(av, alpha) - sb[None, :])
-        den = np.abs(av - b_vals[None, :]) ** alpha
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = num / den
-        ratio[den == 0] = math.inf
-        j = int(np.argmin(ratio))
-        val = float(ratio.flat[j])
-        if val < best:
-            best = val
-            r, c = divmod(j, len(b_vals))
-            arg = (float(av[r, 0]), float(b_vals[c]))
-    return best, arg[0], arg[1]
-
-
-@functools.lru_cache(maxsize=None)
 def signed_power_constant(alpha: float) -> float:
     """Certified lower constant c_alpha for the signed power map, alpha >= 1.
 
-    Minimizes |s_a(u) - s_a(v)| / |u - v|^alpha over [-1, 1]^2 on a dense
-    grid, refines locally around the argmin, then shrinks by 1% as a
-    safety margin against grid resolution.  alpha = 1 returns exactly 1
-    (the ratio is identically 1 there).
+    The exact infimum of |s_a(u) - s_a(v)| / |u - v|^a over u != v is
+    2^(1 - a), attained at v = -u.  The ratio is invariant under
+    (u, v) -> (lam u, lam v) and under (u, v) -> (-u, -v), so take u > v:
+
+    * same sign, 0 <= v < u: t^a is superadditive on t >= 0 (convex with
+      value 0 at 0), so u^a >= (u - v)^a + v^a and the ratio is >= 1;
+      likewise for v < u <= 0;
+    * opposite signs, v < 0 < u, w = -v: the ratio is
+      (u^a + w^a) / (u + w)^a, and the power-mean inequality
+      ((u^a + w^a) / 2)^(1/a) >= (u + w) / 2 bounds it below by
+      2^(1 - a), with equality at u = w.
+
+    Since 2^(1 - a) <= 1, the minimum is 2^(1 - a).  It is returned times
+    a 1 - 1e-12 float guard; alpha = 1 returns exactly 1 (the ratio is
+    identically 1 there).
     """
     if alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     if alpha == 1.0:
         return 1.0
-    grid = np.linspace(-1.0, 1.0, _GRID_POINTS)
-    best, ua, ub = _grid_min_ratio(grid, grid, alpha)
-    h = 2.0 / (_GRID_POINTS - 1)
-    for _ in range(_REFINE_ROUNDS):
-        ga = np.linspace(max(-1.0, ua - 2 * h), min(1.0, ua + 2 * h), _REFINE_POINTS)
-        gb = np.linspace(max(-1.0, ub - 2 * h), min(1.0, ub + 2 * h), _REFINE_POINTS)
-        val, ua, ub = _grid_min_ratio(ga, gb, alpha)
-        best = min(best, val)
-        h = (ga[-1] - ga[0]) / (_REFINE_POINTS - 1)
-    return _SAFETY_SHRINK * best
+    return 2.0 ** (1.0 - alpha) * _FLOAT_GUARD
 
 
 @dataclass(frozen=True)
@@ -179,9 +161,7 @@ def sample_sphere_pairs(p: float, samples: int, dim: int, seed: int,
         scale = np.exp(rng.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
         yn = x2[:n_near] + scale * rng.standard_normal((n_near, dim))
         y2[:n_near] = yn / np.linalg.norm(yn, axis=1, keepdims=True)
-    x = np.sign(x2) * np.abs(x2) ** (2.0 / p)
-    y = np.sign(y2) * np.abs(y2) ** (2.0 / p)
-    return x, y
+    return _signed_power(x2, 2.0 / p), _signed_power(y2, 2.0 / p)
 
 
 def mazur_bounds_check(p: float, q: float, samples: int = 10_000, seed: int = 0,
@@ -207,8 +187,8 @@ def _audit_pairs(x: np.ndarray, y: np.ndarray, consts: MazurConstants,
     sphere pairs, so one draw can serve several target exponents."""
     p, q = consts.p, consts.q
     s_p = np.sum(np.abs(x - y) ** p, axis=1)
-    mx = np.sign(x) * np.abs(x) ** (p / q)
-    my = np.sign(y) * np.abs(y) ** (p / q)
+    mx = _signed_power(x, p / q)
+    my = _signed_power(y, p / q)
     s_mq = np.sum(np.abs(mx - my) ** q, axis=1)
 
     c_low = consts.c_lower * lower_scale

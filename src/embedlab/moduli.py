@@ -30,9 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .gaussian import _rff_table
 from .glue import GluedEmbedding
-from .mazur import mazur_map
 
 __all__ = [
     "PairSampler",
@@ -41,7 +39,6 @@ __all__ = [
     "estimate_moduli",
     "fit_exponent",
     "distortion",
-    "austin_bound",
     "exact_kernel_engine",
     "coordinate_engine",
     "fast_rff_engine",
@@ -266,13 +263,6 @@ def distortion(f: Callable, space, image_metric: Callable | None = None) -> floa
     return float(np.max(im_u / dom_u) * np.max(dom_u / im_u))
 
 
-def austin_bound(eta: float) -> float:
-    """Upper bound 1 - eta on the achievable compression exponent."""
-    if not (0 < eta <= 1):
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    return 1.0 - eta
-
-
 # -- engines over glued embeddings --------------------------------------
 
 
@@ -292,7 +282,8 @@ def exact_kernel_engine(e: GluedEmbedding) -> Callable:
 
 
 def coordinate_engine(e: GluedEmbedding) -> Callable:
-    """Float64 per-block coordinate path (exp or rff backends)."""
+    """Float64 evaluation of a coordinate-backed (exp or rff) glued embedding:
+    :meth:`GluedEmbedding.image_distances` on float64 points."""
     if getattr(e.family, "kernel_mode", False):
         raise ValueError("coordinate engine needs a coordinate backend")
 
@@ -302,53 +293,21 @@ def coordinate_engine(e: GluedEmbedding) -> Callable:
     return engine
 
 
-def fast_rff_engine(e: GluedEmbedding, dtype=np.float32, point_chunk: int = 4096) -> Callable:
-    """Bulk random-feature evaluation of a glued embedding.
+def fast_rff_engine(e: GluedEmbedding) -> Callable:
+    """Float32 evaluation of an rff-backed glued embedding.
 
-    Streams pair chunks through every block's cached feature table in
-    reduced precision; identical tables to the float64 path, so results
-    agree up to dtype rounding.  This is what makes 2e4-pair moduli runs
-    over ~200 blocks affordable.
+    The same block kernel as :func:`coordinate_engine`, run on float32
+    copies of the points: cosine features, normalisation and signed power
+    in float32, block masses summed in float64.  The feature tables are the
+    float64 path's, so the two agree up to float32 rounding.  This is what
+    makes 2e4-pair moduli runs over a few hundred blocks affordable.
     """
-    fam = e.family
-    if getattr(fam, "backend", None) != "rff":
+    if getattr(e.family, "backend", None) != "rff":
         raise ValueError("fast engine needs an rff-backed family")
-    q = e.schedule.q.p
-    m = e.schedule.mass_power
-    power_sum = e.schedule.q.is_power_sum
-    dim = fam.ambient_dim
-    scale = math.sqrt(2.0 / fam.n_features)
-    tables = []
-    for n in e.block_ids:
-        w, b = _rff_table(float(e.schedule.bandwidth(int(n))), fam.n_features,
-                          (fam.base_seed, int(n)), dim)
-        tables.append((w.astype(dtype), b.astype(dtype)))
-
-    def block_coords(P, w, b):
-        z = np.cos(P @ w + b)
-        z *= scale
-        z /= np.linalg.norm(z, axis=1, keepdims=True)
-        if q != 2.0:
-            z = np.sign(z) * np.abs(z) ** (2.0 / q)
-        return z
 
     def engine(X, Y, t):
-        X = np.ascontiguousarray(np.atleast_2d(X), dtype=dtype)
-        Y = np.ascontiguousarray(np.atleast_2d(Y), dtype=dtype)
-        if X.shape[1] != dim:
-            raise ValueError(f"points have dim {X.shape[1]}, family expects {dim}")
-        total = np.zeros(len(X), dtype=np.float64)
-        for start in range(0, len(X), point_chunk):
-            sl = slice(start, start + point_chunk)
-            Xc, Yc = X[sl], Y[sl]
-            acc = np.zeros(len(Xc), dtype=np.float64)
-            for w, b in tables:
-                diff = np.abs(block_coords(Xc, w, b) - block_coords(Yc, w, b))
-                # Sum of q-th powers is the block's glued mass in both
-                # regimes (blocks are q-powered before summation anyway).
-                acc += np.sum(diff ** q, axis=1, dtype=np.float64)
-            total[sl] = acc
-        return total if power_sum else total ** (1.0 / m)
+        return e.image_distances(np.ascontiguousarray(X, dtype=np.float32),
+                                 np.ascontiguousarray(Y, dtype=np.float32))
 
     return engine
 

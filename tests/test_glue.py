@@ -16,7 +16,6 @@ from embedlab.glue import (
     per_pair_bounds_check,
     predicted_gap,
     preset_schedule,
-    truncation_tail_bound,
 )
 from embedlab.metric_core import ExponentRegime, MonotoneFunction
 
@@ -164,9 +163,18 @@ class TestGluedEmbedding:
         fam = GaussianBlockFamily(sched, backend="exp", exp_degree=16, ambient_dim=2)
         e = glue(fam, t0=np.zeros(2), n_terms=8)
         assert np.allclose(e.evaluate(np.zeros(2)).coords, 0.0)
-        x, y = np.array([0.3, -0.2]), np.array([0.9, 0.4])
-        assert e.image_distance(x, y) == pytest.approx(e.image_distance(y, x))
-        assert e.image_distance(x, x) == 0.0
+        x, y = np.array([[0.3, -0.2]]), np.array([[0.9, 0.4]])
+        assert e.image_distances(x, y)[0] == pytest.approx(e.image_distances(y, x)[0])
+        assert e.image_distances(x, x)[0] == 0.0
+
+    def test_wrong_dimension_rejected(self):
+        fam = GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0), backend="rff",
+                                  n_features=16, ambient_dim=4)
+        e = glue(fam, n_terms=3)
+        with pytest.raises(ValueError, match="dim 3, family expects 4"):
+            e.evaluate(np.zeros(3))
+        with pytest.raises(ValueError, match="dim 3, family expects 4"):
+            e.image_distances(np.zeros((2, 4)), np.zeros((2, 3)))
 
     def test_interval_brackets_coordinate_distances(self):
         sched = preset_schedule("strong_1leqle2", q=1.5, beta=1.2)
@@ -192,8 +200,6 @@ class TestGluedEmbedding:
         d = np.array([1.0, 2.0])
         want = e.tail_constant * d ** 2  # gamma(t) = t and q = 2
         assert np.allclose(e.tail_bound(d), want, rtol=1e-12)
-        with pytest.raises(ValueError):
-            truncation_tail_bound(e, -1.0)
 
     def test_family_schedule_mismatch_rejected(self):
         fam = GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0))

@@ -51,9 +51,24 @@ class TestSignedPowerConstant:
         assert signed_power_constant(1.0) == 1.0
 
     def test_alpha_two_hits_antisymmetric_minimum(self):
-        # The ratio |s(u)-s(v)| / |u-v|^2 attains 1/2 at v = -u, so the
-        # certified value is 0.5 shrunk by the 1% safety factor.
-        assert signed_power_constant(2.0) == pytest.approx(0.495, abs=1e-10)
+        # The ratio |s(u)-s(v)| / |u-v|^2 attains 2^(1-2) = 1/2 at v = -u;
+        # the float guard keeps the certified value 1e-12 below it.
+        assert signed_power_constant(2.0) == pytest.approx(0.5, abs=1e-10)
+        assert signed_power_constant(2.0) < 0.5
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0, 4.0, 8.0])
+    def test_closed_form_is_the_grid_minimum(self, alpha):
+        # Oracle: the ratio's minimum over a grid of [-1, 1]^2, off the
+        # diagonal, sits on the antidiagonal v = -u at 2^(1 - alpha).
+        g = np.linspace(-1.0, 1.0, 401)
+        u, v = np.meshgrid(g, g)
+        keep = u != v
+        num = np.abs(np.sign(u) * np.abs(u) ** alpha - np.sign(v) * np.abs(v) ** alpha)
+        ratio = num[keep] / np.abs(u - v)[keep] ** alpha
+        assert ratio.min() >= signed_power_constant(alpha)
+        assert ratio.min() == pytest.approx(2.0 ** (1.0 - alpha), rel=1e-9)
+        j = int(np.argmin(ratio))
+        assert u[keep][j] == pytest.approx(-v[keep][j], abs=1e-12)
 
     def test_alpha_below_one_rejected(self):
         with pytest.raises(ValueError):

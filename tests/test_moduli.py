@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from embedlab.finite_geometry import HammingCube
-from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
+from embedlab.gaussian import _rff_table
+from embedlab.glue import ROW_QUANTUM, GaussianBlockFamily, glue, preset_schedule
 from embedlab.moduli import (
     ModuliEstimate,
     PairSampler,
-    austin_bound,
     coordinate_engine,
     distortion,
     estimate_moduli,
@@ -25,6 +25,27 @@ from embedlab.moduli import (
 
 def identity_engine(X, Y, t):
     return np.linalg.norm(X - Y, axis=1)
+
+
+def _rff_oracle(e, X, Y):
+    """Float64 glued rff distance written out from the definitions: per
+    block n, the table from Philox((base_seed, n, dim)), cosines, row
+    normalisation, the signed power 2/q, then the l_q sum over blocks."""
+    fam, q = e.family, e.schedule.q.p
+    dim = X.shape[1]
+    mass = np.zeros(len(X))
+    for n, r in zip(e.block_ids, e.bandwidths):
+        rng = np.random.Generator(np.random.Philox(
+            np.random.SeedSequence((fam.base_seed, int(n), dim))))
+        w = rng.normal(0.0, math.sqrt(2.0 * r), size=(dim, fam.n_features))
+        b = rng.uniform(0.0, 2.0 * math.pi, size=fam.n_features)
+        side = []
+        for P in (X, Y):
+            z = np.cos(P @ w + b)
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            side.append(np.sign(z) * np.abs(z) ** (2.0 / q))
+        mass += np.sum(np.abs(side[0] - side[1]) ** q, axis=1)
+    return mass ** (1.0 / q)
 
 
 class TestPairSampler:
@@ -152,16 +173,6 @@ class TestDistortion:
             distortion(lambda p: np.zeros(1), space)
 
 
-class TestAustinBound:
-    def test_values(self):
-        assert austin_bound(1.0) == 0.0
-        assert austin_bound(0.5) == 0.5
-        with pytest.raises(ValueError):
-            austin_bound(0.0)
-        with pytest.raises(ValueError):
-            austin_bound(1.5)
-
-
 class TestEngines:
     def test_exact_kernel_engine_guards(self):
         kern = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0)), n_terms=10)
@@ -189,16 +200,37 @@ class TestEngines:
         assert np.array_equal(lo, hi)
 
     def test_fast_rff_agrees_with_float64_path(self):
-        sched = preset_schedule("strong_qge2", q=4.0, beta=1.1)
-        fam = GaussianBlockFamily(sched, backend="rff", base_seed=3, n_features=32,
-                                  ambient_dim=5)
-        e = glue(fam, n_terms=6)
         rng = np.random.default_rng(0)
         X = rng.normal(size=(15, 5))
         Y = X + rng.normal(size=(15, 5))
-        fast = fast_rff_engine(e)(X, Y, None)
-        slow = coordinate_engine(e)(X, Y, None)
-        assert np.allclose(fast, slow, rtol=1e-3)
+        for preset, q in (("strong_qge2", 4.0), ("strong_1leqle2", 1.5)):
+            fam = GaussianBlockFamily(preset_schedule(preset, q=q, beta=1.1), backend="rff",
+                                      base_seed=3, n_features=32, ambient_dim=5)
+            e = glue(fam, n_terms=6)
+            want = _rff_oracle(e, X, Y)
+            np.testing.assert_allclose(fast_rff_engine(e)(X, Y, None), want, rtol=1e-5)
+            np.testing.assert_allclose(coordinate_engine(e)(X, Y, None), want, rtol=1e-12)
+
+    def test_tables_drawn_once_per_block_past_512_blocks(self):
+        # Two row chunks over 600 blocks: a cache that evicts would redraw
+        # every table for the second chunk.
+        fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1),
+                                  backend="rff", base_seed=424242, n_features=4,
+                                  ambient_dim=2)
+        e = glue(fam, n_terms=600)
+        X = np.zeros((ROW_QUANTUM + 1, 2))
+        before = _rff_table.cache_info().misses
+        fast_rff_engine(e)(X, X + 1.0, None)
+        assert _rff_table.cache_info().misses - before == 600
+
+    def test_wrong_dimension_rejected_by_both_engines(self):
+        fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1),
+                                  backend="rff", n_features=16, ambient_dim=16)
+        e = glue(fam, n_terms=3)
+        X = np.zeros((2, 3))
+        for engine in (fast_rff_engine(e), coordinate_engine(e)):
+            with pytest.raises(ValueError, match="dim 3, family expects 16"):
+                engine(X, X + 1.0, None)
 
     def test_certifier_wraps_interval(self):
         e = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0)), n_terms=8)
