@@ -23,8 +23,7 @@ from .glue import (GaussianBlockFamily, GluedEmbedding, ParamSchedule,
                    per_pair_bounds_check, predicted_gap, preset_schedule)
 from .mazur import mazur_bounds_check, mazur_constants, mazur_map
 from .metric_core import (ExponentRegime, MonotoneFunction, TruncatedVector,
-                          generalized_inverse, h_ab, lp_distance,
-                          lp_sum_distance, snowflake_distance)
+                          generalized_inverse, h_ab, lp_distance)
 from .moduli import (PairSampler, distortion, estimate_moduli, fit_exponent,
                      write_moduli_csv)
 from .report import ComparisonTable, report_tables
@@ -42,9 +41,9 @@ __all__ = [
     "estimate_moduli", "fit_exponent", "folner_defect",
     "generalized_inverse", "gk_distance", "gk_probe",
     "glued_group_embedding", "h_ab", "heisenberg_growth_fit",
-    "lp_distance", "lp_sum_distance", "mazur_bounds_check", "mazur_constants",
+    "lp_distance", "mazur_bounds_check", "mazur_constants",
     "mazur_map", "moduli_exponents", "per_pair_bounds_check", "phi_map",
     "predicted_gap", "predicted_group_gap", "preset_schedule", "probe_audit",
     "psi_distance_exact", "radial_folner_upper", "report_tables",
-    "snowflake_distance", "write_moduli_csv",
+    "write_moduli_csv",
 ]

@@ -592,7 +592,8 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
         sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
         sp.add_argument("--out", default=None, help="primary artifact path")
         sp.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads (results are thread-count independent)")
+                        help="worker threads; N bounds the compute threads of the "
+                             "block kernel (results are thread-count independent)")
 
     mod = sub.add_parser("moduli", help="envelope estimates for a glued embedding")
     common(mod)

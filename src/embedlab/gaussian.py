@@ -24,9 +24,11 @@ coordinates and applies the signed power 2/q, and :func:`block_mass`
 returns sum_n sum_i |phi_n(x)_i - phi_n(y)_i|^q per pair of rows over a
 list of blocks, summed in float64.  Random-feature coordinates are
 computed in the floating dtype of the input points, so float32 rows give
-float32 arithmetic with the same feature tables.  Block distances are sandwiched by transporting the
-exact psi distance through the certified signed-power constants
-(:func:`sphere_block_interval` of :func:`psi_distance_exact`).
+float32 arithmetic with the same feature tables; their feature product
+runs in row slabs that OpenBLAS keeps on the calling thread.  Block
+distances are sandwiched by transporting the exact psi distance through
+the certified signed-power constants (:func:`sphere_block_interval` of
+:func:`psi_distance_exact`).
 """
 
 from __future__ import annotations
@@ -210,13 +212,43 @@ def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndar
     return coords, residuals
 
 
+# OpenBLAS runs a GEMM on the calling thread while m * n * k is at most
+# SMP_THRESHOLD_MIN (65536) times GEMM_MULTITHREAD_THRESHOLD (4), per
+# interface/gemm.c.  Above it the product is split across its thread
+# pool, whose workers then spin through the elementwise work between
+# products.
+_GEMM_SINGLE_THREAD_MNK = 2 ** 18
+
+
+def _feature_product(X: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``X @ w`` into the C-contiguous ``out``, in row slabs that each stay
+    on the calling thread, so ``--threads N`` bounds the compute threads.
+
+    The bulk is one batched matmul over a (slabs, rows, dim) view.  A
+    slab has at least two rows and the tail is never a single row below
+    a slab: a one-row product is a GEMV, which rounds differently from
+    GEMM in float64, so the tail recomputes the row before it instead.
+    """
+    n, dim = X.shape
+    n_features = w.shape[1]
+    rows = max(2, _GEMM_SINGLE_THREAD_MNK // (n_features * dim))
+    bulk = n - n % rows
+    if bulk:
+        np.matmul(X[:bulk].reshape(-1, rows, dim), w,
+                  out=out[:bulk].reshape(-1, rows, n_features))
+    if bulk < n:
+        start = max(0, min(bulk, n - 2))
+        np.matmul(X[start:], w, out=out[start:])
+    return out
+
+
 def rff_coordinates_batch(X: np.ndarray, backend: RandomFeatures,
                           out: np.ndarray | None = None) -> np.ndarray:
     """Renormalized random-feature coordinates, shape (batch, n_features).
 
     Computed in the floating dtype of ``X`` (other inputs become float64),
     with the feature table drawn in float64 and stored in that dtype.
-    ``out``, if given, receives the result.
+    ``out``, if given, receives the result and must be C-contiguous.
     """
     X = np.atleast_2d(np.asarray(X))
     if X.dtype.kind != "f":
@@ -224,7 +256,11 @@ def rff_coordinates_batch(X: np.ndarray, backend: RandomFeatures,
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite entries")
     w, b = _rff_table(backend.r, backend.n_features, backend.seed, X.shape[1], X.dtype)
-    z = np.matmul(X, w, out=out)
+    if out is None:
+        out = np.empty((len(X), backend.n_features), dtype=X.dtype)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    z = _feature_product(X, w, out)
     z += b
     np.cos(z, out=z)
     z *= math.sqrt(2.0 / backend.n_features)
@@ -308,23 +344,26 @@ class FundamentalMapSpec:
         return moduli_exponents(self.q.p)
 
 
-def block_map(X: np.ndarray, spec: FundamentalMapSpec,
-              out: np.ndarray | None = None) -> np.ndarray:
+def _block_coordinates(X: np.ndarray, spec: FundamentalMapSpec,
+                       out: np.ndarray | None = None) -> np.ndarray:
+    """The backend's unit-sphere coordinates psi_r(x) of the rows of X;
+    ``out`` receives random-feature coordinates (the series allocates)."""
+    if isinstance(spec.backend, KernelExact):
+        raise ValueError("KernelExact backend has no coordinates; use the envelope")
+    if isinstance(spec.backend, TruncatedExp):
+        return exp_coordinates_batch(X, spec.backend)[0]
+    return rff_coordinates_batch(X, spec.backend, out=out)
+
+
+def block_map(X: np.ndarray, spec: FundamentalMapSpec) -> np.ndarray:
     """Block images phi(x) = s_{2/q}(psi_r(x)) of the rows of X, on the unit q-sphere.
 
     psi_r is the backend's unit-sphere coordinates (truncated series or
     random features) and s_{2/q} the coordinatewise signed power, the
     (2, q) Mazur map.  Random features keep the floating dtype of ``X``;
-    the series is evaluated in float64.  ``out``, if given, receives the
-    result.
+    the series is evaluated in float64.
     """
-    if isinstance(spec.backend, KernelExact):
-        raise ValueError("KernelExact backend has no coordinates; use the envelope")
-    if isinstance(spec.backend, TruncatedExp):
-        psi, _ = exp_coordinates_batch(X, spec.backend)
-    else:
-        psi = rff_coordinates_batch(X, spec.backend, out=out)
-    return _signed_power(psi, 2.0 / spec.q.p, out=out)
+    return _signed_power(_block_coordinates(X, spec), 2.0 / spec.q.p)
 
 
 def block_mass(X: np.ndarray, Y: np.ndarray, specs) -> np.ndarray:
@@ -333,15 +372,19 @@ def block_mass(X: np.ndarray, Y: np.ndarray, specs) -> np.ndarray:
     Block n adds sum_i |phi_n(x)_i - phi_n(y)_i|^q, its share of the glued
     mass in both regimes: the q-th power of the block distance for
     q >= 1, the power-sum block distance itself for q < 1.  Blocks are
-    added in order.  The two image arrays are reused from block to block:
-    freeing and reallocating them for every block lets the C allocator
-    hand their pages back to the system and fault them in again.
+    added in order.  The coordinate array and the two image arrays are
+    reused from block to block: freeing and reallocating them for every
+    block lets the C allocator hand their pages back to the system and
+    fault them in again.
     """
     total = np.zeros(len(np.atleast_2d(X)))
-    px = py = None
+    coords = px = py = None
     for spec in specs:
-        px = block_map(X, spec, out=px)
-        py = block_map(Y, spec, out=py)
+        a = 2.0 / spec.q.p
+        coords = _block_coordinates(X, spec, out=coords)
+        px = _signed_power(coords, a, out=px)
+        coords = _block_coordinates(Y, spec, out=coords)
+        py = _signed_power(coords, a, out=py)
         diff = np.subtract(px, py, out=px)
         np.abs(diff, out=diff)
         diff **= spec.q.p

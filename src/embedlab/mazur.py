@@ -51,19 +51,31 @@ def mazur_map(x, p: float, q: float) -> np.ndarray:
     """
     if p <= 0 or q <= 0:
         raise ValueError(f"exponents must be positive, got p={p}, q={q}")
-    xa = np.asarray(x, dtype=float)
+    xa = np.array(x, dtype=float)  # a copy: the signed power consumes it
     if not np.all(np.isfinite(xa)):
         raise ValueError("input contains non-finite entries")
-    return _signed_power(xa, p / q)
+    return _signed_power(xa, p / q)[()]
 
 
 def _signed_power(t: np.ndarray, a: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Coordinatewise sgn(t) |t|^a, in the dtype of ``t``; ``out``, which
-    may be ``t`` itself, receives the result."""
-    sign = np.sign(t)
+    """Coordinatewise copysign(|t|^a, t), in the dtype of ``t`` (float16,
+    float32 or float64); ``out``, if given, receives the result.
+
+    ``t`` is scratch: on return it holds only its sign bits, so ``out``
+    must not be ``t``.  The sign bits are OR-ed into the nonnegative
+    |t|^a, which is exact and, unlike numpy's scalar copysign loop,
+    vectorised; -0.0 maps to -0.0.
+    """
+    if out is None:
+        out = np.empty_like(t)  # np.abs would return a scalar for 0-d t
+    elif out is t:
+        raise ValueError("out must not be the input array")
     s = np.abs(t, out=out)
     s **= a
-    s *= sign
+    sign = t.view(f"u{t.itemsize}")
+    sign &= sign.dtype.type(1 << (8 * t.itemsize - 1))
+    magnitude = s.view(sign.dtype)
+    magnitude |= sign
     return s
 
 
@@ -187,8 +199,8 @@ def _audit_pairs(x: np.ndarray, y: np.ndarray, consts: MazurConstants,
     sphere pairs, so one draw can serve several target exponents."""
     p, q = consts.p, consts.q
     s_p = np.sum(np.abs(x - y) ** p, axis=1)
-    mx = _signed_power(x, p / q)
-    my = _signed_power(y, p / q)
+    mx = _signed_power(x.copy(), p / q)
+    my = _signed_power(y.copy(), p / q)
     s_mq = np.sum(np.abs(mx - my) ** q, axis=1)
 
     c_low = consts.c_lower * lower_scale

@@ -7,12 +7,12 @@ The distance on an l_p space changes nature at p = 1:
 * ``p >= 1``      -- the metric is the usual p-norm of the difference.
 
 Both regimes agree at p = 1.  Every distance computation in this package
-goes through :func:`lp_distance` / :func:`lp_sum_distance` so the regime
-split lives in exactly one place.
+goes through :func:`lp_distance` so the regime split lives in exactly
+one place.
 
 The module also provides the generalized (right-continuous) inverse of a
-nondecreasing function, the inverse of ``s -> s**a * log(s)**b`` used by
-gap envelopes, and metric snowflaking.
+nondecreasing function and the inverse of ``s -> s**a * log(s)**b`` used
+by gap envelopes.
 """
 
 from __future__ import annotations
@@ -30,10 +30,8 @@ __all__ = [
     "TruncatedVector",
     "MonotoneFunction",
     "lp_distance",
-    "lp_sum_distance",
     "generalized_inverse",
     "h_ab",
-    "snowflake_distance",
 ]
 
 
@@ -128,39 +126,11 @@ def lp_distance(x, y, p: float | ExponentRegime) -> float:
     return s ** (1.0 / reg.p)
 
 
-def lp_sum_distance(
-    x_blocks: Sequence[np.ndarray],
-    y_blocks: Sequence[np.ndarray],
-    q: float | ExponentRegime,
-    block_metric: Callable[[int, np.ndarray, np.ndarray], float],
-) -> float:
-    """Distance in the l_q-sum of pointed metric spaces.
-
-    ``block_metric(n, xb, yb)`` returns the distance inside block n.  In the
-    norm regime the combined distance is ``(sum delta_n^q)^(1/q)``; in the
-    power-sum regime block distances are already masses, so they add with
-    exponent 1.  Either way, gluing l_q blocks reproduces the l_q distance
-    of the concatenated coordinates.
-    """
-    reg = q if isinstance(q, ExponentRegime) else ExponentRegime.from_p(q)
-    if len(x_blocks) != len(y_blocks):
-        raise ValueError("block count mismatch")
-    total = 0.0
-    for n, (xb, yb) in enumerate(zip(x_blocks, y_blocks)):
-        d = float(block_metric(n, xb, yb))
-        if not math.isfinite(d) or d < 0:
-            raise ValueError(f"block metric returned invalid distance {d!r} at block {n}")
-        total += d if reg.is_power_sum else d ** reg.p
-    if reg.is_power_sum:
-        return total
-    return total ** (1.0 / reg.p)
-
-
 @dataclass(frozen=True)
 class MonotoneFunction:
     """A nondecreasing real function on [lo, hi) with a tagged closed form.
 
-    ``kind`` is a short label ("power", "power_log", "tabulated", ...) and
+    ``kind`` is a short label ("power", "power_log_inverse", ...) and
     ``params`` records the defining constants so reports can echo them.
     Monotonicity is spot-checked on a grid at construction time.
     """
@@ -194,24 +164,6 @@ class MonotoneFunction:
         return cls(lambda t: coef * t ** exponent, lo, hi, kind="power",
                    params={"coef": coef, "exponent": exponent})
 
-    @classmethod
-    def tabulated(cls, xs: np.ndarray, ys: np.ndarray) -> "MonotoneFunction":
-        """Piecewise-linear interpolation through (xs, ys); clamps outside."""
-        xs = _as_float_array(xs, "xs")
-        ys = _as_float_array(ys, "ys")
-        if len(xs) < 2 or len(xs) != len(ys):
-            raise ValueError("need at least two matching breakpoints")
-        if np.any(np.diff(xs) <= 0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if np.any(np.diff(ys) < 0):
-            raise ValueError("values must be nondecreasing")
-        fn = lambda t: float(np.interp(t, xs, ys))
-        obj = cls(fn, float(xs[0]), float(xs[-1]) * (1 + 1e-12) + 1e-300, kind="tabulated",
-                  params={"n_breakpoints": len(xs)})
-        object.__setattr__(obj, "_xs", xs)
-        object.__setattr__(obj, "_ys", ys)
-        return obj
-
 
 def _domain_grid(lo: float, hi: float, n: int) -> np.ndarray:
     hi_eff = min(hi, max(10.0 * abs(lo) + 10.0, 1e6)) if math.isinf(hi) else hi
@@ -224,26 +176,13 @@ def generalized_inverse(T: MonotoneFunction | Callable[[float], float], y: float
     """inf { x : T(x) >= y }, with inf of the empty set = +inf.
 
     For a :class:`MonotoneFunction` the domain is taken from the object;
-    plain callables need explicit ``lo``/``hi``.  Tabulated functions are
-    inverted exactly on their breakpoint mesh; closed forms by bracketed
-    root finding.
+    plain callables need explicit ``lo``/``hi``.  The inverse is found by
+    bracketed root finding.
     """
     if isinstance(T, MonotoneFunction):
         lo = T.lo if lo is None else lo
         hi = T.hi if hi is None else hi
         fn = T.fn
-        xs = getattr(T, "_xs", None)
-        ys = getattr(T, "_ys", None)
-        if xs is not None:
-            if y > ys[-1]:
-                return math.inf
-            if y <= ys[0]:
-                return float(xs[0])
-            j = int(np.searchsorted(ys, y, side="left"))
-            x0, x1, y0, y1 = xs[j - 1], xs[j], ys[j - 1], ys[j]
-            if y1 == y0:
-                return float(x1)  # flat segment: first x reaching y is its right end's left edge
-            return float(x0 + (y - y0) * (x1 - x0) / (y1 - y0))
     else:
         if lo is None or hi is None:
             raise ValueError("plain callables need explicit lo/hi bounds")
@@ -318,12 +257,3 @@ def h_ab(a: float, b: float, t: float) -> float:
         return s0
     from scipy.optimize import brentq  # deferred, as in generalized_inverse
     return float(brentq(lambda s: fn(s) - t, left, right, rtol=1e-13, maxiter=200))
-
-
-def snowflake_distance(d: float, s: float) -> float:
-    """Snowflake transform d -> d**s for 0 < s <= 1 (keeps metric axioms)."""
-    if not (0 < s <= 1):
-        raise ValueError(f"snowflake exponent must lie in (0, 1], got {s}")
-    if d < 0 or not math.isfinite(d):
-        raise ValueError(f"distance must be a finite nonnegative real, got {d}")
-    return d ** s

@@ -300,7 +300,13 @@ def fast_rff_engine(e: GluedEmbedding) -> Callable:
     copies of the points: cosine features, normalisation and signed power
     in float32, block masses summed in float64.  The feature tables are the
     float64 path's, so the two agree up to float32 rounding.  This is what
-    makes 2e4-pair moduli runs over a few hundred blocks affordable.
+    makes 2e4-pair moduli runs over a few hundred blocks affordable.  The
+    feature product runs in row slabs that OpenBLAS keeps on the calling
+    thread, so an engine call uses one CPU.  On a 2-CPU x86-64 host with
+    OpenBLAS 0.3.31, two moduli runs of 8192 pairs over 100 and 60 blocks
+    of 512 features took 12.0 s of CPU in 11.4 s of wall time; with each
+    2048-row product split across both CPUs they took 22.8 s of CPU in
+    12.2 s, a BLAS worker spinning between products.
     """
     if getattr(e.family, "backend", None) != "rff":
         raise ValueError("fast engine needs an rff-backed family")

@@ -2,11 +2,14 @@
 random features, and the certified block-distance envelopes."""
 
 import math
+import os
+import time
 
 import numpy as np
 import pytest
 from scipy.special import gammainc
 
+from embedlab import gaussian
 from embedlab.gaussian import (
     SATURATION_LEVEL,
     FundamentalMapSpec,
@@ -22,7 +25,7 @@ from embedlab.gaussian import (
     rff_coordinates_batch,
     sphere_block_interval,
 )
-from embedlab.metric_core import ExponentRegime
+from embedlab.metric_core import ExponentRegime, lp_distance
 from embedlab.mazur import signed_power_constant
 
 
@@ -135,6 +138,111 @@ class TestRandomFeatures:
             rff_coordinates_batch(np.array([[math.inf]]), RandomFeatures(1.0, 8, seed=0))
 
 
+def _slab_rows(n_features, dim):
+    # Rows per product that keep m * n * k within OpenBLAS's single-thread
+    # cut-off of 2^18, and at least two so that every product is a GEMM.
+    return max(2, 2 ** 18 // (n_features * dim))
+
+
+def _bits(a):
+    return a.view(np.uint32 if a.dtype == np.float32 else np.uint64)
+
+
+class TestSlabbedFeatureProduct:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [2, 16])
+    @pytest.mark.parametrize("n_features", [256, 512])
+    def test_bitwise_equal_to_one_matmul(self, n_features, dim, dtype):
+        be = RandomFeatures(0.3, n_features, seed=(11, 4))
+        s = _slab_rows(n_features, dim)
+        rng = np.random.default_rng(n_features + dim)
+        w, b = gaussian._rff_table(be.r, n_features, be.seed, dim, np.dtype(dtype))
+        for rows in (1, s - 1, s, s + 1, 2048, 2049):
+            X = (3.0 * rng.normal(size=(rows, dim))).astype(dtype)
+            product = np.matmul(X, w)
+            slabbed = gaussian._feature_product(X, w, np.empty_like(product))
+            assert np.array_equal(_bits(slabbed), _bits(product)), rows
+            # The whole coordinate map, without and with a caller's buffer.
+            want = product + b
+            np.cos(want, out=want)
+            want *= math.sqrt(2.0 / n_features)
+            want /= np.linalg.norm(want, axis=1, keepdims=True)
+            got = rff_coordinates_batch(X, be)
+            assert got.dtype == dtype and got.shape == (rows, n_features)
+            assert np.array_equal(_bits(got), _bits(want)), rows
+            buf = np.full((rows, n_features), np.nan, dtype=dtype)
+            assert rff_coordinates_batch(X, be, out=buf) is buf
+            assert np.array_equal(_bits(buf), _bits(want)), rows
+
+    def test_non_contiguous_out_rejected(self):
+        be = RandomFeatures(1.0, 64, seed=0)
+        buf = np.empty((4, 128))[:, ::2]
+        with pytest.raises(ValueError, match="C-contiguous"):
+            rff_coordinates_batch(np.ones((4, 3)), be, out=buf)
+
+
+def _cpu_per_wall(fn):
+    fn()  # draws the tables
+    time.sleep(0.3)  # lets BLAS workers from earlier calls go idle
+    c0, t0 = time.process_time(), time.perf_counter()
+    fn()
+    return (time.process_time() - c0) / (time.perf_counter() - t0)
+
+
+def _blas_may_thread():
+    n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        if os.environ.get(var, "").strip().isdigit():
+            n = min(n, int(os.environ[var]))
+            break
+    return n >= 2
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs to see a second thread")
+class TestKernelStaysOnCallingThread:
+    """The block kernel's CPU time stays within its wall time: no BLAS
+    worker spins through the elementwise work between its products."""
+
+    LIMIT = 1.25
+    ROWS, BLOCKS, N_FEATURES, DIM = 2048, 40, 512, 16
+
+    def _points(self):
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(self.ROWS, self.DIM)).astype(np.float32)
+        return X, X + rng.normal(size=X.shape).astype(np.float32)
+
+    def test_block_mass_cpu_within_wall(self):
+        specs = [FundamentalMapSpec(n, 0.5, ExponentRegime.from_p(4.0),
+                                    RandomFeatures(0.5, self.N_FEATURES, seed=(9, n)))
+                 for n in range(self.BLOCKS)]
+        X, Y = self._points()
+        ratio = _cpu_per_wall(lambda: block_mass(X, Y, specs))
+        assert ratio <= self.LIMIT
+
+    def test_control_plain_matmul_spins_a_worker(self):
+        if not _blas_may_thread():
+            pytest.skip("BLAS runs on one thread")
+        X, Y = self._points()
+        rng = np.random.default_rng(6)
+        w = rng.normal(size=(self.DIM, self.N_FEATURES)).astype(np.float32)
+        b = rng.uniform(0.0, 6.0, self.N_FEATURES).astype(np.float32)
+
+        def unslabbed():
+            z = None
+            for _ in range(self.BLOCKS):
+                for P in (X, Y):
+                    z = np.matmul(P, w, out=z)  # one product over all rows
+                    z += b
+                    np.cos(z, out=z)
+                    z /= np.linalg.norm(z, axis=1, keepdims=True)
+                    np.abs(z, out=z)
+                    z **= 0.5
+
+        # Best of three: the spinning worker needs the second CPU to itself,
+        # which a burst of other load on the machine can take for a while.
+        assert max(_cpu_per_wall(unslabbed) for _ in range(3)) > self.LIMIT
+
+
 class TestModuliExponents:
     def test_three_branches(self):
         assert moduli_exponents(4.0) == (0.25, 0.5)
@@ -216,6 +324,26 @@ class TestPhiMaps:
             lo, hi = sphere_block_interval(psi_distance_exact(t, spec.r), q)
             assert np.all(mass >= lo ** q * (1 - 1e-9))
             assert np.all(mass <= hi ** q * (1 + 1e-9))
+
+    def test_block_mass_is_the_flat_lq_mass(self):
+        # The l_q sum of l_q blocks is the l_q distance of the concatenated
+        # block images: the mass of the concatenation, q-th power in the
+        # norm regime, the power sum itself in the power-sum regime.
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(5, 4))
+        Y = X + 0.5 * rng.normal(size=X.shape)
+        for q in (0.5, 1.0, 1.5, 4.0):
+            reg = ExponentRegime.from_p(q)
+            specs = [FundamentalMapSpec(n, r, reg, RandomFeatures(r, 64, seed=(3, n)))
+                     for n, r in enumerate((0.2, 0.9, 3.0))]
+            mass = block_mass(X, Y, specs)
+            for i in range(len(X)):
+                flat_x = np.concatenate([phi_map(X[i], spec) for spec in specs])
+                flat_y = np.concatenate([phi_map(Y[i], spec) for spec in specs])
+                d = lp_distance(flat_x, flat_y, reg)
+                want = d if reg.is_power_sum else d ** q
+                assert mass[i] == pytest.approx(want, rel=1e-12), (q, i)
+            assert np.array_equal(block_mass(X, X, specs), np.zeros(len(X)))
 
     def test_envelope_at_zero_and_floor(self):
         spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(2.0),

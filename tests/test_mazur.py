@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedlab.mazur import (
+    _signed_power,
     mazur_bounds_check,
     mazur_constants,
     mazur_map,
@@ -44,6 +45,47 @@ class TestMazurMap:
             mazur_map([1.0], 0.0, 2.0)
         with pytest.raises(ValueError):
             mazur_map([math.nan], 2.0, 1.0)
+
+
+class TestSignedPower:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("a", [0.5, 4.0 / 3.0, 2.0, 1.0 / 3.0])
+    def test_equals_copysign_and_the_sign_multiply(self, a, dtype):
+        info = np.finfo(dtype)
+        special = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
+                   info.tiny / 3, -info.tiny / 7, info.tiny, -info.tiny, 1.0, -1.0]
+        t = np.concatenate([np.array(special, dtype=dtype),
+                            np.random.default_rng(2).normal(size=4000).astype(dtype)])
+        magnitude = np.abs(t)
+        magnitude **= a
+        bits = np.uint32 if dtype == np.float32 else np.uint64
+        for out in (None, np.empty_like(t)):
+            got = _signed_power(t.copy(), a, out=out)
+            assert got.dtype == dtype
+            if out is not None:
+                assert got is out
+            assert np.array_equal(got.view(bits), np.copysign(magnitude, t).view(bits))
+            # Multiplying by +-1 is exact, so the bits agree with the old
+            # sign-multiply wherever it keeps the sign; it drops it at -0.0,
+            # where the result is -0.0, which compares equal.
+            want = magnitude * np.sign(t)
+            kept = (t != 0) | ~np.signbit(t)
+            assert np.array_equal(got.view(bits)[kept], want.view(bits)[kept])
+            assert np.array_equal(got, want)
+            assert np.all(np.signbit(got[~kept]))
+
+    def test_out_must_not_alias_the_input(self):
+        t = np.array([-0.5, 0.25])
+        with pytest.raises(ValueError):
+            _signed_power(t, 0.5, out=t)
+
+    def test_public_callers_leave_their_input_alone(self):
+        x, y = sample_sphere_pairs(1.5, 32, 4, seed=1)
+        x0, y0 = x.copy(), y.copy()
+        mazur_map(x, 1.5, 3.0)
+        mazur_bounds_check(1.5, 3.0, samples=32, dim=4, seed=1)
+        assert np.array_equal(x, x0) and np.array_equal(y, y0)
+        assert mazur_map(-0.25, 2.0, 1.0) == -0.0625
 
 
 class TestSignedPowerConstant:

@@ -1,4 +1,4 @@
-"""Two-regime metrics, monotone inverses, and snowflaking."""
+"""Two-regime metrics and monotone inverses."""
 
 import math
 
@@ -15,8 +15,6 @@ from embedlab.metric_core import (
     generalized_inverse,
     h_ab,
     lp_distance,
-    lp_sum_distance,
-    snowflake_distance,
 )
 
 
@@ -74,29 +72,6 @@ class TestLpDistance:
         assert dxy <= lp_distance(x, z, p) + lp_distance(z, y, p) + slack
 
 
-class TestLpSumDistance:
-    def test_matches_flat_concatenation(self):
-        # l_p sum of l_p blocks is the l_p distance of the concatenation.
-        rng = np.random.default_rng(7)
-        xb = [rng.normal(size=3), rng.normal(size=5)]
-        yb = [rng.normal(size=3), rng.normal(size=5)]
-        for p in (0.5, 1.0, 2.0, 3.0):
-            combined = lp_sum_distance(xb, yb, p, lambda n, a, b: lp_distance(a, b, p))
-            flat = lp_distance(np.concatenate(xb), np.concatenate(yb), p)
-            assert combined == pytest.approx(flat, rel=1e-12)
-
-    def test_all_blocks_equal_gives_zero(self):
-        xb = [np.ones(3), np.zeros(2)]
-        assert lp_sum_distance(xb, xb, 2.0, lambda n, a, b: lp_distance(a, b, 2.0)) == 0
-
-    def test_invalid_block_metric_rejected(self):
-        with pytest.raises(ValueError):
-            lp_sum_distance([np.ones(2)], [np.zeros(2)], 2.0, lambda n, a, b: -1.0)
-        with pytest.raises(ValueError):
-            lp_sum_distance([np.ones(2)], [np.zeros(2), np.ones(1)], 2.0,
-                            lambda n, a, b: 0.0)
-
-
 class TestTruncatedVector:
     def test_block_access(self):
         v = TruncatedVector(np.arange(6.0), np.array([0, 2, 2, 6]))
@@ -125,15 +100,6 @@ class TestMonotoneFunction:
         with pytest.raises(ValueError):
             MonotoneFunction(lambda t: -t, 0.0, 10.0)
 
-    def test_tabulated_interpolates_and_clamps(self):
-        f = MonotoneFunction.tabulated(np.array([1.0, 2.0, 4.0]), np.array([0.0, 1.0, 1.0]))
-        assert f(1.5) == pytest.approx(0.5)
-        assert f(10.0) == 1.0  # clamps beyond the mesh
-        with pytest.raises(ValueError):
-            MonotoneFunction.tabulated(np.array([1.0, 1.0]), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            MonotoneFunction.tabulated(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
-
 
 class TestGeneralizedInverse:
     def test_power_root(self):
@@ -145,14 +111,8 @@ class TestGeneralizedInverse:
         assert generalized_inverse(f, 1.0) == 2.0
 
     def test_unreachable_value_is_inf(self):
-        f = MonotoneFunction.tabulated(np.array([0.0, 1.0]), np.array([0.0, 5.0]))
+        f = MonotoneFunction.power(5.0, 1.0, lo=0.0, hi=1.0)
         assert generalized_inverse(f, 6.0) == math.inf
-
-    def test_tabulated_flat_segment(self):
-        # inf{x : T(x) >= 1} with T flat at 1 on [2, 4] is x = 2.
-        f = MonotoneFunction.tabulated(np.array([0.0, 2.0, 4.0]),
-                                       np.array([0.0, 1.0, 1.0]))
-        assert generalized_inverse(f, 1.0) == pytest.approx(2.0)
 
     def test_plain_callable_needs_bounds(self):
         with pytest.raises(ValueError):
@@ -202,18 +162,3 @@ class TestHab:
         if s <= 1.0 and b != 0:
             return  # log term vanishes; inverse not informative at the branch start
         assert h_ab(a, b, t) == pytest.approx(s, rel=1e-9)
-
-
-class TestSnowflake:
-    def test_known_values(self):
-        assert snowflake_distance(4.0, 0.5) == pytest.approx(2.0)
-        assert snowflake_distance(8.0, 1.0 / 3.0) == pytest.approx(2.0)
-        assert snowflake_distance(0.0, 0.7) == 0.0
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            snowflake_distance(1.0, 0.0)
-        with pytest.raises(ValueError):
-            snowflake_distance(1.0, 1.5)
-        with pytest.raises(ValueError):
-            snowflake_distance(-1.0, 0.5)
