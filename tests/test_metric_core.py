@@ -72,6 +72,33 @@ class TestLpDistance:
         assert dxy <= lp_distance(x, z, p) + lp_distance(z, y, p) + slack
 
 
+def _glued_distance(xb, yb, p):
+    """l_p sum of the per-block l_p distances, in the two-regime convention."""
+    reg = ExponentRegime.from_p(p)
+    d = [lp_distance(a, b, reg) for a, b in zip(xb, yb)]
+    if reg.is_power_sum:
+        return sum(d)
+    return sum(di ** p for di in d) ** (1.0 / p)
+
+
+class TestLpSumDistance:
+    def test_matches_flat_concatenation(self):
+        # l_p sum of l_p blocks is the l_p distance of the concatenation.
+        rng = np.random.default_rng(7)
+        xb = [rng.normal(size=3), rng.normal(size=5)]
+        yb = [rng.normal(size=3), rng.normal(size=5)]
+        for p in (0.5, 1.0, 2.0, 3.0):
+            combined = _glued_distance(xb, yb, p)
+            flat = lp_distance(np.concatenate(xb), np.concatenate(yb), p)
+            assert combined == pytest.approx(flat, rel=1e-12)
+
+    def test_all_blocks_equal_gives_zero(self):
+        xb = [np.ones(3), np.zeros(2)]
+        for p in (0.5, 2.0):
+            assert _glued_distance(xb, xb, p) == 0
+            assert lp_distance(np.concatenate(xb), np.concatenate(xb), p) == 0
+
+
 class TestTruncatedVector:
     def test_block_access(self):
         v = TruncatedVector(np.arange(6.0), np.array([0, 2, 2, 6]))
