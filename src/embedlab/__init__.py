@@ -23,7 +23,7 @@ from .glue import (GaussianBlockFamily, GluedEmbedding, ParamSchedule,
                    per_pair_bounds_check, predicted_gap, preset_schedule)
 from .mazur import mazur_bounds_check, mazur_constants, mazur_map
 from .metric_core import (ExponentRegime, MonotoneFunction, TruncatedVector,
-                          generalized_inverse, h_ab, lp_distance)
+                          h_ab, lp_distance)
 from .moduli import (PairSampler, distortion, estimate_moduli, fit_exponent,
                      write_moduli_csv)
 from .report import ComparisonTable, report_tables
@@ -39,7 +39,7 @@ __all__ = [
     "char_embedding_bound_check", "cube_distance", "cube_report", "delta_q",
     "distortion", "enflo_lower_bound", "enflo_type2_certificate",
     "estimate_moduli", "fit_exponent", "folner_defect",
-    "generalized_inverse", "gk_distance", "gk_probe",
+    "gk_distance", "gk_probe",
     "glued_group_embedding", "h_ab", "heisenberg_growth_fit",
     "lp_distance", "mazur_bounds_check", "mazur_constants",
     "mazur_map", "moduli_exponents", "per_pair_bounds_check", "phi_map",

@@ -22,8 +22,8 @@ from .finite_geometry import (HammingCube, cube_report,
                               enflo_type2_certificate, probe_audit)
 from .gaussian import (RandomFeatures, TruncatedExp, exp_coordinates_batch,
                        psi_distance_exact, rff_coordinates_batch)
-from .glue import (ROW_QUANTUM, GaussianBlockFamily, glue as glue_embedding,
-                   per_pair_bounds_check, preset_schedule)
+from .glue import (PRESET_PARAMS, ROW_QUANTUM, GaussianBlockFamily,
+                   glue as glue_embedding, per_pair_bounds_check, preset_schedule)
 from .report import canonical_json, report_tables
 
 EXIT_OK = 0
@@ -31,7 +31,6 @@ EXIT_VIOLATIONS = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-_PRESETS = ("warmup_l2", "strong_qge2", "strong_1leqle2", "strong_qle1", "coarse_l2")
 _GROUPS = ("z1", "z2", "z3", "tree", "heis")
 
 # Keys echoed into reports, per subcommand.  Output paths and --threads
@@ -130,6 +129,9 @@ def _default_regime(preset: str) -> str:
 
 
 def cmd_moduli(args: argparse.Namespace) -> int:
+    missing = [f"--{k}" for k in PRESET_PARAMS[args.preset] if getattr(args, k) is None]
+    if missing:
+        raise ValueError(f"--preset {args.preset} needs {' and '.join(missing)}")
     sched = preset_schedule(args.preset, q=args.q, beta=args.beta, nu=args.nu)
     family = GaussianBlockFamily(sched, backend=args.backend,
                                       base_seed=args.base_seed,
@@ -597,7 +599,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
 
     mod = sub.add_parser("moduli", help="envelope estimates for a glued embedding")
     common(mod)
-    mod.add_argument("--preset", default="strong_qge2", choices=_PRESETS)
+    mod.add_argument("--preset", default="strong_qge2", choices=tuple(PRESET_PARAMS))
     mod.add_argument("--q", type=float, default=None)
     mod.add_argument("--beta", type=float, default=None)
     mod.add_argument("--nu", type=float, default=None)

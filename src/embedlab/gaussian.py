@@ -29,6 +29,10 @@ runs in row slabs that OpenBLAS keeps on the calling thread.  Block
 distances are sandwiched by transporting the exact psi distance through
 the certified signed-power constants (:func:`sphere_block_interval` of
 :func:`psi_distance_exact`).
+
+Importing this module loads no scipy: :func:`exp_coordinates_batch`
+imports ``scipy.special.gammainc`` for its series residual when first
+called, so only the truncated-exp backend pays for it.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .mazur import _signed_power, mazur_constants
 from .metric_core import ExponentRegime
@@ -197,6 +200,7 @@ def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndar
         table = xs[:, i, None] ** np.arange(backend.degree + 1)[None, :]
         coords *= table[:, exps[:, i]]
     coords *= np.exp(-backend.r * sq)[:, None]
+    from scipy.special import gammainc  # deferred: a ~0.4 s import only this residual needs
     residuals = gammainc(backend.degree + 1, 2.0 * backend.r * sq)
     norms = np.linalg.norm(coords, axis=1, keepdims=True)
     # exp(-r ||x||^2) shrinks the series faster than its terms grow; once

@@ -35,6 +35,10 @@ per-pair claims are:
 
 with m = q for q >= 1 and m = 1 for q <= 1 (block distances in the
 power-sum regime are combined by plain summation).
+
+Importing this module loads no scipy: only the growing-log branch of
+:meth:`PowerLogSeq.power_tail` imports ``scipy.special.gammaincc``, when
+it is first reached.
 """
 
 from __future__ import annotations
@@ -44,7 +48,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .gaussian import (
     KernelExact,
@@ -66,6 +69,7 @@ __all__ = [
     "GeometricSeq",
     "ParamSchedule",
     "preset_schedule",
+    "PRESET_PARAMS",
     "GaussianBlockFamily",
     "GluedEmbedding",
     "glue",
@@ -125,6 +129,7 @@ class PowerLogSeq:
             if ln_n * a < m:
                 raise ValueError("tail start too small for the growing-log branch")
             z = (a - 1.0) * ln_n
+            from scipy.special import gammaincc  # deferred, as in gaussian.exp_coordinates_batch
             return c * gammaincc(m + 1.0, z) * math.gamma(m + 1.0) / (a - 1.0) ** (m + 1.0)
         if a == 1 and b > 1:
             return c * ln_n ** (1.0 - b) / (b - 1.0)
@@ -282,6 +287,17 @@ class ParamSchedule:
                "eta": self.eta, "eta_source": self.eta_source, "n0": self.n0}
         out.update(self.params)
         return out
+
+
+# The parameters each preset needs from its caller, by keyword of
+# :func:`preset_schedule`; warmup_l2 and coarse_l2 fix q = 2 themselves.
+PRESET_PARAMS = {
+    "warmup_l2": ("beta",),
+    "strong_qge2": ("q", "beta"),
+    "strong_1leqle2": ("q", "beta"),
+    "strong_qle1": ("q", "beta"),
+    "coarse_l2": ("nu",),
+}
 
 
 def preset_schedule(name: str, q: float | None = None, beta: float | None = None,

@@ -10,9 +10,8 @@ Both regimes agree at p = 1.  Every distance computation in this package
 goes through :func:`lp_distance` so the regime split lives in exactly
 one place.
 
-The module also provides the generalized (right-continuous) inverse of a
-nondecreasing function and the inverse of ``s -> s**a * log(s)**b`` used
-by gap envelopes.
+The module also provides monotone functions with tagged closed forms and
+the inverse of ``s -> s**a * log(s)**b`` used by gap envelopes.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ __all__ = [
     "TruncatedVector",
     "MonotoneFunction",
     "lp_distance",
-    "generalized_inverse",
     "h_ab",
 ]
 
@@ -171,37 +169,6 @@ def _domain_grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.linspace(lo, hi_eff - (hi_eff - lo) * 1e-9, n)
 
 
-def generalized_inverse(T: MonotoneFunction | Callable[[float], float], y: float,
-                        lo: float | None = None, hi: float | None = None) -> float:
-    """inf { x : T(x) >= y }, with inf of the empty set = +inf.
-
-    For a :class:`MonotoneFunction` the domain is taken from the object;
-    plain callables need explicit ``lo``/``hi``.  The inverse is found by
-    bracketed root finding.
-    """
-    if isinstance(T, MonotoneFunction):
-        lo = T.lo if lo is None else lo
-        hi = T.hi if hi is None else hi
-        fn = T.fn
-    else:
-        if lo is None or hi is None:
-            raise ValueError("plain callables need explicit lo/hi bounds")
-        fn = T
-
-    if fn(lo) >= y:
-        return float(lo)
-    # Expand a finite bracket inside [lo, hi).
-    right = lo + 1.0 if lo != 0 else 1.0
-    limit = hi if math.isfinite(hi) else 1e308
-    while right < limit and fn(min(right, limit)) < y:
-        right *= 2.0
-    right = min(right, limit)
-    if fn(right) < y:
-        return math.inf
-    from scipy.optimize import brentq  # deferred: a ~0.2 s import no CLI path needs
-    return float(brentq(lambda x: fn(x) - y, lo, right, rtol=1e-13, maxiter=200))
-
-
 # Increasing-branch inverse of s -> s^a * log(s)^b  (natural log).
 
 
@@ -255,5 +222,5 @@ def h_ab(a: float, b: float, t: float) -> float:
     left = s0
     if fn(left) > t:  # can only happen from float jitter right at the minimum
         return s0
-    from scipy.optimize import brentq  # deferred, as in generalized_inverse
+    from scipy.optimize import brentq  # deferred: a ~0.2 s import no CLI path needs
     return float(brentq(lambda s: fn(s) - t, left, right, rtol=1e-13, maxiter=200))

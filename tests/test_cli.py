@@ -46,6 +46,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "series of degree 32 underflows at ||x|| = " in err
 
+    @pytest.mark.parametrize("argv, message", [
+        ([], "--preset strong_qge2 needs --q and --beta"),
+        (["--beta", "2"], "--preset strong_qge2 needs --q"),
+        (["--q", "4"], "--preset strong_qge2 needs --beta"),
+        (["--preset", "coarse_l2"], "--preset coarse_l2 needs --nu"),
+        (["--preset", "warmup_l2", "--q", "2"], "--preset warmup_l2 needs --beta"),
+    ], ids=["no-flags", "beta-only", "q-only", "coarse", "warmup"])
+    def test_missing_preset_flags_named_at_once(self, capsys, monkeypatch, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the schedule was built before the flags were checked")
+
+        monkeypatch.setattr(cli, "preset_schedule", no_work)
+        assert run(["moduli"] + argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"embedlab: {message}\n"
+        assert captured.out == ""
+
     def test_json_out_into_missing_dir_is_io_error(self, tmp_path):
         code = run(["moduli", "--preset", "warmup_l2", "--beta", "2",
                     "--backend", "kernel", "--n-terms", "10", "--pairs", "60",
@@ -228,6 +245,108 @@ def test_cli_import_leaves_scipy_optimize_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_import_loads_no_scipy_module():
+    code = ("import sys, embedlab, embedlab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
+
+
+# Runs the argument lists in argv[1] (JSON) through cli.main in one fresh
+# process, in the directory argv[2], and reports their exit codes, whether
+# scipy.special is loaded at the end, and whether its first import ran on
+# the main thread.
+_FRESH_CLI = """
+import importlib.abc, json, os, sys, threading
+
+first_import = []
+
+class Spy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.special" and not first_import:
+            first_import.append(threading.current_thread() is threading.main_thread())
+
+sys.meta_path.insert(0, Spy())
+from embedlab import cli
+
+os.chdir(sys.argv[2])
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "scipy_special": "scipy.special" in sys.modules,
+                  "on_main_thread": first_import[0] if first_import else None}))
+"""
+
+
+def _fresh_cli(runs, cwd):
+    out = subprocess.run([sys.executable, "-c", _FRESH_CLI, json.dumps(runs), str(cwd)],
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+_EXP_MODULI = ["moduli", "--backend", "exp", "--dim", "2", "--q", "4", "--beta", "1.05",
+               "--n-terms", "5", "--t-max", "5", "--bins", "6"]
+
+
+class TestScipySpecialIsDeferred:
+    """Only the truncated-exp residual loads scipy.special on a CLI path."""
+
+    def test_paths_without_the_incomplete_gamma_leave_it_unloaded(self, tmp_path):
+        (tmp_path / "results").mkdir()
+        runs = [
+            ["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", "1.1",
+             "--backend", "rff", "--n-features", "64", "--n-terms", "10",
+             "--pairs", "300", "--bins", "6", "--t-min", "0.5", "--t-max", "50",
+             "--out", "rff.csv", "--json-out", "rff.json"],
+            ["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
+             "--n-terms", "30", "--pairs", "300", "--bins", "12",
+             "--t-min", "0.001", "--t-max", "0.1", "--json-out", "results/warmup.json"],
+            ["verify", "--suite", "mazur", "--samples", "300", "--grid", "1,2",
+             "--dim", "8", "--out", "mazur.json"],
+            ["verify", "--suite", "gluing", "--n-terms", "80", "--pairs", "150",
+             "--out", "gluing.json"],
+            ["verify", "--suite", "folner", "--n-max", "6", "--pairs", "80",
+             "--out", "folner.json"],
+            ["verify", "--suite", "cube", "--m-max", "4", "--out", "cube.json"],
+            ["verify", "--suite", "gk", "--k-max", "2", "--ground-max", "6",
+             "--out", "gk.json"],
+            ["folner", "--group", "z2", "--n-max", "8", "--max-dist", "16",
+             "--pairs", "60", "--json-out", "z2.json"],
+            ["folner", "--group", "tree", "--n-max", "6", "--max-dist", "50",
+             "--pairs", "40", "--json-out", "tree.json"],
+            ["folner", "--group", "heis", "--n-min", "2", "--n-max", "5",
+             "--json-out", "heis.json"],
+            ["report", "--results-dir", "results", "--out", "tables.json"],
+        ]
+        got = _fresh_cli(runs, tmp_path)
+        assert got["codes"] == [cli.EXIT_OK] * len(runs)
+        assert got["scipy_special"] is False
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "kernel", "--samples", "200", "--out", "kernel.json"],
+        _EXP_MODULI + ["--pairs", "200", "--json-out", "exp.json"],
+    ], ids=["verify-kernel", "moduli-exp"])
+    def test_incomplete_gamma_paths_load_it(self, tmp_path, argv):
+        got = _fresh_cli([argv], tmp_path)
+        assert got["codes"] == [cli.EXIT_OK]
+        assert got["scipy_special"] is True
+
+    def test_first_import_in_a_worker_thread_keeps_the_bytes(self, tmp_path):
+        # 2100 pairs are two ROW_QUANTUM chunks, so with two threads the
+        # residual, and with it the first scipy.special import, runs in a
+        # worker thread.
+        def once(threads):
+            j, c = f"exp{threads}.json", f"exp{threads}.csv"
+            got = _fresh_cli([_EXP_MODULI + ["--pairs", "2100", "--threads", str(threads),
+                                             "--out", c, "--json-out", j]], tmp_path)
+            assert got["codes"] == [cli.EXIT_OK]
+            return got["on_main_thread"], (tmp_path / j).read_bytes(), (tmp_path / c).read_bytes()
+
+        main1, *one = once(1)
+        main2, *two = once(2)
+        assert (main1, main2) == (True, False)
+        assert one == two
 
 
 class TestReportCommand:

@@ -12,7 +12,6 @@ from embedlab.metric_core import (
     MonotoneFunction,
     Regime,
     TruncatedVector,
-    generalized_inverse,
     h_ab,
     lp_distance,
 )
@@ -126,25 +125,6 @@ class TestMonotoneFunction:
     def test_decreasing_function_rejected(self):
         with pytest.raises(ValueError):
             MonotoneFunction(lambda t: -t, 0.0, 10.0)
-
-
-class TestGeneralizedInverse:
-    def test_power_root(self):
-        f = MonotoneFunction.power(1.0, 2.0, lo=0.0, hi=1e6)
-        assert generalized_inverse(f, 9.0) == pytest.approx(3.0, abs=1e-10)
-
-    def test_value_below_range_returns_lo(self):
-        f = MonotoneFunction.power(1.0, 1.0, lo=2.0, hi=100.0)
-        assert generalized_inverse(f, 1.0) == 2.0
-
-    def test_unreachable_value_is_inf(self):
-        f = MonotoneFunction.power(5.0, 1.0, lo=0.0, hi=1.0)
-        assert generalized_inverse(f, 6.0) == math.inf
-
-    def test_plain_callable_needs_bounds(self):
-        with pytest.raises(ValueError):
-            generalized_inverse(lambda t: t, 1.0)
-        assert generalized_inverse(lambda t: t ** 3, 8.0, lo=0.0, hi=100.0) == pytest.approx(2.0)
 
 
 class TestHab:
