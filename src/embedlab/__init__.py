@@ -12,7 +12,7 @@ from .amenable import (HeisenbergModel, TreeACollection, TreeModel,
                        ZkFolnerSystem, ZkModel, char_embedding_bound_check,
                        folner_defect,
                        glued_group_embedding, heisenberg_growth_fit,
-                       predicted_group_gap, radial_folner_upper)
+                       predicted_group_gap)
 from .finite_geometry import (GkSpace, HammingCube, cube_distance, cube_report,
                               enflo_lower_bound, enflo_type2_certificate,
                               gk_distance, gk_probe, probe_audit)
@@ -44,6 +44,6 @@ __all__ = [
     "lp_distance", "mazur_bounds_check", "mazur_constants",
     "mazur_map", "moduli_exponents", "per_pair_bounds_check", "phi_map",
     "predicted_gap", "predicted_group_gap", "preset_schedule", "probe_audit",
-    "psi_distance_exact", "radial_folner_upper", "report_tables",
+    "psi_distance_exact", "report_tables",
     "write_moduli_csv",
 ]

@@ -430,22 +430,31 @@ class CharBoundReport:
                     worst_margin=self.worst_margin, bound_scale=self.bound_scale)
 
 
-def sample_zk_pairs(group: ZkModel, n_pairs: int, max_dist: int, seed: int,
-                    spread: int = 1000) -> list[tuple[tuple, tuple]]:
-    """Deterministic pairs (x, y) with 1 <= d(x, y) <= max_dist.
+def sample_zk_pairs(group: ZkModel, n_pairs: int, max_dist: float,
+                    seed: int) -> list[tuple[tuple, tuple]]:
+    """Deterministic pairs (x, y) with log-uniform ell_1 separations
+    1 <= d(x, y) <= max_dist.
 
-    Pair i derives its own generator from (seed, i) so any subset of the
-    stream is reproducible independently of batching.
+    The length is drawn log-uniformly in [1, max_dist], rounded, capped
+    at floor(max_dist) and split across coordinates with random signs,
+    so every scale up to max_dist sees traffic (a uniform box would leave
+    the small schedule brackets empty).  Base points are uniform in
+    [-1000, 1000]^k.  Pair i derives its own generator from (seed, i, 9)
+    so any subset of the stream is reproducible independently of
+    batching.
     """
+    if max_dist < 1:
+        raise ValueError("need max_dist >= 1")
+    cap = math.floor(max_dist)
+    k = group.k
     out = []
     for i in range(n_pairs):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
-        x = tuple(int(v) for v in rng.integers(-spread, spread + 1, size=group.k))
-        while True:
-            g = tuple(int(v) for v in rng.integers(-max_dist, max_dist + 1, size=group.k))
-            l1 = sum(abs(c) for c in g)
-            if 1 <= l1 <= max_dist:
-                break
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i, 9))))
+        x = tuple(int(v) for v in rng.integers(-1000, 1001, size=k))
+        length = max(1, int(round(math.exp(rng.uniform(0.0, math.log(max_dist))))))
+        parts = rng.multinomial(min(length, cap), np.full(k, 1.0 / k))
+        signs = rng.choice((-1, 1), size=k)
+        g = tuple(int(s) * int(c) for s, c in zip(signs, parts))
         out.append((x, group.mul(x, g)))
     return out
 
@@ -546,12 +555,6 @@ class GluedGroupEmbedding:
             acc += col
         return acc
 
-    def image_distance_pth(self, x, y) -> float:
-        return float(self.image_distances_pth([(x, y)])[0])
-
-    def image_distance(self, x, y) -> float:
-        return self.image_distance_pth(x, y) ** (1.0 / self.p)
-
     def disjoint_step_count(self, d: float) -> int:
         """Blocks whose supports must be disjoint at distance d."""
         return sum(1 for n in self.n_range if d > 2.0 * self.sys.rad(n))
@@ -602,28 +605,7 @@ def glued_group_embedding(sys, model, p) -> GluedGroupEmbedding:
 
 
 # ---------------------------------------------------------------------------
-# radial witnesses and predicted envelopes
-
-
-def radial_folner_upper(model, n: int) -> float:
-    """Circumradius of an explicit witness achieving defect 1/(n log^2 n)
-    at translation range n.
-
-    Z^k uses the box with half-side ceil(n^2 log^2 n): its defect bound
-    2 r / (2 M + 1) < eps_n is certified for every k (the radius scales
-    like r/eps, not the smaller r/eps^(1/k) one might hope for from
-    naive volume counting).  The Heisenberg witness is the gauge ball of
-    radius 1/eps_n; its defect carries an absolute constant rather than
-    a clean <= eps_n certificate.
-    """
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    eps = _preset_eps(n)
-    if isinstance(model, ZkModel):
-        return float(model.k * math.ceil(n / eps))
-    if isinstance(model, HeisenbergModel):
-        return float(math.floor(1.0 / eps))
-    raise ValueError(f"unsupported model: {model!r}")
+# growth fit and predicted envelopes
 
 
 def heisenberg_growth_fit(r_max: int = 20, r_min: int = 2) -> float:

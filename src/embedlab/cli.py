@@ -423,85 +423,24 @@ _FOLNER_HEADER = ("bin_edge_t,rho_hat,omega_hat,count,certified_lower,"
 _HEIS_DEFECT_CAP = 200_000
 
 
-def _log_spread_zk_pairs(model, n_pairs: int, max_dist: float, seed: int):
-    """Lattice pairs with log-uniform separations, one RNG stream per pair.
-
-    Uniform sampling in a box leaves the small brackets empty; here the
-    l_1 length is drawn log-uniformly in [1, max_dist] and split across
-    coordinates, so every schedule row sees traffic.
-    """
-    out = []
-    k = model.k
-    for i in range(n_pairs):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i, 9))))
-        x = tuple(int(v) for v in rng.integers(-1000, 1001, size=k))
-        length = max(1, int(round(math.exp(rng.uniform(0.0, math.log(max_dist))))))
-        parts = rng.multinomial(length, np.full(k, 1.0 / k))
-        signs = rng.choice((-1, 1), size=k)
-        g = tuple(int(s) * int(c) for s, c in zip(signs, parts))
-        out.append((x, model.mul(x, g)))
-    return out
-
-
-def _envelope_rows(system, emb, pairs, model, image_pth, defects, max_dist):
-    """Per-index CSV rows: envelope estimates over schedule brackets."""
-    p = emb.p
-    d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
-    img = np.array([v ** (1.0 / p) for v in image_pth.tolist()], dtype=float)
-    order = np.argsort(d, kind="stable")
-    d_sorted, img_sorted = d[order], img[order]
-    suffix_min = np.minimum.accumulate(img_sorted[::-1])[::-1]
-    prefix_max = np.maximum.accumulate(img_sorted)
-    n_range = list(range(system.n_min, system.n_max + 1))
-    edges = [float(system.r(n)) for n in n_range] + [float(max_dist)]
-    rows = []
-    for j, n in enumerate(n_range):
-        left, right = edges[j], edges[j + 1]
-        lo = np.searchsorted(d_sorted, left, side="left")
-        hi = np.searchsorted(d_sorted, right, side="right" if j == len(n_range) - 1 else "left")
-        rho = float(suffix_min[lo]) if lo < len(d_sorted) else math.nan
-        omega = float(prefix_max[hi - 1]) if hi > 0 else math.nan
-        rows.append((left, rho, omega, int(hi - lo),
-                     emb.certified_lower_pth(left) ** (1.0 / p),
-                     emb.certified_upper_pth(right) ** (1.0 / p),
-                     n, system.eps(n), float(system.rad(n)),
-                     defects.get(n, math.nan)))
-    return rows
-
-
-def _tree_defects(system, pairs, model) -> dict[int, float]:
-    """Worst |A Delta B| / |A cap B| per index over the pairs within r_n."""
-    d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
+def _tree_defects(system, pairs, d) -> dict[int, float]:
+    """Worst |A Delta B| / |A cap B| per index over the pairs within r_n;
+    ``d`` holds the pair separations."""
     ad = system.a_defects(pairs)
     return {n: float(ad[d <= system.r(n), j].max(initial=0.0))
             for j, n in enumerate(range(system.n_min, system.n_max + 1))}
 
 
-def _heis_defects(model, n_min, n_max) -> dict[int, float]:
+def _heis_defects(model, radii: dict[int, int]) -> dict[int, float]:
+    """Worst generator defect of the gauge ball of radius ``radii[n]``."""
     gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
     out = {}
-    for n in range(n_min, n_max + 1):
-        radius = int(1.0 / amenable._preset_eps(n))
+    for n, radius in radii.items():
         if model.ball_count(radius) > _HEIS_DEFECT_CAP:
             out[n] = math.nan
             continue
         F = set(model.ball(radius))
         out[n] = max(amenable.folner_defect(F, g, model) for g in gens)
-    return out
-
-
-def _bracket_slopes(rows) -> dict:
-    """Log-log envelope slopes over the populated schedule brackets."""
-    out = {}
-    for idx, name in ((1, "rho_slope"), (2, "omega_slope")):
-        pts = [(r[0], r[idx]) for r in rows
-               if r[0] > 0 and math.isfinite(r[idx]) and r[idx] > 0]
-        if len(pts) < 3:
-            out[name] = None
-            continue
-        xs = np.log([p[0] for p in pts])
-        ys = np.log([p[1] for p in pts])
-        out[name] = float(np.polyfit(xs, ys, 1)[0])
     return out
 
 
@@ -513,31 +452,40 @@ def cmd_folner(args: argparse.Namespace) -> int:
                  "regime": "large_t", "config": _echo(args)}
     if args.group == "heis":  # translation defects (size-capped) and volume growth only
         model = amenable.HeisenbergModel()
-        defects = _heis_defects(model, args.n_min, args.n_max)
-        fit = amenable.heisenberg_growth_fit()
-        rows = []
-        for n in range(args.n_min, args.n_max + 1):
-            eps = amenable._preset_eps(n)
-            rows.append((math.nan, math.nan, math.nan, 0, math.nan, math.nan,
-                         n, eps, float(int(1.0 / eps)), defects[n]))
+        radii = {n: int(1.0 / amenable._preset_eps(n)) for n in range(args.n_min, args.n_max + 1)}
+        defects = _heis_defects(model, radii)
+        rows = [(math.nan, math.nan, math.nan, 0, math.nan, math.nan,
+                 n, amenable._preset_eps(n), float(radius), defects[n])
+                for n, radius in radii.items()]
         # No glued embedding is realized here, so this run must not feed
         # the comparison table's measured column.
         doc["report_kind"] = "folner_run"
         for key in ("domain", "target", "regime"):
             doc.pop(key)
-        doc.update({"growth_fit": fit, "defects": {str(n): defects[n] for n in defects}})
+        doc.update({"growth_fit": amenable.heisenberg_growth_fit(),
+                    "defects": {str(n): defects[n] for n in defects}})
         violations = 0
     else:
         if args.group == "tree":
             model = amenable.TreeModel()
             system = amenable.TreeACollection(model, n_min=args.n_min, n_max=args.n_max)
-            pairs = amenable.sample_tree_pairs(model, args.pairs, int(args.max_dist),
-                                               args.seed)
-            defects, budget = _tree_defects(system, pairs, model), system.a_eps
         else:
             model = amenable.ZkModel(int(args.group[1]))
             system = amenable.ZkFolnerSystem(model, n_min=args.n_min, n_max=args.n_max)
-            pairs = _log_spread_zk_pairs(model, args.pairs, args.max_dist, args.seed)
+        n_range = range(args.n_min, args.n_max + 1)
+        edges = [system.r(n) for n in n_range] + [args.max_dist]
+        if not edges[-1] > edges[-2]:
+            raise ValueError(f"--max-dist {args.max_dist:g} must exceed "
+                             f"r(n_max) = {edges[-2]:g}")
+        if args.group == "tree":
+            pairs = amenable.sample_tree_pairs(model, args.pairs, int(args.max_dist),
+                                               args.seed)
+        else:
+            pairs = amenable.sample_zk_pairs(model, args.pairs, args.max_dist, args.seed)
+        d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
+        if args.group == "tree":
+            defects, budget = _tree_defects(system, pairs, d), system.a_eps
+        else:
             defects, budget = _zk_worst_defects(system), system.eps
         emb = amenable.glued_group_embedding(system, model, args.p)
         defect_viol = sum(1 for n, v in defects.items() if v > budget(n) * (1 + 1e-12))
@@ -545,13 +493,24 @@ def cmd_folner(args: argparse.Namespace) -> int:
                                                   bound_scale=args.bound_scale)
         image_pth = emb.image_distances_pth(pairs)
         bounds = emb.bounds_check(pairs, image_pth=image_pth)
-        rows = _envelope_rows(system, emb, pairs, model, image_pth, defects, args.max_dist)
+        inv_p = 1.0 / emb.p
+        est = moduli.reduce_envelopes(
+            d, [v ** inv_p for v in image_pth.tolist()], edges, seed=args.seed,
+            certifier=lambda ts: ([emb.certified_lower_pth(v) ** inv_p for v in ts],
+                                  [emb.certified_upper_pth(v) ** inv_p for v in ts]))
+        rows = [(edges[j], est.rho_hat[j], est.omega_hat[j], est.counts[j],
+                 est.certified_lower[j], est.certified_upper[j],
+                 n, system.eps(n), float(system.rad(n)), defects.get(n, math.nan))
+                for j, n in enumerate(n_range)]
+        for name, envelope in (("rho_slope", "rho"), ("omega_slope", "omega")):
+            try:
+                doc[name] = moduli.fit_exponent(est, envelope, edges[0], edges[-1]).slope
+            except ValueError:  # fewer than five populated rows
+                doc[name] = None
         violations = (defect_viol + char.violations + char.support_violations
                       + bounds["upper_violations"] + bounds["lower_violations"])
         doc.update({"defect_violations": defect_viol, "char_check": char.to_dict(),
                     "glued_bounds": bounds})
-    if doc["report_kind"] == "moduli_run":
-        doc.update(_bracket_slopes(rows))
     if args.out:
         lines = [_FOLNER_HEADER]
         for row in rows:

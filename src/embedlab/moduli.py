@@ -6,9 +6,15 @@ on them, and reduces the image distances to two envelopes:
 * ``rho_hat[j]``   -- min image distance over pairs with separation at
   least the row's left bin edge (an *upper* estimate of the true
   compression modulus there, since sampling sees a subset),
-* ``omega_hat[j]`` -- max image distance over pairs with separation at
-  most the row's right bin edge (a *lower* estimate of the true
-  expansion modulus).
+* ``omega_hat[j]`` -- max image distance over pairs with separation
+  below the row's right bin edge, or at most it on the last row (a
+  *lower* estimate of the true expansion modulus).
+
+Row j counts the separations in ``[edges[j], edges[j+1])``; the last row
+is closed.  Separations outside ``[edges[0], edges[-1]]`` fall in no row
+but still enter both envelopes.  :func:`reduce_envelopes` is that
+reduction over explicit edges: ``moduli`` runs use log-spaced edges
+through :func:`estimate_moduli`, ``folner`` runs the schedule brackets.
 
 Those directions matter: certified theory bounds are checked as
 ``rho_hat >= certified_lower`` and ``omega_hat <= certified_upper``;
@@ -37,6 +43,7 @@ __all__ = [
     "ModuliEstimate",
     "ExponentFit",
     "estimate_moduli",
+    "reduce_envelopes",
     "fit_exponent",
     "distortion",
     "exact_kernel_engine",
@@ -87,14 +94,15 @@ class PairSampler:
 
 @dataclass
 class ModuliEstimate:
-    """Envelope estimates over log-spaced bins; row j covers [edges[j], edges[j+1])."""
+    """Envelope estimates over bins; row j covers [edges[j], edges[j+1]),
+    and the last row also its right edge."""
 
     edges: np.ndarray          # len B+1
     rho_hat: np.ndarray        # len B, at left edges
     omega_hat: np.ndarray      # len B, at right edges
     counts: np.ndarray         # len B
     seed: int
-    n_pairs: int
+    n_pairs: int               # separations in [edges[0], edges[-1]]
     certified_lower: np.ndarray | None = None   # at left edges
     certified_upper: np.ndarray | None = None   # at right edges
     certified_enforced: bool = False
@@ -113,7 +121,7 @@ class ModuliEstimate:
         if np.any(self.rho_hat[both] > self.omega_hat[both] * (1 + 1e-12)):
             raise AssertionError("rho_hat exceeds omega_hat on a populated bin")
         if int(self.counts.sum()) != self.n_pairs:
-            raise AssertionError("bin counts do not sum to the pair count")
+            raise AssertionError("bin counts do not sum to the in-range pair count")
 
     def certified_violations(self, rel_tol: float = 1e-9) -> int:
         """Rows where an envelope crosses its certified bound (real errors)."""
@@ -133,13 +141,11 @@ def estimate_moduli(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray
                     certifier: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
                     certified_enforced: bool = False,
                     meta: dict | None = None) -> ModuliEstimate:
-    """Sample pairs, evaluate ``f(X, Y, t)``, and build the envelopes.
+    """Sample pairs, evaluate ``f(X, Y, t)``, and build the envelopes over
+    ``bins`` log-spaced rows from ``sampler.t_min`` to ``sampler.t_max``.
 
-    ``certifier(t)`` may supply certified (lower, upper) image-distance
-    bounds; they are recorded per row and, when ``certified_enforced``,
-    counted as violations by :meth:`ModuliEstimate.certified_violations`
-    consumers.  Enforcement is only meaningful for exact engines; Monte
-    Carlo backends carry the columns as reference.
+    ``certifier`` and ``certified_enforced`` are passed to
+    :func:`reduce_envelopes`.
     """
     if bins < 1 or pairs < 1:
         raise ValueError("need bins >= 1 and pairs >= 1")
@@ -147,23 +153,46 @@ def estimate_moduli(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray
     img = np.asarray(f(X, Y, t), dtype=float)
     if img.shape != t.shape or not np.all(np.isfinite(img)) or np.any(img < 0):
         raise ValueError("engine returned invalid image distances")
+    est = reduce_envelopes(t, img, np.geomspace(sampler.t_min, sampler.t_max, bins + 1),
+                           seed=seed, certifier=certifier,
+                           certified_enforced=certified_enforced, meta=meta)
+    empty = float(np.mean(est.counts == 0))
+    if empty > max_empty_fraction:
+        raise ValueError(f"{empty:.0%} of bins are empty; sampler failed to cover the range")
+    return est
 
-    edges = np.geomspace(sampler.t_min, sampler.t_max, bins + 1)
+
+def reduce_envelopes(t, img, edges, *, seed: int = 0,
+                     certifier: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
+                     certified_enforced: bool = False,
+                     meta: dict | None = None) -> ModuliEstimate:
+    """Envelope rows of image distances ``img`` at separations ``t`` over
+    the strictly increasing bin ``edges`` (see the module docstring).
+
+    ``certifier(t)`` may supply certified (lower, upper) image-distance
+    bounds; they are recorded per row and, when ``certified_enforced``,
+    counted as violations by :meth:`ModuliEstimate.certified_violations`
+    consumers.  Enforcement is only meaningful for exact engines; Monte
+    Carlo backends carry the columns as reference.
+    """
+    t = np.asarray(t, dtype=float)
+    img = np.asarray(img, dtype=float)
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or not np.all(np.diff(edges) > 0):
+        raise ValueError("bin edges must be strictly increasing")
     order = np.argsort(t, kind="stable")
     t_sorted = t[order]
     img_sorted = img[order]
     suffix_min = np.minimum.accumulate(img_sorted[::-1])[::-1]
     prefix_max = np.maximum.accumulate(img_sorted)
 
-    pos_left = np.searchsorted(t_sorted, edges[:-1], side="left")
-    pos_right = np.searchsorted(t_sorted, edges[1:], side="right")
-    rho = np.where(pos_left < pairs, suffix_min[np.minimum(pos_left, pairs - 1)], np.nan)
-    omega = np.where(pos_right > 0, prefix_max[np.maximum(pos_right - 1, 0)], np.nan)
-    counts = pos_right - pos_left
-    # Last bin is right-closed so every sampled separation lands somewhere.
-    empty = float(np.mean(counts == 0))
-    if empty > max_empty_fraction:
-        raise ValueError(f"{empty:.0%} of bins are empty; sampler failed to cover the range")
+    lo = np.searchsorted(t_sorted, edges[:-1], side="left")
+    hi = np.searchsorted(t_sorted, edges[1:], side="left")
+    hi[-1] = np.searchsorted(t_sorted, edges[-1], side="right")  # last row is closed
+    rho = np.full(lo.size, np.nan)
+    omega = np.full(hi.size, np.nan)
+    rho[lo < t.size] = suffix_min[lo[lo < t.size]]
+    omega[hi > 0] = prefix_max[hi[hi > 0] - 1]
 
     cert_lo = cert_hi = None
     if certifier is not None:
@@ -171,7 +200,8 @@ def estimate_moduli(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray
         cert_hi = np.asarray(certifier(edges[1:])[1], dtype=float)
 
     est = ModuliEstimate(edges=edges, rho_hat=rho, omega_hat=omega,
-                         counts=counts.astype(np.int64), seed=seed, n_pairs=pairs,
+                         counts=(hi - lo).astype(np.int64), seed=seed,
+                         n_pairs=int(hi[-1] - lo[0]),
                          certified_lower=cert_lo, certified_upper=cert_hi,
                          certified_enforced=certified_enforced, meta=dict(meta or {}))
     est.validate()

@@ -188,7 +188,7 @@ def test_c08_group_presets_certified_end_to_end():
     far = (20000, 0)
     assert model.metric((0, 0), far) > 2.0 * system.rad(20)
     assert emb.certified_lower_pth(20000.0) == 38.0
-    assert emb.image_distance_pth((0, 0), far) == pytest.approx(38.0, abs=1e-12)
+    assert emb.image_distances_pth([((0, 0), far)])[0] == pytest.approx(38.0, abs=1e-12)
 
     # gauge-ball growth of the Heisenberg model
     assert 3.5 <= heisenberg_growth_fit(20) <= 4.5

@@ -22,7 +22,6 @@ from embedlab.amenable import (
     glued_group_embedding,
     heisenberg_growth_fit,
     predicted_group_gap,
-    radial_folner_upper,
     sample_tree_pairs,
     sample_zk_pairs,
 )
@@ -272,6 +271,20 @@ class TestSamplers:
         for x, y in pairs:
             assert 1 <= g.metric(x, y) <= 12
 
+    @pytest.mark.parametrize("k,max_dist", [(1, 1), (2, 1.9), (2, 6.8), (2, 40), (3, 7.9),
+                                            (3, 1000)])
+    def test_zk_pairs_never_leave_the_range(self, k, max_dist):
+        # a rounded log-uniform length reaches ceil(max_dist) on a share of
+        # the draws below a fractional max_dist (about 37% at 1.9, 2% at
+        # 6.8); the cap at floor(max_dist) keeps them in range
+        g = ZkModel(k)
+        d = [g.metric(x, y) for x, y in sample_zk_pairs(g, 500, max_dist, seed=k)]
+        assert 1 <= min(d) and max(d) <= max_dist
+
+    def test_zk_pairs_need_a_unit_range(self):
+        with pytest.raises(ValueError, match="max_dist"):
+            sample_zk_pairs(ZkModel(2), 3, 0.5, seed=0)
+
     def test_tree_pairs_valid(self):
         tree = TreeModel()
         pairs = sample_tree_pairs(tree, 30, 10, seed=2)
@@ -321,8 +334,9 @@ class TestGluedGroupEmbedding:
         e = glued_group_embedding(sys, ZkModel(1), 2.0)
         x, y = (0,), (5,)
         total = sum(sys.block_distance_pth(x, y, n, 2.0) for n in range(2, 9))
-        assert e.image_distance_pth(x, y) == pytest.approx(total, rel=1e-15)
-        assert e.image_distance(x, y) == pytest.approx(total ** 0.5, rel=1e-15)
+        got = e.image_distances_pth([(x, y)])[0]
+        assert got == pytest.approx(total, rel=1e-15)
+        assert got ** (1.0 / e.p) == pytest.approx(total ** 0.5, rel=1e-15)
 
     def test_disjoint_blocks_give_exact_lower_mass(self):
         sys = ZkFolnerSystem(ZkModel(1), n_min=2, n_max=8)
@@ -330,7 +344,7 @@ class TestGluedGroupEmbedding:
         d = 2 * sys.rad(8) + 2  # beyond every diameter: all supports disjoint
         assert e.disjoint_step_count(d) == 7
         assert e.certified_lower_pth(d) == 14.0
-        assert e.image_distance_pth((0,), (int(d),)) == pytest.approx(14.0, rel=1e-12)
+        assert e.image_distances_pth([((0,), (int(d),))])[0] == pytest.approx(14.0, rel=1e-12)
 
     def test_upper_bound_formula(self):
         sys = ZkFolnerSystem(ZkModel(1), n_min=2, n_max=8)
@@ -354,9 +368,11 @@ class TestGluedGroupEmbedding:
 
 
 class TestRadialWitness:
+    """Circumradius of the box witness with defect 1/(n log^2 n) at range n."""
+
     def test_z1_witness_radius(self):
         model = ZkModel(1)
-        assert radial_folner_upper(model, 4) == 31.0
+        assert ZkFolnerSystem(model).rad(4) == 31.0
         eps = _preset_eps(4)
         assert box_defect(31, (4,)) == pytest.approx(8.0 / 63.0)
         assert box_defect(31, (4,)) <= eps
@@ -364,16 +380,8 @@ class TestRadialWitness:
         assert folner_defect(F, (4,), model) == box_defect(31, (4,))
 
     def test_scaling_with_k(self):
-        assert radial_folner_upper(ZkModel(3), 4) == 93.0
-
-    def test_heisenberg_witness(self):
-        assert radial_folner_upper(HeisenbergModel(), 4) == 7.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            radial_folner_upper(ZkModel(1), 1)
-        with pytest.raises(ValueError):
-            radial_folner_upper(TreeModel(), 4)
+        # the radius scales like k r / eps for every k
+        assert ZkFolnerSystem(ZkModel(3)).rad(4) == 93.0
 
 
 class TestPredictedGroupGap:

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from embedlab import amenable, cli, mazur
@@ -219,13 +220,93 @@ class TestFolnerCommand:
 
     def test_heisenberg_run_is_not_a_moduli_run(self, tmp_path):
         out_json = tmp_path / "heis.json"
+        out_csv = tmp_path / "heis.csv"
         code = run(["folner", "--group", "heis", "--n-min", "2", "--n-max", "5",
-                    "--json-out", str(out_json)])
+                    "--out", str(out_csv), "--json-out", str(out_json)])
         assert code == cli.EXIT_OK
         doc = json.loads(out_json.read_text())
         assert doc["report_kind"] == "folner_run"
         assert "domain" not in doc
         assert 3.5 <= doc["growth_fit"] <= 4.5
+        # the gauge-ball witness has radius floor(1 / eps_n): 7 at n = 4
+        rows = {int(r["n"]): r for r in _csv_rows(out_csv)}
+        assert rows[4]["rad_n"] == "7"
+        assert [float(rows[n]["rad_n"]) for n in range(2, 6)] == [
+            math.floor(1.0 / amenable._preset_eps(n)) for n in range(2, 6)]
+
+    @pytest.mark.parametrize("group,argv", [
+        ("z2", ["--n-max", "8", "--max-dist", "16", "--pairs", "60"]),
+        ("z3", ["--n-min", "3", "--n-max", "9", "--max-dist", "40.6", "--pairs", "120",
+                "--p", "2"]),
+        ("tree", ["--n-max", "8", "--max-dist", "30", "--pairs", "150", "--p", "1.5"]),
+    ])
+    def test_rows_equal_a_brute_force_reduction(self, tmp_path, group, argv):
+        out_csv, out_json = tmp_path / "f.csv", tmp_path / "f.json"
+        assert run(["folner", "--group", group, "--seed", "5", *argv,
+                    "--out", str(out_csv), "--json-out", str(out_json)]) == cli.EXIT_OK
+        flag = dict(zip(argv[::2], argv[1::2]))
+        n_min, n_max = int(flag.get("--n-min", 2)), int(flag["--n-max"])
+        p, max_dist = float(flag.get("--p", 1)), float(flag["--max-dist"])
+        if group == "tree":
+            model = amenable.TreeModel()
+            system = amenable.TreeACollection(model, n_min=n_min, n_max=n_max)
+            pairs = amenable.sample_tree_pairs(model, int(flag["--pairs"]), int(max_dist), 5)
+        else:
+            model = amenable.ZkModel(int(group[1]))
+            system = amenable.ZkFolnerSystem(model, n_min=n_min, n_max=n_max)
+            pairs = amenable.sample_zk_pairs(model, int(flag["--pairs"]), max_dist, 5)
+        emb = amenable.glued_group_embedding(system, model, p)
+        d = [model.metric(x, y) for x, y in pairs]
+        img = [sum(system.block_distance_pth(x, y, n, p) for n in range(n_min, n_max + 1))
+               ** (1.0 / p) for x, y in pairs]
+        edges = [float(n) for n in range(n_min, n_max + 1)] + [max_dist]
+        rows = _csv_rows(out_csv)
+        assert len(rows) == n_max - n_min + 1
+        for j, row in enumerate(rows):
+            left, right = edges[j], edges[j + 1]
+            last = j == len(rows) - 1
+            above = [v for t, v in zip(d, img) if t >= left]
+            below = [v for t, v in zip(d, img) if t < right or (last and t == right)]
+            count = sum(1 for t in d if left <= t and (t < right or (last and t == right)))
+            assert row["bin_edge_t"] == cli._fmt(left)
+            assert row["rho_hat"] == cli._fmt(min(above) if above else math.nan)
+            assert row["omega_hat"] == cli._fmt(max(below) if below else math.nan)
+            assert row["count"] == str(count)
+            assert row["certified_lower"] == cli._fmt(emb.certified_lower_pth(left) ** (1 / p))
+            assert row["certified_upper"] == cli._fmt(emb.certified_upper_pth(right) ** (1 / p))
+        assert sum(int(r["count"]) for r in rows) == sum(1 for t in d if edges[0] <= t <= max_dist)
+        # slopes: least squares over the populated rows, rho at left edges
+        # and omega at right edges
+        full = [j for j, r in enumerate(rows) if int(r["count"]) > 0]
+        doc = json.loads(out_json.read_text())
+        for name, col, at in (("rho_slope", "rho_hat", 0), ("omega_slope", "omega_hat", 1)):
+            xs = np.log([edges[j + at] for j in full])
+            ys = np.log([float(rows[j][col]) for j in full])
+            assert doc[name] == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-9)
+
+    def test_few_populated_rows_leave_the_slopes_null(self, tmp_path):
+        out_csv, out_json = tmp_path / "t.csv", tmp_path / "t.json"
+        code = run(["folner", "--group", "tree", "--n-max", "6", "--max-dist", "50",
+                    "--pairs", "40", "--out", str(out_csv), "--json-out", str(out_json)])
+        assert code == cli.EXIT_OK
+        assert sum(int(r["count"]) > 0 for r in _csv_rows(out_csv)) < 5
+        doc = json.loads(out_json.read_text())
+        assert doc["rho_slope"] is None and doc["omega_slope"] is None
+
+    @pytest.mark.parametrize("max_dist", ["10", "20"])
+    def test_max_dist_must_exceed_the_last_radius(self, tmp_path, capsys, max_dist):
+        out_csv = tmp_path / "bad.csv"
+        code = run(["folner", "--group", "z2", "--n-max", "20", "--max-dist", max_dist,
+                    "--pairs", "20", "--out", str(out_csv)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--max-dist" in err and "r(n_max) = 20" in err
+        assert not out_csv.exists()
+
+
+def _csv_rows(path):
+    header, *lines = path.read_text().splitlines()
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
 class TestGroupClosedForms:

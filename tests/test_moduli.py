@@ -19,6 +19,7 @@ from embedlab.moduli import (
     fast_rff_engine,
     fit_exponent,
     glued_certifier,
+    reduce_envelopes,
     write_moduli_csv,
 )
 
@@ -89,13 +90,27 @@ class TestEstimateModuli:
         img = rng_engine(None, None, t)
         for j in range(est.n_bins):
             left, right = est.edges[j], est.edges[j + 1]
+            below = (t < right) if j < est.n_bins - 1 else (t <= right)
             ge = img[t >= left]
-            le = img[t <= right]
+            le = img[below]
             assert est.rho_hat[j] == (ge.min() if ge.size else est.rho_hat[j])
             assert est.omega_hat[j] == (le.max() if le.size else est.omega_hat[j])
-            in_bin = (t >= left) & (t < right) if j < est.n_bins - 1 else \
-                (t >= left) & (t <= right)
-            assert est.counts[j] == int(in_bin.sum())
+            assert est.counts[j] == int(((t >= left) & below).sum())
+
+    def test_separation_on_an_interior_edge_counts_once_in_the_upper_row(self):
+        class OnEdges:  # every separation sits exactly on a bin edge
+            t_min, t_max = 0.1, 10.0
+
+            def sample(self, n, seed):
+                t = np.geomspace(self.t_min, self.t_max, 5)
+                return np.zeros((n, 1)), np.zeros((n, 1)), t
+
+        est = estimate_moduli(lambda X, Y, t: 2.0 * t, OnEdges(), bins=4, pairs=5, seed=0)
+        assert est.counts.tolist() == [1, 1, 1, 2]
+        assert est.n_pairs == 5
+        # omega is taken below the right edge, and at it on the last row
+        assert est.omega_hat.tolist() == (2.0 * est.edges[[0, 1, 2, 4]]).tolist()
+        assert est.rho_hat.tolist() == (2.0 * est.edges[:-1]).tolist()
 
     def test_engine_output_validated(self):
         bad = lambda X, Y, t: np.full_like(t, np.nan)
@@ -124,6 +139,27 @@ class TestEstimateModuli:
         assert est.certified_violations() == 0
         est.certified_lower = est.certified_lower * 10.0
         assert est.certified_violations() > 0
+
+
+class TestReduceEnvelopes:
+    def test_out_of_range_separations_bound_both_envelopes(self):
+        t = np.array([1.0, 2.5, 3.0, 5.0, 9.0])
+        img = np.array([7.0, 2.0, 3.0, 5.0, 0.5])
+        est = reduce_envelopes(t, img, [2.0, 4.0, 8.0])
+        assert est.counts.tolist() == [2, 1]  # 1.0 and 9.0 lie in no row
+        assert est.n_pairs == 3
+        assert est.rho_hat.tolist() == [0.5, 0.5]  # the pair at 9.0 still counts
+        assert est.omega_hat.tolist() == [7.0, 7.0]  # and so does the pair at 1.0
+
+    def test_empty_input_gives_empty_rows(self):
+        est = reduce_envelopes([], [], [1.0, 2.0, 3.0])
+        assert est.counts.tolist() == [0, 0]
+        assert np.isnan(est.rho_hat).all() and np.isnan(est.omega_hat).all()
+
+    @pytest.mark.parametrize("edges", [[1.0, 3.0, 2.0], [1.0, 2.0, 2.0], [5.0], [1.0, np.nan]])
+    def test_edges_must_increase_strictly(self, edges):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            reduce_envelopes([1.5], [1.0], edges)
 
 
 class TestFitExponent:
