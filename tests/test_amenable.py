@@ -383,6 +383,18 @@ class TestRadialWitness:
         # the radius scales like k r / eps for every k
         assert ZkFolnerSystem(ZkModel(3)).rad(4) == 93.0
 
+    def test_heisenberg_witness(self):
+        # the gauge ball of radius floor(1 / eps_n): 7 at n = 4; its defect
+        # carries an absolute constant rather than a clean <= eps_n certificate
+        model = HeisenbergModel()
+        radius = math.floor(1.0 / _preset_eps(4))
+        assert radius == 7
+        F = set(model.ball(radius))
+        assert len(F) == model.ball_count(radius)
+        gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+        defect = max(folner_defect(F, g, model) for g in gens)
+        assert _preset_eps(4) < defect < 5.0 / radius
+
 
 class TestPredictedGroupGap:
     def test_heisenberg_lower_is_power_log_inverse(self):
