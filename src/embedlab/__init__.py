@@ -15,15 +15,14 @@ from .amenable import (HeisenbergModel, TreeACollection, TreeModel,
                        predicted_group_gap)
 from .finite_geometry import (GkSpace, HammingCube, cube_distance, cube_report,
                               enflo_lower_bound, enflo_type2_certificate,
-                              gk_distance, gk_probe, probe_audit)
+                              probe_audit)
 from .gaussian import (FundamentalMapSpec, KernelExact, RandomFeatures,
-                       TruncatedExp, delta_q, moduli_exponents, phi_map,
+                       TruncatedExp, delta_q, moduli_exponents,
                        psi_distance_exact)
 from .glue import (GaussianBlockFamily, GluedEmbedding, ParamSchedule,
                    per_pair_bounds_check, predicted_gap, preset_schedule)
-from .mazur import mazur_bounds_check, mazur_constants, mazur_map
-from .metric_core import (ExponentRegime, MonotoneFunction, TruncatedVector,
-                          h_ab, lp_distance)
+from .mazur import audit_sphere_pairs, mazur_constants, mazur_map
+from .metric_core import ExponentRegime, MonotoneFunction, h_ab
 from .moduli import (PairSampler, distortion, estimate_moduli, fit_exponent,
                      write_moduli_csv)
 from .report import ComparisonTable, report_tables
@@ -35,15 +34,13 @@ __all__ = [
     "GaussianBlockFamily", "GkSpace", "GluedEmbedding", "HammingCube",
     "HeisenbergModel", "KernelExact", "MonotoneFunction", "PairSampler",
     "ParamSchedule", "RandomFeatures", "TreeACollection", "TreeModel",
-    "TruncatedExp", "TruncatedVector", "ZkFolnerSystem", "ZkModel",
+    "TruncatedExp", "ZkFolnerSystem", "ZkModel", "audit_sphere_pairs",
     "char_embedding_bound_check", "cube_distance", "cube_report", "delta_q",
     "distortion", "enflo_lower_bound", "enflo_type2_certificate",
     "estimate_moduli", "fit_exponent", "folner_defect",
-    "gk_distance", "gk_probe",
     "glued_group_embedding", "h_ab", "heisenberg_growth_fit",
-    "lp_distance", "mazur_bounds_check", "mazur_constants",
-    "mazur_map", "moduli_exponents", "per_pair_bounds_check", "phi_map",
-    "predicted_gap", "predicted_group_gap", "preset_schedule", "probe_audit",
-    "psi_distance_exact", "report_tables",
+    "mazur_constants", "mazur_map", "moduli_exponents",
+    "per_pair_bounds_check", "predicted_gap", "predicted_group_gap",
+    "preset_schedule", "probe_audit", "psi_distance_exact", "report_tables",
     "write_moduli_csv",
 ]

@@ -20,6 +20,8 @@ import numpy as np
 from .metric_core import ExponentRegime, MonotoneFunction, h_ab
 
 MAX_SET_SIZE = 1 << 20  # materialization cap for explicit set arithmetic
+_REL_TOL = 1e-9  # relative float slack of the certified-bound audits
+_TREE_BASE_DEPTH = 40  # sampled tree pairs start at depth 0.._TREE_BASE_DEPTH
 
 
 # ---------------------------------------------------------------------------
@@ -192,17 +194,6 @@ def folner_defect(F, g, group) -> float:
         raise ValueError("empty set")
     gf = {group.mul(g, f) for f in fs}
     return len(fs ^ gf) / len(fs)
-
-
-def a_defect(a, b) -> float:
-    """|A Delta B| / |A cap B|; +inf for disjoint sets."""
-    sa, sb = set(a), set(b)
-    if not sa or not sb:
-        raise ValueError("empty set")
-    inter = len(sa & sb)
-    if inter == 0:
-        return math.inf
-    return (len(sa) + len(sb) - 2 * inter) / inter
 
 
 def box_intersection_count(half_side: int, g) -> int:
@@ -459,13 +450,14 @@ def sample_zk_pairs(group: ZkModel, n_pairs: int, max_dist: float,
     return out
 
 
-def sample_tree_pairs(tree: TreeModel, n_pairs: int, max_dist: int, seed: int,
-                      max_depth: int = 40) -> list[tuple[tuple, tuple]]:
-    """Deterministic tree pairs at graph distance in [1, max_dist]."""
+def sample_tree_pairs(tree: TreeModel, n_pairs: int, max_dist: int,
+                      seed: int) -> list[tuple[tuple, tuple]]:
+    """Deterministic tree pairs at graph distance in [1, max_dist]; each
+    walk starts at a uniform depth in [0, _TREE_BASE_DEPTH]."""
     out = []
     for i in range(n_pairs):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
-        d0 = int(rng.integers(0, max_depth + 1))
+        d0 = int(rng.integers(0, _TREE_BASE_DEPTH + 1))
         x = tuple(int(v) for v in rng.integers(0, tree.branching, size=d0))
         y = x
         for _ in range(int(rng.integers(1, max_dist + 1))):
@@ -479,9 +471,8 @@ def sample_tree_pairs(tree: TreeModel, n_pairs: int, max_dist: int, seed: int,
     return out
 
 
-def char_embedding_bound_check(sys, model, pairs, p, *, bound_scale: float = 1.0,
-                               rel_tol: float = 1e-9,
-                               audit_support: bool = True) -> CharBoundReport:
+def char_embedding_bound_check(sys, model, pairs, p, *,
+                               bound_scale: float = 1.0) -> CharBoundReport:
     """Verify ||phi_n(x) - phi_n(y)||_p^p <= 2 eps'_n on certified pairs.
 
     Each sampled pair is checked at every schedule index n with
@@ -504,16 +495,15 @@ def char_embedding_bound_check(sys, model, pairs, p, *, bound_scale: float = 1.0
         # fmin skips NaN margins (an infinite bound scaled by 0), as min() did
         worst = float(np.fmin.reduce(bound - val, initial=worst))
         checks += val.size
-        violations += int(np.count_nonzero(val > bound * (1.0 + rel_tol)))
-    if audit_support:
-        for x, _ in pairs[:8]:
-            for n in range(sys.n_min, min(sys.n_min + 3, sys.n_max) + 1):
-                try:
-                    reach = _support_reach(sys, model, x, n)
-                except ValueError:
-                    continue  # materialization cap; closed form still certified
-                if reach > sys.rad(n) + 1e-9:
-                    support_bad += 1
+        violations += int(np.count_nonzero(val > bound * (1.0 + _REL_TOL)))
+    for x, _ in pairs[:8]:
+        for n in range(sys.n_min, min(sys.n_min + 3, sys.n_max) + 1):
+            try:
+                reach = _support_reach(sys, model, x, n)
+            except ValueError:
+                continue  # materialization cap; closed form still certified
+            if reach > sys.rad(n) + 1e-9:
+                support_bad += 1
     return CharBoundReport(
         model=model.name, p=regime.p, n_pairs=len(pairs), n_checks=checks,
         violations=violations, support_violations=support_bad,
@@ -567,16 +557,24 @@ class GluedGroupEmbedding:
         return sum(1 for n in self.n_range if self.sys.r(n) < d)
 
     def tail_constant(self) -> float:
-        return sum(2.0 * self.sys.a_eps(n) for n in self.n_range)
+        """Sum over the blocks of min(2 eps'_n, 2).
+
+        Each block bound is capped at 2: the blocks are indicators of
+        equal-size sets, so ||phi_n(x) - phi_n(y)||_p^p = |A Delta B| / |A|
+        <= 2.  The cap keeps the sum finite where 2 eps'_n is vacuous
+        (+inf), as for the first tree segments, which are no longer than
+        2 r_n.
+        """
+        return sum(min(2.0 * self.sys.a_eps(n), 2.0) for n in self.n_range)
 
     def certified_upper_pth(self, d: float) -> float:
-        """2^p k + K with k the blocks below distance d and K the exact
-        remainder sum of the certified block bounds."""
+        """2^p k + K with k the blocks below distance d and K the capped
+        sum of the certified block bounds (:meth:`tail_constant`)."""
         k = self.coarse_step_count(d)
         return 2.0 ** self.p * k + self.tail_constant()
 
     def bounds_check(self, pairs, *, upper_scale: float = 1.0,
-                     rel_tol: float = 1e-9, image_pth=None) -> dict:
+                     image_pth=None) -> dict:
         """``image_pth``: image_distances_pth(pairs), if already computed."""
         if image_pth is None:
             image_pth = self.image_distances_pth(pairs)
@@ -588,9 +586,9 @@ class GluedGroupEmbedding:
             lb = self.certified_lower_pth(d)
             worst_upper = min(worst_upper, ub - val)
             worst_lower = min(worst_lower, val - lb)
-            if val > ub * (1.0 + rel_tol):
+            if val > ub * (1.0 + _REL_TOL):
                 upper_viol += 1
-            if val < lb * (1.0 - rel_tol):
+            if val < lb * (1.0 - _REL_TOL):
                 lower_viol += 1
         return {
             "n_pairs": len(pairs), "upper_violations": upper_viol,

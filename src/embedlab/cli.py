@@ -202,8 +202,8 @@ def _suite_mazur(args: argparse.Namespace) -> dict:
                     "involution_deviation": i_dev}
             bad = int(s_dev > 1e-12) + int(i_dev > 1e-12)
             if p != q:  # the two-sided distance bounds need distinct exponents
-                rep = mazur._audit_pairs(x, y, mazur.mazur_constants(p, q),
-                                         upper_scale=upper_scale)
+                rep = mazur.audit_sphere_pairs(x, y, mazur.mazur_constants(p, q),
+                                               upper_scale=upper_scale)
                 worst = min(worst, rep["worst_margin"])
                 cell["worst_margin"] = rep["worst_margin"]
                 bad += rep["violations"]
@@ -583,7 +583,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     ver.add_argument("--negative-control", action="store_true",
                      help="tighten the audited bounds; a clean run then proves "
                           "the detector is live")
-    ver.add_argument("--samples", type=int, default=1000)
+    ver.add_argument("--samples", type=_positive_int, default=1000)
     ver.add_argument("--dim", type=int, default=16)
     ver.add_argument("--grid", default="0.5,1,1.5,2,3,4")
     ver.add_argument("--r", type=float, default=1.0)
@@ -591,7 +591,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     ver.add_argument("--n-features", type=int, default=4096)
     ver.add_argument("--beta", type=float, default=2.0)
     ver.add_argument("--n-terms", type=int, default=200)
-    ver.add_argument("--pairs", type=int, default=500)
+    ver.add_argument("--pairs", type=_positive_int, default=500)
     ver.add_argument("--max-dist", type=float, default=None,
                      help="suites pick a range suited to their checks by default")
     ver.add_argument("--n-max", type=int, default=20)

@@ -9,17 +9,20 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .metric_core import ExponentRegime, TruncatedVector
+from .metric_core import ExponentRegime
 
 # Hard enumeration caps.  Pair iteration beyond ~1e6 vertices or dense
 # matrices beyond 2^14 x 2^14 are out of desk-scale scope.
 MAX_CUBE_PAIR_DIM = 24
 MAX_CUBE_MATRIX_DIM = 14
 MAX_AUDIT_PAIRS = 1 << 20
+
+# Relative float slack of the probe audit's comparisons.
+_REL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,10 +98,6 @@ class GkSpace:
         if math.comb(self.ground, self.k) > MAX_AUDIT_PAIRS:
             raise ValueError("element count exceeds enumeration cap")
 
-    @property
-    def n_elements(self) -> int:
-        return math.comb(self.ground, self.k)
-
     def elements(self) -> list[tuple[int, ...]]:
         return list(itertools.combinations(range(1, self.ground + 1), self.k))
 
@@ -109,28 +108,6 @@ class GkSpace:
         for i, e in enumerate(els):
             mat[i, np.asarray(e) - 1] = 1.0
         return mat
-
-
-def gk_distance(a, b) -> float:
-    """|A Delta B| / 2 for two equal-size sets; integer-valued."""
-    sa, sb = set(a), set(b)
-    if len(sa) != len(a) or len(sb) != len(b):
-        raise ValueError("elements must be sets of distinct points")
-    if len(sa) != len(sb):
-        raise ValueError("sets must have equal size")
-    return len(sa ^ sb) / 2.0
-
-
-def gk_probe(u, ground: int) -> TruncatedVector:
-    """Sum of standard basis vectors indexed by the k-subset u."""
-    su = set(u)
-    if len(su) != len(u):
-        raise ValueError("subset has repeated elements")
-    if not su or min(su) < 1 or max(su) > ground:
-        raise ValueError("subset does not fit the ground set")
-    coords = np.zeros(ground)
-    coords[np.asarray(sorted(su)) - 1] = 1.0
-    return TruncatedVector(coords=coords, offsets=np.array([0, ground]))
 
 
 @dataclass(frozen=True)
@@ -152,11 +129,13 @@ class ProbeAuditReport:
         return self.lipschitz_violations + self.discreteness_violations
 
 
-def probe_audit(k: int, ground: int, p, *, lipschitz_factor: float = 2.0,
-                rel_tol: float = 1e-12) -> ProbeAuditReport:
+def probe_audit(k: int, ground: int, p, *,
+                lipschitz_factor: float = 2.0) -> ProbeAuditReport:
     """Check the probe is ``lipschitz_factor``-Lipschitz and 1-discrete.
 
-    The image difference vector has |A Delta B| entries of modulus 1, so
+    The probe sends a k-subset u of {1..ground} to the sum of the standard
+    basis vectors it indexes, the row of u in
+    :meth:`GkSpace.element_matrix`.  The image difference vector has |A Delta B| entries of modulus 1, so
     image distances reduce to symmetric-difference counts; the audit is
     exact integer arithmetic over all pairs (caps permitting).
     """
@@ -176,8 +155,8 @@ def probe_audit(k: int, ground: int, p, *, lipschitz_factor: float = 2.0,
     ratio = image[rho > 0] / rho[rho > 0]
     max_ratio = float(ratio.max()) if ratio.size else 0.0
     min_nonzero = float(nz.min()) if nz.size else math.inf
-    lip_bad = int(np.sum(ratio > lipschitz_factor * (1.0 + rel_tol)))
-    disc_bad = int(np.sum(nz < 1.0 - rel_tol))
+    lip_bad = int(np.sum(ratio > lipschitz_factor * (1.0 + _REL_TOL)))
+    disc_bad = int(np.sum(nz < 1.0 - _REL_TOL))
     return ProbeAuditReport(
         k=k, ground=ground, p=regime.p, n_pairs=int(sym_u.size),
         max_ratio=max_ratio, min_nonzero_image=min_nonzero,
@@ -214,13 +193,6 @@ class TypeTwoCertificate:
     edge_sum: float
     ratio: float
     degenerate: bool
-
-    def distortion_bound(self, p=1.0) -> float:
-        """Implied Euclidean distortion bound m^(1/p - 1/2) scaled by the
-        certificate ratio (ratio 1 recovers the clean bound)."""
-        regime = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
-        base = enflo_lower_bound(self.m, regime, 2.0)
-        return base * math.sqrt(self.ratio)
 
 
 def enflo_type2_certificate(f, m: int) -> TypeTwoCertificate:

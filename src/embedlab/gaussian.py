@@ -18,11 +18,11 @@ Three interchangeable realizations are provided:
   approximation of the same kernel with O(D^{-1/2}) error.
 
 Composing psi_r with the (2, q) signed-power map yields the fundamental
-block maps phi of the glued embeddings.  One batch kernel computes them
-for every coordinate backend: :func:`block_map` takes the backend's
-coordinates and applies the signed power 2/q, and :func:`block_mass`
-returns sum_n sum_i |phi_n(x)_i - phi_n(y)_i|^q per pair of rows over a
-list of blocks, summed in float64.  Random-feature coordinates are
+block maps phi of the glued embeddings.  One batch kernel serves every
+coordinate backend: :func:`block_mass` takes each block's backend
+coordinates, applies the signed power 2/q, and returns
+sum_n sum_i |phi_n(x)_i - phi_n(y)_i|^q per pair of rows over a list of
+blocks, summed in float64.  Random-feature coordinates are
 computed in the floating dtype of the input points, so float32 rows give
 float32 arithmetic with the same feature tables; their feature product
 runs in row slabs that OpenBLAS keeps on the calling thread.  Block
@@ -54,9 +54,7 @@ __all__ = [
     "psi_distance_exact",
     "exp_coordinates_batch",
     "rff_coordinates_batch",
-    "block_map",
     "block_mass",
-    "phi_map",
     "sphere_block_interval",
     "moduli_exponents",
     "delta_q",
@@ -68,6 +66,10 @@ __all__ = [
 SATURATION_LEVEL = 2.0 * (1.0 - math.exp(-1.0))  # = 2 (e-1)/e
 
 _SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+
+# Cap on the materialized dimension C(degree + dim, dim) of a truncated
+# exp backend; construction fails beyond it rather than exhausting memory.
+MAX_EXP_COORDS = 2_000_000
 
 
 def psi_distance_exact(d, r):
@@ -95,25 +97,21 @@ class KernelExact:
 
 @dataclass(frozen=True)
 class TruncatedExp:
-    """Exponential tensor coordinates up to a fixed degree.
-
-    ``max_coords`` caps the materialized dimension C(degree + dim, dim);
-    construction fails beyond the cap rather than exhausting memory.
-    """
+    """Exponential tensor coordinates up to a fixed degree, at most
+    ``MAX_EXP_COORDS`` of them."""
 
     r: float
     degree: int
     ambient_dim: int
-    max_coords: int = 2_000_000
 
     def __post_init__(self) -> None:
         if self.r <= 0:
             raise ValueError("bandwidth must be positive")
         if self.degree < 0 or self.ambient_dim < 1:
             raise ValueError("need degree >= 0 and ambient_dim >= 1")
-        if self.n_coords > self.max_coords:
+        if self.n_coords > MAX_EXP_COORDS:
             raise ValueError(
-                f"coordinate count {self.n_coords} exceeds cap {self.max_coords}"
+                f"coordinate count {self.n_coords} exceeds cap {MAX_EXP_COORDS}"
             )
 
     @property
@@ -343,10 +341,6 @@ class FundamentalMapSpec:
         if abs(self.backend.r - self.r) > 1e-12 * max(1.0, self.r):
             raise ValueError("backend bandwidth disagrees with spec bandwidth")
 
-    @property
-    def exponents(self) -> tuple[float, float]:
-        return moduli_exponents(self.q.p)
-
 
 def _block_coordinates(X: np.ndarray, spec: FundamentalMapSpec,
                        out: np.ndarray | None = None) -> np.ndarray:
@@ -359,22 +353,17 @@ def _block_coordinates(X: np.ndarray, spec: FundamentalMapSpec,
     return rff_coordinates_batch(X, spec.backend, out=out)
 
 
-def block_map(X: np.ndarray, spec: FundamentalMapSpec) -> np.ndarray:
-    """Block images phi(x) = s_{2/q}(psi_r(x)) of the rows of X, on the unit q-sphere.
-
-    psi_r is the backend's unit-sphere coordinates (truncated series or
-    random features) and s_{2/q} the coordinatewise signed power, the
-    (2, q) Mazur map.  Random features keep the floating dtype of ``X``;
-    the series is evaluated in float64.
-    """
-    return _signed_power(_block_coordinates(X, spec), 2.0 / spec.q.p)
-
-
 def block_mass(X: np.ndarray, Y: np.ndarray, specs) -> np.ndarray:
     """Power mass of paired rows summed over the blocks ``specs``, in float64.
 
-    Block n adds sum_i |phi_n(x)_i - phi_n(y)_i|^q, its share of the glued
-    mass in both regimes: the q-th power of the block distance for
+    Block n maps a row x to phi_n(x) = s_{2/q}(psi_r(x)): the backend's
+    unit-sphere coordinates psi_r(x) (truncated series or random features)
+    under the coordinatewise signed power s_{2/q}, the (2, q) Mazur map,
+    which lands on the unit q-sphere.  Random features keep the floating
+    dtype of ``X``; the series is evaluated in float64.
+
+    Block n adds sum_i |phi_n(x)_i - phi_n(y)_i|^q, its share of the
+    glued mass in both regimes: the q-th power of the block distance for
     q >= 1, the power-sum block distance itself for q < 1.  Blocks are
     added in order.  The coordinate array and the two image arrays are
     reused from block to block: freeing and reallocating them for every
@@ -395,7 +384,3 @@ def block_mass(X: np.ndarray, Y: np.ndarray, specs) -> np.ndarray:
         total += np.sum(diff, axis=1, dtype=np.float64)
     return total
 
-
-def phi_map(x, spec: FundamentalMapSpec) -> np.ndarray:
-    """Single-point :func:`block_map`."""
-    return block_map(np.asarray(x)[None, :], spec)[0]

@@ -1,7 +1,8 @@
 """Gluing countably many fundamental block maps into one embedding.
 
 A *schedule* is the bookkeeping for the glued map
-``phi(x) = (phi_n(x) - phi_n(t0))_n`` into an l_q-sum of block targets:
+``phi(x) = (phi_n(x) - phi_n(0))_n`` into an l_q-sum of block targets (the
+base point cancels in every distance, so only differences are computed):
 
 * ``r_n``  -- block scale (strong schedules: the Gaussian bandwidth,
   nonincreasing; coarse schedules: the range radius, nondecreasing, with
@@ -57,16 +58,14 @@ from .gaussian import (
     block_mass,
     delta_q,
     moduli_exponents,
-    phi_map,
     psi_distance_exact,
     sphere_block_interval,
     _transport_constants,
 )
-from .metric_core import ExponentRegime, MonotoneFunction, TruncatedVector
+from .metric_core import ExponentRegime, MonotoneFunction
 
 __all__ = [
     "PowerLogSeq",
-    "GeometricSeq",
     "ParamSchedule",
     "preset_schedule",
     "PRESET_PARAMS",
@@ -136,44 +135,19 @@ class PowerLogSeq:
         raise ValueError(f"sum of value(n)^{power} diverges (a={a}, b={b})")
 
 
-@dataclass(frozen=True)
-class GeometricSeq:
-    """n -> coef * ratio^n; exact geometric tails when ratio^power < 1."""
-
-    coef: float
-    ratio: float
-    n_min: int = 1
-
-    def __post_init__(self) -> None:
-        if self.coef <= 0 or self.ratio <= 0 or self.ratio == 1.0:
-            raise ValueError("need coef > 0 and positive ratio != 1")
-
-    @property
-    def unbounded(self) -> bool:
-        return self.ratio > 1
-
-    def value(self, n) -> np.ndarray:
-        n = np.asarray(n, dtype=float)
-        if np.any(n < self.n_min):
-            raise ValueError(f"sequence defined for n >= {self.n_min}")
-        with np.errstate(over="ignore"):
-            return self.coef * self.ratio ** n
-
-    def power_tail(self, power: float, n_last: int) -> float:
-        rq = self.ratio ** power
-        if rq >= 1:
-            raise ValueError(f"sum of value(n)^{power} diverges (ratio^power >= 1)")
-        return self.coef ** power * rq ** (n_last + 1) / (1.0 - rq)
-
-
-_Seq = PowerLogSeq | GeometricSeq
-
 # Fixed row-chunk size of the coordinate path.  Glued distances are
 # evaluated over row slices of this size, and the CLI cuts its thread
 # work at the same size, so neither the thread count nor the caller
 # changes the slices the arithmetic sees; per-block temporaries stay at
 # ROW_QUANTUM rows.
 ROW_QUANTUM = 2048
+
+# Terms summed exactly before the certified tail takes over in the full
+# budget mass (:meth:`ParamSchedule.eps_mass_total`).
+_MASS_TERMS = 10_000
+
+# Relative float slack of the per-pair audit comparisons.
+_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -188,10 +162,10 @@ class ParamSchedule:
     name: str
     q: ExponentRegime
     kind: str                      # "strong" | "coarse"
-    r_seq: _Seq
-    eps_seq: _Seq
-    s_seq: _Seq
-    mu_seq: _Seq | None
+    r_seq: PowerLogSeq
+    eps_seq: PowerLogSeq
+    s_seq: PowerLogSeq
+    mu_seq: PowerLogSeq | None
     eta: float
     gamma: MonotoneFunction
     xi: MonotoneFunction | None
@@ -272,11 +246,11 @@ class ParamSchedule:
         ns = np.arange(self.n0, self.n0 + n_terms)
         return float(np.sum(self.certified_eps(ns) ** self.mass_power))
 
-    def eps_mass_total(self, resolve_terms: int = 10_000) -> float:
+    def eps_mass_total(self) -> float:
         """Certified upper bound on the full budget mass sum_n ceps_n^m."""
-        last = self.n0 + resolve_terms - 1
+        last = self.n0 + _MASS_TERMS - 1
         tail = self.eps_mult ** self.mass_power * self.eps_seq.power_tail(self.mass_power, last)
-        return self.eps_mass_partial(resolve_terms) + tail
+        return self.eps_mass_partial(_MASS_TERMS) + tail
 
     def mu_mass_partial(self, n_terms: int) -> float:
         ns = np.arange(self.n0, self.n0 + n_terms)
@@ -415,23 +389,15 @@ class GaussianBlockFamily:
 
 
 class GluedEmbedding:
-    """A truncated glued embedding with ``n_terms`` blocks from index n0 on."""
+    """A truncated glued embedding of the family's schedule, with
+    ``n_terms`` blocks from index n0 on."""
 
-    def __init__(self, family, schedule: ParamSchedule | None = None,
-                 t0: np.ndarray | None = None, n_terms: int = 200):
+    def __init__(self, family: GaussianBlockFamily, n_terms: int = 200):
         if n_terms < 1:
             raise ValueError("need at least one block")
-        fam_sched = getattr(family, "schedule", None)
-        if schedule is None:
-            schedule = fam_sched
-        elif fam_sched is not None and schedule is not fam_sched:
-            raise ValueError("family was built for a different schedule")
-        if schedule is None:
-            raise ValueError("no schedule provided")
         self.family = family
-        self.schedule = schedule
+        self.schedule = schedule = family.schedule
         self.n_terms = n_terms
-        self.t0 = None if t0 is None else np.asarray(t0, dtype=float)
         self.block_ids = np.arange(schedule.n0, schedule.n0 + n_terms)
         self.bandwidths = np.asarray(schedule.bandwidth(self.block_ids), dtype=float)
         self.s_values = np.asarray(schedule.s(self.block_ids), dtype=float)
@@ -442,16 +408,6 @@ class GluedEmbedding:
         return self.schedule.eps_q_tail(self.n_terms)
 
     # -- coordinate mode -------------------------------------------------
-
-    def evaluate(self, x) -> TruncatedVector:
-        """Concatenated block images phi_n(x) - phi_n(t0)."""
-        if self.family.kernel_mode:
-            raise ValueError("kernel-mode embeddings have no coordinates")
-        x = self._rows(np.asarray(x, dtype=float))[0]
-        base = self.t0 if self.t0 is not None else np.zeros_like(x)
-        blocks = [phi_map(x, spec) - phi_map(base, spec) for spec in self._specs]
-        offsets = np.concatenate([[0], np.cumsum([len(b) for b in blocks])])
-        return TruncatedVector(np.concatenate(blocks), offsets)
 
     @functools.cached_property
     def _specs(self) -> tuple[FundamentalMapSpec, ...]:
@@ -510,16 +466,10 @@ class GluedEmbedding:
         d = np.atleast_1d(np.asarray(d, dtype=float))
         return np.searchsorted(self.s_values, d, side="right")
 
-    def tail_bound(self, d) -> np.ndarray:
-        """Certified q-power distance mass beyond the truncation, at separation d."""
-        g = _shape_values(self.schedule.gamma, np.asarray(d, dtype=float))
-        return self.tail_constant * g ** self.schedule.q.p
 
-
-def glue(family, schedule: ParamSchedule | None = None,
-         t0: np.ndarray | None = None, n_terms: int = 200) -> GluedEmbedding:
+def glue(family: GaussianBlockFamily, n_terms: int = 200) -> GluedEmbedding:
     """Assemble a truncated glued embedding from a block family."""
-    return GluedEmbedding(family, schedule, t0, n_terms)
+    return GluedEmbedding(family, n_terms)
 
 
 def _shape_values(m: MonotoneFunction, arr: np.ndarray) -> np.ndarray:
@@ -591,7 +541,7 @@ def _coarse_step_count(schedule: ParamSchedule, d: np.ndarray) -> np.ndarray:
 
 def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
                           image_distances: np.ndarray | None = None,
-                          eps_scale: float = 1.0, *, rel_tol: float = 1e-9) -> GluingCheckReport:
+                          eps_scale: float = 1.0) -> GluingCheckReport:
     """Audit every certified per-pair claim at the given separations.
 
     In kernel mode the glued distance is only known as a certified
@@ -632,9 +582,9 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
         K = eps_scale ** m * sched.eps_mass_total()
         upper_claim = 2.0 ** m * _coarse_step_count(sched, d) + K
     floor = np.maximum(upper_claim, 1e-300)
-    rep.upper_violations = int(np.sum(lo_m > upper_claim + rel_tol * floor))
-    rep.indeterminate += int(np.sum((hi_m > upper_claim + rel_tol * floor)
-                                    & (lo_m <= upper_claim + rel_tol * floor)))
+    rep.upper_violations = int(np.sum(lo_m > upper_claim + _REL_TOL * floor))
+    rep.indeterminate += int(np.sum((hi_m > upper_claim + _REL_TOL * floor)
+                                    & (lo_m <= upper_claim + _REL_TOL * floor)))
     rep.worst_upper_margin = float(np.min((upper_claim - hi_m) / floor))
 
     k_step = e.step_count(d)
@@ -642,9 +592,9 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
     active = step_claim > 0
     if np.any(active):
         sc = step_claim[active]
-        rep.step_violations = int(np.sum(hi_m[active] < sc * (1 - rel_tol)))
-        rep.indeterminate += int(np.sum((lo_m[active] < sc * (1 - rel_tol))
-                                        & (hi_m[active] >= sc * (1 - rel_tol))))
+        rep.step_violations = int(np.sum(hi_m[active] < sc * (1 - _REL_TOL)))
+        rep.indeterminate += int(np.sum((lo_m[active] < sc * (1 - _REL_TOL))
+                                        & (hi_m[active] >= sc * (1 - _REL_TOL))))
         rep.worst_step_margin = float(np.min((lo_m[active] - sc) / sc))
 
     if sched.kind == "strong" and sched.mu_seq is not None:
@@ -660,9 +610,9 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
             pos = small_claim > 0
             if np.any(pos):
                 sc = small_claim[pos]
-                rep.small_violations = int(np.sum(hi_m[valid][pos] < sc * (1 - rel_tol)))
-                rep.indeterminate += int(np.sum((lo_m[valid][pos] < sc * (1 - rel_tol))
-                                                & (hi_m[valid][pos] >= sc * (1 - rel_tol))))
+                rep.small_violations = int(np.sum(hi_m[valid][pos] < sc * (1 - _REL_TOL)))
+                rep.indeterminate += int(np.sum((lo_m[valid][pos] < sc * (1 - _REL_TOL))
+                                                & (hi_m[valid][pos] >= sc * (1 - _REL_TOL))))
                 rep.worst_small_margin = float(np.min((lo_m[valid][pos] - sc) / sc))
         rep.constants["small_validity_t_max"] = r_max ** -0.5
         # The shared shape hypothesis xi <= gamma also only holds there.
@@ -680,7 +630,7 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
     return rep
 
 
-def _tabulate_finite(seq: _Seq, n0: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
+def _tabulate_finite(seq: PowerLogSeq, n0: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
     ns = np.arange(n0, n0 + n_max, dtype=float)
     vals = np.asarray(seq.value(ns), dtype=float)
     keep = np.isfinite(vals)

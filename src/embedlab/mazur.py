@@ -33,8 +33,8 @@ __all__ = [
     "signed_power_constant",
     "MazurConstants",
     "mazur_constants",
-    "mazur_bounds_check",
     "sample_sphere_pairs",
+    "audit_sphere_pairs",
 ]
 
 # Relative float guard on the closed-form constant: 2.0 ** (1 - a) is
@@ -155,12 +155,12 @@ def mazur_constants(p: float, q: float) -> MazurConstants:
     )
 
 
-def sample_sphere_pairs(p: float, samples: int, dim: int, seed: int,
-                        near_fraction: float = 0.25) -> tuple[np.ndarray, np.ndarray]:
+def sample_sphere_pairs(p: float, samples: int, dim: int,
+                        seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Random pairs on the unit sphere of l_p^dim, deterministic in seed.
 
     Points are Gaussian vectors normalized in l_2 and transported to the
-    l_p sphere by the (2, p) Mazur map.  A fraction of the pairs are made
+    l_p sphere by the (2, p) Mazur map.  A quarter of the pairs are made
     close (y = x + small perturbation, re-projected) so both ends of the
     distance range get exercised.
     """
@@ -168,7 +168,7 @@ def sample_sphere_pairs(p: float, samples: int, dim: int, seed: int,
     g = rng.standard_normal((2, samples, dim))
     x2 = g[0] / np.linalg.norm(g[0], axis=1, keepdims=True)
     y2 = g[1] / np.linalg.norm(g[1], axis=1, keepdims=True)
-    n_near = int(near_fraction * samples)
+    n_near = samples // 4
     if n_near:
         scale = np.exp(rng.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
         yn = x2[:n_near] + scale * rng.standard_normal((n_near, dim))
@@ -176,36 +176,26 @@ def sample_sphere_pairs(p: float, samples: int, dim: int, seed: int,
     return _signed_power(x2, 2.0 / p), _signed_power(y2, 2.0 / p)
 
 
-def mazur_bounds_check(p: float, q: float, samples: int = 10_000, seed: int = 0,
-                       dim: int = 16, upper_scale: float = 1.0,
-                       lower_scale: float = 1.0) -> dict:
-    """Monte-Carlo audit of the certified two-sided Mazur bounds.
+def audit_sphere_pairs(x: np.ndarray, y: np.ndarray, consts: MazurConstants,
+                       upper_scale: float = 1.0) -> dict:
+    """Audit the certified two-sided Mazur bounds on l_p unit-sphere pairs.
 
-    Draws ``samples`` pairs on the l_p unit sphere and verifies both
-    power-sum inequalities with the certified constants.  Margins are
-    relative slack; a negative margin is a violation.  ``upper_scale`` /
-    ``lower_scale`` rescale the constants (tightening them is used by
-    negative-control tests to prove the detector works).
+    ``x`` and ``y`` hold paired rows on the unit sphere of l_p, p =
+    ``consts.p`` (see :func:`sample_sphere_pairs`), so one draw can serve
+    several target exponents.  Both power-sum inequalities of ``consts``
+    are checked pair by pair.  Margins are relative slack; a negative
+    margin is a violation.  ``upper_scale`` rescales the upper constant:
+    tightening it below 1 is the negative control that proves the
+    detector is live.
     """
-    consts = mazur_constants(p, q)
-    x, y = sample_sphere_pairs(p, samples, dim, seed)
-    return {"p": p, "q": q, "samples": samples, "seed": seed, "dim": dim,
-            **_audit_pairs(x, y, consts, upper_scale, lower_scale)}
-
-
-def _audit_pairs(x: np.ndarray, y: np.ndarray, consts: MazurConstants,
-                 upper_scale: float = 1.0, lower_scale: float = 1.0) -> dict:
-    """The two-sided audit of :func:`mazur_bounds_check` on given l_p
-    sphere pairs, so one draw can serve several target exponents."""
     p, q = consts.p, consts.q
     s_p = np.sum(np.abs(x - y) ** p, axis=1)
     mx = _signed_power(x.copy(), p / q)
     my = _signed_power(y.copy(), p / q)
     s_mq = np.sum(np.abs(mx - my) ** q, axis=1)
 
-    c_low = consts.c_lower * lower_scale
     c_up = consts.c_upper * upper_scale
-    lower_bound = c_low * s_p ** consts.lower_exponent
+    lower_bound = consts.c_lower * s_p ** consts.lower_exponent
     upper_bound = c_up * s_p ** consts.upper_exponent
 
     nz = s_p > 0
@@ -218,7 +208,7 @@ def _audit_pairs(x: np.ndarray, y: np.ndarray, consts: MazurConstants,
         "violations": violations,
         "worst_margin": float(min(lower_margin.min(), upper_margin.min())),
         "constants_used": {
-            "c_lower": c_low,
+            "c_lower": consts.c_lower,
             "c_upper": c_up,
             "lower_exponent": consts.lower_exponent,
             "upper_exponent": consts.upper_exponent,

@@ -6,9 +6,10 @@ The distance on an l_p space changes nature at p = 1:
   differences (no p-th root; the space is metric but not normed),
 * ``p >= 1``      -- the metric is the usual p-norm of the difference.
 
-Both regimes agree at p = 1.  Every distance computation in this package
-goes through :func:`lp_distance` so the regime split lives in exactly
-one place.
+Both regimes agree at p = 1.  :class:`ExponentRegime` carries the split:
+each distance computation in the package (cube distances, probe audits,
+glued block masses) asks its ``is_power_sum`` flag whether to take the
+p-th root.
 
 The module also provides monotone functions with tagged closed forms and
 the inverse of ``s -> s**a * log(s)**b`` used by gap envelopes.
@@ -19,16 +20,14 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
     "Regime",
     "ExponentRegime",
-    "TruncatedVector",
     "MonotoneFunction",
-    "lp_distance",
     "h_ab",
 ]
 
@@ -67,61 +66,6 @@ class ExponentRegime:
     @property
     def is_power_sum(self) -> bool:
         return self.regime is Regime.SUM_OF_POWERS
-
-
-@dataclass(frozen=True)
-class TruncatedVector:
-    """A finite block vector: concatenated coordinates plus block offsets.
-
-    ``offsets`` has one more entry than the number of blocks;
-    block n occupies ``coords[offsets[n]:offsets[n + 1]]``.
-    """
-
-    coords: np.ndarray
-    offsets: np.ndarray
-
-    def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
-        offsets = np.asarray(self.offsets, dtype=np.int64)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "offsets", offsets)
-        if offsets.ndim != 1 or len(offsets) < 1:
-            raise ValueError("offsets must be a 1-d array with at least one entry")
-        if offsets[0] != 0 or offsets[-1] != len(coords):
-            raise ValueError("offsets must start at 0 and end at len(coords)")
-        if np.any(np.diff(offsets) < 0):
-            raise ValueError("offsets must be nondecreasing")
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.offsets) - 1
-
-    def block(self, n: int) -> np.ndarray:
-        return self.coords[self.offsets[n]:self.offsets[n + 1]]
-
-
-def _as_float_array(x: Sequence[float] | np.ndarray, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def lp_distance(x, y, p: float | ExponentRegime) -> float:
-    """Distance between x and y in the two-regime l_p metric.
-
-    Accepts a raw exponent (canonical regime inferred) or an explicit
-    :class:`ExponentRegime`.  Inputs must have equal length and be finite.
-    """
-    reg = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
-    xa = _as_float_array(x, "x")
-    ya = _as_float_array(y, "y")
-    if xa.shape != ya.shape:
-        raise ValueError(f"shape mismatch: {xa.shape} vs {ya.shape}")
-    s = float(np.sum(np.abs(xa - ya) ** reg.p))
-    if reg.is_power_sum:
-        return s
-    return s ** (1.0 / reg.p)
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,9 @@ __all__ = [
     "write_moduli_csv",
 ]
 
+# Relative float slack of the certified-bound comparisons.
+_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class PairSampler:
@@ -61,14 +64,13 @@ class PairSampler:
     Prescribing separations (rather than sampling two independent
     points) guarantees coverage at every scale; independent sampling
     concentrates all mass at one distance scale.  Base points are
-    Gaussian, directions uniform on the sphere, and pair i consumes only
-    the stream keyed by (seed, i).
+    standard Gaussian, directions uniform on the sphere, and pair i
+    consumes only the stream keyed by (seed, i).
     """
 
     t_min: float
     t_max: float
     dim: int = 16
-    base_scale: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0 < self.t_min < self.t_max):
@@ -83,7 +85,7 @@ class PairSampler:
         log_ratio = math.log(self.t_max / self.t_min)
         for i in range(n_pairs):
             rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
-            base = rng.normal(0.0, self.base_scale, size=self.dim)
+            base = rng.normal(0.0, 1.0, size=self.dim)
             direction = rng.normal(size=self.dim)
             direction /= np.linalg.norm(direction)
             t[i] = self.t_min * math.exp(rng.uniform() * log_ratio)
@@ -123,15 +125,15 @@ class ModuliEstimate:
         if int(self.counts.sum()) != self.n_pairs:
             raise AssertionError("bin counts do not sum to the in-range pair count")
 
-    def certified_violations(self, rel_tol: float = 1e-9) -> int:
+    def certified_violations(self) -> int:
         """Rows where an envelope crosses its certified bound (real errors)."""
         if self.certified_lower is None or self.certified_upper is None:
             return 0
         bad = 0
         ok = np.isfinite(self.rho_hat) & np.isfinite(self.certified_lower)
-        bad += int(np.sum(self.rho_hat[ok] < self.certified_lower[ok] * (1 - rel_tol)))
+        bad += int(np.sum(self.rho_hat[ok] < self.certified_lower[ok] * (1 - _REL_TOL)))
         ok = np.isfinite(self.omega_hat) & np.isfinite(self.certified_upper)
-        bad += int(np.sum(self.omega_hat[ok] > self.certified_upper[ok] * (1 + rel_tol)))
+        bad += int(np.sum(self.omega_hat[ok] > self.certified_upper[ok] * (1 + _REL_TOL)))
         return bad
 
 
@@ -254,13 +256,13 @@ def fit_exponent(m: ModuliEstimate, envelope: str, t_lo: float, t_hi: float) -> 
                        n_bins=int(use.sum()))
 
 
-def distortion(f: Callable, space, image_metric: Callable | None = None) -> float:
+def distortion(f: Callable, space) -> float:
     """(max image/domain ratio) * (max domain/image ratio) over all pairs.
 
     ``space`` provides ``points()`` and either ``pairwise_distances()``
     (dense matrix fast path) or ``metric(u, v)``.  Images live in
-    Euclidean space unless ``image_metric`` says otherwise.  Scale-free
-    by construction; an isometry (or any similarity) scores 1.
+    Euclidean space.  Scale-free by construction; an isometry (or any
+    similarity) scores 1.
     """
     pts = space.points() if callable(getattr(space, "points", None)) else space.points
     pts = list(pts)
@@ -274,16 +276,9 @@ def distortion(f: Callable, space, image_metric: Callable | None = None) -> floa
         for i in range(n):
             for j in range(i + 1, n):
                 dom[i, j] = dom[j, i] = space.metric(pts[i], pts[j])
-    if image_metric is None:
-        imgs = np.asarray([np.asarray(f(p), dtype=float) for p in pts])
-        diff = imgs[:, None, :] - imgs[None, :, :]
-        im = np.sqrt(np.sum(diff ** 2, axis=2))
-    else:
-        images = [f(p) for p in pts]
-        im = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                im[i, j] = im[j, i] = image_metric(images[i], images[j])
+    imgs = np.asarray([np.asarray(f(p), dtype=float) for p in pts])
+    diff = imgs[:, None, :] - imgs[None, :, :]
+    im = np.sqrt(np.sum(diff ** 2, axis=2))
     iu = np.triu_indices(n, k=1)
     dom_u, im_u = dom[iu], im[iu]
     if np.any(dom_u <= 0):

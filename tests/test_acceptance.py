@@ -26,7 +26,7 @@ from embedlab.amenable import (
 )
 from embedlab.finite_geometry import HammingCube, enflo_type2_certificate, probe_audit
 from embedlab.glue import GaussianBlockFamily, glue, per_pair_bounds_check, preset_schedule
-from embedlab.mazur import mazur_bounds_check
+from embedlab.mazur import audit_sphere_pairs, mazur_constants, sample_sphere_pairs
 from embedlab.moduli import (
     PairSampler,
     distortion,
@@ -225,7 +225,8 @@ def test_c09_thread_count_never_changes_artifacts(tmp_path):
 
 def test_c10_negative_controls_trip_every_checker():
     # halved sphere-map constants
-    bad = mazur_bounds_check(2.0, 1.0, samples=2000, seed=0, upper_scale=0.5)
+    x, y = sample_sphere_pairs(2.0, 2000, 16, seed=0)
+    bad = audit_sphere_pairs(x, y, mazur_constants(2.0, 1.0), upper_scale=0.5)
     assert bad["violations"] > 0
 
     # halved gluing budget

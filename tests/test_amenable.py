@@ -13,7 +13,6 @@ from embedlab.amenable import (
     ZkFolnerSystem,
     ZkModel,
     _preset_eps,
-    a_defect,
     block_distances_pth,
     box_defect,
     box_intersection_count,
@@ -123,11 +122,16 @@ class TestDefects:
             folner_defect([], (0,), g)
 
     def test_a_defect_values(self):
-        assert a_defect({1, 2}, {1, 2}) == 0.0
-        assert a_defect({1, 2}, {2, 3}) == 2.0
-        assert a_defect({1}, {2}) == math.inf
-        with pytest.raises(ValueError):
-            a_defect(set(), {1})
+        # |A Delta B| / |A cap B| of tree segments: 0 for equal segments,
+        # +inf for disjoint ones, and the set ratio in between.
+        tree = TreeModel()
+        col = TreeACollection(tree, n_min=3, n_max=3)  # 11-vertex segments
+        x, near, far = (1,) * 30, (1,) * 28, (0,) * 30
+        got = col.a_defects([(x, x), (x, far), (x, near)])[:, 0]
+        assert got[0] == 0.0
+        assert got[1] == math.inf
+        a, b = set(tree.ray_segment(x, 11)), set(tree.ray_segment(near, 11))
+        assert got[2] == len(a ^ b) / len(a & b) == 4 / 9
 
     def test_box_defect_matches_enumeration(self):
         g = ZkModel(2)
@@ -362,6 +366,23 @@ class TestGluedGroupEmbedding:
         assert rep["lower_violations"] == 0
         assert rep["worst_upper_margin"] > 0
 
+    def test_tree_upper_bound_is_finite_and_audited(self):
+        # The default tree run: the first segment's 2 eps'_n is +inf, so
+        # each block term is capped at 2 (|A Delta B| / |A| <= 2).
+        tree = TreeModel()
+        sys = TreeACollection(tree, n_min=2, n_max=20)
+        e = glued_group_embedding(sys, tree, 1.0)
+        assert sys.a_eps(2) == math.inf
+        assert e.tail_constant() == sum(min(2.0 * sys.a_eps(n), 2.0) for n in range(2, 21))
+        assert math.isfinite(e.tail_constant())
+        pairs = sample_tree_pairs(tree, 60, 1000, seed=8484)
+        clean = e.bounds_check(pairs)
+        assert clean["upper_violations"] == 0
+        assert 0 < clean["worst_upper_margin"] < math.inf
+        tight = e.bounds_check(pairs, upper_scale=0.1)
+        assert tight["upper_violations"] > 0
+        assert tight["worst_upper_margin"] < 0
+
     def test_p_validation(self):
         with pytest.raises(ValueError):
             GluedGroupEmbedding(sys=None, model=None, p=0.5)
@@ -439,7 +460,9 @@ class TestClosedFormOracles:
             segs = {x: set(tree.ray_segment(x, s)) for x in nodes}
             for i, (x, y) in enumerate(pairs):
                 assert counts[i, j] == len(segs[x] ^ segs[y]), (x, y, n)
-                assert a_def[i, j] == a_defect(segs[x], segs[y]), (x, y, n)
+                inter = len(segs[x] & segs[y])
+                want = len(segs[x] ^ segs[y]) / inter if inter else math.inf
+                assert a_def[i, j] == want, (x, y, n)
         assert col.sym_diff_count((0, 0, 0), (1,), 3) == counts[
             pairs.index(((0, 0, 0), (1,))), 1]
 

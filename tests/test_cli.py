@@ -64,6 +64,20 @@ class TestExitCodes:
         assert captured.err == f"embedlab: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "mazur", "--samples", "0"],
+        ["--suite", "kernel", "--samples", "0"],
+        ["--suite", "gluing", "--pairs", "0"],
+        ["--suite", "folner", "--pairs", "0"],
+    ], ids=["mazur", "kernel", "gluing", "folner"])
+    def test_empty_verify_runs_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", *argv])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "must be a positive integer" in captured.err
+        assert captured.out == ""
+
     def test_json_out_into_missing_dir_is_io_error(self, tmp_path):
         code = run(["moduli", "--preset", "warmup_l2", "--beta", "2",
                     "--backend", "kernel", "--n-terms", "10", "--pairs", "60",
@@ -163,7 +177,8 @@ class TestVerifyCommand:
             if cell["p"] == cell["q"]:
                 assert "worst_margin" not in cell
                 continue
-            rep = mazur.mazur_bounds_check(cell["p"], cell["q"], samples=400, seed=4, dim=6)
+            x, y = mazur.sample_sphere_pairs(cell["p"], 400, 6, 4)
+            rep = mazur.audit_sphere_pairs(x, y, mazur.mazur_constants(cell["p"], cell["q"]))
             assert cell["worst_margin"] == rep["worst_margin"]
 
     def test_folner_quick_clean_and_control(self, tmp_path):
@@ -217,6 +232,17 @@ class TestFolnerCommand:
         assert doc["defect_violations"] == 0
         assert doc["char_check"]["violations"] == 0
         assert doc["glued_bounds"]["upper_violations"] == 0
+
+    def test_tree_run_has_finite_upper_bounds(self, tmp_path):
+        out, js = tmp_path / "tree.csv", tmp_path / "tree.json"
+        code = run(["folner", "--group", "tree", "--pairs", "60", "--seed", "8484",
+                    "--out", str(out), "--json-out", str(js)])
+        assert code == cli.EXIT_OK
+        rows = np.genfromtxt(out, delimiter=",", names=True)
+        assert np.all(np.isfinite(rows["certified_upper"]))
+        populated = rows["count"] > 0
+        assert np.all(rows["omega_hat"][populated] <= rows["certified_upper"][populated])
+        assert json.loads(js.read_text())["glued_bounds"]["worst_upper_margin"] > 0
 
     def test_heisenberg_run_is_not_a_moduli_run(self, tmp_path):
         out_json = tmp_path / "heis.json"

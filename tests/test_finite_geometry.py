@@ -14,11 +14,9 @@ from embedlab.finite_geometry import (
     cube_report,
     enflo_lower_bound,
     enflo_type2_certificate,
-    gk_distance,
-    gk_probe,
     probe_audit,
 )
-from embedlab.metric_core import ExponentRegime, lp_distance
+from embedlab.metric_core import ExponentRegime
 
 
 class TestHammingCube:
@@ -62,21 +60,25 @@ class TestHammingCube:
 class TestGkSpace:
     def test_element_count_and_matrix(self):
         space = GkSpace(2, 5)
-        assert space.n_elements == math.comb(5, 2)
         els = space.elements()
+        assert len(els) == math.comb(5, 2)
         assert els[0] == (1, 2)
         mat = space.element_matrix()
         assert mat.shape == (10, 5)
         assert np.all(mat.sum(axis=1) == 2)
 
     def test_distance(self):
-        assert gk_distance((1, 2, 3), (1, 2, 3)) == 0.0
-        assert gk_distance((1, 2, 3), (4, 5, 6)) == 3.0
-        assert gk_distance((1, 2), (2, 3)) == 1.0
-        with pytest.raises(ValueError):
-            gk_distance((1, 2), (1, 2, 3))
-        with pytest.raises(ValueError):
-            gk_distance((1, 1), (2, 3))
+        # |A Delta B| / 2 = k - |A cap B|, read off the incidence matrix as
+        # probe_audit does, against set arithmetic.
+        space = GkSpace(3, 6)
+        els = space.elements()
+        mat = space.element_matrix()
+        rho = 3 - mat @ mat.T
+        for i, a in enumerate(els):
+            for j, b in enumerate(els):
+                assert rho[i, j] == len(set(a) ^ set(b)) / 2
+        assert rho[els.index((1, 2, 3)), els.index((4, 5, 6))] == 3.0
+        assert rho[els.index((1, 2, 3)), els.index((1, 2, 4))] == 1.0
 
     def test_construction_caps(self):
         with pytest.raises(ValueError):
@@ -87,22 +89,25 @@ class TestGkSpace:
 
 class TestProbe:
     def test_image_distance_counts_symmetric_difference(self):
-        regime = ExponentRegime.from_p(2.0)
+        # The probe image of a subset is its incidence row: the sum of the
+        # basis vectors it indexes.
+        space = GkSpace(3, 7)
+        els = space.elements()
+        mat = space.element_matrix()
         a, b = (1, 2, 4), (2, 4, 6)
-        va = gk_probe(a, 7)
-        vb = gk_probe(b, 7)
-        sym = 2 * gk_distance(a, b)
-        assert lp_distance(va.coords, vb.coords, regime) == pytest.approx(sym ** 0.5)
-        reg1 = ExponentRegime.from_p(1.0)
-        assert lp_distance(va.coords, vb.coords, reg1) == pytest.approx(sym)
+        va, vb = mat[els.index(a)], mat[els.index(b)]
+        assert np.array_equal(np.flatnonzero(va) + 1, a)
+        sym = len(set(a) ^ set(b))
+        assert np.linalg.norm(va - vb) == pytest.approx(sym ** 0.5)
+        assert np.abs(va - vb).sum() == sym
 
     def test_invalid_subsets(self):
+        with pytest.raises(ValueError):  # empty subsets
+            probe_audit(0, 5, 1.0)
+        with pytest.raises(ValueError):  # subsets larger than the ground set
+            probe_audit(6, 5, 1.0)
         with pytest.raises(ValueError):
-            gk_probe((1, 1, 2), 5)
-        with pytest.raises(ValueError):
-            gk_probe((0, 2), 5)
-        with pytest.raises(ValueError):
-            gk_probe((2, 6), 5)
+            GkSpace(3, 2)
 
     def test_audit_exact_values_p1(self):
         rep = probe_audit(3, 8, 1.0)
@@ -140,7 +145,8 @@ class TestTypeTwoCertificate:
         assert cert.edge_sum == m * 2 ** (m - 1)
         assert cert.ratio == 1.0
         assert not cert.degenerate
-        assert cert.distortion_bound(1.0) == pytest.approx(math.sqrt(m))
+        # ratio 1 leaves the clean Euclidean distortion floor m^(1/p - 1/2)
+        assert enflo_lower_bound(m, 1.0, 2.0) * math.sqrt(cert.ratio) == pytest.approx(math.sqrt(m))
 
     def test_callable_and_array_forms_agree(self):
         m = 4

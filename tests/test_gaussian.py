@@ -20,13 +20,12 @@ from embedlab.gaussian import (
     delta_q,
     exp_coordinates_batch,
     moduli_exponents,
-    phi_map,
     psi_distance_exact,
     rff_coordinates_batch,
     sphere_block_interval,
 )
-from embedlab.metric_core import ExponentRegime, lp_distance
-from embedlab.mazur import signed_power_constant
+from embedlab.metric_core import ExponentRegime
+from embedlab.mazur import mazur_map, signed_power_constant
 
 
 class TestPsiDistance:
@@ -298,20 +297,30 @@ class TestPhiMaps:
         spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(2.0),
                                   backend=KernelExact(1.0))
         with pytest.raises(ValueError):
-            phi_map([0.0, 0.0], spec)
+            block_mass(np.zeros((1, 2)), np.ones((1, 2)), [spec])
 
     def test_q2_is_plain_sphere_map(self):
+        # At q = 2 the signed power is the identity: the block mass is the
+        # squared l_2 distance of the sphere coordinates.
         be = TruncatedExp(1.0, 24, 2)
         spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(2.0), backend=be)
-        x = np.array([0.4, -0.1])
-        assert np.allclose(phi_map(x, spec), exp_coordinates_batch(x, be)[0][0])
+        X, Y = np.array([[0.4, -0.1]]), np.array([[-0.3, 0.5]])
+        psi_x, psi_y = exp_coordinates_batch(X, be)[0], exp_coordinates_batch(Y, be)[0]
+        want = np.sum((psi_x - psi_y) ** 2, axis=1)
+        np.testing.assert_allclose(block_mass(X, Y, [spec]), want, rtol=1e-12)
 
     def test_image_on_unit_q_sphere(self):
+        # phi = s_{2/q}(psi) lands on the unit q-sphere, and the block mass
+        # is the q-power mass of the difference of those images.
         be = TruncatedExp(1.0, 24, 2)
+        X, Y = np.array([[0.4, -0.1]]), np.array([[0.1, 0.3]])
+        psi_x, psi_y = exp_coordinates_batch(X, be)[0], exp_coordinates_batch(Y, be)[0]
         for q in (1.0, 1.5, 4.0):
             spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(q), backend=be)
-            img = phi_map(np.array([0.4, -0.1]), spec)
-            assert np.sum(np.abs(img) ** q) == pytest.approx(1.0, abs=1e-12)
+            img_x, img_y = mazur_map(psi_x, 2.0, q), mazur_map(psi_y, 2.0, q)
+            assert np.sum(np.abs(img_x) ** q) == pytest.approx(1.0, abs=1e-12)
+            want = np.sum(np.abs(img_x - img_y) ** q, axis=1)
+            np.testing.assert_allclose(block_mass(X, Y, [spec]), want, rtol=1e-12)
 
     def test_envelope_sandwiches_measured_distances(self):
         be = TruncatedExp(1.0, 28, 2)
@@ -338,10 +347,12 @@ class TestPhiMaps:
                      for n, r in enumerate((0.2, 0.9, 3.0))]
             mass = block_mass(X, Y, specs)
             for i in range(len(X)):
-                flat_x = np.concatenate([phi_map(X[i], spec) for spec in specs])
-                flat_y = np.concatenate([phi_map(Y[i], spec) for spec in specs])
-                d = lp_distance(flat_x, flat_y, reg)
-                want = d if reg.is_power_sum else d ** q
+                # block images phi = s_{2/q}(psi), concatenated over the blocks
+                flat_x = np.concatenate([mazur_map(rff_coordinates_batch(X[i], spec.backend)[0],
+                                                   2.0, q) for spec in specs])
+                flat_y = np.concatenate([mazur_map(rff_coordinates_batch(Y[i], spec.backend)[0],
+                                                   2.0, q) for spec in specs])
+                want = np.sum(np.abs(flat_x - flat_y) ** q)
                 assert mass[i] == pytest.approx(want, rel=1e-12), (q, i)
             assert np.array_equal(block_mass(X, X, specs), np.zeros(len(X)))
 

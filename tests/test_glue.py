@@ -8,7 +8,6 @@ import pytest
 from embedlab.gaussian import delta_q
 from embedlab.glue import (
     GaussianBlockFamily,
-    GeometricSeq,
     GluedEmbedding,
     ParamSchedule,
     PowerLogSeq,
@@ -45,20 +44,10 @@ class TestSequences:
         with pytest.raises(ValueError):
             PowerLogSeq(1.0, -1.0, -1.0).power_tail(1.0, 10)  # 1/(n log n)
 
-    def test_geometric_tail_exact(self):
-        s = GeometricSeq(2.0, 0.5)
-        # sum_{n > 3} (2 * 0.5^n)^2 = 4 * sum_{n>=4} 4^-n = 4 * (4^-4)/(1 - 1/4)
-        want = 4.0 * 4.0 ** -4 / 0.75
-        assert s.power_tail(2.0, 3) == pytest.approx(want, rel=1e-12)
-        with pytest.raises(ValueError):
-            GeometricSeq(1.0, 2.0).power_tail(1.0, 3)
-
     def test_unbounded_flags(self):
         assert PowerLogSeq(1.0, 0.5, 1.0).unbounded
         assert PowerLogSeq(1.0, 0.0, 1.0).unbounded
         assert not PowerLogSeq(1.0, -0.5, 0.0).unbounded
-        assert GeometricSeq(1.0, 2.0).unbounded
-        assert not GeometricSeq(1.0, 0.5).unbounded
 
 
 class TestPresets:
@@ -121,20 +110,19 @@ class TestScheduleInvariants:
     def test_structural_validation(self):
         q = ExponentRegime.from_p(2.0)
         gamma = MonotoneFunction.power(1.0, 1.0)
-        ok = dict(name="x", q=q, kind="strong", eps_seq=GeometricSeq(1.0, 0.5),
-                  s_seq=GeometricSeq(1.0, 2.0), mu_seq=None, eta=0.5,
-                  gamma=gamma, xi=None)
-        ParamSchedule(r_seq=GeometricSeq(1.0, 0.5), **ok)
+        shrinking, growing = PowerLogSeq(1.0, -1.0, 0.0), PowerLogSeq(1.0, 1.0, 0.0)
+        ok = dict(name="x", q=q, kind="strong", eps_seq=shrinking,
+                  s_seq=growing, mu_seq=None, eta=0.5, gamma=gamma, xi=None)
+        ParamSchedule(r_seq=shrinking, **ok)
         with pytest.raises(ValueError):  # strong bandwidths must not grow
-            ParamSchedule(r_seq=GeometricSeq(1.0, 2.0), **ok)
+            ParamSchedule(r_seq=growing, **ok)
         with pytest.raises(ValueError):  # thresholds must be unbounded
-            ParamSchedule(r_seq=GeometricSeq(1.0, 0.5),
-                          **{**ok, "s_seq": GeometricSeq(1.0, 0.5)})
+            ParamSchedule(r_seq=shrinking, **{**ok, "s_seq": shrinking})
         with pytest.raises(ValueError):  # eps budget must be q-summable
-            ParamSchedule(r_seq=GeometricSeq(1.0, 0.5),
+            ParamSchedule(r_seq=shrinking,
                           **{**ok, "eps_seq": PowerLogSeq(1.0, -0.25, 0.0)})
         with pytest.raises(ValueError):
-            ParamSchedule(r_seq=GeometricSeq(1.0, 0.5), **{**ok, "kind": "odd"})
+            ParamSchedule(r_seq=shrinking, **{**ok, "kind": "odd"})
 
     def test_to_json_dict_echoes_parameters(self):
         d = preset_schedule("strong_qge2", q=4.0, beta=1.05).to_json_dict()
@@ -154,15 +142,14 @@ class TestGluedEmbedding:
     def test_kernel_mode_refuses_coordinates(self):
         e = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0)), n_terms=5)
         with pytest.raises(ValueError):
-            e.evaluate(np.zeros(2))
-        with pytest.raises(ValueError):
             e.image_distances(np.zeros((1, 2)), np.ones((1, 2)))
 
     def test_coordinate_mode_base_point_and_symmetry(self):
+        # The base point cancels in every glued distance, so only the
+        # pair matters: the distance is symmetric and zero on the diagonal.
         sched = preset_schedule("warmup_l2", beta=2.0)
         fam = GaussianBlockFamily(sched, backend="exp", exp_degree=16, ambient_dim=2)
-        e = glue(fam, t0=np.zeros(2), n_terms=8)
-        assert np.allclose(e.evaluate(np.zeros(2)).coords, 0.0)
+        e = glue(fam, n_terms=8)
         x, y = np.array([[0.3, -0.2]]), np.array([[0.9, 0.4]])
         assert e.image_distances(x, y)[0] == pytest.approx(e.image_distances(y, x)[0])
         assert e.image_distances(x, x)[0] == 0.0
@@ -172,7 +159,7 @@ class TestGluedEmbedding:
                                   n_features=16, ambient_dim=4)
         e = glue(fam, n_terms=3)
         with pytest.raises(ValueError, match="dim 3, family expects 4"):
-            e.evaluate(np.zeros(3))
+            e.image_distances(np.zeros((2, 3)), np.zeros((2, 4)))
         with pytest.raises(ValueError, match="dim 3, family expects 4"):
             e.image_distances(np.zeros((2, 4)), np.zeros((2, 3)))
 
@@ -196,16 +183,19 @@ class TestGluedEmbedding:
         assert int(e.step_count(1e12)[0]) == 30  # truncation caps the count
 
     def test_tail_bound_shape(self):
+        # tail_constant bounds the certified q-power budget mass of the
+        # blocks beyond the truncation.
         e = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0)), n_terms=25)
-        d = np.array([1.0, 2.0])
-        want = e.tail_constant * d ** 2  # gamma(t) = t and q = 2
-        assert np.allclose(e.tail_bound(d), want, rtol=1e-12)
+        sched = e.schedule
+        ns = np.arange(sched.n0 + 25, sched.n0 + 25 + 200_000)
+        omitted = float(np.sum(sched.certified_eps(ns) ** sched.q.p))
+        assert 0 < omitted <= e.tail_constant == sched.eps_q_tail(25)
 
     def test_family_schedule_mismatch_rejected(self):
+        # The embedding takes its schedule from the family, so the two
+        # cannot disagree.
         fam = GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0))
-        other = preset_schedule("warmup_l2", beta=3.0)
-        with pytest.raises(ValueError):
-            GluedEmbedding(fam, schedule=other)
+        assert GluedEmbedding(fam).schedule is fam.schedule
         with pytest.raises(ValueError):
             glue(fam, n_terms=0)
 
@@ -270,13 +260,32 @@ class TestPerPairBounds:
             per_pair_bounds_check(e, np.array([-1.0]))
 
 
+class _Geometric:
+    """n -> ratio^n for n >= 1, with the sequence interface of PowerLogSeq."""
+
+    n_min = 1
+
+    def __init__(self, ratio):
+        self.ratio = ratio
+        self.unbounded = ratio > 1
+
+    def value(self, n):
+        with np.errstate(over="ignore"):  # predicted_gap drops the inf tail
+            return self.ratio ** np.asarray(n, dtype=float)
+
+    def power_tail(self, power, n_last):
+        rq = self.ratio ** power
+        if rq >= 1:
+            raise ValueError("diverges")
+        return rq ** (n_last + 1) / (1.0 - rq)
+
+
 class TestPredictedGap:
     def test_exponential_thresholds_invert_to_log(self):
         q = ExponentRegime.from_p(4.0)
         sched = ParamSchedule(name="geo", q=q, kind="strong",
-                              r_seq=GeometricSeq(1.0, 0.5),
-                              eps_seq=GeometricSeq(1.0, 0.5),
-                              s_seq=GeometricSeq(1.0, 2.0), mu_seq=None,
+                              r_seq=_Geometric(0.5), eps_seq=_Geometric(0.5),
+                              s_seq=_Geometric(2.0), mu_seq=None,
                               eta=0.5, gamma=MonotoneFunction.power(1.0, 0.5), xi=None)
         lower = predicted_gap(sched, "strong_large")
         for j in (3, 7, 10):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from embedlab.mazur import (
     _signed_power,
-    mazur_bounds_check,
+    audit_sphere_pairs,
     mazur_constants,
     mazur_map,
     sample_sphere_pairs,
@@ -17,6 +17,12 @@ from embedlab.mazur import (
 )
 
 GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+
+
+def _audit(p, q, samples, seed, dim=16, upper_scale=1.0):
+    """The certified (p, q) bounds audited on fresh l_p sphere pairs."""
+    x, y = sample_sphere_pairs(p, samples, dim, seed)
+    return audit_sphere_pairs(x, y, mazur_constants(p, q), upper_scale=upper_scale)
 
 
 class TestMazurMap:
@@ -83,7 +89,7 @@ class TestSignedPower:
         x, y = sample_sphere_pairs(1.5, 32, 4, seed=1)
         x0, y0 = x.copy(), y.copy()
         mazur_map(x, 1.5, 3.0)
-        mazur_bounds_check(1.5, 3.0, samples=32, dim=4, seed=1)
+        audit_sphere_pairs(x, y, mazur_constants(1.5, 3.0))
         assert np.array_equal(x, x0) and np.array_equal(y, y0)
         assert mazur_map(-0.25, 2.0, 1.0) == -0.0625
 
@@ -185,17 +191,17 @@ class TestSampler:
 class TestBoundsCheck:
     @pytest.mark.parametrize("p,q", [(2.0, 1.0), (1.0, 0.5), (1.5, 3.0), (2.0, 4.0)])
     def test_clean_at_certified_constants(self, p, q):
-        rep = mazur_bounds_check(p, q, samples=5000, seed=0)
+        rep = _audit(p, q, samples=5000, seed=0)
         assert rep["violations"] == 0
         assert rep["worst_margin"] >= 0.0
 
     def test_constants_echoed(self):
-        rep = mazur_bounds_check(2.0, 4.0, samples=500, seed=1)
+        rep = _audit(2.0, 4.0, samples=500, seed=1)
         cu = rep["constants_used"]
         assert cu["derived_by_involution"] is True
         assert cu["lower_exponent"] == 2.0
 
     def test_halved_upper_constant_detected(self):
-        rep = mazur_bounds_check(2.0, 1.0, samples=2000, seed=0, upper_scale=0.5)
+        rep = _audit(2.0, 1.0, samples=2000, seed=0, upper_scale=0.5)
         assert rep["violations"] > 0
         assert rep["worst_margin"] < 0.0

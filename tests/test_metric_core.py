@@ -7,13 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedlab.finite_geometry import HammingCube
+from embedlab.gaussian import rff_coordinates_batch
+from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
+from embedlab.mazur import mazur_map
 from embedlab.metric_core import (
     ExponentRegime,
     MonotoneFunction,
     Regime,
-    TruncatedVector,
     h_ab,
-    lp_distance,
 )
 
 
@@ -36,83 +38,87 @@ class TestExponentRegime:
 
 
 class TestLpDistance:
+    """The two-regime l_p distance, through the Hamming cube's metric."""
+
     def test_matches_numpy_norms(self):
-        rng = np.random.default_rng(5)
-        x, y = rng.normal(size=(2, 12))
-        assert lp_distance(x, y, 2.0) == pytest.approx(np.linalg.norm(x - y), rel=1e-12)
-        assert lp_distance(x, y, 1.0) == pytest.approx(np.abs(x - y).sum(), rel=1e-12)
-        assert lp_distance(x, y, 0.5) == pytest.approx((np.abs(x - y) ** 0.5).sum(), rel=1e-12)
+        for p, dist in ((2.0, lambda d: np.linalg.norm(d)),
+                        (1.0, lambda d: np.abs(d).sum()),
+                        (0.5, lambda d: (np.abs(d) ** 0.5).sum())):
+            cube = HammingCube(4, p)
+            bits, mat = cube.bit_matrix(), cube.pairwise_distances()
+            for u in range(cube.n_vertices):
+                for v in range(cube.n_vertices):
+                    assert mat[u, v] == pytest.approx(dist(bits[u] - bits[v]), rel=1e-12)
 
     def test_regimes_agree_at_one(self):
-        x, y = [1.0, -2.0, 0.5], [0.0, 1.0, 0.5]
-        d_sum = lp_distance(x, y, ExponentRegime(1.0, Regime.SUM_OF_POWERS))
-        d_norm = lp_distance(x, y, ExponentRegime(1.0, Regime.NORM))
-        assert d_sum == d_norm == 4.0
+        by_sum = HammingCube(3, ExponentRegime(1.0, Regime.SUM_OF_POWERS))
+        by_norm = HammingCube(3, ExponentRegime(1.0, Regime.NORM))
+        assert by_sum.metric(0b011, 0b110) == by_norm.metric(0b011, 0b110) == 2.0
+        assert np.array_equal(by_sum.pairwise_distances(), by_norm.pairwise_distances())
+        assert by_sum.diameter() == by_norm.diameter() == 3.0
 
     def test_shape_and_finiteness_validation(self):
+        e = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0), backend="rff",
+                                     n_features=16, ambient_dim=3), n_terms=2)
         with pytest.raises(ValueError):
-            lp_distance([1.0, 2.0], [1.0], 2.0)
+            e.image_distances(np.zeros((1, 3)), np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            lp_distance([math.nan], [0.0], 2.0)
+            e.image_distances(np.full((1, 3), math.nan), np.zeros((1, 3)))
 
     @settings(max_examples=60, deadline=None)
     @given(
-        st.lists(st.floats(-10, 10), min_size=6, max_size=6),
-        st.lists(st.floats(-10, 10), min_size=6, max_size=6),
-        st.lists(st.floats(-10, 10), min_size=6, max_size=6),
+        st.integers(0, 63), st.integers(0, 63), st.integers(0, 63),
         st.sampled_from([0.3, 0.5, 1.0, 1.5, 2.0, 3.0]),
     )
     def test_metric_axioms(self, x, y, z, p):
-        dxy = lp_distance(x, y, p)
+        cube = HammingCube(6, p)
+        dxy = cube.metric(x, y)
         assert dxy >= 0
-        assert dxy == lp_distance(y, x, p)
-        assert lp_distance(x, x, p) == 0
+        assert dxy == cube.metric(y, x)
+        assert cube.metric(x, x) == 0
         slack = 1e-9 * (1.0 + dxy)
-        assert dxy <= lp_distance(x, z, p) + lp_distance(z, y, p) + slack
+        assert dxy <= cube.metric(x, z) + cube.metric(z, y) + slack
 
 
-def _glued_distance(xb, yb, p):
-    """l_p sum of the per-block l_p distances, in the two-regime convention."""
-    reg = ExponentRegime.from_p(p)
-    d = [lp_distance(a, b, reg) for a, b in zip(xb, yb)]
-    if reg.is_power_sum:
-        return sum(d)
-    return sum(di ** p for di in d) ** (1.0 / p)
+def _flat_distance(X, Y, e):
+    """Two-regime l_q distance of the concatenated block images
+    phi_n = s_{2/q}(psi_n) of the rows of X and Y."""
+    q = e.schedule.q
+    specs = [e.family.spec(int(n)) for n in e.block_ids]
+    flat_x = np.hstack([mazur_map(rff_coordinates_batch(X, s.backend), 2.0, q.p) for s in specs])
+    flat_y = np.hstack([mazur_map(rff_coordinates_batch(Y, s.backend), 2.0, q.p) for s in specs])
+    mass = np.sum(np.abs(flat_x - flat_y) ** q.p, axis=1)
+    return mass if q.is_power_sum else mass ** (1.0 / q.p)
+
+
+def _glued(preset, q):
+    sched = preset_schedule(preset, q=q, beta=1.5)
+    return glue(GaussianBlockFamily(sched, backend="rff", n_features=32, ambient_dim=3),
+                n_terms=3)
+
+
+_PRESETS = (("strong_qle1", 0.5), ("strong_1leqle2", 1.0),
+            ("strong_qge2", 2.0), ("strong_qge2", 3.0))
 
 
 class TestLpSumDistance:
+    """The glued distance is the l_q sum of the l_q block distances."""
+
     def test_matches_flat_concatenation(self):
-        # l_p sum of l_p blocks is the l_p distance of the concatenation.
+        # l_q sum of l_q blocks is the l_q distance of the concatenation.
         rng = np.random.default_rng(7)
-        xb = [rng.normal(size=3), rng.normal(size=5)]
-        yb = [rng.normal(size=3), rng.normal(size=5)]
-        for p in (0.5, 1.0, 2.0, 3.0):
-            combined = _glued_distance(xb, yb, p)
-            flat = lp_distance(np.concatenate(xb), np.concatenate(yb), p)
-            assert combined == pytest.approx(flat, rel=1e-12)
+        X, Y = rng.normal(size=(2, 5, 3))
+        for preset, q in _PRESETS:
+            e = _glued(preset, q)
+            np.testing.assert_allclose(e.image_distances(X, Y), _flat_distance(X, Y, e),
+                                       rtol=1e-12)
 
     def test_all_blocks_equal_gives_zero(self):
-        xb = [np.ones(3), np.zeros(2)]
-        for p in (0.5, 2.0):
-            assert _glued_distance(xb, xb, p) == 0
-            assert lp_distance(np.concatenate(xb), np.concatenate(xb), p) == 0
-
-
-class TestTruncatedVector:
-    def test_block_access(self):
-        v = TruncatedVector(np.arange(6.0), np.array([0, 2, 2, 6]))
-        assert v.n_blocks == 3
-        assert v.block(0).tolist() == [0.0, 1.0]
-        assert v.block(1).size == 0
-        assert v.block(2).tolist() == [2.0, 3.0, 4.0, 5.0]
-
-    def test_bad_offsets_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedVector(np.arange(4.0), np.array([0, 3]))
-        with pytest.raises(ValueError):
-            TruncatedVector(np.arange(4.0), np.array([1, 4]))
-        with pytest.raises(ValueError):
-            TruncatedVector(np.arange(4.0), np.array([0, 3, 2, 4]))
+        X = np.random.default_rng(3).normal(size=(4, 3))
+        for preset, q in (_PRESETS[0], _PRESETS[2]):
+            e = _glued(preset, q)
+            assert np.array_equal(e.image_distances(X, X), np.zeros(4))
+            assert np.array_equal(_flat_distance(X, X, e), np.zeros(4))
 
 
 class TestMonotoneFunction:

@@ -1,0 +1,58 @@
+"""Every public name of the package has a caller in the package or the
+benchmark, not only in the tests."""
+
+import ast
+from pathlib import Path
+
+import embedlab
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "embedlab").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+
+# The paper's predicted compression shapes, kept until a run reports them.
+EXEMPT = {"predicted_gap", "predicted_group_gap"}
+
+
+def _exports(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return {ast.literal_eval(elt) for elt in node.value.elts}
+    return set()
+
+
+def _defined(node: ast.stmt) -> set[str]:
+    """Names bound by a top-level function, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    targets = node.targets if isinstance(node, ast.Assign) else (
+        [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return {t.id for t in targets if isinstance(t, ast.Name)}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Names read in a module as bare names or attributes, except the reads
+    inside the top-level definition of the same name.  Imports and
+    ``__all__`` entries are not reads, so re-exports do not count."""
+    used = set()
+    for top in tree.body:
+        own = _defined(top)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                name = node.attr
+            else:
+                continue
+            if name not in own:
+                used.add(name)
+    return used
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    public, used = set(embedlab.__all__), set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        public |= _exports(tree)
+        used |= _references(tree)
+    assert sorted(public - used - EXEMPT) == []
