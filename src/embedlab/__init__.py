@@ -10,7 +10,6 @@ in :mod:`embedlab.moduli` measure what a given map actually attains.
 
 from .amenable import (HeisenbergModel, TreeACollection, TreeModel,
                        ZkFolnerSystem, ZkModel, char_embedding_bound_check,
-                       folner_defect,
                        glued_group_embedding, heisenberg_growth_fit,
                        predicted_group_gap)
 from .finite_geometry import (GkSpace, HammingCube, cube_distance, cube_report,
@@ -37,7 +36,7 @@ __all__ = [
     "TruncatedExp", "ZkFolnerSystem", "ZkModel", "audit_sphere_pairs",
     "char_embedding_bound_check", "cube_distance", "cube_report", "delta_q",
     "distortion", "enflo_lower_bound", "enflo_type2_certificate",
-    "estimate_moduli", "fit_exponent", "folner_defect",
+    "estimate_moduli", "fit_exponent",
     "glued_group_embedding", "h_ab", "heisenberg_growth_fit",
     "mazur_constants", "mazur_map", "moduli_exponents",
     "per_pair_bounds_check", "predicted_gap", "predicted_group_gap",

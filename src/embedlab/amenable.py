@@ -3,15 +3,17 @@ characteristic-function embeddings into ell_p over the group, and the
 certified distance bounds of the glued coarse embeddings.
 
 Models are discrete (counting measure) so every defect and every block
-distance is exact integer set arithmetic.  The run paths use closed
-forms over arrays of pairs (box and tree-segment symmetric differences,
-hence every block distance; the worst box defect); the set enumerations
-stay as the oracles the tests compare them against.
+distance is exact integer set arithmetic, computed in closed form: box
+and tree-segment symmetric differences over arrays of pairs (hence every
+block distance), the worst box defect, and the Heisenberg gauge-ball
+defect as a sum of z-fiber interval overlaps.  Nothing here enumerates
+a Folner set; the enumerations live in the tests as the oracles these
+closed forms are checked against.  Only the support-radius audit
+materializes sets, under MAX_SET_SIZE.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -22,6 +24,8 @@ from .metric_core import ExponentRegime, MonotoneFunction, h_ab
 MAX_SET_SIZE = 1 << 20  # materialization cap for explicit set arithmetic
 _REL_TOL = 1e-9  # relative float slack of the certified-bound audits
 _TREE_BASE_DEPTH = 40  # sampled tree pairs start at depth 0.._TREE_BASE_DEPTH
+_HEIS_GENERATORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+_HEIS_SLAB = 1 << 16  # grid points per vectorized slab of the fiber sum
 
 
 # ---------------------------------------------------------------------------
@@ -52,15 +56,6 @@ class ZkModel:
 
     def metric(self, g, h) -> float:
         return float(sum(abs(a - b) for a, b in zip(g, h)))
-
-    def ball(self, radius: int) -> list[tuple[int, ...]]:
-        """All lattice points with ell_1 norm <= radius."""
-        r = int(radius)
-        if (2 * r + 1) ** self.k > MAX_SET_SIZE:
-            raise ValueError("ball too large to enumerate")
-        pts = [p for p in itertools.product(range(-r, r + 1), repeat=self.k)
-               if sum(abs(c) for c in p) <= r]
-        return pts
 
 
 @dataclass(frozen=True)
@@ -102,18 +97,6 @@ class HeisenbergModel:
             c = r - a  # gauge budget left for the z part
             total += n_xy * (2 * c * c + 1)
         return total
-
-    def ball(self, radius: int) -> list[tuple[int, int, int]]:
-        r = int(radius)
-        if self.ball_count(r) > MAX_SET_SIZE:
-            raise ValueError("ball too large to enumerate")
-        out = []
-        for x in range(-r, r + 1):
-            for y in range(-r + abs(x), r - abs(x) + 1):
-                c = r - abs(x) - abs(y)
-                zmax = c * c
-                out.extend((x, y, z) for z in range(-zmax, zmax + 1))
-        return out
 
 
 @dataclass(frozen=True)
@@ -187,15 +170,6 @@ def _common_prefix(x, y) -> int:
 # defects
 
 
-def folner_defect(F, g, group) -> float:
-    """|F Delta gF| / |F| by explicit left translation."""
-    fs = set(F)
-    if not fs:
-        raise ValueError("empty set")
-    gf = {group.mul(g, f) for f in fs}
-    return len(fs ^ gf) / len(fs)
-
-
 def box_intersection_count(half_side: int, g) -> int:
     """|F cap gF| for the box [-M, M]^k translated by g; 0 if they miss."""
     m = 2 * half_side + 1
@@ -210,6 +184,60 @@ def box_defect(half_side: int, g) -> float:
     k = len(g)
     total = (2 * half_side + 1) ** k
     return 2 * (total - box_intersection_count(half_side, g)) / total
+
+
+def zk_worst_defects(system: ZkFolnerSystem) -> dict[int, float]:
+    """Exact worst translation defect per index over shifts up to r_n.
+
+    The defect 2 (1 - |F cap gF| / |F|) grows as |F cap gF| =
+    prod_i (m - |g_i|) shrinks, with m = 2 M + 1 > r >= |g_i| on the ball.
+    Since (m - a)(m - b) >= m (m - a - b) for a, b >= 0, merging two
+    coordinates of g into one never raises the product, so over the
+    ell_1 ball of radius r it is smallest at the axis vector
+    (r, 0, ..., 0).  Enumerating the ball stays as the test oracle.
+    """
+    return {n: box_defect(system.half_side(n),
+                          (int(system.r(n)),) + (0,) * (system.group.k - 1))
+            for n in range(system.n_min, system.n_max + 1)}
+
+
+def heis_intersection_count(radius: int, g) -> int:
+    """|F cap gF| for the gauge ball F = B(R) and g = (a, b, c), summed
+    fiber by fiber.
+
+    F has the z-fiber [-h, h], h = (R - |x| - |y|)^2, over each (x, y)
+    with |x| + |y| <= R.  Left translation by g carries the fiber over
+    (x - a, y - b) to the fiber over (x, y), shifted by c + a (y - b), so
+    |F cap gF| is one integer interval overlap per (x, y): O(R^2) terms,
+    taken in slabs of x rows to bound the memory.
+    """
+    r = int(radius)
+    a, b, c = g
+    y = np.arange(-r, r + 1)[None, :]
+    rows = max(1, _HEIS_SLAB // y.size)
+    total = 0
+    for x0 in range(-r, r + 1, rows):
+        x = np.arange(x0, min(x0 + rows, r + 1))[:, None]
+        own = r - np.abs(x) - np.abs(y)
+        moved = r - np.abs(x - a) - np.abs(y - b)
+        shift = c + a * (y - b)
+        lo = np.maximum(-own ** 2, shift - moved ** 2)
+        hi = np.minimum(own ** 2, shift + moved ** 2)
+        overlap = np.maximum(hi - lo + 1, 0)
+        total += int(overlap[(own >= 0) & (moved >= 0)].sum())
+    return total
+
+
+def heis_defect(radius: int, g) -> float:
+    """Exact |F Delta gF| / |F| for the gauge ball F = B(R), no enumeration."""
+    total = HeisenbergModel().ball_count(radius)
+    return 2 * (total - heis_intersection_count(radius, g)) / total
+
+
+def heis_worst_defects(radii: dict[int, int]) -> dict[int, float]:
+    """Worst generator defect of the gauge ball of radius ``radii[n]``."""
+    return {n: max(heis_defect(radius, g) for g in _HEIS_GENERATORS)
+            for n, radius in radii.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -264,15 +292,6 @@ class ZkFolnerSystem:
 
     def size(self, n: int) -> int:
         return (2 * self.half_side(n) + 1) ** self.group.k
-
-    def folner_set(self, n: int) -> set:
-        m = self.half_side(n)
-        if self.size(n) > MAX_SET_SIZE:
-            raise ValueError("Folner set too large to materialize")
-        return set(itertools.product(range(-m, m + 1), repeat=self.group.k))
-
-    def set_at(self, x, n: int) -> set:
-        return {self.group.mul(x, f) for f in self.folner_set(n)}
 
     def sym_diff_count(self, x, y, n: int) -> int:
         g = self.group.mul(self.group.inv(x), y)
@@ -573,11 +592,9 @@ class GluedGroupEmbedding:
         k = self.coarse_step_count(d)
         return 2.0 ** self.p * k + self.tail_constant()
 
-    def bounds_check(self, pairs, *, upper_scale: float = 1.0,
-                     image_pth=None) -> dict:
-        """``image_pth``: image_distances_pth(pairs), if already computed."""
-        if image_pth is None:
-            image_pth = self.image_distances_pth(pairs)
+    def bounds_check(self, pairs, image_pth, *, upper_scale: float = 1.0) -> dict:
+        """Audit the certified bounds on ``image_pth``, the
+        :meth:`image_distances_pth` of ``pairs``."""
         upper_viol = lower_viol = 0
         worst_upper = worst_lower = math.inf
         for (x, y), val in zip(pairs, np.asarray(image_pth).tolist()):

@@ -270,21 +270,6 @@ def _suite_gluing(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _zk_worst_defects(system: amenable.ZkFolnerSystem) -> dict[int, float]:
-    """Exact worst translation defect per index over shifts up to r_n.
-
-    The defect 2 (1 - |F cap gF| / |F|) grows as |F cap gF| =
-    prod_i (m - |g_i|) shrinks, with m = 2 M + 1 > r >= |g_i| on the ball.
-    Since (m - a)(m - b) >= m (m - a - b) for a, b >= 0, merging two
-    coordinates of g into one never raises the product, so over the
-    ell_1 ball of radius r it is smallest at the axis vector
-    (r, 0, ..., 0).  Enumerating the ball stays as the test oracle.
-    """
-    return {n: amenable.box_defect(system.half_side(n),
-                                   (int(system.r(n)),) + (0,) * (system.group.k - 1))
-            for n in range(system.n_min, system.n_max + 1)}
-
-
 def _suite_folner(args: argparse.Namespace) -> dict:
     model = amenable.ZkModel(2)
     system = amenable.ZkFolnerSystem(model, n_min=2, n_max=args.n_max)
@@ -292,7 +277,7 @@ def _suite_folner(args: argparse.Namespace) -> dict:
     # sampler stays within twice the largest certified radius.
     max_dist = int(args.max_dist) if args.max_dist is not None else 2 * args.n_max
     pairs = amenable.sample_zk_pairs(model, args.pairs, max_dist, args.seed)
-    defects = _zk_worst_defects(system)
+    defects = amenable.zk_worst_defects(system)
     scale = 0.5 if args.negative_control else 1.0
     defect_viol = sum(1 for n, dmax in defects.items()
                       if dmax > system.eps(n) * scale * (1 + 1e-12))
@@ -418,10 +403,6 @@ def cmd_gk(args: argparse.Namespace) -> int:
 _FOLNER_HEADER = ("bin_edge_t,rho_hat,omega_hat,count,certified_lower,"
                   "certified_upper,n,eps_n,rad_n,measured_defect_max")
 
-# Exact translation-defect audits on the Heisenberg model enumerate the
-# ball twice; past this size the column is reported as nan.
-_HEIS_DEFECT_CAP = 200_000
-
 
 def _tree_defects(system, pairs, d) -> dict[int, float]:
     """Worst |A Delta B| / |A cap B| per index over the pairs within r_n;
@@ -431,29 +412,15 @@ def _tree_defects(system, pairs, d) -> dict[int, float]:
             for j, n in enumerate(range(system.n_min, system.n_max + 1))}
 
 
-def _heis_defects(model, radii: dict[int, int]) -> dict[int, float]:
-    """Worst generator defect of the gauge ball of radius ``radii[n]``."""
-    gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-    out = {}
-    for n, radius in radii.items():
-        if model.ball_count(radius) > _HEIS_DEFECT_CAP:
-            out[n] = math.nan
-            continue
-        F = set(model.ball(radius))
-        out[n] = max(amenable.folner_defect(F, g, model) for g in gens)
-    return out
-
-
 def cmd_folner(args: argparse.Namespace) -> int:
     # Group runs carry the same report kind as l_2 moduli runs so the
     # comparison table can pick up their fitted exponents.
     doc: dict = {"report_kind": "moduli_run", "run_kind": "folner",
                  "group": args.group, "domain": args.group, "target": "lp",
                  "regime": "large_t", "config": _echo(args)}
-    if args.group == "heis":  # translation defects (size-capped) and volume growth only
-        model = amenable.HeisenbergModel()
+    if args.group == "heis":  # translation defects and volume growth only
         radii = {n: int(1.0 / amenable._preset_eps(n)) for n in range(args.n_min, args.n_max + 1)}
-        defects = _heis_defects(model, radii)
+        defects = amenable.heis_worst_defects(radii)
         rows = [(math.nan, math.nan, math.nan, 0, math.nan, math.nan,
                  n, amenable._preset_eps(n), float(radius), defects[n])
                 for n, radius in radii.items()]
@@ -486,13 +453,13 @@ def cmd_folner(args: argparse.Namespace) -> int:
         if args.group == "tree":
             defects, budget = _tree_defects(system, pairs, d), system.a_eps
         else:
-            defects, budget = _zk_worst_defects(system), system.eps
+            defects, budget = amenable.zk_worst_defects(system), system.eps
         emb = amenable.glued_group_embedding(system, model, args.p)
         defect_viol = sum(1 for n, v in defects.items() if v > budget(n) * (1 + 1e-12))
         char = amenable.char_embedding_bound_check(system, model, pairs, args.p,
                                                   bound_scale=args.bound_scale)
         image_pth = emb.image_distances_pth(pairs)
-        bounds = emb.bounds_check(pairs, image_pth=image_pth)
+        bounds = emb.bounds_check(pairs, image_pth)
         inv_p = 1.0 / emb.p
         est = moduli.reduce_envelopes(
             d, [v ** inv_p for v in image_pth.tolist()], edges, seed=args.seed,
@@ -621,7 +588,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     fol.add_argument("--n-min", type=int, default=2)
     fol.add_argument("--n-max", type=int, default=20)
     fol.add_argument("--p", type=float, default=1.0)
-    fol.add_argument("--pairs", type=int, default=500)
+    fol.add_argument("--pairs", type=_positive_int, default=500)
     fol.add_argument("--max-dist", type=float, default=1000.0)
     fol.add_argument("--bound-scale", type=float, default=1.0)
     fol.add_argument("--json-out", default=None)

@@ -36,6 +36,7 @@ from embedlab.moduli import (
     fit_exponent,
     glued_certifier,
 )
+from oracles import zk_ball
 
 
 def _verify_args(extra):
@@ -172,7 +173,7 @@ def test_c08_group_presets_certified_end_to_end():
     # exact worst translation defects against the schedule budgets
     for n in range(2, 21):
         M = system.half_side(n)
-        worst = max(box_defect(M, g) for g in model.ball(n) if any(g))
+        worst = max(box_defect(M, g) for g in zk_ball(model, n) if any(g))
         assert worst <= system.eps(n)
         assert worst / (1.0 - worst) <= system.a_eps(n)
 
@@ -241,7 +242,7 @@ def test_c10_negative_controls_trip_every_checker():
     defect_hits = a_defect_hits = 0
     for n in range(2, 21):
         M = system.half_side(n)
-        worst = max(box_defect(M, g) for g in model.ball(n) if any(g))
+        worst = max(box_defect(M, g) for g in zk_ball(model, n) if any(g))
         defect_hits += worst > 0.5 * system.eps(n)
         a_defect_hits += worst / (1.0 - worst) > 0.5 * system.a_eps(n)
     assert defect_hits == 19

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from embedlab import amenable
 from embedlab.amenable import (
     GluedGroupEmbedding,
     HeisenbergModel,
@@ -17,13 +18,16 @@ from embedlab.amenable import (
     box_defect,
     box_intersection_count,
     char_embedding_bound_check,
-    folner_defect,
     glued_group_embedding,
+    heis_defect,
+    heis_intersection_count,
+    heis_worst_defects,
     heisenberg_growth_fit,
     predicted_group_gap,
     sample_tree_pairs,
     sample_zk_pairs,
 )
+from oracles import folner_defect, folner_set, heis_ball, set_at, zk_ball
 
 
 class TestZkModel:
@@ -35,10 +39,10 @@ class TestZkModel:
         assert g.metric((0, 0), (2, -3)) == 5.0
 
     def test_ball_enumeration(self):
-        assert len(ZkModel(1).ball(3)) == 7
-        assert len(ZkModel(2).ball(2)) == 13
+        assert len(zk_ball(ZkModel(1), 3)) == 7
+        assert len(zk_ball(ZkModel(2), 2)) == 13
         with pytest.raises(ValueError):
-            ZkModel(3).ball(51)
+            zk_ball(ZkModel(3), 51)
         with pytest.raises(ValueError):
             ZkModel(0)
 
@@ -67,11 +71,11 @@ class TestHeisenberg:
     def test_ball_count_matches_enumeration(self):
         h = HeisenbergModel()
         for r in range(7):
-            ball = h.ball(r)
+            ball = heis_ball(h, r)
             assert len(ball) == len(set(ball)) == h.ball_count(r)
             assert all(h.gauge(g) <= r for g in ball)
         with pytest.raises(ValueError):
-            h.ball(40)
+            heis_ball(h, 40)
 
     def test_growth_exponent_near_four(self):
         slope = heisenberg_growth_fit()
@@ -136,7 +140,7 @@ class TestDefects:
     def test_box_defect_matches_enumeration(self):
         g = ZkModel(2)
         M, trans = 2, (1, -1)
-        F = [p for p in g.ball(2 * M) if max(abs(c) for c in p) <= M]
+        F = [p for p in zk_ball(g, 2 * M) if max(abs(c) for c in p) <= M]
         assert len(F) == 25
         assert box_intersection_count(M, trans) == 16
         assert box_defect(M, trans) == pytest.approx(folner_defect(F, trans, g))
@@ -172,21 +176,21 @@ class TestZkFolnerSystem:
     def test_defect_budget_in_two_dims(self):
         sys = ZkFolnerSystem(ZkModel(2))
         M = sys.half_side(3)
-        worst = max(box_defect(M, g) for g in ZkModel(2).ball(3) if g != (0, 0))
+        worst = max(box_defect(M, g) for g in zk_ball(ZkModel(2), 3) if g != (0, 0))
         assert worst <= sys.eps(3)
 
     def test_closed_form_sym_diff_matches_materialized_sets(self):
         sys = ZkFolnerSystem(ZkModel(2))
         x, y = (5, -2), (7, 1)
-        A = sys.set_at(x, 2)
-        B = sys.set_at(y, 2)
+        A = set_at(sys, x, 2)
+        B = set_at(sys, y, 2)
         assert len(A) == len(B) == 81
         assert sys.sym_diff_count(x, y, 2) == len(A ^ B)
 
     def test_closed_form_survives_materialization_cap(self):
         sys = ZkFolnerSystem(ZkModel(2))
         with pytest.raises(ValueError):
-            sys.folner_set(20)  # 7181^2 points
+            folner_set(sys, 20)  # 7181^2 points
         assert sys.sym_diff_count((0, 0), (3, 4), 20) > 0
 
     def test_index_validation(self):
@@ -233,7 +237,7 @@ class TestTreeACollection:
 
 def _char_block(x, n: int, sys, p: float) -> dict:
     """phi_n(x) materialized: the indicator of A_n(x) at unit ell_p norm."""
-    support = sys.set_at(x, n)
+    support = set_at(sys, x, n)
     return dict.fromkeys(support, len(support) ** (-1.0 / p))
 
 
@@ -361,7 +365,7 @@ class TestGluedGroupEmbedding:
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         e = glued_group_embedding(sys, ZkModel(2), 1.0)
         pairs = sample_zk_pairs(ZkModel(2), 50, 30, seed=7)
-        rep = e.bounds_check(pairs)
+        rep = e.bounds_check(pairs, e.image_distances_pth(pairs))
         assert rep["upper_violations"] == 0
         assert rep["lower_violations"] == 0
         assert rep["worst_upper_margin"] > 0
@@ -376,10 +380,11 @@ class TestGluedGroupEmbedding:
         assert e.tail_constant() == sum(min(2.0 * sys.a_eps(n), 2.0) for n in range(2, 21))
         assert math.isfinite(e.tail_constant())
         pairs = sample_tree_pairs(tree, 60, 1000, seed=8484)
-        clean = e.bounds_check(pairs)
+        image_pth = e.image_distances_pth(pairs)
+        clean = e.bounds_check(pairs, image_pth)
         assert clean["upper_violations"] == 0
         assert 0 < clean["worst_upper_margin"] < math.inf
-        tight = e.bounds_check(pairs, upper_scale=0.1)
+        tight = e.bounds_check(pairs, image_pth, upper_scale=0.1)
         assert tight["upper_violations"] > 0
         assert tight["worst_upper_margin"] < 0
 
@@ -410,7 +415,7 @@ class TestRadialWitness:
         model = HeisenbergModel()
         radius = math.floor(1.0 / _preset_eps(4))
         assert radius == 7
-        F = set(model.ball(radius))
+        F = set(heis_ball(model, radius))
         assert len(F) == model.ball_count(radius)
         gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
         defect = max(folner_defect(F, g, model) for g in gens)
@@ -487,7 +492,7 @@ class TestClosedFormOracles:
             for j, n in enumerate(range(2, 10)):
                 assert counts[i, j] == sys.sym_diff_count(x, y, n)
         x, y = pairs[0]
-        assert counts[0, 0] == len(sys.set_at(x, 2) ^ sys.set_at(y, 2))
+        assert counts[0, 0] == len(set_at(sys, x, 2) ^ set_at(sys, y, 2))
 
     def test_zk_counts_stay_exact_past_float_precision(self):
         sys = ZkFolnerSystem(ZkModel(5), n_min=2, n_max=20)  # 14363^5 points
@@ -499,6 +504,35 @@ class TestClosedFormOracles:
             for j, n in enumerate(range(2, 21)):
                 assert counts[i, j] == sys.sym_diff_count(x, y, n)
                 assert dist[i, j] == sys.block_distance_pth(x, y, n, 1.0)
+
+    def test_heisenberg_defect_matches_the_enumerated_ball(self):
+        model = HeisenbergModel()
+        shifts = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                  (2, -1, 3), (-3, 2, -5), (1, 1, 40), (30, 0, 0)]
+        for radius in range(13):
+            F = set(heis_ball(model, radius))
+            for g in shifts:
+                gF = {model.mul(g, f) for f in F}
+                assert heis_intersection_count(radius, g) == len(F & gF), (radius, g)
+                assert heis_defect(radius, g) == folner_defect(F, g, model), (radius, g)
+        assert heis_defect(12, (30, 0, 0)) == 2.0  # disjoint translate
+        assert heis_defect(12, (0, 0, 0)) == 0.0
+
+    def test_heisenberg_worst_defect_is_the_generator_maximum(self):
+        model = HeisenbergModel()
+        radii = {n: math.floor(1.0 / _preset_eps(n)) for n in range(2, 7)}
+        got = heis_worst_defects(radii)
+        assert got[2] == 34 / 29
+        gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
+        for n, radius in radii.items():
+            F = set(heis_ball(model, radius))
+            assert got[n] == max(folner_defect(F, g, model) for g in gens)
+
+    @pytest.mark.parametrize("slab", [1, 50, 100])  # 1, 2 and 4 of the 25 rows per slab
+    def test_heisenberg_count_ignores_the_slab_size(self, monkeypatch, slab):
+        want = [heis_intersection_count(12, g) for g in ((1, 0, 0), (2, -1, 3))]
+        monkeypatch.setattr(amenable, "_HEIS_SLAB", slab)
+        assert [heis_intersection_count(12, g) for g in ((1, 0, 0), (2, -1, 3))] == want
 
     @pytest.mark.parametrize("tree", [False, True])
     def test_glued_distances_equal_the_scalar_sum_bitwise(self, tree):
@@ -515,7 +549,6 @@ class TestClosedFormOracles:
         for (x, y), val in zip(pairs, got):
             want = sum(sys.block_distance_pth(x, y, n, 1.5) for n in range(sys.n_min, sys.n_max + 1))
             assert val == want
-        assert e.bounds_check(pairs) == e.bounds_check(pairs, image_pth=got)
 
 
 class TestSupportAudit:

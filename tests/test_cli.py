@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from embedlab import amenable, cli, mazur
+from oracles import zk_ball
 
 
 def run(argv):
@@ -77,6 +78,18 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "must be a positive integer" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    def test_empty_folner_runs_are_usage_errors(self, tmp_path, capsys, pairs):
+        out_json = tmp_path / "f.json"
+        with pytest.raises(SystemExit) as exc:
+            run(["folner", "--group", "z2", "--n-max", "6", "--max-dist", "50",
+                 "--pairs", pairs, "--json-out", str(out_json)])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "argument --pairs: must be a positive integer" in captured.err
+        assert captured.out == ""
+        assert not out_json.exists()
 
     def test_json_out_into_missing_dir_is_io_error(self, tmp_path):
         code = run(["moduli", "--preset", "warmup_l2", "--beta", "2",
@@ -260,6 +273,21 @@ class TestFolnerCommand:
         assert [float(rows[n]["rad_n"]) for n in range(2, 6)] == [
             math.floor(1.0 / amenable._preset_eps(n)) for n in range(2, 6)]
 
+    def test_heisenberg_defects_are_finite_at_the_default_range(self, tmp_path):
+        # gauge balls up to radius 179 (6.8e8 points at n = 20), in closed form
+        out_json = tmp_path / "heis.json"
+        out_csv = tmp_path / "heis.csv"
+        code = run(["folner", "--group", "heis", "--seed", "1",
+                    "--out", str(out_csv), "--json-out", str(out_json)])
+        assert code == cli.EXIT_OK
+        rows = _csv_rows(out_csv)
+        assert [int(r["n"]) for r in rows] == list(range(2, 21))
+        assert all(math.isfinite(float(r["measured_defect_max"])) for r in rows)
+        defects = json.loads(out_json.read_text())["defects"]
+        assert sorted(defects, key=int) == [str(n) for n in range(2, 21)]
+        assert all(v is not None and math.isfinite(v) for v in defects.values())
+        assert defects["2"] == 34 / 29
+
     @pytest.mark.parametrize("group,argv", [
         ("z2", ["--n-max", "8", "--max-dist", "16", "--pairs", "60"]),
         ("z3", ["--n-min", "3", "--n-max", "9", "--max-dist", "40.6", "--pairs", "120",
@@ -340,10 +368,10 @@ class TestGroupClosedForms:
     def test_axis_vector_is_the_worst_box_shift(self, k):
         model = amenable.ZkModel(k)
         system = amenable.ZkFolnerSystem(model, n_min=2, n_max=12)
-        got = cli._zk_worst_defects(system)
+        got = amenable.zk_worst_defects(system)
         for n in range(2, 13):
             M = system.half_side(n)
-            want = max(amenable.box_defect(M, g) for g in model.ball(n) if any(g))
+            want = max(amenable.box_defect(M, g) for g in zk_ball(model, n) if any(g))
             assert got[n] == want
 
 
