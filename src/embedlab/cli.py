@@ -419,6 +419,8 @@ def cmd_folner(args: argparse.Namespace) -> int:
                  "group": args.group, "domain": args.group, "target": "lp",
                  "regime": "large_t", "config": _echo(args)}
     if args.group == "heis":  # translation defects and volume growth only
+        if not 2 <= args.n_min <= args.n_max:
+            raise ValueError("need 2 <= n_min <= n_max")
         radii = {n: int(1.0 / amenable._preset_eps(n)) for n in range(args.n_min, args.n_max + 1)}
         defects = amenable.heis_worst_defects(radii)
         rows = [(math.nan, math.nan, math.nan, 0, math.nan, math.nan,

@@ -22,13 +22,14 @@ block maps phi of the glued embeddings.  One batch kernel serves every
 coordinate backend: :func:`block_mass` takes each block's backend
 coordinates, applies the signed power 2/q, and returns
 sum_n sum_i |phi_n(x)_i - phi_n(y)_i|^q per pair of rows over a list of
-blocks, summed in float64.  Random-feature coordinates are
-computed in the floating dtype of the input points, so float32 rows give
-float32 arithmetic with the same feature tables; their feature product
-runs in row slabs that OpenBLAS keeps on the calling thread.  Block
-distances are sandwiched by transporting the exact psi distance through
-the certified signed-power constants (:func:`sphere_block_interval` of
-:func:`psi_distance_exact`).
+blocks.  Each block's row sums are einsums in the dtype of its
+coordinates; the blocks are accumulated in float64.  Random-feature
+coordinates are computed in the floating dtype of the input points, so
+float32 rows give float32 arithmetic with the same feature tables; their
+feature product runs in row slabs that OpenBLAS keeps on the calling
+thread.  Block distances are sandwiched by transporting the exact psi
+distance through the certified signed-power constants
+(:func:`sphere_block_interval` of :func:`psi_distance_exact`).
 
 Importing this module loads no scipy: :func:`exp_coordinates_batch`
 imports ``scipy.special.gammainc`` for its series residual when first
@@ -265,8 +266,9 @@ def rff_coordinates_batch(X: np.ndarray, backend: RandomFeatures,
     z = _feature_product(X, w, out)
     z += b
     np.cos(z, out=z)
-    z *= math.sqrt(2.0 / backend.n_features)
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    # The sqrt(2/D) feature scale cancels in the normalisation; einsum
+    # takes the row norms without a squared copy of z.
+    z /= np.sqrt(np.einsum("ij,ij->i", z, z))[:, None]
     return z
 
 
@@ -354,7 +356,7 @@ def _block_coordinates(X: np.ndarray, spec: FundamentalMapSpec,
 
 
 def block_mass(X: np.ndarray, Y: np.ndarray, specs) -> np.ndarray:
-    """Power mass of paired rows summed over the blocks ``specs``, in float64.
+    """Power mass of paired rows summed over the blocks ``specs``.
 
     Block n maps a row x to phi_n(x) = s_{2/q}(psi_r(x)): the backend's
     unit-sphere coordinates psi_r(x) (truncated series or random features)
@@ -364,8 +366,11 @@ def block_mass(X: np.ndarray, Y: np.ndarray, specs) -> np.ndarray:
 
     Block n adds sum_i |phi_n(x)_i - phi_n(y)_i|^q, its share of the
     glued mass in both regimes: the q-th power of the block distance for
-    q >= 1, the power-sum block distance itself for q < 1.  Blocks are
-    added in order.  The coordinate array and the two image arrays are
+    q >= 1, the power-sum block distance itself for q < 1.  It is the
+    row sum of h * h with h = |phi_n(x) - phi_n(y)|^(q/2) (the square of
+    the difference at q = 4), taken by einsum in the coordinates' dtype,
+    so float32 for float32 rows.  Blocks are added in order into a
+    float64 total.  The coordinate array and the two image arrays are
     reused from block to block: freeing and reallocating them for every
     block lets the C allocator hand their pages back to the system and
     fault them in again.
@@ -378,9 +383,12 @@ def block_mass(X: np.ndarray, Y: np.ndarray, specs) -> np.ndarray:
         px = _signed_power(coords, a, out=px)
         coords = _block_coordinates(Y, spec, out=coords)
         py = _signed_power(coords, a, out=py)
-        diff = np.subtract(px, py, out=px)
-        np.abs(diff, out=diff)
-        diff **= spec.q.p
-        total += np.sum(diff, axis=1, dtype=np.float64)
+        h = np.subtract(px, py, out=px)
+        if spec.q.p == 4.0:
+            np.square(h, out=h)
+        else:
+            np.abs(h, out=h)
+            h **= spec.q.p / 2.0
+        total += np.einsum("ij,ij->i", h, h)
     return total
 

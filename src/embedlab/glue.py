@@ -428,7 +428,8 @@ class GluedEmbedding:
         The glued mass is :func:`~embedlab.gaussian.block_mass` over the
         blocks, per slice of ROW_QUANTUM rows.  The block maps run in the
         floating dtype of the points (float32 rows give float32 random
-        features); the masses are summed in float64.
+        features and float32 per-block row sums); the blocks are summed in
+        float64.
         """
         if self.family.kernel_mode:
             raise ValueError("kernel-mode embeddings have interval distances; "

@@ -329,9 +329,11 @@ def fast_rff_engine(e: GluedEmbedding) -> Callable:
     feature product runs in row slabs that OpenBLAS keeps on the calling
     thread, so an engine call uses one CPU.  On a 2-CPU x86-64 host with
     OpenBLAS 0.3.31, two moduli runs of 8192 pairs over 100 and 60 blocks
-    of 512 features took 12.0 s of CPU in 11.4 s of wall time; with each
-    2048-row product split across both CPUs they took 22.8 s of CPU in
-    12.2 s, a BLAS worker spinning between products.
+    of 512 features, plus their report (the ``moduli-rff`` benchmark
+    pass), took a median 9.3 s of CPU in 9.5 s of wall time over 10 runs.
+    Splitting each 2048-row product across both CPUs instead nearly
+    doubled the CPU time and did not shorten the wall time, a BLAS worker
+    spinning between products.
     """
     if getattr(e.family, "backend", None) != "rff":
         raise ValueError("fast engine needs an rff-backed family")

@@ -91,6 +91,19 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out_json.exists()
 
+    @pytest.mark.parametrize("group", ["z2", "z3", "tree", "heis"])
+    @pytest.mark.parametrize("n_min, n_max", [("5", "3"), ("1", "4")])
+    def test_bad_folner_index_range_is_a_usage_error(self, tmp_path, capsys, group,
+                                                     n_min, n_max):
+        out_csv, out_json = tmp_path / "f.csv", tmp_path / "f.json"
+        code = run(["folner", "--group", group, "--n-min", n_min, "--n-max", n_max,
+                    "--pairs", "20", "--out", str(out_csv), "--json-out", str(out_json)])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "embedlab: need 2 <= n_min <= n_max\n"
+        assert captured.out == ""
+        assert not out_csv.exists() and not out_json.exists()
+
     def test_json_out_into_missing_dir_is_io_error(self, tmp_path):
         code = run(["moduli", "--preset", "warmup_l2", "--beta", "2",
                     "--backend", "kernel", "--n-terms", "10", "--pairs", "60",

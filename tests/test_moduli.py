@@ -239,7 +239,8 @@ class TestEngines:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(15, 5))
         Y = X + rng.normal(size=(15, 5))
-        for preset, q in (("strong_qge2", 4.0), ("strong_1leqle2", 1.5)):
+        for preset, q in (("strong_qge2", 4.0), ("strong_1leqle2", 1.5),
+                          ("warmup_l2", 2.0), ("strong_qge2", 3.0)):
             fam = GaussianBlockFamily(preset_schedule(preset, q=q, beta=1.1), backend="rff",
                                       base_seed=3, n_features=32, ambient_dim=5)
             e = glue(fam, n_terms=6)
