@@ -8,12 +8,14 @@ and tree-segment symmetric differences over arrays of pairs (hence every
 block distance), the worst box defect, and the Heisenberg gauge-ball
 defect as a sum of z-fiber interval overlaps.  Nothing here enumerates
 a Folner set; the enumerations live in the tests as the oracles these
-closed forms are checked against.  Only the support-radius audit
-materializes sets, under MAX_SET_SIZE.
+closed forms are checked against.  The support-radius audit measures a
+box at its 2^k corners and walks the short tree segments of the first
+indices; the glued-bound audit is one array pass over all pairs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +23,6 @@ import numpy as np
 
 from .metric_core import ExponentRegime, MonotoneFunction, h_ab
 
-MAX_SET_SIZE = 1 << 20  # materialization cap for explicit set arithmetic
 _REL_TOL = 1e-9  # relative float slack of the certified-bound audits
 _TREE_BASE_DEPTH = 40  # sampled tree pairs start at depth 0.._TREE_BASE_DEPTH
 _HEIS_GENERATORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
@@ -405,15 +406,16 @@ def block_distances_pth(sys, pairs) -> np.ndarray:
 
 
 def _support_reach(sys, model, x, n: int) -> float:
-    """Largest distance from x to a point of the materialized A_n(x); a
-    Z^k box x + [-M, M]^k is built as one integer array, measured in ell_1."""
-    if not isinstance(sys, ZkFolnerSystem):
-        return max(model.metric(x, v) for v in sys.set_at(x, n))
-    if sys.size(n) > MAX_SET_SIZE:
-        raise ValueError("Folner set too large to materialize")
-    m = sys.half_side(n)
-    box = np.stack(np.meshgrid(*(np.arange(c - m, c + m + 1) for c in x), indexing="ij"), -1)
-    return float(np.abs(box - np.asarray(x)).sum(axis=-1).max())
+    """Largest distance from x to a point of A_n(x).  The distance to x is
+    convex on the box x + [-M, M]^k, so its maximum sits at one of the 2^k
+    corners; a tree segment is walked vertex by vertex."""
+    if isinstance(sys, ZkFolnerSystem):
+        m = sys.half_side(n)
+        points = (tuple(c + s * m for c, s in zip(x, signs))
+                  for signs in itertools.product((-1, 1), repeat=len(x)))
+    else:
+        points = sys.set_at(x, n)
+    return max(model.metric(x, v) for v in points)
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +492,23 @@ def sample_tree_pairs(tree: TreeModel, n_pairs: int, max_dist: int,
     return out
 
 
-def char_embedding_bound_check(sys, model, pairs, p, *,
+def char_embedding_bound_check(sys, model, pairs, p, *, d=None,
                                bound_scale: float = 1.0) -> CharBoundReport:
     """Verify ||phi_n(x) - phi_n(y)||_p^p <= 2 eps'_n on certified pairs.
 
     Each sampled pair is checked at every schedule index n with
-    d(x, y) <= r_n; ``bound_scale`` shrinks the bound for negative
-    controls.  Support radii are audited against rad(n) where the
-    support is materialized.
+    d(x, y) <= r_n; ``d`` holds the pair separations when the caller has
+    them already.  ``bound_scale`` shrinks the bound for negative
+    controls.  The supports of the first eight base points are audited
+    against rad(n) at the first four indices.
     """
     regime = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
     if regime.p < 1:
         raise ValueError("characteristic-function blocks need p >= 1")
     checks = violations = support_bad = 0
     worst = math.inf
-    d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
+    if d is None:
+        d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
     vals = block_distances_pth(sys, pairs)
     for j, n in enumerate(range(sys.n_min, sys.n_max + 1)):
         val = vals[d <= sys.r(n), j]
@@ -517,11 +521,7 @@ def char_embedding_bound_check(sys, model, pairs, p, *,
         violations += int(np.count_nonzero(val > bound * (1.0 + _REL_TOL)))
     for x, _ in pairs[:8]:
         for n in range(sys.n_min, min(sys.n_min + 3, sys.n_max) + 1):
-            try:
-                reach = _support_reach(sys, model, x, n)
-            except ValueError:
-                continue  # materialization cap; closed form still certified
-            if reach > sys.rad(n) + 1e-9:
+            if _support_reach(sys, model, x, n) > sys.rad(n) + 1e-9:
                 support_bad += 1
     return CharBoundReport(
         model=model.name, p=regime.p, n_pairs=len(pairs), n_checks=checks,
@@ -564,16 +564,22 @@ class GluedGroupEmbedding:
             acc += col
         return acc
 
-    def disjoint_step_count(self, d: float) -> int:
-        """Blocks whose supports must be disjoint at distance d."""
-        return sum(1 for n in self.n_range if d > 2.0 * self.sys.rad(n))
+    def _steps_below(self, radii: list[float], d):
+        """How many of ``radii`` lie strictly below each separation in d."""
+        return np.searchsorted(np.sort(radii), d, side="left")
 
-    def certified_lower_pth(self, d: float) -> float:
+    def disjoint_step_count(self, d):
+        """Blocks whose supports must be disjoint at distance d (2 rad(n) < d);
+        d may be an array of separations."""
+        return self._steps_below([2.0 * self.sys.rad(n) for n in self.n_range], d)
+
+    def certified_lower_pth(self, d):
         # each disjoint block carries two unit masses: exactly 2 per block
         return 2.0 * self.disjoint_step_count(d)
 
-    def coarse_step_count(self, d: float) -> int:
-        return sum(1 for n in self.n_range if self.sys.r(n) < d)
+    def coarse_step_count(self, d):
+        """Blocks with r(n) < d; d may be an array of separations."""
+        return self._steps_below([self.sys.r(n) for n in self.n_range], d)
 
     def tail_constant(self) -> float:
         """Sum over the blocks of min(2 eps'_n, 2).
@@ -586,31 +592,26 @@ class GluedGroupEmbedding:
         """
         return sum(min(2.0 * self.sys.a_eps(n), 2.0) for n in self.n_range)
 
-    def certified_upper_pth(self, d: float) -> float:
+    def certified_upper_pth(self, d):
         """2^p k + K with k the blocks below distance d and K the capped
         sum of the certified block bounds (:meth:`tail_constant`)."""
-        k = self.coarse_step_count(d)
-        return 2.0 ** self.p * k + self.tail_constant()
+        return 2.0 ** self.p * self.coarse_step_count(d) + self.tail_constant()
 
-    def bounds_check(self, pairs, image_pth, *, upper_scale: float = 1.0) -> dict:
+    def bounds_check(self, d, image_pth, *, upper_scale: float = 1.0) -> dict:
         """Audit the certified bounds on ``image_pth``, the
-        :meth:`image_distances_pth` of ``pairs``."""
-        upper_viol = lower_viol = 0
-        worst_upper = worst_lower = math.inf
-        for (x, y), val in zip(pairs, np.asarray(image_pth).tolist()):
-            d = self.model.metric(x, y)
-            ub = self.certified_upper_pth(d) * upper_scale
-            lb = self.certified_lower_pth(d)
-            worst_upper = min(worst_upper, ub - val)
-            worst_lower = min(worst_lower, val - lb)
-            if val > ub * (1.0 + _REL_TOL):
-                upper_viol += 1
-            if val < lb * (1.0 - _REL_TOL):
-                lower_viol += 1
+        :meth:`image_distances_pth` of pairs at separations ``d``.  NaN
+        margins are skipped in the minima."""
+        d = np.asarray(d, dtype=float)
+        val = np.asarray(image_pth, dtype=float)
+        ub = self.certified_upper_pth(d) * upper_scale
+        lb = self.certified_lower_pth(d)
         return {
-            "n_pairs": len(pairs), "upper_violations": upper_viol,
-            "lower_violations": lower_viol, "worst_upper_margin": worst_upper,
-            "worst_lower_margin": worst_lower, "upper_scale": upper_scale,
+            "n_pairs": int(d.size),
+            "upper_violations": int(np.count_nonzero(val > ub * (1.0 + _REL_TOL))),
+            "lower_violations": int(np.count_nonzero(val < lb * (1.0 - _REL_TOL))),
+            "worst_upper_margin": float(np.fmin.reduce(ub - val, initial=math.inf)),
+            "worst_lower_margin": float(np.fmin.reduce(val - lb, initial=math.inf)),
+            "upper_scale": upper_scale,
         }
 
 

@@ -431,7 +431,10 @@ def cmd_folner(args: argparse.Namespace) -> int:
         doc["report_kind"] = "folner_run"
         for key in ("domain", "target", "regime"):
             doc.pop(key)
-        doc.update({"growth_fit": amenable.heisenberg_growth_fit(),
+        # volume growth over the run's radii n_min..n_max; one radius has no slope
+        growth = (amenable.heisenberg_growth_fit(args.n_max, args.n_min)
+                  if args.n_min < args.n_max else None)
+        doc.update({"growth_fit": growth,
                     "defects": {str(n): defects[n] for n in defects}})
         violations = 0
     else:
@@ -458,15 +461,18 @@ def cmd_folner(args: argparse.Namespace) -> int:
             defects, budget = amenable.zk_worst_defects(system), system.eps
         emb = amenable.glued_group_embedding(system, model, args.p)
         defect_viol = sum(1 for n, v in defects.items() if v > budget(n) * (1 + 1e-12))
-        char = amenable.char_embedding_bound_check(system, model, pairs, args.p,
+        char = amenable.char_embedding_bound_check(system, model, pairs, args.p, d=d,
                                                   bound_scale=args.bound_scale)
         image_pth = emb.image_distances_pth(pairs)
-        bounds = emb.bounds_check(pairs, image_pth)
-        inv_p = 1.0 / emb.p
+        bounds = emb.bounds_check(d, image_pth)
+
+        def root(pth):  # Python's pow, which numpy's SIMD power can differ from
+            return [v ** (1.0 / emb.p) for v in np.asarray(pth).tolist()]
+
         est = moduli.reduce_envelopes(
-            d, [v ** inv_p for v in image_pth.tolist()], edges, seed=args.seed,
-            certifier=lambda ts: ([emb.certified_lower_pth(v) ** inv_p for v in ts],
-                                  [emb.certified_upper_pth(v) ** inv_p for v in ts]))
+            d, root(image_pth), edges, seed=args.seed,
+            certifier=lambda ts: (root(emb.certified_lower_pth(ts)),
+                                  root(emb.certified_upper_pth(ts))))
         rows = [(edges[j], est.rho_hat[j], est.omega_hat[j], est.counts[j],
                  est.certified_lower[j], est.certified_upper[j],
                  n, system.eps(n), float(system.rad(n)), defects.get(n, math.nan))

@@ -1,13 +1,20 @@
-"""Set enumerations that the closed forms of ``embedlab.amenable`` are
-checked against: lattice and gauge balls, box Folner sets and their
-translates, and the defect |F Delta gF| / |F| by explicit translation.
+"""Set enumerations and per-pair loops that the closed forms and array
+audits of ``embedlab.amenable`` are checked against: lattice and gauge
+balls, box Folner sets and their translates, the defect |F Delta gF| / |F|
+by explicit translation, the support reach of a materialized box, and the
+glued-bound audit pair by pair.
 
-Each enumerator refuses sets past ``amenable.MAX_SET_SIZE`` points.
+Each enumerator refuses sets past ``MAX_SET_SIZE`` points.
 """
 
 import itertools
+import math
 
-from embedlab.amenable import MAX_SET_SIZE, ZkFolnerSystem
+import numpy as np
+
+from embedlab.amenable import ZkFolnerSystem
+
+MAX_SET_SIZE = 1 << 20
 
 
 def zk_ball(model, radius: int) -> list[tuple[int, ...]]:
@@ -54,3 +61,35 @@ def folner_defect(F, g, group) -> float:
         raise ValueError("empty set")
     gf = {group.mul(g, f) for f in fs}
     return len(fs ^ gf) / len(fs)
+
+
+def zk_support_reach(sys, x, n: int) -> float:
+    """Largest ell_1 distance from x to the box x + [-M_n, M_n]^k, built as
+    one integer array."""
+    if sys.size(n) > MAX_SET_SIZE:
+        raise ValueError("Folner set too large to materialize")
+    m = sys.half_side(n)
+    box = np.stack(np.meshgrid(*(np.arange(c - m, c + m + 1) for c in x), indexing="ij"), -1)
+    return float(np.abs(box - np.asarray(x)).sum(axis=-1).max())
+
+
+def bounds_check_per_pair(emb, pairs, image_pth, upper_scale: float = 1.0) -> dict:
+    """``GluedGroupEmbedding.bounds_check`` as a Python loop over pairs: the
+    separation from the model metric, the step counts as sums over the
+    index range, and the margins reduced by ``min``."""
+    tail = sum(min(2.0 * emb.sys.a_eps(n), 2.0) for n in emb.n_range)
+    upper_viol = lower_viol = 0
+    worst_upper = worst_lower = math.inf
+    for (x, y), val in zip(pairs, np.asarray(image_pth).tolist()):
+        d = emb.model.metric(x, y)
+        ub = (2.0 ** emb.p * sum(1 for n in emb.n_range if emb.sys.r(n) < d) + tail) * upper_scale
+        lb = 2.0 * sum(1 for n in emb.n_range if d > 2.0 * emb.sys.rad(n))
+        worst_upper = min(worst_upper, ub - val)
+        worst_lower = min(worst_lower, val - lb)
+        if val > ub * (1.0 + 1e-9):
+            upper_viol += 1
+        if val < lb * (1.0 - 1e-9):
+            lower_viol += 1
+    return {"n_pairs": len(pairs), "upper_violations": upper_viol,
+            "lower_violations": lower_viol, "worst_upper_margin": worst_upper,
+            "worst_lower_margin": worst_lower, "upper_scale": upper_scale}

@@ -27,7 +27,8 @@ from embedlab.amenable import (
     sample_tree_pairs,
     sample_zk_pairs,
 )
-from oracles import folner_defect, folner_set, heis_ball, set_at, zk_ball
+from oracles import (bounds_check_per_pair, folner_defect, folner_set, heis_ball, set_at,
+                     zk_ball, zk_support_reach)
 
 
 class TestZkModel:
@@ -365,7 +366,8 @@ class TestGluedGroupEmbedding:
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         e = glued_group_embedding(sys, ZkModel(2), 1.0)
         pairs = sample_zk_pairs(ZkModel(2), 50, 30, seed=7)
-        rep = e.bounds_check(pairs, e.image_distances_pth(pairs))
+        d = [ZkModel(2).metric(x, y) for x, y in pairs]
+        rep = e.bounds_check(d, e.image_distances_pth(pairs))
         assert rep["upper_violations"] == 0
         assert rep["lower_violations"] == 0
         assert rep["worst_upper_margin"] > 0
@@ -381,10 +383,11 @@ class TestGluedGroupEmbedding:
         assert math.isfinite(e.tail_constant())
         pairs = sample_tree_pairs(tree, 60, 1000, seed=8484)
         image_pth = e.image_distances_pth(pairs)
-        clean = e.bounds_check(pairs, image_pth)
+        d = [tree.metric(x, y) for x, y in pairs]
+        clean = e.bounds_check(d, image_pth)
         assert clean["upper_violations"] == 0
         assert 0 < clean["worst_upper_margin"] < math.inf
-        tight = e.bounds_check(pairs, image_pth, upper_scale=0.1)
+        tight = e.bounds_check(d, image_pth, upper_scale=0.1)
         assert tight["upper_violations"] > 0
         assert tight["worst_upper_margin"] < 0
 
@@ -551,6 +554,43 @@ class TestClosedFormOracles:
             assert val == want
 
 
+def _audit_case(group: str):
+    """An embedding and 300 sampled pairs for z1, z2, z3 or the tree."""
+    if group == "tree":
+        model = TreeModel()
+        sys = TreeACollection(model, n_min=2, n_max=12)
+        pairs = sample_tree_pairs(model, 300, 200, seed=41)
+    else:
+        model = ZkModel(int(group[1]))
+        sys = ZkFolnerSystem(model, n_min=2, n_max=12)
+        pairs = sample_zk_pairs(model, 300, 200, seed=41)
+    return glued_group_embedding(sys, model, 1.5), pairs
+
+
+class TestArrayAuditsMatchOracles:
+    """The array audits against the per-pair loop and the materialized box."""
+
+    @pytest.mark.parametrize("upper_scale", [1.0, 0.1])
+    @pytest.mark.parametrize("group", ["z1", "z2", "z3", "tree"])
+    def test_bounds_check_equals_the_per_pair_loop(self, group, upper_scale):
+        emb, pairs = _audit_case(group)
+        image_pth = emb.image_distances_pth(pairs)
+        d = [emb.model.metric(x, y) for x, y in pairs]
+        got = emb.bounds_check(d, image_pth, upper_scale=upper_scale)
+        want = bounds_check_per_pair(emb, pairs, image_pth, upper_scale)
+        assert got == want  # margins bit for bit, violation counts exactly
+        assert (got["upper_violations"] > 0) == (upper_scale < 1)
+
+    @pytest.mark.parametrize("group", ["z1", "z2", "z3"])
+    def test_corner_reach_equals_the_materialized_box(self, group):
+        emb, pairs = _audit_case(group)
+        for x, _ in pairs[:8]:
+            for n in range(2, 6):
+                if emb.sys.size(n) <= 1 << 20:
+                    assert amenable._support_reach(emb.sys, emb.model, x, n) == \
+                        zk_support_reach(emb.sys, x, n)
+
+
 class TestSupportAudit:
     """rad(n) shrunk by one must trip the support-radius audit."""
 
@@ -564,8 +604,9 @@ class TestSupportAudit:
         clean = char_embedding_bound_check(ZkFolnerSystem(model, n_max=6), model, pairs, 1.0)
         assert clean.support_violations == 0
         rep = char_embedding_bound_check(Shrunk(model, n_max=6), model, pairs, 1.0)
-        # every audited (point, n): n = 2, 3, 4; the n = 5 box is over the cap
-        assert rep.support_violations == 8 * 3
+        # every audited (point, n): n = 2..5, boxes of up to 131^3 points
+        # measured at their corners
+        assert rep.support_violations == 8 * 4
         assert rep.violations == 0
 
     def test_tree_shrunken_radius_detected(self):

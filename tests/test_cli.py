@@ -279,7 +279,9 @@ class TestFolnerCommand:
         doc = json.loads(out_json.read_text())
         assert doc["report_kind"] == "folner_run"
         assert "domain" not in doc
-        assert 3.5 <= doc["growth_fit"] <= 4.5
+        # the volume growth is fitted over the run's radii 2..5, not 2..20
+        assert doc["growth_fit"] == amenable.heisenberg_growth_fit(5, 2)
+        assert doc["growth_fit"] != amenable.heisenberg_growth_fit()
         # the gauge-ball witness has radius floor(1 / eps_n): 7 at n = 4
         rows = {int(r["n"]): r for r in _csv_rows(out_csv)}
         assert rows[4]["rad_n"] == "7"
@@ -300,6 +302,17 @@ class TestFolnerCommand:
         assert sorted(defects, key=int) == [str(n) for n in range(2, 21)]
         assert all(v is not None and math.isfinite(v) for v in defects.values())
         assert defects["2"] == 34 / 29
+
+    def test_heisenberg_growth_fit_follows_the_index_range(self, tmp_path):
+        def growth(*argv):
+            out_json = tmp_path / "heis.json"
+            assert run(["folner", "--group", "heis", *argv,
+                        "--json-out", str(out_json)]) == cli.EXIT_OK
+            return json.loads(out_json.read_text())["growth_fit"]
+
+        assert growth() == amenable.heisenberg_growth_fit(20, 2)
+        assert 3.5 <= growth("--n-min", "10", "--n-max", "20") <= 4.5
+        assert growth("--n-min", "6", "--n-max", "6") is None  # one point, no slope
 
     @pytest.mark.parametrize("group,argv", [
         ("z2", ["--n-max", "8", "--max-dist", "16", "--pairs", "60"]),
