@@ -11,6 +11,14 @@ a Folner set; the enumerations live in the tests as the oracles these
 closed forms are checked against.  The support-radius audit measures a
 box at its 2^k corners and walks the short tree segments of the first
 indices; the glued-bound audit is one array pass over all pairs.
+
+The pair samplers draw arrays from counter-based streams.  Z^k pairs
+take each field (base points, lengths, multinomial splits, signs) from
+its own stream keyed by (seed, 9, field); tree walks run in blocks of
+_TREE_BLOCK, block j from the stream keyed by (seed, 10, j), all walks of
+a block advanced together one step at a time.  Both keep the prefix
+property: for one model, max_dist and seed, the first m pairs of an
+n-pair draw are the m-pair draw.  A different max_dist moves every pair.
 """
 
 from __future__ import annotations
@@ -25,6 +33,8 @@ from .metric_core import ExponentRegime, MonotoneFunction, h_ab
 
 _REL_TOL = 1e-9  # relative float slack of the certified-bound audits
 _TREE_BASE_DEPTH = 40  # sampled tree pairs start at depth 0.._TREE_BASE_DEPTH
+_TREE_BLOCK = 512  # tree walks per sampling block, each block its own stream
+_TREE_CHUNK = 256  # walk steps drawn at once
 _HEIS_GENERATORS = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
 _HEIS_SLAB = 1 << 16  # grid points per vectorized slab of the fiber sum
 
@@ -442,6 +452,10 @@ class CharBoundReport:
                     worst_margin=self.worst_margin, bound_scale=self.bound_scale)
 
 
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *key))))
+
+
 def sample_zk_pairs(group: ZkModel, n_pairs: int, max_dist: float,
                     seed: int) -> list[tuple[tuple, tuple]]:
     """Deterministic pairs (x, y) with log-uniform ell_1 separations
@@ -451,43 +465,91 @@ def sample_zk_pairs(group: ZkModel, n_pairs: int, max_dist: float,
     at floor(max_dist) and split across coordinates with random signs,
     so every scale up to max_dist sees traffic (a uniform box would leave
     the small schedule brackets empty).  Base points are uniform in
-    [-1000, 1000]^k.  Pair i derives its own generator from (seed, i, 9)
-    so any subset of the stream is reproducible independently of
-    batching.
+    [-1000, 1000]^k.  Each field is one row-major array draw from its own
+    stream, keyed by (seed, 9, field): base points 0, lengths 1,
+    multinomial splits 2, signs 3.  Row i of every draw is pair i, so the
+    first m pairs of an n-pair draw are the m-pair draw.
     """
     if max_dist < 1:
         raise ValueError("need max_dist >= 1")
-    cap = math.floor(max_dist)
     k = group.k
-    out = []
-    for i in range(n_pairs):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i, 9))))
-        x = tuple(int(v) for v in rng.integers(-1000, 1001, size=k))
-        length = max(1, int(round(math.exp(rng.uniform(0.0, math.log(max_dist))))))
-        parts = rng.multinomial(min(length, cap), np.full(k, 1.0 / k))
-        signs = rng.choice((-1, 1), size=k)
-        g = tuple(int(s) * int(c) for s, c in zip(signs, parts))
-        out.append((x, group.mul(x, g)))
-    return out
+    x = _stream(seed, 9, 0).integers(-1000, 1001, size=(n_pairs, k))
+    log_len = _stream(seed, 9, 1).uniform(0.0, math.log(max_dist), size=n_pairs)
+    length = np.clip(np.rint(np.exp(log_len)), 1, math.floor(max_dist)).astype(np.int64)
+    parts = _stream(seed, 9, 2).multinomial(length, np.full(k, 1.0 / k))
+    signs = _stream(seed, 9, 3).choice((-1, 1), size=(n_pairs, k))
+    y = x + signs * parts
+    return [(tuple(a), tuple(b)) for a, b in zip(x.tolist(), y.tolist())]
 
 
 def sample_tree_pairs(tree: TreeModel, n_pairs: int, max_dist: int,
                       seed: int) -> list[tuple[tuple, tuple]]:
-    """Deterministic tree pairs at graph distance in [1, max_dist]; each
-    walk starts at a uniform depth in [0, _TREE_BASE_DEPTH]."""
+    """Deterministic tree pairs at graph distance in [1, max_dist].
+
+    Pair i is a random walk: it starts at x, a node of uniform depth in
+    [0, min(_TREE_BASE_DEPTH, depth)] with uniform labels, and takes a
+    uniform number of steps in [1, max_dist], each to the parent or to a
+    uniform child with probability 1/2 (always a child at the root, and
+    the parent or nothing at the truncation depth).  y is where it ends,
+    or a neighbour of x if it ends at x.
+
+    Pairs come in blocks of _TREE_BLOCK walks, block j drawn from the
+    stream keyed by (seed, 10, j).  A block's draws are always made for
+    all its rows and the first rows are kept, so the first m pairs of an
+    n-pair draw are the m-pair draw.
+    """
     out = []
-    for i in range(n_pairs):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
-        d0 = int(rng.integers(0, _TREE_BASE_DEPTH + 1))
-        x = tuple(int(v) for v in rng.integers(0, tree.branching, size=d0))
-        y = x
-        for _ in range(int(rng.integers(1, max_dist + 1))):
-            if y and rng.random() < 0.5:
-                y = y[:-1]
-            elif len(y) < tree.depth:
-                y = y + (int(rng.integers(0, tree.branching)),)
+    for block, start in enumerate(range(0, n_pairs, _TREE_BLOCK)):
+        keep = min(_TREE_BLOCK, n_pairs - start)
+        out += _tree_walks(tree, keep, max_dist, _stream(seed, 10, block))
+    return out
+
+
+def _tree_walks(tree: TreeModel, keep: int, max_dist: int,
+                rng: np.random.Generator) -> list[tuple[tuple, tuple]]:
+    """The first ``keep`` walks of one block, all advanced together.
+
+    A walk's node is its depth plus a row of ``path`` whose first depth
+    labels are the node.  A step writes its label at the slot above the
+    top, which only a move to a child keeps, then moves the depth by the
+    step's sign: |depth + sign| reflects at the root and the minimum with
+    the truncation depth holds the walk there.  Signs and labels are
+    drawn in chunks of _TREE_CHUNK steps and ``path`` widens as the walks
+    climb, so memory does not grow with keep * max_dist.
+    """
+    b, cap = tree.branching, tree.depth
+    base = min(_TREE_BASE_DEPTH, cap)
+    d0 = rng.integers(0, base + 1, size=_TREE_BLOCK)[:keep]
+    start = rng.integers(0, b, size=(_TREE_BLOCK, base))[:keep]
+    steps = rng.integers(1, max_dist + 1, size=_TREE_BLOCK)[:keep]
+    label_type = np.min_scalar_type(2 * b - 1)
+    path = np.zeros((keep, base + 1), dtype=label_type)
+    path[:, :base] = start
+    depth = d0.copy()
+    rows = np.arange(keep)
+    n_steps = int(steps.max())
+    for t0 in range(0, n_steps, _TREE_CHUNK):
+        # one draw per step: below b asks for the parent, and mod b is the label
+        u = rng.integers(0, 2 * b, size=(_TREE_BLOCK, _TREE_CHUNK), dtype=label_type)[:keep]
+        sign = np.where(u < b, -1, 1)
+        sign[np.arange(t0, t0 + _TREE_CHUNK) >= steps[:, None]] = 0  # walk over
+        sign, label = sign.T.copy(), (u % b).T.copy()
+        need = min(int(depth.max()) + _TREE_CHUNK, cap) + 1
+        if need > path.shape[1]:
+            wider = np.zeros((keep, min(max(need, 2 * path.shape[1]), cap + 1)), label_type)
+            wider[:, :path.shape[1]] = path
+            path = wider
+        for t in range(min(_TREE_CHUNK, n_steps - t0)):
+            path[rows, depth] = label[t]
+            depth += sign[t]
+            np.abs(depth, out=depth)
+            np.minimum(depth, cap, out=depth)
+    out = []
+    for i in range(keep):
+        x = tuple(start[i, :d0[i]].tolist())
+        y = tuple(path[i, :depth[i]].tolist())
         if y == x:
-            y = x + (0,) if len(x) < tree.depth else x[:-1]
+            y = x + (0,) if len(x) < cap else x[:-1]
         out.append((x, y))
     return out
 
@@ -564,14 +626,10 @@ class GluedGroupEmbedding:
             acc += col
         return acc
 
-    def _steps_below(self, radii: list[float], d):
-        """How many of ``radii`` lie strictly below each separation in d."""
-        return np.searchsorted(np.sort(radii), d, side="left")
-
     def disjoint_step_count(self, d):
         """Blocks whose supports must be disjoint at distance d (2 rad(n) < d);
         d may be an array of separations."""
-        return self._steps_below([2.0 * self.sys.rad(n) for n in self.n_range], d)
+        return _count_below([2.0 * self.sys.rad(n) for n in self.n_range], d)
 
     def certified_lower_pth(self, d):
         # each disjoint block carries two unit masses: exactly 2 per block
@@ -579,7 +637,7 @@ class GluedGroupEmbedding:
 
     def coarse_step_count(self, d):
         """Blocks with r(n) < d; d may be an array of separations."""
-        return self._steps_below([self.sys.r(n) for n in self.n_range], d)
+        return _count_below([self.sys.r(n) for n in self.n_range], d)
 
     def tail_constant(self) -> float:
         """Sum over the blocks of min(2 eps'_n, 2).
@@ -613,6 +671,11 @@ class GluedGroupEmbedding:
             "worst_lower_margin": float(np.fmin.reduce(val - lb, initial=math.inf)),
             "upper_scale": upper_scale,
         }
+
+
+def _count_below(radii: list[float], d):
+    """How many of ``radii`` lie strictly below each separation in d."""
+    return np.searchsorted(np.sort(radii), d, side="left")
 
 
 def glued_group_embedding(sys, model, p) -> GluedGroupEmbedding:

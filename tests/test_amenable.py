@@ -2,6 +2,10 @@
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +306,51 @@ class TestSamplers:
             tree.check_node(x)
             tree.check_node(y)
             assert 1 <= tree.metric(x, y) <= 10
+
+    @pytest.mark.parametrize("tree,n_pairs,max_dist", [
+        (TreeModel(), 600, 1000),  # two blocks
+        (TreeModel(branching=3, depth=7), 300, 40),  # walks held at the truncation
+        (TreeModel(branching=1, depth=3), 50, 5),
+        (TreeModel(), 200, 1),
+    ])
+    def test_tree_pairs_stay_in_the_tree_and_the_range(self, tree, n_pairs, max_dist):
+        pairs = sample_tree_pairs(tree, n_pairs, max_dist, seed=11)
+        assert len(pairs) == n_pairs
+        for x, y in pairs:
+            tree.check_node(x)
+            tree.check_node(y)
+            assert 1 <= tree.metric(x, y) <= max_dist
+
+    @pytest.mark.parametrize("m,n", [(8, 100), (500, 530), (512, 1100)])
+    def test_tree_pairs_prefix(self, m, n):
+        # the bench's tree check re-draws 8 pairs and needs them to be the
+        # first 8 of the run's 100, inside the run's envelopes
+        tree = TreeModel()
+        assert sample_tree_pairs(tree, m, 1000, seed=6) == \
+            sample_tree_pairs(tree, n, 1000, seed=6)[:m]
+
+    def test_tree_walks_draw_their_steps_in_chunks(self):
+        # Drawing the 10^5 steps of a block at once would take at least
+        # 512 * 10^5 bytes; even 4 walks' steps at once as int64 would take
+        # 4 * 10^5 * 8 = 3.2 MB.  A fresh process, its random module loaded
+        # by one small draw, measures the growth of its peak resident set
+        # across the call.
+        code = (
+            "import resource\n"
+            "import numpy as np\n"
+            "from embedlab.amenable import TreeModel, sample_tree_pairs\n"
+            "tree = TreeModel()\n"
+            "np.random.Generator(np.random.Philox(1)).integers(0, 4, 64, dtype=np.uint8)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "pairs = sample_tree_pairs(tree, 4, 10 ** 5, 1)\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "assert all(1 <= tree.metric(x, y) <= 10 ** 5 for x, y in pairs)\n"
+            "print(after - before)\n")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(amenable.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert int(out) * 1024 < 4 * 10 ** 5 * 8  # ru_maxrss is in KiB
 
 
 class TestCharBoundCheck:
