@@ -31,8 +31,8 @@ from embedlab.amenable import (
     sample_tree_pairs,
     sample_zk_pairs,
 )
-from oracles import (bounds_check_per_pair, folner_defect, folner_set, heis_ball, set_at,
-                     zk_ball, zk_support_reach)
+from oracles import (MAX_SET_SIZE, bounds_check_per_pair, folner_defect, folner_set,
+                     heis_ball, set_at, zk_ball, zk_support_reach)
 
 
 class TestZkModel:
@@ -635,7 +635,7 @@ class TestArrayAuditsMatchOracles:
         emb, pairs = _audit_case(group)
         for x, _ in pairs[:8]:
             for n in range(2, 6):
-                if emb.sys.size(n) <= 1 << 20:
+                if emb.sys.size(n) <= MAX_SET_SIZE:
                     assert amenable._support_reach(emb.sys, emb.model, x, n) == \
                         zk_support_reach(emb.sys, x, n)
 
