@@ -513,9 +513,10 @@ def _tree_walks(tree: TreeModel, keep: int, max_dist: int,
     labels are the node.  A step writes its label at the slot above the
     top, which only a move to a child keeps, then moves the depth by the
     step's sign: |depth + sign| reflects at the root and the minimum with
-    the truncation depth holds the walk there.  Signs and labels are
-    drawn in chunks of _TREE_CHUNK steps and ``path`` widens as the walks
-    climb, so memory does not grow with keep * max_dist.
+    the truncation depth holds the walk there.  ``path`` is allocated
+    once, as wide as the deepest node a walk can reach, and signs and
+    labels are drawn in chunks of _TREE_CHUNK steps, so the draws do not
+    grow with keep * max_dist.
     """
     b, cap = tree.branching, tree.depth
     base = min(_TREE_BASE_DEPTH, cap)
@@ -523,22 +524,17 @@ def _tree_walks(tree: TreeModel, keep: int, max_dist: int,
     start = rng.integers(0, b, size=(_TREE_BLOCK, base))[:keep]
     steps = rng.integers(1, max_dist + 1, size=_TREE_BLOCK)[:keep]
     label_type = np.min_scalar_type(2 * b - 1)
-    path = np.zeros((keep, base + 1), dtype=label_type)
+    n_steps = int(steps.max())
+    path = np.zeros((keep, min(base + n_steps, cap) + 1), dtype=label_type)
     path[:, :base] = start
     depth = d0.copy()
     rows = np.arange(keep)
-    n_steps = int(steps.max())
     for t0 in range(0, n_steps, _TREE_CHUNK):
         # one draw per step: below b asks for the parent, and mod b is the label
         u = rng.integers(0, 2 * b, size=(_TREE_BLOCK, _TREE_CHUNK), dtype=label_type)[:keep]
         sign = np.where(u < b, -1, 1)
         sign[np.arange(t0, t0 + _TREE_CHUNK) >= steps[:, None]] = 0  # walk over
         sign, label = sign.T.copy(), (u % b).T.copy()
-        need = min(int(depth.max()) + _TREE_CHUNK, cap) + 1
-        if need > path.shape[1]:
-            wider = np.zeros((keep, min(max(need, 2 * path.shape[1]), cap + 1)), label_type)
-            wider[:, :path.shape[1]] = path
-            path = wider
         for t in range(min(_TREE_CHUNK, n_steps - t0)):
             path[rows, depth] = label[t]
             depth += sign[t]
@@ -554,23 +550,22 @@ def _tree_walks(tree: TreeModel, keep: int, max_dist: int,
     return out
 
 
-def char_embedding_bound_check(sys, model, pairs, p, *, d=None,
+def char_embedding_bound_check(sys, model, pairs, p, *, d,
                                bound_scale: float = 1.0) -> CharBoundReport:
     """Verify ||phi_n(x) - phi_n(y)||_p^p <= 2 eps'_n on certified pairs.
 
     Each sampled pair is checked at every schedule index n with
-    d(x, y) <= r_n; ``d`` holds the pair separations when the caller has
-    them already.  ``bound_scale`` shrinks the bound for negative
-    controls.  The supports of the first eight base points are audited
-    against rad(n) at the first four indices.
+    d(x, y) <= r_n, where ``d`` holds the pair separations d(x, y) in
+    the order of ``pairs``.  ``bound_scale`` shrinks the bound for
+    negative controls.  The supports of the first eight base points are
+    audited against rad(n) at the first four indices.
     """
     regime = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
     if regime.p < 1:
         raise ValueError("characteristic-function blocks need p >= 1")
     checks = violations = support_bad = 0
     worst = math.inf
-    if d is None:
-        d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
+    d = np.asarray(d, dtype=float)
     vals = block_distances_pth(sys, pairs)
     for j, n in enumerate(range(sys.n_min, sys.n_max + 1)):
         val = vals[d <= sys.r(n), j]

@@ -277,6 +277,7 @@ def _suite_folner(args: argparse.Namespace) -> dict:
     # sampler stays within twice the largest certified radius.
     max_dist = int(args.max_dist) if args.max_dist is not None else 2 * args.n_max
     pairs = amenable.sample_zk_pairs(model, args.pairs, max_dist, args.seed)
+    d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
     defects = amenable.zk_worst_defects(system)
     scale = 0.5 if args.negative_control else 1.0
     defect_viol = sum(1 for n, dmax in defects.items()
@@ -300,7 +301,7 @@ def _suite_folner(args: argparse.Namespace) -> dict:
             ad = tsys.a_defects([((), (0,) * n)])[0, n - 2]
             if ad > tsys.a_eps(n) * 0.5 * (1 + 1e-12):
                 a_defect_viol += 1
-    char = amenable.char_embedding_bound_check(system, model, pairs, args.p)
+    char = amenable.char_embedding_bound_check(system, model, pairs, args.p, d=d)
     return {"suite": "folner", "group": "z2", "n_max": args.n_max,
             "defect_scale": scale, "defect_violations": defect_viol,
             "a_defect_violations": a_defect_viol,
@@ -431,7 +432,8 @@ def cmd_folner(args: argparse.Namespace) -> int:
         doc["report_kind"] = "folner_run"
         for key in ("domain", "target", "regime"):
             doc.pop(key)
-        # volume growth over the run's radii n_min..n_max; one radius has no slope
+        # volume growth over the radii r = n_min..n_max, the run's index
+        # range (not the witness radii above); one radius has no slope
         growth = (amenable.heisenberg_growth_fit(args.n_max, args.n_min)
                   if args.n_min < args.n_max else None)
         doc.update({"growth_fit": growth,

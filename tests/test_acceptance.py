@@ -179,7 +179,8 @@ def test_c08_group_presets_certified_end_to_end():
 
     # block-distance bound on sampled pairs
     pairs = sample_zk_pairs(model, 2000, 40, seed=3)
-    char = char_embedding_bound_check(system, model, pairs, 1.0)
+    d = [model.metric(x, y) for x, y in pairs]
+    char = char_embedding_bound_check(system, model, pairs, 1.0, d=d)
     assert char.n_checks > 0
     assert char.violations == 0
     assert char.support_violations == 0
@@ -254,9 +255,11 @@ def test_c10_negative_controls_trip_every_checker():
     # and correctly reports zero.  Non-vacuity of this checker is shown
     # at quarter scale, where full-length translates do cross the line.
     pairs = sample_zk_pairs(model, 500, 40, seed=3)
-    half = char_embedding_bound_check(system, model, pairs, 1.0, bound_scale=0.5)
+    d = [model.metric(x, y) for x, y in pairs]
+    half = char_embedding_bound_check(system, model, pairs, 1.0, d=d, bound_scale=0.5)
     assert half.violations == 0
     witnesses = [((0, 0), (n, 0)) for n in range(3, 21)]
     quarter = char_embedding_bound_check(system, model, witnesses, 1.0,
+                                         d=[model.metric(x, y) for x, y in witnesses],
                                          bound_scale=0.25)
     assert quarter.violations >= 18

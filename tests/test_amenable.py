@@ -357,7 +357,8 @@ class TestCharBoundCheck:
     def test_clean_run_on_z2(self):
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         pairs = sample_zk_pairs(ZkModel(2), 40, 16, seed=1)
-        rep = char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0)
+        d = [ZkModel(2).metric(x, y) for x, y in pairs]
+        rep = char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0, d=d)
         assert rep.n_checks > 0
         assert rep.violations == 0
         assert rep.support_violations == 0
@@ -368,14 +369,16 @@ class TestCharBoundCheck:
         tree = TreeModel()
         col = TreeACollection(tree, n_min=2, n_max=10)
         pairs = sample_tree_pairs(tree, 40, 8, seed=3)
-        rep = char_embedding_bound_check(col, tree, pairs, 2.0)
+        d = [tree.metric(x, y) for x, y in pairs]
+        rep = char_embedding_bound_check(col, tree, pairs, 2.0, d=d)
         assert rep.n_checks > 0
         assert rep.violations == 0
 
     def test_shrunken_bound_is_detected(self):
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         pairs = sample_zk_pairs(ZkModel(2), 40, 16, seed=1)
-        rep = char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0,
+        d = [ZkModel(2).metric(x, y) for x, y in pairs]
+        rep = char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0, d=d,
                                          bound_scale=0.01)
         assert rep.violations > 0
         assert rep.worst_margin < 0
@@ -383,7 +386,7 @@ class TestCharBoundCheck:
     def test_p_validation(self):
         sys = ZkFolnerSystem(ZkModel(1))
         with pytest.raises(ValueError):
-            char_embedding_bound_check(sys, ZkModel(1), [], 0.5)
+            char_embedding_bound_check(sys, ZkModel(1), [], 0.5, d=[])
 
 
 class TestGluedGroupEmbedding:
@@ -650,9 +653,11 @@ class TestSupportAudit:
 
         model = ZkModel(3)
         pairs = sample_zk_pairs(model, 10, 8, seed=2)
-        clean = char_embedding_bound_check(ZkFolnerSystem(model, n_max=6), model, pairs, 1.0)
+        d = [model.metric(x, y) for x, y in pairs]
+        clean = char_embedding_bound_check(ZkFolnerSystem(model, n_max=6), model, pairs, 1.0,
+                                           d=d)
         assert clean.support_violations == 0
-        rep = char_embedding_bound_check(Shrunk(model, n_max=6), model, pairs, 1.0)
+        rep = char_embedding_bound_check(Shrunk(model, n_max=6), model, pairs, 1.0, d=d)
         # every audited (point, n): n = 2..5, boxes of up to 131^3 points
         # measured at their corners
         assert rep.support_violations == 8 * 4
@@ -665,7 +670,9 @@ class TestSupportAudit:
 
         tree = TreeModel()
         pairs = sample_tree_pairs(tree, 10, 8, seed=2)
-        clean = char_embedding_bound_check(TreeACollection(tree, n_max=6), tree, pairs, 1.0)
+        d = [tree.metric(x, y) for x, y in pairs]
+        clean = char_embedding_bound_check(TreeACollection(tree, n_max=6), tree, pairs, 1.0,
+                                           d=d)
         assert clean.support_violations == 0
-        rep = char_embedding_bound_check(Shrunk(tree, n_max=6), tree, pairs, 1.0)
+        rep = char_embedding_bound_check(Shrunk(tree, n_max=6), tree, pairs, 1.0, d=d)
         assert rep.support_violations == 8 * 4  # n = 2..5 for each audited point

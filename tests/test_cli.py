@@ -279,7 +279,8 @@ class TestFolnerCommand:
         doc = json.loads(out_json.read_text())
         assert doc["report_kind"] == "folner_run"
         assert "domain" not in doc
-        # the volume growth is fitted over the run's radii 2..5, not 2..20
+        # the volume growth is fitted over the radii r = 2..5, the run's
+        # index range, not 2..20 and not the witness radii rad_n
         assert doc["growth_fit"] == amenable.heisenberg_growth_fit(5, 2)
         assert doc["growth_fit"] != amenable.heisenberg_growth_fit()
         # the gauge-ball witness has radius floor(1 / eps_n): 7 at n = 4
@@ -311,6 +312,9 @@ class TestFolnerCommand:
             return json.loads(out_json.read_text())["growth_fit"]
 
         assert growth() == amenable.heisenberg_growth_fit(20, 2)
+        # the radii are the indices themselves, not the witness radii
+        # floor(1 / eps_n) of the rows (7..179 at n = 4..20)
+        assert growth("--n-min", "4", "--n-max", "7") == amenable.heisenberg_growth_fit(7, 4)
         assert 3.5 <= growth("--n-min", "10", "--n-max", "20") <= 4.5
         assert growth("--n-min", "6", "--n-max", "6") is None  # one point, no slope
 
@@ -365,13 +369,15 @@ class TestFolnerCommand:
             assert doc[name] == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-9)
 
     def test_few_populated_rows_leave_the_slopes_null(self, tmp_path):
-        # n = 2..5 gives four rows, so fewer than five are populated
-        # whatever pairs the sampler draws
+        # n = 2..6 gives five rows and two pairs populate at most two of
+        # them, whatever the sampler draws, so empty rows are left out
         out_csv, out_json = tmp_path / "t.csv", tmp_path / "t.json"
-        code = run(["folner", "--group", "tree", "--n-max", "5", "--max-dist", "50",
-                    "--pairs", "40", "--out", str(out_csv), "--json-out", str(out_json)])
+        code = run(["folner", "--group", "tree", "--n-max", "6", "--max-dist", "50",
+                    "--pairs", "2", "--out", str(out_csv), "--json-out", str(out_json)])
         assert code == cli.EXIT_OK
-        assert sum(int(r["count"]) > 0 for r in _csv_rows(out_csv)) < 5
+        rows = _csv_rows(out_csv)
+        assert len(rows) == 5
+        assert sum(int(r["count"]) > 0 for r in rows) < 5
         doc = json.loads(out_json.read_text())
         assert doc["rho_slope"] is None and doc["omega_slope"] is None
 
