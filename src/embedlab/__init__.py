@@ -6,7 +6,19 @@ finite-geometry obstructions that cap what any embedding can achieve.
 Every construction ships with certified two-sided bounds and a
 deterministic audit path; the compression/expansion envelope estimators
 in :mod:`embedlab.moduli` measure what a given map actually attains.
+
+Imported before numpy, the package caps OpenBLAS at one thread unless
+``OPENBLAS_NUM_THREADS`` is already set: the block kernel keeps its
+products on the calling thread anyway, and an idle pool costs CPU in
+every process.  Once numpy is loaded its pool is fixed, so the variable
+is then left alone rather than made to disagree with it.
 """
+
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .amenable import (HeisenbergModel, TreeACollection, TreeModel,
                        ZkFolnerSystem, ZkModel, char_embedding_bound_check,

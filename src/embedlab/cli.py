@@ -226,10 +226,16 @@ def _suite_kernel(args: argparse.Namespace) -> dict:
     for M in (X, Y):
         M *= (1.2 * rng.random((args.samples, 1))
               / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-12))
-    cx, res_x = exp_coordinates_batch(X, backend)
-    cy, res_y = exp_coordinates_batch(Y, backend)
-    max_residual = float(max(res_x.max(), res_y.max()))
-    measured = np.linalg.norm(cx - cy, axis=1)
+    # Coordinates are per row, so ROW_QUANTUM slices give the same bytes
+    # with (rows x coordinates) temporaries of one slice only.
+    tiles = [slice(i, i + ROW_QUANTUM) for i in range(0, args.samples, ROW_QUANTUM)]
+    residuals = np.empty((2, args.samples))
+    measured = np.empty(args.samples)
+    for sl in tiles:
+        cx, residuals[0, sl] = exp_coordinates_batch(X[sl], backend)
+        cy, residuals[1, sl] = exp_coordinates_batch(Y[sl], backend)
+        measured[sl] = np.linalg.norm(cx - cy, axis=1)
+    max_residual = float(residuals.max())
     exact = psi_distance_exact(np.linalg.norm(X - Y, axis=1), args.r)
     exp_err = float(np.max(np.abs(measured - exact)))
     exp_viol = int(max_residual >= 1e-14) + int(np.sum(np.abs(measured - exact) > 1e-10))
@@ -239,9 +245,11 @@ def _suite_kernel(args: argparse.Namespace) -> dict:
     rng = _batch_rng(args.seed, 102)
     P = rng.standard_normal((args.samples, rdim))
     Q = rng.standard_normal((args.samples, rdim)) * rng.uniform(0.0, 3.0, (args.samples, 1))
-    zp = rff_coordinates_batch(P, feats)
-    zq = rff_coordinates_batch(Q, feats)
-    kernel_est = np.sum(zp * zq, axis=1)
+    kernel_est = np.empty(args.samples)
+    for sl in tiles:
+        zp = rff_coordinates_batch(P[sl], feats)
+        zq = rff_coordinates_batch(Q[sl], feats)
+        kernel_est[sl] = np.sum(zp * zq, axis=1)
     kernel_true = np.exp(-args.r * np.sum((P - Q) ** 2, axis=1))
     rff_err = float(np.max(np.abs(kernel_est - kernel_true)))
     rff_viol = int(np.sum(np.abs(kernel_est - kernel_true) > 0.08))

@@ -138,9 +138,14 @@ class PowerLogSeq:
 # Fixed row-chunk size of the coordinate path.  Glued distances are
 # evaluated over row slices of this size, and the CLI cuts its thread
 # work at the same size, so neither the thread count nor the caller
-# changes the slices the arithmetic sees; per-block temporaries stay at
-# ROW_QUANTUM rows.
-ROW_QUANTUM = 2048
+# changes the slices the arithmetic sees.  The size is a cache tile:
+# block_mass streams about fifteen elementwise passes per block through
+# three (rows x features) scratch arrays, which at 512 float32 features
+# take 3 x 512 KiB here and fit one core's L2 (2048-row tiles need
+# 3 x 4 MiB and run from L3).  256 is a multiple of the feature
+# product's 32-row slab at 512 features x 16 dims, so every row's
+# product, and with it every artifact byte, is what larger tiles give.
+ROW_QUANTUM = 256
 
 # Terms summed exactly before the certified tail takes over in the full
 # budget mass (:meth:`ParamSchedule.eps_mass_total`).

@@ -330,10 +330,13 @@ def fast_rff_engine(e: GluedEmbedding) -> Callable:
     thread, so an engine call uses one CPU.  On a 2-CPU x86-64 host with
     OpenBLAS 0.3.31, two moduli runs of 8192 pairs over 100 and 60 blocks
     of 512 features, plus their report (the ``moduli-rff`` benchmark
-    pass), took a median 9.3 s of CPU in 9.5 s of wall time over 10 runs.
-    Splitting each 2048-row product across both CPUs instead nearly
-    doubled the CPU time and did not shorten the wall time, a BLAS worker
-    spinning between products.
+    pass), took a median 3.7 s of CPU in 3.7 s of wall time over 10 runs
+    with 256-row tiles and one OpenBLAS thread per process, against 5.0 s
+    of CPU in 4.7 s with 2048-row tiles, whose scratch arrays spill out
+    of L2, and an idle OpenBLAS pool in each process.  Splitting each row
+    chunk's product across both CPUs instead nearly doubled the CPU time
+    and did not shorten the wall time, a BLAS worker spinning between
+    products.
     """
     if getattr(e.family, "backend", None) != "rff":
         raise ValueError("fast engine needs an rff-backed family")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import warnings
@@ -502,7 +503,7 @@ class TestScipySpecialIsDeferred:
         assert got["scipy_special"] is True
 
     def test_first_import_in_a_worker_thread_keeps_the_bytes(self, tmp_path):
-        # 2100 pairs are two ROW_QUANTUM chunks, so with two threads the
+        # 2100 pairs are nine ROW_QUANTUM chunks, so with two threads the
         # residual, and with it the first scipy.special import, runs in a
         # worker thread.
         def once(threads):
@@ -516,6 +517,41 @@ class TestScipySpecialIsDeferred:
         main2, *two = once(2)
         assert (main1, main2) == (True, False)
         assert one == two
+
+
+# Imports the modules named in argv[1] (comma-separated, in order) in a
+# fresh process and reports its OpenBLAS variable and its thread count.
+_FRESH_IMPORT = """
+import importlib, json, os, sys
+for name in sys.argv[1].split(","):
+    importlib.import_module(name)
+print(json.dumps({"env": os.environ.get("OPENBLAS_NUM_THREADS"),
+                  "threads": len(os.listdir("/proc/self/task"))}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                    reason="thread count read from /proc/self/task")
+class TestOneBlasThreadPerProcess:
+    """Imported before numpy, embedlab caps OpenBLAS at one thread unless
+    the variable is set; imported after numpy, it leaves the variable be."""
+
+    def _fresh(self, modules, **env):
+        child = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        child.update(env)
+        out = subprocess.run([sys.executable, "-c", _FRESH_IMPORT, modules],
+                             capture_output=True, text=True, check=True, env=child)
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def test_cli_import_leaves_one_thread(self):
+        assert self._fresh("embedlab.cli") == {"env": "1", "threads": 1}
+
+    def test_preset_value_is_kept(self):
+        assert self._fresh("embedlab.cli", OPENBLAS_NUM_THREADS="2")["env"] == "2"
+
+    def test_numpy_loaded_first_leaves_the_variable_unset(self):
+        assert self._fresh("numpy,embedlab")["env"] is None
 
 
 class TestReportCommand:

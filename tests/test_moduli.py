@@ -260,6 +260,48 @@ class TestEngines:
         fast_rff_engine(e)(X, X + 1.0, None)
         assert _rff_table.cache_info().misses - before == 600
 
+    @pytest.mark.parametrize("q, preset, beta", [(4.0, "strong_qge2", 1.05),
+                                                 (1.5, "strong_1leqle2", 1.1)])
+    def test_row_tile_size_never_changes_results(self, monkeypatch, q, preset, beta):
+        # 2049 rows leave a one-row tail at every tile size; 2048, 256 and
+        # 32 are all multiples of the 32-row product slab at 512 x 16.
+        fam = GaussianBlockFamily(preset_schedule(preset, q=q, beta=beta), backend="rff",
+                                  base_seed=31, n_features=512, ambient_dim=16)
+        e = glue(fam, n_terms=3)
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(2049, 16))
+        Y = X + rng.normal(size=X.shape) * rng.uniform(0.0, 3.0, (2049, 1))
+        runs = []
+        for rows in (2048, 256, 32):
+            monkeypatch.setattr("embedlab.glue.ROW_QUANTUM", rows)
+            runs.append((fast_rff_engine(e)(X, Y, None), coordinate_engine(e)(X, Y, None)))
+        for fast, coord in runs[1:]:
+            assert np.array_equal(fast, runs[0][0])
+            assert np.array_equal(coord, runs[0][1])
+
+    def test_row_tile_scratch_stays_cache_sized(self):
+        # Traced peak of a 8192-row, 512-feature pass: 2.6 MiB with
+        # 256-row tiles (passes), 4.1 MiB with 512-row tiles and 13.1 MiB
+        # with 2048-row tiles (both fail).  The three per-block scratch
+        # arrays grow with the tile, the float32 point copies do not.
+        import tracemalloc
+
+        fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.05),
+                                  backend="rff", base_seed=9, n_features=512,
+                                  ambient_dim=16)
+        engine = fast_rff_engine(glue(fam, n_terms=3))
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(8192, 16))
+        Y = X + rng.normal(size=X.shape)
+        engine(X[:2], Y[:2], None)  # feature tables drawn outside the trace
+        tracemalloc.start()
+        try:
+            engine(X, Y, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
+
     def test_wrong_dimension_rejected_by_both_engines(self):
         fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1),
                                   backend="rff", n_features=16, ambient_dim=16)
