@@ -396,10 +396,10 @@ class TreeACollection:
         return np.stack([self._sym_diff(geometry, self.size(n))
                          for n in range(self.n_min, self.n_max + 1)], axis=1)
 
-    def a_defects(self, pairs) -> np.ndarray:
-        """|A Delta B| / |A cap B| (+inf if disjoint) per pair and index;
-        both segments have s vertices, so |A cap B| = s - |A Delta B| / 2."""
-        counts = self.sym_diff_counts(pairs)
+    def a_defects(self, counts: np.ndarray) -> np.ndarray:
+        """|A Delta B| / |A cap B| (+inf if disjoint) per pair and index,
+        from the pairs' :meth:`sym_diff_counts`; both segments have s
+        vertices, so |A cap B| = s - |A Delta B| / 2."""
         inter = np.array([self.size(n) for n in range(self.n_min, self.n_max + 1)]) - counts // 2
         return np.divide(counts, inter, out=np.full(counts.shape, math.inf), where=inter > 0)
 
@@ -408,9 +408,9 @@ class TreeACollection:
         return self.sym_diff_count(x, y, n) / self.size(n)
 
 
-def block_distances_pth(sys, pairs) -> np.ndarray:
-    """block_distance_pth per pair (rows) and index n_min..n_max (columns)."""
-    counts = sys.sym_diff_counts(pairs)
+def block_distances_pth(sys, counts: np.ndarray) -> np.ndarray:
+    """block_distance_pth per pair (rows) and index n_min..n_max (columns),
+    from the pairs' ``sys.sym_diff_counts``."""
     sizes = [sys.size(n) for n in range(sys.n_min, sys.n_max + 1)]
     return np.asarray(counts / np.array(sizes, dtype=counts.dtype), dtype=float)
 
@@ -550,13 +550,14 @@ def _tree_walks(tree: TreeModel, keep: int, max_dist: int,
     return out
 
 
-def char_embedding_bound_check(sys, model, pairs, p, *, d,
+def char_embedding_bound_check(sys, model, pairs, p, *, d, counts,
                                bound_scale: float = 1.0) -> CharBoundReport:
     """Verify ||phi_n(x) - phi_n(y)||_p^p <= 2 eps'_n on certified pairs.
 
     Each sampled pair is checked at every schedule index n with
-    d(x, y) <= r_n, where ``d`` holds the pair separations d(x, y) in
-    the order of ``pairs``.  ``bound_scale`` shrinks the bound for
+    d(x, y) <= r_n, where ``d`` holds the pair separations d(x, y) and
+    ``counts`` their ``sys.sym_diff_counts``, both in the order of
+    ``pairs``.  ``bound_scale`` shrinks the bound for
     negative controls.  The supports of the first eight base points are
     audited against rad(n) at the first four indices.
     """
@@ -566,7 +567,7 @@ def char_embedding_bound_check(sys, model, pairs, p, *, d,
     checks = violations = support_bad = 0
     worst = math.inf
     d = np.asarray(d, dtype=float)
-    vals = block_distances_pth(sys, pairs)
+    vals = block_distances_pth(sys, counts)
     for j, n in enumerate(range(sys.n_min, sys.n_max + 1)):
         val = vals[d <= sys.r(n), j]
         if not val.size:
@@ -613,11 +614,12 @@ class GluedGroupEmbedding:
     def n_range(self) -> range:
         return range(self.sys.n_min, self.sys.n_max + 1)
 
-    def image_distances_pth(self, pairs) -> np.ndarray:
-        """||Phi(x) - Phi(y)||_p^p per pair: block distances summed in
-        index order, so each entry rounds like the scalar sum over n."""
-        acc = np.zeros(len(pairs))
-        for col in block_distances_pth(self.sys, pairs).T:
+    def image_distances_pth(self, counts: np.ndarray) -> np.ndarray:
+        """||Phi(x) - Phi(y)||_p^p per pair from the pairs'
+        ``sys.sym_diff_counts``: block distances summed in index order, so
+        each entry rounds like the scalar sum over n."""
+        acc = np.zeros(len(counts))
+        for col in block_distances_pth(self.sys, counts).T:
             acc += col
         return acc
 

@@ -183,37 +183,20 @@ def cmd_moduli(args: argparse.Namespace) -> int:
 # verify suites
 
 
+# Byte budget of one row tile of the Mazur audit: what block_mass's three
+# float32 scratch arrays take at a ROW_QUANTUM tile of 512 features
+# (3 x 512 KiB, sized for one core's L2).
+_MAZUR_TILE_BYTES = 3 * ROW_QUANTUM * 512 * 4
+
+
 def _suite_mazur(args: argparse.Namespace) -> dict:
     grid = [float(v) for v in args.grid.split(",")]
     upper_scale = 0.5 if args.negative_control else 1.0
-    cells = []
-    total = 0
-    worst = math.inf
-    sphere_dev = invol_dev = 0.0
-    for p in grid:
-        x, y = mazur.sample_sphere_pairs(p, args.samples, args.dim, args.seed)
-        for q in grid:
-            mx = mazur.mazur_map(x, p, q)
-            s_dev = float(np.max(np.abs(np.sum(np.abs(mx) ** q, axis=1) ** (1.0 / q) - 1.0)))
-            i_dev = float(np.max(np.abs(mazur.mazur_map(mx, q, p) - x)))
-            sphere_dev = max(sphere_dev, s_dev)
-            invol_dev = max(invol_dev, i_dev)
-            cell = {"p": p, "q": q, "sphere_deviation": s_dev,
-                    "involution_deviation": i_dev}
-            bad = int(s_dev > 1e-12) + int(i_dev > 1e-12)
-            if p != q:  # the two-sided distance bounds need distinct exponents
-                rep = mazur.audit_sphere_pairs(x, y, mazur.mazur_constants(p, q),
-                                               upper_scale=upper_scale)
-                worst = min(worst, rep["worst_margin"])
-                cell["worst_margin"] = rep["worst_margin"]
-                bad += rep["violations"]
-            cell["violations"] = bad
-            total += bad
-            cells.append(cell)
+    x2, y2 = mazur.sample_sphere_pairs(args.samples, args.dim, args.seed)
+    rep = mazur.audit_sphere_pairs(x2, y2, grid, tile_bytes=_MAZUR_TILE_BYTES,
+                                   upper_scale=upper_scale)
     return {"suite": "mazur", "grid": grid, "samples": args.samples,
-            "upper_scale": upper_scale, "violations": total,
-            "worst_margin": worst, "max_sphere_deviation": sphere_dev,
-            "max_involution_deviation": invol_dev, "cells": cells}
+            "upper_scale": upper_scale, **rep}
 
 
 def _suite_kernel(args: argparse.Namespace) -> dict:
@@ -306,10 +289,11 @@ def _suite_folner(args: argparse.Namespace) -> dict:
         for n in range(2, args.n_max + 1):
             if not math.isfinite(tsys.a_eps(n)):
                 continue
-            ad = tsys.a_defects([((), (0,) * n)])[0, n - 2]
+            ad = tsys.a_defects(tsys.sym_diff_counts([((), (0,) * n)]))[0, n - 2]
             if ad > tsys.a_eps(n) * 0.5 * (1 + 1e-12):
                 a_defect_viol += 1
-    char = amenable.char_embedding_bound_check(system, model, pairs, args.p, d=d)
+    char = amenable.char_embedding_bound_check(system, model, pairs, args.p, d=d,
+                                              counts=system.sym_diff_counts(pairs))
     return {"suite": "folner", "group": "z2", "n_max": args.n_max,
             "defect_scale": scale, "defect_violations": defect_viol,
             "a_defect_violations": a_defect_viol,
@@ -413,10 +397,10 @@ _FOLNER_HEADER = ("bin_edge_t,rho_hat,omega_hat,count,certified_lower,"
                   "certified_upper,n,eps_n,rad_n,measured_defect_max")
 
 
-def _tree_defects(system, pairs, d) -> dict[int, float]:
+def _tree_defects(system, counts, d) -> dict[int, float]:
     """Worst |A Delta B| / |A cap B| per index over the pairs within r_n;
-    ``d`` holds the pair separations."""
-    ad = system.a_defects(pairs)
+    ``counts`` holds the pairs' sym_diff_counts and ``d`` their separations."""
+    ad = system.a_defects(counts)
     return {n: float(ad[d <= system.r(n), j].max(initial=0.0))
             for j, n in enumerate(range(system.n_min, system.n_max + 1))}
 
@@ -465,15 +449,17 @@ def cmd_folner(args: argparse.Namespace) -> int:
         else:
             pairs = amenable.sample_zk_pairs(model, args.pairs, args.max_dist, args.seed)
         d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
+        counts = system.sym_diff_counts(pairs)  # shared by the three audits below
         if args.group == "tree":
-            defects, budget = _tree_defects(system, pairs, d), system.a_eps
+            defects, budget = _tree_defects(system, counts, d), system.a_eps
         else:
             defects, budget = amenable.zk_worst_defects(system), system.eps
         emb = amenable.glued_group_embedding(system, model, args.p)
         defect_viol = sum(1 for n, v in defects.items() if v > budget(n) * (1 + 1e-12))
         char = amenable.char_embedding_bound_check(system, model, pairs, args.p, d=d,
+                                                  counts=counts,
                                                   bound_scale=args.bound_scale)
-        image_pth = emb.image_distances_pth(pairs)
+        image_pth = emb.image_distances_pth(counts)
         bounds = emb.bounds_check(d, image_pth)
 
         def root(pth):  # Python's pow, which numpy's SIMD power can differ from

@@ -19,6 +19,12 @@ for 0 < q < p and x, y on the unit sphere of l_p,
 where S_p = sum |x_i - y_i|^p and S_q(Mx, My) = sum |Mx_i - My_i|^q.
 For p < q the inequalities reverse; the constants are derived from the
 (q, p) direction through the involution and flagged as such in reports.
+
+:func:`sample_sphere_pairs` draws pairs on the unit sphere of l_2 once;
+the (2, p) map carries them to every l_p sphere.
+:func:`audit_sphere_pairs` audits a whole grid of exponent pairs on them:
+the sphere and involution deviations of each map and both certified
+inequalities, one row tile at a time, each map computed once per cell.
 """
 
 from __future__ import annotations
@@ -155,63 +161,110 @@ def mazur_constants(p: float, q: float) -> MazurConstants:
     )
 
 
-def sample_sphere_pairs(p: float, samples: int, dim: int,
+def sample_sphere_pairs(samples: int, dim: int,
                         seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Random pairs on the unit sphere of l_p^dim, deterministic in seed.
+    """Random pairs on the unit sphere of l_2^dim, deterministic in seed.
 
-    Points are Gaussian vectors normalized in l_2 and transported to the
-    l_p sphere by the (2, p) Mazur map.  A quarter of the pairs are made
-    close (y = x + small perturbation, re-projected) so both ends of the
+    Points are Gaussian vectors normalized in l_2, in place; the (2, p)
+    Mazur map carries them to the unit sphere of l_p for any p, so one
+    draw serves every exponent.  A quarter of the pairs are made close
+    (y = x + small perturbation, re-projected) so both ends of the
     distance range get exercised.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     g = rng.standard_normal((2, samples, dim))
-    x2 = g[0] / np.linalg.norm(g[0], axis=1, keepdims=True)
-    y2 = g[1] / np.linalg.norm(g[1], axis=1, keepdims=True)
+    x2, y2 = g
+    for h in g:
+        h /= np.linalg.norm(h, axis=1, keepdims=True)
     n_near = samples // 4
     if n_near:
         scale = np.exp(rng.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
         yn = x2[:n_near] + scale * rng.standard_normal((n_near, dim))
         y2[:n_near] = yn / np.linalg.norm(yn, axis=1, keepdims=True)
-    return _signed_power(x2, 2.0 / p), _signed_power(y2, 2.0 / p)
+    return x2, y2
 
 
-def audit_sphere_pairs(x: np.ndarray, y: np.ndarray, consts: MazurConstants,
+def audit_sphere_pairs(x2: np.ndarray, y2: np.ndarray, grid, *, tile_bytes: int,
                        upper_scale: float = 1.0) -> dict:
-    """Audit the certified two-sided Mazur bounds on l_p unit-sphere pairs.
+    """Audit the Mazur maps on every (p, q) cell of an exponent grid.
 
-    ``x`` and ``y`` hold paired rows on the unit sphere of l_p, p =
-    ``consts.p`` (see :func:`sample_sphere_pairs`), so one draw can serve
-    several target exponents.  Both power-sum inequalities of ``consts``
-    are checked pair by pair.  Margins are relative slack; a negative
-    margin is a violation.  ``upper_scale`` rescales the upper constant:
-    tightening it below 1 is the negative control that proves the
-    detector is live.
+    ``x2`` and ``y2`` hold paired rows on the unit sphere of l_2 (see
+    :func:`sample_sphere_pairs`); the (2, p) map carries them to the l_p
+    sphere.  Each cell (p, q) measures how far the (p, q) map leaves the
+    l_q sphere (``sphere_deviation``) and how far the (q, p) map misses
+    the way back (``involution_deviation``), both max-norm.  For p != q
+    it also checks both certified power-sum inequalities of
+    :func:`mazur_constants` pair by pair: margins are relative slack, a
+    negative margin is a violation, and ``worst_margin`` is the least.
+    ``upper_scale`` rescales the upper constant: tightening it below 1
+    is the negative control that proves the detector is live.
+
+    Every quantity is per row and every reduction a max, a min or a
+    count, so the pairs run one row tile at a time and each cell's
+    figures are folded across the tiles; the result does not depend on
+    the tile.  A tile holds five arrays of its rows (x and y on the l_p
+    sphere, Mx, My or the map back, and one scratch array) in about
+    ``tile_bytes``, at least one row.  Per tile each p maps the pairs
+    once and sums S_p once for all q, and each cell takes five power
+    passes: Mx, |Mx|^q, the map back, My and |Mx - My|^q.
     """
-    p, q = consts.p, consts.q
-    s_p = np.sum(np.abs(x - y) ** p, axis=1)
-    mx = _signed_power(x.copy(), p / q)
-    my = _signed_power(y.copy(), p / q)
-    s_mq = np.sum(np.abs(mx - my) ** q, axis=1)
+    n = len(grid)
+    tile_rows = max(1, tile_bytes // (5 * x2.itemsize * max(x2.shape[1], 1)))
+    consts = {(p, q): mazur_constants(p, q) for p in grid for q in grid if p != q}
+    sphere = np.zeros((n, n))
+    invol = np.zeros((n, n))
+    worst = np.full((n, n), math.inf)
+    bad = np.zeros((n, n), dtype=np.int64)
+    for start in range(0, len(x2), tile_rows):
+        rows = slice(start, start + tile_rows)
+        scratch, mx, my = np.empty((3, *x2[rows].shape), dtype=x2.dtype)
+        for i, p in enumerate(grid):
+            x = mazur_map(x2[rows], 2.0, p)
+            y = mazur_map(y2[rows], 2.0, p)
+            s_p = np.sum(np.abs(x - y) ** p, axis=1)
+            nz = s_p > 0
+            for j, q in enumerate(grid):
+                np.copyto(scratch, x)
+                _signed_power(scratch, p / q, out=mx)
+                h = np.abs(mx, out=scratch)
+                h **= q
+                dev = np.abs(np.sum(h, axis=1) ** (1.0 / q) - 1.0)
+                sphere[i, j] = max(sphere[i, j], float(np.max(dev)))
+                np.copyto(scratch, mx)
+                back = _signed_power(scratch, q / p, out=my)
+                back -= x
+                dev = np.abs(back, out=back)
+                invol[i, j] = max(invol[i, j], float(np.max(dev)))
+                if p == q:  # the two-sided distance bounds need distinct exponents
+                    continue
+                mc = consts[p, q]
+                np.copyto(scratch, y)
+                _signed_power(scratch, p / q, out=my)
+                h = np.subtract(mx, my, out=scratch)
+                np.abs(h, out=h)
+                h **= q
+                s_mq = np.sum(h, axis=1)
+                lower_bound = mc.c_lower * s_p ** mc.lower_exponent
+                upper_bound = mc.c_upper * upper_scale * s_p ** mc.upper_exponent
+                scale = np.maximum(s_mq, 1e-300)
+                lower_margin = np.where(nz, (s_mq - lower_bound) / scale, 0.0)
+                upper_margin = np.where(nz, (upper_bound - s_mq) / scale, 0.0)
+                bad[i, j] += int(np.sum(lower_margin < 0) + np.sum(upper_margin < 0))
+                worst[i, j] = min(worst[i, j], lower_margin.min(), upper_margin.min())
+    cells = []
+    for i, p in enumerate(grid):
+        for j, q in enumerate(grid):
+            cell = {"p": p, "q": q, "sphere_deviation": float(sphere[i, j]),
+                    "involution_deviation": float(invol[i, j])}
+            if p != q:
+                cell["worst_margin"] = float(worst[i, j])
+            cell["violations"] = (int(bad[i, j]) + int(sphere[i, j] > 1e-12)
+                                  + int(invol[i, j] > 1e-12))
+            cells.append(cell)
+    margins = [c["worst_margin"] for c in cells if "worst_margin" in c]
+    return {"violations": sum(c["violations"] for c in cells),
+            "worst_margin": min(margins, default=math.inf),
+            "max_sphere_deviation": float(sphere.max(initial=0.0)),
+            "max_involution_deviation": float(invol.max(initial=0.0)),
+            "cells": cells}
 
-    c_up = consts.c_upper * upper_scale
-    lower_bound = consts.c_lower * s_p ** consts.lower_exponent
-    upper_bound = c_up * s_p ** consts.upper_exponent
-
-    nz = s_p > 0
-    scale = np.maximum(s_mq, 1e-300)
-    lower_margin = np.where(nz, (s_mq - lower_bound) / scale, 0.0)
-    upper_margin = np.where(nz, (upper_bound - s_mq) / scale, 0.0)
-    violations = int(np.sum(lower_margin < 0) + np.sum(upper_margin < 0))
-
-    return {
-        "violations": violations,
-        "worst_margin": float(min(lower_margin.min(), upper_margin.min())),
-        "constants_used": {
-            "c_lower": consts.c_lower,
-            "c_upper": c_up,
-            "lower_exponent": consts.lower_exponent,
-            "upper_exponent": consts.upper_exponent,
-            "derived_by_involution": consts.derived_by_involution,
-        },
-    }

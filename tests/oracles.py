@@ -2,7 +2,9 @@
 audits of ``embedlab.amenable`` are checked against: lattice and gauge
 balls, box Folner sets and their translates, the defect |F Delta gF| / |F|
 by explicit translation, the support reach of a materialized box, and the
-glued-bound audit pair by pair.
+glued-bound audit pair by pair.  The Mazur grid audit of
+``embedlab.mazur`` is checked against a loop over the cells on whole
+arrays, with a fresh draw per exponent p.
 
 Each enumerator refuses sets past ``MAX_SET_SIZE`` points.
 """
@@ -13,6 +15,7 @@ import math
 import numpy as np
 
 from embedlab.amenable import ZkFolnerSystem
+from embedlab.mazur import mazur_constants, mazur_map
 
 MAX_SET_SIZE = 1 << 20
 
@@ -93,3 +96,67 @@ def bounds_check_per_pair(emb, pairs, image_pth, upper_scale: float = 1.0) -> di
     return {"n_pairs": len(pairs), "upper_violations": upper_viol,
             "lower_violations": lower_viol, "worst_upper_margin": worst_upper,
             "worst_lower_margin": worst_lower, "upper_scale": upper_scale}
+
+
+def lp_sphere_pairs(p: float, samples: int, dim: int, seed: int):
+    """Pairs on the unit sphere of l_p^dim: Gaussian rows normalized in l_2,
+    a quarter of them made close, then the (2, p) Mazur map; the same
+    Philox stream for every p."""
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    g = rng.standard_normal((2, samples, dim))
+    x2 = g[0] / np.linalg.norm(g[0], axis=1, keepdims=True)
+    y2 = g[1] / np.linalg.norm(g[1], axis=1, keepdims=True)
+    n_near = samples // 4
+    if n_near:
+        scale = np.exp(rng.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
+        yn = x2[:n_near] + scale * rng.standard_normal((n_near, dim))
+        y2[:n_near] = yn / np.linalg.norm(yn, axis=1, keepdims=True)
+    return mazur_map(x2, 2.0, p), mazur_map(y2, 2.0, p)
+
+
+def mazur_cell_bounds(x, y, consts, upper_scale: float = 1.0) -> tuple[int, float]:
+    """Violations and worst relative margin of both certified power-sum
+    inequalities on whole arrays of l_p sphere pairs."""
+    p, q = consts.p, consts.q
+    s_p = np.sum(np.abs(x - y) ** p, axis=1)
+    s_mq = np.sum(np.abs(mazur_map(x, p, q) - mazur_map(y, p, q)) ** q, axis=1)
+    lower_bound = consts.c_lower * s_p ** consts.lower_exponent
+    upper_bound = consts.c_upper * upper_scale * s_p ** consts.upper_exponent
+    nz = s_p > 0
+    scale = np.maximum(s_mq, 1e-300)
+    lower_margin = np.where(nz, (s_mq - lower_bound) / scale, 0.0)
+    upper_margin = np.where(nz, (upper_bound - s_mq) / scale, 0.0)
+    violations = int(np.sum(lower_margin < 0) + np.sum(upper_margin < 0))
+    return violations, float(min(lower_margin.min(), upper_margin.min()))
+
+
+def mazur_grid_audit(grid, samples: int, dim: int, seed: int,
+                     upper_scale: float = 1.0) -> dict:
+    """``mazur.audit_sphere_pairs`` on fresh draws as a loop over p, then q,
+    on whole arrays: a draw per p, every map recomputed per cell."""
+    cells = []
+    total = 0
+    worst = math.inf
+    sphere_dev = invol_dev = 0.0
+    for p in grid:
+        x, y = lp_sphere_pairs(p, samples, dim, seed)
+        for q in grid:
+            mx = mazur_map(x, p, q)
+            s_dev = float(np.max(np.abs(np.sum(np.abs(mx) ** q, axis=1) ** (1.0 / q) - 1.0)))
+            i_dev = float(np.max(np.abs(mazur_map(mx, q, p) - x)))
+            sphere_dev = max(sphere_dev, s_dev)
+            invol_dev = max(invol_dev, i_dev)
+            cell = {"p": p, "q": q, "sphere_deviation": s_dev,
+                    "involution_deviation": i_dev}
+            bad = int(s_dev > 1e-12) + int(i_dev > 1e-12)
+            if p != q:
+                viol, margin = mazur_cell_bounds(x, y, mazur_constants(p, q), upper_scale)
+                worst = min(worst, margin)
+                cell["worst_margin"] = margin
+                bad += viol
+            cell["violations"] = bad
+            total += bad
+            cells.append(cell)
+    return {"violations": total, "worst_margin": worst,
+            "max_sphere_deviation": sphere_dev,
+            "max_involution_deviation": invol_dev, "cells": cells}

@@ -26,7 +26,7 @@ from embedlab.amenable import (
 )
 from embedlab.finite_geometry import HammingCube, enflo_type2_certificate, probe_audit
 from embedlab.glue import GaussianBlockFamily, glue, per_pair_bounds_check, preset_schedule
-from embedlab.mazur import audit_sphere_pairs, mazur_constants, sample_sphere_pairs
+from embedlab.mazur import audit_sphere_pairs, sample_sphere_pairs
 from embedlab.moduli import (
     PairSampler,
     distortion,
@@ -180,7 +180,8 @@ def test_c08_group_presets_certified_end_to_end():
     # block-distance bound on sampled pairs
     pairs = sample_zk_pairs(model, 2000, 40, seed=3)
     d = [model.metric(x, y) for x, y in pairs]
-    char = char_embedding_bound_check(system, model, pairs, 1.0, d=d)
+    char = char_embedding_bound_check(system, model, pairs, 1.0, d=d,
+                                      counts=system.sym_diff_counts(pairs))
     assert char.n_checks > 0
     assert char.violations == 0
     assert char.support_violations == 0
@@ -190,7 +191,8 @@ def test_c08_group_presets_certified_end_to_end():
     far = (20000, 0)
     assert model.metric((0, 0), far) > 2.0 * system.rad(20)
     assert emb.certified_lower_pth(20000.0) == 38.0
-    assert emb.image_distances_pth([((0, 0), far)])[0] == pytest.approx(38.0, abs=1e-12)
+    far_counts = system.sym_diff_counts([((0, 0), far)])
+    assert emb.image_distances_pth(far_counts)[0] == pytest.approx(38.0, abs=1e-12)
 
     # gauge-ball growth of the Heisenberg model
     assert 3.5 <= heisenberg_growth_fit(20) <= 4.5
@@ -227,8 +229,8 @@ def test_c09_thread_count_never_changes_artifacts(tmp_path):
 
 def test_c10_negative_controls_trip_every_checker():
     # halved sphere-map constants
-    x, y = sample_sphere_pairs(2.0, 2000, 16, seed=0)
-    bad = audit_sphere_pairs(x, y, mazur_constants(2.0, 1.0), upper_scale=0.5)
+    x, y = sample_sphere_pairs(2000, 16, seed=0)
+    bad = audit_sphere_pairs(x, y, [2.0, 1.0], tile_bytes=1 << 20, upper_scale=0.5)
     assert bad["violations"] > 0
 
     # halved gluing budget
@@ -256,10 +258,12 @@ def test_c10_negative_controls_trip_every_checker():
     # at quarter scale, where full-length translates do cross the line.
     pairs = sample_zk_pairs(model, 500, 40, seed=3)
     d = [model.metric(x, y) for x, y in pairs]
-    half = char_embedding_bound_check(system, model, pairs, 1.0, d=d, bound_scale=0.5)
+    half = char_embedding_bound_check(system, model, pairs, 1.0, d=d,
+                                      counts=system.sym_diff_counts(pairs), bound_scale=0.5)
     assert half.violations == 0
     witnesses = [((0, 0), (n, 0)) for n in range(3, 21)]
     quarter = char_embedding_bound_check(system, model, witnesses, 1.0,
                                          d=[model.metric(x, y) for x, y in witnesses],
+                                         counts=system.sym_diff_counts(witnesses),
                                          bound_scale=0.25)
     assert quarter.violations >= 18

@@ -136,7 +136,7 @@ class TestDefects:
         tree = TreeModel()
         col = TreeACollection(tree, n_min=3, n_max=3)  # 11-vertex segments
         x, near, far = (1,) * 30, (1,) * 28, (0,) * 30
-        got = col.a_defects([(x, x), (x, far), (x, near)])[:, 0]
+        got = col.a_defects(col.sym_diff_counts([(x, x), (x, far), (x, near)]))[:, 0]
         assert got[0] == 0.0
         assert got[1] == math.inf
         a, b = set(tree.ray_segment(x, 11)), set(tree.ray_segment(near, 11))
@@ -264,7 +264,7 @@ class TestCharBlocks:
         cases = [(ZkFolnerSystem(ZkModel(2), n_max=4), sample_zk_pairs(ZkModel(2), 6, 12, seed=1)),
                  (TreeACollection(tree, n_max=5), sample_tree_pairs(tree, 6, 12, seed=1))]
         for sys, pairs in cases:
-            closed = block_distances_pth(sys, pairs)
+            closed = block_distances_pth(sys, sys.sym_diff_counts(pairs))
             for p in (1.0, 1.5, 3.0):  # the closed form holds whatever p
                 for i, (x, y) in enumerate(pairs):
                     for j, n in enumerate(range(2, sys.n_max + 1)):
@@ -358,7 +358,8 @@ class TestCharBoundCheck:
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         pairs = sample_zk_pairs(ZkModel(2), 40, 16, seed=1)
         d = [ZkModel(2).metric(x, y) for x, y in pairs]
-        rep = char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0, d=d)
+        rep = char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0, d=d,
+                                         counts=sys.sym_diff_counts(pairs))
         assert rep.n_checks > 0
         assert rep.violations == 0
         assert rep.support_violations == 0
@@ -370,7 +371,8 @@ class TestCharBoundCheck:
         col = TreeACollection(tree, n_min=2, n_max=10)
         pairs = sample_tree_pairs(tree, 40, 8, seed=3)
         d = [tree.metric(x, y) for x, y in pairs]
-        rep = char_embedding_bound_check(col, tree, pairs, 2.0, d=d)
+        rep = char_embedding_bound_check(col, tree, pairs, 2.0, d=d,
+                                         counts=col.sym_diff_counts(pairs))
         assert rep.n_checks > 0
         assert rep.violations == 0
 
@@ -379,14 +381,15 @@ class TestCharBoundCheck:
         pairs = sample_zk_pairs(ZkModel(2), 40, 16, seed=1)
         d = [ZkModel(2).metric(x, y) for x, y in pairs]
         rep = char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0, d=d,
-                                         bound_scale=0.01)
+                                         counts=sys.sym_diff_counts(pairs), bound_scale=0.01)
         assert rep.violations > 0
         assert rep.worst_margin < 0
 
     def test_p_validation(self):
         sys = ZkFolnerSystem(ZkModel(1))
         with pytest.raises(ValueError):
-            char_embedding_bound_check(sys, ZkModel(1), [], 0.5, d=[])
+            char_embedding_bound_check(sys, ZkModel(1), [], 0.5, d=[],
+                                       counts=sys.sym_diff_counts([]))
 
 
 class TestGluedGroupEmbedding:
@@ -395,7 +398,7 @@ class TestGluedGroupEmbedding:
         e = glued_group_embedding(sys, ZkModel(1), 2.0)
         x, y = (0,), (5,)
         total = sum(sys.block_distance_pth(x, y, n, 2.0) for n in range(2, 9))
-        got = e.image_distances_pth([(x, y)])[0]
+        got = e.image_distances_pth(sys.sym_diff_counts([(x, y)]))[0]
         assert got == pytest.approx(total, rel=1e-15)
         assert got ** (1.0 / e.p) == pytest.approx(total ** 0.5, rel=1e-15)
 
@@ -405,7 +408,8 @@ class TestGluedGroupEmbedding:
         d = 2 * sys.rad(8) + 2  # beyond every diameter: all supports disjoint
         assert e.disjoint_step_count(d) == 7
         assert e.certified_lower_pth(d) == 14.0
-        assert e.image_distances_pth([((0,), (int(d),))])[0] == pytest.approx(14.0, rel=1e-12)
+        far = sys.sym_diff_counts([((0,), (int(d),))])
+        assert e.image_distances_pth(far)[0] == pytest.approx(14.0, rel=1e-12)
 
     def test_upper_bound_formula(self):
         sys = ZkFolnerSystem(ZkModel(1), n_min=2, n_max=8)
@@ -419,7 +423,7 @@ class TestGluedGroupEmbedding:
         e = glued_group_embedding(sys, ZkModel(2), 1.0)
         pairs = sample_zk_pairs(ZkModel(2), 50, 30, seed=7)
         d = [ZkModel(2).metric(x, y) for x, y in pairs]
-        rep = e.bounds_check(d, e.image_distances_pth(pairs))
+        rep = e.bounds_check(d, e.image_distances_pth(sys.sym_diff_counts(pairs)))
         assert rep["upper_violations"] == 0
         assert rep["lower_violations"] == 0
         assert rep["worst_upper_margin"] > 0
@@ -434,7 +438,7 @@ class TestGluedGroupEmbedding:
         assert e.tail_constant() == sum(min(2.0 * sys.a_eps(n), 2.0) for n in range(2, 21))
         assert math.isfinite(e.tail_constant())
         pairs = sample_tree_pairs(tree, 60, 1000, seed=8484)
-        image_pth = e.image_distances_pth(pairs)
+        image_pth = e.image_distances_pth(sys.sym_diff_counts(pairs))
         d = [tree.metric(x, y) for x, y in pairs]
         clean = e.bounds_check(d, image_pth)
         assert clean["upper_violations"] == 0
@@ -514,7 +518,7 @@ class TestClosedFormOracles:
         nodes = _tree_nodes(2, 5)  # 63 nodes, zero-heavy labels included
         pairs = list(itertools.product(nodes, repeat=2))
         counts = col.sym_diff_counts(pairs)
-        a_def = col.a_defects(pairs)
+        a_def = col.a_defects(counts)
         for j, n in enumerate(range(2, 5)):
             s = col.size(n)
             segs = {x: set(tree.ray_segment(x, s)) for x in nodes}
@@ -554,7 +558,7 @@ class TestClosedFormOracles:
         assert sys.size(20) > 1 << 53
         pairs = [((0,) * 5, (7, -3, 0, 1, 9)), ((1, 2, 3, 4, 5), (1, 2, 3, 4, 6))]
         counts = sys.sym_diff_counts(pairs)
-        dist = block_distances_pth(sys, pairs)
+        dist = block_distances_pth(sys, counts)
         for i, (x, y) in enumerate(pairs):
             for j, n in enumerate(range(2, 21)):
                 assert counts[i, j] == sys.sym_diff_count(x, y, n)
@@ -600,7 +604,7 @@ class TestClosedFormOracles:
             sys = ZkFolnerSystem(model, n_min=2, n_max=12)
             pairs = sample_zk_pairs(model, 40, 60, seed=4)
         e = glued_group_embedding(sys, model, 1.5)
-        got = e.image_distances_pth(pairs)
+        got = e.image_distances_pth(sys.sym_diff_counts(pairs))
         for (x, y), val in zip(pairs, got):
             want = sum(sys.block_distance_pth(x, y, n, 1.5) for n in range(sys.n_min, sys.n_max + 1))
             assert val == want
@@ -626,7 +630,7 @@ class TestArrayAuditsMatchOracles:
     @pytest.mark.parametrize("group", ["z1", "z2", "z3", "tree"])
     def test_bounds_check_equals_the_per_pair_loop(self, group, upper_scale):
         emb, pairs = _audit_case(group)
-        image_pth = emb.image_distances_pth(pairs)
+        image_pth = emb.image_distances_pth(emb.sys.sym_diff_counts(pairs))
         d = [emb.model.metric(x, y) for x, y in pairs]
         got = emb.bounds_check(d, image_pth, upper_scale=upper_scale)
         want = bounds_check_per_pair(emb, pairs, image_pth, upper_scale)
@@ -654,10 +658,12 @@ class TestSupportAudit:
         model = ZkModel(3)
         pairs = sample_zk_pairs(model, 10, 8, seed=2)
         d = [model.metric(x, y) for x, y in pairs]
+        counts = ZkFolnerSystem(model, n_max=6).sym_diff_counts(pairs)
         clean = char_embedding_bound_check(ZkFolnerSystem(model, n_max=6), model, pairs, 1.0,
-                                           d=d)
+                                           d=d, counts=counts)
         assert clean.support_violations == 0
-        rep = char_embedding_bound_check(Shrunk(model, n_max=6), model, pairs, 1.0, d=d)
+        rep = char_embedding_bound_check(Shrunk(model, n_max=6), model, pairs, 1.0, d=d,
+                                         counts=counts)
         # every audited (point, n): n = 2..5, boxes of up to 131^3 points
         # measured at their corners
         assert rep.support_violations == 8 * 4
@@ -671,8 +677,10 @@ class TestSupportAudit:
         tree = TreeModel()
         pairs = sample_tree_pairs(tree, 10, 8, seed=2)
         d = [tree.metric(x, y) for x, y in pairs]
+        counts = TreeACollection(tree, n_max=6).sym_diff_counts(pairs)
         clean = char_embedding_bound_check(TreeACollection(tree, n_max=6), tree, pairs, 1.0,
-                                           d=d)
+                                           d=d, counts=counts)
         assert clean.support_violations == 0
-        rep = char_embedding_bound_check(Shrunk(tree, n_max=6), tree, pairs, 1.0, d=d)
+        rep = char_embedding_bound_check(Shrunk(tree, n_max=6), tree, pairs, 1.0, d=d,
+                                         counts=counts)
         assert rep.support_violations == 8 * 4  # n = 2..5 for each audited point

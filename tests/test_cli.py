@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from embedlab import amenable, cli, mazur
-from oracles import zk_ball
+from oracles import mazur_grid_audit, zk_ball
 
 
 def run(argv):
@@ -204,9 +204,48 @@ class TestVerifyCommand:
             if cell["p"] == cell["q"]:
                 assert "worst_margin" not in cell
                 continue
-            x, y = mazur.sample_sphere_pairs(cell["p"], 400, 6, 4)
-            rep = mazur.audit_sphere_pairs(x, y, mazur.mazur_constants(cell["p"], cell["q"]))
+            x2, y2 = mazur.sample_sphere_pairs(400, 6, 4)
+            pair = [cell["p"], cell["q"]]
+            rep = next(c for c in mazur.audit_sphere_pairs(x2, y2, pair, tile_bytes=1 << 20)["cells"]
+                       if [c["p"], c["q"]] == pair)
             assert cell["worst_margin"] == rep["worst_margin"]
+
+    @pytest.mark.parametrize("flags", [
+        ["--samples", "4097"],  # two row tiles, the second a partial one
+        ["--samples", "3"],
+        ["--samples", "2000", "--negative-control"],
+        ["--samples", "500", "--grid", "1,2,3", "--dim", "6"],
+    ], ids=["4097", "3", "control", "diagonal"])
+    def test_mazur_suite_equals_the_per_cell_oracle(self, flags):
+        args = cli.build_parser().parse_args(["verify", "--suite", "mazur"] + flags)
+        doc = cli._SUITES["mazur"](args)
+        grid = [float(v) for v in args.grid.split(",")]
+        want = mazur_grid_audit(grid, args.samples, args.dim, args.seed,
+                                upper_scale=doc["upper_scale"])
+        assert {k: doc.pop(k) for k in ("suite", "grid", "samples", "upper_scale")} == {
+            "suite": "mazur", "grid": grid, "samples": args.samples,
+            "upper_scale": 0.5 if args.negative_control else 1.0}
+        assert doc == want
+        assert (doc["violations"] > 0) == args.negative_control
+        for cell in doc["cells"]:
+            assert ("worst_margin" in cell) == (cell["p"] != cell["q"])
+
+    def test_mazur_suite_scratch_stays_tile_sized(self):
+        # Traced peak of the suite at 20000 samples: 7.6-8.4 MiB with the
+        # derived tiles (the 4.9 MiB draw and its row norms), 13.8 MiB with
+        # tiles four times as large, 23.1 MiB untiled and 22.6 MiB with a
+        # draw per exponent and whole-array cells.
+        import tracemalloc
+
+        args = cli.build_parser().parse_args(["verify", "--suite", "mazur",
+                                              "--samples", "20000"])
+        tracemalloc.start()
+        try:
+            cli._SUITES["mazur"](args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2 ** 20
 
     def test_folner_quick_clean_and_control(self, tmp_path):
         code = run(["verify", "--suite", "folner", "--n-max", "6",

@@ -15,14 +15,23 @@ from embedlab.mazur import (
     sample_sphere_pairs,
     signed_power_constant,
 )
+from oracles import mazur_grid_audit
 
 GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+TILE_BYTES = 1 << 20
+
+
+def _lp_pairs(p, samples, dim, seed):
+    """Sampled pairs carried to the unit sphere of l_p."""
+    x2, y2 = sample_sphere_pairs(samples, dim, seed)
+    return mazur_map(x2, 2.0, p), mazur_map(y2, 2.0, p)
 
 
 def _audit(p, q, samples, seed, dim=16, upper_scale=1.0):
-    """The certified (p, q) bounds audited on fresh l_p sphere pairs."""
-    x, y = sample_sphere_pairs(p, samples, dim, seed)
-    return audit_sphere_pairs(x, y, mazur_constants(p, q), upper_scale=upper_scale)
+    """The (p, q) cell of the audit of fresh sphere pairs."""
+    x2, y2 = sample_sphere_pairs(samples, dim, seed)
+    rep = audit_sphere_pairs(x2, y2, [p, q], tile_bytes=TILE_BYTES, upper_scale=upper_scale)
+    return next(c for c in rep["cells"] if (c["p"], c["q"]) == (p, q))
 
 
 class TestMazurMap:
@@ -30,14 +39,14 @@ class TestMazurMap:
         # sum |Mx_i|^q = sum |x_i|^p holds coordinatewise, so unit spheres map
         # onto unit spheres with no analytic slack.
         for p in GRID:
-            x, _ = sample_sphere_pairs(p, 64, 8, seed=3)
+            x, _ = _lp_pairs(p, 64, 8, seed=3)
             for q in GRID:
                 mx = mazur_map(x, p, q)
                 dev = np.abs(np.sum(np.abs(mx) ** q, axis=1) - 1.0)
                 assert dev.max() < 1e-12, (p, q)
 
     def test_involution(self):
-        x, _ = sample_sphere_pairs(1.5, 64, 8, seed=4)
+        x, _ = _lp_pairs(1.5, 64, 8, seed=4)
         for q in GRID:
             back = mazur_map(mazur_map(x, 1.5, q), q, 1.5)
             assert np.abs(back - x).max() < 1e-12
@@ -86,10 +95,10 @@ class TestSignedPower:
             _signed_power(t, 0.5, out=t)
 
     def test_public_callers_leave_their_input_alone(self):
-        x, y = sample_sphere_pairs(1.5, 32, 4, seed=1)
+        x, y = sample_sphere_pairs(32, 4, seed=1)
         x0, y0 = x.copy(), y.copy()
-        mazur_map(x, 1.5, 3.0)
-        audit_sphere_pairs(x, y, mazur_constants(1.5, 3.0))
+        mazur_map(x, 2.0, 3.0)
+        audit_sphere_pairs(x, y, [1.5, 3.0], tile_bytes=TILE_BYTES)
         assert np.array_equal(x, x0) and np.array_equal(y, y0)
         assert mazur_map(-0.25, 2.0, 1.0) == -0.0625
 
@@ -176,14 +185,14 @@ class TestMazurConstants:
 
 class TestSampler:
     def test_deterministic_and_on_sphere(self):
-        x1, y1 = sample_sphere_pairs(1.5, 128, 8, seed=9)
-        x2, y2 = sample_sphere_pairs(1.5, 128, 8, seed=9)
+        x1, y1 = _lp_pairs(1.5, 128, 8, seed=9)
+        x2, y2 = _lp_pairs(1.5, 128, 8, seed=9)
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
         for arr in (x1, y1):
             assert np.abs(np.sum(np.abs(arr) ** 1.5, axis=1) - 1.0).max() < 1e-12
 
     def test_near_pairs_present(self):
-        x, y = sample_sphere_pairs(2.0, 400, 8, seed=2)
+        x, y = sample_sphere_pairs(400, 8, seed=2)
         d = np.linalg.norm(x - y, axis=1)
         assert d.min() < 1e-3 < d.max()
 
@@ -195,13 +204,27 @@ class TestBoundsCheck:
         assert rep["violations"] == 0
         assert rep["worst_margin"] >= 0.0
 
-    def test_constants_echoed(self):
-        rep = _audit(2.0, 4.0, samples=500, seed=1)
-        cu = rep["constants_used"]
-        assert cu["derived_by_involution"] is True
-        assert cu["lower_exponent"] == 2.0
-
     def test_halved_upper_constant_detected(self):
         rep = _audit(2.0, 1.0, samples=2000, seed=0, upper_scale=0.5)
         assert rep["violations"] > 0
         assert rep["worst_margin"] < 0.0
+
+
+class TestGridAudit:
+    @pytest.mark.parametrize("samples", [1, 3, 301])
+    def test_equal_to_the_per_cell_oracle_at_every_tile(self, samples):
+        # Tiles of 1, 7 and 11 rows and one tile for all rows: the folded
+        # cells are the oracle's whole-array figures bit for bit.
+        grid, dim = (0.5, 1.0, 3.0), 4
+        want = mazur_grid_audit(grid, samples, dim, seed=6)
+        x2, y2 = sample_sphere_pairs(samples, dim, seed=6)
+        for rows in (1, 7, 11, samples):
+            got = audit_sphere_pairs(x2, y2, grid, tile_bytes=rows * 5 * dim * 8)
+            assert got == want, rows
+
+    def test_single_exponent_grid_has_no_margin(self):
+        x2, y2 = sample_sphere_pairs(20, 3, seed=1)
+        rep = audit_sphere_pairs(x2, y2, [1.5], tile_bytes=TILE_BYTES)
+        assert rep["worst_margin"] == math.inf
+        assert [set(c) for c in rep["cells"]] == [
+            {"p", "q", "sphere_deviation", "involution_deviation", "violations"}]
