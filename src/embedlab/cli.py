@@ -13,7 +13,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -102,6 +101,8 @@ def _threaded(f, threads: int):
         if threads <= 1 or len(slices) <= 1:
             parts = [work(sl) for sl in slices]
         else:
+            # deferred: concurrent.futures and logging cost --threads 1 runs 6-10 ms
+            from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(work, slices))
         out = np.empty(n, dtype=float)
@@ -183,17 +184,24 @@ def cmd_moduli(args: argparse.Namespace) -> int:
 # verify suites
 
 
-# Byte budget of one row tile of the Mazur audit: what block_mass's three
-# float32 scratch arrays take at a ROW_QUANTUM tile of 512 features
-# (3 x 512 KiB, sized for one core's L2).
-_MAZUR_TILE_BYTES = 3 * ROW_QUANTUM * 512 * 4
+# Byte budget of one row tile of the Mazur and kernel suites: what
+# block_mass's three float32 scratch arrays take at a ROW_QUANTUM tile of
+# 512 features (3 x 512 KiB, sized for one core's L2).
+_TILE_BYTES = 3 * ROW_QUANTUM * 512 * 4
+
+
+def _row_tiles(n_rows: int, row_bytes: int) -> list[slice]:
+    """Slices of ``n_rows`` rows, each holding about ``_TILE_BYTES`` at
+    ``row_bytes`` per row and at least one row."""
+    step = max(1, _TILE_BYTES // row_bytes)
+    return [slice(i, i + step) for i in range(0, n_rows, step)]
 
 
 def _suite_mazur(args: argparse.Namespace) -> dict:
     grid = [float(v) for v in args.grid.split(",")]
     upper_scale = 0.5 if args.negative_control else 1.0
     x2, y2 = mazur.sample_sphere_pairs(args.samples, args.dim, args.seed)
-    rep = mazur.audit_sphere_pairs(x2, y2, grid, tile_bytes=_MAZUR_TILE_BYTES,
+    rep = mazur.audit_sphere_pairs(x2, y2, grid, tile_bytes=_TILE_BYTES,
                                    upper_scale=upper_scale)
     return {"suite": "mazur", "grid": grid, "samples": args.samples,
             "upper_scale": upper_scale, **rep}
@@ -209,12 +217,13 @@ def _suite_kernel(args: argparse.Namespace) -> dict:
     for M in (X, Y):
         M *= (1.2 * rng.random((args.samples, 1))
               / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-12))
-    # Coordinates are per row, so ROW_QUANTUM slices give the same bytes
-    # with (rows x coordinates) temporaries of one slice only.
-    tiles = [slice(i, i + ROW_QUANTUM) for i in range(0, args.samples, ROW_QUANTUM)]
+    # Coordinates are per row, so row tiles give the same bytes as whole
+    # arrays.  A series tile holds three (rows x coordinates) float64
+    # arrays at once: two coordinate arrays and a third, the gather or
+    # the difference.
     residuals = np.empty((2, args.samples))
     measured = np.empty(args.samples)
-    for sl in tiles:
+    for sl in _row_tiles(args.samples, 3 * 8 * backend.n_coords):
         cx, residuals[0, sl] = exp_coordinates_batch(X[sl], backend)
         cy, residuals[1, sl] = exp_coordinates_batch(Y[sl], backend)
         measured[sl] = np.linalg.norm(cx - cy, axis=1)
@@ -228,11 +237,13 @@ def _suite_kernel(args: argparse.Namespace) -> dict:
     rng = _batch_rng(args.seed, 102)
     P = rng.standard_normal((args.samples, rdim))
     Q = rng.standard_normal((args.samples, rdim)) * rng.uniform(0.0, 3.0, (args.samples, 1))
+    # The features run in float32, as in every rff moduli run; a feature
+    # tile holds two (rows x features) float32 arrays.
     kernel_est = np.empty(args.samples)
-    for sl in tiles:
-        zp = rff_coordinates_batch(P[sl], feats)
-        zq = rff_coordinates_batch(Q[sl], feats)
-        kernel_est[sl] = np.sum(zp * zq, axis=1)
+    for sl in _row_tiles(args.samples, 2 * 4 * args.n_features):
+        zp = rff_coordinates_batch(P[sl].astype(np.float32), feats)
+        zq = rff_coordinates_batch(Q[sl].astype(np.float32), feats)
+        kernel_est[sl] = np.einsum("ij,ij->i", zp, zq)
     kernel_true = np.exp(-args.r * np.sum((P - Q) ** 2, axis=1))
     rff_err = float(np.max(np.abs(kernel_est - kernel_true)))
     rff_viol = int(np.sum(np.abs(kernel_est - kernel_true) > 0.08))
@@ -537,7 +548,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     mod.add_argument("--n-features", type=int, default=512)
     mod.add_argument("--base-seed", type=int, default=0)
     mod.add_argument("--n-terms", type=int, default=200)
-    mod.add_argument("--dim", type=int, default=16)
+    mod.add_argument("--dim", type=_positive_int, default=16)
     mod.add_argument("--t-min", type=float, default=0.1)
     mod.add_argument("--t-max", type=float, default=100.0)
     mod.add_argument("--bins", type=int, default=36)
@@ -555,7 +566,7 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
                      help="tighten the audited bounds; a clean run then proves "
                           "the detector is live")
     ver.add_argument("--samples", type=_positive_int, default=1000)
-    ver.add_argument("--dim", type=int, default=16)
+    ver.add_argument("--dim", type=_positive_int, default=16)
     ver.add_argument("--grid", default="0.5,1,1.5,2,3,4")
     ver.add_argument("--r", type=float, default=1.0)
     ver.add_argument("--degree", type=int, default=32)

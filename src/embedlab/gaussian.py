@@ -31,9 +31,9 @@ thread.  Block distances are sandwiched by transporting the exact psi
 distance through the certified signed-power constants
 (:func:`sphere_block_interval` of :func:`psi_distance_exact`).
 
-Importing this module loads no scipy: :func:`exp_coordinates_batch`
-imports ``scipy.special.gammainc`` for its series residual when first
-called, so only the truncated-exp backend pays for it.
+This module needs no scipy: the series residual of
+:func:`exp_coordinates_batch` is a Poisson tail, summed in closed form
+by :func:`_poisson_tail`.
 """
 
 from __future__ import annotations
@@ -177,6 +177,46 @@ def _rff_table(r: float, n_features: int, seed, dim: int,
     return w.astype(dtype), b.astype(dtype)
 
 
+def _poisson_tail(n: int, lam: np.ndarray) -> np.ndarray:
+    """Pr[Poisson(lam) >= n] for an integer n >= 1, elementwise over ``lam``.
+
+    This is the regularized lower incomplete gamma function P(n, lam).
+    The Poisson probabilities p_j = e^-lam lam^j / j! follow from p_0 =
+    e^-lam by p_j = p_{j-1} lam / j, each step one rounding in a value
+    that never exceeds 1.  For lam < n the tail sum over j >= n is taken
+    term by term: past j = n the ratio lam / (j + 1) is below 1 and
+    falls, and the sum stops once a term is below half an ulp of it.
+    For lam >= n the result is 1 minus the head sum over j < n, which is
+    then at most about 1/2, so the subtraction loses nothing.  At lam = 0
+    the tail is exactly 0.  Past lam = 708, e^-lam leaves the normal float
+    range; the tail there is 1 to double precision unless n exceeds about
+    lam - 8 sqrt(lam), a degree at which the power tables of
+    :func:`exp_coordinates_batch` overflow first, so it raises.
+    """
+    lam = np.asarray(lam, dtype=float)
+    out = np.empty_like(lam)
+    above = lam >= n
+    h = lam[above]
+    p = np.exp(-h)
+    head = p.copy()
+    for j in range(1, n):
+        p *= h / j
+        head += p
+    out[above] = 1.0 - head
+    t = lam[~above]
+    p = np.exp(-t)
+    for j in range(1, n + 1):
+        p *= t / j
+    tail = p.copy()
+    j = n
+    while np.any(p > 2.0 ** -53 * tail):
+        j += 1
+        p *= t / j
+        tail += p
+    out[~above] = tail
+    return out
+
+
 def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndarray, np.ndarray]:
     """Unit-sphere coordinates and residual bounds for a batch of points.
 
@@ -199,8 +239,7 @@ def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndar
         table = xs[:, i, None] ** np.arange(backend.degree + 1)[None, :]
         coords *= table[:, exps[:, i]]
     coords *= np.exp(-backend.r * sq)[:, None]
-    from scipy.special import gammainc  # deferred: a ~0.4 s import only this residual needs
-    residuals = gammainc(backend.degree + 1, 2.0 * backend.r * sq)
+    residuals = _poisson_tail(backend.degree + 1, 2.0 * backend.r * sq)
     norms = np.linalg.norm(coords, axis=1, keepdims=True)
     # exp(-r ||x||^2) shrinks the series faster than its terms grow; once
     # the squared norm leaves the normal float range the rows lose their

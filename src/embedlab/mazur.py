@@ -169,19 +169,38 @@ def sample_sphere_pairs(samples: int, dim: int,
     Mazur map carries them to the unit sphere of l_p for any p, so one
     draw serves every exponent.  A quarter of the pairs are made close
     (y = x + small perturbation, re-projected) so both ends of the
-    distance range get exercised.
+    distance range get exercised.  The near pairs are built in place and
+    every normalization runs over row slices, so no temporary the size
+    of the draw is held.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     g = rng.standard_normal((2, samples, dim))
     x2, y2 = g
     for h in g:
-        h /= np.linalg.norm(h, axis=1, keepdims=True)
+        _normalize_rows(h)
     n_near = samples // 4
     if n_near:
         scale = np.exp(rng.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
-        yn = x2[:n_near] + scale * rng.standard_normal((n_near, dim))
-        y2[:n_near] = yn / np.linalg.norm(yn, axis=1, keepdims=True)
+        yn = rng.standard_normal((n_near, dim))
+        yn *= scale
+        yn += x2[:n_near]
+        _normalize_rows(yn)
+        y2[:n_near] = yn
     return x2, y2
+
+
+# Bytes of the squared-entry temporary that np.linalg.norm takes per row
+# slice in _normalize_rows.
+_NORM_SLICE_BYTES = 1 << 19
+
+
+def _normalize_rows(a: np.ndarray) -> None:
+    """Divide each row of ``a`` by its l_2 norm, in place, one row slice at
+    a time; the norms are per row, so the result equals the whole array's."""
+    rows = max(1, _NORM_SLICE_BYTES // (a.itemsize * max(a.shape[1], 1)))
+    for start in range(0, len(a), rows):
+        block = a[start:start + rows]
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
 
 
 def audit_sphere_pairs(x2: np.ndarray, y2: np.ndarray, grid, *, tile_bytes: int,

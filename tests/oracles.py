@@ -4,11 +4,15 @@ balls, box Folner sets and their translates, the defect |F Delta gF| / |F|
 by explicit translation, the support reach of a materialized box, and the
 glued-bound audit pair by pair.  The Mazur grid audit of
 ``embedlab.mazur`` is checked against a loop over the cells on whole
-arrays, with a fresh draw per exponent p.
+arrays, with a fresh draw per exponent p, and its sampler against
+whole-array normalization.  The closed-form series residual of
+``embedlab.gaussian`` is checked against a Poisson tail summed in
+decimal arithmetic.
 
 Each enumerator refuses sets past ``MAX_SET_SIZE`` points.
 """
 
+import decimal
 import itertools
 import math
 
@@ -98,10 +102,9 @@ def bounds_check_per_pair(emb, pairs, image_pth, upper_scale: float = 1.0) -> di
             "worst_lower_margin": worst_lower, "upper_scale": upper_scale}
 
 
-def lp_sphere_pairs(p: float, samples: int, dim: int, seed: int):
-    """Pairs on the unit sphere of l_p^dim: Gaussian rows normalized in l_2,
-    a quarter of them made close, then the (2, p) Mazur map; the same
-    Philox stream for every p."""
+def l2_sphere_pairs(samples: int, dim: int, seed: int):
+    """Pairs on the unit sphere of l_2^dim: Gaussian rows normalized in l_2
+    on whole arrays, a quarter of them made close."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     g = rng.standard_normal((2, samples, dim))
     x2 = g[0] / np.linalg.norm(g[0], axis=1, keepdims=True)
@@ -111,7 +114,32 @@ def lp_sphere_pairs(p: float, samples: int, dim: int, seed: int):
         scale = np.exp(rng.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
         yn = x2[:n_near] + scale * rng.standard_normal((n_near, dim))
         y2[:n_near] = yn / np.linalg.norm(yn, axis=1, keepdims=True)
+    return x2, y2
+
+
+def lp_sphere_pairs(p: float, samples: int, dim: int, seed: int):
+    """:func:`l2_sphere_pairs` carried to the unit sphere of l_p^dim by the
+    (2, p) Mazur map; the same Philox stream for every p."""
+    x2, y2 = l2_sphere_pairs(samples, dim, seed)
     return mazur_map(x2, 2.0, p), mazur_map(y2, 2.0, p)
+
+
+def poisson_tail(n: int, lam: float) -> float:
+    """Pr[Poisson(lam) >= n] summed term by term in 60-digit decimals."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        x = decimal.Decimal(lam)
+        term = (-x).exp()
+        for j in range(1, n):
+            term = term * x / j
+        total = decimal.Decimal(0)
+        j = n
+        while True:
+            term = term * x / j
+            total += term
+            if j > lam and term <= total * decimal.Decimal("1e-40"):
+                return float(total)
+            j += 1
 
 
 def mazur_cell_bounds(x, y, consts, upper_scale: float = 1.0) -> tuple[int, float]:

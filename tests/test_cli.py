@@ -80,6 +80,19 @@ class TestExitCodes:
         assert "must be a positive integer" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("dim", ["0", "-1"])
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "mazur"],
+        ["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel"],
+    ], ids=["verify", "moduli"])
+    def test_nonpositive_dim_is_a_usage_error(self, capsys, argv, dim):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--dim", dim])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "argument --dim: must be a positive integer" in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("pairs", ["0", "-3"])
     def test_empty_folner_runs_are_usage_errors(self, tmp_path, capsys, pairs):
         out_json = tmp_path / "f.json"
@@ -246,6 +259,36 @@ class TestVerifyCommand:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2 ** 20
+
+    def test_kernel_suite_scratch_stays_tile_sized(self):
+        # Traced peak of the suite at its defaults: 5.3 MiB with the derived
+        # tiles and cold caches (3.6 MiB warm), 15.0 MiB with tiles four
+        # times as large, and 51.3 MiB warm with 256-row tiles and float64
+        # features.
+        import tracemalloc
+
+        args = cli.build_parser().parse_args(["verify", "--suite", "kernel"])
+        tracemalloc.start()
+        try:
+            cli._SUITES["kernel"](args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    def test_kernel_suite_bytes_do_not_depend_on_the_tile(self, tmp_path, monkeypatch):
+        # 100 samples: ten series tiles and three feature tiles, the last
+        # one partial, at the default budget; one row per tile at one byte.
+        def once(tag):
+            out = tmp_path / f"{tag}.json"
+            code = run(["verify", "--suite", "kernel", "--samples", "100", "--seed", "3",
+                        "--out", str(out)])
+            assert code == cli.EXIT_OK
+            return out.read_bytes()
+
+        default = once("default")
+        monkeypatch.setattr(cli, "_TILE_BYTES", 1)
+        assert once("row") == default
 
     def test_folner_quick_clean_and_control(self, tmp_path):
         code = run(["verify", "--suite", "folner", "--n-max", "6",
@@ -465,26 +508,15 @@ def test_import_loads_no_scipy_module():
 
 
 # Runs the argument lists in argv[1] (JSON) through cli.main in one fresh
-# process, in the directory argv[2], and reports their exit codes, whether
-# scipy.special is loaded at the end, and whether its first import ran on
-# the main thread.
+# process, in the directory argv[2], and reports their exit codes and
+# whether scipy.special is loaded at the end.
 _FRESH_CLI = """
-import importlib.abc, json, os, sys, threading
-
-first_import = []
-
-class Spy(importlib.abc.MetaPathFinder):
-    def find_spec(self, name, path, target=None):
-        if name == "scipy.special" and not first_import:
-            first_import.append(threading.current_thread() is threading.main_thread())
-
-sys.meta_path.insert(0, Spy())
+import json, os, sys
 from embedlab import cli
 
 os.chdir(sys.argv[2])
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy_special": "scipy.special" in sys.modules,
-                  "on_main_thread": first_import[0] if first_import else None}))
+print(json.dumps({"codes": codes, "scipy_special": "scipy.special" in sys.modules}))
 """
 
 
@@ -499,7 +531,8 @@ _EXP_MODULI = ["moduli", "--backend", "exp", "--dim", "2", "--q", "4", "--beta",
 
 
 class TestScipySpecialIsDeferred:
-    """Only the truncated-exp residual loads scipy.special on a CLI path."""
+    """No benchmarked CLI path loads scipy.special: the series residual is
+    a closed-form Poisson tail."""
 
     def test_paths_without_the_incomplete_gamma_leave_it_unloaded(self, tmp_path):
         (tmp_path / "results").mkdir()
@@ -536,26 +569,22 @@ class TestScipySpecialIsDeferred:
         ["verify", "--suite", "kernel", "--samples", "200", "--out", "kernel.json"],
         _EXP_MODULI + ["--pairs", "200", "--json-out", "exp.json"],
     ], ids=["verify-kernel", "moduli-exp"])
-    def test_incomplete_gamma_paths_load_it(self, tmp_path, argv):
+    def test_series_residual_paths_leave_it_unloaded(self, tmp_path, argv):
         got = _fresh_cli([argv], tmp_path)
         assert got["codes"] == [cli.EXIT_OK]
-        assert got["scipy_special"] is True
+        assert got["scipy_special"] is False
 
-    def test_first_import_in_a_worker_thread_keeps_the_bytes(self, tmp_path):
+    def test_exp_run_keeps_its_bytes_at_two_threads(self, tmp_path):
         # 2100 pairs are nine ROW_QUANTUM chunks, so with two threads the
-        # residual, and with it the first scipy.special import, runs in a
-        # worker thread.
+        # series coordinates and residuals run in worker threads.
         def once(threads):
             j, c = f"exp{threads}.json", f"exp{threads}.csv"
             got = _fresh_cli([_EXP_MODULI + ["--pairs", "2100", "--threads", str(threads),
                                              "--out", c, "--json-out", j]], tmp_path)
             assert got["codes"] == [cli.EXIT_OK]
-            return got["on_main_thread"], (tmp_path / j).read_bytes(), (tmp_path / c).read_bytes()
+            return (tmp_path / j).read_bytes(), (tmp_path / c).read_bytes()
 
-        main1, *one = once(1)
-        main2, *two = once(2)
-        assert (main1, main2) == (True, False)
-        assert one == two
+        assert once(1) == once(2)
 
 
 # Imports the modules named in argv[1] (comma-separated, in order) in a

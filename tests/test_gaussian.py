@@ -26,6 +26,7 @@ from embedlab.gaussian import (
 )
 from embedlab.metric_core import ExponentRegime
 from embedlab.mazur import mazur_map, signed_power_constant
+from oracles import poisson_tail
 
 
 class TestPsiDistance:
@@ -93,6 +94,23 @@ class TestTruncatedExp:
         c, res = exp_coordinates_batch([0.1, 0.2], be)
         assert c.shape == (1, be.n_coords) and np.linalg.norm(c) == pytest.approx(1.0)
         assert res.shape == (1,) and res[0] < 1e-14
+
+
+class TestPoissonTail:
+    @pytest.mark.parametrize("n", [1, 2, 33, 65])
+    def test_equals_the_regularized_incomplete_gamma(self, n):
+        lam = np.concatenate([[0.0], np.geomspace(1e-6, 300), np.linspace(n - 3, n + 3, 13)])
+        lam = lam[lam >= 0]
+        got = gaussian._poisson_tail(n, lam)
+        assert got[0] == 0.0
+        # Relative where the tail is a normal float: at n = 65 it underflows
+        # below lam ~ 5e-4.  Against the decimal sum scipy's own error
+        # reaches 9.5e-14 on this grid (n = 33, lam = 1.5e-6) and the
+        # closed form's 1.5e-15, hence the two bounds.
+        tiny = np.finfo(float).tiny
+        np.testing.assert_allclose(got, gammainc(n, lam), rtol=1e-13, atol=tiny)
+        want = [poisson_tail(n, v) for v in lam]
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=tiny)
 
 
 class TestRandomFeatures:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from embedlab import mazur
 from embedlab.mazur import (
     _signed_power,
     audit_sphere_pairs,
@@ -15,7 +16,7 @@ from embedlab.mazur import (
     sample_sphere_pairs,
     signed_power_constant,
 )
-from oracles import mazur_grid_audit
+from oracles import l2_sphere_pairs, mazur_grid_audit
 
 GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
 TILE_BYTES = 1 << 20
@@ -190,6 +191,17 @@ class TestSampler:
         assert np.array_equal(x1, x2) and np.array_equal(y1, y2)
         for arr in (x1, y1):
             assert np.abs(np.sum(np.abs(arr) ** 1.5, axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("samples, dim", [(1, 3), (301, 5), (9000, 16)])
+    def test_equal_to_the_whole_array_oracle(self, monkeypatch, samples, dim):
+        # The default slices (4096 rows at dim 16), then slices of 1, 7 and
+        # all rows: the pairs are the whole-array normalization's bit for bit.
+        want = l2_sphere_pairs(samples, dim, seed=6)
+        for rows in (None, 1, 7, samples):
+            if rows is not None:
+                monkeypatch.setattr(mazur, "_NORM_SLICE_BYTES", rows * dim * 8)
+            got = sample_sphere_pairs(samples, dim, seed=6)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), rows
 
     def test_near_pairs_present(self):
         x, y = sample_sphere_pairs(400, 8, seed=2)
