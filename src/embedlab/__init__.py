@@ -7,36 +7,45 @@ Every construction ships with certified two-sided bounds and a
 deterministic audit path; the compression/expansion envelope estimators
 in :mod:`embedlab.moduli` measure what a given map actually attains.
 
-Imported before numpy, the package caps OpenBLAS at one thread unless
-``OPENBLAS_NUM_THREADS`` is already set: the block kernel keeps its
-products on the calling thread anyway, and an idle pool costs CPU in
-every process.  Once numpy is loaded its pool is fixed, so the variable
-is then left alone rather than made to disagree with it.
+The names in ``__all__`` are exported lazily (PEP 562): importing the
+package loads none of its modules and no numpy, and ``embedlab.X``
+imports the module that defines ``X`` on first access.  So a process
+pays only for the modules it uses; ``python -m embedlab.cli report``
+loads no numpy at all.
+
+The package import itself still caps OpenBLAS at one thread, before any
+module can load numpy, unless ``OPENBLAS_NUM_THREADS`` is already set:
+the block kernel keeps its products on the calling thread anyway, and an
+idle pool costs CPU in every process.  Once numpy is loaded its pool is
+fixed, so the variable is then left alone rather than made to disagree
+with it.
 """
 
+import importlib
 import os
 import sys
 
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .amenable import (HeisenbergModel, TreeACollection, TreeModel,
-                       ZkFolnerSystem, ZkModel, char_embedding_bound_check,
-                       glued_group_embedding, heisenberg_growth_fit,
-                       predicted_group_gap)
-from .finite_geometry import (GkSpace, HammingCube, cube_distance, cube_report,
-                              enflo_lower_bound, enflo_type2_certificate,
-                              probe_audit)
-from .gaussian import (FundamentalMapSpec, KernelExact, RandomFeatures,
-                       TruncatedExp, delta_q, moduli_exponents,
-                       psi_distance_exact)
-from .glue import (GaussianBlockFamily, GluedEmbedding, ParamSchedule,
-                   per_pair_bounds_check, predicted_gap, preset_schedule)
-from .mazur import audit_sphere_pairs, mazur_constants, mazur_map
-from .metric_core import ExponentRegime, MonotoneFunction, h_ab
-from .moduli import (PairSampler, distortion, estimate_moduli, fit_exponent,
-                     write_moduli_csv)
-from .report import ComparisonTable, report_tables
+# The submodule that defines each name of ``__all__``.
+_EXPORTS = {
+    "amenable": ("HeisenbergModel", "TreeACollection", "TreeModel", "ZkFolnerSystem",
+                 "ZkModel", "char_embedding_bound_check", "glued_group_embedding",
+                 "heisenberg_growth_fit", "predicted_group_gap"),
+    "finite_geometry": ("GkSpace", "HammingCube", "cube_distance", "cube_report",
+                        "enflo_lower_bound", "enflo_type2_certificate", "probe_audit"),
+    "gaussian": ("FundamentalMapSpec", "KernelExact", "RandomFeatures", "TruncatedExp",
+                 "delta_q", "moduli_exponents", "psi_distance_exact"),
+    "glue": ("GaussianBlockFamily", "GluedEmbedding", "ParamSchedule",
+             "per_pair_bounds_check", "predicted_gap", "preset_schedule"),
+    "mazur": ("audit_sphere_pairs", "mazur_constants", "mazur_map"),
+    "metric_core": ("ExponentRegime", "MonotoneFunction", "h_ab"),
+    "moduli": ("PairSampler", "distortion", "estimate_moduli", "fit_exponent",
+               "write_moduli_csv"),
+    "report": ("ComparisonTable", "report_tables"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -55,3 +64,16 @@ __all__ = [
     "preset_schedule", "probe_audit", "psi_distance_exact", "report_tables",
     "write_moduli_csv",
 ]
+
+
+def __getattr__(name: str):
+    module = _OWNER.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -5,6 +5,10 @@ JSON/CSV formatting, no timestamps, seeded sampling only.  The exit
 status separates scientific outcome from plumbing: 0 clean, 1 when any
 certified bound was violated, 2 for usage errors (argparse), 3 for I/O
 failures.
+
+Each command imports numpy and the package modules it runs when it is
+called, not here, so a process loads only what its subcommand needs:
+``report`` loads no numpy, and ``folner`` none of the l_2 side.
 """
 
 from __future__ import annotations
@@ -12,18 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 
-import numpy as np
-
-from . import amenable, mazur, moduli
-from .finite_geometry import (HammingCube, cube_report,
-                              enflo_type2_certificate, probe_audit)
-from .gaussian import (RandomFeatures, TruncatedExp, exp_coordinates_batch,
-                       psi_distance_exact, rff_coordinates_batch)
-from .glue import (PRESET_PARAMS, ROW_QUANTUM, GaussianBlockFamily,
-                   glue as glue_embedding, per_pair_bounds_check, preset_schedule)
-from .report import canonical_json, report_tables
+from .report import canonical_json
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -31,6 +27,16 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _GROUPS = ("z1", "z2", "z3", "tree", "heis")
+
+# The flags each --preset needs, by keyword of glue.preset_schedule;
+# warmup_l2 and coarse_l2 fix q = 2 themselves.
+PRESET_PARAMS = {
+    "warmup_l2": ("beta",),
+    "strong_qge2": ("q", "beta"),
+    "strong_1leqle2": ("q", "beta"),
+    "strong_qle1": ("q", "beta"),
+    "coarse_l2": ("nu",),
+}
 
 # Keys echoed into reports, per subcommand.  Output paths and --threads
 # are deliberately absent: reruns of one configuration with different
@@ -74,7 +80,7 @@ def _emit_json(doc: dict, path: str | None) -> None:
 def _fmt(value) -> str:
     if value is None:
         return "nan"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # Python and numpy integers
         return str(int(value))
     return format(float(value), ".12g")
 
@@ -87,6 +93,9 @@ def _threaded(f, threads: int):
     executor, and results are placed by slice, so the assembled array is
     bitwise reproducible.
     """
+    import numpy as np
+
+    from .glue import ROW_QUANTUM
 
     def engine(X, Y, t):
         t = np.asarray(t, dtype=float)
@@ -113,7 +122,9 @@ def _threaded(f, threads: int):
     return engine
 
 
-def _batch_rng(seed: int, salt: int) -> np.random.Generator:
+def _batch_rng(seed: int, salt: int):
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, salt))))
 
 
@@ -133,6 +144,9 @@ def cmd_moduli(args: argparse.Namespace) -> int:
     missing = [f"--{k}" for k in PRESET_PARAMS[args.preset] if getattr(args, k) is None]
     if missing:
         raise ValueError(f"--preset {args.preset} needs {' and '.join(missing)}")
+    from . import moduli
+    from .glue import GaussianBlockFamily, glue as glue_embedding, preset_schedule
+
     sched = preset_schedule(args.preset, q=args.q, beta=args.beta, nu=args.nu)
     family = GaussianBlockFamily(sched, backend=args.backend,
                                       base_seed=args.base_seed,
@@ -184,10 +198,11 @@ def cmd_moduli(args: argparse.Namespace) -> int:
 # verify suites
 
 
-# Byte budget of one row tile of the Mazur and kernel suites: what
-# block_mass's three float32 scratch arrays take at a ROW_QUANTUM tile of
-# 512 features (3 x 512 KiB, sized for one core's L2).
-_TILE_BYTES = 3 * ROW_QUANTUM * 512 * 4
+# Byte budget of one row tile of the Mazur and kernel suites, sized for
+# one core's L2: what block_mass's three float32 scratch arrays take at a
+# glue.ROW_QUANTUM tile of 512 features, 3 x 512 KiB.  Stated in bytes so
+# that the Mazur suite need not load glue.
+_TILE_BYTES = 3 * 512 * 1024
 
 
 def _row_tiles(n_rows: int, row_bytes: int) -> list[slice]:
@@ -198,6 +213,8 @@ def _row_tiles(n_rows: int, row_bytes: int) -> list[slice]:
 
 
 def _suite_mazur(args: argparse.Namespace) -> dict:
+    from . import mazur
+
     grid = [float(v) for v in args.grid.split(",")]
     upper_scale = 0.5 if args.negative_control else 1.0
     x2, y2 = mazur.sample_sphere_pairs(args.samples, args.dim, args.seed)
@@ -208,6 +225,11 @@ def _suite_mazur(args: argparse.Namespace) -> dict:
 
 
 def _suite_kernel(args: argparse.Namespace) -> dict:
+    import numpy as np
+
+    from .gaussian import (RandomFeatures, TruncatedExp, exp_coordinates_batch,
+                           psi_distance_exact, rff_coordinates_batch)
+
     dim = min(args.dim, 3)
     backend = TruncatedExp(args.r, args.degree, dim)
     rng = _batch_rng(args.seed, 101)
@@ -258,6 +280,11 @@ def _suite_kernel(args: argparse.Namespace) -> dict:
 
 
 def _suite_gluing(args: argparse.Namespace) -> dict:
+    import numpy as np
+
+    from .glue import (GaussianBlockFamily, glue as glue_embedding,
+                       per_pair_bounds_check, preset_schedule)
+
     sched = preset_schedule("warmup_l2", beta=args.beta)
     family = GaussianBlockFamily(sched, backend="kernel")
     e = glue_embedding(family, n_terms=args.n_terms)
@@ -273,6 +300,10 @@ def _suite_gluing(args: argparse.Namespace) -> dict:
 
 
 def _suite_folner(args: argparse.Namespace) -> dict:
+    import numpy as np
+
+    from . import amenable
+
     model = amenable.ZkModel(2)
     system = amenable.ZkFolnerSystem(model, n_min=2, n_max=args.n_max)
     # Block-distance checks only fire at separations <= r_n, so the
@@ -315,6 +346,8 @@ def _suite_folner(args: argparse.Namespace) -> dict:
 
 
 def _suite_cube(args: argparse.Namespace) -> dict:
+    from .finite_geometry import HammingCube, cube_report, enflo_type2_certificate
+
     rows = []
     total = 0
     rng = _batch_rng(args.seed, 104)
@@ -340,6 +373,8 @@ def _suite_cube(args: argparse.Namespace) -> dict:
 
 
 def _suite_gk(args: argparse.Namespace) -> dict:
+    from .finite_geometry import probe_audit
+
     rows = []
     total = 0
     for k in range(1, args.k_max + 1):
@@ -377,6 +412,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_cube(args: argparse.Namespace) -> int:
+    from .finite_geometry import cube_report
+
     doc = cube_report(args.m, args.p, args.target_type)
     # The distortion bound is a certified floor; an identity measurement
     # below it would mean one of the two computations is wrong.
@@ -388,6 +425,8 @@ def cmd_cube(args: argparse.Namespace) -> int:
 
 
 def cmd_gk(args: argparse.Namespace) -> int:
+    from .finite_geometry import probe_audit
+
     rep = probe_audit(args.k, args.ground, args.p)
     doc = {"report_kind": "gk_report", "k": rep.k, "ground": rep.ground,
            "p": rep.p, "pairs_checked": rep.n_pairs, "sampled": rep.sampled,
@@ -417,6 +456,10 @@ def _tree_defects(system, counts, d) -> dict[int, float]:
 
 
 def cmd_folner(args: argparse.Namespace) -> int:
+    import numpy as np
+
+    from . import amenable, moduli
+
     # Group runs carry the same report kind as l_2 moduli runs so the
     # comparison table can pick up their fitted exponents.
     doc: dict = {"report_kind": "moduli_run", "run_kind": "folner",
@@ -509,6 +552,8 @@ def cmd_folner(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .report import report_tables
+
     table = report_tables(args.results_dir)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -68,7 +68,6 @@ __all__ = [
     "PowerLogSeq",
     "ParamSchedule",
     "preset_schedule",
-    "PRESET_PARAMS",
     "GaussianBlockFamily",
     "GluedEmbedding",
     "glue",
@@ -266,17 +265,6 @@ class ParamSchedule:
                "eta": self.eta, "eta_source": self.eta_source, "n0": self.n0}
         out.update(self.params)
         return out
-
-
-# The parameters each preset needs from its caller, by keyword of
-# :func:`preset_schedule`; warmup_l2 and coarse_l2 fix q = 2 themselves.
-PRESET_PARAMS = {
-    "warmup_l2": ("beta",),
-    "strong_qge2": ("q", "beta"),
-    "strong_1leqle2": ("q", "beta"),
-    "strong_qle1": ("q", "beta"),
-    "coarse_l2": ("nu",),
-}
 
 
 def preset_schedule(name: str, q: float | None = None, beta: float | None = None,

@@ -32,11 +32,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from .glue import GluedEmbedding
+if TYPE_CHECKING:  # annotations only: folner runs never load the l_2 side
+    from .glue import GluedEmbedding
 
 __all__ = [
     "PairSampler",
