@@ -68,6 +68,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _int_at_least_two(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError("must be an integer >= 2")
+    return value
+
+
 def _emit_json(doc: dict, path: str | None) -> None:
     text = canonical_json(doc)
     if path is None:
@@ -622,9 +629,10 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     ver.add_argument("--max-dist", type=float, default=None,
                      help="suites pick a range suited to their checks by default")
     ver.add_argument("--n-max", type=int, default=20)
-    ver.add_argument("--m-max", type=int, default=8)
-    ver.add_argument("--k-max", type=int, default=4)
-    ver.add_argument("--ground-max", type=int, default=12)
+    # Bounds below which the cube or gk suite would audit nothing.
+    ver.add_argument("--m-max", type=_int_at_least_two, default=8)
+    ver.add_argument("--k-max", type=_positive_int, default=4)
+    ver.add_argument("--ground-max", type=_int_at_least_two, default=12)
     ver.add_argument("--p", type=float, default=1.0)
     ver.set_defaults(handler=cmd_verify)
 

@@ -66,7 +66,8 @@ __all__ = [
 # (bandwidth * distance^2 = 1) the squared psi distance equals this level.
 SATURATION_LEVEL = 2.0 * (1.0 - math.exp(-1.0))  # = 2 (e-1)/e
 
-_SQRT_TINY = math.sqrt(np.finfo(float).tiny)
+_TINY = np.finfo(float).tiny
+_SQRT_TINY = math.sqrt(_TINY)
 
 # Cap on the materialized dimension C(degree + dim, dim) of a truncated
 # exp backend; construction fails beyond it rather than exhausting memory.
@@ -142,8 +143,8 @@ class RandomFeatures:
 
 
 @functools.lru_cache(maxsize=64)
-def _multi_indices(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
-    """All multi-indices with |m| <= degree and weights 1/sqrt(prod m_i!)."""
+def _multi_indices(dim: int, degree: int) -> np.ndarray:
+    """All multi-indices m with |m| <= degree, one row each."""
     rows: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int, slots: int) -> None:
@@ -155,11 +156,7 @@ def _multi_indices(dim: int, degree: int) -> tuple[np.ndarray, np.ndarray]:
             rec(prefix + [v], remaining - v, slots - 1)
 
     rec([], degree, dim)
-    exps = np.array(rows, dtype=np.int64)
-    log_fact = np.cumsum(np.log(np.arange(1, degree + 1))) if degree else np.array([])
-    lf = np.concatenate([[0.0], log_fact])
-    weights = np.exp(-0.5 * lf[exps].sum(axis=1))
-    return exps, weights
+    return np.array(rows, dtype=np.int64)
 
 
 # Unbounded: a glued embedding reads every block's table once per row
@@ -189,22 +186,30 @@ def _poisson_tail(n: int, lam: np.ndarray) -> np.ndarray:
     For lam >= n the result is 1 minus the head sum over j < n, which is
     then at most about 1/2, so the subtraction loses nothing.  At lam = 0
     the tail is exactly 0.  Past lam = 708, e^-lam leaves the normal float
-    range; the tail there is 1 to double precision unless n exceeds about
-    lam - 8 sqrt(lam), a degree at which the power tables of
-    :func:`exp_coordinates_batch` overflow first, so it raises.
+    range and the recurrence starts from nothing.  Its answer there, 1, is
+    still right to double precision while n p_{n-1}, which bounds the
+    head, is below half an ulp of 1; for any other such lam it raises.
     """
     lam = np.asarray(lam, dtype=float)
+    p0 = np.exp(-lam)
+    off = lam[p0 < _TINY]
+    if off.size:
+        head_bound = n * np.exp(-off + (n - 1) * np.log(off) - math.lgamma(n))
+        if np.any((off < n) | (head_bound > 2.0 ** -54)):
+            raise ValueError(
+                f"Pr[Poisson(lam) >= {n}] at lam = {off.max():.6g} needs e^-lam, "
+                f"which is below the smallest normal float")
     out = np.empty_like(lam)
     above = lam >= n
     h = lam[above]
-    p = np.exp(-h)
+    p = p0[above]
     head = p.copy()
     for j in range(1, n):
         p *= h / j
         head += p
     out[above] = 1.0 - head
     t = lam[~above]
-    p = np.exp(-t)
+    p = p0[~above]
     for j in range(1, n + 1):
         p *= t / j
     tail = p.copy()
@@ -230,20 +235,26 @@ def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndar
         raise ValueError(f"points have dim {X.shape[1]}, backend expects {backend.ambient_dim}")
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite entries")
-    exps, weights = _multi_indices(backend.ambient_dim, backend.degree)
+    exps = _multi_indices(backend.ambient_dim, backend.degree)
     sq = np.sum(X ** 2, axis=1)
     xs = math.sqrt(2.0 * backend.r) * X
-    # Per-dimension power tables keep this at gather cost, not pow cost.
-    coords = np.tile(weights, (len(X), 1))
+    # A coordinate is the product over dimensions i of
+    # T_i[m_i] = e^(-r x_i^2) (sqrt(2r) x_i)^m_i / sqrt(m_i!), the signed
+    # root of a Poisson(2 r x_i^2) probability.  Each table is built by the
+    # recurrence T_i[j] = T_i[j-1] sqrt(2r) x_i / sqrt(j) from T_i[0] =
+    # e^(-r x_i^2), so no value leaves [-1, 1], and gathered per dimension.
+    root_j = np.sqrt(np.arange(1.0, backend.degree + 1))
+    coords = np.ones((len(X), len(exps)))
     for i in range(backend.ambient_dim):
-        table = xs[:, i, None] ** np.arange(backend.degree + 1)[None, :]
-        coords *= table[:, exps[:, i]]
-    coords *= np.exp(-backend.r * sq)[:, None]
+        steps = np.empty((len(X), backend.degree + 1))
+        steps[:, 0] = np.exp(-backend.r * X[:, i] ** 2)
+        np.divide(xs[:, i, None], root_j, out=steps[:, 1:])
+        coords *= np.cumprod(steps, axis=1)[:, exps[:, i]]
     residuals = _poisson_tail(backend.degree + 1, 2.0 * backend.r * sq)
     norms = np.linalg.norm(coords, axis=1, keepdims=True)
-    # exp(-r ||x||^2) shrinks the series faster than its terms grow; once
-    # the squared norm leaves the normal float range the rows lose their
-    # precision, and then their norm, before the division below.
+    # The squared norm is Pr[Poisson(2 r ||x||^2) <= degree]; once it
+    # leaves the normal float range the rows lose their precision, and
+    # then their norm, before the division below.
     lost = ~(norms[:, 0] >= _SQRT_TINY)
     if np.any(lost):
         raise ValueError(

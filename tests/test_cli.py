@@ -80,6 +80,20 @@ class TestExitCodes:
         assert "must be a positive integer" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--suite", "cube", "--m-max", "1"], "argument --m-max: must be an integer >= 2"),
+        (["--suite", "gk", "--k-max", "0"], "argument --k-max: must be a positive integer"),
+        (["--suite", "gk", "--ground-max", "1"],
+         "argument --ground-max: must be an integer >= 2"),
+    ], ids=["cube-m-max", "gk-k-max", "gk-ground-max"])
+    def test_verify_bounds_that_audit_nothing_are_usage_errors(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", *argv])
+        assert exc.value.code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("dim", ["0", "-1"])
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "mazur"],
@@ -508,15 +522,18 @@ def test_import_loads_no_scipy_module():
 
 
 # Runs the argument lists in argv[1] (JSON) through cli.main in one fresh
-# process, in the directory argv[2], and reports their exit codes and
-# whether scipy.special is loaded at the end.
+# process, in the directory argv[2], and reports their exit codes, whether
+# scipy.special is loaded at the end and which of numpy and the package's
+# modules are.
 _FRESH_CLI = """
 import json, os, sys
 from embedlab import cli
 
 os.chdir(sys.argv[2])
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy_special": "scipy.special" in sys.modules}))
+print(json.dumps({"codes": codes, "scipy_special": "scipy.special" in sys.modules,
+                  "modules": sorted(m for m in sys.modules
+                                    if m == "numpy" or m.startswith("embedlab."))}))
 """
 
 
@@ -585,6 +602,59 @@ class TestScipySpecialIsDeferred:
             return (tmp_path / j).read_bytes(), (tmp_path / c).read_bytes()
 
         assert once(1) == once(2)
+
+
+class TestEachCommandLoadsOnlyItsModules:
+    """A CLI process imports only the package modules its subcommand runs."""
+
+    def test_report_loads_no_numpy(self, tmp_path):
+        (tmp_path / "results").mkdir()
+        (tmp_path / "results" / "run.json").write_text(json.dumps(
+            {"report_kind": "moduli_run", "domain": "l2", "target": "l2",
+             "regime": "small_t", "rho_slope": 1.0, "violations": 0}))
+        got = _fresh_cli([["report", "--results-dir", "results", "--out", "t.json"]],
+                         tmp_path)
+        assert got["codes"] == [cli.EXIT_OK]
+        assert got["modules"] == ["embedlab.cli", "embedlab.report"]
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["folner", "--group", "z2", "--n-max", "8", "--max-dist", "16", "--pairs", "60",
+          "--json-out", "z2.json"], ("gaussian", "glue", "mazur", "finite_geometry")),
+        (["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
+          "--n-terms", "30", "--pairs", "300", "--bins", "12", "--json-out", "w.json"],
+         ("amenable", "finite_geometry")),
+        (["verify", "--suite", "mazur", "--samples", "300", "--grid", "1,2",
+          "--out", "mazur.json"], ("glue", "gaussian", "amenable", "finite_geometry")),
+    ], ids=["folner", "moduli", "verify-mazur"])
+    def test_commands_leave_other_layers_unloaded(self, tmp_path, argv, absent):
+        got = _fresh_cli([argv], tmp_path)
+        assert got["codes"] == [cli.EXIT_OK]
+        assert "numpy" in got["modules"]
+        assert sorted({f"embedlab.{m}" for m in absent} & set(got["modules"])) == []
+
+
+# A value for each flag a preset lists, valid for that preset.
+_PRESET_FLAG_VALUES = {
+    "warmup_l2": {"beta": 2.0},
+    "strong_qge2": {"q": 4.0, "beta": 1.1},
+    "strong_1leqle2": {"q": 1.5, "beta": 1.1},
+    "strong_qle1": {"q": 0.5, "beta": 1.1},
+    "coarse_l2": {"nu": 0.75},
+}
+
+
+@pytest.mark.parametrize("preset", sorted(cli.PRESET_PARAMS))
+def test_each_preset_builds_from_its_listed_flags_alone(preset):
+    # cli.PRESET_PARAMS lists what glue.preset_schedule needs: the listed
+    # flags suffice, and each of them is needed.
+    from embedlab.glue import preset_schedule
+
+    values = _PRESET_FLAG_VALUES[preset]
+    assert sorted(values) == sorted(cli.PRESET_PARAMS[preset])
+    assert preset_schedule(preset, **values).name == preset
+    for flag in values:
+        with pytest.raises(ValueError):
+            preset_schedule(preset, **{k: v for k, v in values.items() if k != flag})
 
 
 # Imports the modules named in argv[1] (comma-separated, in order) in a

@@ -4,6 +4,7 @@ random features, and the certified block-distance envelopes."""
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,16 @@ class TestTruncatedExp:
         want = psi_distance_exact(np.linalg.norm(X - Y, axis=1), be.r)
         assert np.abs(got - want).max() < 1e-10
 
+    def test_large_argument_keeps_its_tables_in_range(self):
+        # At ||x|| = 17 a power table 17^800 overflows and a weight
+        # 1/sqrt(800!) underflows; the series itself is about 1 in norm.
+        be = TruncatedExp(1.0, 800, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            coords, res = exp_coordinates_batch(np.array([[17.0]]), be)
+        assert np.linalg.norm(coords[0]) == pytest.approx(1.0, abs=1e-12)
+        assert res[0] == gaussian._poisson_tail(801, np.array([578.0]))[0]
+
     def test_single_point_wrapper(self):
         # A single point is a batch of one row.
         be = TruncatedExp(1.0, 16, 2)
@@ -111,6 +122,16 @@ class TestPoissonTail:
         np.testing.assert_allclose(got, gammainc(n, lam), rtol=1e-13, atol=tiny)
         want = [poisson_tail(n, v) for v in lam]
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=tiny)
+
+
+    def test_past_the_normal_range_of_e_minus_lam(self):
+        # Beyond lam = 708.4 e^-lam is no normal float.  Far above n the
+        # tail is 1 to double precision; near or below n the recurrence has
+        # nothing to start from, so it raises rather than return 0.
+        assert gaussian._poisson_tail(33, np.array([800.0, 1e4])).tolist() == [1.0, 1.0]
+        for n, lam in ((801, 800.0), (2001, 1458.0), (700, 720.0)):
+            with pytest.raises(ValueError, match="below the smallest normal float"):
+                gaussian._poisson_tail(n, np.array([lam]))
 
 
 class TestRandomFeatures:
