@@ -1,7 +1,9 @@
 """Every public name of the package has a caller in the package or the
-benchmark, not only in the tests."""
+benchmark, not only in the tests, and resolves on first access to the
+object its module defines."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import embedlab
@@ -56,3 +58,11 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         public |= _exports(tree)
         used |= _references(tree)
     assert sorted(public - used - EXEMPT) == []
+
+
+def test_lazy_exports_resolve_to_their_modules():
+    # __all__ and the lazy export table name the same objects.
+    assert sorted(embedlab.__all__) == sorted(embedlab._OWNER)
+    for name in embedlab.__all__:
+        module = importlib.import_module(f"embedlab.{embedlab._OWNER[name]}")
+        assert getattr(embedlab, name) is getattr(module, name)
