@@ -73,7 +73,3 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(__all__))
