@@ -32,15 +32,15 @@ if "numpy" not in sys.modules:
 _EXPORTS = {
     "amenable": ("HeisenbergModel", "TreeACollection", "TreeModel", "ZkFolnerSystem",
                  "ZkModel", "char_embedding_bound_check", "glued_group_embedding",
-                 "heisenberg_growth_fit", "predicted_group_gap"),
+                 "heisenberg_growth_fit"),
     "finite_geometry": ("GkSpace", "HammingCube", "cube_distance", "cube_report",
                         "enflo_lower_bound", "enflo_type2_certificate", "probe_audit"),
     "gaussian": ("FundamentalMapSpec", "KernelExact", "RandomFeatures", "TruncatedExp",
                  "delta_q", "moduli_exponents", "psi_distance_exact"),
     "glue": ("GaussianBlockFamily", "GluedEmbedding", "ParamSchedule",
-             "per_pair_bounds_check", "predicted_gap", "preset_schedule"),
+             "per_pair_bounds_check", "preset_schedule"),
     "mazur": ("audit_sphere_pairs", "mazur_constants", "mazur_map"),
-    "metric_core": ("ExponentRegime", "MonotoneFunction", "h_ab"),
+    "metric_core": ("ExponentRegime",),
     "moduli": ("PairSampler", "distortion", "estimate_moduli", "fit_exponent",
                "write_moduli_csv"),
     "report": ("ComparisonTable", "report_tables"),
@@ -52,17 +52,15 @@ __version__ = "0.1.0"
 __all__ = [
     "ComparisonTable", "ExponentRegime", "FundamentalMapSpec",
     "GaussianBlockFamily", "GkSpace", "GluedEmbedding", "HammingCube",
-    "HeisenbergModel", "KernelExact", "MonotoneFunction", "PairSampler",
-    "ParamSchedule", "RandomFeatures", "TreeACollection", "TreeModel",
-    "TruncatedExp", "ZkFolnerSystem", "ZkModel", "audit_sphere_pairs",
+    "HeisenbergModel", "KernelExact", "PairSampler", "ParamSchedule",
+    "RandomFeatures", "TreeACollection", "TreeModel", "TruncatedExp",
+    "ZkFolnerSystem", "ZkModel", "audit_sphere_pairs",
     "char_embedding_bound_check", "cube_distance", "cube_report", "delta_q",
     "distortion", "enflo_lower_bound", "enflo_type2_certificate",
-    "estimate_moduli", "fit_exponent",
-    "glued_group_embedding", "h_ab", "heisenberg_growth_fit",
-    "mazur_constants", "mazur_map", "moduli_exponents",
-    "per_pair_bounds_check", "predicted_gap", "predicted_group_gap",
-    "preset_schedule", "probe_audit", "psi_distance_exact", "report_tables",
-    "write_moduli_csv",
+    "estimate_moduli", "fit_exponent", "glued_group_embedding",
+    "heisenberg_growth_fit", "mazur_constants", "mazur_map",
+    "moduli_exponents", "per_pair_bounds_check", "preset_schedule",
+    "probe_audit", "psi_distance_exact", "report_tables", "write_moduli_csv",
 ]
 
 

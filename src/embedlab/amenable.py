@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric_core import ExponentRegime, MonotoneFunction, h_ab
+from .metric_core import ExponentRegime
 
 _REL_TOL = 1e-9  # relative float slack of the certified-bound audits
 _TREE_BASE_DEPTH = 40  # sampled tree pairs start at depth 0.._TREE_BASE_DEPTH
@@ -681,7 +681,7 @@ def glued_group_embedding(sys, model, p) -> GluedGroupEmbedding:
 
 
 # ---------------------------------------------------------------------------
-# growth fit and predicted envelopes
+# growth fit
 
 
 def heisenberg_growth_fit(r_max: int = 20, r_min: int = 2) -> float:
@@ -690,35 +690,3 @@ def heisenberg_growth_fit(r_max: int = 20, r_min: int = 2) -> float:
     rs = np.arange(r_min, r_max + 1, dtype=float)
     counts = np.array([model.ball_count(int(r)) for r in rs], dtype=float)
     return float(np.polyfit(np.log(rs), np.log(counts), 1)[0])
-
-
-_GAP_PARAMS = {  # model name -> (a, b) with lower envelope h_{(a,b)}(t)^(1/p)
-    "tree": (2.0, 2.0),
-    "heis": (1.0, 2.0),
-}
-
-
-def predicted_group_gap(model, p) -> tuple[MonotoneFunction, MonotoneFunction]:
-    """(lower, upper) envelopes for the glued group embedding.
-
-    Lower: generalized inverse of the witness radius growth t^a log^b t,
-    taken to the 1/p power; upper: t^(1/p).  For Z^k the certified
-    witness radius grows like n^2 log^2 n for every k, so the certified
-    parameters are (2, 2) regardless of k.
-    """
-    regime = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
-    if regime.p < 1:
-        raise ValueError("group embeddings are built for p >= 1")
-    if isinstance(model, ZkModel):
-        a, b = 2.0, 2.0
-    else:
-        try:
-            a, b = _GAP_PARAMS[model.name]
-        except (AttributeError, KeyError):
-            raise ValueError(f"unsupported model: {model!r}") from None
-    ip = 1.0 / regime.p
-    lower = MonotoneFunction(lambda t: h_ab(a, b, t) ** ip, lo=1.0, hi=1e12,
-                             kind="power_log_inverse",
-                             params={"a": a, "b": b, "inv_p": ip})
-    upper = MonotoneFunction.power(1.0, ip, lo=1.0, hi=1e12)
-    return lower, upper

@@ -113,7 +113,8 @@ class TruncatedExp:
             raise ValueError("need degree >= 0 and ambient_dim >= 1")
         if self.n_coords > MAX_EXP_COORDS:
             raise ValueError(
-                f"coordinate count {self.n_coords} exceeds cap {MAX_EXP_COORDS}"
+                f"coordinate count {self.n_coords} at degree {self.degree} and dim "
+                f"{self.ambient_dim} exceeds cap {MAX_EXP_COORDS}"
             )
 
     @property

@@ -11,8 +11,8 @@ base point cancels in every distance, so only differences are computed):
 * ``mu_n``  -- compression budget of block n at small separations,
 * ``s_n``   -- activation threshold: block n's distance is at least
   ``eta`` once the separation reaches s_n,
-* ``gamma`` / ``xi`` -- the shared expansion / compression shape
-  functions (pure powers for the presets).
+* ``gamma`` / ``xi`` -- the exponents of d in the shared expansion /
+  compression shapes ``d^gamma`` and ``d^xi``.
 
 The preset budgets are stored in their plain power-log form, and the
 *certified* per-block bounds carry an extra multiplier (``eps_mult`` /
@@ -27,9 +27,9 @@ Writing Q for the glued power mass (Q = Delta^q for q >= 1, Q = Delta
 itself for q <= 1 where the metric is already a power sum), the audited
 per-pair claims are:
 
-* strong upper:   ``Q <= (sum_n ceps_n^m) * gamma(d)^m``
+* strong upper:   ``Q <= (sum_n ceps_n^m) * d^(gamma*m)``
 * step lower:     ``Q >= k * eta^m`` where k blocks have ``s_n <= d``
-* small-distance: ``Q >= (sum_n cmu_n^m) * xi(d)^m`` on the region
+* small-distance: ``Q >= (sum_n cmu_n^m) * d^(xi*m)`` on the region
   ``max_n r_n * d^2 <= 1`` where the 1/e envelope is valid
 * coarse upper:   ``Q <= 2^m * k + K`` for ``r_k <= d``, K the full
   certified budget mass
@@ -62,7 +62,7 @@ from .gaussian import (
     sphere_block_interval,
     _transport_constants,
 )
-from .metric_core import ExponentRegime, MonotoneFunction
+from .metric_core import ExponentRegime
 
 __all__ = [
     "PowerLogSeq",
@@ -73,7 +73,6 @@ __all__ = [
     "glue",
     "ROW_QUANTUM",
     "per_pair_bounds_check",
-    "predicted_gap",
     "GluingCheckReport",
 ]
 
@@ -171,8 +170,8 @@ class ParamSchedule:
     s_seq: PowerLogSeq
     mu_seq: PowerLogSeq | None
     eta: float
-    gamma: MonotoneFunction
-    xi: MonotoneFunction | None
+    gamma: float | None
+    xi: float | None
     eps_mult: float = 1.0
     mu_mult: float = 1.0
     n0: int = 2
@@ -184,6 +183,11 @@ class ParamSchedule:
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if self.eta <= 0:
             raise ValueError("eta must be positive")
+        if self.kind == "strong" and self.gamma is None:
+            raise ValueError("strong schedules need an expansion exponent gamma")
+        for e in (self.gamma, self.xi):
+            if e is not None and not (math.isfinite(e) and e >= 0):
+                raise ValueError(f"shape exponents must be finite and >= 0, got {e!r}")
         for seq in (self.r_seq, self.eps_seq, self.s_seq, self.mu_seq):
             if seq is not None and self.n0 < seq.n_min:
                 raise ValueError("n0 below a sequence's first index")
@@ -289,7 +293,7 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
             s_seq=PowerLogSeq(1.0, 1.0 + nu, 0.0, n_min=1),
             mu_seq=None,
             eta=delta_q(2.0),
-            gamma=MonotoneFunction.power(1.0, 1.0),
+            gamma=None,
             xi=None,
             # Block distance <= sqrt(2 t_n) d = sqrt(2) eps_n (d / r_n).
             eps_mult=math.sqrt(2.0),
@@ -335,8 +339,8 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
         name=name, q=ExponentRegime.from_p(q), kind="strong",
         r_seq=r_seq, eps_seq=eps_seq, s_seq=s_seq, mu_seq=mu_seq,
         eta=delta_q(q),
-        gamma=MonotoneFunction.power(1.0, 2.0 * gamma_q),
-        xi=MonotoneFunction.power(1.0, 2.0 * xi_q),
+        gamma=2.0 * gamma_q,
+        xi=2.0 * xi_q,
         eps_mult=c_hi * 2.0 ** gamma_q,
         mu_mult=c_lo * (2.0 / math.e) ** xi_q,
         eta_source="derived_delta_q",
@@ -466,13 +470,6 @@ def glue(family: GaussianBlockFamily, n_terms: int = 200) -> GluedEmbedding:
     return GluedEmbedding(family, n_terms)
 
 
-def _shape_values(m: MonotoneFunction, arr: np.ndarray) -> np.ndarray:
-    """Evaluate a monotone shape on an array (closed form for pure powers)."""
-    if m.kind == "power":
-        return m.params["coef"] * arr ** m.params["exponent"]
-    return np.array([m(float(t)) for t in np.atleast_1d(arr)])
-
-
 @dataclass
 class GluingCheckReport:
     """Outcome of auditing the certified per-pair claims on sampled pairs."""
@@ -569,9 +566,8 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
     lo_m = lo if sched.q.is_power_sum else lo ** m
     hi_m = hi if sched.q.is_power_sum else hi ** m
 
-    gamma_d = _shape_values(sched.gamma, d)
     if sched.kind == "strong":
-        upper_claim = eps_scale ** m * sched.eps_mass_partial(e.n_terms) * gamma_d ** m
+        upper_claim = eps_scale ** m * sched.eps_mass_partial(e.n_terms) * (d ** sched.gamma) ** m
     else:
         K = eps_scale ** m * sched.eps_mass_total()
         upper_claim = 2.0 ** m * _coarse_step_count(sched, d) + K
@@ -599,8 +595,7 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
         valid = r_max * d ** 2 <= 1.0
         rep.small_checked = int(np.sum(valid))
         if rep.small_checked:
-            xi_d = _shape_values(sched.xi, d[valid])
-            small_claim = sched.mu_mass_partial(e.n_terms) * xi_d ** m
+            small_claim = sched.mu_mass_partial(e.n_terms) * (d[valid] ** sched.xi) ** m
             pos = small_claim > 0
             if np.any(pos):
                 sc = small_claim[pos]
@@ -622,47 +617,3 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
     if sched.kind == "coarse":
         rep.constants["K"] = eps_scale ** m * sched.eps_mass_total()
     return rep
-
-
-def _tabulate_finite(seq: PowerLogSeq, n0: int, n_max: int) -> tuple[np.ndarray, np.ndarray]:
-    ns = np.arange(n0, n0 + n_max, dtype=float)
-    vals = np.asarray(seq.value(ns), dtype=float)
-    keep = np.isfinite(vals)
-    if keep.sum() < 2:
-        raise ValueError("sequence overflows immediately; cannot tabulate")
-    return ns[keep], vals[keep]
-
-
-def predicted_gap(schedule: ParamSchedule, kind: str, n_max: int = 20_000) -> MonotoneFunction:
-    """Predicted moduli envelopes (shapes; constants deliberately omitted).
-
-    ``kind``:
-
-    * ``"strong_large"`` / ``"coarse_lower"`` -- compression growth at
-      large separations, ``s^-(t)^(1/q)`` (plain ``s^-(t)`` for q <= 1)
-      with ``s^-`` the generalized inverse of the piecewise-linear
-      extension of the activation thresholds;
-    * ``"strong_small"`` -- the small-separation compression shape xi;
-    * ``"strong_upper"`` -- the expansion shape gamma;
-    * ``"coarse_upper"`` -- ``r^-(t)^(1/q)`` from the range sequence.
-    """
-    expo = 1.0 if schedule.q.is_power_sum else 1.0 / schedule.q.p
-    if kind == "strong_small":
-        if schedule.xi is None:
-            raise ValueError("schedule has no compression shape")
-        return schedule.xi
-    if kind == "strong_upper":
-        return schedule.gamma
-    if kind == "coarse_upper":
-        ns, vals = _tabulate_finite(schedule.r_seq, schedule.n0, n_max)
-        label = "inverse_range_power"
-    elif kind in ("strong_large", "coarse_lower"):
-        ns, vals = _tabulate_finite(schedule.s_seq, schedule.n0, n_max)
-        label = "inverse_threshold_power"
-    else:
-        raise ValueError(f"unknown envelope kind {kind!r}")
-    if np.any(np.diff(vals) < 0):
-        raise ValueError("sequence must be nondecreasing for inversion")
-    fn = lambda t, _ns=ns, _vals=vals, _e=expo: float(np.interp(t, _vals, _ns)) ** _e
-    return MonotoneFunction(fn, float(vals[0]), float(vals[-1]),
-                            kind=label, params={"exponent": expo, "n_max": int(ns[-1])})

@@ -27,7 +27,6 @@ from embedlab.amenable import (
     heis_intersection_count,
     heis_worst_defects,
     heisenberg_growth_fit,
-    predicted_group_gap,
     sample_tree_pairs,
     sample_zk_pairs,
 )
@@ -479,29 +478,6 @@ class TestRadialWitness:
         gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
         defect = max(folner_defect(F, g, model) for g in gens)
         assert _preset_eps(4) < defect < 5.0 / radius
-
-
-class TestPredictedGroupGap:
-    def test_heisenberg_lower_is_power_log_inverse(self):
-        lower, upper = predicted_group_gap(HeisenbergModel(), 1.0)
-        t = 4.0 * math.e ** 2  # = s log^2 s at s = e^2
-        assert lower(t) == pytest.approx(math.e ** 2, rel=1e-9)
-        assert upper(16.0) == 16.0
-
-    def test_lattice_parameters_independent_of_k(self):
-        for k in (1, 2, 3):
-            lower, _ = predicted_group_gap(ZkModel(k), 1.0)
-            assert lower(math.e ** 2) == pytest.approx(math.e, rel=1e-9)
-
-    def test_tree_and_root_behavior(self):
-        lower, upper = predicted_group_gap(TreeModel(), 2.0)
-        assert upper(16.0) == 4.0
-        vals = [lower(10.0), lower(1e3), lower(1e6)]
-        assert vals[0] < vals[1] < vals[2]
-
-    def test_p_validation(self):
-        with pytest.raises(ValueError):
-            predicted_group_gap(ZkModel(1), 0.5)
 
 
 def _tree_nodes(branching: int, depth: int) -> list[tuple]:

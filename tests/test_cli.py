@@ -49,6 +49,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "series of degree 32 underflows at ||x|| = " in err
 
+    def test_exp_coordinate_cap_names_the_dimension(self, capsys):
+        # C(32 + 16, 16) coordinates at the default --dim 16: far over the cap.
+        code = run(["moduli", "--backend", "exp", "--q", "4", "--beta", "1.05"])
+        assert code == cli.EXIT_USAGE
+        assert "at degree 32 and dim 16 exceeds cap" in capsys.readouterr().err
+
     @pytest.mark.parametrize("argv, message", [
         ([], "--preset strong_qge2 needs --q and --beta"),
         (["--beta", "2"], "--preset strong_qge2 needs --q"),
@@ -504,13 +510,6 @@ class TestGroupClosedForms:
             M = system.half_side(n)
             want = max(amenable.box_defect(M, g) for g in zk_ball(model, n) if any(g))
             assert got[n] == want
-
-
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    code = "import sys, embedlab.cli; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout.strip() == "False"
 
 
 def test_import_loads_no_scipy_module():

@@ -13,10 +13,9 @@ from embedlab.glue import (
     PowerLogSeq,
     glue,
     per_pair_bounds_check,
-    predicted_gap,
     preset_schedule,
 )
-from embedlab.metric_core import ExponentRegime, MonotoneFunction
+from embedlab.metric_core import ExponentRegime
 
 
 class TestSequences:
@@ -109,10 +108,9 @@ class TestScheduleInvariants:
 
     def test_structural_validation(self):
         q = ExponentRegime.from_p(2.0)
-        gamma = MonotoneFunction.power(1.0, 1.0)
         shrinking, growing = PowerLogSeq(1.0, -1.0, 0.0), PowerLogSeq(1.0, 1.0, 0.0)
         ok = dict(name="x", q=q, kind="strong", eps_seq=shrinking,
-                  s_seq=growing, mu_seq=None, eta=0.5, gamma=gamma, xi=None)
+                  s_seq=growing, mu_seq=None, eta=0.5, gamma=1.0, xi=None)
         ParamSchedule(r_seq=shrinking, **ok)
         with pytest.raises(ValueError):  # strong bandwidths must not grow
             ParamSchedule(r_seq=growing, **ok)
@@ -123,6 +121,12 @@ class TestScheduleInvariants:
                           **{**ok, "eps_seq": PowerLogSeq(1.0, -0.25, 0.0)})
         with pytest.raises(ValueError):
             ParamSchedule(r_seq=shrinking, **{**ok, "kind": "odd"})
+        with pytest.raises(ValueError):  # shape exponents are >= 0
+            ParamSchedule(r_seq=shrinking, **{**ok, "gamma": -0.5})
+        with pytest.raises(ValueError):  # ... and finite
+            ParamSchedule(r_seq=shrinking, **{**ok, "xi": math.inf})
+        with pytest.raises(ValueError):  # strong schedules need gamma
+            ParamSchedule(r_seq=shrinking, **{**ok, "gamma": None})
 
     def test_to_json_dict_echoes_parameters(self):
         d = preset_schedule("strong_qge2", q=4.0, beta=1.05).to_json_dict()
@@ -258,55 +262,3 @@ class TestPerPairBounds:
         e = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0)), n_terms=5)
         with pytest.raises(ValueError):
             per_pair_bounds_check(e, np.array([-1.0]))
-
-
-class _Geometric:
-    """n -> ratio^n for n >= 1, with the sequence interface of PowerLogSeq."""
-
-    n_min = 1
-
-    def __init__(self, ratio):
-        self.ratio = ratio
-        self.unbounded = ratio > 1
-
-    def value(self, n):
-        with np.errstate(over="ignore"):  # predicted_gap drops the inf tail
-            return self.ratio ** np.asarray(n, dtype=float)
-
-    def power_tail(self, power, n_last):
-        rq = self.ratio ** power
-        if rq >= 1:
-            raise ValueError("diverges")
-        return rq ** (n_last + 1) / (1.0 - rq)
-
-
-class TestPredictedGap:
-    def test_exponential_thresholds_invert_to_log(self):
-        q = ExponentRegime.from_p(4.0)
-        sched = ParamSchedule(name="geo", q=q, kind="strong",
-                              r_seq=_Geometric(0.5), eps_seq=_Geometric(0.5),
-                              s_seq=_Geometric(2.0), mu_seq=None,
-                              eta=0.5, gamma=MonotoneFunction.power(1.0, 0.5), xi=None)
-        lower = predicted_gap(sched, "strong_large")
-        for j in (3, 7, 10):
-            assert lower(2.0 ** j) == pytest.approx(j ** 0.25, rel=1e-9)
-
-    def test_coarse_lower_slope(self):
-        sched = preset_schedule("coarse_l2", nu=0.75)
-        lower = predicted_gap(sched, "coarse_lower")
-        t0, t1 = 1e2, 1e5
-        slope = math.log(lower(t1) / lower(t0)) / math.log(t1 / t0)
-        assert slope == pytest.approx(1.0 / (2.0 * 1.75), abs=0.01)
-
-    def test_shape_kinds(self):
-        sched = preset_schedule("strong_qge2", q=4.0, beta=1.1)
-        assert predicted_gap(sched, "strong_upper") is sched.gamma
-        assert predicted_gap(sched, "strong_small") is sched.xi
-        with pytest.raises(ValueError):
-            predicted_gap(sched, "sideways")
-
-    def test_coarse_upper_tracks_range_inverse(self):
-        sched = preset_schedule("coarse_l2", nu=0.75)
-        upper = predicted_gap(sched, "coarse_upper")
-        # r_n = n, so the inverse at integer t is t itself, then the 1/q root
-        assert upper(100.0) == pytest.approx(10.0, rel=1e-9)

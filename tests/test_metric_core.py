@@ -1,4 +1,4 @@
-"""Two-regime metrics and monotone inverses."""
+"""Two-regime metrics and the distances built on them."""
 
 import math
 
@@ -11,12 +11,7 @@ from embedlab.finite_geometry import HammingCube
 from embedlab.gaussian import rff_coordinates_batch
 from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
 from embedlab.mazur import mazur_map
-from embedlab.metric_core import (
-    ExponentRegime,
-    MonotoneFunction,
-    Regime,
-    h_ab,
-)
+from embedlab.metric_core import ExponentRegime, Regime
 
 
 class TestExponentRegime:
@@ -119,59 +114,3 @@ class TestLpSumDistance:
             e = _glued(preset, q)
             assert np.array_equal(e.image_distances(X, X), np.zeros(4))
             assert np.array_equal(_flat_distance(X, X, e), np.zeros(4))
-
-
-class TestMonotoneFunction:
-    def test_power_form(self):
-        f = MonotoneFunction.power(2.0, 0.5, lo=0.0, hi=100.0)
-        assert f(4.0) == pytest.approx(4.0)
-        assert f.kind == "power"
-        assert f.params == {"coef": 2.0, "exponent": 0.5}
-
-    def test_decreasing_function_rejected(self):
-        with pytest.raises(ValueError):
-            MonotoneFunction(lambda t: -t, 0.0, 10.0)
-
-
-class TestHab:
-    def test_identity_branch(self):
-        assert h_ab(1.0, 0.0, 17.0) == pytest.approx(17.0)
-
-    def test_known_inverse_point(self):
-        # s * ln(s)^2 evaluated at s = e^2 equals 4 e^2.
-        s = math.e ** 2
-        assert h_ab(1.0, 2.0, 4.0 * s) == pytest.approx(s, rel=1e-10)
-
-    def test_half_power_round_trip(self):
-        s = math.e ** 2
-        t = math.sqrt(s) * math.log(s)
-        assert h_ab(0.5, 1.0, t) == pytest.approx(s, rel=1e-10)
-
-    def test_negative_log_power_branch(self):
-        # increasing branch starts at s0 = exp(-b/a); below its minimum raises
-        a, b = 1.0, -1.0
-        s0 = math.e
-        t_min = s0 / 1.0  # s0^a * ln(s0)^b = e
-        assert h_ab(a, b, t_min) == pytest.approx(s0)
-        with pytest.raises(ValueError):
-            h_ab(a, b, t_min - 0.5)
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            h_ab(0.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            h_ab(1.0, 1.0, math.inf)
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        st.floats(0.3, 3.0),
-        st.floats(-2.0, 3.0),
-        st.floats(0.05, 6.0),
-    )
-    def test_round_trip_on_increasing_branch(self, a, b, u):
-        s0 = 1.0 if b >= 0 else math.exp(-b / a)
-        s = s0 * math.exp(u)
-        t = s ** a * math.log(s) ** b if s > 1.0 or b == 0 else s ** a * 0.0
-        if s <= 1.0 and b != 0:
-            return  # log term vanishes; inverse not informative at the branch start
-        assert h_ab(a, b, t) == pytest.approx(s, rel=1e-9)

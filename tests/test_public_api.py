@@ -11,10 +11,6 @@ import embedlab
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "embedlab").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
-# The paper's predicted compression shapes, kept until a run reports them.
-EXEMPT = {"predicted_gap", "predicted_group_gap"}
-
-
 def _exports(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
@@ -57,7 +53,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         public |= _exports(tree)
         used |= _references(tree)
-    assert sorted(public - used - EXEMPT) == []
+    assert sorted(public - used) == []
 
 
 def test_lazy_exports_resolve_to_their_modules():
