@@ -7,10 +7,16 @@ distance is exact integer set arithmetic, computed in closed form: box
 and tree-segment symmetric differences over arrays of pairs (hence every
 block distance), the worst box defect, and the Heisenberg gauge-ball
 defect as a sum of z-fiber interval overlaps.  Nothing here enumerates
-a Folner set; the enumerations live in the tests as the oracles these
-closed forms are checked against.  The support-radius audit measures a
-box at its 2^k corners and walks the short tree segments of the first
-indices; the glued-bound audit is one array pass over all pairs.
+a Folner set or keeps a scalar group law; the enumerations and scalar
+group operations live in the tests as the oracles these closed forms are
+checked against.  The support-radius audit measures a box at its 2^k
+corners and walks the short tree segments of the first indices; the
+glued-bound audit is one array pass over all pairs.
+
+Both set systems (boxes of Z^k, tree segments) share one array interface,
+``model`` and ``sample_pairs`` through ``support_reach``, and
+:func:`folner_system` looks one up by group name: callers run one path
+for every group.  The Heisenberg group has no set system yet.
 
 The pair samplers draw arrays from counter-based streams.  Z^k pairs
 take each field (base points, lengths, multinomial splits, signs) from
@@ -55,16 +61,6 @@ class ZkModel:
             raise ValueError("k must be a positive integer")
         object.__setattr__(self, "name", f"z{self.k}")
 
-    @property
-    def identity(self):
-        return (0,) * self.k
-
-    def mul(self, g, h):
-        return tuple(a + b for a, b in zip(g, h))
-
-    def inv(self, g):
-        return tuple(-a for a in g)
-
     def metric(self, g, h) -> float:
         return float(sum(abs(a - b) for a, b in zip(g, h)))
 
@@ -80,24 +76,6 @@ class HeisenbergModel:
     """
 
     name: str = "heis"
-
-    @property
-    def identity(self):
-        return (0, 0, 0)
-
-    def mul(self, g, h):
-        return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
-
-    def inv(self, g):
-        return (-g[0], -g[1], -g[2] + g[0] * g[1])
-
-    def gauge(self, g) -> int:
-        z = abs(g[2])
-        root = math.isqrt(z - 1) + 1 if z else 0  # ceil(sqrt(z)) on integers
-        return abs(g[0]) + abs(g[1]) + root
-
-    def metric(self, g, h) -> float:
-        return float(self.gauge(self.mul(self.inv(g), h)))
 
     def ball_count(self, radius: int) -> int:
         """|B(e, R)| by summing the z-fiber count over each (x, y)."""
@@ -125,10 +103,6 @@ class TreeModel:
     def __post_init__(self):
         if self.branching < 1 or self.depth < 1:
             raise ValueError("branching and depth must be positive")
-
-    @property
-    def root(self):
-        return ()
 
     def check_node(self, x):
         if len(x) > self.depth or any(not 0 <= c < self.branching for c in x):
@@ -195,21 +169,6 @@ def box_defect(half_side: int, g) -> float:
     k = len(g)
     total = (2 * half_side + 1) ** k
     return 2 * (total - box_intersection_count(half_side, g)) / total
-
-
-def zk_worst_defects(system: ZkFolnerSystem) -> dict[int, float]:
-    """Exact worst translation defect per index over shifts up to r_n.
-
-    The defect 2 (1 - |F cap gF| / |F|) grows as |F cap gF| =
-    prod_i (m - |g_i|) shrinks, with m = 2 M + 1 > r >= |g_i| on the ball.
-    Since (m - a)(m - b) >= m (m - a - b) for a, b >= 0, merging two
-    coordinates of g into one never raises the product, so over the
-    ell_1 ball of radius r it is smallest at the axis vector
-    (r, 0, ..., 0).  Enumerating the ball stays as the test oracle.
-    """
-    return {n: box_defect(system.half_side(n),
-                          (int(system.r(n)),) + (0,) * (system.group.k - 1))
-            for n in range(system.n_min, system.n_max + 1)}
 
 
 def heis_intersection_count(radius: int, g) -> int:
@@ -284,6 +243,10 @@ class ZkFolnerSystem:
         if not 2 <= self.n_min <= self.n_max:
             raise ValueError("need 2 <= n_min <= n_max")
 
+    @property
+    def model(self) -> ZkModel:
+        return self.group
+
     def r(self, n: int) -> float:
         return float(n)
 
@@ -293,6 +256,9 @@ class ZkFolnerSystem:
     def a_eps(self, n: int) -> float:
         e = self.eps(n)
         return e / (1.0 - e)
+
+    def defect_budget(self, n: int) -> float:  # what worst_defects must stay under
+        return self.eps(n)
 
     def half_side(self, n: int) -> int:
         return math.ceil(self.r(n) / self.eps(n))
@@ -304,28 +270,51 @@ class ZkFolnerSystem:
     def size(self, n: int) -> int:
         return (2 * self.half_side(n) + 1) ** self.group.k
 
-    def sym_diff_count(self, x, y, n: int) -> int:
-        g = self.group.mul(self.group.inv(x), y)
-        m = self.half_side(n)
-        return 2 * (self.size(n) - box_intersection_count(m, g))
+    def sample_pairs(self, n_pairs: int, max_dist: float, seed: int) -> list:
+        return sample_zk_pairs(self.group, n_pairs, max_dist, seed)
+
+    def _shifts(self, pairs, dtype=np.int64) -> np.ndarray:
+        """|y_i - x_i| per pair (rows) and coordinate (columns)."""
+        xy = np.array(pairs, dtype=dtype).reshape(len(pairs), 2, self.group.k)
+        return np.abs(xy[:, 1] - xy[:, 0])
+
+    def distances(self, pairs) -> np.ndarray:
+        """The ell_1 separation of each pair."""
+        return self._shifts(pairs).sum(axis=1).astype(float)
 
     def sym_diff_counts(self, pairs) -> np.ndarray:
-        """sym_diff_count per pair (rows) and index n_min..n_max (columns);
+        """|x F_n Delta y F_n| per pair (rows) and index n_min..n_max (columns);
         Python integers once a box reaches 2^53 points, so counts and their
         float conversions stay exact."""
         exact = np.int64 if self.size(self.n_max) < 1 << 53 else object
-        xy = np.array(pairs, dtype=exact).reshape(len(pairs), 2, self.group.k)
-        shift = np.abs(xy[:, 1] - xy[:, 0])
+        shift = self._shifts(pairs, exact)
         cols = []
         for n in range(self.n_min, self.n_max + 1):
             inter = np.prod(np.maximum(2 * self.half_side(n) + 1 - shift, 0), axis=1)
             cols.append(2 * (self.size(n) - inter))
         return np.stack(cols, axis=1)
 
-    def block_distance_pth(self, x, y, n: int, p: float) -> float:
-        """||phi_n(x) - phi_n(y)||_p^p; translates have equal measure so
-        this is |A Delta B| / |F_n| regardless of p."""
-        return self.sym_diff_count(x, y, n) / self.size(n)
+    def worst_defects(self, counts, d) -> dict[int, float]:
+        """Exact worst translation defect per index over shifts up to r_n;
+        the closed form covers every shift, so it ignores the pairs.
+
+        The defect 2 (1 - |F cap gF| / |F|) grows as |F cap gF| =
+        prod_i (m - |g_i|) shrinks, with m = 2 M + 1 > r >= |g_i| on the ball.
+        Since (m - a)(m - b) >= m (m - a - b) for a, b >= 0, merging two
+        coordinates of g into one never raises the product, so over the
+        ell_1 ball of radius r it is smallest at the axis vector
+        (r, 0, ..., 0).  Enumerating the ball stays as the test oracle.
+        """
+        return {n: box_defect(self.half_side(n), (int(self.r(n)),) + (0,) * (self.group.k - 1))
+                for n in range(self.n_min, self.n_max + 1)}
+
+    def support_reach(self, x, n: int) -> float:
+        """Largest distance from x to a point of x F_n.  The distance to x
+        is convex on the box x + [-M, M]^k, so its maximum sits at one of
+        the 2^k corners."""
+        m = self.half_side(n)
+        return max(self.group.metric(x, tuple(c + s * m for c, s in zip(x, signs)))
+                   for signs in itertools.product((-1, 1), repeat=len(x)))
 
 
 @dataclass(frozen=True)
@@ -340,6 +329,10 @@ class TreeACollection:
         if not 2 <= self.n_min <= self.n_max:
             raise ValueError("need 2 <= n_min <= n_max")
 
+    @property
+    def model(self) -> TreeModel:
+        return self.tree
+
     def r(self, n: int) -> float:
         return float(n)
 
@@ -353,6 +346,9 @@ class TreeACollection:
         denom = self.size(n) - 2.0 * self.r(n)
         return 2.0 * self.r(n) / denom if denom > 0 else math.inf
 
+    def defect_budget(self, n: int) -> float:  # what worst_defects must stay under
+        return self.a_eps(n)
+
     def size(self, n: int) -> int:
         return math.ceil(self.r(n) / self.eps(n))
 
@@ -361,6 +357,9 @@ class TreeACollection:
 
     def set_at(self, x, n: int) -> tuple:
         return self.tree.ray_segment(x, self.size(n))
+
+    def sample_pairs(self, n_pairs: int, max_dist: float, seed: int) -> list:
+        return sample_tree_pairs(self.tree, n_pairs, int(max_dist), seed)
 
     def _geometry(self, pairs) -> np.ndarray:
         """Rows: depths, zeros prefixes and common prefix of each pair."""
@@ -387,11 +386,13 @@ class TreeACollection:
         climb = cp - np.maximum.reduce([zx + 1, zy + 1, lx - s + 1, ly - s + 1]) + 1
         return 2 * (s - np.maximum(on_ray, 0) - np.maximum(climb, 0))
 
-    def sym_diff_count(self, x, y, n: int) -> int:
-        return int(self._sym_diff(self._geometry([(x, y)]), self.size(n))[0])
+    def distances(self, pairs) -> np.ndarray:
+        """The graph distance of each pair."""
+        lx, ly, _, _, cp = self._geometry(pairs)
+        return (lx + ly - 2 * cp).astype(float)
 
     def sym_diff_counts(self, pairs) -> np.ndarray:
-        """sym_diff_count per pair (rows) and index n_min..n_max (columns)."""
+        """|A_n(x) Delta A_n(y)| per pair (rows) and index n_min..n_max (columns)."""
         geometry = self._geometry(pairs)
         return np.stack([self._sym_diff(geometry, self.size(n))
                          for n in range(self.n_min, self.n_max + 1)], axis=1)
@@ -403,9 +404,32 @@ class TreeACollection:
         inter = np.array([self.size(n) for n in range(self.n_min, self.n_max + 1)]) - counts // 2
         return np.divide(counts, inter, out=np.full(counts.shape, math.inf), where=inter > 0)
 
+    def worst_defects(self, counts: np.ndarray, d) -> dict[int, float]:
+        """Worst |A Delta B| / |A cap B| per index over the pairs within
+        r_n, from the pairs' :meth:`sym_diff_counts` and separations d."""
+        ad = self.a_defects(counts)
+        return {n: float(ad[d <= self.r(n), j].max(initial=0.0))
+                for j, n in enumerate(range(self.n_min, self.n_max + 1))}
+
+    def support_reach(self, x, n: int) -> float:
+        """Largest distance from x to a vertex of A_n(x), walked vertex by vertex."""
+        return max(self.tree.metric(x, v) for v in self.set_at(x, n))
+
     def block_distance_pth(self, x, y, n: int, p: float) -> float:
         # segments share the size, so the equal-measure identity applies
-        return self.sym_diff_count(x, y, n) / self.size(n)
+        s = self.size(n)
+        return int(self._sym_diff(self._geometry([(x, y)]), s)[0]) / s
+
+
+def folner_system(group: str, n_min: int, n_max: int) -> ZkFolnerSystem | TreeACollection:
+    """The set system of a named group over the indices n_min..n_max:
+    ``"z<k>"`` names the boxes of Z^k and ``"tree"`` the ray segments of
+    the binary tree.  Any other name raises ``ValueError``."""
+    if group == "tree":
+        return TreeACollection(TreeModel(), n_min=n_min, n_max=n_max)
+    if group[:1] == "z" and group[1:].isdigit():
+        return ZkFolnerSystem(ZkModel(int(group[1:])), n_min=n_min, n_max=n_max)
+    raise ValueError(f"no set system for group {group!r}")
 
 
 def block_distances_pth(sys, counts: np.ndarray) -> np.ndarray:
@@ -413,19 +437,6 @@ def block_distances_pth(sys, counts: np.ndarray) -> np.ndarray:
     from the pairs' ``sys.sym_diff_counts``."""
     sizes = [sys.size(n) for n in range(sys.n_min, sys.n_max + 1)]
     return np.asarray(counts / np.array(sizes, dtype=counts.dtype), dtype=float)
-
-
-def _support_reach(sys, model, x, n: int) -> float:
-    """Largest distance from x to a point of A_n(x).  The distance to x is
-    convex on the box x + [-M, M]^k, so its maximum sits at one of the 2^k
-    corners; a tree segment is walked vertex by vertex."""
-    if isinstance(sys, ZkFolnerSystem):
-        m = sys.half_side(n)
-        points = (tuple(c + s * m for c, s in zip(x, signs))
-                  for signs in itertools.product((-1, 1), repeat=len(x)))
-    else:
-        points = sys.set_at(x, n)
-    return max(model.metric(x, v) for v in points)
 
 
 # ---------------------------------------------------------------------------
@@ -557,13 +568,15 @@ def char_embedding_bound_check(sys, model, pairs, p, *, d, counts,
     Each sampled pair is checked at every schedule index n with
     d(x, y) <= r_n, where ``d`` holds the pair separations d(x, y) and
     ``counts`` their ``sys.sym_diff_counts``, both in the order of
-    ``pairs``.  ``bound_scale`` shrinks the bound for
+    ``pairs``.  ``bound_scale``, in (0, 1], shrinks the bound for
     negative controls.  The supports of the first eight base points are
     audited against rad(n) at the first four indices.
     """
     regime = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
     if regime.p < 1:
         raise ValueError("characteristic-function blocks need p >= 1")
+    if not 0 < bound_scale <= 1:
+        raise ValueError(f"bound_scale must lie in (0, 1], got {bound_scale:g}")
     checks = violations = support_bad = 0
     worst = math.inf
     d = np.asarray(d, dtype=float)
@@ -573,13 +586,12 @@ def char_embedding_bound_check(sys, model, pairs, p, *, d, counts,
         if not val.size:
             continue
         bound = 2.0 * sys.a_eps(n) * bound_scale
-        # fmin skips NaN margins (an infinite bound scaled by 0), as min() did
         worst = float(np.fmin.reduce(bound - val, initial=worst))
         checks += val.size
         violations += int(np.count_nonzero(val > bound * (1.0 + _REL_TOL)))
     for x, _ in pairs[:8]:
         for n in range(sys.n_min, min(sys.n_min + 3, sys.n_max) + 1):
-            if _support_reach(sys, model, x, n) > sys.rad(n) + 1e-9:
+            if sys.support_reach(x, n) > sys.rad(n) + 1e-9:
                 support_bad += 1
     return CharBoundReport(
         model=model.name, p=regime.p, n_pairs=len(pairs), n_checks=checks,

@@ -306,19 +306,35 @@ def _suite_gluing(args: argparse.Namespace) -> dict:
     return doc
 
 
-def _suite_folner(args: argparse.Namespace) -> dict:
-    import numpy as np
+def _folner_audit(system, n_pairs: int, max_dist: float, seed: int, p: float,
+                  bound_scale: float = 1.0):
+    """Sample pairs of a set system and audit them: the pairs' separations
+    and ``sym_diff_counts``, the worst defect per index and the
+    block-distance bound check, for ``folner`` and ``verify --suite folner``."""
+    from .amenable import char_embedding_bound_check
 
+    if not math.isfinite(max_dist):
+        raise ValueError(f"--max-dist must be finite, got {max_dist:g}")
+    pairs = system.sample_pairs(n_pairs, max_dist, seed)
+    d = system.distances(pairs)
+    counts = system.sym_diff_counts(pairs)
+    defects = system.worst_defects(counts, d)
+    char = char_embedding_bound_check(system, system.model, pairs, p, d=d, counts=counts,
+                                      bound_scale=bound_scale)
+    return d, counts, defects, char
+
+
+def _suite_folner(args: argparse.Namespace) -> dict:
     from . import amenable
 
-    model = amenable.ZkModel(2)
-    system = amenable.ZkFolnerSystem(model, n_min=2, n_max=args.n_max)
+    system = amenable.folner_system("z2", 2, args.n_max)
     # Block-distance checks only fire at separations <= r_n, so the
-    # sampler stays within twice the largest certified radius.
-    max_dist = int(args.max_dist) if args.max_dist is not None else 2 * args.n_max
-    pairs = amenable.sample_zk_pairs(model, args.pairs, max_dist, args.seed)
-    d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
-    defects = amenable.zk_worst_defects(system)
+    # sampler stays within twice the largest certified radius, in whole
+    # steps; a non-finite value is left for the audit to reject.
+    max_dist = args.max_dist if args.max_dist is not None else 2 * args.n_max
+    if math.isfinite(max_dist):
+        max_dist = int(max_dist)
+    _, _, defects, char = _folner_audit(system, args.pairs, max_dist, args.seed, args.p)
     scale = 0.5 if args.negative_control else 1.0
     defect_viol = sum(1 for n, dmax in defects.items()
                       if dmax > system.eps(n) * scale * (1 + 1e-12))
@@ -330,19 +346,14 @@ def _suite_folner(args: argparse.Namespace) -> dict:
         # sizes), so the control targets the defect budgets, which the
         # witnesses saturate: box translates at full shift length and
         # tree segments offset along the distinguished ray.
-        for n, dmax in defects.items():
-            if dmax / (1.0 - dmax) > system.a_eps(n) * 0.5 * (1 + 1e-12):
-                a_defect_viol += 1
-        tree = amenable.TreeModel()
-        tsys = amenable.TreeACollection(tree, n_min=2, n_max=args.n_max)
-        for n in range(2, args.n_max + 1):
-            if not math.isfinite(tsys.a_eps(n)):
-                continue
-            ad = tsys.a_defects(tsys.sym_diff_counts([((), (0,) * n)]))[0, n - 2]
-            if ad > tsys.a_eps(n) * 0.5 * (1 + 1e-12):
-                a_defect_viol += 1
-    char = amenable.char_embedding_bound_check(system, model, pairs, args.p, d=d,
-                                              counts=system.sym_diff_counts(pairs))
+        a_defect_viol += sum(1 for n, dmax in defects.items()
+                             if dmax / (1.0 - dmax) > system.a_eps(n) * 0.5 * (1 + 1e-12))
+        tree = amenable.folner_system("tree", 2, args.n_max)
+        offsets = [((), (0,) * n) for n in range(2, args.n_max + 1)]
+        tree_defects = tree.worst_defects(tree.sym_diff_counts(offsets),
+                                          tree.distances(offsets))
+        a_defect_viol += sum(1 for n, ad in tree_defects.items() if math.isfinite(tree.a_eps(n))
+                             and ad > tree.a_eps(n) * 0.5 * (1 + 1e-12))
     return {"suite": "folner", "group": "z2", "n_max": args.n_max,
             "defect_scale": scale, "defect_violations": defect_viol,
             "a_defect_violations": a_defect_viol,
@@ -454,14 +465,6 @@ _FOLNER_HEADER = ("bin_edge_t,rho_hat,omega_hat,count,certified_lower,"
                   "certified_upper,n,eps_n,rad_n,measured_defect_max")
 
 
-def _tree_defects(system, counts, d) -> dict[int, float]:
-    """Worst |A Delta B| / |A cap B| per index over the pairs within r_n;
-    ``counts`` holds the pairs' sym_diff_counts and ``d`` their separations."""
-    ad = system.a_defects(counts)
-    return {n: float(ad[d <= system.r(n), j].max(initial=0.0))
-            for j, n in enumerate(range(system.n_min, system.n_max + 1))}
-
-
 def cmd_folner(args: argparse.Namespace) -> int:
     import numpy as np
 
@@ -493,33 +496,17 @@ def cmd_folner(args: argparse.Namespace) -> int:
                     "defects": {str(n): defects[n] for n in defects}})
         violations = 0
     else:
-        if args.group == "tree":
-            model = amenable.TreeModel()
-            system = amenable.TreeACollection(model, n_min=args.n_min, n_max=args.n_max)
-        else:
-            model = amenable.ZkModel(int(args.group[1]))
-            system = amenable.ZkFolnerSystem(model, n_min=args.n_min, n_max=args.n_max)
+        system = amenable.folner_system(args.group, args.n_min, args.n_max)
         n_range = range(args.n_min, args.n_max + 1)
         edges = [system.r(n) for n in n_range] + [args.max_dist]
         if not edges[-1] > edges[-2]:
             raise ValueError(f"--max-dist {args.max_dist:g} must exceed "
                              f"r(n_max) = {edges[-2]:g}")
-        if args.group == "tree":
-            pairs = amenable.sample_tree_pairs(model, args.pairs, int(args.max_dist),
-                                               args.seed)
-        else:
-            pairs = amenable.sample_zk_pairs(model, args.pairs, args.max_dist, args.seed)
-        d = np.array([model.metric(x, y) for x, y in pairs], dtype=float)
-        counts = system.sym_diff_counts(pairs)  # shared by the three audits below
-        if args.group == "tree":
-            defects, budget = _tree_defects(system, counts, d), system.a_eps
-        else:
-            defects, budget = amenable.zk_worst_defects(system), system.eps
-        emb = amenable.glued_group_embedding(system, model, args.p)
-        defect_viol = sum(1 for n, v in defects.items() if v > budget(n) * (1 + 1e-12))
-        char = amenable.char_embedding_bound_check(system, model, pairs, args.p, d=d,
-                                                  counts=counts,
-                                                  bound_scale=args.bound_scale)
+        emb = amenable.glued_group_embedding(system, system.model, args.p)
+        d, counts, defects, char = _folner_audit(system, args.pairs, args.max_dist,
+                                                 args.seed, args.p, args.bound_scale)
+        defect_viol = sum(1 for n, v in defects.items()
+                          if v > system.defect_budget(n) * (1 + 1e-12))
         image_pth = emb.image_distances_pth(counts)
         bounds = emb.bounds_check(d, image_pth)
 

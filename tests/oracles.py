@@ -1,8 +1,10 @@
 """Set enumerations and per-pair loops that the closed forms and array
-audits of ``embedlab.amenable`` are checked against: lattice and gauge
-balls, box Folner sets and their translates, the defect |F Delta gF| / |F|
-by explicit translation, the support reach of a materialized box, and the
-glued-bound audit pair by pair.  The Mazur grid audit of
+audits of ``embedlab.amenable`` are checked against: the scalar group
+laws of Z^k and the Heisenberg group, lattice and gauge balls, box Folner
+sets and their translates, the defect |F Delta gF| / |F| by explicit
+translation, the symmetric difference and block distance of one pair,
+the support reach of a materialized box, and the glued-bound audit pair
+by pair.  The Mazur grid audit of
 ``embedlab.mazur`` is checked against a loop over the cells on whole
 arrays, with a fresh draw per exponent p, and its sampler against
 whole-array normalization.  The closed-form series residual of
@@ -18,10 +20,43 @@ import math
 
 import numpy as np
 
-from embedlab.amenable import ZkFolnerSystem
+from embedlab.amenable import ZkFolnerSystem, box_intersection_count
 from embedlab.mazur import mazur_constants, mazur_map
 
 MAX_SET_SIZE = 1 << 20
+
+
+def zk_mul(g, h):
+    return tuple(a + b for a, b in zip(g, h))
+
+
+def zk_inv(g):
+    return tuple(-a for a in g)
+
+
+def zk_gauge(g) -> int:
+    """The ell_1 word length of g in Z^k."""
+    return sum(abs(a) for a in g)
+
+
+def heis_mul(g, h):
+    """(x,y,z)(x',y',z') = (x+x', y+y', z+z'+x y') in the integer Heisenberg group."""
+    return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
+
+
+def heis_inv(g):
+    return (-g[0], -g[1], -g[2] + g[0] * g[1])
+
+
+def heis_gauge(g) -> int:
+    """|x| + |y| + ceil(sqrt(|z|)), on integers."""
+    z = abs(g[2])
+    return abs(g[0]) + abs(g[1]) + (math.isqrt(z - 1) + 1 if z else 0)
+
+
+def heis_metric(g, h) -> float:
+    """The left-invariant gauge distance of g^-1 h."""
+    return float(heis_gauge(heis_mul(heis_inv(g), h)))
 
 
 def zk_ball(model, radius: int) -> list[tuple[int, ...]]:
@@ -30,7 +65,7 @@ def zk_ball(model, radius: int) -> list[tuple[int, ...]]:
     if (2 * r + 1) ** model.k > MAX_SET_SIZE:
         raise ValueError("ball too large to enumerate")
     return [p for p in itertools.product(range(-r, r + 1), repeat=model.k)
-            if sum(abs(c) for c in p) <= r]
+            if zk_gauge(p) <= r]
 
 
 def heis_ball(model, radius: int) -> list[tuple[int, int, int]]:
@@ -57,17 +92,35 @@ def folner_set(sys, n: int) -> set:
 def set_at(sys, x, n: int) -> set:
     """A_n(x): the translate x F_n of a box, or the tree segment at x."""
     if isinstance(sys, ZkFolnerSystem):
-        return {sys.group.mul(x, f) for f in folner_set(sys, n)}
+        return {zk_mul(x, f) for f in folner_set(sys, n)}
     return set(sys.set_at(x, n))
 
 
 def folner_defect(F, g, group) -> float:
-    """|F Delta gF| / |F| by explicit left translation."""
+    """|F Delta gF| / |F| by explicit left translation in ``group``, a
+    ``ZkModel`` or the ``HeisenbergModel``."""
     fs = set(F)
     if not fs:
         raise ValueError("empty set")
-    gf = {group.mul(g, f) for f in fs}
+    mul = heis_mul if group.name == "heis" else zk_mul
+    gf = {mul(g, f) for f in fs}
     return len(fs ^ gf) / len(fs)
+
+
+def sym_diff_count(sys, x, y, n: int) -> int:
+    """|A_n(x) Delta A_n(y)| of one pair: for boxes 2 (|F_n| - |F_n cap g
+    F_n|) with g = x^-1 y, for tree segments by enumerating both."""
+    if isinstance(sys, ZkFolnerSystem):
+        g = zk_mul(zk_inv(x), y)
+        return 2 * (sys.size(n) - box_intersection_count(sys.half_side(n), g))
+    s = sys.size(n)
+    return len(set(sys.tree.ray_segment(x, s)) ^ set(sys.tree.ray_segment(y, s)))
+
+
+def block_distance_pth(sys, x, y, n: int) -> float:
+    """||phi_n(x) - phi_n(y)||_p^p of one pair, |A Delta B| / |A| for
+    every p: the sets have equal size."""
+    return sym_diff_count(sys, x, y, n) / sys.size(n)
 
 
 def zk_support_reach(sys, x, n: int) -> float:

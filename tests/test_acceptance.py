@@ -201,12 +201,12 @@ def test_c08_group_presets_certified_end_to_end():
     tree = TreeModel()
     col = TreeACollection(tree, n_min=2, n_max=8)
     x, y = (0,) * 3, (0,) * 7
-    assert col.sym_diff_count(x, y, 5) == 8  # twice the graph distance
+    assert col.sym_diff_counts([(x, y)])[0, 5 - 2] == 8  # twice the graph distance
     for a, b in sample_tree_pairs(tree, 50, 10, seed=2):
         for n in range(2, 9):
             s = col.size(n)
             brute = len(set(tree.ray_segment(a, s)) ^ set(tree.ray_segment(b, s)))
-            assert col.sym_diff_count(a, b, n) == brute
+            assert col.sym_diff_counts([(a, b)])[0, n - 2] == brute
     assert time.monotonic() - start < 180.0
 
 

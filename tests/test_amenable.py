@@ -30,17 +30,20 @@ from embedlab.amenable import (
     sample_tree_pairs,
     sample_zk_pairs,
 )
-from oracles import (MAX_SET_SIZE, bounds_check_per_pair, folner_defect, folner_set,
-                     heis_ball, set_at, zk_ball, zk_support_reach)
+from oracles import (MAX_SET_SIZE, block_distance_pth, bounds_check_per_pair, folner_defect,
+                     folner_set, heis_ball, heis_gauge, heis_inv, heis_metric, heis_mul,
+                     set_at, sym_diff_count, zk_ball, zk_gauge, zk_inv, zk_mul,
+                     zk_support_reach)
 
 
 class TestZkModel:
     def test_group_ops_and_metric(self):
         g = ZkModel(2)
-        assert g.mul((1, 2), (3, -1)) == (4, 1)
-        assert g.inv((1, -2)) == (-1, 2)
-        assert g.mul((1, -2), g.inv((1, -2))) == g.identity
+        assert zk_mul((1, 2), (3, -1)) == (4, 1)
+        assert zk_inv((1, -2)) == (-1, 2)
+        assert zk_mul((1, -2), zk_inv((1, -2))) == (0,) * g.k
         assert g.metric((0, 0), (2, -3)) == 5.0
+        assert g.metric((1, 2), (3, -4)) == zk_gauge(zk_mul(zk_inv((1, 2)), (3, -4)))
 
     def test_ball_enumeration(self):
         assert len(zk_ball(ZkModel(1), 3)) == 7
@@ -53,31 +56,28 @@ class TestZkModel:
 
 class TestHeisenberg:
     def test_group_law(self):
-        h = HeisenbergModel()
         g = (2, -1, 3)
-        assert h.mul(g, h.inv(g)) == h.identity
-        assert h.mul(h.inv(g), g) == h.identity
+        assert heis_mul(g, heis_inv(g)) == (0, 0, 0)
+        assert heis_mul(heis_inv(g), g) == (0, 0, 0)
         # non-commutative: the z coordinate picks up the commutator
-        assert h.mul((1, 0, 0), (0, 1, 0)) != h.mul((0, 1, 0), (1, 0, 0))
+        assert heis_mul((1, 0, 0), (0, 1, 0)) != heis_mul((0, 1, 0), (1, 0, 0))
 
     def test_metric_left_invariant(self):
-        h = HeisenbergModel()
         g1, g2, t = (1, 2, -3), (0, -1, 5), (4, 1, 2)
-        assert h.metric(h.mul(t, g1), h.mul(t, g2)) == h.metric(g1, g2)
+        assert heis_metric(heis_mul(t, g1), heis_mul(t, g2)) == heis_metric(g1, g2)
 
     def test_gauge(self):
-        h = HeisenbergModel()
-        assert h.gauge((0, 0, 0)) == 0
-        assert h.gauge((1, -2, 0)) == 3
-        assert h.gauge((0, 0, 9)) == 3
-        assert h.gauge((0, 0, 10)) == 4  # ceil(sqrt(10))
+        assert heis_gauge((0, 0, 0)) == 0
+        assert heis_gauge((1, -2, 0)) == 3
+        assert heis_gauge((0, 0, 9)) == 3
+        assert heis_gauge((0, 0, 10)) == 4  # ceil(sqrt(10))
 
     def test_ball_count_matches_enumeration(self):
         h = HeisenbergModel()
         for r in range(7):
             ball = heis_ball(h, r)
             assert len(ball) == len(set(ball)) == h.ball_count(r)
-            assert all(h.gauge(g) <= r for g in ball)
+            assert all(heis_gauge(g) <= r for g in ball)
         with pytest.raises(ValueError):
             heis_ball(h, 40)
 
@@ -189,13 +189,13 @@ class TestZkFolnerSystem:
         A = set_at(sys, x, 2)
         B = set_at(sys, y, 2)
         assert len(A) == len(B) == 81
-        assert sys.sym_diff_count(x, y, 2) == len(A ^ B)
+        assert sys.sym_diff_counts([(x, y)])[0, 2 - 2] == len(A ^ B)
 
     def test_closed_form_survives_materialization_cap(self):
         sys = ZkFolnerSystem(ZkModel(2))
         with pytest.raises(ValueError):
             folner_set(sys, 20)  # 7181^2 points
-        assert sys.sym_diff_count((0, 0), (3, 4), 20) > 0
+        assert sys.sym_diff_counts([((0, 0), (3, 4))])[0, 20 - 2] > 0
 
     def test_index_validation(self):
         with pytest.raises(ValueError):
@@ -227,7 +227,7 @@ class TestTreeACollection:
             for n in range(2, 7):
                 s = col.size(n)
                 brute = len(set(tree.ray_segment(x, s)) ^ set(tree.ray_segment(y, s)))
-                assert col.sym_diff_count(x, y, n) == brute
+                assert col.sym_diff_counts([(x, y)])[0, n - 2] == brute
 
     def test_on_ray_difference_is_twice_the_distance(self):
         tree = TreeModel()
@@ -236,7 +236,7 @@ class TestTreeACollection:
         assert tree.metric(x, y) == 4.0
         for n in (5, 8, 12):
             if col.size(n) > 8:
-                assert col.sym_diff_count(x, y, n) == 8
+                assert col.sym_diff_counts([(x, y)])[0, n - 2] == 8
 
 
 def _char_block(x, n: int, sys, p: float) -> dict:
@@ -270,7 +270,7 @@ class TestCharBlocks:
                         dense = _dense_distance_pth(_char_block(x, n, sys, p),
                                                     _char_block(y, n, sys, p), p)
                         assert closed[i, j] == pytest.approx(dense, rel=1e-12, abs=1e-15)
-                        assert closed[i, j] == sys.block_distance_pth(x, y, n, p)
+                        assert closed[i, j] == block_distance_pth(sys, x, y, n)
 
 
 class TestSamplers:
@@ -396,7 +396,7 @@ class TestGluedGroupEmbedding:
         sys = ZkFolnerSystem(ZkModel(1), n_min=2, n_max=8)
         e = glued_group_embedding(sys, ZkModel(1), 2.0)
         x, y = (0,), (5,)
-        total = sum(sys.block_distance_pth(x, y, n, 2.0) for n in range(2, 9))
+        total = sum(block_distance_pth(sys, x, y, n) for n in range(2, 9))
         got = e.image_distances_pth(sys.sym_diff_counts([(x, y)]))[0]
         assert got == pytest.approx(total, rel=1e-15)
         assert got ** (1.0 / e.p) == pytest.approx(total ** 0.5, rel=1e-15)
@@ -503,7 +503,7 @@ class TestClosedFormOracles:
                 inter = len(segs[x] & segs[y])
                 want = len(segs[x] ^ segs[y]) / inter if inter else math.inf
                 assert a_def[i, j] == want, (x, y, n)
-        assert col.sym_diff_count((0, 0, 0), (1,), 3) == counts[
+        assert sym_diff_count(col, (0, 0, 0), (1,), 3) == counts[
             pairs.index(((0, 0, 0), (1,))), 1]
 
     def test_tree_depth_overflow_still_raises(self):
@@ -512,10 +512,10 @@ class TestClosedFormOracles:
         with pytest.raises(ValueError, match="truncation depth"):
             tree.ray_segment((0, 0), col.size(3))
         with pytest.raises(ValueError, match="truncation depth"):
-            col.sym_diff_count((0, 0), (0,), 3)
+            col.sym_diff_counts([((0, 0), (0,))])
         with pytest.raises(ValueError, match="truncation depth"):
             col.sym_diff_counts([((1,), (0, 0))])
-        assert col.sym_diff_count((1, 1, 1, 1, 1), (1, 1, 1, 1), 2) == 2
+        assert col.sym_diff_counts([((1, 1, 1, 1, 1), (1, 1, 1, 1))])[0, 2 - 2] == 2
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_zk_counts_match_scalar_and_sets(self, k):
@@ -525,7 +525,7 @@ class TestClosedFormOracles:
         counts = sys.sym_diff_counts(pairs)
         for i, (x, y) in enumerate(pairs):
             for j, n in enumerate(range(2, 10)):
-                assert counts[i, j] == sys.sym_diff_count(x, y, n)
+                assert counts[i, j] == sym_diff_count(sys, x, y, n)
         x, y = pairs[0]
         assert counts[0, 0] == len(set_at(sys, x, 2) ^ set_at(sys, y, 2))
 
@@ -537,8 +537,8 @@ class TestClosedFormOracles:
         dist = block_distances_pth(sys, counts)
         for i, (x, y) in enumerate(pairs):
             for j, n in enumerate(range(2, 21)):
-                assert counts[i, j] == sys.sym_diff_count(x, y, n)
-                assert dist[i, j] == sys.block_distance_pth(x, y, n, 1.0)
+                assert counts[i, j] == sym_diff_count(sys, x, y, n)
+                assert dist[i, j] == block_distance_pth(sys, x, y, n)
 
     def test_heisenberg_defect_matches_the_enumerated_ball(self):
         model = HeisenbergModel()
@@ -547,7 +547,7 @@ class TestClosedFormOracles:
         for radius in range(13):
             F = set(heis_ball(model, radius))
             for g in shifts:
-                gF = {model.mul(g, f) for f in F}
+                gF = {heis_mul(g, f) for f in F}
                 assert heis_intersection_count(radius, g) == len(F & gF), (radius, g)
                 assert heis_defect(radius, g) == folner_defect(F, g, model), (radius, g)
         assert heis_defect(12, (30, 0, 0)) == 2.0  # disjoint translate
@@ -582,8 +582,24 @@ class TestClosedFormOracles:
         e = glued_group_embedding(sys, model, 1.5)
         got = e.image_distances_pth(sys.sym_diff_counts(pairs))
         for (x, y), val in zip(pairs, got):
-            want = sum(sys.block_distance_pth(x, y, n, 1.5) for n in range(sys.n_min, sys.n_max + 1))
+            want = sum(block_distance_pth(sys, x, y, n) for n in range(sys.n_min, sys.n_max + 1))
             assert val == want
+
+
+class TestFolnerSystemRegistry:
+    @pytest.mark.parametrize("group", ["z1", "z2", "z3", "tree"])
+    def test_distances_equal_the_scalar_metric_bitwise(self, group):
+        system = amenable.folner_system(group, 2, 8)
+        assert (system.n_min, system.n_max) == (2, 8)
+        pairs = system.sample_pairs(200, 60, seed=12)
+        got = system.distances(pairs)
+        assert got.dtype == float and len(got) == 200
+        assert got.tolist() == [system.model.metric(x, y) for x, y in pairs]
+
+    @pytest.mark.parametrize("group", ["heis", "z", "z0", "zz", "tree2", ""])
+    def test_unknown_group_is_rejected(self, group):
+        with pytest.raises(ValueError):
+            amenable.folner_system(group, 2, 8)
 
 
 def _audit_case(group: str):
@@ -619,8 +635,7 @@ class TestArrayAuditsMatchOracles:
         for x, _ in pairs[:8]:
             for n in range(2, 6):
                 if emb.sys.size(n) <= MAX_SET_SIZE:
-                    assert amenable._support_reach(emb.sys, emb.model, x, n) == \
-                        zk_support_reach(emb.sys, x, n)
+                    assert emb.sys.support_reach(x, n) == zk_support_reach(emb.sys, x, n)
 
 
 class TestSupportAudit:

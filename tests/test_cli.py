@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from embedlab import amenable, cli, mazur
-from oracles import mazur_grid_audit, zk_ball
+from oracles import block_distance_pth, mazur_grid_audit, zk_ball
 
 
 def run(argv):
@@ -135,6 +135,42 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err == "embedlab: need 2 <= n_min <= n_max\n"
+        assert captured.out == ""
+        assert not out_csv.exists() and not out_json.exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["folner", "--group", "z2", "--max-dist", "inf"], None),
+        (["folner", "--group", "tree", "--max-dist", "inf"], None),
+        (["verify", "--suite", "folner", "--max-dist", "inf"], None),
+        (["verify", "--suite", "folner"], '{"max-dist": Infinity}'),
+    ], ids=["folner-z2", "folner-tree", "verify-folner", "verify-folner-config"])
+    def test_infinite_max_dist_is_a_usage_error(self, tmp_path, capsys, argv, config):
+        out = tmp_path / "f.json"
+        prefix = []
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(config)
+            prefix = ["--config", str(tmp_path / "cfg.json")]
+        code = run([*prefix, *argv, "--pairs", "20", "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "embedlab: --max-dist must be finite, got inf\n"
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1.5", "config"])
+    def test_bound_scale_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys,
+                                                                     scale):
+        out_csv, out_json = tmp_path / "t.csv", tmp_path / "t.json"
+        if scale == "config":
+            (tmp_path / "cfg.json").write_text('{"bound-scale": NaN}')
+            argv = ["--config", str(tmp_path / "cfg.json"), "folner"]
+        else:
+            argv = ["folner", "--bound-scale", scale]
+        code = run([*argv, "--group", "tree", "--pairs", "50",
+                    "--out", str(out_csv), "--json-out", str(out_json)])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "embedlab: bound_scale must lie in (0, 1], got " in captured.err
         assert captured.out == ""
         assert not out_csv.exists() and not out_json.exists()
 
@@ -444,7 +480,7 @@ class TestFolnerCommand:
             pairs = amenable.sample_zk_pairs(model, int(flag["--pairs"]), max_dist, 5)
         emb = amenable.glued_group_embedding(system, model, p)
         d = [model.metric(x, y) for x, y in pairs]
-        img = [sum(system.block_distance_pth(x, y, n, p) for n in range(n_min, n_max + 1))
+        img = [sum(block_distance_pth(system, x, y, n) for n in range(n_min, n_max + 1))
                ** (1.0 / p) for x, y in pairs]
         edges = [float(n) for n in range(n_min, n_max + 1)] + [max_dist]
         rows = _csv_rows(out_csv)
@@ -505,7 +541,7 @@ class TestGroupClosedForms:
     def test_axis_vector_is_the_worst_box_shift(self, k):
         model = amenable.ZkModel(k)
         system = amenable.ZkFolnerSystem(model, n_min=2, n_max=12)
-        got = amenable.zk_worst_defects(system)
+        got = system.worst_defects(None, None)
         for n in range(2, 13):
             M = system.half_side(n)
             want = max(amenable.box_defect(M, g) for g in zk_ball(model, n) if any(g))

@@ -1,6 +1,7 @@
-"""Every public name of the package has a caller in the package or the
-benchmark, not only in the tests, and resolves on first access to the
-object its module defines."""
+"""Every public name of the package, and every public method of its public
+classes, has a caller in the package or the benchmark, not only in the
+tests; every exported name resolves on first access to the object its
+module defines."""
 
 import ast
 import importlib
@@ -54,6 +55,41 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         public |= _exports(tree)
         used |= _references(tree)
     assert sorted(public - used) == []
+
+
+def _public_methods(tree: ast.Module):
+    """(class name, method node) for each public method of each public
+    top-level class, properties included."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef) and not top.name.startswith("_"):
+            for node in top.body:
+                if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not node.name.startswith("_")):
+                    yield top.name, node
+
+
+def _attribute_reads(tree: ast.AST) -> list[ast.Attribute]:
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+
+
+def test_every_public_method_has_a_caller_outside_the_tests():
+    """A method counts as called when its name is read as an attribute
+    anywhere in the package or the benchmark outside its own ``def``.  The
+    check goes by name only, not by the class of the object read from, so
+    it is coarse: a method shares the callers of every attribute of the
+    same name, and it catches only names that nothing reads at all."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in SOURCES}
+    reads = {path: _attribute_reads(tree) for path, tree in trees.items()}
+    uncalled = []
+    for path in sorted((ROOT / "src" / "embedlab").glob("*.py")):
+        for cls, method in _public_methods(trees[path]):
+            own = {id(node) for node in _attribute_reads(method)}
+            if not any(node.attr == method.name and id(node) not in own
+                       for nodes in reads.values() for node in nodes):
+                uncalled.append(f"{path.stem}.{cls}.{method.name}")
+    assert uncalled == []
 
 
 def test_lazy_exports_resolve_to_their_modules():
