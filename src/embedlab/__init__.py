@@ -33,10 +33,10 @@ _EXPORTS = {
     "amenable": ("HeisenbergModel", "TreeACollection", "TreeModel", "ZkFolnerSystem",
                  "ZkModel", "char_embedding_bound_check", "glued_group_embedding",
                  "heisenberg_growth_fit"),
-    "finite_geometry": ("GkSpace", "HammingCube", "cube_distance", "cube_report",
+    "finite_geometry": ("GkSpace", "HammingCube", "cube_report",
                         "enflo_lower_bound", "enflo_type2_certificate", "probe_audit"),
-    "gaussian": ("FundamentalMapSpec", "KernelExact", "RandomFeatures", "TruncatedExp",
-                 "delta_q", "moduli_exponents", "psi_distance_exact"),
+    "gaussian": ("RandomFeatures", "TruncatedExp", "delta_q", "moduli_exponents",
+                 "psi_distance_exact"),
     "glue": ("GaussianBlockFamily", "GluedEmbedding", "ParamSchedule",
              "per_pair_bounds_check", "preset_schedule"),
     "mazur": ("audit_sphere_pairs", "mazur_constants", "mazur_map"),
@@ -50,12 +50,12 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComparisonTable", "ExponentRegime", "FundamentalMapSpec",
+    "ComparisonTable", "ExponentRegime",
     "GaussianBlockFamily", "GkSpace", "GluedEmbedding", "HammingCube",
-    "HeisenbergModel", "KernelExact", "PairSampler", "ParamSchedule",
+    "HeisenbergModel", "PairSampler", "ParamSchedule",
     "RandomFeatures", "TreeACollection", "TreeModel", "TruncatedExp",
     "ZkFolnerSystem", "ZkModel", "audit_sphere_pairs",
-    "char_embedding_bound_check", "cube_distance", "cube_report", "delta_q",
+    "char_embedding_bound_check", "cube_report", "delta_q",
     "distortion", "enflo_lower_bound", "enflo_type2_certificate",
     "estimate_moduli", "fit_exponent", "glued_group_embedding",
     "heisenberg_growth_fit", "mazur_constants", "mazur_map",

@@ -170,9 +170,7 @@ def cmd_moduli(args: argparse.Namespace) -> int:
     certified_enforced = args.backend == "kernel"
     est = moduli.estimate_moduli(_threaded(engine, args.threads), sampler,
                                  bins=args.bins, pairs=args.pairs, seed=args.seed,
-                                 certifier=moduli.glued_certifier(e),
-                                 certified_enforced=certified_enforced,
-                                 meta={"preset": args.preset, "backend": args.backend})
+                                 certifier=moduli.glued_certifier(e))
     fit_lo = args.fit_lo if args.fit_lo is not None else args.t_min
     fit_hi = args.fit_hi if args.fit_hi is not None else args.t_max
     rho_fit = moduli.fit_exponent(est, "rho", fit_lo, fit_hi)
@@ -297,6 +295,9 @@ def _suite_gluing(args: argparse.Namespace) -> dict:
     e = glue_embedding(family, n_terms=args.n_terms)
     rng = _batch_rng(args.seed, 103)
     max_dist = args.max_dist if args.max_dist is not None else 1000.0
+    # Separations are drawn log-uniformly on [1, max_dist].
+    if not 1 <= max_dist < math.inf:
+        raise ValueError(f"--max-dist must be finite and at least 1, got {max_dist:g}")
     d = np.exp(rng.uniform(math.log(1.0), math.log(max_dist), args.pairs))
     eps_scale = 0.5 if args.negative_control else 1.0
     rep = per_pair_bounds_check(e, d, eps_scale=eps_scale)
@@ -514,7 +515,7 @@ def cmd_folner(args: argparse.Namespace) -> int:
             return [v ** (1.0 / emb.p) for v in np.asarray(pth).tolist()]
 
         est = moduli.reduce_envelopes(
-            d, root(image_pth), edges, seed=args.seed,
+            d, root(image_pth), edges,
             certifier=lambda ts: (root(emb.certified_lower_pth(ts)),
                                   root(emb.certified_upper_pth(ts))))
         rows = [(edges[j], est.rho_hat[j], est.omega_hat[j], est.counts[j],

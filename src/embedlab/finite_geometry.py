@@ -66,22 +66,8 @@ class HammingCube:
             return ham
         return ham ** (1.0 / self.p.p)
 
-    def metric(self, u: int, v: int) -> float:
-        return cube_distance(u, v, self)
-
     def diameter(self) -> float:
         return float(self.m) if self.p.is_power_sum else self.m ** (1.0 / self.p.p)
-
-
-def cube_distance(u: int, v: int, cube: HammingCube) -> float:
-    """d_p between two cube vertices given as bitmasks."""
-    n = cube.n_vertices
-    if not (0 <= u < n and 0 <= v < n):
-        raise ValueError("vertex masks out of range")
-    h = (u ^ v).bit_count()
-    if cube.p.is_power_sum:
-        return float(h)
-    return h ** (1.0 / cube.p.p) if h else 0.0
 
 
 @dataclass(frozen=True)
@@ -198,15 +184,12 @@ class TypeTwoCertificate:
 def enflo_type2_certificate(f, m: int) -> TypeTwoCertificate:
     """Compare antipodal-diagonal and edge energies of f on {0,1}^m.
 
-    ``f`` is either a callable on bitmask vertices or an array of shape
-    (2^m, d).  For maps into Euclidean space the ratio never exceeds 1;
-    equality holds for the identity coordinates.
+    ``f`` is an array of shape (2^m, d) whose row u is the image of the
+    bitmask vertex u.  For maps into Euclidean space the ratio never
+    exceeds 1; equality holds for the identity coordinates.
     """
     n = 1 << m
-    if callable(f):
-        imgs = np.asarray([np.asarray(f(u), dtype=float) for u in range(n)])
-    else:
-        imgs = np.asarray(f, dtype=float)
+    imgs = np.asarray(f, dtype=float)
     if imgs.ndim == 1:
         imgs = imgs[:, None]
     if imgs.shape[0] != n:

@@ -6,10 +6,11 @@ unit vector whose inner products realize the Gaussian kernel:
     <psi_r(x), psi_r(y)> = exp(-r ||x - y||^2),
     ||psi_r(x) - psi_r(y)|| = sqrt(2 (1 - exp(-r ||x - y||^2))).
 
-Three interchangeable realizations are provided:
+Pair distances depend on ||x - y|| only, so :func:`psi_distance_exact`
+evaluates them in closed form without coordinates; that is the kernel
+mode of a glued embedding (``distance_interval``).  Two coordinate
+realizations are provided:
 
-* :class:`KernelExact`      -- no coordinates; pair distances evaluated
-  in closed form (possible because they depend on ||x - y|| only),
 * :class:`TruncatedExp`     -- explicit coordinates of the exponential
   tensor series, truncated at a fixed degree, with a computable residual
   bound, stored in the symmetric (multinomial) basis so the dimension is
@@ -18,8 +19,8 @@ Three interchangeable realizations are provided:
   approximation of the same kernel with O(D^{-1/2}) error.
 
 Composing psi_r with the (2, q) signed-power map yields the fundamental
-block maps phi of the glued embeddings.  One batch kernel serves every
-coordinate backend: :func:`block_mass` takes each block's backend
+block maps phi of the glued embeddings.  One batch kernel serves both
+coordinate backends: :func:`block_mass` takes each block's backend
 coordinates, applies the signed power 2/q, and returns
 sum_n sum_i |phi_n(x)_i - phi_n(y)_i|^q per pair of rows over a list of
 blocks.  Each block's row sums are einsums in the dtype of its
@@ -45,13 +46,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mazur import _signed_power, mazur_constants
-from .metric_core import ExponentRegime
 
 __all__ = [
-    "KernelExact",
     "TruncatedExp",
     "RandomFeatures",
-    "FundamentalMapSpec",
     "psi_distance_exact",
     "exp_coordinates_batch",
     "rff_coordinates_batch",
@@ -87,17 +85,6 @@ def psi_distance_exact(d, r):
 
 
 @dataclass(frozen=True)
-class KernelExact:
-    """Distance-only realization: exact, coordinate-free."""
-
-    r: float
-
-    def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError("bandwidth must be positive")
-
-
-@dataclass(frozen=True)
 class TruncatedExp:
     """Exponential tensor coordinates up to a fixed degree, at most
     ``MAX_EXP_COORDS`` of them."""
@@ -107,8 +94,8 @@ class TruncatedExp:
     ambient_dim: int
 
     def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"bandwidth must be finite and positive, got {self.r!r}")
         if self.degree < 0 or self.ambient_dim < 1:
             raise ValueError("need degree >= 0 and ambient_dim >= 1")
         if self.n_coords > MAX_EXP_COORDS:
@@ -137,8 +124,8 @@ class RandomFeatures:
     seed: int | tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.r < math.inf:
+            raise ValueError(f"bandwidth must be finite and positive, got {self.r!r}")
         if self.n_features < 1:
             raise ValueError("need at least one feature")
 
@@ -379,35 +366,18 @@ def delta_q(q: float) -> float:
     return float(lo)
 
 
-@dataclass(frozen=True)
-class FundamentalMapSpec:
-    """One glued block: bandwidth, target exponent, coordinate realization."""
-
-    index: int
-    r: float
-    q: ExponentRegime
-    backend: KernelExact | TruncatedExp | RandomFeatures
-
-    def __post_init__(self) -> None:
-        if self.r <= 0:
-            raise ValueError("bandwidth must be positive")
-        if abs(self.backend.r - self.r) > 1e-12 * max(1.0, self.r):
-            raise ValueError("backend bandwidth disagrees with spec bandwidth")
-
-
-def _block_coordinates(X: np.ndarray, spec: FundamentalMapSpec,
+def _block_coordinates(X: np.ndarray, backend: TruncatedExp | RandomFeatures,
                        out: np.ndarray | None = None) -> np.ndarray:
     """The backend's unit-sphere coordinates psi_r(x) of the rows of X;
     ``out`` receives random-feature coordinates (the series allocates)."""
-    if isinstance(spec.backend, KernelExact):
-        raise ValueError("KernelExact backend has no coordinates; use the envelope")
-    if isinstance(spec.backend, TruncatedExp):
-        return exp_coordinates_batch(X, spec.backend)[0]
-    return rff_coordinates_batch(X, spec.backend, out=out)
+    if isinstance(backend, TruncatedExp):
+        return exp_coordinates_batch(X, backend)[0]
+    return rff_coordinates_batch(X, backend, out=out)
 
 
-def block_mass(X: np.ndarray, Y: np.ndarray, specs) -> np.ndarray:
-    """Power mass of paired rows summed over the blocks ``specs``.
+def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float) -> np.ndarray:
+    """Power mass of paired rows summed over the blocks ``backends``, each
+    mapped into l_q.
 
     Block n maps a row x to phi_n(x) = s_{2/q}(psi_r(x)): the backend's
     unit-sphere coordinates psi_r(x) (truncated series or random features)
@@ -428,18 +398,18 @@ def block_mass(X: np.ndarray, Y: np.ndarray, specs) -> np.ndarray:
     """
     total = np.zeros(len(np.atleast_2d(X)))
     coords = px = py = None
-    for spec in specs:
-        a = 2.0 / spec.q.p
-        coords = _block_coordinates(X, spec, out=coords)
+    a = 2.0 / q
+    for backend in backends:
+        coords = _block_coordinates(X, backend, out=coords)
         px = _signed_power(coords, a, out=px)
-        coords = _block_coordinates(Y, spec, out=coords)
+        coords = _block_coordinates(Y, backend, out=coords)
         py = _signed_power(coords, a, out=py)
         h = np.subtract(px, py, out=px)
-        if spec.q.p == 4.0:
+        if q == 4.0:
             np.square(h, out=h)
         else:
             np.abs(h, out=h)
-            h **= spec.q.p / 2.0
+            h **= q / 2.0
         total += np.einsum("ij,ij->i", h, h)
     return total
 

@@ -36,10 +36,6 @@ per-pair claims are:
 
 with m = q for q >= 1 and m = 1 for q <= 1 (block distances in the
 power-sum regime are combined by plain summation).
-
-Importing this module loads no scipy: only the growing-log branch of
-:meth:`PowerLogSeq.power_tail` imports ``scipy.special.gammaincc``, when
-it is first reached.
 """
 
 from __future__ import annotations
@@ -51,10 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gaussian import (
-    KernelExact,
     RandomFeatures,
     TruncatedExp,
-    FundamentalMapSpec,
     block_mass,
     delta_q,
     moduli_exponents,
@@ -110,7 +104,8 @@ class PowerLogSeq:
 
         Integral comparison for the eventually decreasing summand
         x^{-a} ln(x)^{-b} with a = -power * n_pow, b = -power * log_pow;
-        raises if the series diverges.
+        raises if the series diverges or its log factor grows (b < 0,
+        which no preset's budgets have).
         """
         if n_last < max(self.n_min, 2):
             raise ValueError("tail start must be at or beyond the first index")
@@ -121,13 +116,7 @@ class PowerLogSeq:
         if a > 1 and b >= 0:
             return c * n_last ** (1.0 - a) * ln_n ** (-b) / (a - 1.0)
         if a > 1 and b < 0:
-            # integral_N^inf x^{-a} ln^m x dx = Gamma(m+1, (a-1) ln N) / (a-1)^{m+1}
-            m = -b
-            if ln_n * a < m:
-                raise ValueError("tail start too small for the growing-log branch")
-            z = (a - 1.0) * ln_n
-            from scipy.special import gammaincc  # deferred: a ~0.4 s import no other path needs
-            return c * gammaincc(m + 1.0, z) * math.gamma(m + 1.0) / (a - 1.0) ** (m + 1.0)
+            raise ValueError("no certified tail for a growing log factor")
         if a == 1 and b > 1:
             return c * ln_n ** (1.0 - b) / (b - 1.0)
         raise ValueError(f"sum of value(n)^{power} diverges (a={a}, b={b})")
@@ -374,15 +363,15 @@ class GaussianBlockFamily:
     def kernel_mode(self) -> bool:
         return self.backend == "kernel"
 
-    def spec(self, n: int) -> FundamentalMapSpec:
+    def block(self, n: int) -> TruncatedExp | RandomFeatures:
+        """The coordinate backend of block n; kernel mode has none."""
+        if self.kernel_mode:
+            raise ValueError("kernel-mode blocks have no coordinates; "
+                             "use distance_interval")
         r = float(self.schedule.bandwidth(n))
-        if self.backend == "kernel":
-            be = KernelExact(r)
-        elif self.backend == "exp":
-            be = TruncatedExp(r, self.exp_degree, self.ambient_dim)
-        else:
-            be = RandomFeatures(r, self.n_features, seed=(self.base_seed, n))
-        return FundamentalMapSpec(index=n, r=r, q=self.schedule.q, backend=be)
+        if self.backend == "exp":
+            return TruncatedExp(r, self.exp_degree, self.ambient_dim)
+        return RandomFeatures(r, self.n_features, seed=(self.base_seed, n))
 
 
 class GluedEmbedding:
@@ -407,8 +396,8 @@ class GluedEmbedding:
     # -- coordinate mode -------------------------------------------------
 
     @functools.cached_property
-    def _specs(self) -> tuple[FundamentalMapSpec, ...]:
-        return tuple(self.family.spec(int(n)) for n in self.block_ids)
+    def _blocks(self) -> tuple[TruncatedExp | RandomFeatures, ...]:
+        return tuple(self.family.block(int(n)) for n in self.block_ids)
 
     def _rows(self, P) -> np.ndarray:
         """Points as rows, checked against the family's ambient dimension
@@ -435,7 +424,7 @@ class GluedEmbedding:
         total = np.zeros(len(X))
         for start in range(0, len(X), ROW_QUANTUM):
             sl = slice(start, start + ROW_QUANTUM)
-            total[sl] = block_mass(X[sl], Y[sl], self._specs)
+            total[sl] = block_mass(X[sl], Y[sl], self._blocks, self.schedule.q.p)
         m = self.schedule.mass_power
         return total if self.schedule.q.is_power_sum else total ** (1.0 / m)
 

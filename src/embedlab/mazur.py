@@ -55,8 +55,8 @@ def mazur_map(x, p: float, q: float) -> np.ndarray:
     Sends the unit sphere of l_p to the unit sphere of l_q exactly:
     sum |Mx_i|^q = sum |x_i|^p.
     """
-    if p <= 0 or q <= 0:
-        raise ValueError(f"exponents must be positive, got p={p}, q={q}")
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise ValueError(f"exponents must be finite and positive, got p={p}, q={q}")
     xa = np.array(x, dtype=float)  # a copy: the signed power consumes it
     if not np.all(np.isfinite(xa)):
         raise ValueError("input contains non-finite entries")
@@ -135,8 +135,8 @@ class MazurConstants:
 
 def mazur_constants(p: float, q: float) -> MazurConstants:
     """Certified sphere-to-sphere constants for the (p, q) Mazur map."""
-    if p <= 0 or q <= 0 or p == q:
-        raise ValueError(f"need distinct positive exponents, got p={p}, q={q}")
+    if not (0 < p < math.inf and 0 < q < math.inf) or p == q:
+        raise ValueError(f"need distinct finite positive exponents, got p={p}, q={q}")
     if q < p:
         alpha = p / q
         c_low = signed_power_constant(alpha) ** q

@@ -31,7 +31,7 @@ reductions (min, max, count).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -104,12 +104,9 @@ class ModuliEstimate:
     rho_hat: np.ndarray        # len B, at left edges
     omega_hat: np.ndarray      # len B, at right edges
     counts: np.ndarray         # len B
-    seed: int
     n_pairs: int               # separations in [edges[0], edges[-1]]
     certified_lower: np.ndarray | None = None   # at left edges
     certified_upper: np.ndarray | None = None   # at right edges
-    certified_enforced: bool = False
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_bins(self) -> int:
@@ -140,15 +137,14 @@ class ModuliEstimate:
 
 def estimate_moduli(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
                     sampler: PairSampler, bins: int = 36, pairs: int = 2000,
-                    seed: int = 0, max_empty_fraction: float = 0.5,
-                    certifier: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
-                    certified_enforced: bool = False,
-                    meta: dict | None = None) -> ModuliEstimate:
+                    seed: int = 0,
+                    certifier: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+                    ) -> ModuliEstimate:
     """Sample pairs, evaluate ``f(X, Y, t)``, and build the envelopes over
-    ``bins`` log-spaced rows from ``sampler.t_min`` to ``sampler.t_max``.
+    ``bins`` log-spaced rows from ``sampler.t_min`` to ``sampler.t_max``;
+    raises if more than half of the rows are empty.
 
-    ``certifier`` and ``certified_enforced`` are passed to
-    :func:`reduce_envelopes`.
+    ``certifier`` is passed to :func:`reduce_envelopes`.
     """
     if bins < 1 or pairs < 1:
         raise ValueError("need bins >= 1 and pairs >= 1")
@@ -157,25 +153,23 @@ def estimate_moduli(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray
     if img.shape != t.shape or not np.all(np.isfinite(img)) or np.any(img < 0):
         raise ValueError("engine returned invalid image distances")
     est = reduce_envelopes(t, img, np.geomspace(sampler.t_min, sampler.t_max, bins + 1),
-                           seed=seed, certifier=certifier,
-                           certified_enforced=certified_enforced, meta=meta)
+                           certifier=certifier)
     empty = float(np.mean(est.counts == 0))
-    if empty > max_empty_fraction:
+    if empty > 0.5:
         raise ValueError(f"{empty:.0%} of bins are empty; sampler failed to cover the range")
     return est
 
 
-def reduce_envelopes(t, img, edges, *, seed: int = 0,
-                     certifier: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None,
-                     certified_enforced: bool = False,
-                     meta: dict | None = None) -> ModuliEstimate:
+def reduce_envelopes(t, img, edges, *,
+                     certifier: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
+                     ) -> ModuliEstimate:
     """Envelope rows of image distances ``img`` at separations ``t`` over
     the strictly increasing bin ``edges`` (see the module docstring).
 
     ``certifier(t)`` may supply certified (lower, upper) image-distance
-    bounds; they are recorded per row and, when ``certified_enforced``,
-    counted as violations by :meth:`ModuliEstimate.certified_violations`
-    consumers.  Enforcement is only meaningful for exact engines; Monte
+    bounds; they are recorded per row, and
+    :meth:`ModuliEstimate.certified_violations` counts the rows that
+    cross them.  Only exact engines should be held to that count; Monte
     Carlo backends carry the columns as reference.
     """
     t = np.asarray(t, dtype=float)
@@ -203,10 +197,9 @@ def reduce_envelopes(t, img, edges, *, seed: int = 0,
         cert_hi = np.asarray(certifier(edges[1:])[1], dtype=float)
 
     est = ModuliEstimate(edges=edges, rho_hat=rho, omega_hat=omega,
-                         counts=(hi - lo).astype(np.int64), seed=seed,
+                         counts=(hi - lo).astype(np.int64),
                          n_pairs=int(hi[-1] - lo[0]),
-                         certified_lower=cert_lo, certified_upper=cert_hi,
-                         certified_enforced=certified_enforced, meta=dict(meta or {}))
+                         certified_lower=cert_lo, certified_upper=cert_hi)
     est.validate()
     return est
 
@@ -260,23 +253,15 @@ def fit_exponent(m: ModuliEstimate, envelope: str, t_lo: float, t_hi: float) -> 
 def distortion(f: Callable, space) -> float:
     """(max image/domain ratio) * (max domain/image ratio) over all pairs.
 
-    ``space`` provides ``points()`` and either ``pairwise_distances()``
-    (dense matrix fast path) or ``metric(u, v)``.  Images live in
-    Euclidean space.  Scale-free by construction; an isometry (or any
-    similarity) scores 1.
+    ``space`` provides ``points()`` and the dense matrix
+    ``pairwise_distances()``.  Images live in Euclidean space.
+    Scale-free by construction; an isometry (or any similarity) scores 1.
     """
-    pts = space.points() if callable(getattr(space, "points", None)) else space.points
-    pts = list(pts)
+    pts = list(space.points())
     n = len(pts)
     if n < 2:
         raise ValueError("space must contain at least two points")
-    if hasattr(space, "pairwise_distances"):
-        dom = np.asarray(space.pairwise_distances(), dtype=float)
-    else:
-        dom = np.zeros((n, n))
-        for i in range(n):
-            for j in range(i + 1, n):
-                dom[i, j] = dom[j, i] = space.metric(pts[i], pts[j])
+    dom = np.asarray(space.pairwise_distances(), dtype=float)
     imgs = np.asarray([np.asarray(f(p), dtype=float) for p in pts])
     diff = imgs[:, None, :] - imgs[None, :, :]
     im = np.sqrt(np.sum(diff ** 2, axis=2))

@@ -9,7 +9,8 @@ by pair.  The Mazur grid audit of
 arrays, with a fresh draw per exponent p, and its sampler against
 whole-array normalization.  The closed-form series residual of
 ``embedlab.gaussian`` is checked against a Poisson tail summed in
-decimal arithmetic.
+decimal arithmetic, and the dense Hamming-cube distance matrix of
+``embedlab.finite_geometry`` against the popcount of one pair's XOR.
 
 Each enumerator refuses sets past ``MAX_SET_SIZE`` points.
 """
@@ -175,6 +176,17 @@ def lp_sphere_pairs(p: float, samples: int, dim: int, seed: int):
     (2, p) Mazur map; the same Philox stream for every p."""
     x2, y2 = l2_sphere_pairs(samples, dim, seed)
     return mazur_map(x2, 2.0, p), mazur_map(y2, 2.0, p)
+
+
+def cube_distance(u: int, v: int, cube) -> float:
+    """d_p between two vertices of ``cube`` given as bitmasks."""
+    n = cube.n_vertices
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError("vertex masks out of range")
+    h = (u ^ v).bit_count()
+    if cube.p.is_power_sum:
+        return float(h)
+    return h ** (1.0 / cube.p.p) if h else 0.0
 
 
 def poisson_tail(n: int, lam: float) -> float:

@@ -116,7 +116,7 @@ def test_c04_moduli_slopes_match_the_claimed_exponents():
              n_terms=200)
     est = estimate_moduli(exact_kernel_engine(e), PairSampler(1e-3, 1e-1),
                           bins=36, pairs=20000, seed=11,
-                          certifier=glued_certifier(e), certified_enforced=True)
+                          certifier=glued_certifier(e))
     assert est.certified_violations() == 0
     assert 0.9 <= fit_exponent(est, "rho", 1e-3, 1e-1).slope <= 1.1
     assert 0.9 <= fit_exponent(est, "omega", 1e-3, 1e-1).slope <= 1.1
@@ -132,7 +132,7 @@ def test_c05_coarse_schedule_bounded_above_and_still_rising():
 
     est = estimate_moduli(exact_kernel_engine(e), PairSampler(1.0, 1e3),
                           bins=36, pairs=4000, seed=5,
-                          certifier=glued_certifier(e), certified_enforced=True)
+                          certifier=glued_certifier(e))
     assert est.certified_violations() == 0
     decade_bins = (0, 12, 24)  # left edges 1, 10, 100
     assert all(est.counts[j] > 0 for j in decade_bins)

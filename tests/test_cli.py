@@ -157,6 +157,25 @@ class TestExitCodes:
         assert captured.out == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("max_dist", ["nan", "inf", "0", "-5", "0.5"])
+    def test_gluing_max_dist_must_be_finite_and_at_least_one(self, tmp_path, capsys, max_dist):
+        out = tmp_path / "g.json"
+        code = run(["verify", "--suite", "gluing", "--max-dist", max_dist, "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == ("embedlab: --max-dist must be finite and at least 1, "
+                                f"got {float(max_dist):g}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["nan,1", "inf,1"])
+    def test_non_finite_mazur_exponent_is_a_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "m.json"
+        code = run(["verify", "--suite", "mazur", "--grid", grid, "--samples", "100",
+                    "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert "need distinct finite positive exponents" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1.5", "config"])
     def test_bound_scale_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys,
                                                                      scale):
@@ -557,16 +576,17 @@ def test_import_loads_no_scipy_module():
 
 
 # Runs the argument lists in argv[1] (JSON) through cli.main in one fresh
-# process, in the directory argv[2], and reports their exit codes, whether
-# scipy.special is loaded at the end and which of numpy and the package's
-# modules are.
+# process, in the directory argv[2], with scipy blocked from import, and
+# reports their exit codes and which of numpy and the package's modules
+# are loaded at the end.
 _FRESH_CLI = """
 import json, os, sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 from embedlab import cli
 
 os.chdir(sys.argv[2])
 codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
-print(json.dumps({"codes": codes, "scipy_special": "scipy.special" in sys.modules,
+print(json.dumps({"codes": codes,
                   "modules": sorted(m for m in sys.modules
                                     if m == "numpy" or m.startswith("embedlab."))}))
 """
@@ -582,11 +602,12 @@ _EXP_MODULI = ["moduli", "--backend", "exp", "--dim", "2", "--q", "4", "--beta",
                "--n-terms", "5", "--t-max", "5", "--bins", "6"]
 
 
-class TestScipySpecialIsDeferred:
-    """No benchmarked CLI path loads scipy.special: the series residual is
-    a closed-form Poisson tail."""
+class TestRunsWithoutScipy:
+    """Every CLI path runs with scipy blocked from import: the series
+    residual is a closed-form Poisson tail, and no preset reaches a tail
+    bound that would need an incomplete gamma function."""
 
-    def test_paths_without_the_incomplete_gamma_leave_it_unloaded(self, tmp_path):
+    def test_paths_without_the_series_residual(self, tmp_path):
         (tmp_path / "results").mkdir()
         runs = [
             ["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", "1.1",
@@ -615,16 +636,14 @@ class TestScipySpecialIsDeferred:
         ]
         got = _fresh_cli(runs, tmp_path)
         assert got["codes"] == [cli.EXIT_OK] * len(runs)
-        assert got["scipy_special"] is False
 
     @pytest.mark.parametrize("argv", [
         ["verify", "--suite", "kernel", "--samples", "200", "--out", "kernel.json"],
         _EXP_MODULI + ["--pairs", "200", "--json-out", "exp.json"],
     ], ids=["verify-kernel", "moduli-exp"])
-    def test_series_residual_paths_leave_it_unloaded(self, tmp_path, argv):
+    def test_series_residual_paths(self, tmp_path, argv):
         got = _fresh_cli([argv], tmp_path)
         assert got["codes"] == [cli.EXIT_OK]
-        assert got["scipy_special"] is False
 
     def test_exp_run_keeps_its_bytes_at_two_threads(self, tmp_path):
         # 2100 pairs are nine ROW_QUANTUM chunks, so with two threads the

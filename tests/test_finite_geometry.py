@@ -10,25 +10,25 @@ from embedlab.finite_geometry import (
     HammingCube,
     MAX_CUBE_MATRIX_DIM,
     MAX_CUBE_PAIR_DIM,
-    cube_distance,
     cube_report,
     enflo_lower_bound,
     enflo_type2_certificate,
     probe_audit,
 )
 from embedlab.metric_core import ExponentRegime
+from oracles import cube_distance
 
 
 class TestHammingCube:
     def test_distance_is_popcount(self):
-        cube = HammingCube(3, 1.0)
-        assert cube_distance(0b000, 0b111, cube) == 3.0
-        assert cube_distance(0b101, 0b101, cube) == 0.0
-        assert cube_distance(0b101, 0b100, cube) == 1.0
+        mat = HammingCube(3, 1.0).pairwise_distances()
+        assert mat[0b000, 0b111] == 3.0
+        assert mat[0b101, 0b101] == 0.0
+        assert mat[0b101, 0b100] == 1.0
 
     def test_root_applied_in_norm_regime(self):
         cube = HammingCube(4, 2.0)
-        assert cube.metric(0b0000, 0b1111) == pytest.approx(2.0)
+        assert cube.pairwise_distances()[0b0000, 0b1111] == pytest.approx(2.0)
         assert cube.diameter() == pytest.approx(2.0)
         assert HammingCube(9, 1.0).diameter() == 9.0
         assert HammingCube(4, ExponentRegime.from_p(0.5)).diameter() == 4.0
@@ -38,7 +38,7 @@ class TestHammingCube:
         mat = cube.pairwise_distances()
         for u in range(cube.n_vertices):
             for v in range(cube.n_vertices):
-                assert mat[u, v] == pytest.approx(cube.metric(u, v), abs=1e-12)
+                assert mat[u, v] == pytest.approx(cube_distance(u, v, cube), abs=1e-12)
 
     def test_bit_matrix_rows_encode_vertices(self):
         b = HammingCube(3, 1.0).bit_matrix()
@@ -51,8 +51,6 @@ class TestHammingCube:
         big = HammingCube(MAX_CUBE_MATRIX_DIM + 1, 1.0)
         with pytest.raises(ValueError):
             big.bit_matrix()
-        with pytest.raises(ValueError):
-            cube_distance(0, 1 << 5, HammingCube(5, 1.0))
         with pytest.raises(ValueError):
             HammingCube(0, 1.0)
 
@@ -147,14 +145,6 @@ class TestTypeTwoCertificate:
         assert not cert.degenerate
         # ratio 1 leaves the clean Euclidean distortion floor m^(1/p - 1/2)
         assert enflo_lower_bound(m, 1.0, 2.0) * math.sqrt(cert.ratio) == pytest.approx(math.sqrt(m))
-
-    def test_callable_and_array_forms_agree(self):
-        m = 4
-        b = HammingCube(m, 1.0).bit_matrix()
-        by_call = enflo_type2_certificate(
-            lambda u: [(u >> j) & 1 for j in range(m)], m)
-        by_array = enflo_type2_certificate(b, m)
-        assert by_call.ratio == by_array.ratio
 
     def test_euclidean_maps_never_exceed_one(self):
         rng = np.random.default_rng(7)

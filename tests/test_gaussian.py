@@ -13,8 +13,6 @@ from scipy.special import gammainc
 from embedlab import gaussian
 from embedlab.gaussian import (
     SATURATION_LEVEL,
-    FundamentalMapSpec,
-    KernelExact,
     RandomFeatures,
     TruncatedExp,
     block_mass,
@@ -25,7 +23,7 @@ from embedlab.gaussian import (
     rff_coordinates_batch,
     sphere_block_interval,
 )
-from embedlab.metric_core import ExponentRegime
+from embedlab.glue import GaussianBlockFamily, preset_schedule
 from embedlab.mazur import mazur_map, signed_power_constant
 from oracles import poisson_tail
 
@@ -176,6 +174,15 @@ class TestRandomFeatures:
             rff_coordinates_batch(np.array([[math.inf]]), RandomFeatures(1.0, 8, seed=0))
 
 
+@pytest.mark.parametrize("r", [0.0, math.nan, math.inf])
+@pytest.mark.parametrize("backend", [lambda r: TruncatedExp(r, 4, 2),
+                                     lambda r: RandomFeatures(r, 16, seed=0)],
+                         ids=["exp", "rff"])
+def test_bandwidth_must_be_finite_and_positive(backend, r):
+    with pytest.raises(ValueError, match="bandwidth must be finite and positive"):
+        backend(r)
+
+
 def _slab_rows(n_features, dim):
     # Rows per product that keep m * n * k within OpenBLAS's single-thread
     # cut-off of 2^18, and at least two so that every product is a GEMM.
@@ -249,11 +256,9 @@ class TestKernelStaysOnCallingThread:
         return X, X + rng.normal(size=X.shape).astype(np.float32)
 
     def test_block_mass_cpu_within_wall(self):
-        specs = [FundamentalMapSpec(n, 0.5, ExponentRegime.from_p(4.0),
-                                    RandomFeatures(0.5, self.N_FEATURES, seed=(9, n)))
-                 for n in range(self.BLOCKS)]
+        blocks = [RandomFeatures(0.5, self.N_FEATURES, seed=(9, n)) for n in range(self.BLOCKS)]
         X, Y = self._points()
-        ratio = _cpu_per_wall(lambda: block_mass(X, Y, specs))
+        ratio = _cpu_per_wall(lambda: block_mass(X, Y, blocks, 4.0))
         assert ratio <= self.LIMIT
 
     def test_control_plain_matmul_spins_a_worker(self):
@@ -326,26 +331,19 @@ class TestSphereBlockInterval:
 
 
 class TestPhiMaps:
-    def test_spec_bandwidth_agreement_enforced(self):
-        with pytest.raises(ValueError):
-            FundamentalMapSpec(index=1, r=2.0, q=ExponentRegime.from_p(2.0),
-                               backend=KernelExact(1.0))
-
     def test_kernel_backend_has_no_coordinates(self):
-        spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(2.0),
-                                  backend=KernelExact(1.0))
-        with pytest.raises(ValueError):
-            block_mass(np.zeros((1, 2)), np.ones((1, 2)), [spec])
+        family = GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0), backend="kernel")
+        with pytest.raises(ValueError, match="use distance_interval"):
+            family.block(2)
 
     def test_q2_is_plain_sphere_map(self):
         # At q = 2 the signed power is the identity: the block mass is the
         # squared l_2 distance of the sphere coordinates.
         be = TruncatedExp(1.0, 24, 2)
-        spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(2.0), backend=be)
         X, Y = np.array([[0.4, -0.1]]), np.array([[-0.3, 0.5]])
         psi_x, psi_y = exp_coordinates_batch(X, be)[0], exp_coordinates_batch(Y, be)[0]
         want = np.sum((psi_x - psi_y) ** 2, axis=1)
-        np.testing.assert_allclose(block_mass(X, Y, [spec]), want, rtol=1e-12)
+        np.testing.assert_allclose(block_mass(X, Y, [be], 2.0), want, rtol=1e-12)
 
     def test_image_on_unit_q_sphere(self):
         # phi = s_{2/q}(psi) lands on the unit q-sphere, and the block mass
@@ -354,21 +352,19 @@ class TestPhiMaps:
         X, Y = np.array([[0.4, -0.1]]), np.array([[0.1, 0.3]])
         psi_x, psi_y = exp_coordinates_batch(X, be)[0], exp_coordinates_batch(Y, be)[0]
         for q in (1.0, 1.5, 4.0):
-            spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(q), backend=be)
             img_x, img_y = mazur_map(psi_x, 2.0, q), mazur_map(psi_y, 2.0, q)
             assert np.sum(np.abs(img_x) ** q) == pytest.approx(1.0, abs=1e-12)
             want = np.sum(np.abs(img_x - img_y) ** q, axis=1)
-            np.testing.assert_allclose(block_mass(X, Y, [spec]), want, rtol=1e-12)
+            np.testing.assert_allclose(block_mass(X, Y, [be], q), want, rtol=1e-12)
 
     def test_envelope_sandwiches_measured_distances(self):
         be = TruncatedExp(1.0, 28, 2)
         for q in (1.5, 4.0):
-            spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(q), backend=be)
             t = np.array([0.05, 0.2, 0.6, 1.0, 1.5])
             X = np.zeros((len(t), 2))
             Y = np.stack([t, np.zeros_like(t)], axis=1)
-            mass = block_mass(X, Y, [spec])
-            lo, hi = sphere_block_interval(psi_distance_exact(t, spec.r), q)
+            mass = block_mass(X, Y, [be], q)
+            lo, hi = sphere_block_interval(psi_distance_exact(t, be.r), q)
             assert np.all(mass >= lo ** q * (1 - 1e-9))
             assert np.all(mass <= hi ** q * (1 + 1e-9))
 
@@ -379,27 +375,23 @@ class TestPhiMaps:
         rng = np.random.default_rng(8)
         X = rng.normal(size=(5, 4))
         Y = X + 0.5 * rng.normal(size=X.shape)
+        blocks = [RandomFeatures(r, 64, seed=(3, n)) for n, r in enumerate((0.2, 0.9, 3.0))]
         for q in (0.5, 1.0, 1.5, 4.0):
-            reg = ExponentRegime.from_p(q)
-            specs = [FundamentalMapSpec(n, r, reg, RandomFeatures(r, 64, seed=(3, n)))
-                     for n, r in enumerate((0.2, 0.9, 3.0))]
-            mass = block_mass(X, Y, specs)
+            mass = block_mass(X, Y, blocks, q)
             for i in range(len(X)):
                 # block images phi = s_{2/q}(psi), concatenated over the blocks
-                flat_x = np.concatenate([mazur_map(rff_coordinates_batch(X[i], spec.backend)[0],
-                                                   2.0, q) for spec in specs])
-                flat_y = np.concatenate([mazur_map(rff_coordinates_batch(Y[i], spec.backend)[0],
-                                                   2.0, q) for spec in specs])
+                flat_x = np.concatenate([mazur_map(rff_coordinates_batch(X[i], be)[0], 2.0, q)
+                                         for be in blocks])
+                flat_y = np.concatenate([mazur_map(rff_coordinates_batch(Y[i], be)[0], 2.0, q)
+                                         for be in blocks])
                 want = np.sum(np.abs(flat_x - flat_y) ** q)
                 assert mass[i] == pytest.approx(want, rel=1e-12), (q, i)
-            assert np.array_equal(block_mass(X, X, specs), np.zeros(len(X)))
+            assert np.array_equal(block_mass(X, X, blocks, q), np.zeros(len(X)))
 
     def test_envelope_at_zero_and_floor(self):
-        spec = FundamentalMapSpec(index=1, r=1.0, q=ExponentRegime.from_p(2.0),
-                                  backend=KernelExact(1.0))
-        lo, hi = sphere_block_interval(psi_distance_exact(0.0, spec.r), 2.0)
+        lo, hi = sphere_block_interval(psi_distance_exact(0.0, 1.0), 2.0)
         assert lo == 0.0 and hi == 0.0
         # at r t^2 = 1 the lower envelope sits at the saturation floor
-        lo1, _ = sphere_block_interval(psi_distance_exact(1.0, spec.r), 2.0)
+        lo1, _ = sphere_block_interval(psi_distance_exact(1.0, 1.0), 2.0)
         assert lo1 >= 1.048  # well above the certified compression level
         assert float(lo1) == pytest.approx(delta_q(2.0), abs=1e-12)

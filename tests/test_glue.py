@@ -28,7 +28,7 @@ class TestSequences:
 
     @pytest.mark.parametrize("seq,power", [
         (PowerLogSeq(1.0, -1.0, -2.0), 1.0),    # a > 1 via log corrections? a=1, b=2
-        (PowerLogSeq(1.0, -2.0, 1.0), 1.5),     # a > 1, b < 0 (growing log)
+        (PowerLogSeq(1.0, -2.0, -1.0), 1.5),    # a > 1, b > 0
         (PowerLogSeq(2.0, -1.5, 0.0), 2.0),     # a > 1, b = 0
     ])
     def test_power_tail_dominates_partial_sums(self, seq, power):
@@ -42,6 +42,10 @@ class TestSequences:
             PowerLogSeq(1.0, -1.0, 0.0).power_tail(1.0, 10)  # harmonic
         with pytest.raises(ValueError):
             PowerLogSeq(1.0, -1.0, -1.0).power_tail(1.0, 10)  # 1/(n log n)
+
+    def test_growing_log_tail_rejected(self):
+        with pytest.raises(ValueError, match="growing log factor"):
+            PowerLogSeq(1.0, -2.0, 1.0).power_tail(1.5, 10)  # a = 3, b = -1.5
 
     def test_unbounded_flags(self):
         assert PowerLogSeq(1.0, 0.5, 1.0).unbounded

@@ -61,6 +61,9 @@ class TestMazurMap:
             mazur_map([1.0], 0.0, 2.0)
         with pytest.raises(ValueError):
             mazur_map([math.nan], 2.0, 1.0)
+        for p, q in ((math.nan, 1.0), (math.inf, 1.0), (2.0, math.inf)):
+            with pytest.raises(ValueError, match="finite and positive"):
+                mazur_map([0.5], p, q)
 
 
 class TestSignedPower:

@@ -121,9 +121,8 @@ class TestEstimateModuli:
         # all mass at one separation: most log bins stay empty
         sampler = PairSampler(1e-3, 1e3)
         clumped = lambda X, Y, t: np.ones_like(t)
-        with pytest.raises(ValueError):
-            estimate_moduli(clumped, sampler, bins=200, pairs=8, seed=0,
-                            max_empty_fraction=0.05)
+        with pytest.raises(ValueError, match="bins are empty"):
+            estimate_moduli(clumped, sampler, bins=200, pairs=8, seed=0)
 
     def test_validate_catches_tampering(self):
         est = estimate_moduli(identity_engine, PairSampler(0.1, 10.0), bins=8,
@@ -191,8 +190,8 @@ class TestDistortion:
         def points(self):
             return [np.array([0.0]), np.array([1.0])]
 
-        def metric(self, a, b):
-            return abs(float(a[0] - b[0]))
+        def pairwise_distances(self):
+            return np.array([[0.0, 1.0], [1.0, 0.0]])
 
     def test_isometry_and_similarity_score_one(self):
         space = self._TwoPoints()
