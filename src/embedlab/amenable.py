@@ -481,8 +481,8 @@ def sample_zk_pairs(group: ZkModel, n_pairs: int, max_dist: float,
     multinomial splits 2, signs 3.  Row i of every draw is pair i, so the
     first m pairs of an n-pair draw are the m-pair draw.
     """
-    if max_dist < 1:
-        raise ValueError("need max_dist >= 1")
+    if not 1 <= max_dist < math.inf:
+        raise ValueError(f"need a finite max_dist >= 1, got {max_dist}")
     k = group.k
     x = _stream(seed, 9, 0).integers(-1000, 1001, size=(n_pairs, k))
     log_len = _stream(seed, 9, 1).uniform(0.0, math.log(max_dist), size=n_pairs)

@@ -1,10 +1,10 @@
 """Command-line front end: deterministic runs, verification suites, reports.
 
 Every artifact is a pure function of the parsed configuration: stable
-JSON/CSV formatting, no timestamps, seeded sampling only.  The exit
-status separates scientific outcome from plumbing: 0 clean, 1 when any
-certified bound was violated, 2 for usage errors (argparse), 3 for I/O
-failures.
+JSON/CSV formatting, no timestamps, seeded sampling only.  Exit status:
+0 clean, 1 a certified bound violated, 2 a usage error, 3 an I/O failure.
+The parser checks every numeric flag once, by its type, and parses a
+``--config`` file as flags, so a bad value from either exits 2 naming it.
 
 Each command imports numpy and the package modules it runs when it is
 called, not here, so a process loads only what its subcommand needs:
@@ -57,22 +57,28 @@ _ECHO_KEYS = {
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    keys = _ECHO_KEYS[args.subcommand]
-    return {k: getattr(args, k) for k in keys if hasattr(args, k)}
+    return {k: getattr(args, k) for k in _ECHO_KEYS[args.subcommand]}
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _number(cast, lo: float, hi: float, *, lo_open: bool = False, what: str):
+    """argparse type: ``cast(text)``, finite, in [lo, hi] or (lo, hi] if ``lo_open``."""
+    def convert(text: str):
+        try:
+            x = cast(text)
+        except ValueError:
+            x = math.nan
+        if not ((lo < x if lo_open else lo <= x) and x <= hi and abs(x) < math.inf):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return x
+    return convert
 
 
-def _int_at_least_two(text: str) -> int:
-    value = int(text)
-    if value < 2:
-        raise argparse.ArgumentTypeError("must be an integer >= 2")
-    return value
+_NON_NEGATIVE_INT = _number(int, 0, math.inf, what="a non-negative integer")
+_POSITIVE_INT = _number(int, 1, math.inf, what="a positive integer")
+_INT_AT_LEAST_TWO = _number(int, 2, math.inf, what="an integer >= 2")
+_FINITE = _number(float, -math.inf, math.inf, what="a finite number")
+_POSITIVE = _number(float, 0, math.inf, lo_open=True, what="a finite number > 0")
+_AT_LEAST_ONE = _number(float, 1, math.inf, what="a finite number >= 1")
 
 
 def _emit_json(doc: dict, path: str | None) -> None:
@@ -105,14 +111,14 @@ def _threaded(f, threads: int):
     from .glue import ROW_QUANTUM
 
     def engine(X, Y, t):
-        t = np.asarray(t, dtype=float)
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        Y = np.atleast_2d(np.asarray(Y, dtype=float))
+        t = np.asarray(t, dtype=np.float64)
+        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
         n = len(t)
         slices = [slice(i, min(i + ROW_QUANTUM, n)) for i in range(0, n, ROW_QUANTUM)]
 
         def work(sl):
-            return np.asarray(f(X[sl], Y[sl], t[sl]), dtype=float)
+            return np.asarray(f(X[sl], Y[sl], t[sl]), dtype=np.float64)
 
         if threads <= 1 or len(slices) <= 1:
             parts = [work(sl) for sl in slices]
@@ -121,7 +127,7 @@ def _threaded(f, threads: int):
             from concurrent.futures import ThreadPoolExecutor
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 parts = list(pool.map(work, slices))
-        out = np.empty(n, dtype=float)
+        out = np.empty(n, dtype=np.float64)
         for sl, part in zip(slices, parts):
             out[sl] = part
         return out
@@ -221,6 +227,8 @@ def _suite_mazur(args: argparse.Namespace) -> dict:
     from . import mazur
 
     grid = [float(v) for v in args.grid.split(",")]
+    if len(set(grid)) < 2:  # no (p, q) cell with p != q: nothing certified to audit
+        raise ValueError(f"--grid needs two distinct exponents, got {args.grid}")
     upper_scale = 0.5 if args.negative_control else 1.0
     x2, y2 = mazur.sample_sphere_pairs(args.samples, args.dim, args.seed)
     rep = mazur.audit_sphere_pairs(x2, y2, grid, tile_bytes=_TILE_BYTES,
@@ -296,8 +304,6 @@ def _suite_gluing(args: argparse.Namespace) -> dict:
     rng = _batch_rng(args.seed, 103)
     max_dist = args.max_dist if args.max_dist is not None else 1000.0
     # Separations are drawn log-uniformly on [1, max_dist].
-    if not 1 <= max_dist < math.inf:
-        raise ValueError(f"--max-dist must be finite and at least 1, got {max_dist:g}")
     d = np.exp(rng.uniform(math.log(1.0), math.log(max_dist), args.pairs))
     eps_scale = 0.5 if args.negative_control else 1.0
     rep = per_pair_bounds_check(e, d, eps_scale=eps_scale)
@@ -314,8 +320,6 @@ def _folner_audit(system, n_pairs: int, max_dist: float, seed: int, p: float,
     block-distance bound check, for ``folner`` and ``verify --suite folner``."""
     from .amenable import char_embedding_bound_check
 
-    if not math.isfinite(max_dist):
-        raise ValueError(f"--max-dist must be finite, got {max_dist:g}")
     pairs = system.sample_pairs(n_pairs, max_dist, seed)
     d = system.distances(pairs)
     counts = system.sym_diff_counts(pairs)
@@ -329,13 +333,13 @@ def _suite_folner(args: argparse.Namespace) -> dict:
     from . import amenable
 
     system = amenable.folner_system("z2", 2, args.n_max)
-    # Block-distance checks only fire at separations <= r_n, so the
-    # sampler stays within twice the largest certified radius, in whole
-    # steps; a non-finite value is left for the audit to reject.
-    max_dist = args.max_dist if args.max_dist is not None else 2 * args.n_max
-    if math.isfinite(max_dist):
-        max_dist = int(max_dist)
+    # Block-distance checks only fire at separations <= r_n, so the sampler
+    # stays within twice the largest certified radius, in whole steps.
+    max_dist = int(args.max_dist) if args.max_dist is not None else 2 * args.n_max
     _, _, defects, char = _folner_audit(system, args.pairs, max_dist, args.seed, args.p)
+    if char.n_checks == 0:
+        raise ValueError(f"--pairs {args.pairs} at --max-dist {max_dist} drew no pair "
+                         "within a certified radius: the folner suite audited nothing")
     scale = 0.5 if args.negative_control else 1.0
     defect_viol = sum(1 for n, dmax in defects.items()
                       if dmax > system.eps(n) * scale * (1 + 1e-12))
@@ -562,39 +566,39 @@ def cmd_report(args: argparse.Namespace) -> int:
 # parser
 
 
-def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="embedlab",
         description="Deterministic embedding experiments: moduli envelopes, "
                     "certified-bound verification, and claim comparison tables.")
     parser.add_argument("--config", metavar="FILE",
-                        help="JSON file of defaults; explicit flags win")
+                        help="JSON object of flag values; explicit flags win")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def common(sp):
-        sp.add_argument("--seed", type=int, default=0, help="master RNG seed")
+        sp.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="master RNG seed")
         sp.add_argument("--out", default=None, help="primary artifact path")
-        sp.add_argument("--threads", type=_positive_int, default=1,
+        sp.add_argument("--threads", type=_POSITIVE_INT, default=1,
                         help="worker threads; N bounds the compute threads of the "
                              "block kernel (results are thread-count independent)")
 
     mod = sub.add_parser("moduli", help="envelope estimates for a glued embedding")
     common(mod)
     mod.add_argument("--preset", default="strong_qge2", choices=tuple(PRESET_PARAMS))
-    mod.add_argument("--q", type=float, default=None)
-    mod.add_argument("--beta", type=float, default=None)
-    mod.add_argument("--nu", type=float, default=None)
+    mod.add_argument("--q", type=_POSITIVE, default=None)
+    mod.add_argument("--beta", type=_FINITE, default=None)
+    mod.add_argument("--nu", type=_FINITE, default=None)
     mod.add_argument("--backend", default="rff", choices=("kernel", "exp", "rff"))
-    mod.add_argument("--n-features", type=int, default=512)
-    mod.add_argument("--base-seed", type=int, default=0)
-    mod.add_argument("--n-terms", type=int, default=200)
-    mod.add_argument("--dim", type=_positive_int, default=16)
-    mod.add_argument("--t-min", type=float, default=0.1)
-    mod.add_argument("--t-max", type=float, default=100.0)
-    mod.add_argument("--bins", type=int, default=36)
-    mod.add_argument("--pairs", type=int, default=2000)
-    mod.add_argument("--fit-lo", type=float, default=None)
-    mod.add_argument("--fit-hi", type=float, default=None)
+    mod.add_argument("--n-features", type=_POSITIVE_INT, default=512)
+    mod.add_argument("--base-seed", type=_NON_NEGATIVE_INT, default=0)
+    mod.add_argument("--n-terms", type=_POSITIVE_INT, default=200)
+    mod.add_argument("--dim", type=_POSITIVE_INT, default=16)
+    mod.add_argument("--t-min", type=_POSITIVE, default=0.1)
+    mod.add_argument("--t-max", type=_POSITIVE, default=100.0)
+    mod.add_argument("--bins", type=_POSITIVE_INT, default=36)
+    mod.add_argument("--pairs", type=_POSITIVE_INT, default=2000)
+    mod.add_argument("--fit-lo", type=_POSITIVE, default=None)
+    mod.add_argument("--fit-hi", type=_POSITIVE, default=None)
     mod.add_argument("--regime", default=None, choices=("large_t", "small_t", "coarse"))
     mod.add_argument("--json-out", default=None)
     mod.set_defaults(handler=cmd_moduli)
@@ -605,48 +609,49 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     ver.add_argument("--negative-control", action="store_true",
                      help="tighten the audited bounds; a clean run then proves "
                           "the detector is live")
-    ver.add_argument("--samples", type=_positive_int, default=1000)
-    ver.add_argument("--dim", type=_positive_int, default=16)
+    ver.add_argument("--samples", type=_POSITIVE_INT, default=1000)
+    ver.add_argument("--dim", type=_POSITIVE_INT, default=16)
     ver.add_argument("--grid", default="0.5,1,1.5,2,3,4")
-    ver.add_argument("--r", type=float, default=1.0)
-    ver.add_argument("--degree", type=int, default=32)
-    ver.add_argument("--n-features", type=int, default=4096)
-    ver.add_argument("--beta", type=float, default=2.0)
-    ver.add_argument("--n-terms", type=int, default=200)
-    ver.add_argument("--pairs", type=_positive_int, default=500)
-    ver.add_argument("--max-dist", type=float, default=None,
+    ver.add_argument("--r", type=_POSITIVE, default=1.0)
+    ver.add_argument("--degree", type=_NON_NEGATIVE_INT, default=32)
+    ver.add_argument("--n-features", type=_POSITIVE_INT, default=4096)
+    ver.add_argument("--beta", type=_FINITE, default=2.0)
+    ver.add_argument("--n-terms", type=_POSITIVE_INT, default=200)
+    ver.add_argument("--pairs", type=_POSITIVE_INT, default=500)
+    ver.add_argument("--max-dist", type=_AT_LEAST_ONE, default=None,
                      help="suites pick a range suited to their checks by default")
-    ver.add_argument("--n-max", type=int, default=20)
+    ver.add_argument("--n-max", type=_INT_AT_LEAST_TWO, default=20)
     # Bounds below which the cube or gk suite would audit nothing.
-    ver.add_argument("--m-max", type=_int_at_least_two, default=8)
-    ver.add_argument("--k-max", type=_positive_int, default=4)
-    ver.add_argument("--ground-max", type=_int_at_least_two, default=12)
-    ver.add_argument("--p", type=float, default=1.0)
+    ver.add_argument("--m-max", type=_INT_AT_LEAST_TWO, default=8)
+    ver.add_argument("--k-max", type=_POSITIVE_INT, default=4)
+    ver.add_argument("--ground-max", type=_INT_AT_LEAST_TWO, default=12)
+    ver.add_argument("--p", type=_POSITIVE, default=1.0)
     ver.set_defaults(handler=cmd_verify)
 
     cub = sub.add_parser("cube", help="Hamming-cube distortion floor and certificate")
     common(cub)
-    cub.add_argument("--m", type=int, required=True)
-    cub.add_argument("--p", type=float, default=1.0)
-    cub.add_argument("--target-type", type=float, default=2.0)
+    cub.add_argument("--m", type=_POSITIVE_INT, required=True)
+    cub.add_argument("--p", type=_POSITIVE, default=1.0)
+    cub.add_argument("--target-type", type=_number(float, 1, 2, what="in [1, 2]"), default=2.0)
     cub.set_defaults(handler=cmd_cube)
 
     gk = sub.add_parser("gk", help="audit the k-subset probe map")
     common(gk)
-    gk.add_argument("--k", type=int, required=True)
-    gk.add_argument("--ground", type=int, required=True)
-    gk.add_argument("--p", type=float, default=1.0)
+    gk.add_argument("--k", type=_POSITIVE_INT, required=True)
+    gk.add_argument("--ground", type=_POSITIVE_INT, required=True)
+    gk.add_argument("--p", type=_POSITIVE, default=1.0)
     gk.set_defaults(handler=cmd_gk)
 
     fol = sub.add_parser("folner", help="group-model run: defects, block bounds, envelopes")
     common(fol)
     fol.add_argument("--group", default="z2", choices=_GROUPS)
-    fol.add_argument("--n-min", type=int, default=2)
-    fol.add_argument("--n-max", type=int, default=20)
-    fol.add_argument("--p", type=float, default=1.0)
-    fol.add_argument("--pairs", type=_positive_int, default=500)
-    fol.add_argument("--max-dist", type=float, default=1000.0)
-    fol.add_argument("--bound-scale", type=float, default=1.0)
+    fol.add_argument("--n-min", type=_INT_AT_LEAST_TWO, default=2)
+    fol.add_argument("--n-max", type=_INT_AT_LEAST_TWO, default=20)
+    fol.add_argument("--p", type=_POSITIVE, default=1.0)
+    fol.add_argument("--pairs", type=_POSITIVE_INT, default=500)
+    fol.add_argument("--max-dist", type=_AT_LEAST_ONE, default=1000.0)
+    fol.add_argument("--bound-scale",
+                     type=_number(float, 0, 1, lo_open=True, what="in (0, 1]"), default=1.0)
     fol.add_argument("--json-out", default=None)
     fol.set_defaults(handler=cmd_folner)
 
@@ -654,41 +659,43 @@ def build_parser(config_defaults: dict | None = None) -> argparse.ArgumentParser
     common(rep)
     rep.add_argument("--results-dir", required=True)
     rep.set_defaults(handler=cmd_report)
-
-    if config_defaults:
-        # Subparsers parse into a fresh namespace, so file-sourced
-        # defaults must be installed on each of them to lose against
-        # explicit flags but win against built-ins.
-        for sp in (parser, mod, ver, cub, gk, fol, rep):
-            sp.set_defaults(**config_defaults)
     return parser
 
 
-def _config_defaults(argv: list[str]) -> dict:
+def _with_config(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--config`` entry spliced in after the subcommand as
+    ``--key=value``, or as the bare flag for ``true`` (``false`` and ``null``
+    are left out): the parser checks it as a flag, and later flags win."""
     peek = argparse.ArgumentParser(add_help=False)
     peek.add_argument("--config")
-    known, _ = peek.parse_known_args(argv)
+    known, rest = peek.parse_known_args(argv)
     if known.config is None:
-        return {}
+        return argv
     with open(known.config, encoding="utf-8") as fh:
         loaded = json.load(fh)
     if not isinstance(loaded, dict):
         raise ValueError("config file must hold a JSON object")
-    return {str(k).replace("-", "_"): v for k, v in loaded.items()}
+    flags = []
+    for key, value in loaded.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif value is not False and value is not None:
+            flags.append(f"{flag}={value if isinstance(value, str) else json.dumps(value)}")
+    return rest[:1] + flags + rest[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        defaults = _config_defaults(argv)
+        argv = _with_config(argv)
     except OSError as exc:
         print(f"embedlab: cannot read config: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, json.JSONDecodeError) as exc:
         print(f"embedlab: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    parser = build_parser(defaults)
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         violations = args.handler(args)
     except OSError as exc:

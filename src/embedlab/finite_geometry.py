@@ -159,8 +159,8 @@ def enflo_lower_bound(m: int, p, q_type: float) -> float:
     (q_type = 2), where the diagonal-vs-edge certificate below makes the
     bound exact.
     """
-    if q_type < 1:
-        raise ValueError("target type must be >= 1")
+    if not 1 <= q_type <= 2:  # no Banach space has Rademacher type above 2
+        raise ValueError(f"target type must lie in [1, 2], got {q_type}")
     cube = HammingCube(m, p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p))
     diam = cube.diameter()
     if cube.p.is_power_sum:

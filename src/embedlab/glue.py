@@ -271,8 +271,8 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
     ``coarse_l2``       q = 2, needs nu > 1/2
     """
     if name == "coarse_l2":
-        if nu is None or nu <= 0.5:
-            raise ValueError("coarse_l2 requires nu > 1/2")
+        if nu is None or not 0.5 < nu < math.inf:
+            raise ValueError(f"coarse_l2 requires a finite nu > 1/2, got {nu}")
         if q not in (None, 2.0):
             raise ValueError("coarse_l2 is an l_2 construction")
         return ParamSchedule(
@@ -291,14 +291,14 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
             params={"nu": nu},
         )
 
-    if beta is None or beta <= 1:
-        raise ValueError(f"{name} requires beta > 1")
+    if beta is None or not 1 < beta < math.inf:
+        raise ValueError(f"{name} requires a finite beta > 1, got {beta}")
     if name == "warmup_l2":
         if q not in (None, 2.0):
             raise ValueError("warmup_l2 is an l_2 construction")
         q = 2.0
-    if q is None:
-        raise ValueError(f"{name} requires q")
+    if q is None or not math.isfinite(q):
+        raise ValueError(f"{name} requires a finite q, got {q}")
     gamma_q, xi_q = moduli_exponents(q)
     c_lo, _, c_hi, _ = _transport_constants(q)
 

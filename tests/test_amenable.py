@@ -297,6 +297,11 @@ class TestSamplers:
         with pytest.raises(ValueError, match="max_dist"):
             sample_zk_pairs(ZkModel(2), 3, 0.5, seed=0)
 
+    @pytest.mark.parametrize("max_dist", [math.inf, math.nan])
+    def test_zk_pairs_need_a_finite_range(self, max_dist):
+        with pytest.raises(ValueError, match="finite max_dist"):
+            sample_zk_pairs(ZkModel(2), 3, max_dist, seed=0)
+
     def test_tree_pairs_valid(self):
         tree = TreeModel()
         pairs = sample_tree_pairs(tree, 30, 10, seed=2)
@@ -383,6 +388,14 @@ class TestCharBoundCheck:
                                          counts=sys.sym_diff_counts(pairs), bound_scale=0.01)
         assert rep.violations > 0
         assert rep.worst_margin < 0
+
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, 0.0, -1.0, 1.5])
+    def test_bound_scale_outside_the_unit_interval_is_refused(self, scale):
+        sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
+        pairs = sample_zk_pairs(ZkModel(2), 4, 16, seed=1)
+        with pytest.raises(ValueError, match=r"bound_scale must lie in \(0, 1\]"):
+            char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0, d=sys.distances(pairs),
+                                       counts=sys.sym_diff_counts(pairs), bound_scale=scale)
 
     def test_p_validation(self):
         sys = ZkFolnerSystem(ZkModel(1))

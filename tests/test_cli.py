@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line entry point (in-process)."""
 
+import argparse
 import json
 import math
 import os
@@ -16,6 +17,17 @@ from oracles import block_distance_pth, mazur_grid_audit, zk_ball
 
 def run(argv):
     return cli.main(argv)
+
+
+def refused(argv, capsys):
+    """Run ``argv``, which the parser must refuse; return what it wrote to
+    stderr, having checked the exit status and that stdout is empty."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == cli.EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return captured.err
 
 
 class TestExitCodes:
@@ -130,12 +142,15 @@ class TestExitCodes:
     def test_bad_folner_index_range_is_a_usage_error(self, tmp_path, capsys, group,
                                                      n_min, n_max):
         out_csv, out_json = tmp_path / "f.csv", tmp_path / "f.json"
-        code = run(["folner", "--group", group, "--n-min", n_min, "--n-max", n_max,
-                    "--pairs", "20", "--out", str(out_csv), "--json-out", str(out_json)])
-        assert code == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err == "embedlab: need 2 <= n_min <= n_max\n"
-        assert captured.out == ""
+        argv = ["folner", "--group", group, "--n-min", n_min, "--n-max", n_max,
+                "--pairs", "20", "--out", str(out_csv), "--json-out", str(out_json)]
+        if n_min == "1":  # below the parser's floor for an index
+            assert "argument --n-min: must be an integer >= 2" in refused(argv, capsys)
+        else:  # each index is valid; their order is checked by the command
+            assert run(argv) == cli.EXIT_USAGE
+            captured = capsys.readouterr()
+            assert captured.err == "embedlab: need 2 <= n_min <= n_max\n"
+            assert captured.out == ""
         assert not out_csv.exists() and not out_json.exists()
 
     @pytest.mark.parametrize("argv, config", [
@@ -150,21 +165,16 @@ class TestExitCodes:
         if config is not None:
             (tmp_path / "cfg.json").write_text(config)
             prefix = ["--config", str(tmp_path / "cfg.json")]
-        code = run([*prefix, *argv, "--pairs", "20", "--out", str(out)])
-        assert code == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err == "embedlab: --max-dist must be finite, got inf\n"
-        assert captured.out == ""
+        err = refused([*prefix, *argv, "--pairs", "20", "--out", str(out)], capsys)
+        assert "argument --max-dist: must be a finite number >= 1, got " in err
         assert not out.exists()
 
     @pytest.mark.parametrize("max_dist", ["nan", "inf", "0", "-5", "0.5"])
     def test_gluing_max_dist_must_be_finite_and_at_least_one(self, tmp_path, capsys, max_dist):
         out = tmp_path / "g.json"
-        code = run(["verify", "--suite", "gluing", "--max-dist", max_dist, "--out", str(out)])
-        assert code == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err == ("embedlab: --max-dist must be finite and at least 1, "
-                                f"got {float(max_dist):g}\n")
+        err = refused(["verify", "--suite", "gluing", f"--max-dist={max_dist}",
+                       "--out", str(out)], capsys)
+        assert f"argument --max-dist: must be a finite number >= 1, got {max_dist}\n" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["nan,1", "inf,1"])
@@ -185,19 +195,113 @@ class TestExitCodes:
             argv = ["--config", str(tmp_path / "cfg.json"), "folner"]
         else:
             argv = ["folner", "--bound-scale", scale]
-        code = run([*argv, "--group", "tree", "--pairs", "50",
-                    "--out", str(out_csv), "--json-out", str(out_json)])
-        assert code == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert "embedlab: bound_scale must lie in (0, 1], got " in captured.err
-        assert captured.out == ""
+        err = refused([*argv, "--group", "tree", "--pairs", "50",
+                       "--out", str(out_csv), "--json-out", str(out_json)], capsys)
+        assert "argument --bound-scale: must be in (0, 1], got " in err
         assert not out_csv.exists() and not out_json.exists()
+
+    def test_folner_suite_that_audits_no_pair_is_a_usage_error(self, tmp_path, capsys):
+        # One pair drawn log-uniformly up to 1000 lands beyond every
+        # certified radius (at most 20), so no block distance is checked.
+        out = tmp_path / "f.json"
+        code = run(["verify", "--suite", "folner", "--max-dist", "1000", "--pairs", "1",
+                    "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--pairs 1 at --max-dist 1000" in err and "audited nothing" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["5", "2,2"])
+    def test_mazur_grid_without_two_exponents_is_a_usage_error(self, tmp_path, capsys, grid):
+        out = tmp_path / "m.json"
+        code = run(["verify", "--suite", "mazur", "--grid", grid, "--samples", "100",
+                    "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert f"--grid needs two distinct exponents, got {grid}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("q_type", ["0.5", "3"])  # nan and inf: TestParserDomains
+    def test_target_type_outside_one_to_two_is_a_usage_error(self, tmp_path, capsys, q_type):
+        # A Banach space has Rademacher type at most 2, so a bound at type 3
+        # would report a false violation on the Euclidean identity.
+        out = tmp_path / "c.json"
+        err = refused(["cube", "--m", "3", "--target-type", q_type, "--out", str(out)], capsys)
+        assert f"argument --target-type: must be in [1, 2], got {q_type}" in err
+        assert not out.exists()
 
     def test_json_out_into_missing_dir_is_io_error(self, tmp_path):
         code = run(["moduli", "--preset", "warmup_l2", "--beta", "2",
                     "--backend", "kernel", "--n-terms", "10", "--pairs", "60",
                     "--bins", "6", "--json-out", str(tmp_path / "no" / "dir.json")])
         assert code == cli.EXIT_IO
+
+
+# Every numeric flag of every subcommand, by domain.  Integers are refused
+# at 0 (unless non-negative), -1 and 2.5; floats at nan, inf and -inf.
+_INT_FLAGS = {
+    "moduli": ("seed", "threads", "n-features", "base-seed", "n-terms", "dim", "bins",
+               "pairs"),
+    "verify": ("seed", "threads", "samples", "dim", "degree", "n-features", "n-terms",
+               "pairs", "n-max", "m-max", "k-max", "ground-max"),
+    "cube": ("seed", "threads", "m"),
+    "gk": ("seed", "threads", "k", "ground"),
+    "folner": ("seed", "threads", "n-min", "n-max", "pairs"),
+    "report": ("seed", "threads"),
+}
+_FLOAT_FLAGS = {
+    "moduli": ("q", "beta", "nu", "t-min", "t-max", "fit-lo", "fit-hi"),
+    "verify": ("r", "beta", "max-dist", "p"),
+    "cube": ("p", "target-type"),
+    "gk": ("p",),
+    "folner": ("p", "max-dist", "bound-scale"),
+    "report": (),
+}
+_NON_NEGATIVE_FLAGS = {"seed", "base-seed", "degree"}
+# Required flags, and output paths that a refused run must leave unwritten.
+_BASE_ARGV = {
+    "moduli": ["--q", "4", "--beta", "1.05", "--out", "m.csv", "--json-out", "m.json"],
+    "verify": ["--suite", "cube", "--out", "v.json"],
+    "cube": ["--m", "3", "--out", "c.json"],
+    "gk": ["--k", "1", "--ground", "4", "--out", "g.json"],
+    "folner": ["--out", "f.csv", "--json-out", "f.json"],
+    "report": ["--results-dir", "results", "--out", "r.json"],
+}
+_JSON_NUMBER = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _bad_values():
+    for sub in _INT_FLAGS:
+        for flag in _INT_FLAGS[sub]:
+            for value in ("0", "-1", "2.5"):
+                if not (value == "0" and flag in _NON_NEGATIVE_FLAGS):
+                    yield sub, flag, value
+        for flag in _FLOAT_FLAGS[sub]:
+            for value in ("nan", "inf", "-inf"):
+                yield sub, flag, value
+
+
+class TestParserDomains:
+    def test_the_table_lists_every_numeric_flag(self):
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction)).choices
+        for sub, sp in subparsers.items():
+            typed = {a.option_strings[0][2:] for a in sp._actions if a.type is not None}
+            assert typed == set(_INT_FLAGS[sub]) | set(_FLOAT_FLAGS[sub]), sub
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("sub, flag, value", list(_bad_values()))
+    def test_bad_value_is_refused_by_the_parser(self, tmp_path, monkeypatch, capsys,
+                                                sub, flag, value, source):
+        monkeypatch.chdir(tmp_path)
+        if source == "flag":
+            argv = [sub, *_BASE_ARGV[sub], f"--{flag}={value}"]
+        else:
+            (tmp_path / "cfg.json").write_text(f'{{"{flag}": {_JSON_NUMBER.get(value, value)}}}')
+            argv = ["--config", "cfg.json", sub, *_BASE_ARGV[sub]]
+        err = refused(argv, capsys)
+        assert f"argument --{flag}: must be " in err
+        assert sorted(os.listdir(tmp_path)) == (["cfg.json"] if source == "config" else [])
 
 
 class TestModuliCommand:
@@ -802,3 +906,66 @@ class TestConfigFile:
         bad = tmp_path / "bad.json"
         bad.write_text("[1, 2, 3]")
         assert run(["--config", str(bad), "moduli"]) == cli.EXIT_USAGE
+
+    def test_unknown_key_is_a_usage_error(self, tmp_path, capsys):
+        # --samples is a verify flag, not a cube one.
+        (tmp_path / "cfg.json").write_text('{"samples": 5}')
+        out = tmp_path / "c.json"
+        err = refused(["--config", str(tmp_path / "cfg.json"), "cube", "--m", "3",
+                       "--out", str(out)], capsys)
+        assert "unrecognized arguments: --samples=5" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("preset", "bogus"), ("backend", "bogus"), ("regime", "nonsense"),
+    ])
+    def test_bad_choice_is_a_usage_error(self, tmp_path, capsys, key, value):
+        (tmp_path / "cfg.json").write_text(json.dumps({key: value}))
+        out = tmp_path / "m.json"
+        err = refused(["--config", str(tmp_path / "cfg.json"), "moduli", "--q", "4",
+                       "--beta", "1.05", "--json-out", str(out)], capsys)
+        assert f"argument --{key}: invalid choice: '{value}'" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, flags", [
+        # a JSON integer is echoed with the flag's type, 4.0
+        ({"q": 4, "beta": 1.05, "n_features": 64},
+         ["--q", "4", "--beta", "1.05", "--n-features", "64"]),
+        ({"preset": "warmup_l2", "beta": 2, "backend": "kernel", "t-min": 0.001,
+          "t-max": 0.1, "fit_lo": None, "regime": "small_t"},
+         ["--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
+          "--t-min", "0.001", "--t-max", "0.1", "--regime", "small_t"]),
+    ], ids=["strong_qge2", "warmup_l2"])
+    def test_moduli_config_writes_the_bytes_of_its_flags(self, tmp_path, config, flags):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        small = ["--n-terms", "10", "--pairs", "60", "--bins", "6"]
+        outs = []
+        for prefix, argv in ((["--config", str(tmp_path / "cfg.json")], []), ([], flags)):
+            tag = str(len(outs))
+            code = run([*prefix, "moduli", *small, *argv, "--out", str(tmp_path / f"{tag}.csv"),
+                        "--json-out", str(tmp_path / f"{tag}.json")])
+            assert code == cli.EXIT_OK
+            outs.append([(tmp_path / f"{tag}{ext}").read_bytes() for ext in (".csv", ".json")])
+        assert outs[0] == outs[1]
+        assert isinstance(json.loads(outs[0][1])["config"]["beta"], float)
+
+    @pytest.mark.parametrize("config, flags", [
+        ({"negative_control": True, "pairs": 50}, ["--negative-control", "--pairs", "50"]),
+        ({"negative-control": False, "pairs": 50}, ["--pairs", "50"]),
+    ], ids=["true", "false"])
+    def test_switch_from_config_writes_the_bytes_of_the_flag(self, tmp_path, config, flags):
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        code_a = run(["--config", str(tmp_path / "cfg.json"), "verify", "--suite", "gluing",
+                      "--out", str(a)])
+        code_b = run(["verify", "--suite", "gluing", *flags, "--out", str(b)])
+        assert code_a == code_b == (cli.EXIT_VIOLATIONS if "--negative-control" in flags
+                                    else cli.EXIT_OK)
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_required_flag_can_come_from_config(self, tmp_path):
+        (tmp_path / "cfg.json").write_text('{"m": 3}')
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert run(["--config", str(tmp_path / "cfg.json"), "cube", "--out", str(a)]) == 0
+        assert run(["cube", "--m", "3", "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()

@@ -134,6 +134,12 @@ class TestEnfloBound:
         with pytest.raises(ValueError):
             enflo_lower_bound(4, 1.0, 0.5)
 
+    @pytest.mark.parametrize("q_type", [0.5, 2.5, 3.0, math.inf, math.nan])
+    def test_type_outside_one_to_two_is_refused(self, q_type):
+        # no Banach space has Rademacher type above 2; NaN must fail too
+        with pytest.raises(ValueError, match="target type must lie in"):
+            enflo_lower_bound(3, 1.0, q_type)
+
 
 class TestTypeTwoCertificate:
     def test_identity_coordinates_are_extremal(self):

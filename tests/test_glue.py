@@ -89,6 +89,20 @@ class TestPresets:
         with pytest.raises(ValueError):
             preset_schedule("nope", beta=2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name, kwargs, param", [
+        ("warmup_l2", {}, "beta"),
+        ("strong_qge2", {"q": 4.0}, "beta"),
+        ("strong_qge2", {"beta": 1.05}, "q"),
+        ("strong_1leqle2", {"beta": 1.1}, "q"),
+        ("strong_qle1", {"beta": 1.1}, "q"),
+        ("coarse_l2", {}, "nu"),
+    ])
+    def test_non_finite_parameters_are_named(self, name, kwargs, param, bad):
+        # NaN fails every comparison, so each check is written to fail on it.
+        with pytest.raises(ValueError, match=f"{name} requires a finite {param}"):
+            preset_schedule(name, **kwargs, **{param: bad})
+
     @pytest.mark.parametrize("name,q", [
         ("warmup_l2", 2.0), ("strong_qge2", 4.0), ("strong_1leqle2", 1.5),
         ("strong_qle1", 0.5),
