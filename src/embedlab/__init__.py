@@ -40,7 +40,6 @@ _EXPORTS = {
     "glue": ("GaussianBlockFamily", "GluedEmbedding", "ParamSchedule",
              "per_pair_bounds_check", "preset_schedule"),
     "mazur": ("audit_sphere_pairs", "mazur_constants", "mazur_map"),
-    "metric_core": ("ExponentRegime",),
     "moduli": ("PairSampler", "distortion", "estimate_moduli", "fit_exponent",
                "write_moduli_csv"),
     "report": ("ComparisonTable", "report_tables"),
@@ -50,8 +49,7 @@ _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComparisonTable", "ExponentRegime",
-    "GaussianBlockFamily", "GkSpace", "GluedEmbedding", "HammingCube",
+    "ComparisonTable", "GaussianBlockFamily", "GkSpace", "GluedEmbedding", "HammingCube",
     "HeisenbergModel", "PairSampler", "ParamSchedule",
     "RandomFeatures", "TreeACollection", "TreeModel", "TruncatedExp",
     "ZkFolnerSystem", "ZkModel", "audit_sphere_pairs",

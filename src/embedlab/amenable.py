@@ -35,8 +35,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metric_core import ExponentRegime
-
 _REL_TOL = 1e-9  # relative float slack of the certified-bound audits
 _TREE_BASE_DEPTH = 40  # sampled tree pairs start at depth 0.._TREE_BASE_DEPTH
 _TREE_BLOCK = 512  # tree walks per sampling block, each block its own stream
@@ -572,9 +570,8 @@ def char_embedding_bound_check(sys, model, pairs, p, *, d, counts,
     negative controls.  The supports of the first eight base points are
     audited against rad(n) at the first four indices.
     """
-    regime = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
-    if regime.p < 1:
-        raise ValueError("characteristic-function blocks need p >= 1")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"characteristic-function blocks need a finite p >= 1, got {p}")
     if not 0 < bound_scale <= 1:
         raise ValueError(f"bound_scale must lie in (0, 1], got {bound_scale:g}")
     checks = violations = support_bad = 0
@@ -594,7 +591,7 @@ def char_embedding_bound_check(sys, model, pairs, p, *, d, counts,
             if sys.support_reach(x, n) > sys.rad(n) + 1e-9:
                 support_bad += 1
     return CharBoundReport(
-        model=model.name, p=regime.p, n_pairs=len(pairs), n_checks=checks,
+        model=model.name, p=p, n_pairs=len(pairs), n_checks=checks,
         violations=violations, support_violations=support_bad,
         worst_margin=worst if checks else math.nan, bound_scale=bound_scale,
     )
@@ -619,8 +616,8 @@ class GluedGroupEmbedding:
     p: float
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("group blocks need p >= 1")
+        if not 1 <= self.p < math.inf:
+            raise ValueError(f"group blocks need a finite p >= 1, got {self.p}")
 
     @property
     def n_range(self) -> range:
@@ -688,8 +685,7 @@ def _count_below(radii: list[float], d):
 
 
 def glued_group_embedding(sys, model, p) -> GluedGroupEmbedding:
-    regime = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
-    return GluedGroupEmbedding(sys=sys, model=model, p=regime.p)
+    return GluedGroupEmbedding(sys=sys, model=model, p=p)
 
 
 # ---------------------------------------------------------------------------

@@ -38,26 +38,15 @@ PRESET_PARAMS = {
     "coarse_l2": ("nu",),
 }
 
-# Keys echoed into reports, per subcommand.  Output paths and --threads
-# are deliberately absent: reruns of one configuration with different
+# Parsed values left out of the config echoed into reports: the config
+# file (its entries are echoed as the flags they became), the handler,
+# output paths and --threads.  Reruns of one configuration with different
 # thread counts or destinations must stay byte-identical.
-_ECHO_KEYS = {
-    "moduli": ("subcommand", "preset", "q", "beta", "nu", "backend", "n_features",
-               "base_seed", "n_terms", "dim", "t_min", "t_max", "bins", "pairs",
-               "fit_lo", "fit_hi", "regime", "seed"),
-    "verify": ("subcommand", "suite", "negative_control", "samples", "dim",
-               "grid", "r", "degree", "n_features", "beta", "n_terms", "pairs",
-               "max_dist", "m_max", "k_max", "ground_max", "p", "seed"),
-    "cube": ("subcommand", "m", "p", "target_type", "seed"),
-    "gk": ("subcommand", "k", "ground", "p", "seed"),
-    "folner": ("subcommand", "group", "n_min", "n_max", "p", "pairs",
-               "max_dist", "bound_scale", "seed"),
-    "report": ("subcommand", "seed"),
-}
+_NOT_ECHOED = frozenset({"config", "handler", "out", "json_out", "threads", "results_dir"})
 
 
 def _echo(args: argparse.Namespace) -> dict:
-    return {k: getattr(args, k) for k in _ECHO_KEYS[args.subcommand]}
+    return {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
 
 
 def _number(cast, lo: float, hi: float, *, lo_open: bool = False, what: str):
@@ -79,6 +68,15 @@ _INT_AT_LEAST_TWO = _number(int, 2, math.inf, what="an integer >= 2")
 _FINITE = _number(float, -math.inf, math.inf, what="a finite number")
 _POSITIVE = _number(float, 0, math.inf, lo_open=True, what="a finite number > 0")
 _AT_LEAST_ONE = _number(float, 1, math.inf, what="a finite number >= 1")
+
+
+def _grid(text: str) -> str:
+    """argparse type of ``--grid``: comma-separated finite exponents > 0, at
+    least two distinct (else no (p, q) cell has p != q to audit).  Returns
+    the text, which the suite splits."""
+    if len({_POSITIVE(v) for v in text.split(",")}) < 2:
+        raise argparse.ArgumentTypeError(f"needs two distinct exponents, got {text}")
+    return text
 
 
 def _emit_json(doc: dict, path: str | None) -> None:
@@ -186,7 +184,7 @@ def cmd_moduli(args: argparse.Namespace) -> int:
     doc = {
         "report_kind": "moduli_run",
         "domain": "l2",
-        "target": f"l{sched.q.p:g}",
+        "target": f"l{sched.q:g}",
         "regime": args.regime or _default_regime(args.preset),
         "config": _echo(args),
         "schedule": sched.to_json_dict(),
@@ -227,8 +225,6 @@ def _suite_mazur(args: argparse.Namespace) -> dict:
     from . import mazur
 
     grid = [float(v) for v in args.grid.split(",")]
-    if len(set(grid)) < 2:  # no (p, q) cell with p != q: nothing certified to audit
-        raise ValueError(f"--grid needs two distinct exponents, got {args.grid}")
     upper_scale = 0.5 if args.negative_control else 1.0
     x2, y2 = mazur.sample_sphere_pairs(args.samples, args.dim, args.seed)
     rep = mazur.audit_sphere_pairs(x2, y2, grid, tile_bytes=_TILE_BYTES,
@@ -450,6 +446,9 @@ def cmd_cube(args: argparse.Namespace) -> int:
 def cmd_gk(args: argparse.Namespace) -> int:
     from .finite_geometry import probe_audit
 
+    if args.ground <= args.k:  # G(k, ground) has at most one point: no pair to audit
+        raise ValueError(f"--ground {args.ground} must exceed --k {args.k}: "
+                         "G(k, ground) would have no pair to audit")
     rep = probe_audit(args.k, args.ground, args.p)
     doc = {"report_kind": "gk_report", "k": rep.k, "ground": rep.ground,
            "p": rep.p, "pairs_checked": rep.n_pairs, "sampled": rep.sampled,
@@ -611,7 +610,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "the detector is live")
     ver.add_argument("--samples", type=_POSITIVE_INT, default=1000)
     ver.add_argument("--dim", type=_POSITIVE_INT, default=16)
-    ver.add_argument("--grid", default="0.5,1,1.5,2,3,4")
+    ver.add_argument("--grid", type=_grid, default="0.5,1,1.5,2,3,4")
     ver.add_argument("--r", type=_POSITIVE, default=1.0)
     ver.add_argument("--degree", type=_NON_NEGATIVE_INT, default=32)
     ver.add_argument("--n-features", type=_POSITIVE_INT, default=4096)

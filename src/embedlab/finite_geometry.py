@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metric_core import ExponentRegime
+from .metric_core import distance_root
 
 # Hard enumeration caps.  Pair iteration beyond ~1e6 vertices or dense
 # matrices beyond 2^14 x 2^14 are out of desk-scale scope.
@@ -27,21 +27,20 @@ _REL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class HammingCube:
-    """Vertex set {0,1}^m under the two-regime ell_p distance.
+    """Vertex set {0,1}^m under the ell_p distance (see :mod:`.metric_core`).
 
     Vertices are bitmask integers 0..2^m-1; coordinates are the bits.
     """
 
     m: int
-    p: ExponentRegime
+    p: float
 
     def __post_init__(self):
         if not isinstance(self.m, int) or self.m < 1:
             raise ValueError("m must be a positive integer")
         if self.m > MAX_CUBE_PAIR_DIM:
             raise ValueError(f"m={self.m} exceeds enumeration cap {MAX_CUBE_PAIR_DIM}")
-        if not isinstance(self.p, ExponentRegime):
-            object.__setattr__(self, "p", ExponentRegime.from_p(self.p))
+        distance_root(self.p)  # refuses p outside (0, inf)
 
     @property
     def n_vertices(self) -> int:
@@ -62,12 +61,10 @@ class HammingCube:
         b = self.bit_matrix()
         ham = b @ (1.0 - b).T
         ham += ham.T  # popcount(u xor v), exact in float64 for m <= 14
-        if self.p.is_power_sum:
-            return ham
-        return ham ** (1.0 / self.p.p)
+        return ham ** (1.0 / distance_root(self.p))
 
     def diameter(self) -> float:
-        return float(self.m) if self.p.is_power_sum else self.m ** (1.0 / self.p.p)
+        return self.m ** (1.0 / distance_root(self.p))
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ def probe_audit(k: int, ground: int, p, *,
     image distances reduce to symmetric-difference counts; the audit is
     exact integer arithmetic over all pairs (caps permitting).
     """
-    regime = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
+    root = distance_root(p)
     space = GkSpace(k, ground)
     mat = space.element_matrix()
     n_el = mat.shape[0]
@@ -136,7 +133,7 @@ def probe_audit(k: int, ground: int, p, *,
     iu = np.triu_indices(n_el, k=1)
     sym_u = sym[iu]
     rho = sym_u / 2.0
-    image = sym_u if regime.is_power_sum else sym_u ** (1.0 / regime.p)
+    image = sym_u ** (1.0 / root)
     nz = image[sym_u > 0]
     ratio = image[rho > 0] / rho[rho > 0]
     max_ratio = float(ratio.max()) if ratio.size else 0.0
@@ -144,7 +141,7 @@ def probe_audit(k: int, ground: int, p, *,
     lip_bad = int(np.sum(ratio > lipschitz_factor * (1.0 + _REL_TOL)))
     disc_bad = int(np.sum(nz < 1.0 - _REL_TOL))
     return ProbeAuditReport(
-        k=k, ground=ground, p=regime.p, n_pairs=int(sym_u.size),
+        k=k, ground=ground, p=p, n_pairs=int(sym_u.size),
         max_ratio=max_ratio, min_nonzero_image=min_nonzero,
         lipschitz_violations=lip_bad, discreteness_violations=disc_bad,
     )
@@ -153,21 +150,19 @@ def probe_audit(k: int, ground: int, p, *,
 def enflo_lower_bound(m: int, p, q_type: float) -> float:
     """Distortion lower bound for embedding the cube into a type-q target.
 
-    Exponent-form bound: diam^(1/p - 1/q_type) in the norm regime,
-    diam^(1 - 1/q_type) in the power-sum regime, with diam the cube
-    diameter in d_p.  The hidden constant is 1 for Euclidean targets
-    (q_type = 2), where the diagonal-vs-edge certificate below makes the
-    bound exact.
+    Exponent-form bound: diam^(1/m - 1/q_type) with m = max(p, 1) the
+    distance root and diam the cube diameter in d_p.  The hidden constant
+    is 1 for Euclidean targets (q_type = 2), where the diagonal-vs-edge
+    certificate below makes the bound exact.
     """
+    expo = _enflo_exponent(p, q_type)
+    return HammingCube(m, p).diameter() ** expo
+
+
+def _enflo_exponent(p: float, q_type: float) -> float:
     if not 1 <= q_type <= 2:  # no Banach space has Rademacher type above 2
         raise ValueError(f"target type must lie in [1, 2], got {q_type}")
-    cube = HammingCube(m, p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p))
-    diam = cube.diameter()
-    if cube.p.is_power_sum:
-        expo = 1.0 - 1.0 / q_type
-    else:
-        expo = 1.0 / cube.p.p - 1.0 / q_type
-    return diam ** expo
+    return 1.0 / distance_root(p) - 1.0 / q_type
 
 
 @dataclass(frozen=True)
@@ -214,16 +209,14 @@ def cube_report(m: int, p, q_type: float = 2.0) -> dict:
     """Identity-embedding summary for one cube: bound, distortion, ratio."""
     from .moduli import distortion
 
-    regime = p if isinstance(p, ExponentRegime) else ExponentRegime.from_p(p)
-    cube = HammingCube(m, regime)
+    cube = HammingCube(m, p)
     cert = enflo_type2_certificate(cube.bit_matrix(), m)
     return {
         "m": m,
-        "p": regime.p,
+        "p": p,
         "target_type": q_type,
-        "bound": enflo_lower_bound(m, regime, q_type),
-        "bound_exponent": (1.0 - 1.0 / q_type) if regime.is_power_sum
-                          else (1.0 / regime.p - 1.0 / q_type),
+        "bound": enflo_lower_bound(m, p, q_type),
+        "bound_exponent": _enflo_exponent(p, q_type),
         "measured_distortion": distortion(lambda v: v, cube),
         "certificate_ratio": cert.ratio,
     }

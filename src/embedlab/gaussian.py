@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mazur import _signed_power, mazur_constants
+from .metric_core import distance_root
 
 __all__ = [
     "TruncatedExp",
@@ -333,19 +334,17 @@ def moduli_exponents(q: float) -> tuple[float, float]:
 def _transport_constants(q: float) -> tuple[float, float, float, float]:
     """(c_lo, e_lo, c_hi, e_hi): block distance bounds c * D^e from psi distance D.
 
-    For q >= 1 the bounds are on the q-norm of the image difference, for
-    q < 1 on the q-power-sum metric.  q = 2 is the identity transport.
+    The bounds are on the l_q distance of the image difference, the power
+    sum S_q taken to the root m = max(q, 1) (the q-norm for q >= 1, S_q
+    itself for q < 1).  q = 2 is the identity transport.
     """
     if q == 2.0:
         return 1.0, 1.0, 1.0, 1.0
     mc = mazur_constants(2.0, q)
     # Power-sum bounds: c_lower * (D^2)^le <= S_q <= c_upper * (D^2)^ue.
-    if q >= 1:
-        return (
-            mc.c_lower ** (1.0 / q), 2.0 * mc.lower_exponent / q,
-            mc.c_upper ** (1.0 / q), 2.0 * mc.upper_exponent / q,
-        )
-    return mc.c_lower, 2.0 * mc.lower_exponent, mc.c_upper, 2.0 * mc.upper_exponent
+    m = distance_root(q)
+    return (mc.c_lower ** (1.0 / m), 2.0 * mc.lower_exponent / m,
+            mc.c_upper ** (1.0 / m), 2.0 * mc.upper_exponent / m)
 
 
 def sphere_block_interval(D, q: float):

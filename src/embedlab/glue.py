@@ -23,9 +23,10 @@ the signed-power sphere constants.  All claims audited by
 violation count is an exact statement about the maps as built, with no
 asymptotic slack hiding in a constant.
 
-Writing Q for the glued power mass (Q = Delta^q for q >= 1, Q = Delta
-itself for q <= 1 where the metric is already a power sum), the audited
-per-pair claims are:
+Writing Q = Delta^m for the glued power mass, with m = max(q, 1) the
+distance root of :func:`~embedlab.metric_core.distance_root` (Q = Delta
+itself for q <= 1, where the metric is already a power sum), the
+audited per-pair claims are:
 
 * strong upper:   ``Q <= (sum_n ceps_n^m) * d^(gamma*m)``
 * step lower:     ``Q >= k * eta^m`` where k blocks have ``s_n <= d``
@@ -33,9 +34,6 @@ per-pair claims are:
   ``max_n r_n * d^2 <= 1`` where the 1/e envelope is valid
 * coarse upper:   ``Q <= 2^m * k + K`` for ``r_k <= d``, K the full
   certified budget mass
-
-with m = q for q >= 1 and m = 1 for q <= 1 (block distances in the
-power-sum regime are combined by plain summation).
 """
 
 from __future__ import annotations
@@ -56,7 +54,7 @@ from .gaussian import (
     sphere_block_interval,
     _transport_constants,
 )
-from .metric_core import ExponentRegime
+from .metric_core import distance_root
 
 __all__ = [
     "PowerLogSeq",
@@ -152,7 +150,7 @@ class ParamSchedule:
     """
 
     name: str
-    q: ExponentRegime
+    q: float
     kind: str                      # "strong" | "coarse"
     r_seq: PowerLogSeq
     eps_seq: PowerLogSeq
@@ -182,9 +180,10 @@ class ParamSchedule:
                 raise ValueError("n0 below a sequence's first index")
         # Budgets must be summable at both the tail-bookkeeping power q
         # and the gluing power m; certify now so construction fails early.
-        self.eps_seq.power_tail(self.q.p, max(self.n0, 2))
-        if self.mass_power != self.q.p:
-            self.eps_seq.power_tail(self.mass_power, max(self.n0, 2))
+        m = self.mass_power  # refuses q outside (0, inf) first
+        self.eps_seq.power_tail(self.q, max(self.n0, 2))
+        if m != self.q:
+            self.eps_seq.power_tail(m, max(self.n0, 2))
         if not self.s_seq.unbounded:
             raise ValueError("activation thresholds s_n must be unbounded")
         ns = np.arange(self.n0, self.n0 + 64)
@@ -223,8 +222,8 @@ class ParamSchedule:
 
     @property
     def mass_power(self) -> float:
-        """Power applied to block distances when gluing (1 in the power-sum regime)."""
-        return 1.0 if self.q.is_power_sum else self.q.p
+        """Power applied to block distances when gluing: the distance root m."""
+        return distance_root(self.q)
 
     # -- certified budgets -----------------------------------------------
 
@@ -237,7 +236,7 @@ class ParamSchedule:
     def eps_q_tail(self, n_terms: int) -> float:
         """Certified bound on sum_{n > last} ceps_n^q (tail bookkeeping mass)."""
         last = self.n0 + n_terms - 1
-        return self.eps_mult ** self.q.p * self.eps_seq.power_tail(self.q.p, last)
+        return self.eps_mult ** self.q * self.eps_seq.power_tail(self.q, last)
 
     def eps_mass_partial(self, n_terms: int) -> float:
         ns = np.arange(self.n0, self.n0 + n_terms)
@@ -254,7 +253,7 @@ class ParamSchedule:
         return float(np.sum(self.certified_mu(ns) ** self.mass_power))
 
     def to_json_dict(self) -> dict:
-        out = {"name": self.name, "q": self.q.p, "kind": self.kind,
+        out = {"name": self.name, "q": self.q, "kind": self.kind,
                "eta": self.eta, "eta_source": self.eta_source, "n0": self.n0}
         out.update(self.params)
         return out
@@ -276,7 +275,7 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
         if q not in (None, 2.0):
             raise ValueError("coarse_l2 is an l_2 construction")
         return ParamSchedule(
-            name=name, q=ExponentRegime.from_p(2.0), kind="coarse",
+            name=name, q=2.0, kind="coarse",
             r_seq=PowerLogSeq(1.0, 1.0, 0.0, n_min=1),
             eps_seq=PowerLogSeq(1.0, -nu, 0.0, n_min=1),
             s_seq=PowerLogSeq(1.0, 1.0 + nu, 0.0, n_min=1),
@@ -325,7 +324,7 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
     eps_seq = PowerLogSeq(1.0, r_seq.n_pow * gamma_q, r_seq.log_pow * gamma_q)
     mu_seq = PowerLogSeq(1.0, r_seq.n_pow * xi_q, r_seq.log_pow * xi_q)
     return ParamSchedule(
-        name=name, q=ExponentRegime.from_p(q), kind="strong",
+        name=name, q=q, kind="strong",
         r_seq=r_seq, eps_seq=eps_seq, s_seq=s_seq, mu_seq=mu_seq,
         eta=delta_q(q),
         gamma=2.0 * gamma_q,
@@ -424,9 +423,8 @@ class GluedEmbedding:
         total = np.zeros(len(X))
         for start in range(0, len(X), ROW_QUANTUM):
             sl = slice(start, start + ROW_QUANTUM)
-            total[sl] = block_mass(X[sl], Y[sl], self._blocks, self.schedule.q.p)
-        m = self.schedule.mass_power
-        return total if self.schedule.q.is_power_sum else total ** (1.0 / m)
+            total[sl] = block_mass(X[sl], Y[sl], self._blocks, self.schedule.q)
+        return total ** (1.0 / self.schedule.mass_power)
 
     # -- kernel mode -----------------------------------------------------
 
@@ -439,11 +437,9 @@ class GluedEmbedding:
         d = np.atleast_1d(np.asarray(d, dtype=float))
         m = self.schedule.mass_power
         D = psi_distance_exact(d[:, None], self.bandwidths[None, :])
-        lo_b, hi_b = sphere_block_interval(D, self.schedule.q.p)
+        lo_b, hi_b = sphere_block_interval(D, self.schedule.q)
         lo = (lo_b ** m).sum(axis=1)
         hi = (hi_b ** m).sum(axis=1)
-        if self.schedule.q.is_power_sum:
-            return lo, hi
         return lo ** (1.0 / m), hi ** (1.0 / m)
 
     # -- shared ----------------------------------------------------------
@@ -552,8 +548,7 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
     else:
         lo = hi = np.atleast_1d(np.asarray(image_distances, dtype=float))
     # Work with the glued power mass throughout.
-    lo_m = lo if sched.q.is_power_sum else lo ** m
-    hi_m = hi if sched.q.is_power_sum else hi ** m
+    lo_m, hi_m = lo ** m, hi ** m
 
     if sched.kind == "strong":
         upper_claim = eps_scale ** m * sched.eps_mass_partial(e.n_terms) * (d ** sched.gamma) ** m

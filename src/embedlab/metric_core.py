@@ -1,60 +1,26 @@
-"""Two-regime Lebesgue sequence metrics.
+"""The root that turns an l_p power sum into a distance.
 
-The distance on an l_p space changes nature at p = 1:
+Every distance in the package (cube distances, probe audits, glued
+block masses) starts from the power sum S = sum_i |x_i - y_i|^p and
+takes d = S^(1/m) with m = max(p, 1):
 
-* ``0 < p <= 1``  -- the metric is the sum of p-th powers of coordinate
-  differences (no p-th root; the space is metric but not normed),
-* ``p >= 1``      -- the metric is the usual p-norm of the difference.
+* ``0 < p <= 1``  -- m = 1: the metric is the power sum itself (no p-th
+  root; the space is metric but not normed),
+* ``p >= 1``      -- m = p: the metric is the usual p-norm.
 
-Both regimes agree at p = 1.  :class:`ExponentRegime` carries the split:
-each distance computation in the package (cube distances, probe audits,
-glued block masses) asks its ``is_power_sum`` flag whether to take the
-p-th root.
+The two cases agree at p = 1, and ``S ** 1.0 == S`` exactly, so one
+formula covers both with the bytes of either.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass
 
-__all__ = [
-    "Regime",
-    "ExponentRegime",
-]
+__all__ = ["distance_root"]
 
 
-class Regime(enum.Enum):
-    """How the exponent p turns coordinate differences into a distance."""
-
-    SUM_OF_POWERS = "sum_of_powers"  # d(x, y) = sum |x_i - y_i|^p, 0 < p <= 1
-    NORM = "norm"                    # d(x, y) = (sum |x_i - y_i|^p)^(1/p), p >= 1
-
-
-@dataclass(frozen=True)
-class ExponentRegime:
-    """An exponent p > 0 together with its distance regime.
-
-    The two regimes overlap only at p = 1, where they produce the same
-    number.  Constructing a mismatched pair (e.g. NORM with p < 1) raises.
-    """
-
-    p: float
-    regime: Regime
-
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.p) or self.p <= 0:
-            raise ValueError(f"exponent must be a finite positive real, got {self.p!r}")
-        if self.regime is Regime.SUM_OF_POWERS and self.p > 1:
-            raise ValueError(f"sum-of-powers regime requires p <= 1, got p={self.p}")
-        if self.regime is Regime.NORM and self.p < 1:
-            raise ValueError(f"norm regime requires p >= 1, got p={self.p}")
-
-    @classmethod
-    def from_p(cls, p: float) -> "ExponentRegime":
-        """Pick the canonical regime for p (sum of powers iff p <= 1)."""
-        return cls(p, Regime.SUM_OF_POWERS if p <= 1 else Regime.NORM)
-
-    @property
-    def is_power_sum(self) -> bool:
-        return self.regime is Regime.SUM_OF_POWERS
+def distance_root(p: float) -> float:
+    """m = max(p, 1): the l_p distance is the m-th root of the power sum."""
+    if not 0 < p < math.inf:
+        raise ValueError(f"exponent must be a finite positive real, got {p!r}")
+    return max(float(p), 1.0)

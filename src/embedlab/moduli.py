@@ -281,7 +281,7 @@ def exact_kernel_engine(e: GluedEmbedding) -> Callable:
     """Exact pair distances for kernel-mode l_2 gluings (distance-only)."""
     if not getattr(e.family, "kernel_mode", False):
         raise ValueError("exact engine needs a kernel-mode family")
-    if e.schedule.q.p != 2.0:
+    if e.schedule.q != 2.0:
         raise ValueError("kernel-mode distances are exact only at q = 2; "
                          "use a coordinate backend for other exponents")
 

@@ -184,9 +184,9 @@ def cube_distance(u: int, v: int, cube) -> float:
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("vertex masks out of range")
     h = (u ^ v).bit_count()
-    if cube.p.is_power_sum:
+    if cube.p <= 1:
         return float(h)
-    return h ** (1.0 / cube.p.p) if h else 0.0
+    return h ** (1.0 / cube.p) if h else 0.0
 
 
 def poisson_tail(n: int, lam: float) -> float:

@@ -403,6 +403,13 @@ class TestCharBoundCheck:
             char_embedding_bound_check(sys, ZkModel(1), [], 0.5, d=[],
                                        counts=sys.sym_diff_counts([]))
 
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_p_is_refused(self, p):
+        sys = ZkFolnerSystem(ZkModel(1))
+        with pytest.raises(ValueError, match="blocks need a finite p >= 1"):
+            char_embedding_bound_check(sys, ZkModel(1), [], p, d=[],
+                                       counts=sys.sym_diff_counts([]))
+
 
 class TestGluedGroupEmbedding:
     def test_distance_is_sum_of_blocks(self):
@@ -462,6 +469,11 @@ class TestGluedGroupEmbedding:
     def test_p_validation(self):
         with pytest.raises(ValueError):
             GluedGroupEmbedding(sys=None, model=None, p=0.5)
+
+    @pytest.mark.parametrize("p", [math.nan, math.inf])
+    def test_non_finite_p_is_refused(self, p):
+        with pytest.raises(ValueError, match="group blocks need a finite p >= 1"):
+            GluedGroupEmbedding(sys=None, model=None, p=p)
 
 
 class TestRadialWitness:

@@ -180,10 +180,27 @@ class TestExitCodes:
     @pytest.mark.parametrize("grid", ["nan,1", "inf,1"])
     def test_non_finite_mazur_exponent_is_a_usage_error(self, tmp_path, capsys, grid):
         out = tmp_path / "m.json"
-        code = run(["verify", "--suite", "mazur", "--grid", grid, "--samples", "100",
-                    "--out", str(out)])
+        err = refused(["verify", "--suite", "mazur", "--grid", grid, "--samples", "100",
+                       "--out", str(out)], capsys)
+        assert f"argument --grid: must be a finite number > 0, got {grid[:3]}\n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, entry", [("abc", "abc"), ("1,abc", "abc"),
+                                             ("0,1", "0"), ("1,-2", "-2"), ("1,,2", "")])
+    def test_bad_grid_entry_names_the_flag(self, tmp_path, capsys, grid, entry):
+        out = tmp_path / "m.json"
+        err = refused(["verify", "--suite", "mazur", f"--grid={grid}", "--out", str(out)],
+                      capsys)
+        assert f"argument --grid: must be a finite number > 0, got {entry}\n" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k, ground", [("1", "1"), ("2", "2"), ("3", "2")])
+    def test_gk_ground_not_above_k_is_a_usage_error(self, tmp_path, capsys, k, ground):
+        # G(k, ground) has one point at ground = k and none below: no pair to audit.
+        out = tmp_path / "g.json"
+        code = run(["gk", "--k", k, "--ground", ground, "--out", str(out)])
         assert code == cli.EXIT_USAGE
-        assert "need distinct finite positive exponents" in capsys.readouterr().err
+        assert f"--ground {ground} must exceed --k {k}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1.5", "config"])
@@ -214,10 +231,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("grid", ["5", "2,2"])
     def test_mazur_grid_without_two_exponents_is_a_usage_error(self, tmp_path, capsys, grid):
         out = tmp_path / "m.json"
-        code = run(["verify", "--suite", "mazur", "--grid", grid, "--samples", "100",
-                    "--out", str(out)])
-        assert code == cli.EXIT_USAGE
-        assert f"--grid needs two distinct exponents, got {grid}" in capsys.readouterr().err
+        err = refused(["verify", "--suite", "mazur", "--grid", grid, "--samples", "100",
+                       "--out", str(out)], capsys)
+        assert f"argument --grid: needs two distinct exponents, got {grid}\n" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("q_type", ["0.5", "3"])  # nan and inf: TestParserDomains
@@ -250,7 +266,7 @@ _INT_FLAGS = {
 }
 _FLOAT_FLAGS = {
     "moduli": ("q", "beta", "nu", "t-min", "t-max", "fit-lo", "fit-hi"),
-    "verify": ("r", "beta", "max-dist", "p"),
+    "verify": ("r", "beta", "max-dist", "p", "grid"),  # --grid: a list of them
     "cube": ("p", "target-type"),
     "gk": ("p",),
     "folner": ("p", "max-dist", "bound-scale"),
@@ -479,6 +495,18 @@ class TestVerifyCommand:
                     "--pairs", "80", "--negative-control",
                     "--out", str(tmp_path / "fnc.json")])
         assert code == cli.EXIT_VIOLATIONS
+
+    def test_config_echoes_every_parsed_flag(self, tmp_path):
+        # Runs that differ in one flag echo different configs; the echo
+        # holds each parsed value except output paths and --threads.
+        for n_max in ("6", "7"):
+            run(["verify", "--suite", "folner", "--n-max", n_max, "--pairs", "80",
+                 "--out", str(tmp_path / f"f{n_max}.json")])
+        echoed = [json.loads((tmp_path / f"f{n}.json").read_text())["config"] for n in "67"]
+        assert [c["n_max"] for c in echoed] == [6, 7]
+        parsed = vars(cli.build_parser().parse_args(["verify", "--suite", "folner"]))
+        assert sorted(echoed[0]) == sorted(set(parsed) - {"config", "handler", "out",
+                                                          "threads"})
 
 
 class TestSmallCommands:
@@ -777,7 +805,8 @@ class TestEachCommandLoadsOnlyItsModules:
 
     @pytest.mark.parametrize("argv, absent", [
         (["folner", "--group", "z2", "--n-max", "8", "--max-dist", "16", "--pairs", "60",
-          "--json-out", "z2.json"], ("gaussian", "glue", "mazur", "finite_geometry")),
+          "--json-out", "z2.json"],
+         ("gaussian", "glue", "mazur", "finite_geometry", "metric_core")),
         (["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
           "--n-terms", "30", "--pairs", "300", "--bins", "12", "--json-out", "w.json"],
          ("amenable", "finite_geometry")),

@@ -15,7 +15,6 @@ from embedlab.finite_geometry import (
     enflo_type2_certificate,
     probe_audit,
 )
-from embedlab.metric_core import ExponentRegime
 from oracles import cube_distance
 
 
@@ -31,7 +30,7 @@ class TestHammingCube:
         assert cube.pairwise_distances()[0b0000, 0b1111] == pytest.approx(2.0)
         assert cube.diameter() == pytest.approx(2.0)
         assert HammingCube(9, 1.0).diameter() == 9.0
-        assert HammingCube(4, ExponentRegime.from_p(0.5)).diameter() == 4.0
+        assert HammingCube(4, 0.5).diameter() == 4.0
 
     def test_pairwise_matrix_matches_metric(self):
         cube = HammingCube(4, 1.5)
@@ -130,7 +129,7 @@ class TestEnfloBound:
         assert enflo_lower_bound(9, 2.0, 2.0) == pytest.approx(1.0)
         assert enflo_lower_bound(9, 1.0, 2.0) == pytest.approx(3.0)
         # power-sum regime: diameter m, exponent 1 - 1/q
-        assert enflo_lower_bound(4, ExponentRegime.from_p(0.5), 2.0) == pytest.approx(2.0)
+        assert enflo_lower_bound(4, 0.5, 2.0) == pytest.approx(2.0)
         with pytest.raises(ValueError):
             enflo_lower_bound(4, 1.0, 0.5)
 

@@ -15,7 +15,6 @@ from embedlab.glue import (
     per_pair_bounds_check,
     preset_schedule,
 )
-from embedlab.metric_core import ExponentRegime
 
 
 class TestSequences:
@@ -59,7 +58,7 @@ class TestPresets:
         r4 = 1.0 / (4.0 * math.log(4.0) ** 2)
         assert float(sched.r(4)) == pytest.approx(r4, rel=1e-12)
         assert float(sched.s(4)) == pytest.approx(1.0 / math.sqrt(r4), rel=1e-12)
-        assert sched.q.p == 2.0 and sched.kind == "strong"
+        assert sched.q == 2.0 and sched.kind == "strong"
 
     def test_coarse_values(self):
         sched = preset_schedule("coarse_l2", nu=0.75)
@@ -73,7 +72,7 @@ class TestPresets:
         sched = preset_schedule("strong_qle1", q=1.0, beta=2.0)
         n = 6.0
         assert float(sched.r(6)) == pytest.approx(1.0 / (n ** 2 * math.log(n) ** 4), rel=1e-12)
-        assert sched.q.is_power_sum and sched.mass_power == 1.0
+        assert sched.mass_power == 1.0
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -125,9 +124,8 @@ class TestScheduleInvariants:
         assert sched.certified_eps(4) == pytest.approx(sched.eps_mult * float(sched.eps(4)))
 
     def test_structural_validation(self):
-        q = ExponentRegime.from_p(2.0)
         shrinking, growing = PowerLogSeq(1.0, -1.0, 0.0), PowerLogSeq(1.0, 1.0, 0.0)
-        ok = dict(name="x", q=q, kind="strong", eps_seq=shrinking,
+        ok = dict(name="x", q=2.0, kind="strong", eps_seq=shrinking,
                   s_seq=growing, mu_seq=None, eta=0.5, gamma=1.0, xi=None)
         ParamSchedule(r_seq=shrinking, **ok)
         with pytest.raises(ValueError):  # strong bandwidths must not grow
@@ -145,6 +143,9 @@ class TestScheduleInvariants:
             ParamSchedule(r_seq=shrinking, **{**ok, "xi": math.inf})
         with pytest.raises(ValueError):  # strong schedules need gamma
             ParamSchedule(r_seq=shrinking, **{**ok, "gamma": None})
+        for q in (0.0, math.inf, math.nan):  # the exponent has a distance root
+            with pytest.raises(ValueError, match="exponent must be a finite positive real"):
+                ParamSchedule(r_seq=shrinking, **{**ok, "q": q})
 
     def test_to_json_dict_echoes_parameters(self):
         d = preset_schedule("strong_qge2", q=4.0, beta=1.05).to_json_dict()
@@ -210,7 +211,7 @@ class TestGluedEmbedding:
         e = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0)), n_terms=25)
         sched = e.schedule
         ns = np.arange(sched.n0 + 25, sched.n0 + 25 + 200_000)
-        omitted = float(np.sum(sched.certified_eps(ns) ** sched.q.p))
+        omitted = float(np.sum(sched.certified_eps(ns) ** sched.q))
         assert 0 < omitted <= e.tail_constant == sched.eps_q_tail(25)
 
     def test_family_schedule_mismatch_rejected(self):

@@ -1,4 +1,4 @@
-"""Two-regime metrics and the distances built on them."""
+"""The distance root m = max(p, 1) and the distances built on it."""
 
 import math
 
@@ -11,26 +11,24 @@ from embedlab.finite_geometry import HammingCube
 from embedlab.gaussian import rff_coordinates_batch
 from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
 from embedlab.mazur import mazur_map
-from embedlab.metric_core import ExponentRegime, Regime
+from embedlab.metric_core import distance_root
 from oracles import cube_distance
 
 
 class TestExponentRegime:
-    def test_canonical_split(self):
-        assert ExponentRegime.from_p(0.5).is_power_sum
-        assert ExponentRegime.from_p(1.0).is_power_sum
-        assert not ExponentRegime.from_p(1.5).is_power_sum
+    """The regime of an exponent is its distance root: the power sum itself
+    (m = 1) for p <= 1, the p-th root above."""
 
-    def test_mismatched_pairs_rejected(self):
-        with pytest.raises(ValueError):
-            ExponentRegime(0.5, Regime.NORM)
-        with pytest.raises(ValueError):
-            ExponentRegime(2.0, Regime.SUM_OF_POWERS)
+    def test_canonical_split(self):
+        assert distance_root(0.5) == 1.0
+        assert distance_root(1.0) == 1.0
+        assert distance_root(1) == 1.0 and isinstance(distance_root(1), float)
+        assert distance_root(1.5) == 1.5
 
     @pytest.mark.parametrize("p", [0.0, -1.0, math.inf, math.nan])
     def test_bad_exponent_rejected(self, p):
-        with pytest.raises(ValueError):
-            ExponentRegime.from_p(p)
+        with pytest.raises(ValueError, match="exponent must be a finite positive real"):
+            distance_root(p)
 
 
 class TestLpDistance:
@@ -47,12 +45,11 @@ class TestLpDistance:
                     assert mat[u, v] == pytest.approx(dist(bits[u] - bits[v]), rel=1e-12)
 
     def test_regimes_agree_at_one(self):
-        by_sum = HammingCube(3, ExponentRegime(1.0, Regime.SUM_OF_POWERS))
-        by_norm = HammingCube(3, ExponentRegime(1.0, Regime.NORM))
-        d_sum, d_norm = by_sum.pairwise_distances(), by_norm.pairwise_distances()
-        assert d_sum[0b011, 0b110] == d_norm[0b011, 0b110] == 2.0
-        assert np.array_equal(d_sum, d_norm)
-        assert by_sum.diameter() == by_norm.diameter() == 3.0
+        by_int, by_float = HammingCube(3, 1), HammingCube(3, 1.0)
+        d_int, d_float = by_int.pairwise_distances(), by_float.pairwise_distances()
+        assert d_int[0b011, 0b110] == d_float[0b011, 0b110] == 2.0
+        assert np.array_equal(d_int, d_float)
+        assert by_int.diameter() == by_float.diameter() == 3.0
 
     def test_shape_and_finiteness_validation(self):
         e = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0), backend="rff",
@@ -84,10 +81,10 @@ def _flat_distance(X, Y, e):
     phi_n = s_{2/q}(psi_n) of the rows of X and Y."""
     q = e.schedule.q
     blocks = [e.family.block(int(n)) for n in e.block_ids]
-    flat_x = np.hstack([mazur_map(rff_coordinates_batch(X, be), 2.0, q.p) for be in blocks])
-    flat_y = np.hstack([mazur_map(rff_coordinates_batch(Y, be), 2.0, q.p) for be in blocks])
-    mass = np.sum(np.abs(flat_x - flat_y) ** q.p, axis=1)
-    return mass if q.is_power_sum else mass ** (1.0 / q.p)
+    flat_x = np.hstack([mazur_map(rff_coordinates_batch(X, be), 2.0, q) for be in blocks])
+    flat_y = np.hstack([mazur_map(rff_coordinates_batch(Y, be), 2.0, q) for be in blocks])
+    mass = np.sum(np.abs(flat_x - flat_y) ** q, axis=1)
+    return mass if q <= 1 else mass ** (1.0 / q)
 
 
 def _glued(preset, q):

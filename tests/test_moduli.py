@@ -32,7 +32,7 @@ def _rff_oracle(e, X, Y):
     """Float64 glued rff distance written out from the definitions: per
     block n, the table from Philox((base_seed, n, dim)), cosines, row
     normalisation, the signed power 2/q, then the l_q sum over blocks."""
-    fam, q = e.family, e.schedule.q.p
+    fam, q = e.family, e.schedule.q
     dim = X.shape[1]
     mass = np.zeros(len(X))
     for n, r in zip(e.block_ids, e.bandwidths):
