@@ -226,9 +226,11 @@ def _suite_mazur(args: argparse.Namespace) -> dict:
 
     grid = [float(v) for v in args.grid.split(",")]
     upper_scale = 0.5 if args.negative_control else 1.0
-    x2, y2 = mazur.sample_sphere_pairs(args.samples, args.dim, args.seed)
-    rep = mazur.audit_sphere_pairs(x2, y2, grid, tile_bytes=_TILE_BYTES,
-                                   upper_scale=upper_scale)
+    # The audit holds about eight float64 arrays of a tile's rows: the
+    # tile's x and y, their sign bits, their l_p points, a map and a scratch.
+    tile_rows = max(1, _TILE_BYTES // (8 * 8 * args.dim))
+    tiles = mazur.sphere_pair_tiles(args.samples, args.dim, args.seed, tile_rows)
+    rep = mazur.audit_sphere_pairs(tiles, grid, upper_scale=upper_scale)
     return {"suite": "mazur", "grid": grid, "samples": args.samples,
             "upper_scale": upper_scale, **rep}
 
@@ -328,6 +330,8 @@ def _folner_audit(system, n_pairs: int, max_dist: float, seed: int, p: float,
 def _suite_folner(args: argparse.Namespace) -> dict:
     from . import amenable
 
+    if args.p < 1:  # verify's --p is shared with the cube and gk suites, which take p > 0
+        raise ValueError(f"--p must be >= 1 for the folner suite, got {args.p}")
     system = amenable.folner_system("z2", 2, args.n_max)
     # Block-distance checks only fire at separations <= r_n, so the sampler
     # stays within twice the largest certified radius, in whole steps.
@@ -646,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     fol.add_argument("--group", default="z2", choices=_GROUPS)
     fol.add_argument("--n-min", type=_INT_AT_LEAST_TWO, default=2)
     fol.add_argument("--n-max", type=_INT_AT_LEAST_TWO, default=20)
-    fol.add_argument("--p", type=_POSITIVE, default=1.0)
+    fol.add_argument("--p", type=_AT_LEAST_ONE, default=1.0)
     fol.add_argument("--pairs", type=_POSITIVE_INT, default=500)
     fol.add_argument("--max-dist", type=_AT_LEAST_ONE, default=1000.0)
     fol.add_argument("--bound-scale",

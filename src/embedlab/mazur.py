@@ -20,15 +20,17 @@ where S_p = sum |x_i - y_i|^p and S_q(Mx, My) = sum |Mx_i - My_i|^q.
 For p < q the inequalities reverse; the constants are derived from the
 (q, p) direction through the involution and flagged as such in reports.
 
-:func:`sample_sphere_pairs` draws pairs on the unit sphere of l_2 once;
-the (2, p) map carries them to every l_p sphere.
-:func:`audit_sphere_pairs` audits a whole grid of exponent pairs on them:
-the sphere and involution deviations of each map and both certified
-inequalities, one row tile at a time, each map computed once per cell.
+:func:`sphere_pair_tiles` streams pairs on the unit sphere of l_2 as row
+tiles of one draw; the (2, p) map carries them to every l_p sphere.
+:func:`audit_sphere_pairs` audits a whole grid of exponent pairs on any
+iterable of such tiles: the sphere and involution deviations of each map
+and both certified inequalities, each map computed once per cell, so the
+audit holds a few tiles of rows whatever the number of pairs.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -39,7 +41,7 @@ __all__ = [
     "signed_power_constant",
     "MazurConstants",
     "mazur_constants",
-    "sample_sphere_pairs",
+    "sphere_pair_tiles",
     "audit_sphere_pairs",
 ]
 
@@ -83,6 +85,20 @@ def _signed_power(t: np.ndarray, a: float, out: np.ndarray | None = None) -> np.
     magnitude = s.view(sign.dtype)
     magnitude |= sign
     return s
+
+
+def _sign_bits(t: np.ndarray) -> np.ndarray:
+    """The sign bits of ``t``, as unsigned integers of its width."""
+    bits = t.view(f"u{t.itemsize}")
+    return bits & bits.dtype.type(1 << (8 * t.itemsize - 1))
+
+
+def _with_sign(magnitude: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """OR the ``sign`` bits into the nonnegative ``magnitude``, in place;
+    returns ``magnitude``."""
+    bits = magnitude.view(sign.dtype)
+    bits |= sign
+    return magnitude
 
 
 def signed_power_constant(alpha: float) -> float:
@@ -161,105 +177,107 @@ def mazur_constants(p: float, q: float) -> MazurConstants:
     )
 
 
-def sample_sphere_pairs(samples: int, dim: int,
-                        seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Random pairs on the unit sphere of l_2^dim, deterministic in seed.
+def sphere_pair_tiles(samples: int, dim: int, seed: int, tile_rows: int):
+    """Random pairs on the unit sphere of l_2^dim, deterministic in seed,
+    yielded in row order as ``(x2, y2)`` tiles of at most ``tile_rows`` rows.
 
-    Points are Gaussian vectors normalized in l_2, in place; the (2, p)
-    Mazur map carries them to the unit sphere of l_p for any p, so one
-    draw serves every exponent.  A quarter of the pairs are made close
-    (y = x + small perturbation, re-projected) so both ends of the
-    distance range get exercised.  The near pairs are built in place and
-    every normalization runs over row slices, so no temporary the size
-    of the draw is held.
+    One Philox stream holds ``samples`` Gaussian x rows, then as many y
+    rows, then scales and perturbations that make the first quarter of the
+    pairs close (y = x + small perturbation); each row is normalized in
+    l_2.  The (2, p) Mazur map carries the pairs to every l_p sphere.  Three
+    cursors read the stream, the later two placed by discarding tile-sized
+    chunks (chunked draws read the values of one call), so only a tile of
+    rows and one scale per near pair are held.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    g = rng.standard_normal((2, samples, dim))
-    x2, y2 = g
-    for h in g:
-        _normalize_rows(h)
+    xs = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    near = copy.deepcopy(xs)
+    _discard_normals(near, samples * dim, tile_rows * dim)
+    ys = copy.deepcopy(near)
+    _discard_normals(near, samples * dim, tile_rows * dim)
     n_near = samples // 4
-    if n_near:
-        scale = np.exp(rng.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
-        yn = rng.standard_normal((n_near, dim))
-        yn *= scale
-        yn += x2[:n_near]
-        _normalize_rows(yn)
-        y2[:n_near] = yn
-    return x2, y2
+    scale = np.exp(near.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
+    for start in range(0, samples, tile_rows):
+        rows = min(tile_rows, samples - start)
+        x2 = xs.standard_normal((rows, dim))
+        y2 = ys.standard_normal((rows, dim))
+        x2 /= np.linalg.norm(x2, axis=1, keepdims=True)
+        k = min(rows, max(0, n_near - start))  # near pairs in this tile
+        if k:
+            yn = near.standard_normal((k, dim))
+            yn *= scale[start:start + k]
+            yn += x2[:k]
+            y2[:k] = yn
+        y2 /= np.linalg.norm(y2, axis=1, keepdims=True)
+        yield x2, y2
 
 
-# Bytes of the squared-entry temporary that np.linalg.norm takes per row
-# slice in _normalize_rows.
-_NORM_SLICE_BYTES = 1 << 19
+def _discard_normals(rng: np.random.Generator, count: int, chunk: int) -> None:
+    """Advance ``rng`` past ``count`` standard normals, drawn at most
+    ``chunk`` at a time into one reused buffer."""
+    buf = np.empty(max(1, min(count, chunk)))
+    for start in range(0, count, buf.size):
+        rng.standard_normal(out=buf[:count - start])
 
 
-def _normalize_rows(a: np.ndarray) -> None:
-    """Divide each row of ``a`` by its l_2 norm, in place, one row slice at
-    a time; the norms are per row, so the result equals the whole array's."""
-    rows = max(1, _NORM_SLICE_BYTES // (a.itemsize * max(a.shape[1], 1)))
-    for start in range(0, len(a), rows):
-        block = a[start:start + rows]
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
-
-
-def audit_sphere_pairs(x2: np.ndarray, y2: np.ndarray, grid, *, tile_bytes: int,
-                       upper_scale: float = 1.0) -> dict:
+def audit_sphere_pairs(tiles, grid, *, upper_scale: float = 1.0) -> dict:
     """Audit the Mazur maps on every (p, q) cell of an exponent grid.
 
-    ``x2`` and ``y2`` hold paired rows on the unit sphere of l_2 (see
-    :func:`sample_sphere_pairs`); the (2, p) map carries them to the l_p
-    sphere.  Each cell (p, q) measures how far the (p, q) map leaves the
-    l_q sphere (``sphere_deviation``) and how far the (q, p) map misses
-    the way back (``involution_deviation``), both max-norm.  For p != q
-    it also checks both certified power-sum inequalities of
-    :func:`mazur_constants` pair by pair: margins are relative slack, a
-    negative margin is a violation, and ``worst_margin`` is the least.
-    ``upper_scale`` rescales the upper constant: tightening it below 1
-    is the negative control that proves the detector is live.
+    ``tiles`` is any iterable of ``(x2, y2)`` tiles of paired rows on the
+    unit sphere of l_2 (see :func:`sphere_pair_tiles`); the (2, p) map
+    carries them to the l_p sphere.  Each cell (p, q) measures how far the
+    (p, q) map leaves the l_q sphere (``sphere_deviation``) and how far the
+    (q, p) map misses the way back (``involution_deviation``), both
+    max-norm.  For p != q it also checks both certified power-sum
+    inequalities of :func:`mazur_constants` pair by pair: margins are
+    relative slack, a negative margin is a violation, and ``worst_margin``
+    is the least.  ``upper_scale`` rescales the upper constant: tightening
+    it below 1 is the negative control that proves the detector is live.
 
-    Every quantity is per row and every reduction a max, a min or a
-    count, so the pairs run one row tile at a time and each cell's
-    figures are folded across the tiles; the result does not depend on
-    the tile.  A tile holds five arrays of its rows (x and y on the l_p
-    sphere, Mx, My or the map back, and one scratch array) in about
-    ``tile_bytes``, at least one row.  Per tile each p maps the pairs
-    once and sums S_p once for all q, and each cell takes five power
-    passes: Mx, |Mx|^q, the map back, My and |Mx - My|^q.
+    Every quantity is per row and every reduction a max, a min or a count,
+    so the cells are folded across tiles and do not depend on the tiling.
+    Every map keeps the signs of its input, so a tile's sign bits are taken
+    once and its l_p points and their magnitudes once per p.  Each cell
+    raises copies of the magnitudes by the in-place power of
+    :func:`_signed_power` and ORs the signs back only for differences of
+    signed values.  Besides its input a tile holds six arrays of its rows
+    (two of signs, the two l_p points, a map and a scratch), and briefly
+    the next exponent's points.
     """
     n = len(grid)
-    tile_rows = max(1, tile_bytes // (5 * x2.itemsize * max(x2.shape[1], 1)))
     consts = {(p, q): mazur_constants(p, q) for p in grid for q in grid if p != q}
     sphere = np.zeros((n, n))
     invol = np.zeros((n, n))
     worst = np.full((n, n), math.inf)
     bad = np.zeros((n, n), dtype=np.int64)
-    for start in range(0, len(x2), tile_rows):
-        rows = slice(start, start + tile_rows)
-        scratch, mx, my = np.empty((3, *x2[rows].shape), dtype=x2.dtype)
+    for x2, y2 in tiles:
+        sx, sy = _sign_bits(x2), _sign_bits(y2)
+        mx, scratch = np.empty((2, *x2.shape), dtype=x2.dtype)
         for i, p in enumerate(grid):
-            x = mazur_map(x2[rows], 2.0, p)
-            y = mazur_map(y2[rows], 2.0, p)
-            s_p = np.sum(np.abs(x - y) ** p, axis=1)
+            ax, ay = mazur_map(x2, 2.0, p), mazur_map(y2, 2.0, p)  # on the l_p sphere
+            s_p = np.sum(np.abs(ax - ay) ** p, axis=1)
             nz = s_p > 0
+            np.abs(ax, out=ax)  # the magnitudes from here on
+            np.abs(ay, out=ay)
             for j, q in enumerate(grid):
-                np.copyto(scratch, x)
-                _signed_power(scratch, p / q, out=mx)
-                h = np.abs(mx, out=scratch)
-                h **= q
-                dev = np.abs(np.sum(h, axis=1) ** (1.0 / q) - 1.0)
-                sphere[i, j] = max(sphere[i, j], float(np.max(dev)))
+                np.copyto(mx, ax)
+                mx **= p / q
                 np.copyto(scratch, mx)
-                back = _signed_power(scratch, q / p, out=my)
-                back -= x
-                dev = np.abs(back, out=back)
+                scratch **= q
+                dev = np.abs(np.sum(scratch, axis=1) ** (1.0 / q) - 1.0)
+                sphere[i, j] = max(sphere[i, j], float(np.max(dev)))
+                # The map back keeps the signs of x, so |back - x| is the
+                # difference of the magnitudes.
+                np.copyto(scratch, mx)
+                scratch **= q / p
+                scratch -= ax
+                dev = np.abs(scratch, out=scratch)
                 invol[i, j] = max(invol[i, j], float(np.max(dev)))
                 if p == q:  # the two-sided distance bounds need distinct exponents
                     continue
                 mc = consts[p, q]
-                np.copyto(scratch, y)
-                _signed_power(scratch, p / q, out=my)
-                h = np.subtract(mx, my, out=scratch)
+                np.copyto(scratch, ay)
+                scratch **= p / q
+                h = np.subtract(_with_sign(mx, sx), _with_sign(scratch, sy), out=scratch)
                 np.abs(h, out=h)
                 h **= q
                 s_mq = np.sum(h, axis=1)

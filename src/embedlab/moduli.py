@@ -256,6 +256,9 @@ def distortion(f: Callable, space) -> float:
     ``space`` provides ``points()`` and the dense matrix
     ``pairwise_distances()``.  Images live in Euclidean space.
     Scale-free by construction; an isometry (or any similarity) scores 1.
+    All pairs are checked for duplicate points before any for injectivity.
+    Image distances are taken one row of pairs at a time, both maxima
+    folded over the rows, so no (n, n, d) difference array is built.
     """
     pts = list(space.points())
     n = len(pts)
@@ -263,15 +266,17 @@ def distortion(f: Callable, space) -> float:
         raise ValueError("space must contain at least two points")
     dom = np.asarray(space.pairwise_distances(), dtype=float)
     imgs = np.asarray([np.asarray(f(p), dtype=float) for p in pts])
-    diff = imgs[:, None, :] - imgs[None, :, :]
-    im = np.sqrt(np.sum(diff ** 2, axis=2))
-    iu = np.triu_indices(n, k=1)
-    dom_u, im_u = dom[iu], im[iu]
-    if np.any(dom_u <= 0):
+    if np.any(np.triu(dom <= 0, k=1)):
         raise ValueError("space contains duplicate points")
-    if np.any(im_u <= 0):
-        raise ValueError("map is not injective on the space (zero image distance)")
-    return float(np.max(im_u / dom_u) * np.max(dom_u / im_u))
+    expand = shrink = 0.0
+    for i in range(n - 1):
+        dom_u = dom[i, i + 1:]
+        im_u = np.sqrt(np.sum((imgs[i] - imgs[i + 1:]) ** 2, axis=1))
+        if np.any(im_u <= 0):
+            raise ValueError("map is not injective on the space (zero image distance)")
+        expand = np.maximum(expand, np.max(im_u / dom_u))
+        shrink = np.maximum(shrink, np.max(dom_u / im_u))
+    return float(expand * shrink)
 
 
 # -- engines over glued embeddings --------------------------------------

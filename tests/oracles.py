@@ -171,6 +171,26 @@ def l2_sphere_pairs(samples: int, dim: int, seed: int):
     return x2, y2
 
 
+def dense_distortion(f, space) -> float:
+    """``moduli.distortion`` on whole arrays: the (n, n, d) difference
+    array of the images and the upper-triangle pairs of both matrices."""
+    pts = list(space.points())
+    n = len(pts)
+    if n < 2:
+        raise ValueError("space must contain at least two points")
+    dom = np.asarray(space.pairwise_distances(), dtype=float)
+    imgs = np.asarray([np.asarray(f(p), dtype=float) for p in pts])
+    diff = imgs[:, None, :] - imgs[None, :, :]
+    im = np.sqrt(np.sum(diff ** 2, axis=2))
+    iu = np.triu_indices(n, k=1)
+    dom_u, im_u = dom[iu], im[iu]
+    if np.any(dom_u <= 0):
+        raise ValueError("space contains duplicate points")
+    if np.any(im_u <= 0):
+        raise ValueError("map is not injective on the space (zero image distance)")
+    return float(np.max(im_u / dom_u) * np.max(dom_u / im_u))
+
+
 def lp_sphere_pairs(p: float, samples: int, dim: int, seed: int):
     """:func:`l2_sphere_pairs` carried to the unit sphere of l_p^dim by the
     (2, p) Mazur map; the same Philox stream for every p."""

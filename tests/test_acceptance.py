@@ -26,7 +26,7 @@ from embedlab.amenable import (
 )
 from embedlab.finite_geometry import HammingCube, enflo_type2_certificate, probe_audit
 from embedlab.glue import GaussianBlockFamily, glue, per_pair_bounds_check, preset_schedule
-from embedlab.mazur import audit_sphere_pairs, sample_sphere_pairs
+from embedlab.mazur import audit_sphere_pairs, sphere_pair_tiles
 from embedlab.moduli import (
     PairSampler,
     distortion,
@@ -229,8 +229,8 @@ def test_c09_thread_count_never_changes_artifacts(tmp_path):
 
 def test_c10_negative_controls_trip_every_checker():
     # halved sphere-map constants
-    x, y = sample_sphere_pairs(2000, 16, seed=0)
-    bad = audit_sphere_pairs(x, y, [2.0, 1.0], tile_bytes=1 << 20, upper_scale=0.5)
+    bad = audit_sphere_pairs(sphere_pair_tiles(2000, 16, 0, 512), [2.0, 1.0],
+                             upper_scale=0.5)
     assert bad["violations"] > 0
 
     # halved gluing budget

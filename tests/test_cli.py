@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -217,6 +218,23 @@ class TestExitCodes:
         assert "argument --bound-scale: must be in (0, 1], got " in err
         assert not out_csv.exists() and not out_json.exists()
 
+    def test_folner_p_below_one_is_refused_by_the_parser(self, tmp_path, capsys):
+        out_csv, out_json = tmp_path / "f.csv", tmp_path / "f.json"
+        err = refused(["folner", "--p", "0.5", "--out", str(out_csv),
+                       "--json-out", str(out_json)], capsys)
+        assert "argument --p: must be a finite number >= 1, got 0.5\n" in err
+        assert not out_csv.exists() and not out_json.exists()
+
+    def test_folner_suite_p_below_one_is_a_usage_error(self, tmp_path, capsys):
+        # verify's --p is shared with the cube and gk suites, which take any
+        # p > 0, so the folner suite names the flag itself.
+        out = tmp_path / "f.json"
+        code = run(["verify", "--suite", "folner", "--p", "0.5", "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "embedlab: --p must be >= 1 for the folner suite, got 0.5\n"
+        assert captured.out == "" and not out.exists()
+
     def test_folner_suite_that_audits_no_pair_is_a_usage_error(self, tmp_path, capsys):
         # One pair drawn log-uniformly up to 1000 lands beyond every
         # certified radius (at most 20), so no block distance is checked.
@@ -412,11 +430,25 @@ class TestVerifyCommand:
             if cell["p"] == cell["q"]:
                 assert "worst_margin" not in cell
                 continue
-            x2, y2 = mazur.sample_sphere_pairs(400, 6, 4)
             pair = [cell["p"], cell["q"]]
-            rep = next(c for c in mazur.audit_sphere_pairs(x2, y2, pair, tile_bytes=1 << 20)["cells"]
+            tiles = mazur.sphere_pair_tiles(400, 6, 4, 128)
+            rep = next(c for c in mazur.audit_sphere_pairs(tiles, pair)["cells"]
                        if [c["p"], c["q"]] == pair)
             assert cell["worst_margin"] == rep["worst_margin"]
+
+    def test_mazur_suite_holds_a_few_tiles_of_rows(self):
+        # 200,000 pairs at dim 16 take 51 MB as whole arrays; the stream
+        # holds a few tiles of rows and one scale per near pair.
+        args = cli.build_parser().parse_args(["verify", "--suite", "mazur",
+                                              "--samples", "200000", "--grid", "1,2"])
+        tracemalloc.start()
+        try:
+            doc = cli._SUITES["mazur"](args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert doc["violations"] == 0
+        assert peak < 10e6
 
     @pytest.mark.parametrize("flags", [
         ["--samples", "4097"],  # two row tiles, the second a partial one

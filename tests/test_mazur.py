@@ -7,31 +7,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from embedlab import mazur
 from embedlab.mazur import (
     _signed_power,
     audit_sphere_pairs,
     mazur_constants,
     mazur_map,
-    sample_sphere_pairs,
     signed_power_constant,
+    sphere_pair_tiles,
 )
 from oracles import l2_sphere_pairs, mazur_grid_audit
 
 GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
-TILE_BYTES = 1 << 20
+TILE_ROWS = 1000
+
+
+def _pairs(samples, dim, seed, tile_rows=TILE_ROWS):
+    """The streamed sphere pairs, their tiles concatenated."""
+    x2, y2 = zip(*sphere_pair_tiles(samples, dim, seed, tile_rows))
+    return np.concatenate(x2), np.concatenate(y2)
 
 
 def _lp_pairs(p, samples, dim, seed):
     """Sampled pairs carried to the unit sphere of l_p."""
-    x2, y2 = sample_sphere_pairs(samples, dim, seed)
+    x2, y2 = _pairs(samples, dim, seed)
     return mazur_map(x2, 2.0, p), mazur_map(y2, 2.0, p)
 
 
 def _audit(p, q, samples, seed, dim=16, upper_scale=1.0):
     """The (p, q) cell of the audit of fresh sphere pairs."""
-    x2, y2 = sample_sphere_pairs(samples, dim, seed)
-    rep = audit_sphere_pairs(x2, y2, [p, q], tile_bytes=TILE_BYTES, upper_scale=upper_scale)
+    rep = audit_sphere_pairs(sphere_pair_tiles(samples, dim, seed, TILE_ROWS), [p, q],
+                             upper_scale=upper_scale)
     return next(c for c in rep["cells"] if (c["p"], c["q"]) == (p, q))
 
 
@@ -99,10 +104,10 @@ class TestSignedPower:
             _signed_power(t, 0.5, out=t)
 
     def test_public_callers_leave_their_input_alone(self):
-        x, y = sample_sphere_pairs(32, 4, seed=1)
+        x, y = l2_sphere_pairs(32, 4, seed=1)
         x0, y0 = x.copy(), y.copy()
         mazur_map(x, 2.0, 3.0)
-        audit_sphere_pairs(x, y, [1.5, 3.0], tile_bytes=TILE_BYTES)
+        audit_sphere_pairs([(x, y)], [1.5, 3.0])
         assert np.array_equal(x, x0) and np.array_equal(y, y0)
         assert mazur_map(-0.25, 2.0, 1.0) == -0.0625
 
@@ -195,19 +200,21 @@ class TestSampler:
         for arr in (x1, y1):
             assert np.abs(np.sum(np.abs(arr) ** 1.5, axis=1) - 1.0).max() < 1e-12
 
-    @pytest.mark.parametrize("samples, dim", [(1, 3), (301, 5), (9000, 16)])
-    def test_equal_to_the_whole_array_oracle(self, monkeypatch, samples, dim):
-        # The default slices (4096 rows at dim 16), then slices of 1, 7 and
-        # all rows: the pairs are the whole-array normalization's bit for bit.
-        want = l2_sphere_pairs(samples, dim, seed=6)
-        for rows in (None, 1, 7, samples):
-            if rows is not None:
-                monkeypatch.setattr(mazur, "_NORM_SLICE_BYTES", rows * dim * 8)
-            got = sample_sphere_pairs(samples, dim, seed=6)
+    @pytest.mark.parametrize("samples, dim", [(1, 3), (3, 4), (301, 5), (9000, 16)])
+    def test_equal_to_the_whole_array_oracle(self, samples, dim):
+        # Tiles of 1 and 7 rows, tiles ending just before, at and just
+        # after the last near pair, and one tile for all rows: the
+        # concatenated tiles are the whole-array draw bit for bit.
+        want = [a.view(np.uint64) for a in l2_sphere_pairs(samples, dim, seed=6)]
+        for rows in (1, 7, samples // 4 - 1, samples // 4, samples // 4 + 1, samples):
+            rows = max(rows, 1)
+            tiles = list(sphere_pair_tiles(samples, dim, 6, rows))
+            assert all(len(x) == len(y) <= rows for x, y in tiles)
+            got = [np.concatenate(a).view(np.uint64) for a in zip(*tiles)]
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), rows
 
     def test_near_pairs_present(self):
-        x, y = sample_sphere_pairs(400, 8, seed=2)
+        x, y = _pairs(400, 8, seed=2)
         d = np.linalg.norm(x - y, axis=1)
         assert d.min() < 1e-3 < d.max()
 
@@ -232,14 +239,14 @@ class TestGridAudit:
         # cells are the oracle's whole-array figures bit for bit.
         grid, dim = (0.5, 1.0, 3.0), 4
         want = mazur_grid_audit(grid, samples, dim, seed=6)
-        x2, y2 = sample_sphere_pairs(samples, dim, seed=6)
+        x2, y2 = l2_sphere_pairs(samples, dim, seed=6)
         for rows in (1, 7, 11, samples):
-            got = audit_sphere_pairs(x2, y2, grid, tile_bytes=rows * 5 * dim * 8)
-            assert got == want, rows
+            assert audit_sphere_pairs(sphere_pair_tiles(samples, dim, 6, rows), grid) == want
+            tiles = [(x2[i:i + rows], y2[i:i + rows]) for i in range(0, samples, rows)]
+            assert audit_sphere_pairs(tiles, grid) == want, rows
 
     def test_single_exponent_grid_has_no_margin(self):
-        x2, y2 = sample_sphere_pairs(20, 3, seed=1)
-        rep = audit_sphere_pairs(x2, y2, [1.5], tile_bytes=TILE_BYTES)
+        rep = audit_sphere_pairs(sphere_pair_tiles(20, 3, 1, TILE_ROWS), [1.5])
         assert rep["worst_margin"] == math.inf
         assert [set(c) for c in rep["cells"]] == [
             {"p", "q", "sphere_deviation", "involution_deviation", "violations"}]

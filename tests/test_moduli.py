@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from embedlab.moduli import (
     reduce_envelopes,
     write_moduli_csv,
 )
+from oracles import dense_distortion
 
 
 def identity_engine(X, Y, t):
@@ -206,6 +208,67 @@ class TestDistortion:
         space = self._TwoPoints()
         with pytest.raises(ValueError):
             distortion(lambda p: np.zeros(1), space)
+
+    class _Indexed:
+        """Points 0..n-1 with a given distance matrix."""
+
+        def __init__(self, dom):
+            self.dom = dom
+
+        def points(self):
+            return range(len(self.dom))
+
+        def pairwise_distances(self):
+            return self.dom
+
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
+    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    def test_rows_equal_the_dense_oracle_on_cubes(self, m, p):
+        cube = HammingCube(m, p)
+        assert distortion(lambda v: v, cube) == dense_distortion(lambda v: v, cube)
+        a = np.random.default_rng(m).standard_normal((m + 2, m))
+        assert distortion(lambda v: a @ v, cube) == dense_distortion(lambda v: a @ v, cube)
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (7, 3), (60, 5)])
+    def test_rows_equal_the_dense_oracle_on_random_images(self, n, d):
+        rng = np.random.default_rng(n)
+        pts = rng.standard_normal((n, 4))
+        space = self._Indexed(np.linalg.norm(pts[:, None] - pts[None], axis=2))
+        imgs = rng.standard_normal((n, d))
+        assert distortion(imgs.__getitem__, space) == dense_distortion(imgs.__getitem__, space)
+
+    @pytest.mark.parametrize("case, match", [
+        ("single", "at least two points"),
+        ("duplicate", "duplicate points"),
+        ("collapse", "not injective"),
+        # The collapsed pair (0, 1) comes before the duplicate pair (2, 3):
+        # duplicates are still reported first.
+        ("both", "duplicate points"),
+    ])
+    def test_rows_raise_the_dense_oracle_errors(self, case, match):
+        n = 1 if case == "single" else 4
+        dom = np.ones((n, n)) - np.eye(n)
+        imgs = np.arange(n * 2, dtype=float).reshape(n, 2)
+        if case in ("duplicate", "both"):
+            dom[2, 3] = dom[3, 2] = 0.0
+        if case in ("collapse", "both"):
+            imgs[1] = imgs[0]
+        for fn in (distortion, dense_distortion):
+            with pytest.raises(ValueError, match=match):
+                fn(imgs.__getitem__, self._Indexed(dom))
+
+    def test_cube_rows_stay_within_a_memory_bound(self):
+        # The dense form builds a (1024, 1024, 10) difference array and its
+        # square, 186 MB in all; the rows hold the distance matrices only.
+        cube = HammingCube(10, 1.0)
+        tracemalloc.start()
+        try:
+            value = distortion(lambda v: v, cube)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == pytest.approx(math.sqrt(10.0), abs=1e-12)
+        assert peak < 40e6
 
 
 class TestEngines:
