@@ -559,7 +559,7 @@ def _tree_walks(tree: TreeModel, keep: int, max_dist: int,
     return out
 
 
-def char_embedding_bound_check(sys, model, pairs, p, *, d, counts,
+def char_embedding_bound_check(sys, pairs, p, *, d, counts,
                                bound_scale: float = 1.0) -> CharBoundReport:
     """Verify ||phi_n(x) - phi_n(y)||_p^p <= 2 eps'_n on certified pairs.
 
@@ -591,7 +591,7 @@ def char_embedding_bound_check(sys, model, pairs, p, *, d, counts,
             if sys.support_reach(x, n) > sys.rad(n) + 1e-9:
                 support_bad += 1
     return CharBoundReport(
-        model=model.name, p=p, n_pairs=len(pairs), n_checks=checks,
+        model=sys.model.name, p=p, n_pairs=len(pairs), n_checks=checks,
         violations=violations, support_violations=support_bad,
         worst_margin=worst if checks else math.nan, bound_scale=bound_scale,
     )

@@ -96,43 +96,6 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
-def _threaded(f, threads: int):
-    """Row-chunked parallel wrapper with thread-count-independent output.
-
-    Chunks are fixed slices of ROW_QUANTUM rows for 1 and N threads alike;
-    each is evaluated by the same code on the same data whatever the
-    executor, and results are placed by slice, so the assembled array is
-    bitwise reproducible.
-    """
-    import numpy as np
-
-    from .glue import ROW_QUANTUM
-
-    def engine(X, Y, t):
-        t = np.asarray(t, dtype=np.float64)
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-        n = len(t)
-        slices = [slice(i, min(i + ROW_QUANTUM, n)) for i in range(0, n, ROW_QUANTUM)]
-
-        def work(sl):
-            return np.asarray(f(X[sl], Y[sl], t[sl]), dtype=np.float64)
-
-        if threads <= 1 or len(slices) <= 1:
-            parts = [work(sl) for sl in slices]
-        else:
-            # deferred: concurrent.futures and logging cost --threads 1 runs 6-10 ms
-            from concurrent.futures import ThreadPoolExecutor
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(work, slices))
-        out = np.empty(n, dtype=np.float64)
-        for sl, part in zip(slices, parts):
-            out[sl] = part
-        return out
-
-    return engine
-
-
 def _batch_rng(seed: int, salt: int):
     import numpy as np
 
@@ -163,7 +126,7 @@ def cmd_moduli(args: argparse.Namespace) -> int:
                                       base_seed=args.base_seed,
                                       n_features=args.n_features,
                                       ambient_dim=args.dim)
-    e = glue_embedding(family, n_terms=args.n_terms)
+    e = glue_embedding(family, n_terms=args.n_terms, threads=args.threads)
     if args.backend == "kernel":
         engine = moduli.exact_kernel_engine(e)
     elif args.backend == "rff":
@@ -172,9 +135,8 @@ def cmd_moduli(args: argparse.Namespace) -> int:
         engine = moduli.coordinate_engine(e)
     sampler = moduli.PairSampler(args.t_min, args.t_max, dim=args.dim)
     certified_enforced = args.backend == "kernel"
-    est = moduli.estimate_moduli(_threaded(engine, args.threads), sampler,
-                                 bins=args.bins, pairs=args.pairs, seed=args.seed,
-                                 certifier=moduli.glued_certifier(e))
+    est = moduli.estimate_moduli(engine, sampler, bins=args.bins, pairs=args.pairs,
+                                 seed=args.seed, certifier=moduli.glued_certifier(e))
     fit_lo = args.fit_lo if args.fit_lo is not None else args.t_min
     fit_hi = args.fit_hi if args.fit_hi is not None else args.t_max
     rho_fit = moduli.fit_exponent(est, "rho", fit_lo, fit_hi)
@@ -322,7 +284,7 @@ def _folner_audit(system, n_pairs: int, max_dist: float, seed: int, p: float,
     d = system.distances(pairs)
     counts = system.sym_diff_counts(pairs)
     defects = system.worst_defects(counts, d)
-    char = char_embedding_bound_check(system, system.model, pairs, p, d=d, counts=counts,
+    char = char_embedding_bound_check(system, pairs, p, d=d, counts=counts,
                                       bound_scale=bound_scale)
     return d, counts, defects, char
 
@@ -582,8 +544,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="master RNG seed")
         sp.add_argument("--out", default=None, help="primary artifact path")
         sp.add_argument("--threads", type=_POSITIVE_INT, default=1,
-                        help="worker threads; N bounds the compute threads of the "
-                             "block kernel (results are thread-count independent)")
+                        help="worker threads: a glued embedding runs its 256-row "
+                             "chunks on N threads, which bounds its compute threads "
+                             "(results are thread-count independent)")
 
     mod = sub.add_parser("moduli", help="envelope estimates for a glued embedding")
     common(mod)

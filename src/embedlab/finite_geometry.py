@@ -15,8 +15,8 @@ import numpy as np
 
 from .metric_core import distance_root
 
-# Hard enumeration caps.  Pair iteration beyond ~1e6 vertices or dense
-# matrices beyond 2^14 x 2^14 are out of desk-scale scope.
+# Hard enumeration caps.  Pair iteration beyond ~1e6 vertices or bit
+# matrices beyond 2^14 rows are out of desk-scale scope.
 MAX_CUBE_PAIR_DIM = 24
 MAX_CUBE_MATRIX_DIM = 14
 MAX_AUDIT_PAIRS = 1 << 20
@@ -56,11 +56,13 @@ class HammingCube:
     def points(self):
         return self.bit_matrix()
 
-    def pairwise_distances(self) -> np.ndarray:
-        """Dense (2^m, 2^m) matrix of d_p distances."""
-        b = self.bit_matrix()
-        ham = b @ (1.0 - b).T
-        ham += ham.T  # popcount(u xor v), exact in float64 for m <= 14
+    def distances_from(self, u: int, v) -> np.ndarray:
+        """d_p from vertex u to each vertex of the bitmask array ``v``: the
+        popcount of u xor v, an exact integer in float64, taken to the root."""
+        x = np.bitwise_xor(u, np.asarray(v, dtype=np.int64))
+        ham = np.zeros(x.shape)
+        for bit in range(self.m):
+            ham += (x >> bit) & 1
         return ham ** (1.0 / distance_root(self.p))
 
     def diameter(self) -> float:

@@ -120,10 +120,10 @@ class PowerLogSeq:
         raise ValueError(f"sum of value(n)^{power} diverges (a={a}, b={b})")
 
 
-# Fixed row-chunk size of the coordinate path.  Glued distances are
-# evaluated over row slices of this size, and the CLI cuts its thread
-# work at the same size, so neither the thread count nor the caller
-# changes the slices the arithmetic sees.  The size is a cache tile:
+# Fixed row-chunk size of glued evaluations.  Glued distances and
+# intervals are evaluated over row slices of this size whatever the
+# thread count, so the thread count never changes the slices the
+# arithmetic sees.  The size is a cache tile:
 # block_mass streams about fifteen elementwise passes per block through
 # three (rows x features) scratch arrays, which at 512 float32 features
 # take 3 x 512 KiB here and fit one core's L2 (2048-row tiles need
@@ -375,14 +375,18 @@ class GaussianBlockFamily:
 
 class GluedEmbedding:
     """A truncated glued embedding of the family's schedule, with
-    ``n_terms`` blocks from index n0 on."""
+    ``n_terms`` blocks from index n0 on, whose distances and intervals
+    run their row chunks on ``threads`` worker threads."""
 
-    def __init__(self, family: GaussianBlockFamily, n_terms: int = 200):
+    def __init__(self, family: GaussianBlockFamily, n_terms: int = 200, threads: int = 1):
         if n_terms < 1:
             raise ValueError("need at least one block")
+        if threads < 1:
+            raise ValueError(f"need at least one thread, got {threads}")
         self.family = family
         self.schedule = schedule = family.schedule
         self.n_terms = n_terms
+        self.threads = threads
         self.block_ids = np.arange(schedule.n0, schedule.n0 + n_terms)
         self.bandwidths = np.asarray(schedule.bandwidth(self.block_ids), dtype=float)
         self.s_values = np.asarray(schedule.s(self.block_ids), dtype=float)
@@ -407,23 +411,44 @@ class GluedEmbedding:
             raise ValueError(f"points have dim {P.shape[1]}, family expects {dim}")
         return P
 
-    def image_distances(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def _chunked(self, part, n: int, lead: tuple = ()) -> np.ndarray:
+        """The (*lead, n) array whose columns ``sl`` are ``part(sl)``, for
+        slices of ROW_QUANTUM of the n rows run on ``threads`` workers and
+        placed by position, so the bytes never depend on the thread count."""
+        slices = [slice(i, i + ROW_QUANTUM) for i in range(0, n, ROW_QUANTUM)]
+        if self.threads == 1 or len(slices) <= 1:
+            parts = map(part, slices)
+        else:
+            # deferred: concurrent.futures and logging cost one-thread runs 6-10 ms
+            from concurrent.futures import ThreadPoolExecutor
+            with ThreadPoolExecutor(max_workers=self.threads) as pool:
+                parts = list(pool.map(part, slices))
+        out = np.zeros(lead + (n,))
+        for sl, got in zip(slices, parts):
+            out[..., sl] = got
+        return out
+
+    def image_distances(self, X: np.ndarray, Y: np.ndarray, dtype=None) -> np.ndarray:
         """Glued distances for paired rows of X and Y (coordinate mode).
 
         The glued mass is :func:`~embedlab.gaussian.block_mass` over the
-        blocks, per slice of ROW_QUANTUM rows.  The block maps run in the
-        floating dtype of the points (float32 rows give float32 random
-        features and float32 per-block row sums); the blocks are summed in
-        float64.
+        blocks, per slice of ROW_QUANTUM rows on ``threads`` workers.  The
+        block maps run in the floating dtype of the points, or in ``dtype``
+        if given, to which each slice is cast on its own (float32 rows give
+        float32 random features and float32 per-block row sums); the
+        blocks are summed in float64.
         """
         if self.family.kernel_mode:
             raise ValueError("kernel-mode embeddings have interval distances; "
                              "use distance_interval")
         X, Y = self._rows(X), self._rows(Y)
-        total = np.zeros(len(X))
-        for start in range(0, len(X), ROW_QUANTUM):
-            sl = slice(start, start + ROW_QUANTUM)
-            total[sl] = block_mass(X[sl], Y[sl], self._blocks, self.schedule.q)
+        blocks, q = self._blocks, self.schedule.q  # built here, never in a worker
+
+        def mass(sl):
+            x, y = (np.ascontiguousarray(P[sl], dtype=dtype) for P in (X, Y))
+            return block_mass(x, y, blocks, q)
+
+        total = self._chunked(mass, len(X))
         return total ** (1.0 / self.schedule.mass_power)
 
     # -- kernel mode -----------------------------------------------------
@@ -433,13 +458,17 @@ class GluedEmbedding:
 
         Exact (lower == upper) at q = 2 where the block transport is the
         identity and pair distances are functions of the separation alone.
+        The (separations x blocks) arrays are built per ROW_QUANTUM slice.
         """
         d = np.atleast_1d(np.asarray(d, dtype=float))
         m = self.schedule.mass_power
-        D = psi_distance_exact(d[:, None], self.bandwidths[None, :])
-        lo_b, hi_b = sphere_block_interval(D, self.schedule.q)
-        lo = (lo_b ** m).sum(axis=1)
-        hi = (hi_b ** m).sum(axis=1)
+
+        def masses(sl):
+            D = psi_distance_exact(d[sl, None], self.bandwidths[None, :])
+            lo_b, hi_b = sphere_block_interval(D, self.schedule.q)
+            return (lo_b ** m).sum(axis=1), (hi_b ** m).sum(axis=1)
+
+        lo, hi = self._chunked(masses, len(d), lead=(2,))
         return lo ** (1.0 / m), hi ** (1.0 / m)
 
     # -- shared ----------------------------------------------------------
@@ -450,9 +479,9 @@ class GluedEmbedding:
         return np.searchsorted(self.s_values, d, side="right")
 
 
-def glue(family: GaussianBlockFamily, n_terms: int = 200) -> GluedEmbedding:
+def glue(family: GaussianBlockFamily, n_terms: int = 200, threads: int = 1) -> GluedEmbedding:
     """Assemble a truncated glued embedding from a block family."""
-    return GluedEmbedding(family, n_terms)
+    return GluedEmbedding(family, n_terms, threads)
 
 
 @dataclass

@@ -253,29 +253,33 @@ def fit_exponent(m: ModuliEstimate, envelope: str, t_lo: float, t_hi: float) -> 
 def distortion(f: Callable, space) -> float:
     """(max image/domain ratio) * (max domain/image ratio) over all pairs.
 
-    ``space`` provides ``points()`` and the dense matrix
-    ``pairwise_distances()``.  Images live in Euclidean space.
+    ``space`` provides ``points()`` and ``distances_from(i, js)``, the
+    domain distances from point i to the points of the index array js.
+    Images live in Euclidean space.
     Scale-free by construction; an isometry (or any similarity) scores 1.
-    All pairs are checked for duplicate points before any for injectivity.
-    Image distances are taken one row of pairs at a time, both maxima
-    folded over the rows, so no (n, n, d) difference array is built.
+    Both distances are taken one row of pairs (i, j > i) at a time, both
+    maxima folded over the rows, so neither an (n, n) domain matrix nor an
+    (n, n, d) difference array is built.  All pairs are checked for
+    duplicate points before the map is reported not injective.
     """
     pts = list(space.points())
     n = len(pts)
     if n < 2:
         raise ValueError("space must contain at least two points")
-    dom = np.asarray(space.pairwise_distances(), dtype=float)
     imgs = np.asarray([np.asarray(f(p), dtype=float) for p in pts])
-    if np.any(np.triu(dom <= 0, k=1)):
-        raise ValueError("space contains duplicate points")
     expand = shrink = 0.0
+    collapsed = False
     for i in range(n - 1):
-        dom_u = dom[i, i + 1:]
+        dom_u = np.asarray(space.distances_from(i, np.arange(i + 1, n)), dtype=float)
+        if np.any(dom_u <= 0):
+            raise ValueError("space contains duplicate points")
         im_u = np.sqrt(np.sum((imgs[i] - imgs[i + 1:]) ** 2, axis=1))
-        if np.any(im_u <= 0):
-            raise ValueError("map is not injective on the space (zero image distance)")
-        expand = np.maximum(expand, np.max(im_u / dom_u))
-        shrink = np.maximum(shrink, np.max(dom_u / im_u))
+        collapsed = collapsed or bool(np.any(im_u <= 0))
+        if not collapsed:
+            expand = np.maximum(expand, np.max(im_u / dom_u))
+            shrink = np.maximum(shrink, np.max(dom_u / im_u))
+    if collapsed:
+        raise ValueError("map is not injective on the space (zero image distance)")
     return float(expand * shrink)
 
 
@@ -304,7 +308,7 @@ def coordinate_engine(e: GluedEmbedding) -> Callable:
         raise ValueError("coordinate engine needs a coordinate backend")
 
     def engine(X, Y, t):
-        return e.image_distances(np.asarray(X, dtype=float), np.asarray(Y, dtype=float))
+        return e.image_distances(X, Y, dtype=np.float64)
 
     return engine
 
@@ -318,7 +322,7 @@ def fast_rff_engine(e: GluedEmbedding) -> Callable:
     float64 path's, so the two agree up to float32 rounding.  This is what
     makes 2e4-pair moduli runs over a few hundred blocks affordable.  The
     feature product runs in row slabs that OpenBLAS keeps on the calling
-    thread, so an engine call uses one CPU.  On a 2-CPU x86-64 host with
+    thread, so each row chunk uses one CPU.  On a 2-CPU x86-64 host with
     OpenBLAS 0.3.31, two moduli runs of 8192 pairs over 100 and 60 blocks
     of 512 features, plus their report (the ``moduli-rff`` benchmark
     pass), took a median 3.7 s of CPU in 3.7 s of wall time over 10 runs
@@ -333,8 +337,7 @@ def fast_rff_engine(e: GluedEmbedding) -> Callable:
         raise ValueError("fast engine needs an rff-backed family")
 
     def engine(X, Y, t):
-        return e.image_distances(np.ascontiguousarray(X, dtype=np.float32),
-                                 np.ascontiguousarray(Y, dtype=np.float32))
+        return e.image_distances(X, Y, dtype=np.float32)
 
     return engine
 

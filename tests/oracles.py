@@ -9,8 +9,10 @@ by pair.  The Mazur grid audit of
 arrays, with a fresh draw per exponent p, and its sampler against
 whole-array normalization.  The closed-form series residual of
 ``embedlab.gaussian`` is checked against a Poisson tail summed in
-decimal arithmetic, and the dense Hamming-cube distance matrix of
-``embedlab.finite_geometry`` against the popcount of one pair's XOR.
+decimal arithmetic.  The Hamming-cube distance rows of
+``embedlab.finite_geometry`` are checked against the popcount of one
+pair's XOR and against the dense distance matrix of the bit-matrix
+product, which also feeds the whole-array distortion oracle.
 
 Each enumerator refuses sets past ``MAX_SET_SIZE`` points.
 """
@@ -22,7 +24,9 @@ import math
 import numpy as np
 
 from embedlab.amenable import ZkFolnerSystem, box_intersection_count
+from embedlab.finite_geometry import HammingCube
 from embedlab.mazur import mazur_constants, mazur_map
+from embedlab.metric_core import distance_root
 
 MAX_SET_SIZE = 1 << 20
 
@@ -171,14 +175,26 @@ def l2_sphere_pairs(samples: int, dim: int, seed: int):
     return x2, y2
 
 
+def cube_distance_matrix(cube) -> np.ndarray:
+    """Dense (2^m, 2^m) matrix of the cube's d_p distances from the bit
+    matrix: popcount(u xor v) = b_u . (1 - b_v) + b_v . (1 - b_u)."""
+    b = cube.bit_matrix()
+    ham = b @ (1.0 - b).T
+    ham += ham.T  # exact in float64 for m <= 14
+    return ham ** (1.0 / distance_root(cube.p))
+
+
 def dense_distortion(f, space) -> float:
     """``moduli.distortion`` on whole arrays: the (n, n, d) difference
-    array of the images and the upper-triangle pairs of both matrices."""
+    array of the images and the upper-triangle pairs of both matrices,
+    the domain matrix a cube's :func:`cube_distance_matrix` or another
+    space's ``pairwise_distances()``."""
     pts = list(space.points())
     n = len(pts)
     if n < 2:
         raise ValueError("space must contain at least two points")
-    dom = np.asarray(space.pairwise_distances(), dtype=float)
+    dom = (cube_distance_matrix(space) if isinstance(space, HammingCube)
+           else np.asarray(space.pairwise_distances(), dtype=float))
     imgs = np.asarray([np.asarray(f(p), dtype=float) for p in pts])
     diff = imgs[:, None, :] - imgs[None, :, :]
     im = np.sqrt(np.sum(diff ** 2, axis=2))

@@ -180,7 +180,7 @@ def test_c08_group_presets_certified_end_to_end():
     # block-distance bound on sampled pairs
     pairs = sample_zk_pairs(model, 2000, 40, seed=3)
     d = [model.metric(x, y) for x, y in pairs]
-    char = char_embedding_bound_check(system, model, pairs, 1.0, d=d,
+    char = char_embedding_bound_check(system, pairs, 1.0, d=d,
                                       counts=system.sym_diff_counts(pairs))
     assert char.n_checks > 0
     assert char.violations == 0
@@ -258,11 +258,11 @@ def test_c10_negative_controls_trip_every_checker():
     # at quarter scale, where full-length translates do cross the line.
     pairs = sample_zk_pairs(model, 500, 40, seed=3)
     d = [model.metric(x, y) for x, y in pairs]
-    half = char_embedding_bound_check(system, model, pairs, 1.0, d=d,
+    half = char_embedding_bound_check(system, pairs, 1.0, d=d,
                                       counts=system.sym_diff_counts(pairs), bound_scale=0.5)
     assert half.violations == 0
     witnesses = [((0, 0), (n, 0)) for n in range(3, 21)]
-    quarter = char_embedding_bound_check(system, model, witnesses, 1.0,
+    quarter = char_embedding_bound_check(system, witnesses, 1.0,
                                          d=[model.metric(x, y) for x, y in witnesses],
                                          counts=system.sym_diff_counts(witnesses),
                                          bound_scale=0.25)

@@ -362,7 +362,7 @@ class TestCharBoundCheck:
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         pairs = sample_zk_pairs(ZkModel(2), 40, 16, seed=1)
         d = [ZkModel(2).metric(x, y) for x, y in pairs]
-        rep = char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0, d=d,
+        rep = char_embedding_bound_check(sys, pairs, 1.0, d=d,
                                          counts=sys.sym_diff_counts(pairs))
         assert rep.n_checks > 0
         assert rep.violations == 0
@@ -375,7 +375,7 @@ class TestCharBoundCheck:
         col = TreeACollection(tree, n_min=2, n_max=10)
         pairs = sample_tree_pairs(tree, 40, 8, seed=3)
         d = [tree.metric(x, y) for x, y in pairs]
-        rep = char_embedding_bound_check(col, tree, pairs, 2.0, d=d,
+        rep = char_embedding_bound_check(col, pairs, 2.0, d=d,
                                          counts=col.sym_diff_counts(pairs))
         assert rep.n_checks > 0
         assert rep.violations == 0
@@ -384,7 +384,7 @@ class TestCharBoundCheck:
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         pairs = sample_zk_pairs(ZkModel(2), 40, 16, seed=1)
         d = [ZkModel(2).metric(x, y) for x, y in pairs]
-        rep = char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0, d=d,
+        rep = char_embedding_bound_check(sys, pairs, 1.0, d=d,
                                          counts=sys.sym_diff_counts(pairs), bound_scale=0.01)
         assert rep.violations > 0
         assert rep.worst_margin < 0
@@ -394,20 +394,20 @@ class TestCharBoundCheck:
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         pairs = sample_zk_pairs(ZkModel(2), 4, 16, seed=1)
         with pytest.raises(ValueError, match=r"bound_scale must lie in \(0, 1\]"):
-            char_embedding_bound_check(sys, ZkModel(2), pairs, 1.0, d=sys.distances(pairs),
+            char_embedding_bound_check(sys, pairs, 1.0, d=sys.distances(pairs),
                                        counts=sys.sym_diff_counts(pairs), bound_scale=scale)
 
     def test_p_validation(self):
         sys = ZkFolnerSystem(ZkModel(1))
         with pytest.raises(ValueError):
-            char_embedding_bound_check(sys, ZkModel(1), [], 0.5, d=[],
+            char_embedding_bound_check(sys, [], 0.5, d=[],
                                        counts=sys.sym_diff_counts([]))
 
     @pytest.mark.parametrize("p", [math.nan, math.inf])
     def test_non_finite_p_is_refused(self, p):
         sys = ZkFolnerSystem(ZkModel(1))
         with pytest.raises(ValueError, match="blocks need a finite p >= 1"):
-            char_embedding_bound_check(sys, ZkModel(1), [], p, d=[],
+            char_embedding_bound_check(sys, [], p, d=[],
                                        counts=sys.sym_diff_counts([]))
 
 
@@ -675,10 +675,10 @@ class TestSupportAudit:
         pairs = sample_zk_pairs(model, 10, 8, seed=2)
         d = [model.metric(x, y) for x, y in pairs]
         counts = ZkFolnerSystem(model, n_max=6).sym_diff_counts(pairs)
-        clean = char_embedding_bound_check(ZkFolnerSystem(model, n_max=6), model, pairs, 1.0,
+        clean = char_embedding_bound_check(ZkFolnerSystem(model, n_max=6), pairs, 1.0,
                                            d=d, counts=counts)
         assert clean.support_violations == 0
-        rep = char_embedding_bound_check(Shrunk(model, n_max=6), model, pairs, 1.0, d=d,
+        rep = char_embedding_bound_check(Shrunk(model, n_max=6), pairs, 1.0, d=d,
                                          counts=counts)
         # every audited (point, n): n = 2..5, boxes of up to 131^3 points
         # measured at their corners
@@ -694,9 +694,9 @@ class TestSupportAudit:
         pairs = sample_tree_pairs(tree, 10, 8, seed=2)
         d = [tree.metric(x, y) for x, y in pairs]
         counts = TreeACollection(tree, n_max=6).sym_diff_counts(pairs)
-        clean = char_embedding_bound_check(TreeACollection(tree, n_max=6), tree, pairs, 1.0,
+        clean = char_embedding_bound_check(TreeACollection(tree, n_max=6), pairs, 1.0,
                                            d=d, counts=counts)
         assert clean.support_violations == 0
-        rep = char_embedding_bound_check(Shrunk(tree, n_max=6), tree, pairs, 1.0, d=d,
+        rep = char_embedding_bound_check(Shrunk(tree, n_max=6), pairs, 1.0, d=d,
                                          counts=counts)
         assert rep.support_violations == 8 * 4  # n = 2..5 for each audited point

@@ -379,15 +379,19 @@ class TestModuliCommand:
         second = once("b", 3)
         assert first == second
 
-    @pytest.mark.parametrize("q, preset", [("4", "strong_qge2"), ("1.5", "strong_1leqle2")])
-    def test_threads_never_change_artifacts_at_slab_edges(self, tmp_path, q, preset):
+    @pytest.mark.parametrize("q, preset, backend", [
+        pytest.param("4", "strong_qge2", "rff", id="4-strong_qge2"),
+        pytest.param("1.5", "strong_1leqle2", "rff", id="1.5-strong_1leqle2"),
+        pytest.param("2", "warmup_l2", "kernel", id="2-warmup_l2-kernel"),
+    ])
+    def test_threads_never_change_artifacts_at_slab_edges(self, tmp_path, q, preset, backend):
         # 2049 pairs is a multiple of neither the feature product's row
         # slab (32 rows at 512 features x 16 dims) nor ROW_QUANTUM.
         def once(tag, threads):
             j = tmp_path / f"{tag}.json"
             c = tmp_path / f"{tag}.csv"
             code = run(["moduli", "--preset", preset, "--q", q,
-                        "--beta", "1.1", "--backend", "rff",
+                        "--beta", "1.1", "--backend", backend,
                         "--n-features", "512", "--n-terms", "12",
                         "--pairs", "2049", "--bins", "10",
                         "--t-min", "0.5", "--t-max", "50",

@@ -15,29 +15,35 @@ from embedlab.finite_geometry import (
     enflo_type2_certificate,
     probe_audit,
 )
-from oracles import cube_distance
+from oracles import cube_distance, cube_distance_matrix
 
 
 class TestHammingCube:
     def test_distance_is_popcount(self):
-        mat = HammingCube(3, 1.0).pairwise_distances()
-        assert mat[0b000, 0b111] == 3.0
-        assert mat[0b101, 0b101] == 0.0
-        assert mat[0b101, 0b100] == 1.0
+        cube = HammingCube(3, 1.0)
+        assert cube.distances_from(0b000, 0b111) == 3.0
+        assert cube.distances_from(0b101, 0b101) == 0.0
+        assert cube.distances_from(0b101, 0b100) == 1.0
 
     def test_root_applied_in_norm_regime(self):
         cube = HammingCube(4, 2.0)
-        assert cube.pairwise_distances()[0b0000, 0b1111] == pytest.approx(2.0)
+        assert cube.distances_from(0b0000, 0b1111) == pytest.approx(2.0)
         assert cube.diameter() == pytest.approx(2.0)
         assert HammingCube(9, 1.0).diameter() == 9.0
         assert HammingCube(4, 0.5).diameter() == 4.0
 
     def test_pairwise_matrix_matches_metric(self):
         cube = HammingCube(4, 1.5)
-        mat = cube.pairwise_distances()
         for u in range(cube.n_vertices):
+            row = cube.distances_from(u, np.arange(cube.n_vertices))
             for v in range(cube.n_vertices):
-                assert mat[u, v] == pytest.approx(cube_distance(u, v, cube), abs=1e-12)
+                assert row[v] == pytest.approx(cube_distance(u, v, cube), abs=1e-12)
+        # the rows are the dense matrix of the bit-matrix product, bit for bit
+        for m, p in ((3, 0.5), (6, 1.0), (8, 1.5), (8, 3.0)):
+            cube = HammingCube(m, p)
+            rows = [cube.distances_from(u, np.arange(cube.n_vertices))
+                    for u in range(cube.n_vertices)]
+            assert np.array_equal(np.array(rows), cube_distance_matrix(cube))
 
     def test_bit_matrix_rows_encode_vertices(self):
         b = HammingCube(3, 1.0).bit_matrix()

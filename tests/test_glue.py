@@ -1,12 +1,14 @@
 """Gluing schedules, certified budgets, and the per-pair bound audits."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from embedlab.gaussian import delta_q
+from embedlab.gaussian import delta_q, psi_distance_exact, sphere_block_interval
 from embedlab.glue import (
+    ROW_QUANTUM,
     GaussianBlockFamily,
     GluedEmbedding,
     ParamSchedule,
@@ -221,6 +223,42 @@ class TestGluedEmbedding:
         assert GluedEmbedding(fam).schedule is fam.schedule
         with pytest.raises(ValueError):
             glue(fam, n_terms=0)
+
+    @pytest.mark.parametrize("backend, dtype", [("rff", np.float32), ("exp", np.float64)])
+    def test_thread_count_never_changes_image_distances(self, backend, dtype):
+        # 2049 rows are eight ROW_QUANTUM chunks and a one-row tail.
+        assert 2049 % ROW_QUANTUM == 1
+        fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1),
+                                  backend=backend, base_seed=5, n_features=64,
+                                  exp_degree=8, ambient_dim=2)
+        rng = np.random.default_rng(24)
+        X = rng.normal(size=(2049, 2)).astype(dtype)
+        Y = (X + rng.normal(size=X.shape)).astype(dtype)
+        # a short switch interval interleaves the workers as often as it can
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [glue(fam, n_terms=4, threads=k).image_distances(X, Y) for k in (1, 2, 3)]
+        finally:
+            sys.setswitchinterval(interval)
+        for got in runs[1:]:
+            assert np.array_equal(got, runs[0])
+
+    def test_thread_count_never_changes_intervals(self):
+        fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1))
+        d = np.geomspace(0.01, 100.0, 2049)
+        runs = [glue(fam, n_terms=30, threads=k).distance_interval(d) for k in (1, 2, 3)]
+        for lo, hi in runs[1:]:
+            assert np.array_equal(lo, runs[0][0]) and np.array_equal(hi, runs[0][1])
+        # the row slices give the bytes of one whole-array evaluation
+        D = psi_distance_exact(d[:, None], glue(fam, n_terms=30).bandwidths[None, :])
+        for got, block in zip(runs[0], sphere_block_interval(D, 4.0)):
+            assert np.array_equal(got, (block ** 4.0).sum(axis=1) ** 0.25)
+
+    def test_thread_count_below_one_is_refused(self):
+        fam = GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0))
+        with pytest.raises(ValueError, match="need at least one thread, got 0"):
+            glue(fam, threads=0)
 
 
 class TestPerPairBounds:

@@ -39,16 +39,18 @@ class TestLpDistance:
                         (1.0, lambda d: np.abs(d).sum()),
                         (0.5, lambda d: (np.abs(d) ** 0.5).sum())):
             cube = HammingCube(4, p)
-            bits, mat = cube.bit_matrix(), cube.pairwise_distances()
+            bits, everyone = cube.bit_matrix(), np.arange(cube.n_vertices)
             for u in range(cube.n_vertices):
+                row = cube.distances_from(u, everyone)
                 for v in range(cube.n_vertices):
-                    assert mat[u, v] == pytest.approx(dist(bits[u] - bits[v]), rel=1e-12)
+                    assert row[v] == pytest.approx(dist(bits[u] - bits[v]), rel=1e-12)
 
     def test_regimes_agree_at_one(self):
         by_int, by_float = HammingCube(3, 1), HammingCube(3, 1.0)
-        d_int, d_float = by_int.pairwise_distances(), by_float.pairwise_distances()
-        assert d_int[0b011, 0b110] == d_float[0b011, 0b110] == 2.0
-        assert np.array_equal(d_int, d_float)
+        assert by_int.distances_from(0b011, 0b110) == by_float.distances_from(0b011, 0b110) == 2.0
+        for u in range(8):
+            assert np.array_equal(by_int.distances_from(u, np.arange(8)),
+                                  by_float.distances_from(u, np.arange(8)))
         assert by_int.diameter() == by_float.diameter() == 3.0
 
     def test_shape_and_finiteness_validation(self):
@@ -66,14 +68,14 @@ class TestLpDistance:
     )
     def test_metric_axioms(self, x, y, z, p):
         cube = HammingCube(6, p)
-        d = cube.pairwise_distances()
-        dxy = d[x, y]
+        d = cube.distances_from
+        dxy = d(x, y)
         assert dxy == pytest.approx(cube_distance(x, y, cube), rel=1e-12)
         assert dxy >= 0
-        assert dxy == d[y, x]
-        assert d[x, x] == 0
+        assert dxy == d(y, x)
+        assert d(x, x) == 0
         slack = 1e-9 * (1.0 + dxy)
-        assert dxy <= d[x, z] + d[z, y] + slack
+        assert dxy <= d(x, z) + d(z, y) + slack
 
 
 def _flat_distance(X, Y, e):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from embedlab.finite_geometry import HammingCube
+from embedlab.finite_geometry import HammingCube, cube_report
 from embedlab.gaussian import _rff_table
 from embedlab.glue import ROW_QUANTUM, GaussianBlockFamily, glue, preset_schedule
 from embedlab.moduli import (
@@ -192,8 +192,8 @@ class TestDistortion:
         def points(self):
             return [np.array([0.0]), np.array([1.0])]
 
-        def pairwise_distances(self):
-            return np.array([[0.0, 1.0], [1.0, 0.0]])
+        def distances_from(self, i, js):
+            return np.abs(np.asarray(js, dtype=float) - i)
 
     def test_isometry_and_similarity_score_one(self):
         space = self._TwoPoints()
@@ -218,7 +218,10 @@ class TestDistortion:
         def points(self):
             return range(len(self.dom))
 
-        def pairwise_distances(self):
+        def distances_from(self, i, js):
+            return self.dom[i, js]
+
+        def pairwise_distances(self):  # read by the dense oracle only
             return self.dom
 
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
@@ -268,6 +271,18 @@ class TestDistortion:
         finally:
             tracemalloc.stop()
         assert value == pytest.approx(math.sqrt(10.0), abs=1e-12)
+        assert peak < 40e6
+
+    def test_cube_report_at_m12_stays_within_a_memory_bound(self):
+        # A dense (4096, 4096) float64 domain matrix alone is 134 MB; the
+        # rows take each vertex's distances from popcounts as they go.
+        tracemalloc.start()
+        try:
+            rep = cube_report(12, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["measured_distortion"] == pytest.approx(math.sqrt(12.0), abs=1e-12)
         assert peak < 40e6
 
 
