@@ -338,7 +338,13 @@ def _suite_cube(args: argparse.Namespace) -> dict:
     rng = _batch_rng(args.seed, 104)
     for m in range(2, args.m_max + 1):
         rep = cube_report(m, args.p)
-        bad = int(abs(rep["measured_distortion"] - rep["bound"]) > 1e-9)
+        measured, bound = rep["measured_distortion"], rep["bound"]
+        # The bound is a floor the identity meets exactly only at p <= 1 and
+        # p = 2; elsewhere its distortion lies above it, as in cmd_cube.
+        if args.p <= 1 or args.p == 2:
+            bad = int(abs(measured - bound) > 1e-9)
+        else:
+            bad = int(measured < bound * (1 - 1e-9))
         bad += int(rep["certificate_ratio"] > 1 + 1e-12)
         # Arbitrary Euclidean images must never beat the type-2 ratio;
         # linear ones must sit exactly on it (parallelogram identity).

@@ -20,17 +20,22 @@ realizations are provided:
 
 Composing psi_r with the (2, q) signed-power map yields the fundamental
 block maps phi of the glued embeddings.  One batch kernel serves both
-coordinate backends: :func:`block_mass` takes each block's backend
-coordinates, applies the signed power 2/q, and returns
+coordinate backends: :func:`block_mass` returns
 sum_n sum_i |phi_n(x)_i - phi_n(y)_i|^q per pair of rows over a list of
-blocks.  Each block's row sums are einsums in the dtype of its
-coordinates; the blocks are accumulated in float64.  Random-feature
-coordinates are computed in the floating dtype of the input points, so
-float32 rows give float32 arithmetic with the same feature tables; their
-feature product runs in row slabs that OpenBLAS keeps on the calling
-thread.  Block distances are sandwiched by transporting the exact psi
-distance through the certified signed-power constants
-(:func:`sphere_block_interval` of :func:`psi_distance_exact`).
+blocks.  It never normalises a coordinate: it takes the signed power 2/q
+of each block's raw coordinates (cosines for random features, the unit
+rows of the series) and folds both row norms into one per-row scale and
+one per-row quotient.  Powers whose exponent is an exact root go through
+sqrt, cbrt and square passes (``mazur._power``).  Each block's row sums
+are einsums in the dtype of its coordinates; the blocks are accumulated
+in float64.  Random-feature coordinates are computed in the floating
+dtype of the input points, so float32 rows give float32 arithmetic with
+the same feature tables.  Their feature product multiplies the rows
+[x, 1] by the table [w; b], so it also adds the phases, and runs in row
+slabs that OpenBLAS keeps on the calling thread.  Block distances are
+sandwiched by transporting the exact psi distance through the certified
+signed-power constants (:func:`sphere_block_interval` of
+:func:`psi_distance_exact`).
 
 This module needs no scipy: the series residual of
 :func:`exp_coordinates_batch` is a Poisson tail, summed in closed form
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mazur import _signed_power, mazur_constants
+from .mazur import _ROOT_PRODUCTS, _power, _root_chain, _signed_power, mazur_constants
 from .metric_core import distance_root
 
 __all__ = [
@@ -152,15 +157,17 @@ def _multi_indices(dim: int, degree: int) -> np.ndarray:
 # chunk, so a bounded cache smaller than its block count would redraw
 # each table on every chunk.
 @functools.lru_cache(maxsize=None)
-def _rff_table(r: float, n_features: int, seed, dim: int,
-               dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
-    """Frequencies (dim x n_features) and phases, drawn in float64 and
-    stored in ``dtype``, once per dtype rather than cast on every call."""
+def _rff_table(r: float, n_features: int, seed, dim: int, dtype: np.dtype) -> np.ndarray:
+    """The (dim + 1) x n_features table [w; b]: frequencies w with the
+    phases b as one more row, so that rows [x, 1] times the table are
+    w.x + b.  Drawn in float64 and stored in ``dtype``, once per dtype
+    rather than cast on every call."""
     entropy = (seed if isinstance(seed, tuple) else (seed,)) + (dim,)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-    w = rng.normal(0.0, math.sqrt(2.0 * r), size=(dim, n_features))
-    b = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
-    return w.astype(dtype), b.astype(dtype)
+    wb = np.empty((dim + 1, n_features), dtype=dtype)  # no float64 copy of the table
+    wb[:dim] = rng.normal(0.0, math.sqrt(2.0 * r), size=(dim, n_features))
+    wb[dim] = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
+    return wb
 
 
 def _poisson_tail(n: int, lam: np.ndarray) -> np.ndarray:
@@ -284,6 +291,33 @@ def _feature_product(X: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
+def _with_ones(X) -> np.ndarray:
+    """The rows [x, 1] of X, in its floating dtype (other inputs become
+    float64): their product with an rff table [w; b] is w.x + b."""
+    X = np.atleast_2d(np.asarray(X))
+    if not np.all(np.isfinite(X)):
+        raise ValueError("input contains non-finite entries")
+    X1 = np.ones((len(X), X.shape[1] + 1), dtype=X.dtype if X.dtype.kind == "f" else float)
+    X1[:, :-1] = X
+    return X1
+
+
+def _rff_cosines(X1: np.ndarray, backend: RandomFeatures,
+                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Raw features cos(w.x + b) of the rows [x, 1] of ``X1``, in its dtype,
+    and their squared row norms; ``out``, if given, receives the features
+    and must be C-contiguous.  The sqrt(2/D) feature scale cancels in the
+    normalisation, so it is never applied."""
+    wb = _rff_table(backend.r, backend.n_features, backend.seed, X1.shape[1] - 1, X1.dtype)
+    if out is None:
+        out = np.empty((len(X1), backend.n_features), dtype=X1.dtype)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
+    z = np.cos(_feature_product(X1, wb, out), out=out)
+    # einsum takes the squared norms without a squared copy of z
+    return z, np.einsum("ij,ij->i", z, z)
+
+
 def rff_coordinates_batch(X: np.ndarray, backend: RandomFeatures,
                           out: np.ndarray | None = None) -> np.ndarray:
     """Renormalized random-feature coordinates, shape (batch, n_features).
@@ -292,22 +326,8 @@ def rff_coordinates_batch(X: np.ndarray, backend: RandomFeatures,
     with the feature table drawn in float64 and stored in that dtype.
     ``out``, if given, receives the result and must be C-contiguous.
     """
-    X = np.atleast_2d(np.asarray(X))
-    if X.dtype.kind != "f":
-        X = X.astype(float)
-    if not np.all(np.isfinite(X)):
-        raise ValueError("input contains non-finite entries")
-    w, b = _rff_table(backend.r, backend.n_features, backend.seed, X.shape[1], X.dtype)
-    if out is None:
-        out = np.empty((len(X), backend.n_features), dtype=X.dtype)
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
-    z = _feature_product(X, w, out)
-    z += b
-    np.cos(z, out=z)
-    # The sqrt(2/D) feature scale cancels in the normalisation; einsum
-    # takes the row norms without a squared copy of z.
-    z /= np.sqrt(np.einsum("ij,ij->i", z, z))[:, None]
+    z, n2 = _rff_cosines(_with_ones(X), backend, out=out)
+    z /= np.sqrt(n2)[:, None]
     return z
 
 
@@ -365,50 +385,79 @@ def delta_q(q: float) -> float:
     return float(lo)
 
 
-def _block_coordinates(X: np.ndarray, backend: TruncatedExp | RandomFeatures,
-                       out: np.ndarray | None = None) -> np.ndarray:
-    """The backend's unit-sphere coordinates psi_r(x) of the rows of X;
-    ``out`` receives random-feature coordinates (the series allocates)."""
+def _block_coordinates(X1: np.ndarray, backend: TruncatedExp | RandomFeatures,
+                       out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates c of the rows [x, 1] of ``X1`` and their squared row
+    norms n^2, so that c / n is psi_r(x) row by row: raw cosines for
+    random features (``out`` receives them), the series' unit rows with
+    n^2 = 1."""
     if isinstance(backend, TruncatedExp):
-        return exp_coordinates_batch(X, backend)[0]
-    return rff_coordinates_batch(X, backend, out=out)
+        coords = exp_coordinates_batch(X1[:, :-1], backend)[0]
+        return coords, np.ones(len(coords))
+    return _rff_cosines(X1, backend, out=out)
+
+
+def _row_power_sums(h: np.ndarray, q: float, spare: np.ndarray) -> np.ndarray:
+    """sum_i |h_i|^q per row of ``h``, by einsum in its dtype; ``h`` and
+    ``spare`` (of the same shape) are scratch.
+
+    The sum is einsum(|h|, |h|^(q-1)) for the exponents of
+    ``mazur._ROOT_PRODUCTS`` (|h| sqrt|h| at q = 1.5), else einsum(g, g)
+    with g = |h|^(q/2) by :func:`~embedlab.mazur._power`; at q = 2 and 4,
+    g is h or h^2 and needs no abs.
+    """
+    half = q / 2.0
+    if half in (1.0, 2.0):
+        g = _power(h, half)
+    elif q in _ROOT_PRODUCTS:
+        np.abs(h, out=h)
+        return np.einsum("ij,ij->i", h, _root_chain(h, _ROOT_PRODUCTS[q], spare))
+    else:
+        g = _power(np.abs(h, out=h), half, out=spare)
+    return np.einsum("ij,ij->i", g, g)
 
 
 def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float) -> np.ndarray:
     """Power mass of paired rows summed over the blocks ``backends``, each
     mapped into l_q.
 
-    Block n maps a row x to phi_n(x) = s_{2/q}(psi_r(x)): the backend's
-    unit-sphere coordinates psi_r(x) (truncated series or random features)
-    under the coordinatewise signed power s_{2/q}, the (2, q) Mazur map,
-    which lands on the unit q-sphere.  Random features keep the floating
-    dtype of ``X``; the series is evaluated in float64.
+    Block n maps a row x to phi_n(x) = s_a(psi_r(x)) with a = 2/q: the
+    backend's unit-sphere coordinates psi_r(x) (truncated series or random
+    features) under the coordinatewise signed power s_a, the (2, q) Mazur
+    map, which lands on the unit q-sphere.  Random features keep the
+    floating dtype of ``X``; the series is evaluated in float64.
 
     Block n adds sum_i |phi_n(x)_i - phi_n(y)_i|^q, its share of the
     glued mass in both regimes: the q-th power of the block distance for
-    q >= 1, the power-sum block distance itself for q < 1.  It is the
-    row sum of h * h with h = |phi_n(x) - phi_n(y)|^(q/2) (the square of
-    the difference at q = 4), taken by einsum in the coordinates' dtype,
-    so float32 for float32 rows.  Blocks are added in order into a
-    float64 total.  The coordinate array and the two image arrays are
-    reused from block to block: freeing and reallocating them for every
-    block lets the C allocator hand their pages back to the system and
-    fault them in again.
+    q >= 1, the power-sum block distance itself for q < 1.  The kernel
+    never normalises a coordinate.  With c_x the backend's coordinates of
+    x and n_x their norm, psi_r(x) = c_x / n_x, and s_a is homogeneous of
+    degree a with a q = 2, so the block adds
+
+        sum_i |s_a(c_x)_i - (n_x / n_y)^a s_a(c_y)_i|^q / n_x^2:
+
+    one per-row scale of s_a(c_y) instead of two full-array divides
+    (n = 1 for the series).  The row sums are einsums in the
+    coordinates' dtype (:func:`_row_power_sums`), so float32 for float32
+    rows; the per-row ratios and quotients are float64, and blocks are
+    added in order into a float64 total.  Every random-feature block
+    reads the rows [x, 1], built once per call, so its feature product
+    also adds the phases.  The coordinate array and the two image arrays
+    are reused from block to block: freeing and reallocating them for
+    every block lets the C allocator hand their pages back to the system
+    and fault them in again.
     """
-    total = np.zeros(len(np.atleast_2d(X)))
+    X1, Y1 = _with_ones(X), _with_ones(Y)
+    total = np.zeros(len(X1))
     coords = px = py = None
     a = 2.0 / q
     for backend in backends:
-        coords = _block_coordinates(X, backend, out=coords)
+        coords, n2x = _block_coordinates(X1, backend, out=coords)
         px = _signed_power(coords, a, out=px)
-        coords = _block_coordinates(Y, backend, out=coords)
+        coords, n2y = _block_coordinates(Y1, backend, out=coords)
         py = _signed_power(coords, a, out=py)
+        scale = np.divide(n2x, n2y, dtype=float) ** (1.0 / q)  # (n_x / n_y)^a
+        py *= scale.astype(py.dtype)[:, None]
         h = np.subtract(px, py, out=px)
-        if q == 4.0:
-            np.square(h, out=h)
-        else:
-            np.abs(h, out=h)
-            h **= q / 2.0
-        total += np.einsum("ij,ij->i", h, h)
+        total += np.divide(_row_power_sums(h, q, spare=py), n2x, dtype=float)
     return total
-

@@ -124,12 +124,14 @@ class PowerLogSeq:
 # intervals are evaluated over row slices of this size whatever the
 # thread count, so the thread count never changes the slices the
 # arithmetic sees.  The size is a cache tile:
-# block_mass streams about fifteen elementwise passes per block through
-# three (rows x features) scratch arrays, which at 512 float32 features
-# take 3 x 512 KiB here and fit one core's L2 (2048-row tiles need
-# 3 x 4 MiB and run from L3).  256 is a multiple of the feature
-# product's 32-row slab at 512 features x 16 dims, so every row's
-# product, and with it every artifact byte, is what larger tiles give.
+# block_mass streams 17 (q = 1.5) or 18 (q = 4) elementwise passes per
+# block through three (rows x features) scratch arrays, which at 512
+# float32 features take 3 x 512 KiB here and fit one core's L2 (2048-row
+# tiles need 3 x 4 MiB and run from L3).  At 512 features x (16 + 1)
+# columns the feature product's slab is 30 rows, so a tile is eight
+# slabs and a 16-row tail; a row's GEMM product does not depend on the
+# rows beside it (test_bitwise_equal_to_one_matmul), so every artifact
+# byte is what other tiles give.
 ROW_QUANTUM = 256
 
 # Terms summed exactly before the certified tail takes over in the full

@@ -317,21 +317,19 @@ def fast_rff_engine(e: GluedEmbedding) -> Callable:
     """Float32 evaluation of an rff-backed glued embedding.
 
     The same block kernel as :func:`coordinate_engine`, run on float32
-    copies of the points: cosine features, normalisation and signed power
+    copies of the points: cosine features, per-row norms and signed power
     in float32, block masses summed in float64.  The feature tables are the
     float64 path's, so the two agree up to float32 rounding.  This is what
     makes 2e4-pair moduli runs over a few hundred blocks affordable.  The
     feature product runs in row slabs that OpenBLAS keeps on the calling
-    thread, so each row chunk uses one CPU.  On a 2-CPU x86-64 host with
-    OpenBLAS 0.3.31, two moduli runs of 8192 pairs over 100 and 60 blocks
-    of 512 features, plus their report (the ``moduli-rff`` benchmark
-    pass), took a median 3.7 s of CPU in 3.7 s of wall time over 10 runs
-    with 256-row tiles and one OpenBLAS thread per process, against 5.0 s
-    of CPU in 4.7 s with 2048-row tiles, whose scratch arrays spill out
-    of L2, and an idle OpenBLAS pool in each process.  Splitting each row
-    chunk's product across both CPUs instead nearly doubled the CPU time
-    and did not shorten the wall time, a BLAS worker spinning between
-    products.
+    thread, so each row chunk uses one CPU: splitting a chunk's product
+    across both CPUs of a 2-CPU host nearly doubled the CPU time without
+    shortening the wall time, a BLAS worker spinning between products,
+    and 2048-row tiles, whose scratch arrays spill out of L2, cost more
+    CPU than 256-row ones.  On a 2-CPU x86-64 host with OpenBLAS 0.3.31,
+    two moduli runs of 8192 pairs over 100 and 60 blocks of 512 features,
+    plus their report (the ``moduli-rff`` benchmark pass), take a median
+    6.0 s of wall time and 6.0 s of CPU over 10 runs.
     """
     if getattr(e.family, "backend", None) != "rff":
         raise ValueError("fast engine needs an rff-backed family")

@@ -9,7 +9,8 @@ by pair.  The Mazur grid audit of
 arrays, with a fresh draw per exponent p, and its sampler against
 whole-array normalization.  The closed-form series residual of
 ``embedlab.gaussian`` is checked against a Poisson tail summed in
-decimal arithmetic.  The Hamming-cube distance rows of
+decimal arithmetic, and its block kernel on random features against the
+glued mass in textbook order in float64.  The Hamming-cube distance rows of
 ``embedlab.finite_geometry`` are checked against the popcount of one
 pair's XOR and against the dense distance matrix of the bit-matrix
 product, which also feeds the whole-array distortion oracle.
@@ -25,6 +26,7 @@ import numpy as np
 
 from embedlab.amenable import ZkFolnerSystem, box_intersection_count
 from embedlab.finite_geometry import HammingCube
+from embedlab.gaussian import RandomFeatures
 from embedlab.mazur import mazur_constants, mazur_map
 from embedlab.metric_core import distance_root
 
@@ -289,3 +291,36 @@ def mazur_grid_audit(grid, samples: int, dim: int, seed: int,
     return {"violations": total, "worst_margin": worst,
             "max_sphere_deviation": sphere_dev,
             "max_involution_deviation": invol_dev, "cells": cells}
+
+
+def rff_block_mass(X, Y, backends, q: float) -> np.ndarray:
+    """The glued mass of paired rows over random-feature ``backends``, in
+    float64 and textbook order: per block, its table from
+    Philox((*seed, dim)) (frequencies, then phases), the features
+    cos(w.x + b) normalised row by row, then the signed power 2/q, then
+    sum_i |phi(x)_i - phi(y)_i|^q; the blocks added up."""
+    X, Y = (np.atleast_2d(np.asarray(P, dtype=float)) for P in (X, Y))
+    dim = X.shape[1]
+    mass = np.zeros(len(X))
+    for be in backends:
+        seed = be.seed if isinstance(be.seed, tuple) else (be.seed,)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed + (dim,))))
+        w = rng.normal(0.0, math.sqrt(2.0 * be.r), size=(dim, be.n_features))
+        b = rng.uniform(0.0, 2.0 * math.pi, size=be.n_features)
+        side = []
+        for P in (X, Y):
+            z = np.cos(P @ w + b)
+            z /= np.linalg.norm(z, axis=1, keepdims=True)
+            side.append(np.sign(z) * np.abs(z) ** (2.0 / q))
+        mass += np.sum(np.abs(side[0] - side[1]) ** q, axis=1)
+    return mass
+
+
+def rff_glued_distance(e, X, Y) -> np.ndarray:
+    """:func:`rff_block_mass` over the blocks of the glued embedding ``e``,
+    block n at bandwidth r_n with seed (base_seed, n), taken to the
+    distance root of its q."""
+    fam, q = e.family, e.schedule.q
+    backends = [RandomFeatures(float(r), fam.n_features, (fam.base_seed, int(n)))
+                for n, r in zip(e.block_ids, e.bandwidths)]
+    return rff_block_mass(X, Y, backends, q) ** (1.0 / distance_root(q))

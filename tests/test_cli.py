@@ -532,6 +532,33 @@ class TestVerifyCommand:
                     "--out", str(tmp_path / "fnc.json")])
         assert code == cli.EXIT_VIOLATIONS
 
+    @pytest.mark.parametrize("p", [1.5, 3.0])
+    def test_cube_suite_clean_where_the_identity_beats_the_floor(self, tmp_path, p):
+        # Off p <= 1 and p = 2 the identity's distortion lies strictly
+        # above the Enflo floor; the suite asks only that it not fall below.
+        out = tmp_path / "cube.json"
+        assert run(["verify", "--suite", "cube", "--p", str(p), "--out", str(out)]) == cli.EXIT_OK
+        rows = json.loads(out.read_text())["rows"]
+        assert all(r["measured_distortion"] > r["bound"] * (1 + 1e-3) for r in rows)
+        assert all(r["violations"] == 0 for r in rows)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    def test_cube_suite_counts_a_bound_above_the_measurement(self, tmp_path, monkeypatch, p):
+        from embedlab import finite_geometry
+
+        cube_report = finite_geometry.cube_report
+
+        def raised(m, p):
+            rep = cube_report(m, p)
+            return {**rep, "bound": rep["measured_distortion"] * 1.01}
+
+        monkeypatch.setattr(finite_geometry, "cube_report", raised)
+        out = tmp_path / "cube.json"
+        assert run(["verify", "--suite", "cube", "--p", str(p), "--out", str(out)]) \
+            == cli.EXIT_VIOLATIONS
+        rows = json.loads(out.read_text())["rows"]
+        assert all(r["violations"] >= 1 for r in rows)
+
     def test_config_echoes_every_parsed_flag(self, tmp_path):
         # Runs that differ in one flag echo different configs; the echo
         # holds each parsed value except output paths and --threads.

@@ -25,7 +25,7 @@ from embedlab.gaussian import (
 )
 from embedlab.glue import GaussianBlockFamily, preset_schedule
 from embedlab.mazur import mazur_map, signed_power_constant
-from oracles import poisson_tail
+from oracles import poisson_tail, rff_block_mass
 
 
 class TestPsiDistance:
@@ -199,17 +199,19 @@ class TestSlabbedFeatureProduct:
     @pytest.mark.parametrize("n_features", [256, 512])
     def test_bitwise_equal_to_one_matmul(self, n_features, dim, dtype):
         be = RandomFeatures(0.3, n_features, seed=(11, 4))
-        s = _slab_rows(n_features, dim)
+        # The product has width dim + 1: rows [x, 1] times the table [w; b].
+        s = _slab_rows(n_features, dim + 1)
         rng = np.random.default_rng(n_features + dim)
-        w, b = gaussian._rff_table(be.r, n_features, be.seed, dim, np.dtype(dtype))
+        wb = gaussian._rff_table(be.r, n_features, be.seed, dim, np.dtype(dtype))
+        assert wb.shape == (dim + 1, n_features) and wb.dtype == dtype
         for rows in (1, s - 1, s, s + 1, 2048, 2049):
             X = (3.0 * rng.normal(size=(rows, dim))).astype(dtype)
-            product = np.matmul(X, w)
-            slabbed = gaussian._feature_product(X, w, np.empty_like(product))
+            X1 = np.concatenate([X, np.ones((rows, 1), dtype=dtype)], axis=1)
+            product = np.matmul(X1, wb)
+            slabbed = gaussian._feature_product(X1, wb, np.empty_like(product))
             assert np.array_equal(_bits(slabbed), _bits(product)), rows
             # The whole coordinate map, without and with a caller's buffer.
-            want = product + b
-            np.cos(want, out=want)
+            want = np.cos(product)
             want /= np.sqrt(np.einsum("ij,ij->i", want, want))[:, None]
             got = rff_coordinates_batch(X, be)
             assert got.dtype == dtype and got.shape == (rows, n_features)
@@ -387,6 +389,19 @@ class TestPhiMaps:
                 want = np.sum(np.abs(flat_x - flat_y) ** q)
                 assert mass[i] == pytest.approx(want, rel=1e-12), (q, i)
             assert np.array_equal(block_mass(X, X, blocks, q), np.zeros(len(X)))
+
+    @pytest.mark.parametrize("dtype, rtol", [(np.float32, 1e-5), (np.float64, 1e-12)])
+    @pytest.mark.parametrize("q", [0.5, 1.5, 4.0])
+    def test_block_mass_matches_the_textbook_oracle(self, q, dtype, rtol):
+        # The kernel keeps raw cosines and one per-row scale; the oracle
+        # normalises, takes the signed power, then the q-th power, in float64.
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(300, 16))
+        Y = X + rng.normal(size=X.shape) * rng.uniform(0.1, 2.0, (300, 1))
+        blocks = [RandomFeatures(r, 512, seed=(5, n)) for n, r in enumerate((0.02, 0.2, 0.9, 3.0))]
+        got = block_mass(X.astype(dtype), Y.astype(dtype), blocks, q)
+        np.testing.assert_allclose(got, rff_block_mass(X.astype(dtype), Y.astype(dtype),
+                                                       blocks, q), rtol=rtol)
 
     def test_envelope_at_zero_and_floor(self):
         lo, hi = sphere_block_interval(psi_distance_exact(0.0, 1.0), 2.0)

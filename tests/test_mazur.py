@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedlab.mazur import (
+    _power,
     _signed_power,
     audit_sphere_pairs,
     mazur_constants,
@@ -75,13 +76,14 @@ class TestSignedPower:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("a", [0.5, 4.0 / 3.0, 2.0, 1.0 / 3.0])
     def test_equals_copysign_and_the_sign_multiply(self, a, dtype):
+        # The magnitudes are _power's (roots, products or **); the sign
+        # is checked here, their accuracy in TestRootRoute.
         info = np.finfo(dtype)
         special = [0.0, -0.0, info.smallest_subnormal, -info.smallest_subnormal,
                    info.tiny / 3, -info.tiny / 7, info.tiny, -info.tiny, 1.0, -1.0]
         t = np.concatenate([np.array(special, dtype=dtype),
                             np.random.default_rng(2).normal(size=4000).astype(dtype)])
-        magnitude = np.abs(t)
-        magnitude **= a
+        magnitude = _power(np.abs(t), a, out=np.empty_like(t))
         bits = np.uint32 if dtype == np.float32 else np.uint64
         for out in (None, np.empty_like(t)):
             got = _signed_power(t.copy(), a, out=out)
@@ -110,6 +112,68 @@ class TestSignedPower:
         audit_sphere_pairs([(x, y)], [1.5, 3.0])
         assert np.array_equal(x, x0) and np.array_equal(y, y0)
         assert mazur_map(-0.25, 2.0, 1.0) == -0.0625
+
+
+def _ulps(got, want):
+    """Distance in units in the last place between nonnegative floats,
+    with -0.0 taken as 0.0."""
+    ints = np.int32 if got.dtype == np.float32 else np.int64
+    got, want = np.abs(got), np.abs(want)
+    return np.abs(got.view(ints).astype(np.int64) - want.view(ints).astype(np.int64))
+
+
+class TestRootRoute:
+    """Powers by root, square and product passes against ``**``."""
+
+    EXPONENTS = [(1, 4), (1, 2), (1, 1), (4, 3), (3, 2), (2, 1), (4, 1)]
+
+    @staticmethod
+    def _inputs(dtype):
+        info = np.finfo(dtype)
+        edge = [0.0, -0.0, info.tiny, info.tiny * (1 + info.eps), 2 * info.tiny,
+                info.smallest_subnormal, info.tiny / 3, 1.0, 1.0 - info.epsneg, 2.0]
+        rng = np.random.default_rng(12)
+        bulk = np.concatenate([rng.uniform(0.0, 1.0, 20000), np.exp(rng.uniform(-80, 5, 20000))])
+        return np.concatenate([np.array(edge, dtype=dtype), bulk.astype(dtype)])
+
+    @pytest.mark.parametrize("num, den", EXPONENTS)
+    def test_float32_within_three_ulp_of_the_float64_power(self, num, den):
+        # numpy's float32 pow is itself up to 8 ulp off at 4/3, so the
+        # reference is the float64 power rounded to float32.
+        s = self._inputs(np.float32)
+        e = num / den
+        want = (s.astype(np.float64) ** e).astype(np.float32)
+        for out in (None, np.empty_like(s)):
+            got = _power(s.copy(), e, out=out)
+            assert got.dtype == np.float32
+            assert _ulps(got, want).max() <= 3
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                        reason="needs an extended long double")
+    @pytest.mark.parametrize("num, den", EXPONENTS)
+    def test_float64_within_two_ulp_of_the_exact_power(self, num, den):
+        # The reference takes the exact exponent num/den in long double:
+        # float64 ** at the rounded exponent 4/3 is up to 27 ulp from it
+        # at s = 1e-35, while s cbrt(s) stays within one.
+        s = self._inputs(np.float64)
+        e = np.longdouble(num) / np.longdouble(den)
+        want = (s.astype(np.longdouble) ** e).astype(np.float64)
+        for out in (None, np.empty_like(s)):
+            got = _power(s.copy(), num / den, out=out)
+            assert _ulps(got, want).max() <= 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("num, den", EXPONENTS)
+    def test_signed_zeros_keep_their_sign(self, num, den, dtype):
+        t = np.array([0.0, -0.0], dtype=dtype)
+        assert np.array_equal(_power(np.abs(t), num / den), [0.0, 0.0])
+        got = _signed_power(t.copy(), num / den)
+        assert np.array_equal(got, [0.0, 0.0]) and list(np.signbit(got)) == [False, True]
+
+    @pytest.mark.parametrize("e", [0.7, 3.0])
+    def test_other_exponents_take_pow(self, e):
+        s = self._inputs(np.float64)
+        assert np.array_equal(_power(s.copy(), e), s ** e)
 
 
 class TestSignedPowerConstant:
