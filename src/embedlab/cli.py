@@ -169,10 +169,10 @@ def cmd_moduli(args: argparse.Namespace) -> int:
 # verify suites
 
 
-# Byte budget of one row tile of the Mazur and kernel suites, sized for
-# one core's L2: what block_mass's three float32 scratch arrays take at a
-# glue.ROW_QUANTUM tile of 512 features, 3 x 512 KiB.  Stated in bytes so
-# that the Mazur suite need not load glue.
+# Byte budget of one row tile of the Mazur suite and the kernel suite's
+# series, sized for one core's L2: what block_mass's three scratch arrays
+# take, 3 x 512 KiB.  Stated here so that the Mazur suite need not load
+# gaussian.
 _TILE_BYTES = 3 * 512 * 1024
 
 
@@ -200,8 +200,8 @@ def _suite_mazur(args: argparse.Namespace) -> dict:
 def _suite_kernel(args: argparse.Namespace) -> dict:
     import numpy as np
 
-    from .gaussian import (RandomFeatures, TruncatedExp, exp_coordinates_batch,
-                           psi_distance_exact, rff_coordinates_batch)
+    from .gaussian import (RandomFeatures, TruncatedExp, block_mass, exp_coordinates_batch,
+                           psi_distance_exact)
 
     dim = min(args.dim, 3)
     backend = TruncatedExp(args.r, args.degree, dim)
@@ -232,13 +232,11 @@ def _suite_kernel(args: argparse.Namespace) -> dict:
     rng = _batch_rng(args.seed, 102)
     P = rng.standard_normal((args.samples, rdim))
     Q = rng.standard_normal((args.samples, rdim)) * rng.uniform(0.0, 3.0, (args.samples, 1))
-    # The features run in float32, as in every rff moduli run; a feature
-    # tile holds two (rows x features) float32 arrays.
-    kernel_est = np.empty(args.samples)
-    for sl in _row_tiles(args.samples, 2 * 4 * args.n_features):
-        zp = rff_coordinates_batch(P[sl].astype(np.float32), feats)
-        zq = rff_coordinates_batch(Q[sl].astype(np.float32), feats)
-        kernel_est[sl] = np.einsum("ij,ij->i", zp, zq)
+    # The kernel every rff moduli run takes, in float32 as there: at q = 2
+    # a block's mass is |psi(p) - psi(q)|^2 = 2 - 2 <psi(p), psi(q)>, since
+    # the psi rows are unit vectors.  block_mass tiles the rows itself and
+    # draws the table once.
+    kernel_est = 1.0 - block_mass(P, Q, [feats], 2.0, dtype=np.float32) / 2.0
     kernel_true = np.exp(-args.r * np.sum((P - Q) ** 2, axis=1))
     rff_err = float(np.max(np.abs(kernel_est - kernel_true)))
     rff_viol = int(np.sum(np.abs(kernel_est - kernel_true) > 0.08))
@@ -550,9 +548,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=_NON_NEGATIVE_INT, default=0, help="master RNG seed")
         sp.add_argument("--out", default=None, help="primary artifact path")
         sp.add_argument("--threads", type=_POSITIVE_INT, default=1,
-                        help="worker threads: a glued embedding runs its 256-row "
-                             "chunks on N threads, which bounds its compute threads "
-                             "(results are thread-count independent)")
+                        help="worker threads: a glued embedding runs its row tiles "
+                             "on N threads, one contiguous run each, which bounds its "
+                             "compute threads (results are thread-count independent)")
 
     mod = sub.add_parser("moduli", help="envelope estimates for a glued embedding")
     common(mod)

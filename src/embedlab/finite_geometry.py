@@ -24,6 +24,9 @@ MAX_AUDIT_PAIRS = 1 << 20
 # Relative float slack of the probe audit's comparisons.
 _REL_TOL = 1e-12
 
+# Set bits of each byte value.
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
+
 
 @dataclass(frozen=True)
 class HammingCube:
@@ -86,13 +89,15 @@ class GkSpace:
     def elements(self) -> list[tuple[int, ...]]:
         return list(itertools.combinations(range(1, self.ground + 1), self.k))
 
-    def element_matrix(self) -> np.ndarray:
-        """(C(n,k), n) 0/1 incidence matrix in element order."""
-        els = self.elements()
-        mat = np.zeros((len(els), self.ground), dtype=np.float64)
-        for i, e in enumerate(els):
-            mat[i, np.asarray(e) - 1] = 1.0
-        return mat
+    def bitmasks(self) -> np.ndarray:
+        """(C(n,k), ceil(n / 8)) uint8 bitmasks in element order: byte j of
+        row u holds the ground points 8j + 1 .. 8j + 8 of the element u."""
+        bits = np.asarray(self.elements(), dtype=np.int64) - 1
+        out = np.zeros((len(bits), -(-self.ground // 8)), dtype=np.uint8)
+        rows = np.repeat(np.arange(len(bits)), self.k)
+        np.bitwise_or.at(out, (rows, bits.ravel() >> 3),
+                         np.left_shift(1, bits.ravel() & 7).astype(np.uint8))
+        return out
 
 
 @dataclass(frozen=True)
@@ -119,33 +124,35 @@ def probe_audit(k: int, ground: int, p, *,
     """Check the probe is ``lipschitz_factor``-Lipschitz and 1-discrete.
 
     The probe sends a k-subset u of {1..ground} to the sum of the standard
-    basis vectors it indexes, the row of u in
-    :meth:`GkSpace.element_matrix`.  The image difference vector has |A Delta B| entries of modulus 1, so
-    image distances reduce to symmetric-difference counts; the audit is
-    exact integer arithmetic over all pairs (caps permitting).
+    basis vectors it indexes.  The image difference vector has
+    |A Delta B| entries of modulus 1, so image distances reduce to
+    symmetric-difference counts; the audit is exact integer arithmetic
+    over all pairs (caps permitting).  The counts are popcounts of the
+    XOR of two elements' bitmasks (:meth:`GkSpace.bitmasks`), taken one
+    row of pairs (u, v > u) at a time and folded into a histogram, from
+    which the maximum ratio, the minimum image and the violation counts
+    follow: no (pairs x pairs) array is built.
     """
     root = distance_root(p)
     space = GkSpace(k, ground)
-    mat = space.element_matrix()
-    n_el = mat.shape[0]
+    masks = space.bitmasks()
+    n_el = len(masks)
     if math.comb(n_el, 2) > MAX_AUDIT_PAIRS:
         raise ValueError("pair count exceeds enumeration cap")
-    inter = mat @ mat.T                      # |A cap B|
-    sym = 2.0 * (k - inter)                  # |A Delta B|
-    iu = np.triu_indices(n_el, k=1)
-    sym_u = sym[iu]
-    rho = sym_u / 2.0
-    image = sym_u ** (1.0 / root)
-    nz = image[sym_u > 0]
-    ratio = image[rho > 0] / rho[rho > 0]
-    max_ratio = float(ratio.max()) if ratio.size else 0.0
-    min_nonzero = float(nz.min()) if nz.size else math.inf
-    lip_bad = int(np.sum(ratio > lipschitz_factor * (1.0 + _REL_TOL)))
-    disc_bad = int(np.sum(nz < 1.0 - _REL_TOL))
+    hist = np.zeros(2 * k + 1, dtype=np.int64)  # pairs by |A Delta B|
+    for u in range(n_el - 1):
+        sym = _POPCOUNT[masks[u] ^ masks[u + 1:]].sum(axis=1)
+        hist += np.bincount(sym, minlength=2 * k + 1)
+    sym = np.flatnonzero(hist).astype(np.float64)  # the counts met, all > 0
+    pairs = hist[hist > 0]
+    image = sym ** (1.0 / root)
+    ratio = image / (sym / 2.0)
     return ProbeAuditReport(
-        k=k, ground=ground, p=p, n_pairs=int(sym_u.size),
-        max_ratio=max_ratio, min_nonzero_image=min_nonzero,
-        lipschitz_violations=lip_bad, discreteness_violations=disc_bad,
+        k=k, ground=ground, p=p, n_pairs=int(pairs.sum()),
+        max_ratio=float(ratio.max()) if ratio.size else 0.0,
+        min_nonzero_image=float(image.min()) if image.size else math.inf,
+        lipschitz_violations=int(pairs[ratio > lipschitz_factor * (1.0 + _REL_TOL)].sum()),
+        discreteness_violations=int(pairs[image < 1.0 - _REL_TOL].sum()),
     )
 
 

@@ -29,13 +29,15 @@ one per-row quotient.  Powers whose exponent is an exact root go through
 sqrt, cbrt and square passes (``mazur._power``).  Each block's row sums
 are einsums in the dtype of its coordinates; the blocks are accumulated
 in float64.  Random-feature coordinates are computed in the floating
-dtype of the input points, so float32 rows give float32 arithmetic with
-the same feature tables.  Their feature product multiplies the rows
-[x, 1] by the table [w; b], so it also adds the phases, and runs in row
-slabs that OpenBLAS keeps on the calling thread.  Block distances are
-sandwiched by transporting the exact psi distance through the certified
-signed-power constants (:func:`sphere_block_interval` of
-:func:`psi_distance_exact`).
+dtype of the input points, or in a given one, so float32 rows give
+float32 arithmetic with the same feature tables.  Their feature product
+multiplies the rows [x, 1] by the table [w; b], so it also adds the
+phases, and runs in row slabs that OpenBLAS keeps on the calling thread.  The kernel runs groups
+of blocks outside and row tiles inside, both sized from one byte budget,
+so a call draws each feature table once and holds one group's tables at
+a time.  Block distances are sandwiched by transporting the exact psi
+distance through the certified signed-power constants
+(:func:`sphere_block_interval` of :func:`psi_distance_exact`).
 
 This module needs no scipy: the series residual of
 :func:`exp_coordinates_batch` is a Poisson tail, summed in closed form
@@ -58,7 +60,6 @@ __all__ = [
     "RandomFeatures",
     "psi_distance_exact",
     "exp_coordinates_batch",
-    "rff_coordinates_batch",
     "block_mass",
     "sphere_block_interval",
     "moduli_exponents",
@@ -153,15 +154,10 @@ def _multi_indices(dim: int, degree: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64)
 
 
-# Unbounded: a glued embedding reads every block's table once per row
-# chunk, so a bounded cache smaller than its block count would redraw
-# each table on every chunk.
-@functools.lru_cache(maxsize=None)
 def _rff_table(r: float, n_features: int, seed, dim: int, dtype: np.dtype) -> np.ndarray:
     """The (dim + 1) x n_features table [w; b]: frequencies w with the
     phases b as one more row, so that rows [x, 1] times the table are
-    w.x + b.  Drawn in float64 and stored in ``dtype``, once per dtype
-    rather than cast on every call."""
+    w.x + b.  Drawn in float64 and stored in ``dtype``."""
     entropy = (seed if isinstance(seed, tuple) else (seed,)) + (dim,)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
     wb = np.empty((dim + 1, n_features), dtype=dtype)  # no float64 copy of the table
@@ -291,44 +287,17 @@ def _feature_product(X: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarra
     return out
 
 
-def _with_ones(X) -> np.ndarray:
-    """The rows [x, 1] of X, in its floating dtype (other inputs become
-    float64): their product with an rff table [w; b] is w.x + b."""
-    X = np.atleast_2d(np.asarray(X))
-    if not np.all(np.isfinite(X)):
-        raise ValueError("input contains non-finite entries")
-    X1 = np.ones((len(X), X.shape[1] + 1), dtype=X.dtype if X.dtype.kind == "f" else float)
-    X1[:, :-1] = X
-    return X1
-
-
-def _rff_cosines(X1: np.ndarray, backend: RandomFeatures,
-                 out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Raw features cos(w.x + b) of the rows [x, 1] of ``X1``, in its dtype,
-    and their squared row norms; ``out``, if given, receives the features
-    and must be C-contiguous.  The sqrt(2/D) feature scale cancels in the
-    normalisation, so it is never applied."""
-    wb = _rff_table(backend.r, backend.n_features, backend.seed, X1.shape[1] - 1, X1.dtype)
-    if out is None:
-        out = np.empty((len(X1), backend.n_features), dtype=X1.dtype)
-    elif not out.flags.c_contiguous:
+def _rff_cosines(X1: np.ndarray, wb: np.ndarray,
+                 out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw features cos(w.x + b) of the rows [x, 1] of ``X1`` under the
+    table ``wb`` = [w; b], in their dtype, and their squared row norms;
+    ``out`` receives the features and must be C-contiguous.  The sqrt(2/D)
+    feature scale cancels in the normalisation, so it is never applied."""
+    if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     z = np.cos(_feature_product(X1, wb, out), out=out)
     # einsum takes the squared norms without a squared copy of z
     return z, np.einsum("ij,ij->i", z, z)
-
-
-def rff_coordinates_batch(X: np.ndarray, backend: RandomFeatures,
-                          out: np.ndarray | None = None) -> np.ndarray:
-    """Renormalized random-feature coordinates, shape (batch, n_features).
-
-    Computed in the floating dtype of ``X`` (other inputs become float64),
-    with the feature table drawn in float64 and stored in that dtype.
-    ``out``, if given, receives the result and must be C-contiguous.
-    """
-    z, n2 = _rff_cosines(_with_ones(X), backend, out=out)
-    z /= np.sqrt(n2)[:, None]
-    return z
 
 
 def moduli_exponents(q: float) -> tuple[float, float]:
@@ -386,15 +355,15 @@ def delta_q(q: float) -> float:
 
 
 def _block_coordinates(X1: np.ndarray, backend: TruncatedExp | RandomFeatures,
-                       out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                       wb: np.ndarray | None, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates c of the rows [x, 1] of ``X1`` and their squared row
-    norms n^2, so that c / n is psi_r(x) row by row: raw cosines for
-    random features (``out`` receives them), the series' unit rows with
-    n^2 = 1."""
+    norms n^2, so that c / n is psi_r(x) row by row: raw cosines under
+    the random-feature table ``wb`` (``out`` receives them), the series'
+    unit rows with n^2 = 1."""
     if isinstance(backend, TruncatedExp):
         coords = exp_coordinates_batch(X1[:, :-1], backend)[0]
         return coords, np.ones(len(coords))
-    return _rff_cosines(X1, backend, out=out)
+    return _rff_cosines(X1, wb, out=out)
 
 
 def _row_power_sums(h: np.ndarray, q: float, spare: np.ndarray) -> np.ndarray:
@@ -417,15 +386,50 @@ def _row_power_sums(h: np.ndarray, q: float, spare: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", g, g)
 
 
-def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float) -> np.ndarray:
+# Byte budget of one array of block_mass's working set.  A row tile holds
+# this much in each of its three (rows x features) scratch arrays, and a
+# group of blocks this much of feature tables.  At 512 float32 features
+# a tile is 256 rows, whose scratch arrays take 3 x 512 KiB and fit one
+# core's L2 (2048-row tiles need 3 x 4 MiB and run from L3), and a group
+# is 15 tables of 17 x 512.  At 4096 features a tile is 32 rows and a
+# group one table.
+_SCRATCH_BYTES = 512 * 1024
+
+
+def _width(backend: TruncatedExp | RandomFeatures) -> int:
+    return backend.n_coords if isinstance(backend, TruncatedExp) else backend.n_features
+
+
+def _plan(X: np.ndarray, backends: tuple,
+          dtype=None) -> tuple[np.dtype, np.dtype, int, int, int]:
+    """How :func:`block_mass` runs ``backends`` on the points ``X``: the
+    dtype of the rows [x, 1] (``dtype``, else that of X if floating, else
+    float64), the dtype of the coordinates (float64 for the series), the
+    widest block's coordinate count, the rows of a tile and the blocks of
+    a group.  One (rows x coordinates) array, and the (dim + 1) x
+    features tables of a group, each take about _SCRATCH_BYTES."""
+    if len({type(b) for b in backends}) > 1:
+        raise ValueError("the blocks of one call must share one backend")
+    if dtype is None:
+        dtype = X.dtype if X.dtype.kind == "f" else float
+    dtype = np.dtype(dtype)
+    cdt = np.dtype(float) if backends and isinstance(backends[0], TruncatedExp) else dtype
+    width = max((_width(b) for b in backends), default=1)
+    row = cdt.itemsize * width
+    return (dtype, cdt, width, max(1, _SCRATCH_BYTES // row),
+            max(1, _SCRATCH_BYTES // ((X.shape[1] + 1) * row)))
+
+
+def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float, dtype=None) -> np.ndarray:
     """Power mass of paired rows summed over the blocks ``backends``, each
     mapped into l_q.
 
     Block n maps a row x to phi_n(x) = s_a(psi_r(x)) with a = 2/q: the
     backend's unit-sphere coordinates psi_r(x) (truncated series or random
     features) under the coordinatewise signed power s_a, the (2, q) Mazur
-    map, which lands on the unit q-sphere.  Random features keep the
-    floating dtype of ``X``; the series is evaluated in float64.
+    map, which lands on the unit q-sphere.  Random features run in
+    ``dtype``, by default the floating dtype of ``X``; the series is
+    evaluated in float64.  All blocks of one call share one backend.
 
     Block n adds sum_i |phi_n(x)_i - phi_n(y)_i|^q, its share of the
     glued mass in both regimes: the q-th power of the block distance for
@@ -439,25 +443,47 @@ def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float) -> np.ndarray:
     one per-row scale of s_a(c_y) instead of two full-array divides
     (n = 1 for the series).  The row sums are einsums in the
     coordinates' dtype (:func:`_row_power_sums`), so float32 for float32
-    rows; the per-row ratios and quotients are float64, and blocks are
-    added in order into a float64 total.  Every random-feature block
-    reads the rows [x, 1], built once per call, so its feature product
-    also adds the phases.  The coordinate array and the two image arrays
-    are reused from block to block: freeing and reallocating them for
-    every block lets the C allocator hand their pages back to the system
-    and fault them in again.
+    rows; the per-row ratios and quotients are float64.
+
+    The loops run groups of blocks outside and row tiles inside
+    (:func:`_plan`), so only one group's feature tables are alive at a
+    time and each table is drawn once per call.  Every tile's rows [x, 1]
+    are written once per group into a reused buffer, so the feature
+    product also adds the phases, and are checked finite in the first
+    group.  The coordinate array and the two image arrays are reused as
+    well: freeing and reallocating them for every block lets the C
+    allocator hand their pages back to the system and fault them in
+    again.  Each row adds its blocks in order into a float64 total, so
+    neither the tile nor the group size changes a bit of the result.
     """
-    X1, Y1 = _with_ones(X), _with_ones(Y)
-    total = np.zeros(len(X1))
-    coords = px = py = None
+    X, Y = (np.atleast_2d(np.asarray(P)) for P in (X, Y))
+    backends = tuple(backends)
+    dtype, cdt, width, rows, group = _plan(X, backends, dtype)
+    n, dim = X.shape
+    X1, Y1 = np.ones((2, rows, dim + 1), dtype=dtype)
+    flats = np.empty((3, rows * width), dtype=cdt)
+    total = np.zeros(n)
     a = 2.0 / q
-    for backend in backends:
-        coords, n2x = _block_coordinates(X1, backend, out=coords)
-        px = _signed_power(coords, a, out=px)
-        coords, n2y = _block_coordinates(Y1, backend, out=coords)
-        py = _signed_power(coords, a, out=py)
-        scale = np.divide(n2x, n2y, dtype=float) ** (1.0 / q)  # (n_x / n_y)^a
-        py *= scale.astype(py.dtype)[:, None]
-        h = np.subtract(px, py, out=px)
-        total += np.divide(_row_power_sums(h, q, spare=py), n2x, dtype=float)
+    for g in range(0, len(backends), group):
+        blocks = backends[g:g + group]
+        tables = [_rff_table(b.r, b.n_features, b.seed, dim, dtype)
+                  if isinstance(b, RandomFeatures) else None for b in blocks]
+        for start in range(0, n, rows):
+            sl = slice(start, min(start + rows, n))
+            x1, y1 = X1[:sl.stop - start], Y1[:sl.stop - start]
+            x1[:, :-1], y1[:, :-1] = X[sl], Y[sl]
+            if g == 0 and not (np.all(np.isfinite(x1)) and np.all(np.isfinite(y1))):
+                raise ValueError("input contains non-finite entries")
+            for backend, wb in zip(blocks, tables):
+                shape = (len(x1), _width(backend))
+                coords, px, py = (f[:shape[0] * shape[1]].reshape(shape) for f in flats)
+                coords, n2x = _block_coordinates(x1, backend, wb, coords)
+                px = _signed_power(coords, a, out=px)
+                coords, n2y = _block_coordinates(y1, backend, wb, coords)
+                py = _signed_power(coords, a, out=py)
+                scale = np.divide(n2x, n2y, dtype=float) ** (1.0 / q)  # (n_x / n_y)^a
+                py *= scale.astype(py.dtype)[:, None]
+                h = np.subtract(px, py, out=px)
+                total[sl] += np.divide(_row_power_sums(h, q, spare=py), n2x, dtype=float)
+        del tables  # freed before the next group's are drawn, not after
     return total

@@ -52,6 +52,7 @@ from .gaussian import (
     moduli_exponents,
     psi_distance_exact,
     sphere_block_interval,
+    _plan,
     _transport_constants,
 )
 from .metric_core import distance_root
@@ -120,18 +121,11 @@ class PowerLogSeq:
         raise ValueError(f"sum of value(n)^{power} diverges (a={a}, b={b})")
 
 
-# Fixed row-chunk size of glued evaluations.  Glued distances and
-# intervals are evaluated over row slices of this size whatever the
-# thread count, so the thread count never changes the slices the
-# arithmetic sees.  The size is a cache tile:
-# block_mass streams 17 (q = 1.5) or 18 (q = 4) elementwise passes per
-# block through three (rows x features) scratch arrays, which at 512
-# float32 features take 3 x 512 KiB here and fit one core's L2 (2048-row
-# tiles need 3 x 4 MiB and run from L3).  At 512 features x (16 + 1)
-# columns the feature product's slab is 30 rows, so a tile is eight
-# slabs and a 16-row tail; a row's GEMM product does not depend on the
-# rows beside it (test_bitwise_equal_to_one_matmul), so every artifact
-# byte is what other tiles give.
+# Fixed row-chunk size of kernel-mode intervals: the (separations x
+# blocks) arrays of :meth:`GluedEmbedding.distance_interval` are built
+# per slice of this many separations whatever the thread count, so the
+# thread count never changes the slices the arithmetic sees.  Glued image
+# distances are tiled by :func:`~embedlab.gaussian.block_mass` itself.
 ROW_QUANTUM = 256
 
 # Terms summed exactly before the certified tail takes over in the full
@@ -413,11 +407,11 @@ class GluedEmbedding:
             raise ValueError(f"points have dim {P.shape[1]}, family expects {dim}")
         return P
 
-    def _chunked(self, part, n: int, lead: tuple = ()) -> np.ndarray:
+    def _chunked(self, part, step: int, n: int, lead: tuple = ()) -> np.ndarray:
         """The (*lead, n) array whose columns ``sl`` are ``part(sl)``, for
-        slices of ROW_QUANTUM of the n rows run on ``threads`` workers and
-        placed by position, so the bytes never depend on the thread count."""
-        slices = [slice(i, i + ROW_QUANTUM) for i in range(0, n, ROW_QUANTUM)]
+        slices of ``step`` of the n rows run on ``threads`` workers and
+        placed by position."""
+        slices = [slice(i, i + step) for i in range(0, n, step)]
         if self.threads == 1 or len(slices) <= 1:
             parts = map(part, slices)
         else:
@@ -434,23 +428,23 @@ class GluedEmbedding:
         """Glued distances for paired rows of X and Y (coordinate mode).
 
         The glued mass is :func:`~embedlab.gaussian.block_mass` over the
-        blocks, per slice of ROW_QUANTUM rows on ``threads`` workers.  The
-        block maps run in the floating dtype of the points, or in ``dtype``
-        if given, to which each slice is cast on its own (float32 rows give
+        blocks, one call per worker of ``threads``, each on one contiguous
+        run of the kernel's row tiles.  The block maps run in the floating
+        dtype of the points, or in ``dtype`` if given (float32 rows give
         float32 random features and float32 per-block row sums); the
-        blocks are summed in float64.
+        blocks are summed in float64.  Every row adds its blocks in order
+        and the tiles do not depend on the runs, so neither do the bytes.
         """
         if self.family.kernel_mode:
             raise ValueError("kernel-mode embeddings have interval distances; "
                              "use distance_interval")
         X, Y = self._rows(X), self._rows(Y)
         blocks, q = self._blocks, self.schedule.q  # built here, never in a worker
-
-        def mass(sl):
-            x, y = (np.ascontiguousarray(P[sl], dtype=dtype) for P in (X, Y))
-            return block_mass(x, y, blocks, q)
-
-        total = self._chunked(mass, len(X))
+        tile = _plan(X, blocks, dtype)[3]
+        tiles = -(-len(X) // tile)
+        run = tile * max(1, -(-tiles // self.threads))  # whole tiles per worker
+        total = self._chunked(lambda sl: block_mass(X[sl], Y[sl], blocks, q, dtype),
+                              run, len(X))
         return total ** (1.0 / self.schedule.mass_power)
 
     # -- kernel mode -----------------------------------------------------
@@ -470,7 +464,7 @@ class GluedEmbedding:
             lo_b, hi_b = sphere_block_interval(D, self.schedule.q)
             return (lo_b ** m).sum(axis=1), (hi_b ** m).sum(axis=1)
 
-        lo, hi = self._chunked(masses, len(d), lead=(2,))
+        lo, hi = self._chunked(masses, ROW_QUANTUM, len(d), lead=(2,))
         return lo ** (1.0 / m), hi ** (1.0 / m)
 
     # -- shared ----------------------------------------------------------

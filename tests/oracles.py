@@ -13,7 +13,10 @@ decimal arithmetic, and its block kernel on random features against the
 glued mass in textbook order in float64.  The Hamming-cube distance rows of
 ``embedlab.finite_geometry`` are checked against the popcount of one
 pair's XOR and against the dense distance matrix of the bit-matrix
-product, which also feeds the whole-array distortion oracle.
+product, which also feeds the whole-array distortion oracle; its probe
+audit of k-subsets against the Gram matrix of the incidence rows.  The
+moduli pair sampler of ``embedlab.moduli`` is checked against one fresh
+generator per pair.
 
 Each enumerator refuses sets past ``MAX_SET_SIZE`` points.
 """
@@ -25,7 +28,7 @@ import math
 import numpy as np
 
 from embedlab.amenable import ZkFolnerSystem, box_intersection_count
-from embedlab.finite_geometry import HammingCube
+from embedlab.finite_geometry import GkSpace, HammingCube
 from embedlab.gaussian import RandomFeatures
 from embedlab.mazur import mazur_constants, mazur_map
 from embedlab.metric_core import distance_root
@@ -293,25 +296,29 @@ def mazur_grid_audit(grid, samples: int, dim: int, seed: int,
             "max_involution_deviation": invol_dev, "cells": cells}
 
 
+def rff_coordinates(X, backend) -> np.ndarray:
+    """Unit-normalised random features of the rows of X, in float64: the
+    table from Philox((*seed, dim)) (frequencies, then phases), the
+    features cos(w.x + b), each row divided by its norm."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    dim = X.shape[1]
+    seed = backend.seed if isinstance(backend.seed, tuple) else (backend.seed,)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed + (dim,))))
+    w = rng.normal(0.0, math.sqrt(2.0 * backend.r), size=(dim, backend.n_features))
+    b = rng.uniform(0.0, 2.0 * math.pi, size=backend.n_features)
+    z = np.cos(X @ w + b)
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
 def rff_block_mass(X, Y, backends, q: float) -> np.ndarray:
     """The glued mass of paired rows over random-feature ``backends``, in
-    float64 and textbook order: per block, its table from
-    Philox((*seed, dim)) (frequencies, then phases), the features
-    cos(w.x + b) normalised row by row, then the signed power 2/q, then
+    float64 and textbook order: per block, the normalised features of
+    :func:`rff_coordinates`, then the signed power 2/q, then
     sum_i |phi(x)_i - phi(y)_i|^q; the blocks added up."""
-    X, Y = (np.atleast_2d(np.asarray(P, dtype=float)) for P in (X, Y))
-    dim = X.shape[1]
-    mass = np.zeros(len(X))
+    mass = np.zeros(len(np.atleast_2d(X)))
     for be in backends:
-        seed = be.seed if isinstance(be.seed, tuple) else (be.seed,)
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed + (dim,))))
-        w = rng.normal(0.0, math.sqrt(2.0 * be.r), size=(dim, be.n_features))
-        b = rng.uniform(0.0, 2.0 * math.pi, size=be.n_features)
-        side = []
-        for P in (X, Y):
-            z = np.cos(P @ w + b)
-            z /= np.linalg.norm(z, axis=1, keepdims=True)
-            side.append(np.sign(z) * np.abs(z) ** (2.0 / q))
+        side = [np.sign(z) * np.abs(z) ** (2.0 / q)
+                for z in (rff_coordinates(X, be), rff_coordinates(Y, be))]
         mass += np.sum(np.abs(side[0] - side[1]) ** q, axis=1)
     return mass
 
@@ -324,3 +331,47 @@ def rff_glued_distance(e, X, Y) -> np.ndarray:
     backends = [RandomFeatures(float(r), fam.n_features, (fam.base_seed, int(n)))
                 for n, r in zip(e.block_ids, e.bandwidths)]
     return rff_block_mass(X, Y, backends, q) ** (1.0 / distance_root(q))
+
+
+def pair_sample_loop(sampler, n_pairs: int, seed: int):
+    """The moduli pair stream drawn pair by pair as the textbook loop:
+    a fresh generator on Philox(SeedSequence((seed, i))) for pair i, a
+    Gaussian base point, a Gaussian direction normalised by
+    ``np.linalg.norm``, then a log-uniform separation."""
+    X = np.empty((n_pairs, sampler.dim))
+    Y = np.empty((n_pairs, sampler.dim))
+    t = np.empty(n_pairs)
+    log_ratio = math.log(sampler.t_max / sampler.t_min)
+    for i in range(n_pairs):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, i))))
+        base = rng.normal(0.0, 1.0, size=sampler.dim)
+        direction = rng.normal(size=sampler.dim)
+        direction /= np.linalg.norm(direction)
+        t[i] = sampler.t_min * math.exp(rng.uniform() * log_ratio)
+        X[i] = base
+        Y[i] = base + t[i] * direction
+    return X, Y, t
+
+
+def gk_incidence_matrix(space) -> np.ndarray:
+    """(C(n,k), n) 0/1 float64 incidence matrix of G(k, n), element order:
+    row u is the probe image of u, the sum of the basis vectors it indexes."""
+    els = space.elements()
+    mat = np.zeros((len(els), space.ground))
+    for i, e in enumerate(els):
+        mat[i, np.asarray(e) - 1] = 1.0
+    return mat
+
+
+def gk_probe_audit(k: int, ground: int, p, lipschitz_factor: float = 2.0) -> dict:
+    """The probe audit over the whole Gram matrix of the incidence rows:
+    |A Delta B| = 2 (k - |A cap B|) for every pair u < v at once."""
+    mat = gk_incidence_matrix(GkSpace(k, ground))
+    sym = 2.0 * (k - mat @ mat.T)[np.triu_indices(len(mat), k=1)]
+    image = sym ** (1.0 / distance_root(p))
+    ratio = image / (sym / 2.0)
+    return {"n_pairs": int(sym.size),
+            "max_ratio": float(ratio.max()) if ratio.size else 0.0,
+            "min_nonzero_image": float(image.min()) if image.size else math.inf,
+            "lipschitz_violations": int(np.sum(ratio > lipschitz_factor * (1.0 + 1e-12))),
+            "discreteness_violations": int(np.sum(image < 1.0 - 1e-12))}

@@ -588,6 +588,18 @@ class TestClosedFormOracles:
             F = set(heis_ball(model, radius))
             assert got[n] == max(folner_defect(F, g, model) for g in gens)
 
+    def test_heisenberg_generator_and_inverse_counts_agree(self):
+        # |F cap gF| = |F cap g^-1 F|, so the worst defect needs only one
+        # generator of each inverse pair.
+        model = HeisenbergModel()
+        for radius in range(7):
+            F = set(heis_ball(model, radius))
+            counts = [heis_intersection_count(radius, g)
+                      for g in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))]
+            assert counts[0] == counts[1] and counts[2] == counts[3], radius
+            assert counts[0] == len(F & {heis_mul((1, 0, 0), f) for f in F}), radius
+            assert counts[2] == len(F & {heis_mul((0, 1, 0), f) for f in F}), radius
+
     @pytest.mark.parametrize("slab", [1, 50, 100])  # 1, 2 and 4 of the 25 rows per slab
     def test_heisenberg_count_ignores_the_slab_size(self, monkeypatch, slab):
         want = [heis_intersection_count(12, g) for g in ((1, 0, 0), (2, -1, 3))]

@@ -385,8 +385,8 @@ class TestModuliCommand:
         pytest.param("2", "warmup_l2", "kernel", id="2-warmup_l2-kernel"),
     ])
     def test_threads_never_change_artifacts_at_slab_edges(self, tmp_path, q, preset, backend):
-        # 2049 pairs is a multiple of neither the feature product's row
-        # slab (32 rows at 512 features x 16 dims) nor ROW_QUANTUM.
+        # 2049 pairs is a multiple of neither the feature product's 30-row
+        # slab (512 features x (16 + 1) columns) nor the 256-row tile.
         def once(tag, threads):
             j = tmp_path / f"{tag}.json"
             c = tmp_path / f"{tag}.csv"
@@ -841,8 +841,9 @@ class TestRunsWithoutScipy:
         assert got["codes"] == [cli.EXIT_OK]
 
     def test_exp_run_keeps_its_bytes_at_two_threads(self, tmp_path):
-        # 2100 pairs are nine ROW_QUANTUM chunks, so with two threads the
-        # series coordinates and residuals run in worker threads.
+        # At 561 series coordinates a tile is 116 rows, so 2100 pairs are
+        # 19 tiles, and with two threads the series coordinates run in two
+        # worker threads.
         def once(threads):
             j, c = f"exp{threads}.json", f"exp{threads}.csv"
             got = _fresh_cli([_EXP_MODULI + ["--pairs", "2100", "--threads", str(threads),
@@ -851,6 +852,28 @@ class TestRunsWithoutScipy:
             return (tmp_path / j).read_bytes(), (tmp_path / c).read_bytes()
 
         assert once(1) == once(2)
+
+
+def _peak_rss_mb(argv) -> float:
+    """Peak resident set of one fresh ``embedlab`` process, in MB."""
+    proc = subprocess.Popen([sys.executable, "-m", "embedlab.cli", *argv],
+                            stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    assert os.waitstatus_to_exitcode(status) == cli.EXIT_OK
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def test_rff_run_memory_does_not_grow_with_the_block_count(tmp_path):
+    # One group of feature tables is alive at a time, so 300 more blocks
+    # cost no memory; with every table alive, 400 blocks peaked 10 MB
+    # above 100.
+    def peak(n_terms):
+        return _peak_rss_mb(["moduli", "--preset", "strong_qge2", "--q", "4",
+                             "--beta", "1.05", "--backend", "rff", "--n-features", "512",
+                             "--n-terms", str(n_terms), "--pairs", "1024",
+                             "--json-out", str(tmp_path / f"run{n_terms}.json")])
+
+    assert peak(400) - peak(100) < 1.5
 
 
 class TestEachCommandLoadsOnlyItsModules:

@@ -20,12 +20,11 @@ from embedlab.gaussian import (
     exp_coordinates_batch,
     moduli_exponents,
     psi_distance_exact,
-    rff_coordinates_batch,
     sphere_block_interval,
 )
 from embedlab.glue import GaussianBlockFamily, preset_schedule
 from embedlab.mazur import mazur_map, signed_power_constant
-from oracles import poisson_tail, rff_block_mass
+from oracles import poisson_tail, rff_block_mass, rff_coordinates
 
 
 class TestPsiDistance:
@@ -134,25 +133,30 @@ class TestPoissonTail:
 
 class TestRandomFeatures:
     def test_seed_determinism_and_block_separation(self):
-        x = np.array([0.3, 1.0, -0.2])
-        a = rff_coordinates_batch(x, RandomFeatures(1.0, 64, seed=(5, 2)))
-        b = rff_coordinates_batch(x, RandomFeatures(1.0, 64, seed=(5, 2)))
-        c = rff_coordinates_batch(x, RandomFeatures(1.0, 64, seed=(5, 3)))
+        a = gaussian._rff_table(1.0, 64, (5, 2), 3, np.dtype(np.float64))
+        b = gaussian._rff_table(1.0, 64, (5, 2), 3, np.dtype(np.float64))
+        c = gaussian._rff_table(1.0, 64, (5, 3), 3, np.dtype(np.float64))
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+        # the float32 table holds the float64 draws, rounded
+        f = gaussian._rff_table(1.0, 64, (5, 2), 3, np.dtype(np.float32))
+        assert np.array_equal(f, a.astype(np.float32))
 
     def test_batch_matches_single(self):
         # BLAS picks shape-dependent kernels, so rows of a batched matmul can
         # differ from the batch-of-one path in the last bit; compare tightly
         # instead of bitwise.
         be = RandomFeatures(0.5, 128, seed=7)
-        X = np.random.default_rng(1).normal(size=(4, 6))
-        batch = rff_coordinates_batch(X, be)
+        rng = np.random.default_rng(1)
+        X, Y = rng.normal(size=(2, 4, 6))
+        batch = block_mass(X, Y, [be], 1.5)
         for i in range(4):
-            np.testing.assert_allclose(batch[i], rff_coordinates_batch(X[i], be)[0],
+            np.testing.assert_allclose(batch[i], block_mass(X[i], Y[i], [be], 1.5)[0],
                                        rtol=1e-13, atol=1e-15)
 
     def test_kernel_error_shrinks_with_features(self):
+        # The psi rows are unit vectors, so the q = 2 block mass is
+        # 2 - 2 k^ for the kernel estimate k^, as the kernel suite reads it.
         rng = np.random.default_rng(3)
         X = rng.normal(size=(200, 8))
         Y = X + 0.7 * rng.normal(size=(200, 8))
@@ -160,9 +164,10 @@ class TestRandomFeatures:
 
         def worst(n_features):
             be = RandomFeatures(1.0, n_features, seed=(0, 1))
-            zx = rff_coordinates_batch(X, be)
-            zy = rff_coordinates_batch(Y, be)
-            return np.abs(np.sum(zx * zy, axis=1) - exact).max()
+            est = 1.0 - block_mass(X, Y, [be], 2.0) / 2.0
+            oracle = np.sum(rff_coordinates(X, be) * rff_coordinates(Y, be), axis=1)
+            np.testing.assert_allclose(est, oracle, rtol=1e-12, atol=1e-12)
+            return np.abs(est - exact).max()
 
         assert worst(4096) <= 0.08
         assert worst(4096) < worst(64)
@@ -170,8 +175,15 @@ class TestRandomFeatures:
     def test_validation(self):
         with pytest.raises(ValueError):
             RandomFeatures(0.0, 16, seed=0)
-        with pytest.raises(ValueError):
-            rff_coordinates_batch(np.array([[math.inf]]), RandomFeatures(1.0, 8, seed=0))
+        be = RandomFeatures(1.0, 8, seed=0)
+        for dtype in (np.float64, np.float32):
+            with pytest.raises(ValueError, match="non-finite"):
+                block_mass(np.array([[math.inf]]), np.zeros((1, 1)), [be], 2.0, dtype=dtype)
+        # finite in float64, but not once rounded to float32
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            block_mass(np.zeros((1, 1)), np.array([[1e39]]), [be], 2.0, dtype=np.float32)
+        with pytest.raises(ValueError, match="one backend"):
+            block_mass(np.zeros((1, 1)), np.zeros((1, 1)), [be, TruncatedExp(1.0, 4, 1)], 2.0)
 
 
 @pytest.mark.parametrize("r", [0.0, math.nan, math.inf])
@@ -210,21 +222,20 @@ class TestSlabbedFeatureProduct:
             product = np.matmul(X1, wb)
             slabbed = gaussian._feature_product(X1, wb, np.empty_like(product))
             assert np.array_equal(_bits(slabbed), _bits(product)), rows
-            # The whole coordinate map, without and with a caller's buffer.
+            # The raw cosines, into the caller's buffer, and their squared
+            # row norms.
             want = np.cos(product)
-            want /= np.sqrt(np.einsum("ij,ij->i", want, want))[:, None]
-            got = rff_coordinates_batch(X, be)
-            assert got.dtype == dtype and got.shape == (rows, n_features)
-            assert np.array_equal(_bits(got), _bits(want)), rows
             buf = np.full((rows, n_features), np.nan, dtype=dtype)
-            assert rff_coordinates_batch(X, be, out=buf) is buf
+            got, n2 = gaussian._rff_cosines(X1, wb, out=buf)
+            assert got is buf
             assert np.array_equal(_bits(buf), _bits(want)), rows
+            assert np.array_equal(n2, np.einsum("ij,ij->i", want, want)), rows
 
     def test_non_contiguous_out_rejected(self):
-        be = RandomFeatures(1.0, 64, seed=0)
+        wb = gaussian._rff_table(1.0, 64, 0, 3, np.dtype(np.float64))
         buf = np.empty((4, 128))[:, ::2]
         with pytest.raises(ValueError, match="C-contiguous"):
-            rff_coordinates_batch(np.ones((4, 3)), be, out=buf)
+            gaussian._rff_cosines(np.ones((4, 4)), wb, out=buf)
 
 
 def _cpu_per_wall(fn):
@@ -382,9 +393,9 @@ class TestPhiMaps:
             mass = block_mass(X, Y, blocks, q)
             for i in range(len(X)):
                 # block images phi = s_{2/q}(psi), concatenated over the blocks
-                flat_x = np.concatenate([mazur_map(rff_coordinates_batch(X[i], be)[0], 2.0, q)
+                flat_x = np.concatenate([mazur_map(rff_coordinates(X[i], be)[0], 2.0, q)
                                          for be in blocks])
-                flat_y = np.concatenate([mazur_map(rff_coordinates_batch(Y[i], be)[0], 2.0, q)
+                flat_y = np.concatenate([mazur_map(rff_coordinates(Y[i], be)[0], 2.0, q)
                                          for be in blocks])
                 want = np.sum(np.abs(flat_x - flat_y) ** q)
                 assert mass[i] == pytest.approx(want, rel=1e-12), (q, i)

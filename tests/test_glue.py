@@ -8,7 +8,6 @@ import pytest
 
 from embedlab.gaussian import delta_q, psi_distance_exact, sphere_block_interval
 from embedlab.glue import (
-    ROW_QUANTUM,
     GaussianBlockFamily,
     GluedEmbedding,
     ParamSchedule,
@@ -224,12 +223,19 @@ class TestGluedEmbedding:
         with pytest.raises(ValueError):
             glue(fam, n_terms=0)
 
-    @pytest.mark.parametrize("backend, dtype", [("rff", np.float32), ("exp", np.float64)])
-    def test_thread_count_never_changes_image_distances(self, backend, dtype):
-        # 2049 rows are eight ROW_QUANTUM chunks and a one-row tail.
-        assert 2049 % ROW_QUANTUM == 1
+    @pytest.mark.parametrize("backend, dtype, n_features", [
+        pytest.param("rff", np.float32, 512, id="rff-float32"),
+        pytest.param("rff", np.float32, 4096, id="rff-float32-4096"),
+        pytest.param("exp", np.float64, 64, id="exp-float64"),
+    ])
+    def test_thread_count_never_changes_image_distances(self, backend, dtype, n_features):
+        # 2049 rows are 8 tiles of 256 rows and a one-row tail at 512
+        # float32 features, 64 tiles of 32 and a one-row tail at 4096, and
+        # tiles of 1456 and 593 rows at the series' 45 float64 coordinates.
+        # Two and three threads take runs of 5 and 3 tiles, 33 and 22, and
+        # one each.
         fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1),
-                                  backend=backend, base_seed=5, n_features=64,
+                                  backend=backend, base_seed=5, n_features=n_features,
                                   exp_degree=8, ambient_dim=2)
         rng = np.random.default_rng(24)
         X = rng.normal(size=(2049, 2)).astype(dtype)

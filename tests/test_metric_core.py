@@ -8,11 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from embedlab.finite_geometry import HammingCube
-from embedlab.gaussian import rff_coordinates_batch
 from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
 from embedlab.mazur import mazur_map
 from embedlab.metric_core import distance_root
-from oracles import cube_distance
+from oracles import cube_distance, rff_coordinates
 
 
 class TestExponentRegime:
@@ -83,8 +82,8 @@ def _flat_distance(X, Y, e):
     phi_n = s_{2/q}(psi_n) of the rows of X and Y."""
     q = e.schedule.q
     blocks = [e.family.block(int(n)) for n in e.block_ids]
-    flat_x = np.hstack([mazur_map(rff_coordinates_batch(X, be), 2.0, q) for be in blocks])
-    flat_y = np.hstack([mazur_map(rff_coordinates_batch(Y, be), 2.0, q) for be in blocks])
+    flat_x = np.hstack([mazur_map(rff_coordinates(X, be), 2.0, q) for be in blocks])
+    flat_y = np.hstack([mazur_map(rff_coordinates(Y, be), 2.0, q) for be in blocks])
     mass = np.sum(np.abs(flat_x - flat_y) ** q, axis=1)
     return mass if q <= 1 else mass ** (1.0 / q)
 

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from embedlab.finite_geometry import HammingCube, cube_report
-from embedlab.gaussian import _rff_table
-from embedlab.glue import ROW_QUANTUM, GaussianBlockFamily, glue, preset_schedule
+from embedlab import gaussian
+from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
 from embedlab.moduli import (
     ModuliEstimate,
     PairSampler,
@@ -23,7 +23,7 @@ from embedlab.moduli import (
     reduce_envelopes,
     write_moduli_csv,
 )
-from oracles import dense_distortion, rff_glued_distance
+from oracles import dense_distortion, pair_sample_loop, rff_glued_distance
 
 
 def identity_engine(X, Y, t):
@@ -41,6 +41,18 @@ class TestPairSampler:
         X, Y, t = PairSampler(0.1, 100.0, dim=6).sample(200, seed=4)
         assert np.allclose(np.linalg.norm(X - Y, axis=1), t, rtol=1e-12)
         assert t.min() >= 0.1 and t.max() <= 100.0
+
+    @pytest.mark.parametrize("seed", [0, 7, 2 ** 32 + 5])  # 2^32 + 5 keys with two words
+    def test_draws_the_stream_of_a_fresh_generator_per_pair(self, seed):
+        s = PairSampler(0.1, 100.0, dim=16)
+        got, want = s.sample(300, seed), pair_sample_loop(s, 300, seed)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+        assert np.array_equal(s.sample(1, seed)[2], want[2][:1])  # pair index 0 alone
+
+    def test_negative_seed_is_refused(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            PairSampler(0.1, 1.0).sample(1, -1)
 
     def test_per_pair_streams_are_batch_independent(self):
         s = PairSampler(0.1, 10.0, dim=4)
@@ -310,43 +322,57 @@ class TestEngines:
             np.testing.assert_allclose(fast_rff_engine(e)(X, Y, None), want, rtol=rtol)
             np.testing.assert_allclose(coordinate_engine(e)(X, Y, None), want, rtol=1e-12)
 
-    def test_tables_drawn_once_per_block_past_512_blocks(self):
-        # Two row chunks over 600 blocks: a cache that evicts would redraw
-        # every table for the second chunk.
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tables_drawn_once_per_block_per_worker_past_512_blocks(self, monkeypatch,
+                                                                     threads):
+        # Two tiles of 256 rows over 600 blocks, in one call per worker:
+        # every call draws each table once, so a second tile or a later
+        # group never redraws one.
+        draws = []
+
+        def counted(*args):
+            draws.append(args[2])
+            return table(*args)
+
+        table = gaussian._rff_table
+        monkeypatch.setattr(gaussian, "_rff_table", counted)
         fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1),
-                                  backend="rff", base_seed=424242, n_features=4,
+                                  backend="rff", base_seed=424242, n_features=512,
                                   ambient_dim=2)
-        e = glue(fam, n_terms=600)
-        X = np.zeros((ROW_QUANTUM + 1, 2))
-        before = _rff_table.cache_info().misses
+        e = glue(fam, n_terms=600, threads=threads)
+        X = np.zeros((257, 2))
         fast_rff_engine(e)(X, X + 1.0, None)
-        assert _rff_table.cache_info().misses - before == 600
+        assert len(draws) == 600 * threads
+        assert sorted(set(draws)) == [(424242, int(n)) for n in e.block_ids]
 
     @pytest.mark.parametrize("q, preset, beta", [(4.0, "strong_qge2", 1.05),
                                                  (1.5, "strong_1leqle2", 1.1)])
     def test_row_tile_size_never_changes_results(self, monkeypatch, q, preset, beta):
-        # 2049 rows leave a one-row tail at every tile size, and none of
-        # 2048, 256 and 32 is a multiple of the 30-row product slab at
-        # 512 features x (16 + 1) columns.
+        # The byte budget sizes both the tiles and the groups.  2049 rows
+        # leave a one-row tail at every tile size, and none of the float32
+        # tiles of 2048, 256 and 32 rows (1024, 128 and 16 in float64) is a
+        # multiple of the 30-row product slab at 512 features x (16 + 1)
+        # columns; the groups hold 120, 15 and 1 float32 tables.
         fam = GaussianBlockFamily(preset_schedule(preset, q=q, beta=beta), backend="rff",
                                   base_seed=31, n_features=512, ambient_dim=16)
-        e = glue(fam, n_terms=3)
+        e = glue(fam, n_terms=16)
         rng = np.random.default_rng(8)
         X = rng.normal(size=(2049, 16))
         Y = X + rng.normal(size=X.shape) * rng.uniform(0.0, 3.0, (2049, 1))
         runs = []
         for rows in (2048, 256, 32):
-            monkeypatch.setattr("embedlab.glue.ROW_QUANTUM", rows)
+            monkeypatch.setattr(gaussian, "_SCRATCH_BYTES", rows * 512 * 4)
             runs.append((fast_rff_engine(e)(X, Y, None), coordinate_engine(e)(X, Y, None)))
         for fast, coord in runs[1:]:
             assert np.array_equal(fast, runs[0][0])
             assert np.array_equal(coord, runs[0][1])
 
     def test_row_tile_scratch_stays_cache_sized(self):
-        # Traced peak of a 8192-row, 512-feature pass: 2.6 MiB with
-        # 256-row tiles (passes), 4.1 MiB with 512-row tiles and 13.1 MiB
+        # Traced peak of a 8192-row, 512-feature pass: 1.8 MiB with
+        # 256-row tiles (passes), 3.4 MiB with 512-row tiles and 12.6 MiB
         # with 2048-row tiles (both fail).  The three per-block scratch
-        # arrays grow with the tile, the float32 point copies do not.
+        # arrays grow with the tile; the rows are cast to float32 a tile
+        # at a time, into a reused buffer.
         import tracemalloc
 
         fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.05),
@@ -356,7 +382,6 @@ class TestEngines:
         rng = np.random.default_rng(1)
         X = rng.normal(size=(8192, 16))
         Y = X + rng.normal(size=X.shape)
-        engine(X[:2], Y[:2], None)  # feature tables drawn outside the trace
         tracemalloc.start()
         try:
             engine(X, Y, None)
