@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import numbers
 import sys
 
 from .report import canonical_json
@@ -88,12 +87,21 @@ def _emit_json(doc: dict, path: str | None) -> None:
             fh.write(text)
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return "nan"
-    if isinstance(value, numbers.Integral):  # Python and numpy integers
-        return str(int(value))
-    return format(float(value), ".12g")
+def _emit_run(args: argparse.Namespace, fields: dict, est=None, window=(),
+              extra: dict | None = None) -> int:
+    """Write a run's artifacts and return its violations: the JSON document
+    (a ``moduli_run`` with the config echo, ``fields`` and, given an
+    estimate, its fits over ``window``) and, with ``--out``, the CSV of
+    the estimate's rows and the ``extra`` columns."""
+    from . import moduli
+
+    doc = {"report_kind": "moduli_run", "config": _echo(args), **fields}
+    if est is not None:
+        doc.update(moduli.fit_envelopes(est, *window))
+    if args.out:
+        moduli.write_moduli_csv(est, args.out, extra)
+    _emit_json(doc, args.json_out)
+    return doc["violations"]
 
 
 def _batch_rng(seed: int, salt: int):
@@ -106,18 +114,20 @@ def _batch_rng(seed: int, salt: int):
 # moduli
 
 
-def _default_regime(preset: str) -> str:
-    if preset == "coarse_l2":
-        return "coarse"
-    if preset == "warmup_l2":
-        return "small_t"
-    return "large_t"
+# The regime a preset's run is compared under, unless --regime names one.
+_DEFAULT_REGIME = {"coarse_l2": "coarse", "warmup_l2": "small_t"}
 
 
 def cmd_moduli(args: argparse.Namespace) -> int:
     missing = [f"--{k}" for k in PRESET_PARAMS[args.preset] if getattr(args, k) is None]
     if missing:
         raise ValueError(f"--preset {args.preset} needs {' and '.join(missing)}")
+    fit_lo = args.t_min if args.fit_lo is None else args.fit_lo
+    fit_hi = args.t_max if args.fit_hi is None else args.fit_hi
+    for lo, hi, names in ((args.t_min, args.t_max, ("--t-min", "--t-max")),
+                          (fit_lo, fit_hi, ("--fit-lo", "--fit-hi"))):
+        if not lo < hi:
+            raise ValueError(f"{names[0]} {lo:g} must be below {names[1]} {hi:g}")
     from . import moduli
     from .glue import GaussianBlockFamily, glue as glue_embedding, preset_schedule
 
@@ -137,32 +147,16 @@ def cmd_moduli(args: argparse.Namespace) -> int:
     certified_enforced = args.backend == "kernel"
     est = moduli.estimate_moduli(engine, sampler, bins=args.bins, pairs=args.pairs,
                                  seed=args.seed, certifier=moduli.glued_certifier(e))
-    fit_lo = args.fit_lo if args.fit_lo is not None else args.t_min
-    fit_hi = args.fit_hi if args.fit_hi is not None else args.t_max
-    rho_fit = moduli.fit_exponent(est, "rho", fit_lo, fit_hi)
-    omega_fit = moduli.fit_exponent(est, "omega", fit_lo, fit_hi)
-    violations = est.certified_violations() if certified_enforced else 0
-
-    doc = {
-        "report_kind": "moduli_run",
+    return _emit_run(args, {
         "domain": "l2",
         "target": f"l{sched.q:g}",
-        "regime": args.regime or _default_regime(args.preset),
-        "config": _echo(args),
+        "regime": args.regime or _DEFAULT_REGIME.get(args.preset, "large_t"),
         "schedule": sched.to_json_dict(),
         "blocks_realized": int(len(e.block_ids)),
         "tail_constant": float(e.tail_constant),
-        "rho_slope": rho_fit.slope,
-        "omega_slope": omega_fit.slope,
-        "rho_fit": rho_fit.to_dict(),
-        "omega_fit": omega_fit.to_dict(),
-        "violations": violations,
+        "violations": est.certified_violations() if certified_enforced else 0,
         "certified_enforced": certified_enforced,
-    }
-    if args.out:
-        moduli.write_moduli_csv(est, args.out)
-    _emit_json(doc, args.json_out)
-    return violations
+    }, est, (fit_lo, fit_hi))
 
 
 # ---------------------------------------------------------------------------
@@ -435,84 +429,61 @@ def cmd_gk(args: argparse.Namespace) -> int:
 # folner artifact run
 
 
-_FOLNER_HEADER = ("bin_edge_t,rho_hat,omega_hat,count,certified_lower,"
-                  "certified_upper,n,eps_n,rad_n,measured_defect_max")
-
-
 def cmd_folner(args: argparse.Namespace) -> int:
     import numpy as np
 
     from . import amenable, moduli
 
-    # Group runs carry the same report kind as l_2 moduli runs so the
-    # comparison table can pick up their fitted exponents.
-    doc: dict = {"report_kind": "moduli_run", "run_kind": "folner",
-                 "group": args.group, "domain": args.group, "target": "lp",
-                 "regime": "large_t", "config": _echo(args)}
+    fields: dict = {"run_kind": "folner", "group": args.group}
     if args.group == "heis":  # translation defects and volume growth only
         if not 2 <= args.n_min <= args.n_max:
             raise ValueError("need 2 <= n_min <= n_max")
         radii = {n: int(1.0 / amenable._preset_eps(n)) for n in range(args.n_min, args.n_max + 1)}
         defects = amenable.heis_worst_defects(radii)
-        rows = [(math.nan, math.nan, math.nan, 0, math.nan, math.nan,
-                 n, amenable._preset_eps(n), float(radius), defects[n])
-                for n, radius in radii.items()]
-        # No glued embedding is realized here, so this run must not feed
-        # the comparison table's measured column.
-        doc["report_kind"] = "folner_run"
-        for key in ("domain", "target", "regime"):
-            doc.pop(key)
         # volume growth over the radii r = n_min..n_max, the run's index
         # range (not the witness radii above); one radius has no slope
         growth = (amenable.heisenberg_growth_fit(args.n_max, args.n_min)
                   if args.n_min < args.n_max else None)
-        doc.update({"growth_fit": growth,
-                    "defects": {str(n): defects[n] for n in defects}})
-        violations = 0
-    else:
-        system = amenable.folner_system(args.group, args.n_min, args.n_max)
-        n_range = range(args.n_min, args.n_max + 1)
-        edges = [system.r(n) for n in n_range] + [args.max_dist]
-        if not edges[-1] > edges[-2]:
-            raise ValueError(f"--max-dist {args.max_dist:g} must exceed "
-                             f"r(n_max) = {edges[-2]:g}")
-        emb = amenable.glued_group_embedding(system, system.model, args.p)
-        d, counts, defects, char = _folner_audit(system, args.pairs, args.max_dist,
-                                                 args.seed, args.p, args.bound_scale)
-        defect_viol = sum(1 for n, v in defects.items()
-                          if v > system.defect_budget(n) * (1 + 1e-12))
-        image_pth = emb.image_distances_pth(counts)
-        bounds = emb.bounds_check(d, image_pth)
+        # No glued embedding is realized here, so this run must not feed
+        # the comparison table's measured column.
+        fields.update({"report_kind": "folner_run", "growth_fit": growth,
+                       "defects": {str(n): defects[n] for n in defects}, "violations": 0})
+        return _emit_run(args, fields, extra={
+            "n": list(radii), "eps_n": [amenable._preset_eps(n) for n in radii],
+            "rad_n": [float(r) for r in radii.values()],
+            "measured_defect_max": [defects[n] for n in radii]})
+    system = amenable.folner_system(args.group, args.n_min, args.n_max)
+    n_range = range(args.n_min, args.n_max + 1)
+    edges = [system.r(n) for n in n_range] + [args.max_dist]
+    if not edges[-1] > edges[-2]:
+        raise ValueError(f"--max-dist {args.max_dist:g} must exceed "
+                         f"r(n_max) = {edges[-2]:g}")
+    emb = amenable.glued_group_embedding(system, system.model, args.p)
+    d, counts, defects, char = _folner_audit(system, args.pairs, args.max_dist,
+                                             args.seed, args.p, args.bound_scale)
+    defect_viol = sum(1 for n, v in defects.items()
+                      if v > system.defect_budget(n) * (1 + 1e-12))
+    image_pth = emb.image_distances_pth(counts)
+    bounds = emb.bounds_check(d, image_pth)
 
-        def root(pth):  # Python's pow, which numpy's SIMD power can differ from
-            return [v ** (1.0 / emb.p) for v in np.asarray(pth).tolist()]
+    def root(pth):  # Python's pow, which numpy's SIMD power can differ from
+        return [v ** (1.0 / emb.p) for v in np.asarray(pth).tolist()]
 
-        est = moduli.reduce_envelopes(
-            d, root(image_pth), edges,
-            certifier=lambda ts: (root(emb.certified_lower_pth(ts)),
-                                  root(emb.certified_upper_pth(ts))))
-        rows = [(edges[j], est.rho_hat[j], est.omega_hat[j], est.counts[j],
-                 est.certified_lower[j], est.certified_upper[j],
-                 n, system.eps(n), float(system.rad(n)), defects.get(n, math.nan))
-                for j, n in enumerate(n_range)]
-        for name, envelope in (("rho_slope", "rho"), ("omega_slope", "omega")):
-            try:
-                doc[name] = moduli.fit_exponent(est, envelope, edges[0], edges[-1]).slope
-            except ValueError:  # fewer than five populated rows
-                doc[name] = None
-        violations = (defect_viol + char.violations + char.support_violations
-                      + bounds["upper_violations"] + bounds["lower_violations"])
-        doc.update({"defect_violations": defect_viol, "char_check": char.to_dict(),
-                    "glued_bounds": bounds})
-    if args.out:
-        lines = [_FOLNER_HEADER]
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write("\n".join(lines) + "\n")
-    doc["violations"] = violations
-    _emit_json(doc, args.json_out)
-    return violations
+    est = moduli.reduce_envelopes(
+        d, root(image_pth), edges,
+        certifier=lambda ts: (root(emb.certified_lower_pth(ts)),
+                              root(emb.certified_upper_pth(ts))))
+    # Group runs carry the same report kind as l_2 moduli runs so the
+    # comparison table can pick up their fitted exponents.
+    fields.update({"domain": args.group, "target": "lp", "regime": "large_t",
+                   "defect_violations": defect_viol, "char_check": char.to_dict(),
+                   "glued_bounds": bounds,
+                   "violations": (defect_viol + char.violations + char.support_violations
+                                  + bounds["upper_violations"] + bounds["lower_violations"])})
+    return _emit_run(args, fields, est, (est.edges[0], est.edges[-1]), extra={
+        "n": list(n_range), "eps_n": [system.eps(n) for n in n_range],
+        "rad_n": [float(system.rad(n)) for n in n_range],
+        "measured_defect_max": [defects.get(n, math.nan) for n in n_range]})
 
 
 # ---------------------------------------------------------------------------

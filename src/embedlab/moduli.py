@@ -15,6 +15,8 @@ is closed.  Separations outside ``[edges[0], edges[-1]]`` fall in no row
 but still enter both envelopes.  :func:`reduce_envelopes` is that
 reduction over explicit edges: ``moduli`` runs use log-spaced edges
 through :func:`estimate_moduli`, ``folner`` runs the schedule brackets.
+Both then fit with :func:`fit_envelopes` (a slope is null below five
+usable rows) and render with :func:`write_moduli_csv`.
 
 Those directions matter: certified theory bounds are checked as
 ``rho_hat >= certified_lower`` and ``omega_hat <= certified_upper``;
@@ -31,6 +33,7 @@ reductions (min, max, count).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -46,6 +49,7 @@ __all__ = [
     "estimate_moduli",
     "reduce_envelopes",
     "fit_exponent",
+    "fit_envelopes",
     "distortion",
     "exact_kernel_engine",
     "coordinate_engine",
@@ -266,6 +270,22 @@ def fit_exponent(m: ModuliEstimate, envelope: str, t_lo: float, t_hi: float) -> 
                        n_bins=int(use.sum()))
 
 
+def fit_envelopes(m: ModuliEstimate, t_lo: float, t_hi: float) -> dict:
+    """``rho_slope``, ``omega_slope``, ``rho_fit`` and ``omega_fit`` over
+    [t_lo, t_hi]; an envelope with fewer than five usable rows there has
+    a null (None) slope and fit."""
+    if not (0 < t_lo < t_hi):
+        raise ValueError("need 0 < t_lo < t_hi")
+    doc = {}
+    for env in ("rho", "omega"):
+        try:
+            fit = fit_exponent(m, env, t_lo, t_hi).to_dict()
+        except ValueError:  # too few usable rows: the window is checked above
+            fit = None
+        doc.update({f"{env}_slope": None if fit is None else fit["slope"], f"{env}_fit": fit})
+    return doc
+
+
 def distortion(f: Callable, space) -> float:
     """(max image/domain ratio) * (max domain/image ratio) over all pairs.
 
@@ -368,23 +388,30 @@ def glued_certifier(e: GluedEmbedding) -> Callable:
     return certifier
 
 
-def write_moduli_csv(m: ModuliEstimate, path) -> None:
-    """Deterministic CSV render (stable formatting, no timestamps)."""
+_COLUMNS = ("bin_edge_t", "rho_hat", "omega_hat", "count", "certified_lower", "certified_upper")
 
-    def fmt(v) -> str:
-        if v is None:
-            return "nan"
-        return f"{v:.12g}"
 
-    lines = ["bin_edge_t,rho_hat,omega_hat,count,certified_lower,certified_upper"]
-    for j in range(m.n_bins):
-        cl = m.certified_lower[j] if m.certified_lower is not None else float("nan")
-        cu = m.certified_upper[j] if m.certified_upper is not None else float("nan")
-        lines.append(",".join([fmt(m.edges[j]), fmt(m.rho_hat[j]), fmt(m.omega_hat[j]),
-                               str(int(m.counts[j])), fmt(cl), fmt(cu)]))
-    text = "\n".join(lines) + "\n"
-    if hasattr(path, "write"):
-        path.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _cell(value) -> str:
+    """One CSV cell: an integer as itself, other numbers to 12 significant digits."""
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    return format(float(value), ".12g")
+
+
+def write_moduli_csv(m: ModuliEstimate | None, path, extra: dict | None = None) -> None:
+    """Deterministic CSV render (stable formatting, no timestamps): one row
+    per bin of ``m`` under the envelope columns, then the named per-row
+    columns of ``extra``.  Without an estimate (a run that realizes no
+    envelopes) the rows are those of ``extra``, with nan envelope cells
+    and zero counts; a missing certified column renders as nan."""
+    extra = extra or {}
+    n = len(next(iter(extra.values()))) if m is None else m.n_bins
+    nan = [math.nan] * n
+    cols = [nan, nan, nan, [0] * n, nan, nan] if m is None else [
+        m.edges, m.rho_hat, m.omega_hat, m.counts,
+        nan if m.certified_lower is None else m.certified_lower,
+        nan if m.certified_upper is None else m.certified_upper]
+    rows = [_COLUMNS + tuple(extra)]
+    rows += [[_cell(col[j]) for col in cols + list(extra.values())] for j in range(n)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("".join(",".join(row) + "\n" for row in rows))

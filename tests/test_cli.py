@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from embedlab import amenable, cli, mazur
+from embedlab import amenable, cli, mazur, moduli
 from oracles import block_distance_pth, mazur_grid_audit, zk_ball
 
 
@@ -81,6 +81,23 @@ class TestExitCodes:
 
         monkeypatch.setattr("embedlab.glue.preset_schedule", no_work)
         assert run(["moduli"] + argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"embedlab: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--fit-lo", "8", "--fit-hi", "1"], "--fit-lo 8 must be below --fit-hi 1"),
+        (["--t-min", "100", "--t-max", "0.1"], "--t-min 100 must be below --t-max 0.1"),
+        (["--fit-lo", "200"], "--fit-lo 200 must be below --fit-hi 100"),
+    ], ids=["fit-window", "t-range", "fit-lo-past-t-max"])
+    def test_inverted_windows_exit_before_any_work(self, capsys, monkeypatch, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("the schedule was built before the window was checked")
+
+        monkeypatch.setattr("embedlab.glue.preset_schedule", no_work)
+        code = run(["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", "1.05",
+                    "--backend", "rff", "--n-terms", "100", "--pairs", "8192", *argv])
+        assert code == cli.EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.err == f"embedlab: {message}\n"
         assert captured.out == ""
@@ -602,7 +619,7 @@ class TestFolnerCommand:
                     "--out", str(out_csv), "--json-out", str(out_json)])
         assert code == cli.EXIT_OK
         lines = out_csv.read_text().splitlines()
-        assert lines[0] == cli._FOLNER_HEADER
+        assert lines[0] == ",".join(moduli._COLUMNS + _FOLNER_COLUMNS)
         assert len(lines) == 1 + 7  # schedule rows n = 2..8
         doc = json.loads(out_json.read_text())
         assert doc["report_kind"] == "moduli_run"
@@ -637,6 +654,7 @@ class TestFolnerCommand:
         assert doc["growth_fit"] == amenable.heisenberg_growth_fit(5, 2)
         assert doc["growth_fit"] != amenable.heisenberg_growth_fit()
         # the gauge-ball witness has radius floor(1 / eps_n): 7 at n = 4
+        assert out_csv.read_text().splitlines()[0] == ",".join(moduli._COLUMNS + _FOLNER_COLUMNS)
         rows = {int(r["n"]): r for r in _csv_rows(out_csv)}
         assert rows[4]["rad_n"] == "7"
         assert [float(rows[n]["rad_n"]) for n in range(2, 6)] == [
@@ -705,12 +723,13 @@ class TestFolnerCommand:
             above = [v for t, v in zip(d, img) if t >= left]
             below = [v for t, v in zip(d, img) if t < right or (last and t == right)]
             count = sum(1 for t in d if left <= t and (t < right or (last and t == right)))
-            assert row["bin_edge_t"] == cli._fmt(left)
-            assert row["rho_hat"] == cli._fmt(min(above) if above else math.nan)
-            assert row["omega_hat"] == cli._fmt(max(below) if below else math.nan)
+            assert row["bin_edge_t"] == moduli._cell(left)
+            assert row["rho_hat"] == moduli._cell(min(above) if above else math.nan)
+            assert row["omega_hat"] == moduli._cell(max(below) if below else math.nan)
             assert row["count"] == str(count)
-            assert row["certified_lower"] == cli._fmt(emb.certified_lower_pth(left) ** (1 / p))
-            assert row["certified_upper"] == cli._fmt(emb.certified_upper_pth(right) ** (1 / p))
+            lower, upper = emb.certified_lower_pth(left), emb.certified_upper_pth(right)
+            assert row["certified_lower"] == moduli._cell(lower ** (1 / p))
+            assert row["certified_upper"] == moduli._cell(upper ** (1 / p))
         assert sum(int(r["count"]) for r in rows) == sum(1 for t in d if edges[0] <= t <= max_dist)
         # slopes: least squares over the populated rows, rho at left edges
         # and omega at right edges
@@ -720,6 +739,10 @@ class TestFolnerCommand:
             xs = np.log([edges[j + at] for j in full])
             ys = np.log([float(rows[j][col]) for j in full])
             assert doc[name] == pytest.approx(np.polyfit(xs, ys, 1)[0], rel=1e-9)
+        # the fits behind the slopes span every row, r(n_min) to --max-dist
+        for env in ("rho", "omega"):
+            assert doc[f"{env}_fit"]["slope"] == doc[f"{env}_slope"]
+            assert doc[f"{env}_fit"]["range"] == [edges[0], max_dist]
 
     def test_few_populated_rows_leave_the_slopes_null(self, tmp_path):
         # n = 2..6 gives five rows and two pairs populate at most two of
@@ -733,6 +756,7 @@ class TestFolnerCommand:
         assert sum(int(r["count"]) > 0 for r in rows) < 5
         doc = json.loads(out_json.read_text())
         assert doc["rho_slope"] is None and doc["omega_slope"] is None
+        assert doc["rho_fit"] is None and doc["omega_fit"] is None
 
     @pytest.mark.parametrize("max_dist", ["10", "20"])
     def test_max_dist_must_exceed_the_last_radius(self, tmp_path, capsys, max_dist):
@@ -743,6 +767,10 @@ class TestFolnerCommand:
         err = capsys.readouterr().err
         assert "--max-dist" in err and "r(n_max) = 20" in err
         assert not out_csv.exists()
+
+
+# The per-index columns folner writes after the envelope columns.
+_FOLNER_COLUMNS = ("n", "eps_n", "rad_n", "measured_defect_max")
 
 
 def _csv_rows(path):
@@ -986,6 +1014,26 @@ class TestReportCommand:
         rows = {(r["domain"], r["target"], r["regime"]): r for r in doc["rows"]}
         assert rows[("l2", "l2", "small_t")]["verdict"] == "consistent"
         assert rows[("l2", "l4", "large_t")]["verdict"] == "not-run"
+
+    def test_a_window_with_too_few_rows_gives_null_fits_and_a_not_run_row(self, tmp_path):
+        # the window [0.05, 0.06] holds two of the 36 left edges (and right
+        # edges) over [0.001, 0.1]: both fits are null, the run exits 0
+        results = tmp_path / "results"
+        results.mkdir()
+        code = run(["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
+                    "--pairs", "300", "--t-min", "0.001", "--t-max", "0.1",
+                    "--fit-lo", "0.05", "--fit-hi", "0.06",
+                    "--json-out", str(results / "warmup.json")])
+        assert code == cli.EXIT_OK
+        doc = json.loads((results / "warmup.json").read_text())
+        assert [doc[k] for k in ("rho_slope", "omega_slope", "rho_fit", "omega_fit")] == [None] * 4
+        table_out = tmp_path / "table.json"
+        code = run(["report", "--results-dir", str(results), "--out", str(table_out)])
+        assert code == cli.EXIT_OK
+        rows = {(r["domain"], r["target"], r["regime"]): r
+                for r in json.loads(table_out.read_text())["rows"]}
+        assert rows[("l2", "l2", "small_t")]["verdict"] == "not-run"
+        assert rows[("l2", "l2", "small_t")]["measured_slope"] is None
 
     def test_empty_results_dir_is_usage_error(self, tmp_path):
         assert run(["report", "--results-dir", str(tmp_path)]) == cli.EXIT_USAGE

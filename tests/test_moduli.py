@@ -1,6 +1,5 @@
 """Envelope estimation, exponent fits, distortion, and the engines."""
 
-import io
 import math
 import tracemalloc
 
@@ -8,7 +7,7 @@ import numpy as np
 import pytest
 
 from embedlab.finite_geometry import HammingCube, cube_report
-from embedlab import gaussian
+from embedlab import gaussian, moduli
 from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
 from embedlab.moduli import (
     ModuliEstimate,
@@ -18,6 +17,7 @@ from embedlab.moduli import (
     estimate_moduli,
     exact_kernel_engine,
     fast_rff_engine,
+    fit_envelopes,
     fit_exponent,
     glued_certifier,
     reduce_envelopes,
@@ -168,6 +168,28 @@ class TestFitExponent:
         est = estimate_moduli(lambda X, Y, t: np.ones_like(t), PairSampler(0.1, 100.0),
                               bins=12, pairs=500, seed=2)
         assert fit_exponent(est, "rho", 0.1, 100.0).slope == pytest.approx(0.0, abs=1e-9)
+
+    def test_fit_envelopes_matches_fit_exponent(self):
+        est = estimate_moduli(lambda X, Y, t: t ** 0.5, PairSampler(0.1, 100.0),
+                              bins=24, pairs=2000, seed=5)
+        doc = fit_envelopes(est, 1.0, 50.0)
+        for env in ("rho", "omega"):
+            assert doc[f"{env}_fit"] == fit_exponent(est, env, 1.0, 50.0).to_dict()
+            assert doc[f"{env}_slope"] == doc[f"{env}_fit"]["slope"]
+
+    def test_fit_envelopes_is_null_below_five_usable_rows(self):
+        est = estimate_moduli(identity_engine, PairSampler(0.1, 100.0), bins=12,
+                              pairs=500, seed=2)
+        # the window [50, 60] holds at most one row edge of the twelve
+        assert fit_envelopes(est, 50.0, 60.0) == {
+            "rho_slope": None, "omega_slope": None, "rho_fit": None, "omega_fit": None}
+
+    @pytest.mark.parametrize("t_lo, t_hi", [(8.0, 1.0), (5.0, 5.0), (0.0, 1.0)])
+    def test_fit_envelopes_refuses_an_empty_window(self, t_lo, t_hi):
+        est = estimate_moduli(identity_engine, PairSampler(0.1, 100.0), bins=12,
+                              pairs=500, seed=2)
+        with pytest.raises(ValueError, match="t_lo < t_hi"):
+            fit_envelopes(est, t_lo, t_hi)
 
     def test_window_and_name_validation(self):
         est = estimate_moduli(identity_engine, PairSampler(0.1, 100.0), bins=12,
@@ -408,24 +430,40 @@ class TestEngines:
 
 
 class TestCsv:
-    def test_deterministic_render(self):
+    def test_deterministic_render(self, tmp_path):
         e = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0)), n_terms=20)
         est = estimate_moduli(exact_kernel_engine(e), PairSampler(0.1, 10.0), bins=6,
                               pairs=200, seed=8, certifier=glued_certifier(e))
-        buf1, buf2 = io.StringIO(), io.StringIO()
-        write_moduli_csv(est, buf1)
-        write_moduli_csv(est, buf2)
-        assert buf1.getvalue() == buf2.getvalue()
-        lines = buf1.getvalue().strip().split("\n")
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        write_moduli_csv(est, out1)
+        write_moduli_csv(est, out2)
+        assert out1.read_bytes() == out2.read_bytes()
+        lines = out1.read_text().strip().split("\n")
         assert lines[0] == "bin_edge_t,rho_hat,omega_hat,count,certified_lower,certified_upper"
         assert len(lines) == 1 + est.n_bins
         first = lines[1].split(",")
         assert float(first[0]) == pytest.approx(0.1)
         assert int(first[3]) == int(est.counts[0])
 
-    def test_missing_certification_renders_nan(self):
+    def test_missing_certification_renders_nan(self, tmp_path):
         est = estimate_moduli(identity_engine, PairSampler(0.1, 10.0), bins=4,
                               pairs=100, seed=0)
-        buf = io.StringIO()
-        write_moduli_csv(est, buf)
-        assert ",nan,nan" in buf.getvalue().split("\n")[1]
+        out = tmp_path / "m.csv"
+        write_moduli_csv(est, out)
+        assert ",nan,nan" in out.read_text().split("\n")[1]
+
+    def test_extra_columns_follow_the_envelope_columns(self, tmp_path):
+        est = estimate_moduli(identity_engine, PairSampler(0.1, 10.0), bins=3,
+                              pairs=100, seed=0)
+        out = tmp_path / "x.csv"
+        write_moduli_csv(est, out, {"n": [2, 3, 4], "eps_n": [0.5, 0.25, 1 / 3]})
+        header, *rows = out.read_text().splitlines()
+        assert header == ",".join(moduli._COLUMNS + ("n", "eps_n"))
+        assert [r.split(",")[-2:] for r in rows] == [["2", "0.5"], ["3", "0.25"],
+                                                     ["4", "0.333333333333"]]
+
+    def test_rows_without_an_estimate_come_from_the_extra_columns(self, tmp_path):
+        out = tmp_path / "h.csv"
+        write_moduli_csv(None, out, {"n": [2, 3], "rad_n": [3.0, 7.0]})
+        assert out.read_text().splitlines()[1:] == ["nan,nan,nan,0,nan,nan,2,3",
+                                                    "nan,nan,nan,0,nan,nan,3,7"]
