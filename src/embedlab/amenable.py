@@ -196,12 +196,6 @@ def heis_intersection_count(radius: int, g) -> int:
     return total
 
 
-def heis_defect(radius: int, g) -> float:
-    """Exact |F Delta gF| / |F| for the gauge ball F = B(R), no enumeration."""
-    total = HeisenbergModel().ball_count(radius)
-    return 2 * (total - heis_intersection_count(radius, g)) / total
-
-
 def heis_worst_defects(radii: dict[int, int]) -> dict[int, float]:
     """Worst generator defect of the gauge ball of radius ``radii[n]``,
     over the generators (+-1, 0, 0) and (0, +-1, 0).

@@ -163,29 +163,12 @@ def cmd_moduli(args: argparse.Namespace) -> int:
 # verify suites
 
 
-# Byte budget of one row tile of the Mazur suite and the kernel suite's
-# series, sized for one core's L2: what block_mass's three scratch arrays
-# take, 3 x 512 KiB.  Stated here so that the Mazur suite need not load
-# gaussian.
-_TILE_BYTES = 3 * 512 * 1024
-
-
-def _row_tiles(n_rows: int, row_bytes: int) -> list[slice]:
-    """Slices of ``n_rows`` rows, each holding about ``_TILE_BYTES`` at
-    ``row_bytes`` per row and at least one row."""
-    step = max(1, _TILE_BYTES // row_bytes)
-    return [slice(i, i + step) for i in range(0, n_rows, step)]
-
-
 def _suite_mazur(args: argparse.Namespace) -> dict:
     from . import mazur
 
     grid = [float(v) for v in args.grid.split(",")]
     upper_scale = 0.5 if args.negative_control else 1.0
-    # The audit holds about eight float64 arrays of a tile's rows: the
-    # tile's x and y, their sign bits, their l_p points, a map and a scratch.
-    tile_rows = max(1, _TILE_BYTES // (8 * 8 * args.dim))
-    tiles = mazur.sphere_pair_tiles(args.samples, args.dim, args.seed, tile_rows)
+    tiles = mazur.sphere_pair_tiles(args.samples, args.dim, args.seed)
     rep = mazur.audit_sphere_pairs(tiles, grid, upper_scale=upper_scale)
     return {"suite": "mazur", "grid": grid, "samples": args.samples,
             "upper_scale": upper_scale, **rep}
@@ -194,8 +177,7 @@ def _suite_mazur(args: argparse.Namespace) -> dict:
 def _suite_kernel(args: argparse.Namespace) -> dict:
     import numpy as np
 
-    from .gaussian import (RandomFeatures, TruncatedExp, block_mass, exp_coordinates_batch,
-                           psi_distance_exact)
+    from .gaussian import RandomFeatures, TruncatedExp, block_mass, psi_distance_exact
 
     dim = min(args.dim, 3)
     backend = TruncatedExp(args.r, args.degree, dim)
@@ -206,20 +188,20 @@ def _suite_kernel(args: argparse.Namespace) -> dict:
     for M in (X, Y):
         M *= (1.2 * rng.random((args.samples, 1))
               / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-12))
-    # Coordinates are per row, so row tiles give the same bytes as whole
-    # arrays.  A series tile holds three (rows x coordinates) float64
-    # arrays at once: two coordinate arrays and a third, the gather or
-    # the difference.
-    residuals = np.empty((2, args.samples))
-    measured = np.empty(args.samples)
-    for sl in _row_tiles(args.samples, 3 * 8 * backend.n_coords):
-        cx, residuals[0, sl] = exp_coordinates_batch(X[sl], backend)
-        cy, residuals[1, sl] = exp_coordinates_batch(Y[sl], backend)
-        measured[sl] = np.linalg.norm(cx - cy, axis=1)
-    max_residual = float(residuals.max())
+    max_residual = float(max(backend.residual(X).max(), backend.residual(Y).max()))
+    # The kernel every exp moduli run takes: at q = 2 the block mass is
+    # |psi(x) - psi(y)|^2, as for the features below.
+    measured = np.sqrt(block_mass(X, Y, [backend], 2.0))
     exact = psi_distance_exact(np.linalg.norm(X - Y, axis=1), args.r)
     exp_err = float(np.max(np.abs(measured - exact)))
-    exp_viol = int(max_residual >= 1e-14) + int(np.sum(np.abs(measured - exact) > 1e-10))
+    # Halving a tolerance would not trip: the series distances miss by
+    # rounding alone (about 4e-15 against 1e-10) and the feature kernel by
+    # Monte-Carlo error of order D^(-1/2) (about 0.05 against 0.08).  The
+    # control scales every tolerance by 1e-6, below the rounding of a row
+    # sum over thousands of coordinates and below any Monte-Carlo error.
+    tol = 1e-6 if args.negative_control else 1.0
+    exp_viol = (int(max_residual >= 1e-14 * tol)
+                + int(np.sum(np.abs(measured - exact) > 1e-10 * tol)))
 
     feats = RandomFeatures(args.r, args.n_features, (args.seed, 7))
     rdim = 16
@@ -233,7 +215,7 @@ def _suite_kernel(args: argparse.Namespace) -> dict:
     kernel_est = 1.0 - block_mass(P, Q, [feats], 2.0, dtype=np.float32) / 2.0
     kernel_true = np.exp(-args.r * np.sum((P - Q) ** 2, axis=1))
     rff_err = float(np.max(np.abs(kernel_est - kernel_true)))
-    rff_viol = int(np.sum(np.abs(kernel_est - kernel_true) > 0.08))
+    rff_viol = int(np.sum(np.abs(kernel_est - kernel_true) > 0.08 * tol))
 
     return {"suite": "kernel", "r": args.r, "degree": args.degree,
             "series_dim": dim, "samples": args.samples,
@@ -328,11 +310,13 @@ def _suite_cube(args: argparse.Namespace) -> dict:
     rows = []
     total = 0
     rng = _batch_rng(args.seed, 104)
+    floor_scale = 2.0 if args.negative_control else 1.0
     for m in range(2, args.m_max + 1):
         rep = cube_report(m, args.p)
-        measured, bound = rep["measured_distortion"], rep["bound"]
+        measured, bound = rep["measured_distortion"], rep["bound"] * floor_scale
         # The bound is a floor the identity meets exactly only at p <= 1 and
-        # p = 2; elsewhere its distortion lies above it, as in cmd_cube.
+        # p = 2; elsewhere its distortion lies above it, as in cmd_cube, by
+        # less than the control's factor 2 at m = 2 for every p.
         if args.p <= 1 or args.p == 2:
             bad = int(abs(measured - bound) > 1e-9)
         else:
@@ -346,7 +330,7 @@ def _suite_cube(args: argparse.Namespace) -> dict:
         bad += int(cloud.ratio > 1 + 1e-12)
         bad += int(abs(linear.ratio - 1.0) > 1e-12)
         total += bad
-        rows.append({"m": m, "bound": rep["bound"],
+        rows.append({"m": m, "bound": bound,
                      "measured_distortion": rep["measured_distortion"],
                      "identity_ratio": rep["certificate_ratio"],
                      "random_ratio": cloud.ratio,
@@ -360,9 +344,10 @@ def _suite_gk(args: argparse.Namespace) -> dict:
 
     rows = []
     total = 0
+    lipschitz = 1.0 if args.negative_control else 2.0
     for k in range(1, args.k_max + 1):
         for ground in range(2 * k, args.ground_max + 1):
-            rep = probe_audit(k, ground, args.p)
+            rep = probe_audit(k, ground, args.p, lipschitz_factor=lipschitz)
             total += rep.violations
             rows.append({"k": k, "ground": ground, "max_ratio": rep.max_ratio,
                          "min_nonzero_image": rep.min_nonzero_image,
@@ -548,8 +533,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(ver)
     ver.add_argument("--suite", required=True, choices=sorted(_SUITES))
     ver.add_argument("--negative-control", action="store_true",
-                     help="tighten the audited bounds; a clean run then proves "
-                          "the detector is live")
+                     help="tighten the audited bounds so that the run must report "
+                          "violations, which proves the detector is live: halve the "
+                          "mazur upper constants, the gluing budget, the folner defect "
+                          "budgets and the gk Lipschitz factor, double the cube floor, "
+                          "scale the kernel tolerances by 1e-6")
     ver.add_argument("--samples", type=_POSITIVE_INT, default=1000)
     ver.add_argument("--dim", type=_POSITIVE_INT, default=16)
     ver.add_argument("--grid", type=_grid, default="0.5,1,1.5,2,3,4")

@@ -12,9 +12,9 @@ mode of a glued embedding (``distance_interval``).  Two coordinate
 realizations are provided:
 
 * :class:`TruncatedExp`     -- explicit coordinates of the exponential
-  tensor series, truncated at a fixed degree, with a computable residual
-  bound, stored in the symmetric (multinomial) basis so the dimension is
-  C(degree + d, d) rather than sum d^j,
+  tensor series, truncated at a fixed degree, stored in the symmetric
+  (multinomial) basis so the dimension is C(degree + d, d) rather than
+  sum d^j; :meth:`TruncatedExp.residual` bounds what the truncation loses,
 * :class:`RandomFeatures`   -- random Fourier features; Monte-Carlo
   approximation of the same kernel with O(D^{-1/2}) error.
 
@@ -39,9 +39,10 @@ a time.  Block distances are sandwiched by transporting the exact psi
 distance through the certified signed-power constants
 (:func:`sphere_block_interval` of :func:`psi_distance_exact`).
 
-This module needs no scipy: the series residual of
-:func:`exp_coordinates_batch` is a Poisson tail, summed in closed form
-by :func:`_poisson_tail`.
+This module needs no scipy: the series residual is a Poisson tail,
+summed in closed form by :func:`_poisson_tail`.  Only the certifier
+(``verify --suite kernel``) asks for it; the coordinates, and so
+:func:`block_mass`, never compute it.
 """
 
 from __future__ import annotations
@@ -114,6 +115,12 @@ class TruncatedExp:
     @property
     def n_coords(self) -> int:
         return math.comb(self.degree + self.ambient_dim, self.ambient_dim)
+
+    def residual(self, X) -> np.ndarray:
+        """Per row of ``X``, the squared norm the truncation loses before
+        renormalization: Pr[Poisson(2 r ||x||^2) > degree]."""
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        return _poisson_tail(self.degree + 1, 2.0 * self.r * np.sum(X ** 2, axis=1))
 
 
 @dataclass(frozen=True)
@@ -214,13 +221,10 @@ def _poisson_tail(n: int, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndarray, np.ndarray]:
-    """Unit-sphere coordinates and residual bounds for a batch of points.
-
-    Returns ``(coords, residuals)`` where coords has shape
-    (batch, n_coords) with unit l_2 rows, and ``residuals[i]`` bounds the
-    squared norm lost to truncation *before* renormalization:
-    exp(-2 r ||x||^2) * sum_{j > degree} (2 r ||x||^2)^j / j!.
+def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> np.ndarray:
+    """Unit-sphere coordinates of a batch of points: shape (batch,
+    n_coords), unit l_2 rows, the truncated series renormalized.  What
+    the truncation loses is :meth:`TruncatedExp.residual`, not taken here.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != backend.ambient_dim:
@@ -228,7 +232,6 @@ def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndar
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite entries")
     exps = _multi_indices(backend.ambient_dim, backend.degree)
-    sq = np.sum(X ** 2, axis=1)
     xs = math.sqrt(2.0 * backend.r) * X
     # A coordinate is the product over dimensions i of
     # T_i[m_i] = e^(-r x_i^2) (sqrt(2r) x_i)^m_i / sqrt(m_i!), the signed
@@ -242,7 +245,6 @@ def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndar
         steps[:, 0] = np.exp(-backend.r * X[:, i] ** 2)
         np.divide(xs[:, i, None], root_j, out=steps[:, 1:])
         coords *= np.cumprod(steps, axis=1)[:, exps[:, i]]
-    residuals = _poisson_tail(backend.degree + 1, 2.0 * backend.r * sq)
     norms = np.linalg.norm(coords, axis=1, keepdims=True)
     # The squared norm is Pr[Poisson(2 r ||x||^2) <= degree]; once it
     # leaves the normal float range the rows lose their precision, and
@@ -251,10 +253,10 @@ def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> tuple[np.ndar
     if np.any(lost):
         raise ValueError(
             f"truncated exp series of degree {backend.degree} underflows at "
-            f"||x|| = {math.sqrt(sq[lost].min()):.6g} (bandwidth {backend.r:.6g}): "
-            f"its squared norm is below the smallest normal float")
+            f"||x|| = {np.linalg.norm(X[lost], axis=1).min():.6g} (bandwidth "
+            f"{backend.r:.6g}): its squared norm is below the smallest normal float")
     coords /= norms
-    return coords, residuals
+    return coords
 
 
 # OpenBLAS runs a GEMM on the calling thread while m * n * k is at most
@@ -361,7 +363,7 @@ def _block_coordinates(X1: np.ndarray, backend: TruncatedExp | RandomFeatures,
     the random-feature table ``wb`` (``out`` receives them), the series'
     unit rows with n^2 = 1."""
     if isinstance(backend, TruncatedExp):
-        coords = exp_coordinates_batch(X1[:, :-1], backend)[0]
+        coords = exp_coordinates_batch(X1[:, :-1], backend)
         return coords, np.ones(len(coords))
     return _rff_cosines(X1, wb, out=out)
 

@@ -227,9 +227,16 @@ def mazur_constants(p: float, q: float) -> MazurConstants:
     )
 
 
-def sphere_pair_tiles(samples: int, dim: int, seed: int, tile_rows: int):
+# Byte budget of the rows of one tile, sized for one core's L2.  The audit
+# holds about eight float64 arrays of a tile's rows: the tile's x and y,
+# their sign bits, their l_p points, a map and a scratch.
+_TILE_BYTES = 3 * 512 * 1024
+
+
+def sphere_pair_tiles(samples: int, dim: int, seed: int, tile_rows: int | None = None):
     """Random pairs on the unit sphere of l_2^dim, deterministic in seed,
-    yielded in row order as ``(x2, y2)`` tiles of at most ``tile_rows`` rows.
+    yielded in row order as ``(x2, y2)`` tiles of at most ``tile_rows`` rows,
+    by default the rows whose audit fits ``_TILE_BYTES``.
 
     One Philox stream holds ``samples`` Gaussian x rows, then as many y
     rows, then scales and perturbations that make the first quarter of the
@@ -239,6 +246,8 @@ def sphere_pair_tiles(samples: int, dim: int, seed: int, tile_rows: int):
     chunks (chunked draws read the values of one call), so only a tile of
     rows and one scale per near pair are held.
     """
+    if tile_rows is None:
+        tile_rows = max(1, _TILE_BYTES // (8 * 8 * dim))
     xs = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     near = copy.deepcopy(xs)
     _discard_normals(near, samples * dim, tile_rows * dim)

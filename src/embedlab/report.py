@@ -13,8 +13,6 @@ import math
 import os
 from dataclasses import dataclass, field
 
-VERDICTS = ("consistent", "inconsistent", "not-run")
-
 
 @dataclass(frozen=True)
 class ClaimRow:

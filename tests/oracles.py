@@ -2,7 +2,8 @@
 audits of ``embedlab.amenable`` are checked against: the scalar group
 laws of Z^k and the Heisenberg group, lattice and gauge balls, box Folner
 sets and their translates, the defect |F Delta gF| / |F| by explicit
-translation, the symmetric difference and block distance of one pair,
+translation and, for the gauge ball, from the closed-form intersection
+count of ``heis_intersection_count``, the symmetric difference and block distance of one pair,
 the support reach of a materialized box, and the glued-bound audit pair
 by pair.  The Mazur grid audit of
 ``embedlab.mazur`` is checked against a loop over the cells on whole
@@ -27,7 +28,8 @@ import math
 
 import numpy as np
 
-from embedlab.amenable import ZkFolnerSystem, box_intersection_count
+from embedlab.amenable import (HeisenbergModel, ZkFolnerSystem, box_intersection_count,
+                               heis_intersection_count)
 from embedlab.finite_geometry import GkSpace, HammingCube
 from embedlab.gaussian import RandomFeatures
 from embedlab.mazur import mazur_constants, mazur_map
@@ -115,6 +117,13 @@ def folner_defect(F, g, group) -> float:
     mul = heis_mul if group.name == "heis" else zk_mul
     gf = {mul(g, f) for f in fs}
     return len(fs ^ gf) / len(fs)
+
+
+def heis_defect(radius: int, g) -> float:
+    """|F Delta gF| / |F| for the gauge ball F = B(R), from the closed-form
+    intersection count, with no enumeration."""
+    total = HeisenbergModel().ball_count(radius)
+    return 2 * (total - heis_intersection_count(radius, g)) / total
 
 
 def sym_diff_count(sys, x, y, n: int) -> int:

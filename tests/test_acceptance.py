@@ -228,6 +228,16 @@ def test_c09_thread_count_never_changes_artifacts(tmp_path):
 
 
 def test_c10_negative_controls_trip_every_checker():
+    # Controls that live in the verify suites: a halved gk Lipschitz
+    # factor, a doubled cube floor (also where the identity lies above
+    # it, as at p = 4) and kernel tolerances scaled by 1e-6.
+    for flags in (["gk"], ["cube"], ["cube", "--p", "4"], ["kernel"]):
+        for seed in ("0", "7"):
+            argv = ["--suite", *flags, "--seed", seed]
+            assert cli._SUITES[flags[0]](_verify_args(argv))["violations"] == 0
+            doc = cli._SUITES[flags[0]](_verify_args(argv + ["--negative-control"]))
+            assert doc["violations"] > 0, argv
+
     # halved sphere-map constants
     bad = audit_sphere_pairs(sphere_pair_tiles(2000, 16, 0, 512), [2.0, 1.0],
                              upper_scale=0.5)

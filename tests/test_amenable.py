@@ -23,7 +23,6 @@ from embedlab.amenable import (
     box_intersection_count,
     char_embedding_bound_check,
     glued_group_embedding,
-    heis_defect,
     heis_intersection_count,
     heis_worst_defects,
     heisenberg_growth_fit,
@@ -31,8 +30,8 @@ from embedlab.amenable import (
     sample_zk_pairs,
 )
 from oracles import (MAX_SET_SIZE, block_distance_pth, bounds_check_per_pair, folner_defect,
-                     folner_set, heis_ball, heis_gauge, heis_inv, heis_metric, heis_mul,
-                     set_at, sym_diff_count, zk_ball, zk_gauge, zk_inv, zk_mul,
+                     folner_set, heis_ball, heis_defect, heis_gauge, heis_inv, heis_metric,
+                     heis_mul, set_at, sym_diff_count, zk_ball, zk_gauge, zk_inv, zk_mul,
                      zk_support_reach)
 
 

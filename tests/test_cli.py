@@ -525,8 +525,11 @@ class TestVerifyCommand:
         assert peak < 8 * 2 ** 20
 
     def test_kernel_suite_bytes_do_not_depend_on_the_tile(self, tmp_path, monkeypatch):
-        # 100 samples: ten series tiles and three feature tiles, the last
-        # one partial, at the default budget; one row per tile at one byte.
+        # 100 samples: ten series tiles and four feature tiles, the last
+        # one partial, at block_mass's default budget; one row per tile at
+        # one byte.
+        from embedlab import gaussian
+
         def once(tag):
             out = tmp_path / f"{tag}.json"
             code = run(["verify", "--suite", "kernel", "--samples", "100", "--seed", "3",
@@ -535,8 +538,32 @@ class TestVerifyCommand:
             return out.read_bytes()
 
         default = once("default")
-        monkeypatch.setattr(cli, "_TILE_BYTES", 1)
+        monkeypatch.setattr(gaussian, "_SCRATCH_BYTES", 1)
         assert once("row") == default
+
+    def test_kernel_suite_measures_the_series_through_block_mass(self, monkeypatch):
+        # The series distances the suite audits are sqrt(block_mass) at q = 2,
+        # the kernel of every exp run, on the rows it draws.
+        from embedlab import gaussian
+
+        calls, block_mass = [], gaussian.block_mass
+
+        def recording(X, Y, backends, q, dtype=None):
+            mass = block_mass(X, Y, backends, q, dtype)
+            calls.append((X, Y, list(backends), q, mass))
+            return mass
+
+        monkeypatch.setattr(gaussian, "block_mass", recording)
+        args = cli.build_parser().parse_args(["verify", "--suite", "kernel", "--samples", "300",
+                                              "--seed", "5"])
+        doc = cli._SUITES["kernel"](args)
+        (X, Y, backends, q, mass), = [c for c in calls
+                                      if isinstance(c[2][0], gaussian.TruncatedExp)]
+        assert q == 2.0 and backends == [gaussian.TruncatedExp(args.r, args.degree, 3)]
+        exact = gaussian.psi_distance_exact(np.linalg.norm(X - Y, axis=1), args.r)
+        assert doc["max_psi_distance_error"] == float(np.max(np.abs(np.sqrt(mass) - exact)))
+        assert doc["max_series_residual"] == float(max(backends[0].residual(X).max(),
+                                                       backends[0].residual(Y).max()))
 
     def test_folner_quick_clean_and_control(self, tmp_path):
         code = run(["verify", "--suite", "folner", "--n-max", "6",

@@ -64,7 +64,7 @@ class TestTruncatedExp:
     def test_unit_rows_and_residual_formula(self):
         be = TruncatedExp(0.8, 24, 2)
         X = np.array([[0.3, -0.4], [1.0, 0.2], [0.0, 0.0]])
-        coords, res = exp_coordinates_batch(X, be)
+        coords, res = exp_coordinates_batch(X, be), be.residual(X)
         assert np.allclose(np.linalg.norm(coords, axis=1), 1.0, atol=1e-12)
         lam = 2.0 * be.r * np.sum(X ** 2, axis=1)
         assert np.allclose(res, gammainc(be.degree + 1, lam), atol=1e-15)
@@ -79,9 +79,8 @@ class TestTruncatedExp:
         rng = np.random.default_rng(0)
         X = rng.uniform(-0.8, 0.8, size=(50, 2))
         Y = rng.uniform(-0.8, 0.8, size=(50, 2))
-        cx, rx = exp_coordinates_batch(X, be)
-        cy, ry = exp_coordinates_batch(Y, be)
-        assert max(rx.max(), ry.max()) < 1e-14
+        cx, cy = exp_coordinates_batch(X, be), exp_coordinates_batch(Y, be)
+        assert max(be.residual(X).max(), be.residual(Y).max()) < 1e-14
         got = np.linalg.norm(cx - cy, axis=1)
         want = psi_distance_exact(np.linalg.norm(X - Y, axis=1), be.r)
         assert np.abs(got - want).max() < 1e-10
@@ -92,16 +91,30 @@ class TestTruncatedExp:
         be = TruncatedExp(1.0, 800, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            coords, res = exp_coordinates_batch(np.array([[17.0]]), be)
+            coords = exp_coordinates_batch(np.array([[17.0]]), be)
+            res = be.residual(np.array([[17.0]]))
         assert np.linalg.norm(coords[0]) == pytest.approx(1.0, abs=1e-12)
         assert res[0] == gaussian._poisson_tail(801, np.array([578.0]))[0]
 
     def test_single_point_wrapper(self):
         # A single point is a batch of one row.
         be = TruncatedExp(1.0, 16, 2)
-        c, res = exp_coordinates_batch([0.1, 0.2], be)
+        c, res = exp_coordinates_batch([0.1, 0.2], be), be.residual([0.1, 0.2])
         assert c.shape == (1, be.n_coords) and np.linalg.norm(c) == pytest.approx(1.0)
         assert res.shape == (1,) and res[0] < 1e-14
+
+    def test_block_mass_never_takes_the_residual(self, monkeypatch):
+        # The residual is the certifier's business; the coordinates, and so
+        # every exp run through block_mass, never sum a Poisson tail.
+        def refuse(*args):
+            raise AssertionError("block_mass summed a Poisson tail")
+
+        monkeypatch.setattr(gaussian, "_poisson_tail", refuse)
+        rng = np.random.default_rng(4)
+        X, Y = rng.uniform(-0.8, 0.8, size=(2, 30, 2))
+        blocks = [TruncatedExp(r, 24, 2) for r in (0.3, 1.0, 2.5)]
+        for q in (0.5, 1.5, 2.0, 4.0):
+            assert np.all(np.isfinite(block_mass(X, Y, blocks, q)))
 
 
 class TestPoissonTail:
@@ -354,7 +367,7 @@ class TestPhiMaps:
         # squared l_2 distance of the sphere coordinates.
         be = TruncatedExp(1.0, 24, 2)
         X, Y = np.array([[0.4, -0.1]]), np.array([[-0.3, 0.5]])
-        psi_x, psi_y = exp_coordinates_batch(X, be)[0], exp_coordinates_batch(Y, be)[0]
+        psi_x, psi_y = exp_coordinates_batch(X, be), exp_coordinates_batch(Y, be)
         want = np.sum((psi_x - psi_y) ** 2, axis=1)
         np.testing.assert_allclose(block_mass(X, Y, [be], 2.0), want, rtol=1e-12)
 
@@ -363,7 +376,7 @@ class TestPhiMaps:
         # is the q-power mass of the difference of those images.
         be = TruncatedExp(1.0, 24, 2)
         X, Y = np.array([[0.4, -0.1]]), np.array([[0.1, 0.3]])
-        psi_x, psi_y = exp_coordinates_batch(X, be)[0], exp_coordinates_batch(Y, be)[0]
+        psi_x, psi_y = exp_coordinates_batch(X, be), exp_coordinates_batch(Y, be)
         for q in (1.0, 1.5, 4.0):
             img_x, img_y = mazur_map(psi_x, 2.0, q), mazur_map(psi_y, 2.0, q)
             assert np.sum(np.abs(img_x) ** q) == pytest.approx(1.0, abs=1e-12)

@@ -13,11 +13,12 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "embedlab").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 def _exports(tree: ast.Module) -> set[str]:
+    """The names of ``__all__``, else every public top-level name."""
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return {ast.literal_eval(elt) for elt in node.value.elts}
-    return set()
+    return {name for node in tree.body for name in _defined(node) if not name.startswith("_")}
 
 
 def _defined(node: ast.stmt) -> set[str]:

@@ -7,10 +7,11 @@ import pytest
 
 from embedlab.report import (
     CLAIMS,
-    VERDICTS,
     canonical_json,
     report_tables,
 )
+
+VERDICTS = ("consistent", "inconsistent", "not-run")
 
 
 def _write_run(directory, name, *, domain="l2", target="l4", regime="large_t",
