@@ -40,8 +40,7 @@ _EXPORTS = {
     "glue": ("GaussianBlockFamily", "GluedEmbedding", "ParamSchedule",
              "per_pair_bounds_check", "preset_schedule"),
     "mazur": ("audit_sphere_pairs", "mazur_constants", "mazur_map"),
-    "moduli": ("PairSampler", "distortion", "estimate_moduli", "fit_exponent",
-               "write_moduli_csv"),
+    "moduli": ("PairSampler", "estimate_moduli", "fit_exponent", "write_moduli_csv"),
     "report": ("ComparisonTable", "report_tables"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -54,7 +53,7 @@ __all__ = [
     "RandomFeatures", "TreeACollection", "TreeModel", "TruncatedExp",
     "ZkFolnerSystem", "ZkModel", "audit_sphere_pairs",
     "char_embedding_bound_check", "cube_report", "delta_q",
-    "distortion", "enflo_lower_bound", "enflo_type2_certificate",
+    "enflo_lower_bound", "enflo_type2_certificate",
     "estimate_moduli", "fit_exponent", "glued_group_embedding",
     "heisenberg_growth_fit", "mazur_constants", "mazur_map",
     "moduli_exponents", "per_pair_bounds_check", "preset_schedule",

@@ -278,8 +278,8 @@ def _suite_folner(args: argparse.Namespace) -> dict:
                          "within a certified radius: the folner suite audited nothing")
     scale = 0.5 if args.negative_control else 1.0
     defect_viol = sum(1 for n, dmax in defects.items()
-                      if dmax > system.eps(n) * scale * (1 + 1e-12))
-    worst_defect_slack = min(system.eps(n) * scale - defects[n] for n in defects)
+                      if dmax > system.defect_budget(n) * scale * (1 + 1e-12))
+    worst_defect_slack = min(system.defect_budget(n) * scale - defects[n] for n in defects)
     a_defect_viol = 0
     if args.negative_control:
         # The block-distance bound 2 eps'_n cannot be tightened by half
@@ -400,7 +400,7 @@ def cmd_gk(args: argparse.Namespace) -> int:
                          "G(k, ground) would have no pair to audit")
     rep = probe_audit(args.k, args.ground, args.p)
     doc = {"report_kind": "gk_report", "k": rep.k, "ground": rep.ground,
-           "p": rep.p, "pairs_checked": rep.n_pairs, "sampled": rep.sampled,
+           "p": rep.p, "pairs_checked": rep.n_pairs,
            "max_ratio": rep.max_ratio,
            "min_nonzero_image": rep.min_nonzero_image,
            "lipschitz_violations": rep.lipschitz_violations,

@@ -2,12 +2,17 @@
 cube-based distortion lower bounds used to cap achievable compression.
 
 Everything here is exact integer combinatorics at desk scale; the only
-floats are the final p-th roots and ratios.
+floats are the final p-th roots and ratios.  Both audits are closed
+forms over the one integer that fixes a pair's distances: the Hamming
+distance h for the cube identity (:func:`cube_report`), the overlap
+deficit j = |A minus B| for the subset probe (:func:`probe_audit`).  No
+pair of points is enumerated; ``tests/oracles.py`` walks every pair
+(``dense_distortion``, ``gk_probe_audit``) and the tests hold the closed
+forms to those walks bit for bit.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -15,17 +20,14 @@ import numpy as np
 
 from .metric_core import distance_root
 
-# Hard enumeration caps.  Pair iteration beyond ~1e6 vertices or bit
-# matrices beyond 2^14 rows are out of desk-scale scope.
+# Hard caps.  Cubes beyond 2^24 vertices, bit matrices beyond 2^14 rows
+# and subset spaces beyond 2^20 elements are out of desk-scale scope.
 MAX_CUBE_PAIR_DIM = 24
 MAX_CUBE_MATRIX_DIM = 14
-MAX_AUDIT_PAIRS = 1 << 20
+MAX_GK_ELEMENTS = 1 << 20
 
 # Relative float slack of the probe audit's comparisons.
 _REL_TOL = 1e-12
-
-# Set bits of each byte value.
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -56,9 +58,6 @@ class HammingCube:
         u = np.arange(self.n_vertices, dtype=np.int64)
         return ((u[:, None] >> np.arange(self.m)) & 1).astype(np.float64)
 
-    def points(self):
-        return self.bit_matrix()
-
     def distances_from(self, u: int, v) -> np.ndarray:
         """d_p from vertex u to each vertex of the bitmask array ``v``: the
         popcount of u xor v, an exact integer in float64, taken to the root."""
@@ -75,7 +74,7 @@ class HammingCube:
 @dataclass(frozen=True)
 class GkSpace:
     """All k-element subsets of {1..n} with the half-symmetric-difference
-    distance.  Elements are sorted tuples."""
+    distance."""
 
     k: int
     ground: int
@@ -83,26 +82,13 @@ class GkSpace:
     def __post_init__(self):
         if not (1 <= self.k <= self.ground):
             raise ValueError("need 1 <= k <= ground")
-        if math.comb(self.ground, self.k) > MAX_AUDIT_PAIRS:
-            raise ValueError("element count exceeds enumeration cap")
-
-    def elements(self) -> list[tuple[int, ...]]:
-        return list(itertools.combinations(range(1, self.ground + 1), self.k))
-
-    def bitmasks(self) -> np.ndarray:
-        """(C(n,k), ceil(n / 8)) uint8 bitmasks in element order: byte j of
-        row u holds the ground points 8j + 1 .. 8j + 8 of the element u."""
-        bits = np.asarray(self.elements(), dtype=np.int64) - 1
-        out = np.zeros((len(bits), -(-self.ground // 8)), dtype=np.uint8)
-        rows = np.repeat(np.arange(len(bits)), self.k)
-        np.bitwise_or.at(out, (rows, bits.ravel() >> 3),
-                         np.left_shift(1, bits.ravel() & 7).astype(np.uint8))
-        return out
+        if math.comb(self.ground, self.k) > MAX_GK_ELEMENTS:
+            raise ValueError(f"element count exceeds cap {MAX_GK_ELEMENTS}")
 
 
 @dataclass(frozen=True)
 class ProbeAuditReport:
-    """Brute-force audit of the basis-sum probe on G_k."""
+    """Exact audit of the basis-sum probe on G_k, over every pair."""
 
     k: int
     ground: int
@@ -112,7 +98,6 @@ class ProbeAuditReport:
     min_nonzero_image: float  # discreteness scale of the image
     lipschitz_violations: int
     discreteness_violations: int
-    sampled: bool = False
 
     @property
     def violations(self) -> int:
@@ -126,25 +111,19 @@ def probe_audit(k: int, ground: int, p, *,
     The probe sends a k-subset u of {1..ground} to the sum of the standard
     basis vectors it indexes.  The image difference vector has
     |A Delta B| entries of modulus 1, so image distances reduce to
-    symmetric-difference counts; the audit is exact integer arithmetic
-    over all pairs (caps permitting).  The counts are popcounts of the
-    XOR of two elements' bitmasks (:meth:`GkSpace.bitmasks`), taken one
-    row of pairs (u, v > u) at a time and folded into a histogram, from
-    which the maximum ratio, the minimum image and the violation counts
-    follow: no (pairs x pairs) array is built.
+    symmetric-difference counts, and |A Delta B| = 2j when |A minus B| = j.
+    For 1 <= j <= min(k, ground - k), C(ground, k) C(k, j) C(ground - k, j) / 2
+    unordered pairs meet that count: the histogram of the audit over all
+    pairs, from which the maximum ratio, the minimum image and the
+    violation counts follow exactly.
     """
     root = distance_root(p)
-    space = GkSpace(k, ground)
-    masks = space.bitmasks()
-    n_el = len(masks)
-    if math.comb(n_el, 2) > MAX_AUDIT_PAIRS:
-        raise ValueError("pair count exceeds enumeration cap")
-    hist = np.zeros(2 * k + 1, dtype=np.int64)  # pairs by |A Delta B|
-    for u in range(n_el - 1):
-        sym = _POPCOUNT[masks[u] ^ masks[u + 1:]].sum(axis=1)
-        hist += np.bincount(sym, minlength=2 * k + 1)
-    sym = np.flatnonzero(hist).astype(np.float64)  # the counts met, all > 0
-    pairs = hist[hist > 0]
+    GkSpace(k, ground)  # refuses k outside 1..ground and oversized spaces
+    n_el = math.comb(ground, k)
+    j = np.arange(1, min(k, ground - k) + 1)
+    pairs = np.array([n_el * math.comb(k, i) * math.comb(ground - k, i) // 2
+                      for i in j.tolist()], dtype=np.int64)
+    sym = 2.0 * j  # the counts met, all > 0
     image = sym ** (1.0 / root)
     ratio = image / (sym / 2.0)
     return ProbeAuditReport(
@@ -215,17 +194,25 @@ def enflo_type2_certificate(f, m: int) -> TypeTwoCertificate:
 
 
 def cube_report(m: int, p, q_type: float = 2.0) -> dict:
-    """Identity-embedding summary for one cube: bound, distortion, ratio."""
-    from .moduli import distortion
+    """Identity-embedding summary for one cube: bound, distortion, ratio.
 
+    The identity sends vertex u to its bit row, so a pair at Hamming
+    distance h has domain distance h^(1/max(p, 1)) and image distance
+    sqrt(h); the pair (0, 2^h - 1) meets each h in 1..m.  The distortion
+    (max image/domain ratio) * (max domain/image ratio) over all pairs is
+    therefore the same product over those m distances.
+    """
     cube = HammingCube(m, p)
     cert = enflo_type2_certificate(cube.bit_matrix(), m)
+    h = np.arange(1, m + 1)
+    dom = cube.distances_from(0, (1 << h) - 1)
+    im = np.sqrt(h)
     return {
         "m": m,
         "p": p,
         "target_type": q_type,
         "bound": enflo_lower_bound(m, p, q_type),
         "bound_exponent": _enflo_exponent(p, q_type),
-        "measured_distortion": distortion(lambda v: v, cube),
+        "measured_distortion": float(np.max(im / dom) * np.max(dom / im)),
         "certificate_ratio": cert.ratio,
     }

@@ -1,4 +1,4 @@
-"""Empirical compression/expansion moduli, exponent fits, distortion.
+"""Empirical compression/expansion moduli and exponent fits.
 
 The lab samples pairs at prescribed separations, evaluates an embedding
 on them, and reduces the image distances to two envelopes:
@@ -50,7 +50,6 @@ __all__ = [
     "reduce_envelopes",
     "fit_exponent",
     "fit_envelopes",
-    "distortion",
     "exact_kernel_engine",
     "coordinate_engine",
     "fast_rff_engine",
@@ -284,39 +283,6 @@ def fit_envelopes(m: ModuliEstimate, t_lo: float, t_hi: float) -> dict:
             fit = None
         doc.update({f"{env}_slope": None if fit is None else fit["slope"], f"{env}_fit": fit})
     return doc
-
-
-def distortion(f: Callable, space) -> float:
-    """(max image/domain ratio) * (max domain/image ratio) over all pairs.
-
-    ``space`` provides ``points()`` and ``distances_from(i, js)``, the
-    domain distances from point i to the points of the index array js.
-    Images live in Euclidean space.
-    Scale-free by construction; an isometry (or any similarity) scores 1.
-    Both distances are taken one row of pairs (i, j > i) at a time, both
-    maxima folded over the rows, so neither an (n, n) domain matrix nor an
-    (n, n, d) difference array is built.  All pairs are checked for
-    duplicate points before the map is reported not injective.
-    """
-    pts = list(space.points())
-    n = len(pts)
-    if n < 2:
-        raise ValueError("space must contain at least two points")
-    imgs = np.asarray([np.asarray(f(p), dtype=float) for p in pts])
-    expand = shrink = 0.0
-    collapsed = False
-    for i in range(n - 1):
-        dom_u = np.asarray(space.distances_from(i, np.arange(i + 1, n)), dtype=float)
-        if np.any(dom_u <= 0):
-            raise ValueError("space contains duplicate points")
-        im_u = np.sqrt(np.sum((imgs[i] - imgs[i + 1:]) ** 2, axis=1))
-        collapsed = collapsed or bool(np.any(im_u <= 0))
-        if not collapsed:
-            expand = np.maximum(expand, np.max(im_u / dom_u))
-            shrink = np.maximum(shrink, np.max(dom_u / im_u))
-    if collapsed:
-        raise ValueError("map is not injective on the space (zero image distance)")
-    return float(expand * shrink)
 
 
 # -- engines over glued embeddings --------------------------------------

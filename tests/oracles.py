@@ -14,8 +14,10 @@ decimal arithmetic, and its block kernel on random features against the
 glued mass in textbook order in float64.  The Hamming-cube distance rows of
 ``embedlab.finite_geometry`` are checked against the popcount of one
 pair's XOR and against the dense distance matrix of the bit-matrix
-product, which also feeds the whole-array distortion oracle; its probe
-audit of k-subsets against the Gram matrix of the incidence rows.  The
+product, and its closed-form distortion of the cube identity against
+every pair of that matrix and of the images of the bit rows; its
+closed-form probe audit of k-subsets against the Gram matrix of the
+incidence rows of every subset.  The
 moduli pair sampler of ``embedlab.moduli`` is checked against one fresh
 generator per pair.
 
@@ -30,7 +32,7 @@ import numpy as np
 
 from embedlab.amenable import (HeisenbergModel, ZkFolnerSystem, box_intersection_count,
                                heis_intersection_count)
-from embedlab.finite_geometry import GkSpace, HammingCube
+from embedlab.finite_geometry import GkSpace
 from embedlab.gaussian import RandomFeatures
 from embedlab.mazur import mazur_constants, mazur_map
 from embedlab.metric_core import distance_root
@@ -198,26 +200,19 @@ def cube_distance_matrix(cube) -> np.ndarray:
     return ham ** (1.0 / distance_root(cube.p))
 
 
-def dense_distortion(f, space) -> float:
-    """``moduli.distortion`` on whole arrays: the (n, n, d) difference
-    array of the images and the upper-triangle pairs of both matrices,
-    the domain matrix a cube's :func:`cube_distance_matrix` or another
-    space's ``pairwise_distances()``."""
-    pts = list(space.points())
-    n = len(pts)
-    if n < 2:
-        raise ValueError("space must contain at least two points")
-    dom = (cube_distance_matrix(space) if isinstance(space, HammingCube)
-           else np.asarray(space.pairwise_distances(), dtype=float))
-    imgs = np.asarray([np.asarray(f(p), dtype=float) for p in pts])
+def dense_distortion(f, cube) -> float:
+    """(max image/domain ratio) * (max domain/image ratio) over all pairs
+    of the cube's vertices on whole arrays: the images of the bit rows,
+    their (n, n, d) difference array, and the upper-triangle pairs of it
+    and of :func:`cube_distance_matrix`."""
+    dom = cube_distance_matrix(cube)
+    imgs = np.asarray([np.asarray(f(b), dtype=float) for b in cube.bit_matrix()])
     diff = imgs[:, None, :] - imgs[None, :, :]
     im = np.sqrt(np.sum(diff ** 2, axis=2))
-    iu = np.triu_indices(n, k=1)
+    iu = np.triu_indices(len(imgs), k=1)
     dom_u, im_u = dom[iu], im[iu]
-    if np.any(dom_u <= 0):
-        raise ValueError("space contains duplicate points")
     if np.any(im_u <= 0):
-        raise ValueError("map is not injective on the space (zero image distance)")
+        raise ValueError("map is not injective on the cube (zero image distance)")
     return float(np.max(im_u / dom_u) * np.max(dom_u / im_u))
 
 
@@ -362,10 +357,17 @@ def pair_sample_loop(sampler, n_pairs: int, seed: int):
     return X, Y, t
 
 
+def gk_elements(space) -> list[tuple[int, ...]]:
+    """The k-subsets of {1..ground} of a ``GkSpace`` as sorted tuples, in
+    lexicographic order."""
+    return list(itertools.combinations(range(1, space.ground + 1), space.k))
+
+
 def gk_incidence_matrix(space) -> np.ndarray:
-    """(C(n,k), n) 0/1 float64 incidence matrix of G(k, n), element order:
-    row u is the probe image of u, the sum of the basis vectors it indexes."""
-    els = space.elements()
+    """(C(n,k), n) 0/1 float64 incidence matrix of G(k, n), in the order of
+    :func:`gk_elements`: row u is the probe image of u, the sum of the
+    basis vectors it indexes."""
+    els = gk_elements(space)
     mat = np.zeros((len(els), space.ground))
     for i, e in enumerate(els):
         mat[i, np.asarray(e) - 1] = 1.0

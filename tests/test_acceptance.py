@@ -24,12 +24,11 @@ from embedlab.amenable import (
     sample_tree_pairs,
     sample_zk_pairs,
 )
-from embedlab.finite_geometry import HammingCube, enflo_type2_certificate, probe_audit
+from embedlab.finite_geometry import cube_report, enflo_type2_certificate, probe_audit
 from embedlab.glue import GaussianBlockFamily, glue, per_pair_bounds_check, preset_schedule
 from embedlab.mazur import audit_sphere_pairs, sphere_pair_tiles
 from embedlab.moduli import (
     PairSampler,
-    distortion,
     estimate_moduli,
     exact_kernel_engine,
     fast_rff_engine,
@@ -143,10 +142,9 @@ def test_c05_coarse_schedule_bounded_above_and_still_rising():
 def test_c06_cube_distortion_floor_met_exactly_by_the_identity():
     start = time.monotonic()
     for m in range(2, 11):
-        cube = HammingCube(m, 1.0)
-        assert abs(distortion(lambda v: v, cube) - math.sqrt(m)) <= 1e-9
-        cert = enflo_type2_certificate(cube.bit_matrix(), m)
-        assert abs(cert.ratio - 1.0) <= 1e-12
+        rep = cube_report(m, 1.0)
+        assert abs(rep["measured_distortion"] - math.sqrt(m)) <= 1e-9
+        assert abs(rep["certificate_ratio"] - 1.0) <= 1e-12
     rng = np.random.default_rng(0)
     for _ in range(100):
         cert = enflo_type2_certificate(rng.standard_normal((64, 4)), 6)

@@ -953,7 +953,13 @@ class TestEachCommandLoadsOnlyItsModules:
          ("amenable", "finite_geometry")),
         (["verify", "--suite", "mazur", "--samples", "300", "--grid", "1,2",
           "--out", "mazur.json"], ("glue", "gaussian", "amenable", "finite_geometry")),
-    ], ids=["folner", "moduli", "verify-mazur"])
+        (["cube", "--m", "6", "--p", "1.5", "--out", "cube.json"],
+         ("moduli", "glue", "gaussian", "amenable", "mazur")),
+        (["verify", "--suite", "cube", "--out", "cube-suite.json"],
+         ("moduli", "glue", "gaussian", "amenable", "mazur")),
+        (["verify", "--suite", "gk", "--out", "gk-suite.json"],
+         ("moduli", "glue", "gaussian", "amenable", "mazur")),
+    ], ids=["folner", "moduli", "verify-mazur", "cube", "verify-cube", "verify-gk"])
     def test_commands_leave_other_layers_unloaded(self, tmp_path, argv, absent):
         got = _fresh_cli([argv], tmp_path)
         assert got["codes"] == [cli.EXIT_OK]

@@ -15,7 +15,8 @@ from embedlab.finite_geometry import (
     enflo_type2_certificate,
     probe_audit,
 )
-from oracles import cube_distance, cube_distance_matrix, gk_incidence_matrix, gk_probe_audit
+from oracles import (cube_distance, cube_distance_matrix, gk_elements, gk_incidence_matrix,
+                     gk_probe_audit)
 
 
 class TestHammingCube:
@@ -63,27 +64,18 @@ class TestHammingCube:
 class TestGkSpace:
     def test_element_count_and_matrix(self):
         space = GkSpace(2, 5)
-        els = space.elements()
+        els = gk_elements(space)
         assert len(els) == math.comb(5, 2)
         assert els[0] == (1, 2)
         mat = gk_incidence_matrix(space)
         assert mat.shape == (10, 5)
         assert np.all(mat.sum(axis=1) == 2)
 
-    @pytest.mark.parametrize("k, ground", [(2, 5), (3, 8), (1, 9), (2, 70)])
-    def test_bitmasks_are_the_incidence_rows(self, k, ground):
-        # byte j, bit b of row u is ground point 8 j + b + 1 of element u
-        space = GkSpace(k, ground)
-        masks = space.bitmasks()
-        assert masks.dtype == np.uint8 and masks.shape[1] == -(-ground // 8)
-        bits = np.unpackbits(masks, axis=1, bitorder="little")[:, :ground]
-        assert np.array_equal(bits, gk_incidence_matrix(space))
-
     def test_distance(self):
         # |A Delta B| / 2 = k - |A cap B|, read off the incidence matrix,
         # against set arithmetic.
         space = GkSpace(3, 6)
-        els = space.elements()
+        els = gk_elements(space)
         mat = gk_incidence_matrix(space)
         rho = 3 - mat @ mat.T
         for i, a in enumerate(els):
@@ -104,7 +96,7 @@ class TestProbe:
         # The probe image of a subset is its incidence row: the sum of the
         # basis vectors it indexes.
         space = GkSpace(3, 7)
-        els = space.elements()
+        els = gk_elements(space)
         mat = gk_incidence_matrix(space)
         a, b = (1, 2, 4), (2, 4, 6)
         va, vb = mat[els.index(a)], mat[els.index(b)]
@@ -141,10 +133,12 @@ class TestProbe:
     @pytest.mark.parametrize("k, ground, p, factor", [
         (1, 2, 1.0, 2.0), (4, 12, 1.0, 2.0), (3, 9, 0.5, 2.0), (2, 7, 1.5, 2.0),
         (3, 10, 3.0, 1.2), (2, 6, 1.0, 1.5), (1, 100, 0.7, 2.0), (2, 40, 2.0, 2.0),
-        (4, 4, 1.0, 2.0)])
+        (4, 4, 1.0, 2.0), (1, 1, 2.0, 2.0), (3, 5, 1.0, 2.0), (5, 7, 1.5, 1.2),
+        (4, 6, 0.5, 1.0), (2, 60, 1.0, 2.0)])
     def test_audit_equals_the_gram_matrix_audit(self, k, ground, p, factor):
-        # The popcount histogram gives the whole-matrix audit's figures bit
-        # for bit, across one and several bitmask bytes and with violations.
+        # The closed-form histogram gives the whole-matrix audit's figures
+        # bit for bit, with violations, for k = ground, for 2k > ground
+        # (where j stops at ground - k), and past a million pairs.
         rep = probe_audit(k, ground, p, lipschitz_factor=factor)
         want = gk_probe_audit(k, ground, p, lipschitz_factor=factor)
         assert {key: getattr(rep, key) for key in want} == want

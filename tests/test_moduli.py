@@ -1,4 +1,5 @@
-"""Envelope estimation, exponent fits, distortion, and the engines."""
+"""Envelope estimation, exponent fits, the engines, and the cube identity's
+distortion against the all-pairs oracle."""
 
 import math
 import tracemalloc
@@ -13,7 +14,6 @@ from embedlab.moduli import (
     ModuliEstimate,
     PairSampler,
     coordinate_engine,
-    distortion,
     estimate_moduli,
     exact_kernel_engine,
     fast_rff_engine,
@@ -201,94 +201,34 @@ class TestFitExponent:
 
 
 class TestDistortion:
-    class _TwoPoints:
-        def points(self):
-            return [np.array([0.0]), np.array([1.0])]
-
-        def distances_from(self, i, js):
-            return np.abs(np.asarray(js, dtype=float) - i)
-
-    def test_isometry_and_similarity_score_one(self):
-        space = self._TwoPoints()
-        assert distortion(lambda p: p, space) == pytest.approx(1.0)
-        assert distortion(lambda p: 7.0 * p, space) == pytest.approx(1.0)
+    """The closed-form distortion of ``cube_report`` against the dense
+    oracle, which walks every pair of vertices."""
 
     def test_cube_identity_value(self):
         # Hamming metric vs Euclidean coordinates: the ratio spans [1, sqrt(m)].
-        assert distortion(lambda v: v, HammingCube(4, 1.0)) == pytest.approx(2.0, abs=1e-12)
+        assert cube_report(4, 1.0)["measured_distortion"] == pytest.approx(2.0, abs=1e-12)
 
-    def test_degenerate_maps_rejected(self):
-        space = self._TwoPoints()
-        with pytest.raises(ValueError):
-            distortion(lambda p: np.zeros(1), space)
-
-    class _Indexed:
-        """Points 0..n-1 with a given distance matrix."""
-
-        def __init__(self, dom):
-            self.dom = dom
-
-        def points(self):
-            return range(len(self.dom))
-
-        def distances_from(self, i, js):
-            return self.dom[i, js]
-
-        def pairwise_distances(self):  # read by the dense oracle only
-            return self.dom
-
-    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 3.0])
-    @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    @pytest.mark.parametrize("m", range(1, 11))
     def test_rows_equal_the_dense_oracle_on_cubes(self, m, p):
-        cube = HammingCube(m, p)
-        assert distortion(lambda v: v, cube) == dense_distortion(lambda v: v, cube)
-        a = np.random.default_rng(m).standard_normal((m + 2, m))
-        assert distortion(lambda v: a @ v, cube) == dense_distortion(lambda v: a @ v, cube)
-
-    @pytest.mark.parametrize("n, d", [(2, 1), (7, 3), (60, 5)])
-    def test_rows_equal_the_dense_oracle_on_random_images(self, n, d):
-        rng = np.random.default_rng(n)
-        pts = rng.standard_normal((n, 4))
-        space = self._Indexed(np.linalg.norm(pts[:, None] - pts[None], axis=2))
-        imgs = rng.standard_normal((n, d))
-        assert distortion(imgs.__getitem__, space) == dense_distortion(imgs.__getitem__, space)
-
-    @pytest.mark.parametrize("case, match", [
-        ("single", "at least two points"),
-        ("duplicate", "duplicate points"),
-        ("collapse", "not injective"),
-        # The collapsed pair (0, 1) comes before the duplicate pair (2, 3):
-        # duplicates are still reported first.
-        ("both", "duplicate points"),
-    ])
-    def test_rows_raise_the_dense_oracle_errors(self, case, match):
-        n = 1 if case == "single" else 4
-        dom = np.ones((n, n)) - np.eye(n)
-        imgs = np.arange(n * 2, dtype=float).reshape(n, 2)
-        if case in ("duplicate", "both"):
-            dom[2, 3] = dom[3, 2] = 0.0
-        if case in ("collapse", "both"):
-            imgs[1] = imgs[0]
-        for fn in (distortion, dense_distortion):
-            with pytest.raises(ValueError, match=match):
-                fn(imgs.__getitem__, self._Indexed(dom))
+        got = cube_report(m, p)["measured_distortion"]
+        assert got == dense_distortion(lambda v: v, HammingCube(m, p))
 
     def test_cube_rows_stay_within_a_memory_bound(self):
         # The dense form builds a (1024, 1024, 10) difference array and its
-        # square, 186 MB in all; the rows hold the distance matrices only.
-        cube = HammingCube(10, 1.0)
+        # square, 186 MB in all; the closed form takes m distances.
         tracemalloc.start()
         try:
-            value = distortion(lambda v: v, cube)
+            value = cube_report(10, 1.0)["measured_distortion"]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert value == pytest.approx(math.sqrt(10.0), abs=1e-12)
-        assert peak < 40e6
+        assert peak < 2 ** 20
 
     def test_cube_report_at_m12_stays_within_a_memory_bound(self):
         # A dense (4096, 4096) float64 domain matrix alone is 134 MB; the
-        # rows take each vertex's distances from popcounts as they go.
+        # report holds the (4096, 12) bit matrix of the type-2 certificate.
         tracemalloc.start()
         try:
             rep = cube_report(12, 1.0)
@@ -296,7 +236,7 @@ class TestDistortion:
         finally:
             tracemalloc.stop()
         assert rep["measured_distortion"] == pytest.approx(math.sqrt(12.0), abs=1e-12)
-        assert peak < 40e6
+        assert peak < 4 * 2 ** 20
 
 
 class TestEngines:
