@@ -39,7 +39,7 @@ _EXPORTS = {
                  "psi_distance_exact"),
     "glue": ("GaussianBlockFamily", "GluedEmbedding", "ParamSchedule",
              "per_pair_bounds_check", "preset_schedule"),
-    "mazur": ("audit_sphere_pairs", "mazur_constants", "mazur_map"),
+    "mazur": ("audit_sphere_pairs", "mazur_constants"),
     "moduli": ("PairSampler", "estimate_moduli", "fit_exponent", "write_moduli_csv"),
     "report": ("ComparisonTable", "report_tables"),
 }
@@ -55,7 +55,7 @@ __all__ = [
     "char_embedding_bound_check", "cube_report", "delta_q",
     "enflo_lower_bound", "enflo_type2_certificate",
     "estimate_moduli", "fit_exponent", "glued_group_embedding",
-    "heisenberg_growth_fit", "mazur_constants", "mazur_map",
+    "heisenberg_growth_fit", "mazur_constants",
     "moduli_exponents", "per_pair_bounds_check", "preset_schedule",
     "probe_audit", "psi_distance_exact", "report_tables", "write_moduli_csv",
 ]

@@ -27,8 +27,9 @@ of each block's raw coordinates (cosines for random features, the unit
 rows of the series) and folds both row norms into one per-row scale and
 one per-row quotient.  Powers whose exponent is an exact root go through
 sqrt, cbrt and square passes (``mazur._power``).  Each block's row sums
-are einsums in the dtype of its coordinates; the blocks are accumulated
-in float64.  Random-feature coordinates are computed in the floating
+are einsums in the dtype of its coordinates, by the q-th power sum that
+the Mazur audit shares (``mazur._row_power_sums``); the blocks are
+accumulated in float64.  Random-feature coordinates are computed in the floating
 dtype of the input points, or in a given one, so float32 rows give
 float32 arithmetic with the same feature tables.  Their feature product
 multiplies the rows [x, 1] by the table [w; b], so it also adds the
@@ -53,7 +54,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mazur import _ROOT_PRODUCTS, _power, _root_chain, _signed_power, mazur_constants
+from .mazur import _row_power_sums, _signed_power, mazur_constants
 from .metric_core import distance_root
 
 __all__ = [
@@ -368,26 +369,6 @@ def _block_coordinates(X1: np.ndarray, backend: TruncatedExp | RandomFeatures,
     return _rff_cosines(X1, wb, out=out)
 
 
-def _row_power_sums(h: np.ndarray, q: float, spare: np.ndarray) -> np.ndarray:
-    """sum_i |h_i|^q per row of ``h``, by einsum in its dtype; ``h`` and
-    ``spare`` (of the same shape) are scratch.
-
-    The sum is einsum(|h|, |h|^(q-1)) for the exponents of
-    ``mazur._ROOT_PRODUCTS`` (|h| sqrt|h| at q = 1.5), else einsum(g, g)
-    with g = |h|^(q/2) by :func:`~embedlab.mazur._power`; at q = 2 and 4,
-    g is h or h^2 and needs no abs.
-    """
-    half = q / 2.0
-    if half in (1.0, 2.0):
-        g = _power(h, half)
-    elif q in _ROOT_PRODUCTS:
-        np.abs(h, out=h)
-        return np.einsum("ij,ij->i", h, _root_chain(h, _ROOT_PRODUCTS[q], spare))
-    else:
-        g = _power(np.abs(h, out=h), half, out=spare)
-    return np.einsum("ij,ij->i", g, g)
-
-
 # Byte budget of one array of block_mass's working set.  A row tile holds
 # this much in each of its three (rows x features) scratch arrays, and a
 # group of blocks this much of feature tables.  At 512 float32 features
@@ -444,8 +425,8 @@ def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float, dtype=None) -> 
 
     one per-row scale of s_a(c_y) instead of two full-array divides
     (n = 1 for the series).  The row sums are einsums in the
-    coordinates' dtype (:func:`_row_power_sums`), so float32 for float32
-    rows; the per-row ratios and quotients are float64.
+    coordinates' dtype (:func:`~embedlab.mazur._row_power_sums`), so
+    float32 for float32 rows; the per-row ratios and quotients are float64.
 
     The loops run groups of blocks outside and row tiles inside
     (:func:`_plan`), so only one group's feature tables are alive at a

@@ -1,8 +1,9 @@
 """Signed-power (Mazur) maps between unit spheres of l_p spaces.
 
-``mazur_map(x, p, q)`` sends x to ``sgn(x_i) |x_i|^(p/q)`` coordinatewise.
-It maps the unit sphere of l_p onto the unit sphere of l_q and is an
-involution under swapping (p, q).
+The (p, q) Mazur map sends x to ``sgn(x_i) |x_i|^(p/q)`` coordinatewise
+(:func:`_signed_power` with exponent p/q).  It maps the unit sphere of
+l_p onto the unit sphere of l_q and is an involution under swapping
+(p, q).
 
 For the scalar signed power ``s_a(t) = sgn(t) |t|^a`` with a >= 1 the
 two-sided estimates
@@ -20,12 +21,20 @@ where S_p = sum |x_i - y_i|^p and S_q(Mx, My) = sum |Mx_i - My_i|^q.
 For p < q the inequalities reverse; the constants are derived from the
 (q, p) direction through the involution and flagged as such in reports.
 
+Powers go through chains of sqrt, cbrt and square passes where the
+exponent allows one (``_ROOT_STEPS``, ``_ROOT_PRODUCTS``), else numpy's
+pow, and every q-th power sum through one kernel, :func:`_row_power_sums`,
+which the block kernel of :mod:`.gaussian` shares.
+
 :func:`sphere_pair_tiles` streams pairs on the unit sphere of l_2 as row
 tiles of one draw; the (2, p) map carries them to every l_p sphere.
 :func:`audit_sphere_pairs` audits a whole grid of exponent pairs on any
 iterable of such tiles: the sphere and involution deviations of each map
-and both certified inequalities, each map computed once per cell, so the
-audit holds a few tiles of rows whatever the number of pairs.
+and both certified inequalities.  Each p's l_p magnitudes are taken once
+per tile and each map once per cell, the sums by the shared kernel, and
+the deviations and margins are reduced once per p over its stacked
+cells, in arrays allocated once, so the audit holds a few tiles of rows
+whatever the number of pairs.
 """
 
 from __future__ import annotations
@@ -37,7 +46,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "mazur_map",
     "signed_power_constant",
     "MazurConstants",
     "mazur_constants",
@@ -51,24 +59,21 @@ __all__ = [
 _FLOAT_GUARD = 1.0 - 1e-12
 
 
-def mazur_map(x, p: float, q: float) -> np.ndarray:
-    """Coordinatewise signed power with exponent p/q.
-
-    Sends the unit sphere of l_p to the unit sphere of l_q exactly:
-    sum |Mx_i|^q = sum |x_i|^p.
-    """
-    if not (0 < p < math.inf and 0 < q < math.inf):
-        raise ValueError(f"exponents must be finite and positive, got p={p}, q={q}")
-    xa = np.array(x, dtype=float)  # a copy: the signed power consumes it
-    if not np.all(np.isfinite(xa)):
-        raise ValueError("input contains non-finite entries")
-    return _signed_power(xa, p / q)[()]
-
-
 # Powers s^e (s >= 0) as chains of root and square passes, each correctly
 # rounded or nearly so and several times faster than numpy's pow loop.
+# The two tables hold the exponents 2/q and q/2 of every preset q (4, 2,
+# 1.5, 1, 0.5) and every ratio p/q of the Mazur audit's default grid
+# (0.5, 1, 1.5, 2, 3, 4) whose chain stays within 3 ulp of the power in
+# float32 and 2 ulp in float64: 1/8, 1/6 (cbrt, then sqrt: 1 ulp in
+# float32, against 2 for sqrt first), 1/3 and 3.  The other ratios take
+# numpy's pow: 2/3 as cbrt squared is 5 ulp off in float32, s^8 as three
+# squares 5 ulp and s^6 as (s s^2)^2 3 ulp in float64, and 3/8, 3/4 and
+# 8/3 have no chain of this form.
 _ROOT_STEPS = {
+    0.125: (np.sqrt, np.sqrt, np.sqrt),
+    1.0 / 6.0: (np.cbrt, np.sqrt),
     0.25: (np.sqrt, np.sqrt),
+    1.0 / 3.0: (np.cbrt,),
     0.5: (np.sqrt,),
     1.0: (),
     2.0: (np.square,),
@@ -76,13 +81,13 @@ _ROOT_STEPS = {
 }
 # Powers s^e = s * s^(e-1), by the chain of s^(e-1): 4/3 as s cbrt(s) is
 # 2.0e-7 relative in float32, against 3.6e-7 for numpy's pow and 7.1e-7
-# for cbrt(s) squared twice.  The two tables hold the exponents 2/q and
-# q/2 of every preset q (4, 2, 1.5, 1, 0.5), and the q-th power sum at
-# q = 1.5 as sum s sqrt(s).
+# for cbrt(s) squared twice; 3 is s s^2.  The q-th power sum takes them
+# as sum |h| |h|^(q-1) (:func:`_row_power_sums`).
 _ROOT_PRODUCTS = {
     4.0 / 3.0: (np.cbrt,),
     1.5: (np.sqrt,),
     2.0: (),
+    3.0: (np.square,),
 }
 
 
@@ -114,7 +119,7 @@ def _signed_power(t: np.ndarray, a: float, out: np.ndarray | None = None) -> np.
     """Coordinatewise copysign(|t|^a, t), in the dtype of ``t`` (float16,
     float32 or float64); ``out``, if given, receives the result.
 
-    For an exponent of ``_ROOT_PRODUCTS`` (a = 4/3, 1.5, 2) the result is
+    For an exponent of ``_ROOT_PRODUCTS`` (a = 4/3, 1.5, 2, 3) the result is
     t |t|^(a-1), which carries the sign of t through the product.  For any
     other, ``t`` is scratch: |t|^a is taken by :func:`_power`, and on
     return ``t`` holds only its sign bits, which are OR-ed into |t|^a;
@@ -132,23 +137,37 @@ def _signed_power(t: np.ndarray, a: float, out: np.ndarray | None = None) -> np.
     _power(s, a)
     sign = t.view(f"u{t.itemsize}")
     sign &= sign.dtype.type(1 << (8 * t.itemsize - 1))
-    magnitude = s.view(sign.dtype)
-    magnitude |= sign
-    return s
+    return _with_sign(s, sign)
 
 
-def _sign_bits(t: np.ndarray) -> np.ndarray:
-    """The sign bits of ``t``, as unsigned integers of its width."""
-    bits = t.view(f"u{t.itemsize}")
-    return bits & bits.dtype.type(1 << (8 * t.itemsize - 1))
+def _with_sign(magnitude: np.ndarray, sign: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """OR the ``sign`` bits into the nonnegative ``magnitude``, in place or
+    into ``out``; returns the signed array."""
+    out = magnitude if out is None else out
+    np.bitwise_or(magnitude.view(sign.dtype), sign, out=out.view(sign.dtype))
+    return out
 
 
-def _with_sign(magnitude: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """OR the ``sign`` bits into the nonnegative ``magnitude``, in place;
-    returns ``magnitude``."""
-    bits = magnitude.view(sign.dtype)
-    bits |= sign
-    return magnitude
+def _row_power_sums(h: np.ndarray, q: float, spare: np.ndarray) -> np.ndarray:
+    """sum_i |h_i|^q per row of ``h``, by einsum in its dtype; ``h`` and
+    ``spare`` (of the same shape) are scratch.
+
+    The sum is einsum(|h|, |h|^(q-1)) for the exponents of
+    ``_ROOT_PRODUCTS`` (|h| sqrt|h| at q = 1.5, |h| h^2 at q = 3), else
+    einsum(g, g) with g = |h|^(q/2) by :func:`_power`; at q = 2 and 4, g
+    is h or h^2 and needs no abs.  The one q-th power sum of the package:
+    the block kernel's mass and every sum of the Mazur audit.
+    """
+    half = q / 2.0
+    if half in (1.0, 2.0):
+        g = _power(h, half)
+    elif q in _ROOT_PRODUCTS:
+        np.abs(h, out=h)
+        return np.einsum("ij,ij->i", h, _root_chain(h, _ROOT_PRODUCTS[q], spare))
+    else:
+        g = _power(np.abs(h, out=h), half, out=spare)
+    return np.einsum("ij,ij->i", g, g)
 
 
 def signed_power_constant(alpha: float) -> float:
@@ -228,8 +247,9 @@ def mazur_constants(p: float, q: float) -> MazurConstants:
 
 
 # Byte budget of the rows of one tile, sized for one core's L2.  The audit
-# holds about eight float64 arrays of a tile's rows: the tile's x and y,
-# their sign bits, their l_p points, a map and a scratch.
+# holds eight float64 arrays of a tile's rows: the tile's x and y, the
+# bits where their signs differ, their l_p magnitudes, a map, a scratch
+# and the power sums' spare.
 _TILE_BYTES = 3 * 512 * 1024
 
 
@@ -294,56 +314,95 @@ def audit_sphere_pairs(tiles, grid, *, upper_scale: float = 1.0) -> dict:
 
     Every quantity is per row and every reduction a max, a min or a count,
     so the cells are folded across tiles and do not depend on the tiling.
-    Every map keeps the signs of its input, so a tile's sign bits are taken
-    once and its l_p points and their magnitudes once per p.  Each cell
-    raises the magnitudes by :func:`_power`, as :func:`_signed_power`
-    does, and ORs the signs back only for differences of signed values.
-    Besides its input a tile holds six arrays of its rows (two of signs,
-    the two l_p points, a map and a scratch), and briefly the next
-    exponent's points.
+    Every map keeps the signs of its input, so each p's l_p magnitudes
+    are taken once per tile, by :func:`_power` on |x2| and |y2|, and each
+    cell raises them by :func:`_power`, as :func:`_signed_power` does.  A
+    difference of signed values only enters a power sum, so it is taken
+    as |Mx| - |My| with the sign bits where x and y differ ORed into |My|
+    (the flips, taken once per tile): its magnitude is that of Mx - My bit
+    for bit.  Every sum, S_p, the sphere sums and S_Mq, is
+    :func:`_row_power_sums`, the block kernel's.  The deviations and both
+    margins of a p are reduced once, over its cells stacked as (cells,
+    rows) arrays; only the powers of S_p and the roots of the sphere sums
+    are taken per cell, with a scalar exponent, because numpy takes its
+    sqrt and square routes for a scalar exponent alone.
+
+    Besides its input the audit holds six arrays of a tile's rows,
+    allocated once (at the largest tile) and reused: the flips, the two
+    magnitudes, a map, a scratch and the spare of the power sums.
     """
     n = len(grid)
-    consts = {(p, q): mazur_constants(p, q) for p in grid for q in grid if p != q}
     sphere = np.zeros((n, n))
     invol = np.zeros((n, n))
     worst = np.full((n, n), math.inf)
     bad = np.zeros((n, n), dtype=np.int64)
+    # Per p, its cells with q != p and their constants as (cells, 1) columns.
+    bounded = []
+    for p in grid:
+        cells = [j for j, q in enumerate(grid) if q != p]
+        mcs = [mazur_constants(p, grid[j]) for j in cells]
+        bounded.append((cells,
+                        np.array([[mc.lower_exponent == 1.0] for mc in mcs], dtype=bool),
+                        np.array([[mc.c_lower] for mc in mcs]),
+                        np.array([[mc.c_upper * upper_scale] for mc in mcs])))
+    work = np.empty((6, 0))
     for x2, y2 in tiles:
-        sx, sy = _sign_bits(x2), _sign_bits(y2)
-        mx, scratch = np.empty((2, *x2.shape), dtype=x2.dtype)
+        if not (np.all(np.isfinite(x2)) and np.all(np.isfinite(y2))):
+            raise ValueError("input contains non-finite entries")
+        if work.dtype != x2.dtype or work.shape[1] < x2.size:
+            work = np.empty((6, x2.size), dtype=x2.dtype)
+        flip, ax, ay, mx, scratch, spare = (w[:x2.size].reshape(x2.shape) for w in work)
+        # The sign bits where x and y differ in sign: |Mx - My| is the
+        # difference of |Mx| and |My| with those bits ORed into |My|.
+        bits = np.dtype(f"u{x2.itemsize}")
+        flip = np.bitwise_xor(x2.view(bits), y2.view(bits), out=flip.view(bits))
+        flip &= bits.type(1 << (8 * x2.itemsize - 1))
+        rows = len(x2)
         for i, p in enumerate(grid):
-            ax, ay = mazur_map(x2, 2.0, p), mazur_map(y2, 2.0, p)  # on the l_p sphere
-            s_p = np.sum(np.abs(ax - ay) ** p, axis=1)
-            nz = s_p > 0
-            np.abs(ax, out=ax)  # the magnitudes from here on
-            np.abs(ay, out=ay)
+            cells, forward, c_lower, c_upper = bounded[i]
+            for t, a in ((x2, ax), (y2, ay)):  # the l_p points' magnitudes
+                _power(np.abs(t, out=mx), 2.0 / p, out=a)
+            h = np.subtract(ax, _with_sign(ay, flip, out=scratch), out=scratch)
+            s_p = _row_power_sums(h, p, spare)
+            roots = np.empty((n, rows))  # the sphere sums' 1/q-th roots
+            s_mq = np.empty((len(cells), rows))
+            s_p_pow = np.empty((len(cells), rows))  # S_p^(q/p)
+            k = 0
             for j, q in enumerate(grid):
                 _power(ax, p / q, out=mx)
-                np.copyto(scratch, mx)
-                scratch **= q
-                dev = np.abs(np.sum(scratch, axis=1) ** (1.0 / q) - 1.0)
-                sphere[i, j] = max(sphere[i, j], float(np.max(dev)))
-                # The map back keeps the signs of x, so |back - x| is the
-                # difference of the magnitudes.
-                _power(mx, q / p, out=scratch)
-                scratch -= ax
-                dev = np.abs(scratch, out=scratch)
-                invol[i, j] = max(invol[i, j], float(np.max(dev)))
-                if p == q:  # the two-sided distance bounds need distinct exponents
-                    continue
-                mc = consts[p, q]
-                _power(ay, p / q, out=scratch)
-                h = np.subtract(_with_sign(mx, sx), _with_sign(scratch, sy), out=scratch)
-                np.abs(h, out=h)
-                h **= q
-                s_mq = np.sum(h, axis=1)
-                lower_bound = mc.c_lower * s_p ** mc.lower_exponent
-                upper_bound = mc.c_upper * upper_scale * s_p ** mc.upper_exponent
-                scale = np.maximum(s_mq, 1e-300)
-                lower_margin = np.where(nz, (s_mq - lower_bound) / scale, 0.0)
-                upper_margin = np.where(nz, (upper_bound - s_mq) / scale, 0.0)
-                bad[i, j] += int(np.sum(lower_margin < 0) + np.sum(upper_margin < 0))
-                worst[i, j] = min(worst[i, j], lower_margin.min(), upper_margin.min())
+                # At q = p both maps copy (deviation 0), and the two-sided
+                # bounds need distinct exponents.
+                if p != q:
+                    # The map back keeps the signs of x, so |back - x| is
+                    # the difference of the magnitudes.
+                    back = _power(mx, q / p, out=scratch)
+                    back -= ax
+                    invol[i, j] = max(invol[i, j], float(np.abs(back, out=back).max()))
+                    h = np.subtract(mx, _with_sign(_power(ay, p / q, out=scratch), flip),
+                                    out=scratch)
+                    s_mq[k] = _row_power_sums(h, q, spare)
+                    np.power(s_p, q / p, out=s_p_pow[k])
+                    k += 1
+                np.power(_row_power_sums(mx, q, spare), 1.0 / q, out=roots[j])
+            roots -= 1.0
+            np.maximum(sphere[i], np.abs(roots, out=roots).max(axis=1), out=sphere[i])
+            if not cells:
+                continue
+            # Relative margins, 0 where S_p = 0; the unit exponent of each
+            # cell's pair takes S_p itself.
+            scale = np.maximum(s_mq, 1e-300)
+            lower = np.where(forward, s_p, s_p_pow)
+            lower *= c_lower
+            np.subtract(s_mq, lower, out=lower)
+            upper = np.where(forward, s_p_pow, s_p)
+            upper *= c_upper
+            upper -= s_mq
+            zero = s_p == 0
+            for margin in (lower, upper):
+                margin /= scale
+                margin[:, zero] = 0.0
+                bad[i, cells] += np.count_nonzero(margin < 0, axis=1)
+                worst[i, cells] = np.minimum(worst[i, cells], margin.min(axis=1))
     cells = []
     for i, p in enumerate(grid):
         for j, q in enumerate(grid):

@@ -85,33 +85,103 @@ class PairSampler:
     def sample(self, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``n_pairs`` rows of (x, y, t).  Pair i draws a Gaussian base
         point, a Gaussian direction and a uniform for t from the Philox
-        stream keyed by ``SeedSequence((seed, i))``.  The key is taken from
-        the uint32 words of seed and i, the words that sequence holds,
-        and set with a zero counter on one reused generator."""
+        stream keyed by ``SeedSequence((seed, i))``, set with a zero
+        counter on one reused generator.  The keys are hashed from the
+        uint32 words of seed and i by :func:`_seed_keys`, one chunk of
+        pairs at a time.  Each pair reads its base point into X, its
+        direction into Y and then its uniform, the values that
+        ``normal(0, 1)``, ``normal()`` and ``uniform()`` would read; the
+        chunk's directions are then scaled in place, y = x + t d / |d|.
+        """
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         X = np.empty((n_pairs, self.dim))
         Y = np.empty((n_pairs, self.dim))
         t = np.empty(n_pairs)
+        norm = np.empty(min(n_pairs, _KEY_CHUNK))
         log_ratio = math.log(self.t_max / self.t_min)
         bitgen = np.random.Philox()
         rng = np.random.Generator(bitgen)
         state = bitgen.state
         counter = np.zeros(4, dtype=np.uint64)
         words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
-        entropy = np.array(words + [0], dtype=np.uint32)
-        for i in range(n_pairs):
-            entropy[-1] = i  # one word while i < 2^32, as in the tuple
-            key = np.random.SeedSequence(entropy).generate_state(2, np.uint64)
-            state["state"] = {"counter": counter, "key": key}
-            bitgen.state = state
-            base = rng.normal(0.0, 1.0, size=self.dim)
-            direction = rng.normal(size=self.dim)
-            direction /= math.sqrt(direction.dot(direction))  # np.linalg.norm's route
-            t[i] = self.t_min * math.exp(rng.uniform() * log_ratio)
-            X[i] = base
-            Y[i] = base + t[i] * direction
+        for start in range(0, n_pairs, _KEY_CHUNK):
+            stop = min(start + _KEY_CHUNK, n_pairs)
+            for i, key in enumerate(_seed_keys(words, start, stop), start):
+                state["state"] = {"counter": counter, "key": key}
+                bitgen.state = state
+                rng.standard_normal(out=X[i])
+                direction = rng.standard_normal(out=Y[i])
+                norm[i - start] = math.sqrt(direction.dot(direction))  # np.linalg.norm's route
+                t[i] = self.t_min * math.exp(rng.random() * log_ratio)
+            y = Y[start:stop]
+            y /= norm[:stop - start, None]
+            y *= t[start:stop, None]
+            y += X[start:stop]
         return X, Y, t
+
+
+# Pairs whose Philox keys are hashed at once: 16 KiB of keys.
+_KEY_CHUNK = 1024
+
+# The constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx).
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_keys(words: list[int], start: int, stop: int) -> np.ndarray:
+    """``SeedSequence(words + [i]).generate_state(2, np.uint64)`` for each
+    i in [start, stop) below 2^32, as rows of a (stop - start, 2) array.
+
+    SeedSequence's hash, vectorised over i in uint32 arithmetic: hashmix
+    each entropy word (zeros past the last) into a pool of four words,
+    mix every pool word into every other, mix in the words past the
+    pool, and hash the pool into four output words, which pair into two
+    uint64 low word first.  The multipliers of hashmix and of the output
+    hash advance the same way for every i, so they are Python integers.
+    """
+    if stop > 1 << 32:
+        raise ValueError("pair indices must stay below 2^32")
+    u32 = np.uint32
+    index = np.arange(start, stop, dtype=u32)
+    entropy = [np.full(index.size, w, dtype=u32) for w in words] + [index]
+    hash_a = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_a
+        value = value ^ u32(hash_a)
+        hash_a = hash_a * _MULT_A & 0xFFFFFFFF
+        value *= u32(hash_a)
+        value ^= value >> u32(16)
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        x *= u32(_MIX_MULT_L)
+        y *= u32(_MIX_MULT_R)
+        x -= y
+        x ^= x >> u32(16)
+        return x
+
+    zero = np.zeros(index.size, dtype=u32)
+    pool = [hashmix(entropy[k] if k < len(entropy) else zero) for k in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    keys = np.zeros((index.size, 2), dtype=np.uint64)
+    hash_b = _INIT_B
+    for k, word in enumerate(pool):
+        word ^= u32(hash_b)
+        hash_b = hash_b * _MULT_B & 0xFFFFFFFF
+        word *= u32(hash_b)
+        word ^= word >> u32(16)
+        keys[:, k // 2] |= word.astype(np.uint64) << np.uint64(32 * (k % 2))
+    return keys
 
 
 @dataclass

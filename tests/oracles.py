@@ -5,10 +5,12 @@ sets and their translates, the defect |F Delta gF| / |F| by explicit
 translation and, for the gauge ball, from the closed-form intersection
 count of ``heis_intersection_count``, the symmetric difference and block distance of one pair,
 the support reach of a materialized box, and the glued-bound audit pair
-by pair.  The Mazur grid audit of
+by pair.  The Mazur map is the package's signed power on a checked
+copy (:func:`mazur_map`), and the Mazur grid audit of
 ``embedlab.mazur`` is checked against a loop over the cells on whole
-arrays, with a fresh draw per exponent p, and its sampler against
-whole-array normalization.  The closed-form series residual of
+arrays, with a fresh draw per exponent p and its sums by the package's
+one power-sum kernel, and against the same loop with its sums by numpy's
+pow and sum; its sampler against whole-array normalization.  The closed-form series residual of
 ``embedlab.gaussian`` is checked against a Poisson tail summed in
 decimal arithmetic, and its block kernel on random features against the
 glued mass in textbook order in float64.  The Hamming-cube distance rows of
@@ -34,7 +36,7 @@ from embedlab.amenable import (HeisenbergModel, ZkFolnerSystem, box_intersection
                                heis_intersection_count)
 from embedlab.finite_geometry import GkSpace
 from embedlab.gaussian import RandomFeatures
-from embedlab.mazur import mazur_constants, mazur_map
+from embedlab.mazur import _row_power_sums, _signed_power, mazur_constants
 from embedlab.metric_core import distance_root
 
 MAX_SET_SIZE = 1 << 20
@@ -216,13 +218,6 @@ def dense_distortion(f, cube) -> float:
     return float(np.max(im_u / dom_u) * np.max(dom_u / im_u))
 
 
-def lp_sphere_pairs(p: float, samples: int, dim: int, seed: int):
-    """:func:`l2_sphere_pairs` carried to the unit sphere of l_p^dim by the
-    (2, p) Mazur map; the same Philox stream for every p."""
-    x2, y2 = l2_sphere_pairs(samples, dim, seed)
-    return mazur_map(x2, 2.0, p), mazur_map(y2, 2.0, p)
-
-
 def cube_distance(u: int, v: int, cube) -> float:
     """d_p between two vertices of ``cube`` given as bitmasks."""
     n = cube.n_vertices
@@ -252,14 +247,41 @@ def poisson_tail(n: int, lam: float) -> float:
             j += 1
 
 
-def mazur_cell_bounds(x, y, consts, upper_scale: float = 1.0) -> tuple[int, float]:
+def mazur_map(x, p: float, q: float) -> np.ndarray:
+    """The (p, q) Mazur map sgn(x_i) |x_i|^(p/q) of a copy of ``x``, by the
+    package's signed power; refuses exponents outside (0, inf) and
+    non-finite entries.  Sends the unit sphere of l_p to the unit sphere
+    of l_q exactly: sum |Mx_i|^q = sum |x_i|^p."""
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise ValueError(f"exponents must be finite and positive, got p={p}, q={q}")
+    xa = np.array(x, dtype=float)  # a copy: the signed power consumes it
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("input contains non-finite entries")
+    return _signed_power(xa, p / q)[()]
+
+
+def power_sums(h, q: float) -> np.ndarray:
+    """sum_i |h_i|^q per row by the package's one q-th power-sum kernel
+    (``mazur._row_power_sums``), on a copy of ``h``."""
+    h = np.array(h, dtype=float)
+    return _row_power_sums(h, q, np.empty_like(h))
+
+
+def textbook_power_sums(h, q: float) -> np.ndarray:
+    """sum_i |h_i|^q per row by numpy's pow and pairwise sum."""
+    return np.sum(np.abs(h) ** q, axis=1)
+
+
+def mazur_cell_bounds(x, y, consts, upper_scale: float = 1.0, *, sums=power_sums
+                      ) -> tuple[int, float]:
     """Violations and worst relative margin of both certified power-sum
-    inequalities on whole arrays of l_p sphere pairs."""
+    inequalities on whole arrays of l_p sphere pairs, every power sum
+    taken by ``sums``."""
     p, q = consts.p, consts.q
-    s_p = np.sum(np.abs(x - y) ** p, axis=1)
-    s_mq = np.sum(np.abs(mazur_map(x, p, q) - mazur_map(y, p, q)) ** q, axis=1)
-    lower_bound = consts.c_lower * s_p ** consts.lower_exponent
-    upper_bound = consts.c_upper * upper_scale * s_p ** consts.upper_exponent
+    s_p = sums(x - y, p)
+    s_mq = sums(mazur_map(x, p, q) - mazur_map(y, p, q), q)
+    lower_bound = consts.c_lower * np.power(s_p, consts.lower_exponent)
+    upper_bound = consts.c_upper * upper_scale * np.power(s_p, consts.upper_exponent)
     nz = s_p > 0
     scale = np.maximum(s_mq, 1e-300)
     lower_margin = np.where(nz, (s_mq - lower_bound) / scale, 0.0)
@@ -269,18 +291,21 @@ def mazur_cell_bounds(x, y, consts, upper_scale: float = 1.0) -> tuple[int, floa
 
 
 def mazur_grid_audit(grid, samples: int, dim: int, seed: int,
-                     upper_scale: float = 1.0) -> dict:
+                     upper_scale: float = 1.0, *, sums=power_sums) -> dict:
     """``mazur.audit_sphere_pairs`` on fresh draws as a loop over p, then q,
-    on whole arrays: a draw per p, every map recomputed per cell."""
+    on whole arrays: a draw per p, every map recomputed per cell, every
+    power sum taken by ``sums`` (the shared kernel, or numpy's pow and sum
+    with :func:`textbook_power_sums`)."""
     cells = []
     total = 0
     worst = math.inf
     sphere_dev = invol_dev = 0.0
     for p in grid:
-        x, y = lp_sphere_pairs(p, samples, dim, seed)
+        x2, y2 = l2_sphere_pairs(samples, dim, seed)
+        x, y = mazur_map(x2, 2.0, p), mazur_map(y2, 2.0, p)
         for q in grid:
             mx = mazur_map(x, p, q)
-            s_dev = float(np.max(np.abs(np.sum(np.abs(mx) ** q, axis=1) ** (1.0 / q) - 1.0)))
+            s_dev = float(np.max(np.abs(np.power(sums(mx, q), 1.0 / q) - 1.0)))
             i_dev = float(np.max(np.abs(mazur_map(mx, q, p) - x)))
             sphere_dev = max(sphere_dev, s_dev)
             invol_dev = max(invol_dev, i_dev)
@@ -288,7 +313,8 @@ def mazur_grid_audit(grid, samples: int, dim: int, seed: int,
                     "involution_deviation": i_dev}
             bad = int(s_dev > 1e-12) + int(i_dev > 1e-12)
             if p != q:
-                viol, margin = mazur_cell_bounds(x, y, mazur_constants(p, q), upper_scale)
+                viol, margin = mazur_cell_bounds(x, y, mazur_constants(p, q), upper_scale,
+                                                 sums=sums)
                 worst = min(worst, margin)
                 cell["worst_margin"] = margin
                 bad += viol

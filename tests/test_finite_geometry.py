@@ -212,3 +212,15 @@ class TestCubeReport:
         assert rep["bound_exponent"] == pytest.approx(0.5)
         assert rep["measured_distortion"] == pytest.approx(math.sqrt(3.0))
         assert rep["certificate_ratio"] == 1.0
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_certificate_ratio_is_the_bit_matrix_certificate(self, m):
+        want = enflo_type2_certificate(HammingCube(m, 1.0).bit_matrix(), m)
+        assert want.diagonal_sum == want.edge_sum == m * 2 ** (m - 1)
+        got = cube_report(m, 1.0)["certificate_ratio"]
+        assert np.float64(got).tobytes() == np.float64(want.ratio).tobytes()
+
+    def test_cubes_past_the_matrix_cap_are_reported(self):
+        rep = cube_report(MAX_CUBE_MATRIX_DIM + 10, 1.0)
+        assert rep["certificate_ratio"] == 1.0
+        assert rep["measured_distortion"] == pytest.approx(math.sqrt(MAX_CUBE_MATRIX_DIM + 10))

@@ -23,8 +23,8 @@ from embedlab.gaussian import (
     sphere_block_interval,
 )
 from embedlab.glue import GaussianBlockFamily, preset_schedule
-from embedlab.mazur import mazur_map, signed_power_constant
-from oracles import poisson_tail, rff_block_mass, rff_coordinates
+from embedlab.mazur import signed_power_constant
+from oracles import mazur_map, poisson_tail, rff_block_mass, rff_coordinates
 
 
 class TestPsiDistance:

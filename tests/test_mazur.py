@@ -12,11 +12,10 @@ from embedlab.mazur import (
     _signed_power,
     audit_sphere_pairs,
     mazur_constants,
-    mazur_map,
     signed_power_constant,
     sphere_pair_tiles,
 )
-from oracles import l2_sphere_pairs, mazur_grid_audit
+from oracles import l2_sphere_pairs, mazur_grid_audit, mazur_map, textbook_power_sums
 
 GRID = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
 TILE_ROWS = 1000
@@ -125,7 +124,8 @@ def _ulps(got, want):
 class TestRootRoute:
     """Powers by root, square and product passes against ``**``."""
 
-    EXPONENTS = [(1, 4), (1, 2), (1, 1), (4, 3), (3, 2), (2, 1), (4, 1)]
+    EXPONENTS = [(1, 8), (1, 6), (1, 4), (1, 3), (1, 2), (1, 1), (4, 3), (3, 2), (2, 1),
+                 (3, 1), (4, 1)]
 
     @staticmethod
     def _inputs(dtype):
@@ -170,8 +170,9 @@ class TestRootRoute:
         got = _signed_power(t.copy(), num / den)
         assert np.array_equal(got, [0.0, 0.0]) and list(np.signbit(got)) == [False, True]
 
-    @pytest.mark.parametrize("e", [0.7, 3.0])
+    @pytest.mark.parametrize("e", [0.7, 2.0 / 3.0])
     def test_other_exponents_take_pow(self, e):
+        # 2/3 as cbrt squared is 5 ulp off in float32, so it stays on pow.
         s = self._inputs(np.float64)
         assert np.array_equal(_power(s.copy(), e), s ** e)
 
@@ -308,6 +309,33 @@ class TestGridAudit:
             assert audit_sphere_pairs(sphere_pair_tiles(samples, dim, 6, rows), grid) == want
             tiles = [(x2[i:i + rows], y2[i:i + rows]) for i in range(0, samples, rows)]
             assert audit_sphere_pairs(tiles, grid) == want, rows
+
+    @pytest.mark.parametrize("upper_scale", [1.0, 0.5])
+    def test_counts_and_margins_match_the_pow_and_sum_route(self, upper_scale):
+        # The shared power-sum kernel moves sums in their last bits
+        # against numpy's pow and sum: no violation count moves, and no
+        # margin by more than 1e-12 relative.  (The maps stay the
+        # package's: a near pair's map difference cancels, so one ulp of
+        # a map moves its S_Mq by up to 1e-10 relative.)
+        got = audit_sphere_pairs(sphere_pair_tiles(301, 16, 5, TILE_ROWS), GRID,
+                                 upper_scale=upper_scale)
+        want = mazur_grid_audit(GRID, 301, 16, seed=5, upper_scale=upper_scale,
+                                sums=textbook_power_sums)
+        assert got["violations"] == want["violations"]
+        assert (got["violations"] > 0) == (upper_scale < 1)
+        for cell, ref in zip(got["cells"], want["cells"], strict=True):
+            assert (cell["p"], cell["q"], cell["violations"]) == (
+                ref["p"], ref["q"], ref["violations"])
+            if "worst_margin" in ref:
+                assert cell["worst_margin"] == pytest.approx(ref["worst_margin"], rel=1e-12)
+
+    def test_non_finite_tiles_are_refused(self):
+        x, y = l2_sphere_pairs(4, 3, seed=1)
+        for bad in (np.nan, np.inf):
+            x_bad = x.copy()
+            x_bad[2, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                audit_sphere_pairs([(x, y), (x_bad, y)], GRID)
 
     def test_single_exponent_grid_has_no_margin(self):
         rep = audit_sphere_pairs(sphere_pair_tiles(20, 3, 1, TILE_ROWS), [1.5])

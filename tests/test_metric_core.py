@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from embedlab.finite_geometry import HammingCube
 from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
-from embedlab.mazur import mazur_map
 from embedlab.metric_core import distance_root
-from oracles import cube_distance, rff_coordinates
+from oracles import cube_distance, mazur_map, rff_coordinates
 
 
 class TestExponentRegime:

@@ -11,6 +11,7 @@ from embedlab.finite_geometry import HammingCube, cube_report
 from embedlab import gaussian, moduli
 from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
 from embedlab.moduli import (
+    _KEY_CHUNK,
     ModuliEstimate,
     PairSampler,
     coordinate_engine,
@@ -21,6 +22,7 @@ from embedlab.moduli import (
     fit_exponent,
     glued_certifier,
     reduce_envelopes,
+    _seed_keys,
     write_moduli_csv,
 )
 from oracles import dense_distortion, pair_sample_loop, rff_glued_distance
@@ -49,6 +51,24 @@ class TestPairSampler:
         for a, b in zip(got, want):
             assert np.array_equal(a, b)
         assert np.array_equal(s.sample(1, seed)[2], want[2][:1])  # pair index 0 alone
+
+    def test_the_stream_holds_across_key_chunks(self):
+        # 2^70 + 3 keys with three words; the pairs span two key chunks.
+        s = PairSampler(0.1, 100.0, dim=5)
+        n = _KEY_CHUNK + 3
+        for a, b in zip(s.sample(n, 2 ** 70 + 3), pair_sample_loop(s, n, 2 ** 70 + 3)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("words", [[0], [7], [5, 1], [3, 2 ** 32 - 1, 17],
+                                       [9, 8, 7, 6, 5]])  # five words overflow the pool
+    def test_keys_are_the_seed_sequence_states(self, words):
+        n = 65540
+        keys = _seed_keys(words, 0, n)
+        assert keys.shape == (n, 2) and keys.dtype == np.uint64
+        for i in (0, 1, 65535, 65536, n - 1):
+            want = np.random.SeedSequence(words + [i]).generate_state(2, np.uint64)
+            assert np.array_equal(keys[i], want), i
+        assert np.array_equal(_seed_keys(words, 65530, n), keys[65530:])
 
     def test_negative_seed_is_refused(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -228,7 +248,7 @@ class TestDistortion:
 
     def test_cube_report_at_m12_stays_within_a_memory_bound(self):
         # A dense (4096, 4096) float64 domain matrix alone is 134 MB; the
-        # report holds the (4096, 12) bit matrix of the type-2 certificate.
+        # report's distortion and type-2 certificate are closed forms.
         tracemalloc.start()
         try:
             rep = cube_report(12, 1.0)
