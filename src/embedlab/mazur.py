@@ -27,7 +27,8 @@ pow, and every q-th power sum through one kernel, :func:`_row_power_sums`,
 which the block kernel of :mod:`.gaussian` shares.
 
 :func:`sphere_pair_tiles` streams pairs on the unit sphere of l_2 as row
-tiles of one draw; the (2, p) map carries them to every l_p sphere.
+tiles, drawn from four keyed Philox streams; the (2, p) map carries them
+to every l_p sphere.
 :func:`audit_sphere_pairs` audits a whole grid of exponent pairs on any
 iterable of such tiles: the sphere and involution deviations of each map
 and both certified inequalities.  Each p's l_p magnitudes are taken once
@@ -39,7 +40,6 @@ whatever the number of pairs.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 
@@ -258,44 +258,33 @@ def sphere_pair_tiles(samples: int, dim: int, seed: int, tile_rows: int | None =
     yielded in row order as ``(x2, y2)`` tiles of at most ``tile_rows`` rows,
     by default the rows whose audit fits ``_TILE_BYTES``.
 
-    One Philox stream holds ``samples`` Gaussian x rows, then as many y
-    rows, then scales and perturbations that make the first quarter of the
-    pairs close (y = x + small perturbation); each row is normalized in
-    l_2.  The (2, p) Mazur map carries the pairs to every l_p sphere.  Three
-    cursors read the stream, the later two placed by discarding tile-sized
-    chunks (chunked draws read the values of one call), so only a tile of
-    rows and one scale per near pair are held.
+    The first quarter of the pairs are close (y = x + scale * step, the
+    scale log-uniform in [1e-6, 1e-1]); the rest are independent.  Four
+    Philox streams, keyed ``SeedSequence((seed, 105, k))``, hold the
+    Gaussian x rows (k = 0), the far y rows (1), the near pairs' scales (2)
+    and their Gaussian steps (3).  Each stream is read tile by tile and
+    draws only what the tile yields, and draws in chunks read the values
+    of one call, so the tiles do not depend on ``tile_rows``.  Each row is
+    normalized in l_2; the (2, p) Mazur map carries the pairs to every l_p
+    sphere.
     """
     if tile_rows is None:
         tile_rows = max(1, _TILE_BYTES // (8 * 8 * dim))
-    xs = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    near = copy.deepcopy(xs)
-    _discard_normals(near, samples * dim, tile_rows * dim)
-    ys = copy.deepcopy(near)
-    _discard_normals(near, samples * dim, tile_rows * dim)
+    xs, far, scales, steps = (np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((seed, 105, k)))) for k in range(4))
     n_near = samples // 4
-    scale = np.exp(near.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
     for start in range(0, samples, tile_rows):
         rows = min(tile_rows, samples - start)
         x2 = xs.standard_normal((rows, dim))
-        y2 = ys.standard_normal((rows, dim))
         x2 /= np.linalg.norm(x2, axis=1, keepdims=True)
         k = min(rows, max(0, n_near - start))  # near pairs in this tile
-        if k:
-            yn = near.standard_normal((k, dim))
-            yn *= scale[start:start + k]
-            yn += x2[:k]
-            y2[:k] = yn
+        y2 = np.empty_like(x2)
+        steps.standard_normal(out=y2[:k])
+        y2[:k] *= np.exp(scales.uniform(math.log(1e-6), math.log(1e-1), size=(k, 1)))
+        y2[:k] += x2[:k]
+        far.standard_normal(out=y2[k:])
         y2 /= np.linalg.norm(y2, axis=1, keepdims=True)
         yield x2, y2
-
-
-def _discard_normals(rng: np.random.Generator, count: int, chunk: int) -> None:
-    """Advance ``rng`` past ``count`` standard normals, drawn at most
-    ``chunk`` at a time into one reused buffer."""
-    buf = np.empty(max(1, min(count, chunk)))
-    for start in range(0, count, buf.size):
-        rng.standard_normal(out=buf[:count - start])
 
 
 def audit_sphere_pairs(tiles, grid, *, upper_scale: float = 1.0) -> dict:

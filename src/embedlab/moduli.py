@@ -400,11 +400,7 @@ def fast_rff_engine(e: GluedEmbedding) -> Callable:
     splitting a tile's product across both CPUs of a 2-CPU host nearly
     doubled the CPU time without shortening the wall time, a BLAS worker
     spinning between products, and 2048-row tiles, whose scratch arrays
-    spill out of L2, cost more CPU than 256-row ones.  On a 2-CPU x86-64
-    host with OpenBLAS 0.3.31, two moduli runs of 8192 pairs over 100 and
-    60 blocks of 512 features, plus their report (the ``moduli-rff``
-    benchmark pass), take a median 4.7 s of wall time and 4.7 s of CPU
-    over 10 runs, and their largest process peaks at 40.1 MB resident.
+    spill out of L2, cost more CPU than 256-row ones.
     """
     if getattr(e.family, "backend", None) != "rff":
         raise ValueError("fast engine needs an rff-backed family")

@@ -179,18 +179,19 @@ def bounds_check_per_pair(emb, pairs, image_pth, upper_scale: float = 1.0) -> di
 
 
 def l2_sphere_pairs(samples: int, dim: int, seed: int):
-    """Pairs on the unit sphere of l_2^dim: Gaussian rows normalized in l_2
-    on whole arrays, a quarter of them made close."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    g = rng.standard_normal((2, samples, dim))
-    x2 = g[0] / np.linalg.norm(g[0], axis=1, keepdims=True)
-    y2 = g[1] / np.linalg.norm(g[1], axis=1, keepdims=True)
+    """Pairs on the unit sphere of l_2^dim on whole arrays, a quarter of
+    them made close: Gaussian x rows, far y rows, near-pair scales and
+    near-pair steps, each from its own Philox stream keyed (seed, 105, k),
+    every row normalized in l_2."""
+    xs, far, scales, steps = (np.random.Generator(np.random.Philox(
+        np.random.SeedSequence((seed, 105, k)))) for k in range(4))
     n_near = samples // 4
-    if n_near:
-        scale = np.exp(rng.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
-        yn = x2[:n_near] + scale * rng.standard_normal((n_near, dim))
-        y2[:n_near] = yn / np.linalg.norm(yn, axis=1, keepdims=True)
-    return x2, y2
+    x = xs.standard_normal((samples, dim))
+    x2 = x / np.linalg.norm(x, axis=1, keepdims=True)
+    scale = np.exp(scales.uniform(math.log(1e-6), math.log(1e-1), size=(n_near, 1)))
+    y = np.concatenate([x2[:n_near] + scale * steps.standard_normal((n_near, dim)),
+                        far.standard_normal((samples - n_near, dim))])
+    return x2, y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
 def cube_distance_matrix(cube) -> np.ndarray:

@@ -459,7 +459,7 @@ class TestVerifyCommand:
 
     def test_mazur_suite_holds_a_few_tiles_of_rows(self):
         # 200,000 pairs at dim 16 take 51 MB as whole arrays; the stream
-        # holds a few tiles of rows and one scale per near pair.
+        # holds a few tiles of rows.
         args = cli.build_parser().parse_args(["verify", "--suite", "mazur",
                                               "--samples", "200000", "--grid", "1,2"])
         tracemalloc.start()
@@ -948,18 +948,32 @@ class TestEachCommandLoadsOnlyItsModules:
         (["folner", "--group", "z2", "--n-max", "8", "--max-dist", "16", "--pairs", "60",
           "--json-out", "z2.json"],
          ("gaussian", "glue", "mazur", "finite_geometry", "metric_core")),
+        (["folner", "--group", "heis", "--n-min", "2", "--n-max", "5", "--json-out", "heis.json"],
+         ("gaussian", "glue", "mazur", "finite_geometry", "metric_core")),
+        (["folner", "--group", "tree", "--n-max", "6", "--max-dist", "50", "--pairs", "40",
+          "--json-out", "tree.json"],
+         ("gaussian", "glue", "mazur", "finite_geometry", "metric_core")),
         (["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
           "--n-terms", "30", "--pairs", "300", "--bins", "12", "--json-out", "w.json"],
          ("amenable", "finite_geometry")),
         (["verify", "--suite", "mazur", "--samples", "300", "--grid", "1,2",
-          "--out", "mazur.json"], ("glue", "gaussian", "amenable", "finite_geometry")),
+          "--out", "mazur.json"],
+         ("gaussian", "glue", "moduli", "amenable", "finite_geometry", "metric_core")),
+        (["verify", "--suite", "kernel", "--out", "kernel-suite.json"],
+         ("glue", "moduli", "amenable", "finite_geometry")),
+        (["verify", "--suite", "gluing", "--n-terms", "80", "--pairs", "150",
+          "--out", "gluing-suite.json"], ("moduli", "amenable", "finite_geometry")),
+        (["verify", "--suite", "folner", "--n-max", "6", "--pairs", "80",
+          "--out", "folner-suite.json"],
+         ("moduli", "gaussian", "glue", "mazur", "finite_geometry", "metric_core")),
         (["cube", "--m", "6", "--p", "1.5", "--out", "cube.json"],
          ("moduli", "glue", "gaussian", "amenable", "mazur")),
         (["verify", "--suite", "cube", "--out", "cube-suite.json"],
          ("moduli", "glue", "gaussian", "amenable", "mazur")),
         (["verify", "--suite", "gk", "--out", "gk-suite.json"],
          ("moduli", "glue", "gaussian", "amenable", "mazur")),
-    ], ids=["folner", "moduli", "verify-mazur", "cube", "verify-cube", "verify-gk"])
+    ], ids=["folner", "folner-heis", "folner-tree", "moduli", "verify-mazur", "verify-kernel",
+            "verify-gluing", "verify-folner", "cube", "verify-cube", "verify-gk"])
     def test_commands_leave_other_layers_unloaded(self, tmp_path, argv, absent):
         got = _fresh_cli([argv], tmp_path)
         assert got["codes"] == [cli.EXIT_OK]
