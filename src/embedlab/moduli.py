@@ -50,6 +50,7 @@ __all__ = [
     "reduce_envelopes",
     "fit_exponent",
     "fit_envelopes",
+    "loglog_fit",
     "exact_kernel_engine",
     "coordinate_engine",
     "fast_rff_engine",
@@ -317,7 +318,9 @@ class ExponentFit:
 
 
 def fit_exponent(m: ModuliEstimate, envelope: str, t_lo: float, t_hi: float) -> ExponentFit:
-    """Fit log(envelope) against log(t) on rows inside [t_lo, t_hi]."""
+    """Fit log(envelope) against log(t) on the usable rows inside
+    [t_lo, t_hi] (populated, finite and positive), by the closed-form
+    least squares of :func:`loglog_fit`."""
     if not (0 < t_lo < t_hi):
         raise ValueError("need 0 < t_lo < t_hi")
     if envelope == "rho":
@@ -329,14 +332,34 @@ def fit_exponent(m: ModuliEstimate, envelope: str, t_lo: float, t_hi: float) -> 
     use = (ts >= t_lo) & (ts <= t_hi) & (m.counts > 0) & np.isfinite(vals) & (vals > 0)
     if int(use.sum()) < 5:
         raise ValueError(f"only {int(use.sum())} usable bins in range; need >= 5")
-    lx = np.log(ts[use])
-    ly = np.log(vals[use])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    return ExponentFit(envelope=envelope, slope=float(slope), intercept=float(intercept),
-                       t_lo=t_lo, t_hi=t_hi,
-                       residual_rms=float(np.sqrt(np.mean(resid ** 2))),
-                       n_bins=int(use.sum()))
+    slope, intercept, residual = loglog_fit(ts[use].tolist(), vals[use].tolist())
+    return ExponentFit(envelope=envelope, slope=slope, intercept=intercept,
+                       t_lo=t_lo, t_hi=t_hi, residual_rms=residual, n_bins=int(use.sum()))
+
+
+def loglog_fit(xs, ys) -> tuple[float, float, float]:
+    """(slope, intercept, residual RMS) of the least-squares line through
+    the points (log x, log y), all x and y positive and not all x equal.
+
+    The 2x2 normal equations solved in closed form on centred data, in
+    Python floats: ``math.log`` of each point, ``math.fsum`` for the
+    means, S_xx, S_xy and the squared residuals.  No LAPACK solve runs,
+    so the bytes of a fit depend neither on OpenBLAS's core type nor on
+    numpy's SIMD dispatch.
+    """
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    n = len(lx)
+    mx, my = math.fsum(lx) / n, math.fsum(ly) / n
+    dx = [x - mx for x in lx]
+    sxx = math.fsum(d * d for d in dx)
+    if not sxx > 0:
+        raise ValueError("need two distinct abscissae to fit a line")
+    slope = math.fsum(d * (y - my) for d, y in zip(dx, ly)) / sxx
+    intercept = my - slope * mx
+    residual = math.sqrt(math.fsum((y - (slope * x + intercept)) ** 2
+                                   for x, y in zip(lx, ly)) / n)
+    return slope, intercept, residual
 
 
 def fit_envelopes(m: ModuliEstimate, t_lo: float, t_hi: float) -> dict:

@@ -21,7 +21,8 @@ every pair of that matrix and of the images of the bit rows; its
 closed-form probe audit of k-subsets against the Gram matrix of the
 incidence rows of every subset.  The
 moduli pair sampler of ``embedlab.moduli`` is checked against one fresh
-generator per pair.
+generator per pair, and its closed-form log-log fit against
+``np.polyfit``'s least squares.
 
 Each enumerator refuses sets past ``MAX_SET_SIZE`` points.
 """
@@ -382,6 +383,15 @@ def pair_sample_loop(sampler, n_pairs: int, seed: int):
         X[i] = base
         Y[i] = base + t[i] * direction
     return X, Y, t
+
+
+def polyfit_loglog(xs, ys) -> tuple[float, float, float]:
+    """(slope, intercept, residual RMS) of the line through (log x, log y)
+    by ``np.polyfit``, which solves the least squares through LAPACK."""
+    lx, ly = np.log(xs), np.log(ys)
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    return float(slope), float(intercept), float(np.sqrt(np.mean(resid ** 2)))
 
 
 def gk_elements(space) -> list[tuple[int, ...]]:

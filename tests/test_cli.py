@@ -817,6 +817,33 @@ class TestGroupClosedForms:
             assert got[n] == want
 
 
+class TestFitsNeedNoLapack:
+    """Every fit is the closed form of ``moduli.loglog_fit``: runs whose
+    fits cover every path (both envelope fits of a folner and of a
+    kernel-mode moduli run, the Heisenberg growth fit) succeed with
+    numpy's least-squares solvers unavailable."""
+
+    @pytest.mark.parametrize("argv", [
+        ["folner", "--group", "z2", "--n-max", "8", "--max-dist", "16", "--pairs", "60"],
+        ["folner", "--group", "heis", "--n-min", "2", "--n-max", "6"],
+        ["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
+         "--n-terms", "30", "--pairs", "300", "--bins", "12",
+         "--t-min", "0.001", "--t-max", "0.1"],
+    ], ids=["folner-z2", "folner-heis", "moduli-kernel"])
+    def test_runs_without_polyfit_or_lstsq(self, tmp_path, monkeypatch, argv):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a fit reached LAPACK")
+
+        monkeypatch.setattr(np, "polyfit", refuse)
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        out_json = tmp_path / "run.json"
+        assert run([*argv, "--json-out", str(out_json)]) == cli.EXIT_OK
+        doc = json.loads(out_json.read_text())
+        fitted = [doc["growth_fit"]] if argv[2] == "heis" else [doc["rho_slope"],
+                                                                 doc["omega_slope"]]
+        assert all(isinstance(v, float) for v in fitted)
+
+
 def test_import_loads_no_scipy_module():
     code = ("import sys, embedlab, embedlab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
@@ -842,9 +869,9 @@ print(json.dumps({"codes": codes,
 """
 
 
-def _fresh_cli(runs, cwd):
+def _fresh_cli(runs, cwd, env=None):
     out = subprocess.run([sys.executable, "-c", _FRESH_CLI, json.dumps(runs), str(cwd)],
-                         capture_output=True, text=True, check=True)
+                         capture_output=True, text=True, check=True, env=env)
     return json.loads(out.stdout.splitlines()[-1])
 
 
@@ -907,6 +934,140 @@ class TestRunsWithoutScipy:
             return (tmp_path / j).read_bytes(), (tmp_path / c).read_bytes()
 
         assert once(1) == once(2)
+
+
+# The runs of the cross-CPU contract, by artifact name: folner over every
+# group and a kernel-mode moduli run, about a second in all.
+_CPU_RUNS = {
+    "z2": ["folner", "--group", "z2", "--n-max", "8", "--max-dist", "16", "--pairs", "60"],
+    "z3": ["folner", "--group", "z3", "--n-min", "3", "--n-max", "9", "--max-dist", "40.6",
+           "--pairs", "120"],
+    "tree": ["folner", "--group", "tree", "--n-max", "8", "--max-dist", "30", "--pairs", "150"],
+    "heis": ["folner", "--group", "heis", "--n-min", "2", "--n-max", "8"],
+    "warmup": ["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
+               "--n-terms", "30", "--pairs", "300", "--bins", "12",
+               "--t-min", "0.001", "--t-max", "0.1"],
+}
+
+_CPU_VARIANTS = {
+    "openblas-haswell": {"OPENBLAS_CORETYPE": "Haswell"},
+    "numpy-no-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+}
+
+
+def _cpu_env(**variables):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_CORETYPE", "NPY_DISABLE_CPU_FEATURES")}
+    return {**env, **variables}
+
+
+def _cpu_runs(directory, env) -> dict:
+    """Exit codes and artifact bytes of every run of ``_CPU_RUNS``, made in
+    one fresh process with environment ``env``."""
+    directory.mkdir()
+    codes = _fresh_cli([[*argv, "--out", f"{name}.csv", "--json-out", f"{name}.json"]
+                        for name, argv in _CPU_RUNS.items()], directory, env)["codes"]
+    files = {f"{name}.{ext}": (directory / f"{name}.{ext}").read_bytes()
+             for name in _CPU_RUNS for ext in ("csv", "json")}
+    return {"codes": dict(zip(_CPU_RUNS, codes)), "files": files}
+
+
+def _floats_agree(a: float, b: float, rel: float) -> bool:
+    return math.isclose(a, b, rel_tol=rel) or (math.isnan(a) and math.isnan(b))
+
+
+def _json_agrees(a, b, rel: float) -> bool:
+    """Equal structure, keys, integers, strings, booleans and nulls;
+    floats within ``rel``."""
+    if isinstance(a, float) and isinstance(b, float):
+        return _floats_agree(a, b, rel)
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_json_agrees(a[k], b[k], rel) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(_json_agrees(x, y, rel) for x, y in zip(a, b))
+    return a == b
+
+
+def _cell_agrees(a: str, b: str) -> bool:
+    """One CSV cell: integers and text equal, numbers within 1e-12
+    relative or one unit in the last of their 12 significant digits."""
+    if a == b:
+        return True
+    if a.lstrip("-").isdigit() or b.lstrip("-").isdigit():
+        return False
+    try:
+        x, y = float(a), float(b)
+    except ValueError:
+        return False
+    last_digit = 10.0 ** (math.floor(math.log10(max(abs(x), abs(y)))) - 11)
+    return _floats_agree(x, y, 1e-12) or abs(x - y) <= 1.0000001 * last_digit
+
+
+class TestCrossCpuContract:
+    """The cross-CPU contract of README's "Reproducibility across CPUs",
+    on runs in child processes whose environment alone selects another
+    OpenBLAS core type or disables numpy's newest SIMD targets.
+
+    Under ``OPENBLAS_CORETYPE=Haswell`` every CSV and JSON is
+    byte-identical: every fit is a closed form in Python floats, so no
+    LAPACK kernel that the core type selects reaches an artifact.  Under
+    ``NPY_DISABLE_CPU_FEATURES``, integer, string and boolean fields,
+    verdicts and exit codes are identical and floats agree within 1e-12
+    relative; a CSV cell, rounded to 12 significant digits, may also move
+    one unit in its last digit.  A variant is skipped only when the host
+    refuses it at import.
+    """
+
+    @pytest.fixture(scope="class")
+    def default(self, tmp_path_factory):
+        return _cpu_runs(tmp_path_factory.mktemp("cpu") / "default", _cpu_env())
+
+    def test_every_run_succeeds_and_fits(self, default):
+        assert default["codes"] == dict.fromkeys(_CPU_RUNS, cli.EXIT_OK)
+        for name in ("z2", "z3", "tree", "warmup"):
+            doc = json.loads(default["files"][f"{name}.json"])
+            assert doc["rho_slope"] is not None and doc["omega_slope"] is not None
+        assert json.loads(default["files"]["heis.json"])["growth_fit"] is not None
+
+    @pytest.mark.parametrize("variant", sorted(_CPU_VARIANTS))
+    def test_artifacts_keep_the_contract(self, default, tmp_path, variant):
+        env = _cpu_env(**_CPU_VARIANTS[variant])
+        probe = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                               capture_output=True, text=True)
+        if probe.returncode != 0:
+            pytest.skip(f"this host refuses {_CPU_VARIANTS[variant]} at import: "
+                        f"{probe.stderr.strip()[-200:]}")
+        got = _cpu_runs(tmp_path / variant, env)
+        assert got["codes"] == default["codes"]
+        if variant == "openblas-haswell":
+            assert [f for f, data in got["files"].items() if data != default["files"][f]] == []
+            return
+        for f, data in got["files"].items():
+            want = default["files"][f]
+            if f.endswith(".json"):
+                assert _json_agrees(json.loads(want), json.loads(data), 1e-12), f
+                continue
+            rows_want, rows_got = want.decode().splitlines(), data.decode().splitlines()
+            assert len(rows_want) == len(rows_got), f
+            for rw, rg in zip(rows_want, rows_got):
+                cw, cg = rw.split(","), rg.split(",")
+                assert len(cw) == len(cg) and all(map(_cell_agrees, cw, cg)), (f, rw, rg)
+
+    def test_the_comparison_refuses_what_the_contract_does_not_allow(self):
+        doc = {"violations": 0, "verdict": "pass", "slope": 0.5, "fit": [1.0, None]}
+        assert _json_agrees(doc, dict(doc, slope=0.5 * (1 + 1e-13)), 1e-12)
+        assert not _json_agrees(doc, dict(doc, slope=0.5 * (1 + 1e-11)), 1e-12)
+        assert not _json_agrees(doc, dict(doc, violations=1), 1e-12)
+        assert not _json_agrees(doc, dict(doc, verdict="fail"), 1e-12)
+        assert not _json_agrees(doc, dict(doc, violations=0.0), 1e-12)
+        assert not _json_agrees(doc, dict(doc, fit=[1.0, 0.0]), 1e-12)
+        assert _cell_agrees("1.23456789012", "1.23456789013")
+        assert not _cell_agrees("1.23456789012", "1.23456789014")
+        assert _cell_agrees("nan", "nan")
+        assert not _cell_agrees("12", "13")
+        assert not _cell_agrees("12", "12.0000000001")
 
 
 def _peak_rss_mb(argv) -> float:

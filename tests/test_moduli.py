@@ -21,11 +21,12 @@ from embedlab.moduli import (
     fit_envelopes,
     fit_exponent,
     glued_certifier,
+    loglog_fit,
     reduce_envelopes,
     _seed_keys,
     write_moduli_csv,
 )
-from oracles import dense_distortion, pair_sample_loop, rff_glued_distance
+from oracles import dense_distortion, pair_sample_loop, polyfit_loglog, rff_glued_distance
 
 
 def identity_engine(X, Y, t):
@@ -211,6 +212,16 @@ class TestFitExponent:
         with pytest.raises(ValueError, match="t_lo < t_hi"):
             fit_envelopes(est, t_lo, t_hi)
 
+    def test_fit_is_the_oracle_least_squares(self):
+        est = estimate_moduli(lambda X, Y, t: t ** 0.5 * (1.2 + np.sin(t)),
+                              PairSampler(0.1, 100.0), bins=24, pairs=2000, seed=5)
+        fit = fit_exponent(est, "omega", 0.5, 50.0)
+        use = (est.edges[1:] >= 0.5) & (est.edges[1:] <= 50.0) & (est.counts > 0)
+        want = polyfit_loglog(est.edges[1:][use], est.omega_hat[use])
+        got = (fit.slope, fit.intercept, fit.residual_rms)
+        assert fit.n_bins == int(use.sum())
+        assert got == pytest.approx(want, rel=1e-12)
+
     def test_window_and_name_validation(self):
         est = estimate_moduli(identity_engine, PairSampler(0.1, 100.0), bins=12,
                               pairs=500, seed=2)
@@ -218,6 +229,43 @@ class TestFitExponent:
             fit_exponent(est, "rho", 50.0, 60.0)  # too few bins inside
         with pytest.raises(ValueError):
             fit_exponent(est, "sigma", 0.1, 100.0)
+
+
+class TestLoglogFit:
+    """The closed-form fit against ``np.polyfit``'s LAPACK least squares."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_windows_match_the_polyfit_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(5, 40))
+        xs = np.sort(np.exp(rng.uniform(-7.0, 7.0, n)))
+        ys = rng.uniform(0.1, 2.0) * xs ** rng.uniform(-1.0, 3.0) * np.exp(rng.normal(0, 0.3, n))
+        want = polyfit_loglog(xs, ys)
+        got = loglog_fit(xs.tolist(), ys.tolist())
+        assert got[0] == pytest.approx(want[0], rel=1e-12)
+        # the intercept is log c, which can sit near 0: compare it on the
+        # scale of the log data it is fitted to
+        scale = float(np.abs(np.log(ys)).max())
+        assert got[1] == pytest.approx(want[1], rel=1e-12, abs=1e-12 * scale)
+        assert got[2] == pytest.approx(want[2], rel=1e-12)
+
+    @pytest.mark.parametrize("c, s", [(1.0, 1.0), (3.0, 0.0), (0.5, 0.5), (2.0, 1.5),
+                                      (1e-3, 3.0), (7.0, -1.0)])
+    @pytest.mark.parametrize("xs", [[1, 2, 4, 8, 16, 32], list(range(2, 21)),
+                                    np.geomspace(0.1, 100, 36).tolist()],
+                             ids=["powers-of-two", "radii", "log-spaced"])
+    def test_power_laws_give_their_exponent(self, c, s, xs):
+        slope, intercept, residual = loglog_fit(xs, [c * x ** s for x in xs])
+        if (c, s) == (1.0, 1.0) or s == 0.0:  # log y is log x or a constant
+            assert (slope, residual) == (s, 0.0)
+            assert intercept == math.log(c)
+        else:  # log(c x^s) is rounded once, log c + s log x is not
+            assert abs(slope - s) <= 2 * math.ulp(s)
+            assert residual < 1e-14
+
+    def test_equal_abscissae_have_no_line(self):
+        with pytest.raises(ValueError, match="two distinct abscissae"):
+            loglog_fit([3.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0])
 
 
 class TestDistortion:
