@@ -31,11 +31,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 _REL_TOL = 1e-9  # relative float slack of the certified-bound audits
+_MAX_DIST = 1 << 62  # keeps Z^k lengths plus the +-1000 base points inside int64
 _TREE_BASE_DEPTH = 40  # sampled tree pairs start at depth 0.._TREE_BASE_DEPTH
 _TREE_BLOCK = 512  # tree walks per sampling block, each block its own stream
 _TREE_CHUNK = 256  # walk steps drawn at once
@@ -76,14 +77,11 @@ class HeisenbergModel:
     name: str = "heis"
 
     def ball_count(self, radius: int) -> int:
-        """|B(e, R)| by summing the z-fiber count over each (x, y)."""
+        """|B(e, R)| = (2 R^4 + 10 R^2 + 6 R + 3) / 3, the sum over a = 0..R of
+        2 (R - a)^2 + 1 z values for each of the 4a (one at a = 0) points (x, y)
+        with |x| + |y| = a; the tests keep that sum as the oracle."""
         r = int(radius)
-        total = 0
-        for a in range(r + 1):
-            n_xy = 1 if a == 0 else 4 * a
-            c = r - a  # gauge budget left for the z part
-            total += n_xy * (2 * c * c + 1)
-        return total
+        return (2 * r ** 4 + 10 * r ** 2 + 6 * r + 3) // 3
 
 
 @dataclass(frozen=True)
@@ -439,6 +437,15 @@ def folner_system(group: str, n_min: int, n_max: int) -> ZkFolnerSystem | TreeAC
     raise ValueError(f"no set system for group {group!r}")
 
 
+def defect_budget_check(sys, defects: dict[int, float],
+                        scale: float = 1.0) -> tuple[int, float]:
+    """(count, least slack) of the worst defects (``sys.worst_defects``) over
+    ``sys.defect_budget(n) * scale``; a scale below 1 is a negative control."""
+    budgets = {n: sys.defect_budget(n) * scale for n in defects}
+    violations = sum(1 for n, v in defects.items() if v > budgets[n] * (1 + 1e-12))
+    return violations, min(budgets[n] - v for n, v in defects.items())
+
+
 def block_distances_pth(sys, counts: np.ndarray) -> np.ndarray:
     """block_distance_pth per pair (rows) and index n_min..n_max (columns),
     from the pairs' ``sys.sym_diff_counts``."""
@@ -464,20 +471,22 @@ class CharBoundReport:
     bound_scale: float
 
     def to_dict(self) -> dict:
-        return dict(model=self.model, p=self.p, n_pairs=self.n_pairs,
-                    n_checks=self.n_checks, violations=self.violations,
-                    support_violations=self.support_violations,
-                    worst_margin=self.worst_margin, bound_scale=self.bound_scale)
+        return asdict(self)
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, *key))))
 
 
+def _check_max_dist(max_dist) -> None:
+    if not 1 <= max_dist < _MAX_DIST:
+        raise ValueError(f"need a finite max_dist in [1, 2^62), got {max_dist:g}")
+
+
 def sample_zk_pairs(group: ZkModel, n_pairs: int, max_dist: float,
                     seed: int) -> list[tuple[tuple, tuple]]:
     """Deterministic pairs (x, y) with log-uniform ell_1 separations
-    1 <= d(x, y) <= max_dist.
+    1 <= d(x, y) <= max_dist, for a max_dist in [1, 2^62).
 
     The length is drawn log-uniformly in [1, max_dist], rounded, capped
     at floor(max_dist) and split across coordinates with random signs,
@@ -488,8 +497,7 @@ def sample_zk_pairs(group: ZkModel, n_pairs: int, max_dist: float,
     multinomial splits 2, signs 3.  Row i of every draw is pair i, so the
     first m pairs of an n-pair draw are the m-pair draw.
     """
-    if not 1 <= max_dist < math.inf:
-        raise ValueError(f"need a finite max_dist >= 1, got {max_dist}")
+    _check_max_dist(max_dist)
     k = group.k
     x = _stream(seed, 9, 0).integers(-1000, 1001, size=(n_pairs, k))
     log_len = _stream(seed, 9, 1).uniform(0.0, math.log(max_dist), size=n_pairs)
@@ -502,7 +510,7 @@ def sample_zk_pairs(group: ZkModel, n_pairs: int, max_dist: float,
 
 def sample_tree_pairs(tree: TreeModel, n_pairs: int, max_dist: int,
                       seed: int) -> list[tuple[tuple, tuple]]:
-    """Deterministic tree pairs at graph distance in [1, max_dist].
+    """Deterministic tree pairs at graph distance in [1, max_dist < 2^62].
 
     Pair i is a random walk: it starts at x, a node of uniform depth in
     [0, min(_TREE_BASE_DEPTH, depth)] with uniform labels, and takes a
@@ -516,6 +524,7 @@ def sample_tree_pairs(tree: TreeModel, n_pairs: int, max_dist: int,
     all its rows and the first rows are kept, so the first m pairs of an
     n-pair draw are the m-pair draw.
     """
+    _check_max_dist(max_dist)
     out = []
     for block, start in enumerate(range(0, n_pairs, _TREE_BLOCK)):
         keep = min(_TREE_BLOCK, n_pairs - start)

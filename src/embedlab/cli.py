@@ -276,25 +276,14 @@ def _suite_folner(args: argparse.Namespace) -> dict:
     if char.n_checks == 0:
         raise ValueError(f"--pairs {args.pairs} at --max-dist {max_dist} drew no pair "
                          "within a certified radius: the folner suite audited nothing")
+    # Box translates at full shift and tree segments offset along the ray
+    # nearly saturate their defect budgets, so halved budgets trip both.
     scale = 0.5 if args.negative_control else 1.0
-    defect_viol = sum(1 for n, dmax in defects.items()
-                      if dmax > system.defect_budget(n) * scale * (1 + 1e-12))
-    worst_defect_slack = min(system.defect_budget(n) * scale - defects[n] for n in defects)
-    a_defect_viol = 0
-    if args.negative_control:
-        # The block-distance bound 2 eps'_n cannot be tightened by half
-        # on equal-measure witnesses (its factor 2 covers unequal set
-        # sizes), so the control targets the defect budgets, which the
-        # witnesses saturate: box translates at full shift length and
-        # tree segments offset along the distinguished ray.
-        a_defect_viol += sum(1 for n, dmax in defects.items()
-                             if dmax / (1.0 - dmax) > system.a_eps(n) * 0.5 * (1 + 1e-12))
-        tree = amenable.folner_system("tree", 2, args.n_max)
-        offsets = [((), (0,) * n) for n in range(2, args.n_max + 1)]
-        tree_defects = tree.worst_defects(tree.sym_diff_counts(offsets),
-                                          tree.distances(offsets))
-        a_defect_viol += sum(1 for n, ad in tree_defects.items() if math.isfinite(tree.a_eps(n))
-                             and ad > tree.a_eps(n) * 0.5 * (1 + 1e-12))
+    defect_viol, worst_defect_slack = amenable.defect_budget_check(system, defects, scale)
+    tree = amenable.folner_system("tree", 2, args.n_max)
+    offsets = [((), (0,) * n) for n in range(2, args.n_max + 1)]
+    tree_defects = tree.worst_defects(tree.sym_diff_counts(offsets), tree.distances(offsets))
+    a_defect_viol, _ = amenable.defect_budget_check(tree, tree_defects, scale)
     return {"suite": "folner", "group": "z2", "n_max": args.n_max,
             "defect_scale": scale, "defect_violations": defect_viol,
             "a_defect_violations": a_defect_viol,
@@ -305,7 +294,7 @@ def _suite_folner(args: argparse.Namespace) -> dict:
 
 
 def _suite_cube(args: argparse.Namespace) -> dict:
-    from .finite_geometry import HammingCube, cube_report, enflo_type2_certificate
+    from .finite_geometry import HammingCube, cube_report, cube_violations, enflo_type2_certificate
 
     rows = []
     total = 0
@@ -313,15 +302,9 @@ def _suite_cube(args: argparse.Namespace) -> dict:
     floor_scale = 2.0 if args.negative_control else 1.0
     for m in range(2, args.m_max + 1):
         rep = cube_report(m, args.p)
-        measured, bound = rep["measured_distortion"], rep["bound"] * floor_scale
-        # The bound is a floor the identity meets exactly only at p <= 1 and
-        # p = 2; elsewhere its distortion lies above it, as in cmd_cube, by
-        # less than the control's factor 2 at m = 2 for every p.
-        if args.p <= 1 or args.p == 2:
-            bad = int(abs(measured - bound) > 1e-9)
-        else:
-            bad = int(measured < bound * (1 - 1e-9))
-        bad += int(rep["certificate_ratio"] > 1 + 1e-12)
+        # The control doubles the floor: where the identity lies above it,
+        # it does so by less than a factor 2 at m = 2 for every p.
+        bad = cube_violations(rep, floor_scale)
         # Arbitrary Euclidean images must never beat the type-2 ratio;
         # linear ones must sit exactly on it (parallelogram identity).
         cloud = enflo_type2_certificate(rng.standard_normal((1 << m, m)), m)
@@ -330,7 +313,7 @@ def _suite_cube(args: argparse.Namespace) -> dict:
         bad += int(cloud.ratio > 1 + 1e-12)
         bad += int(abs(linear.ratio - 1.0) > 1e-12)
         total += bad
-        rows.append({"m": m, "bound": bound,
+        rows.append({"m": m, "bound": rep["bound"] * floor_scale,
                      "measured_distortion": rep["measured_distortion"],
                      "identity_ratio": rep["certificate_ratio"],
                      "random_ratio": cloud.ratio,
@@ -380,16 +363,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_cube(args: argparse.Namespace) -> int:
-    from .finite_geometry import cube_report
+    from .finite_geometry import cube_report, cube_violations
 
     doc = cube_report(args.m, args.p, args.target_type)
-    # The distortion bound is a certified floor; an identity measurement
-    # below it would mean one of the two computations is wrong.
-    violations = int(doc["measured_distortion"] < doc["bound"] * (1 - 1e-9))
-    doc.update({"report_kind": "cube_report", "violations": violations,
+    doc.update({"report_kind": "cube_report", "violations": cube_violations(doc),
                 "config": _echo(args)})
     _emit_json(doc, args.out)
-    return violations
+    return doc["violations"]
 
 
 def cmd_gk(args: argparse.Namespace) -> int:
@@ -446,8 +426,7 @@ def cmd_folner(args: argparse.Namespace) -> int:
     emb = amenable.glued_group_embedding(system, system.model, args.p)
     d, counts, defects, char = _folner_audit(system, args.pairs, args.max_dist,
                                              args.seed, args.p, args.bound_scale)
-    defect_viol = sum(1 for n, v in defects.items()
-                      if v > system.defect_budget(n) * (1 + 1e-12))
+    defect_viol, _ = amenable.defect_budget_check(system, defects)
     image_pth = emb.image_distances_pth(counts)
     bounds = emb.bounds_check(d, image_pth)
 

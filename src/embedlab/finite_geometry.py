@@ -225,3 +225,13 @@ def cube_report(m: int, p, q_type: float = 2.0) -> dict:
         "measured_distortion": float(np.max(im / dom) * np.max(dom / im)),
         "certificate_ratio": 1.0,
     }
+
+
+def cube_violations(rep: dict, floor_scale: float = 1.0) -> int:
+    """1 if a :func:`cube_report`'s distortion breaks its floor ``bound *
+    floor_scale``, else 0: equal to 1e-9 where the identity meets the floor
+    (type 2 with p <= 1 or p = 2), else not below it."""
+    measured, bound = rep["measured_distortion"], rep["bound"] * floor_scale
+    if rep["target_type"] == 2 and (rep["p"] <= 1 or rep["p"] == 2):
+        return int(abs(measured - bound) > 1e-9)
+    return int(measured < bound * (1 - 1e-9))

@@ -1,6 +1,7 @@
 """Set enumerations and per-pair loops that the closed forms and array
 audits of ``embedlab.amenable`` are checked against: the scalar group
-laws of Z^k and the Heisenberg group, lattice and gauge balls, box Folner
+laws of Z^k and the Heisenberg group, lattice and gauge balls, the gauge
+ball's volume as a fiber sum, box Folner
 sets and their translates, the defect |F Delta gF| / |F| by explicit
 translation and, for the gauge ball, from the closed-form intersection
 count of ``heis_intersection_count``, the symmetric difference and block distance of one pair,
@@ -83,6 +84,17 @@ def zk_ball(model, radius: int) -> list[tuple[int, ...]]:
         raise ValueError("ball too large to enumerate")
     return [p for p in itertools.product(range(-r, r + 1), repeat=model.k)
             if zk_gauge(p) <= r]
+
+
+def heis_ball_count(radius: int) -> int:
+    """|B(e, R)| by summing the z-fiber count over each |x| + |y| = a."""
+    r = int(radius)
+    total = 0
+    for a in range(r + 1):
+        n_xy = 1 if a == 0 else 4 * a
+        c = r - a  # gauge budget left for the z part
+        total += n_xy * (2 * c * c + 1)
+    return total
 
 
 def heis_ball(model, radius: int) -> list[tuple[int, int, int]]:

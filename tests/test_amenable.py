@@ -30,9 +30,9 @@ from embedlab.amenable import (
     sample_zk_pairs,
 )
 from oracles import (MAX_SET_SIZE, block_distance_pth, bounds_check_per_pair, folner_defect,
-                     folner_set, heis_ball, heis_defect, heis_gauge, heis_inv, heis_metric,
-                     heis_mul, set_at, sym_diff_count, zk_ball, zk_gauge, zk_inv, zk_mul,
-                     zk_support_reach)
+                     folner_set, heis_ball, heis_ball_count, heis_defect, heis_gauge, heis_inv,
+                     heis_metric, heis_mul, set_at, sym_diff_count, zk_ball, zk_gauge, zk_inv,
+                     zk_mul, zk_support_reach)
 
 
 class TestZkModel:
@@ -79,6 +79,11 @@ class TestHeisenberg:
             assert all(heis_gauge(g) <= r for g in ball)
         with pytest.raises(ValueError):
             heis_ball(h, 40)
+
+    def test_ball_count_is_the_fiber_sum(self):
+        h = HeisenbergModel()
+        assert [h.ball_count(r) for r in range(2001)] == [
+            heis_ball_count(r) for r in range(2001)]
 
     def test_growth_exponent_near_four(self):
         slope = heisenberg_growth_fit()

@@ -187,6 +187,22 @@ class TestExitCodes:
         assert "argument --max-dist: must be a finite number >= 1, got " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["folner", "--group", "z2"],
+        ["folner", "--group", "tree"],
+        ["verify", "--suite", "folner"],
+    ], ids=["folner-z2", "folner-tree", "verify-folner"])
+    def test_max_dist_past_int64_is_a_usage_error(self, tmp_path, argv):
+        # A fresh process that turns every RuntimeWarning into an error, so
+        # that an int64 cast of the lengths cannot warn its way to exit 2.
+        out = tmp_path / "f.json"
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "embedlab.cli", *argv, "--max-dist", "1e19", "--out", str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stderr == "embedlab: need a finite max_dist in [1, 2^62), got 1e+19\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("max_dist", ["nan", "inf", "0", "-5", "0.5"])
     def test_gluing_max_dist_must_be_finite_and_at_least_one(self, tmp_path, capsys, max_dist):
         out = tmp_path / "g.json"
@@ -602,6 +618,33 @@ class TestVerifyCommand:
             == cli.EXIT_VIOLATIONS
         rows = json.loads(out.read_text())["rows"]
         assert all(r["violations"] >= 1 for r in rows)
+
+    def test_folner_suite_audits_the_tree_witnesses_on_every_run(self, tmp_path, monkeypatch):
+        # Halved tree budgets, with no control flag: the ray-offset witnesses
+        # must trip the tree audit, which runs on every suite run.
+        a_eps = amenable.TreeACollection.a_eps
+        monkeypatch.setattr(amenable.TreeACollection, "a_eps", lambda self, n: a_eps(self, n) / 2)
+        out = tmp_path / "f.json"
+        assert run(["verify", "--suite", "folner", "--out", str(out)]) == cli.EXIT_VIOLATIONS
+        doc = json.loads(out.read_text())
+        assert doc["a_defect_violations"] > 0 and doc["defect_violations"] == 0
+
+    def test_cube_command_and_suite_share_the_exactness_rule(self, tmp_path, monkeypatch):
+        # At p = 1 the identity meets the floor, so a floor lowered by 1e-6
+        # relative is a violation for the standalone command and the suite.
+        from embedlab import finite_geometry
+
+        cube_report = finite_geometry.cube_report
+
+        def lowered(m, p, q_type=2.0):
+            rep = cube_report(m, p, q_type)
+            return {**rep, "bound": rep["bound"] * (1 - 1e-6)}
+
+        monkeypatch.setattr(finite_geometry, "cube_report", lowered)
+        assert run(["cube", "--m", "4", "--p", "1",
+                    "--out", str(tmp_path / "c.json")]) == cli.EXIT_VIOLATIONS
+        assert run(["verify", "--suite", "cube", "--m-max", "4", "--p", "1",
+                    "--out", str(tmp_path / "v.json")]) == cli.EXIT_VIOLATIONS
 
     def test_config_echoes_every_parsed_flag(self, tmp_path):
         # Runs that differ in one flag echo different configs; the echo
