@@ -36,9 +36,12 @@ multiplies the rows [x, 1] by the table [w; b], so it also adds the
 phases, and runs in row slabs that OpenBLAS keeps on the calling thread.  The kernel runs groups
 of blocks outside and row tiles inside, both sized from one byte budget,
 so a call draws each feature table once and holds one group's tables at
-a time.  Block distances are sandwiched by transporting the exact psi
-distance through the certified signed-power constants
-(:func:`sphere_block_interval` of :func:`psi_distance_exact`).
+a time.  The series coordinates are written into the kernel's own
+coordinate buffer, gathered and normed a run of rows at a time.  Block
+distances are sandwiched by transporting the exact psi distance through
+the certified signed-power constants (:func:`sphere_block_interval` of
+:func:`psi_distance_exact`); kernel-mode intervals size their slices of
+separations from the same byte budget.
 
 This module needs no scipy: the series residual is a Poisson tail,
 summed in closed form by :func:`_poisson_tail`.  Only the certifier
@@ -80,6 +83,10 @@ _SQRT_TINY = math.sqrt(_TINY)
 # exp backend; construction fails beyond it rather than exhausting memory.
 MAX_EXP_COORDS = 2_000_000
 
+# Entries of the run of rows that :func:`exp_coordinates_batch` gathers
+# and norms at a time, at least one row.
+_GATHER_ENTRIES = 16384
+
 
 def psi_distance_exact(d, r):
     """Exact image distance sqrt(2 (1 - exp(-r d^2))); lives in [0, sqrt(2))."""
@@ -89,7 +96,8 @@ def psi_distance_exact(d, r):
         raise ValueError("distances must be nonnegative")
     if np.any(r < 0):
         raise ValueError("bandwidth must be nonnegative")
-    out = np.sqrt(2.0 * -np.expm1(-r * d ** 2))
+    out = np.asarray(-r * d ** 2)  # the one array of the broadcast shape
+    np.sqrt(np.multiply(np.expm1(out, out=out), -2.0, out=out), out=out)
     return out if out.shape else float(out)
 
 
@@ -147,7 +155,8 @@ class RandomFeatures:
 
 @functools.lru_cache(maxsize=64)
 def _multi_indices(dim: int, degree: int) -> np.ndarray:
-    """All multi-indices m with |m| <= degree, one row each."""
+    """All multi-indices m with |m| <= degree, one column each: row i
+    holds the exponents of dimension i."""
     rows: list[tuple[int, ...]] = []
 
     def rec(prefix: list[int], remaining: int, slots: int) -> None:
@@ -159,17 +168,19 @@ def _multi_indices(dim: int, degree: int) -> np.ndarray:
             rec(prefix + [v], remaining - v, slots - 1)
 
     rec([], degree, dim)
-    return np.array(rows, dtype=np.int64)
+    return np.array(rows, dtype=np.int64).T.copy()
 
 
 def _rff_table(r: float, n_features: int, seed, dim: int, dtype: np.dtype) -> np.ndarray:
     """The (dim + 1) x n_features table [w; b]: frequencies w with the
     phases b as one more row, so that rows [x, 1] times the table are
-    w.x + b.  Drawn in float64 and stored in ``dtype``."""
+    w.x + b.  Drawn in float64 a row at a time, in the stream order of
+    one (dim, n_features) draw, and stored in ``dtype``."""
     entropy = (seed if isinstance(seed, tuple) else (seed,)) + (dim,)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
-    wb = np.empty((dim + 1, n_features), dtype=dtype)  # no float64 copy of the table
-    wb[:dim] = rng.normal(0.0, math.sqrt(2.0 * r), size=(dim, n_features))
+    wb = np.empty((dim + 1, n_features), dtype=dtype)
+    for row in wb[:dim]:  # no float64 copy of the table, one of a row
+        row[:] = rng.normal(0.0, math.sqrt(2.0 * r), size=n_features)
     wb[dim] = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
     return wb
 
@@ -222,10 +233,12 @@ def _poisson_tail(n: int, lam: np.ndarray) -> np.ndarray:
     return out
 
 
-def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> np.ndarray:
+def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp,
+                          out: np.ndarray | None = None) -> np.ndarray:
     """Unit-sphere coordinates of a batch of points: shape (batch,
-    n_coords), unit l_2 rows, the truncated series renormalized.  What
-    the truncation loses is :meth:`TruncatedExp.residual`, not taken here.
+    n_coords), unit l_2 rows, the truncated series renormalized, written
+    into ``out`` if given.  What the truncation loses is
+    :meth:`TruncatedExp.residual`, not taken here.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != backend.ambient_dim:
@@ -233,20 +246,32 @@ def exp_coordinates_batch(X: np.ndarray, backend: TruncatedExp) -> np.ndarray:
     if not np.all(np.isfinite(X)):
         raise ValueError("input contains non-finite entries")
     exps = _multi_indices(backend.ambient_dim, backend.degree)
+    n, width = len(X), exps.shape[1]
     xs = math.sqrt(2.0 * backend.r) * X
     # A coordinate is the product over dimensions i of
     # T_i[m_i] = e^(-r x_i^2) (sqrt(2r) x_i)^m_i / sqrt(m_i!), the signed
     # root of a Poisson(2 r x_i^2) probability.  Each table is built by the
     # recurrence T_i[j] = T_i[j-1] sqrt(2r) x_i / sqrt(j) from T_i[0] =
-    # e^(-r x_i^2), so no value leaves [-1, 1], and gathered per dimension.
+    # e^(-r x_i^2), so no value leaves [-1, 1].
     root_j = np.sqrt(np.arange(1.0, backend.degree + 1))
-    coords = np.ones((len(X), len(exps)))
+    tables = []
     for i in range(backend.ambient_dim):
-        steps = np.empty((len(X), backend.degree + 1))
+        steps = np.empty((n, backend.degree + 1))
         steps[:, 0] = np.exp(-backend.r * X[:, i] ** 2)
         np.divide(xs[:, i, None], root_j, out=steps[:, 1:])
-        coords *= np.cumprod(steps, axis=1)[:, exps[:, i]]
-    norms = np.linalg.norm(coords, axis=1, keepdims=True)
+        tables.append(np.cumprod(steps, axis=1))
+    # Runs of rows are gathered per dimension and normed together, so no
+    # temporary outgrows a run; np.linalg.norm still reduces each row's
+    # squares in one add.reduce.
+    coords = np.empty((n, width)) if out is None else out
+    norms = np.empty((n, 1))
+    step = max(1, _GATHER_ENTRIES // width)
+    for k in range(0, n, step):
+        rows = coords[k:k + step]
+        rows.fill(1.0)
+        for table, m in zip(tables, exps):
+            rows *= np.take(table[k:k + step], m, axis=1)
+        norms[k:k + step] = np.linalg.norm(rows, axis=1, keepdims=True)
     # The squared norm is Pr[Poisson(2 r ||x||^2) <= degree]; once it
     # leaves the normal float range the rows lose their precision, and
     # then their norm, before the division below.
@@ -360,22 +385,24 @@ def delta_q(q: float) -> float:
 def _block_coordinates(X1: np.ndarray, backend: TruncatedExp | RandomFeatures,
                        wb: np.ndarray | None, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Coordinates c of the rows [x, 1] of ``X1`` and their squared row
-    norms n^2, so that c / n is psi_r(x) row by row: raw cosines under
-    the random-feature table ``wb`` (``out`` receives them), the series'
-    unit rows with n^2 = 1."""
+    norms n^2, so that c / n is psi_r(x) row by row, written into
+    ``out``: raw cosines under the random-feature table ``wb``, the
+    series' unit rows with n^2 = 1."""
     if isinstance(backend, TruncatedExp):
-        coords = exp_coordinates_batch(X1[:, :-1], backend)
+        coords = exp_coordinates_batch(X1[:, :-1], backend, out=out)
         return coords, np.ones(len(coords))
     return _rff_cosines(X1, wb, out=out)
 
 
-# Byte budget of one array of block_mass's working set.  A row tile holds
-# this much in each of its three (rows x features) scratch arrays, and a
-# group of blocks this much of feature tables.  At 512 float32 features
-# a tile is 256 rows, whose scratch arrays take 3 x 512 KiB and fit one
-# core's L2 (2048-row tiles need 3 x 4 MiB and run from L3), and a group
-# is 15 tables of 17 x 512.  At 4096 features a tile is 32 rows and a
-# group one table.
+# The package's one byte budget of working sets.  A row tile of
+# block_mass holds this much in each of its three (rows x features)
+# scratch arrays, and a group of blocks this much of feature tables.  At
+# 512 float32 features a tile is 256 rows, whose scratch arrays take
+# 3 x 512 KiB and fit one core's L2 (2048-row tiles need 3 x 4 MiB and
+# run from L3), and a group is 15 tables of 17 x 512.  At 4096 features a
+# tile is 32 rows and a group one table.  A slice of
+# GluedEmbedding.distance_interval holds this much in all of its
+# (separations x blocks) arrays together.
 _SCRATCH_BYTES = 512 * 1024
 
 

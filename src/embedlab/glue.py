@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import gaussian
 from .gaussian import (
     RandomFeatures,
     TruncatedExp,
@@ -51,7 +52,6 @@ from .gaussian import (
     delta_q,
     moduli_exponents,
     psi_distance_exact,
-    sphere_block_interval,
     _plan,
     _transport_constants,
 )
@@ -64,7 +64,6 @@ __all__ = [
     "GaussianBlockFamily",
     "GluedEmbedding",
     "glue",
-    "ROW_QUANTUM",
     "per_pair_bounds_check",
     "GluingCheckReport",
 ]
@@ -120,13 +119,6 @@ class PowerLogSeq:
             return c * ln_n ** (1.0 - b) / (b - 1.0)
         raise ValueError(f"sum of value(n)^{power} diverges (a={a}, b={b})")
 
-
-# Fixed row-chunk size of kernel-mode intervals: the (separations x
-# blocks) arrays of :meth:`GluedEmbedding.distance_interval` are built
-# per slice of this many separations whatever the thread count, so the
-# thread count never changes the slices the arithmetic sees.  Glued image
-# distances are tiled by :func:`~embedlab.gaussian.block_mass` itself.
-ROW_QUANTUM = 256
 
 # Terms summed exactly before the certified tail takes over in the full
 # budget mass (:meth:`ParamSchedule.eps_mass_total`).
@@ -453,18 +445,34 @@ class GluedEmbedding:
         """Certified [lower, upper] glued distance at separation d.
 
         Exact (lower == upper) at q = 2 where the block transport is the
-        identity and pair distances are functions of the separation alone.
-        The (separations x blocks) arrays are built per ROW_QUANTUM slice.
+        identity and pair distances are functions of the separation alone:
+        there each block's mass is taken once and is both ends.  Block n
+        adds (c D_n^e)^m to an end, D_n the psi distance and (c, e) the
+        end's transport constants.  The (separations x blocks) arrays are
+        built per slice of separations: the arrays a slice keeps alive,
+        one at q = 2 and two elsewhere, hold ``_SCRATCH_BYTES`` together,
+        so the slices depend on the block count, never the thread count.
         """
         d = np.atleast_1d(np.asarray(d, dtype=float))
-        m = self.schedule.mass_power
+        q, m = self.schedule.q, self.schedule.mass_power
+        c_lo, e_lo, c_hi, e_hi = _transport_constants(q)
+        exact = q == 2.0
+        rows = max(1, gaussian._SCRATCH_BYTES // ((1 if exact else 2) * self.bandwidths.nbytes))
+
+        def end_mass(D, c, e):  # in D's storage
+            D **= e
+            D *= c
+            D **= m
+            return D.sum(axis=1)
 
         def masses(sl):
-            D = psi_distance_exact(d[sl, None], self.bandwidths[None, :])
-            lo_b, hi_b = sphere_block_interval(D, self.schedule.q)
-            return (lo_b ** m).sum(axis=1), (hi_b ** m).sum(axis=1)
+            D = psi_distance_exact(d[sl, None], self.bandwidths)
+            if exact:  # the identity transport: one mass is both ends
+                D **= m
+                return (D.sum(axis=1),) * 2
+            return end_mass(D.copy(), c_lo, e_lo), end_mass(D, c_hi, e_hi)
 
-        lo, hi = self._chunked(masses, ROW_QUANTUM, len(d), lead=(2,))
+        lo, hi = self._chunked(masses, rows, len(d), lead=(2,))
         return lo ** (1.0 / m), hi ** (1.0 / m)
 
     # -- shared ----------------------------------------------------------

@@ -13,8 +13,9 @@ arrays, with a fresh draw per exponent p and its sums by the package's
 one power-sum kernel, and against the same loop with its sums by numpy's
 pow and sum; its sampler against whole-array normalization.  The closed-form series residual of
 ``embedlab.gaussian`` is checked against a Poisson tail summed in
-decimal arithmetic, and its block kernel on random features against the
-glued mass in textbook order in float64.  The Hamming-cube distance rows of
+decimal arithmetic, its block kernel on random features against the
+glued mass in textbook order in float64, and the sliced kernel-mode
+intervals of ``embedlab.glue`` against one whole-array evaluation.  The Hamming-cube distance rows of
 ``embedlab.finite_geometry`` are checked against the popcount of one
 pair's XOR and against the dense distance matrix of the bit-matrix
 product, and its closed-form distortion of the cube identity against
@@ -37,7 +38,7 @@ import numpy as np
 from embedlab.amenable import (HeisenbergModel, ZkFolnerSystem, box_intersection_count,
                                heis_intersection_count)
 from embedlab.finite_geometry import GkSpace
-from embedlab.gaussian import RandomFeatures
+from embedlab.gaussian import RandomFeatures, sphere_block_interval
 from embedlab.mazur import _row_power_sums, _signed_power, mazur_constants
 from embedlab.metric_core import distance_root
 
@@ -375,6 +376,19 @@ def rff_glued_distance(e, X, Y) -> np.ndarray:
     backends = [RandomFeatures(float(r), fam.n_features, (fam.base_seed, int(n)))
                 for n, r in zip(e.block_ids, e.bandwidths)]
     return rff_block_mass(X, Y, backends, q) ** (1.0 / distance_root(q))
+
+
+def glued_interval(e, d) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel-mode interval of the glued embedding ``e`` at the
+    separations ``d`` in one whole-array pass: the psi distance
+    sqrt(2 (1 - e^(-r d^2))) of every (separation, block) pair, both ends
+    transported by ``sphere_block_interval``, their m-th powers summed
+    over the blocks and taken to the root 1/m."""
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    m = distance_root(e.schedule.q)
+    D = np.sqrt(2.0 * -np.expm1(-e.bandwidths[None, :] * d[:, None] ** 2))
+    lo, hi = sphere_block_interval(D, e.schedule.q)
+    return (lo ** m).sum(axis=1) ** (1.0 / m), (hi ** m).sum(axis=1) ** (1.0 / m)
 
 
 def pair_sample_loop(sampler, n_pairs: int, seed: int):

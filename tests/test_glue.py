@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from embedlab.gaussian import delta_q, psi_distance_exact, sphere_block_interval
+from embedlab import gaussian
+from embedlab.gaussian import delta_q
 from embedlab.glue import (
     GaussianBlockFamily,
     GluedEmbedding,
@@ -16,6 +17,8 @@ from embedlab.glue import (
     per_pair_bounds_check,
     preset_schedule,
 )
+
+from oracles import glued_interval
 
 
 class TestSequences:
@@ -257,9 +260,27 @@ class TestGluedEmbedding:
         for lo, hi in runs[1:]:
             assert np.array_equal(lo, runs[0][0]) and np.array_equal(hi, runs[0][1])
         # the row slices give the bytes of one whole-array evaluation
-        D = psi_distance_exact(d[:, None], glue(fam, n_terms=30).bandwidths[None, :])
-        for got, block in zip(runs[0], sphere_block_interval(D, 4.0)):
-            assert np.array_equal(got, (block ** 4.0).sum(axis=1) ** 0.25)
+        for got, want in zip(runs[0], glued_interval(glue(fam, n_terms=30), d)):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("run", ["default", "one-row", "threads2"])
+    @pytest.mark.parametrize("n_terms, n_seps", [(1, 700), (200, 700), (6400, 97)])
+    @pytest.mark.parametrize("preset, q", [("warmup_l2", None), ("strong_qge2", 4.0)])
+    def test_interval_slices_give_the_whole_array_bytes(self, monkeypatch, preset, q,
+                                                        n_terms, n_seps, run):
+        # At the 512 KiB budget a slice is 327 and 163 separations over 200
+        # blocks (q = 2 keeps one array alive, q = 4 two), 10 and 5 over
+        # 6400, so every multi-slice case ends on a short tail; a one-byte
+        # budget gives one-row slices.
+        if run == "one-row":
+            monkeypatch.setattr(gaussian, "_SCRATCH_BYTES", 1)
+        fam = GaussianBlockFamily(preset_schedule(preset, q=q, beta=1.1))
+        e = glue(fam, n_terms=n_terms, threads=2 if run == "threads2" else 1)
+        d = np.concatenate([[0.0], np.geomspace(1e-3, 1e4, n_seps - 1)])
+        lo, hi = e.distance_interval(d)
+        want_lo, want_hi = glued_interval(e, d)
+        assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
+        assert np.array_equal(lo, hi) == (q is None)
 
     def test_thread_count_below_one_is_refused(self):
         fam = GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0))

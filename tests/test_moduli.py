@@ -420,6 +420,42 @@ class TestEngines:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
 
+    @pytest.mark.parametrize("n_terms", [300, 6400])
+    def test_interval_working_set_stays_within_the_budget(self, n_terms):
+        # The slices of 4000 separations hold the 512 KiB budget; the
+        # bound adds room for the separations and both ends.  Slices of
+        # 256 rows with five (rows x blocks) arrays alive peaked at 2.4 MiB
+        # over 300 blocks and 50 MiB over 6400.
+        e = glue(GaussianBlockFamily(preset_schedule("coarse_l2", nu=0.75)), n_terms=n_terms)
+        t = np.geomspace(1.0, 1000.0, 4000)
+        tracemalloc.start()
+        try:
+            e.distance_interval(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+
+    def test_series_tile_scratch_stays_within_the_budget(self):
+        # verify --suite kernel's series: 1000 rows at degree 32 in
+        # dimension 3, 6545 float64 coordinates, so tiles of 10 rows whose
+        # three scratch arrays take 1.5 MiB.  The coordinates are written
+        # into the first of them and gathered and normed a run of rows at a
+        # time; a fresh coordinate array, full-size gathers and a squared
+        # copy for the norms peaked at 3.0 MiB.
+        backend = gaussian.TruncatedExp(0.5, 32, 3)
+        rng = np.random.default_rng(3)
+        X, Y = (P * 1.2 * rng.random((1000, 1)) / np.linalg.norm(P, axis=1, keepdims=True)
+                for P in (rng.normal(size=(1000, 3)), rng.normal(size=(1000, 3))))
+        gaussian.block_mass(X[:1], Y[:1], [backend], 2.0)  # multi-indices cached
+        tracemalloc.start()
+        try:
+            gaussian.block_mass(X, Y, [backend], 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
+
     def test_wrong_dimension_rejected_by_both_engines(self):
         fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1),
                                   backend="rff", n_features=16, ambient_dim=16)
