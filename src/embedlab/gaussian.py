@@ -36,8 +36,11 @@ multiplies the rows [x, 1] by the table [w; b], so it also adds the
 phases, and runs in row slabs that OpenBLAS keeps on the calling thread.  The kernel runs groups
 of blocks outside and row tiles inside, both sized from one byte budget,
 so a call draws each feature table once and holds one group's tables at
-a time.  The series coordinates are written into the kernel's own
-coordinate buffer, gathered and normed a run of rows at a time.  Block
+a time.  A tile stacks its pairs' x rows over their y rows, so a block
+takes one feature product, one cos, one norm einsum and one signed power
+per tile, in two scratch arrays: the coordinates and the images.  The
+series coordinates are written into the kernel's coordinate array,
+gathered and normed a run of rows at a time.  Block
 distances are sandwiched by transporting the exact psi distance through
 the certified signed-power constants (:func:`sphere_block_interval` of
 :func:`psi_distance_exact`); kernel-mode intervals size their slices of
@@ -395,14 +398,14 @@ def _block_coordinates(X1: np.ndarray, backend: TruncatedExp | RandomFeatures,
 
 
 # The package's one byte budget of working sets.  A row tile of
-# block_mass holds this much in each of its three (rows x features)
-# scratch arrays, and a group of blocks this much of feature tables.  At
-# 512 float32 features a tile is 256 rows, whose scratch arrays take
-# 3 x 512 KiB and fit one core's L2 (2048-row tiles need 3 x 4 MiB and
-# run from L3), and a group is 15 tables of 17 x 512.  At 4096 features a
-# tile is 32 rows and a group one table.  A slice of
-# GluedEmbedding.distance_interval holds this much in all of its
-# (separations x blocks) arrays together.
+# block_mass holds this much in each of its two scratch arrays, the
+# coordinates and the images of its stacked [x; y] rows, and a group of
+# blocks this much of feature tables.  At 512 float32 features a tile is
+# 128 pairs, 256 stacked rows, whose scratch arrays take 2 x 512 KiB and
+# fit one core's L2 (1024-pair tiles need 2 x 4 MiB and run from L3), and
+# a group is 15 tables of 17 x 512.  At 4096 features a tile is 16 pairs
+# and a group one table.  A slice of GluedEmbedding.mass_interval holds
+# this much in all of its (separations x blocks) arrays together.
 _SCRATCH_BYTES = 512 * 1024
 
 
@@ -415,9 +418,10 @@ def _plan(X: np.ndarray, backends: tuple,
     """How :func:`block_mass` runs ``backends`` on the points ``X``: the
     dtype of the rows [x, 1] (``dtype``, else that of X if floating, else
     float64), the dtype of the coordinates (float64 for the series), the
-    widest block's coordinate count, the rows of a tile and the blocks of
-    a group.  One (rows x coordinates) array, and the (dim + 1) x
-    features tables of a group, each take about _SCRATCH_BYTES."""
+    widest block's coordinate count, the pairs of a tile and the blocks
+    of a group.  One (2 pairs x coordinates) array of a tile's stacked
+    rows, and the (dim + 1) x features tables of a group, each take about
+    _SCRATCH_BYTES."""
     if len({type(b) for b in backends}) > 1:
         raise ValueError("the blocks of one call must share one backend")
     if dtype is None:
@@ -426,7 +430,7 @@ def _plan(X: np.ndarray, backends: tuple,
     cdt = np.dtype(float) if backends and isinstance(backends[0], TruncatedExp) else dtype
     width = max((_width(b) for b in backends), default=1)
     row = cdt.itemsize * width
-    return (dtype, cdt, width, max(1, _SCRATCH_BYTES // row),
+    return (dtype, cdt, width, max(1, _SCRATCH_BYTES // (2 * row)),
             max(1, _SCRATCH_BYTES // ((X.shape[1] + 1) * row)))
 
 
@@ -457,21 +461,25 @@ def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float, dtype=None) -> 
 
     The loops run groups of blocks outside and row tiles inside
     (:func:`_plan`), so only one group's feature tables are alive at a
-    time and each table is drawn once per call.  Every tile's rows [x, 1]
-    are written once per group into a reused buffer, so the feature
-    product also adds the phases, and are checked finite in the first
-    group.  The coordinate array and the two image arrays are reused as
-    well: freeing and reallocating them for every block lets the C
-    allocator hand their pages back to the system and fault them in
-    again.  Each row adds its blocks in order into a float64 total, so
-    neither the tile nor the group size changes a bit of the result.
+    time and each table is drawn once per call.  A tile of m pairs
+    stacks its rows as [x; y] in one buffer of 2m rows [x, 1], written
+    once per group, so the feature product also adds the phases, and
+    checked finite in the first group.  A block then takes one feature
+    product, one cos, one norm einsum and one signed power over the
+    stack, in two reused scratch arrays: the coordinates c and the
+    images p.  The difference h of the x and y images goes into p[:m],
+    and the power sums take c[m:] as spare.  Reusing the arrays keeps
+    the C allocator from handing their pages back to the system and
+    faulting them in again for every block.  Each row adds its blocks in
+    order into a float64 total, and every step is rowwise, so neither
+    the tile nor the group size changes a bit of the result.
     """
     X, Y = (np.atleast_2d(np.asarray(P)) for P in (X, Y))
     backends = tuple(backends)
     dtype, cdt, width, rows, group = _plan(X, backends, dtype)
     n, dim = X.shape
-    X1, Y1 = np.ones((2, rows, dim + 1), dtype=dtype)
-    flats = np.empty((3, rows * width), dtype=cdt)
+    XY1 = np.ones((2 * rows, dim + 1), dtype=dtype)
+    flats = np.empty((2, 2 * rows * width), dtype=cdt)
     total = np.zeros(n)
     a = 2.0 / q
     for g in range(0, len(backends), group):
@@ -480,20 +488,19 @@ def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float, dtype=None) -> 
                   if isinstance(b, RandomFeatures) else None for b in blocks]
         for start in range(0, n, rows):
             sl = slice(start, min(start + rows, n))
-            x1, y1 = X1[:sl.stop - start], Y1[:sl.stop - start]
-            x1[:, :-1], y1[:, :-1] = X[sl], Y[sl]
-            if g == 0 and not (np.all(np.isfinite(x1)) and np.all(np.isfinite(y1))):
+            m = sl.stop - start
+            xy1 = XY1[:2 * m]
+            xy1[:m, :-1], xy1[m:, :-1] = X[sl], Y[sl]
+            if g == 0 and not np.all(np.isfinite(xy1)):
                 raise ValueError("input contains non-finite entries")
             for backend, wb in zip(blocks, tables):
-                shape = (len(x1), _width(backend))
-                coords, px, py = (f[:shape[0] * shape[1]].reshape(shape) for f in flats)
-                coords, n2x = _block_coordinates(x1, backend, wb, coords)
-                px = _signed_power(coords, a, out=px)
-                coords, n2y = _block_coordinates(y1, backend, wb, coords)
-                py = _signed_power(coords, a, out=py)
-                scale = np.divide(n2x, n2y, dtype=float) ** (1.0 / q)  # (n_x / n_y)^a
-                py *= scale.astype(py.dtype)[:, None]
-                h = np.subtract(px, py, out=px)
-                total[sl] += np.divide(_row_power_sums(h, q, spare=py), n2x, dtype=float)
+                shape = (2 * m, _width(backend))
+                c, p = (f[:shape[0] * shape[1]].reshape(shape) for f in flats)
+                c, n2 = _block_coordinates(xy1, backend, wb, c)
+                p = _signed_power(c, a, out=p)
+                scale = np.divide(n2[:m], n2[m:], dtype=float) ** (1.0 / q)  # (n_x / n_y)^a
+                p[m:] *= scale.astype(p.dtype)[:, None]
+                h = np.subtract(p[:m], p[m:], out=p[:m])
+                total[sl] += np.divide(_row_power_sums(h, q, spare=c[m:]), n2[:m], dtype=float)
         del tables  # freed before the next group's are drawn, not after
     return total

@@ -25,7 +25,8 @@ asymptotic slack hiding in a constant.
 
 Writing Q = Delta^m for the glued power mass, with m = max(q, 1) the
 distance root of :func:`~embedlab.metric_core.distance_root` (Q = Delta
-itself for q <= 1, where the metric is already a power sum), the
+itself for q <= 1, where the metric is already a power sum; in kernel
+mode the certified interval :meth:`GluedEmbedding.mass_interval`), the
 audited per-pair claims are:
 
 * strong upper:   ``Q <= (sum_n ceps_n^m) * d^(gamma*m)``
@@ -441,8 +442,10 @@ class GluedEmbedding:
 
     # -- kernel mode -----------------------------------------------------
 
-    def distance_interval(self, d) -> tuple[np.ndarray, np.ndarray]:
-        """Certified [lower, upper] glued distance at separation d.
+    def mass_interval(self, d) -> tuple[np.ndarray, np.ndarray]:
+        """Certified [lower, upper] glued power mass Q = Delta^m at
+        separation d, m the distance root: the block masses summed, the
+        ends whose m-th roots :meth:`distance_interval` takes.
 
         Exact (lower == upper) at q = 2 where the block transport is the
         identity and pair distances are functions of the separation alone:
@@ -473,6 +476,13 @@ class GluedEmbedding:
             return end_mass(D.copy(), c_lo, e_lo), end_mass(D, c_hi, e_hi)
 
         lo, hi = self._chunked(masses, rows, len(d), lead=(2,))
+        return lo, hi
+
+    def distance_interval(self, d) -> tuple[np.ndarray, np.ndarray]:
+        """Certified [lower, upper] glued distance at separation d: the
+        m-th roots of :meth:`mass_interval`."""
+        lo, hi = self.mass_interval(d)
+        m = self.schedule.mass_power
         return lo ** (1.0 / m), hi ** (1.0 / m)
 
     # -- shared ----------------------------------------------------------
@@ -576,12 +586,12 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
     rep = GluingCheckReport(schedule=sched.name, kind=sched.kind,
                             n_pairs=len(d), n_terms=e.n_terms)
 
+    # Work with the glued power mass throughout: in kernel mode the summed
+    # masses themselves, never powers of their roots.
     if image_distances is None:
-        lo, hi = e.distance_interval(d)
+        lo_m, hi_m = e.mass_interval(d)
     else:
-        lo = hi = np.atleast_1d(np.asarray(image_distances, dtype=float))
-    # Work with the glued power mass throughout.
-    lo_m, hi_m = lo ** m, hi ** m
+        lo_m = hi_m = np.atleast_1d(np.asarray(image_distances, dtype=float)) ** m
 
     if sched.kind == "strong":
         upper_claim = eps_scale ** m * sched.eps_mass_partial(e.n_terms) * (d ** sched.gamma) ** m

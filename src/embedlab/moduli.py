@@ -83,21 +83,30 @@ class PairSampler:
         if self.dim < 1:
             raise ValueError("need dim >= 1")
 
-    def sample(self, n_pairs: int, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sample(self, n_pairs: int, seed: int, dtype=np.float64
+               ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray]:
         """``n_pairs`` rows of (x, y, t).  Pair i draws a Gaussian base
         point, a Gaussian direction and a uniform for t from the Philox
         stream keyed by ``SeedSequence((seed, i))``, set with a zero
         counter on one reused generator.  The keys are hashed from the
         uint32 words of seed and i by :func:`_seed_keys`, one chunk of
-        pairs at a time.  Each pair reads its base point into X, its
-        direction into Y and then its uniform, the values that
+        pairs at a time.  Each pair reads its base point into x, its
+        direction into y and then its uniform, the values that
         ``normal(0, 1)``, ``normal()`` and ``uniform()`` would read; the
         chunk's directions are then scaled in place, y = x + t d / |d|.
+
+        A chunk's rows are computed in float64 and stored once in
+        ``dtype`` (float32 rows are rounded once, as a float32 kernel
+        would round them); ``dtype=None`` keeps no rows (X and Y are
+        None), while every pair still draws its normals, so t is the same
+        stream.
         """
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
-        X = np.empty((n_pairs, self.dim))
-        Y = np.empty((n_pairs, self.dim))
+        X = Y = None
+        if dtype is not None:
+            X, Y = np.empty((2, n_pairs, self.dim), dtype=dtype)
+        xc, yc = np.empty((2, min(n_pairs, _KEY_CHUNK), self.dim))  # a chunk's rows
         t = np.empty(n_pairs)
         norm = np.empty(min(n_pairs, _KEY_CHUNK))
         log_ratio = math.log(self.t_max / self.t_min)
@@ -108,17 +117,19 @@ class PairSampler:
         words = [seed >> s & 0xFFFFFFFF for s in range(0, max(seed.bit_length(), 1), 32)]
         for start in range(0, n_pairs, _KEY_CHUNK):
             stop = min(start + _KEY_CHUNK, n_pairs)
-            for i, key in enumerate(_seed_keys(words, start, stop), start):
+            x, y = xc[:stop - start], yc[:stop - start]
+            for j, key in enumerate(_seed_keys(words, start, stop)):
                 state["state"] = {"counter": counter, "key": key}
                 bitgen.state = state
-                rng.standard_normal(out=X[i])
-                direction = rng.standard_normal(out=Y[i])
-                norm[i - start] = math.sqrt(direction.dot(direction))  # np.linalg.norm's route
-                t[i] = self.t_min * math.exp(rng.random() * log_ratio)
-            y = Y[start:stop]
+                rng.standard_normal(out=x[j])
+                direction = rng.standard_normal(out=y[j])
+                norm[j] = math.sqrt(direction.dot(direction))  # np.linalg.norm's route
+                t[start + j] = self.t_min * math.exp(rng.random() * log_ratio)
             y /= norm[:stop - start, None]
             y *= t[start:stop, None]
-            y += X[start:stop]
+            y += x
+            if X is not None:
+                X[start:stop], Y[start:stop] = x, y
         return X, Y, t
 
 
@@ -234,11 +245,19 @@ def estimate_moduli(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray
     ``bins`` log-spaced rows from ``sampler.t_min`` to ``sampler.t_max``;
     raises if more than half of the rows are empty.
 
+    The pair rows are held once, in the dtype that ``f.rows`` names: the
+    engines of this module set it (float32 for :func:`fast_rff_engine`,
+    None for :func:`exact_kernel_engine`, which reads only t), and any
+    other ``f`` gets float64 rows from ``sampler.sample(pairs, seed)``.
+
     ``certifier`` is passed to :func:`reduce_envelopes`.
     """
     if bins < 1 or pairs < 1:
         raise ValueError("need bins >= 1 and pairs >= 1")
-    X, Y, t = sampler.sample(pairs, seed)
+    rows = getattr(f, "rows", np.float64)
+    # A sampler with no dtype argument serves engines that read float64 rows.
+    X, Y, t = (sampler.sample(pairs, seed) if rows is np.float64
+               else sampler.sample(pairs, seed, dtype=rows))
     img = np.asarray(f(X, Y, t), dtype=float)
     if img.shape != t.shape or not np.all(np.isfinite(img)) or np.any(img < 0):
         raise ValueError("engine returned invalid image distances")
@@ -393,6 +412,7 @@ def exact_kernel_engine(e: GluedEmbedding) -> Callable:
         lo, hi = e.distance_interval(np.asarray(t, dtype=float))
         return lo
 
+    engine.rows = None  # estimate_moduli keeps no pair rows for it
     return engine
 
 
@@ -405,25 +425,30 @@ def coordinate_engine(e: GluedEmbedding) -> Callable:
     def engine(X, Y, t):
         return e.image_distances(X, Y, dtype=np.float64)
 
+    engine.rows = np.float64
     return engine
 
 
 def fast_rff_engine(e: GluedEmbedding) -> Callable:
     """Float32 evaluation of an rff-backed glued embedding.
 
-    The same block kernel as :func:`coordinate_engine`, run on the points
-    rounded to float32 a row tile at a time: cosine features, per-row
-    norms and signed power in float32, block masses summed in float64.
-    The feature tables are the float64 path's draws, so the two agree up
-    to float32 rounding.  This is what makes 2e4-pair moduli runs over a
-    few hundred blocks affordable, in memory that does not grow with the
-    block count: the kernel holds one group of feature tables at a time.
-    The feature product runs in row slabs that OpenBLAS keeps on the
-    calling thread, so each worker's run of row tiles uses one CPU:
-    splitting a tile's product across both CPUs of a 2-CPU host nearly
-    doubled the CPU time without shortening the wall time, a BLAS worker
-    spinning between products, and 2048-row tiles, whose scratch arrays
-    spill out of L2, cost more CPU than 256-row ones.
+    The same block kernel as :func:`coordinate_engine` on the points in
+    float32: cosine features, per-row norms and signed power in float32,
+    block masses summed in float64.  :func:`estimate_moduli` holds its
+    pair rows in float32 (``engine.rows``), each rounded once from the
+    sampler's float64 chunk; float64 points passed directly are rounded
+    a row tile at a time, the same rounding.  The feature tables are the
+    float64 path's draws, so the two agree up to float32 rounding.  This
+    is what makes 2e4-pair moduli runs over a few hundred blocks
+    affordable, in memory that does not grow with the block count: the
+    kernel holds one group of feature tables at a time, and a tile's x
+    and y rows stacked in two scratch arrays.  The feature product runs
+    in row slabs that OpenBLAS keeps on the calling thread, so each
+    worker's run of row tiles uses one CPU: splitting a tile's product
+    across both CPUs of a 2-CPU host nearly doubled the CPU time without
+    shortening the wall time, a BLAS worker spinning between products,
+    and tiles of 2048 rows a side, whose scratch arrays spilled out of
+    L2, cost more CPU than tiles of 256.
     """
     if getattr(e.family, "backend", None) != "rff":
         raise ValueError("fast engine needs an rff-backed family")
@@ -431,6 +456,7 @@ def fast_rff_engine(e: GluedEmbedding) -> Callable:
     def engine(X, Y, t):
         return e.image_distances(X, Y, dtype=np.float32)
 
+    engine.rows = np.float32
     return engine
 
 

@@ -14,7 +14,8 @@ one power-sum kernel, and against the same loop with its sums by numpy's
 pow and sum; its sampler against whole-array normalization.  The closed-form series residual of
 ``embedlab.gaussian`` is checked against a Poisson tail summed in
 decimal arithmetic, its block kernel on random features against the
-glued mass in textbook order in float64, and the sliced kernel-mode
+glued mass in textbook order in float64 and, on both backends, against
+the kernel that took x and y rows through their own arrays, and the sliced kernel-mode
 intervals of ``embedlab.glue`` against one whole-array evaluation.  The Hamming-cube distance rows of
 ``embedlab.finite_geometry`` are checked against the popcount of one
 pair's XOR and against the dense distance matrix of the bit-matrix
@@ -37,6 +38,7 @@ import numpy as np
 
 from embedlab.amenable import (HeisenbergModel, ZkFolnerSystem, box_intersection_count,
                                heis_intersection_count)
+from embedlab import gaussian
 from embedlab.finite_geometry import GkSpace
 from embedlab.gaussian import RandomFeatures, sphere_block_interval
 from embedlab.mazur import _row_power_sums, _signed_power, mazur_constants
@@ -368,6 +370,36 @@ def rff_block_mass(X, Y, backends, q: float) -> np.ndarray:
     return mass
 
 
+def per_side_block_mass(X, Y, backends, q: float, dtype=None) -> np.ndarray:
+    """The block kernel of ``embedlab.gaussian.block_mass`` as it ran before
+    its tiles stacked x over y, in one tile of all the pairs: per block,
+    the x rows' coordinates into one (pairs x coordinates) array and their
+    signed power 2/q into a second, the y rows' coordinates through the
+    first into a third, the y images scaled by (n_x / n_y)^(2/q), the
+    difference into the second, and its q-th power sum, with the third as
+    spare, over n_x^2, added per row in float64.  Three scratch arrays and
+    a feature product per side."""
+    X, Y = np.atleast_2d(X), np.atleast_2d(Y)
+    backends = tuple(backends)
+    dtype, cdt = gaussian._plan(X, backends, dtype)[:2]
+    n, dim = X.shape
+    x1, y1 = np.ones((2, n, dim + 1), dtype=dtype)
+    x1[:, :-1], y1[:, :-1] = X, Y
+    total = np.zeros(n)
+    for backend in backends:
+        wb = (gaussian._rff_table(backend.r, backend.n_features, backend.seed, dim, dtype)
+              if isinstance(backend, RandomFeatures) else None)
+        coords, px, py = np.empty((3, n, gaussian._width(backend)), dtype=cdt)
+        coords, n2x = gaussian._block_coordinates(x1, backend, wb, coords)
+        px = _signed_power(coords, 2.0 / q, out=px)
+        coords, n2y = gaussian._block_coordinates(y1, backend, wb, coords)
+        py = _signed_power(coords, 2.0 / q, out=py)
+        py *= (np.divide(n2x, n2y, dtype=float) ** (1.0 / q)).astype(py.dtype)[:, None]
+        h = np.subtract(px, py, out=px)
+        total += np.divide(_row_power_sums(h, q, spare=py), n2x, dtype=float)
+    return total
+
+
 def rff_glued_distance(e, X, Y) -> np.ndarray:
     """:func:`rff_block_mass` over the blocks of the glued embedding ``e``,
     block n at bandwidth r_n with seed (base_seed, n), taken to the
@@ -378,17 +410,25 @@ def rff_glued_distance(e, X, Y) -> np.ndarray:
     return rff_block_mass(X, Y, backends, q) ** (1.0 / distance_root(q))
 
 
-def glued_interval(e, d) -> tuple[np.ndarray, np.ndarray]:
-    """The kernel-mode interval of the glued embedding ``e`` at the
-    separations ``d`` in one whole-array pass: the psi distance
+def glued_mass_interval(e, d) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel-mode power-mass interval of the glued embedding ``e`` at
+    the separations ``d`` in one whole-array pass: the psi distance
     sqrt(2 (1 - e^(-r d^2))) of every (separation, block) pair, both ends
     transported by ``sphere_block_interval``, their m-th powers summed
-    over the blocks and taken to the root 1/m."""
+    over the blocks."""
     d = np.atleast_1d(np.asarray(d, dtype=float))
     m = distance_root(e.schedule.q)
     D = np.sqrt(2.0 * -np.expm1(-e.bandwidths[None, :] * d[:, None] ** 2))
     lo, hi = sphere_block_interval(D, e.schedule.q)
-    return (lo ** m).sum(axis=1) ** (1.0 / m), (hi ** m).sum(axis=1) ** (1.0 / m)
+    return (lo ** m).sum(axis=1), (hi ** m).sum(axis=1)
+
+
+def glued_interval(e, d) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`glued_mass_interval` taken to the root 1/m: the kernel-mode
+    distance interval in one whole-array pass."""
+    m = distance_root(e.schedule.q)
+    lo, hi = glued_mass_interval(e, d)
+    return lo ** (1.0 / m), hi ** (1.0 / m)
 
 
 def pair_sample_loop(sampler, n_pairs: int, seed: int):

@@ -419,7 +419,7 @@ class TestModuliCommand:
     ])
     def test_threads_never_change_artifacts_at_slab_edges(self, tmp_path, q, preset, backend):
         # 2049 pairs is a multiple of neither the feature product's 30-row
-        # slab (512 features x (16 + 1) columns) nor the 256-row tile.
+        # slab (512 features x (16 + 1) columns) nor the 128-pair tile.
         def once(tag, threads):
             j = tmp_path / f"{tag}.json"
             c = tmp_path / f"{tag}.csv"
@@ -541,8 +541,8 @@ class TestVerifyCommand:
         assert peak < 8 * 2 ** 20
 
     def test_kernel_suite_bytes_do_not_depend_on_the_tile(self, tmp_path, monkeypatch):
-        # 100 samples: ten series tiles and four feature tiles, the last
-        # one partial, at block_mass's default budget; one row per tile at
+        # 100 samples: twenty series tiles and seven feature tiles, the last
+        # one partial, at block_mass's default budget; one pair per tile at
         # one byte.
         from embedlab import gaussian
 
@@ -966,8 +966,8 @@ class TestRunsWithoutScipy:
         assert got["codes"] == [cli.EXIT_OK]
 
     def test_exp_run_keeps_its_bytes_at_two_threads(self, tmp_path):
-        # At 561 series coordinates a tile is 116 rows, so 2100 pairs are
-        # 19 tiles, and with two threads the series coordinates run in two
+        # At 561 series coordinates a tile is 58 pairs, so 2100 pairs are
+        # 37 tiles, and with two threads the series coordinates run in two
         # worker threads.
         def once(threads):
             j, c = f"exp{threads}.json", f"exp{threads}.csv"

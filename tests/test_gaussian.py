@@ -22,9 +22,11 @@ from embedlab.gaussian import (
     psi_distance_exact,
     sphere_block_interval,
 )
-from embedlab.glue import GaussianBlockFamily, preset_schedule
+from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
 from embedlab.mazur import signed_power_constant
-from oracles import mazur_map, poisson_tail, rff_block_mass, rff_coordinates
+from embedlab.metric_core import distance_root
+from oracles import (mazur_map, per_side_block_mass, poisson_tail, rff_block_mass,
+                     rff_coordinates)
 
 
 class TestPsiDistance:
@@ -426,6 +428,35 @@ class TestPhiMaps:
         got = block_mass(X.astype(dtype), Y.astype(dtype), blocks, q)
         np.testing.assert_allclose(got, rff_block_mass(X.astype(dtype), Y.astype(dtype),
                                                        blocks, q), rtol=rtol)
+
+    @pytest.mark.parametrize("backend, dtype", [("rff", np.float32), ("rff", np.float64),
+                                                ("exp", np.float64)],
+                             ids=["rff-float32", "rff-float64", "series"])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 1.5, 2.0, 3.0, 4.0])
+    def test_stacked_tiles_give_the_per_side_bytes(self, monkeypatch, q, backend, dtype):
+        # The oracle takes all 2049 pairs as one tile, x and y rows through
+        # their own arrays.  At the default budget a tile is 128 pairs of
+        # 512 float32 features, 64 in float64 and 390 of the series' 84
+        # coordinates, so the rff tiles end on a one-pair tail and the
+        # series on 99 pairs; at one byte every tile is one pair.  Two and
+        # three threads split the tiles into runs.
+        preset = {0.5: "strong_qle1", 1.0: "strong_qle1", 1.5: "strong_1leqle2"}
+        fam = GaussianBlockFamily(preset_schedule(preset.get(q, "strong_qge2"), q=q, beta=1.1),
+                                  backend=backend, base_seed=17, n_features=512,
+                                  exp_degree=6, ambient_dim=3)
+        rng = np.random.default_rng(40)
+        X = rng.normal(size=(2049, 3))
+        Y = (X + rng.normal(size=X.shape) * rng.uniform(0.0, 2.0, (2049, 1))).astype(dtype)
+        X = X.astype(dtype)
+        blocks = glue(fam, n_terms=3)._blocks
+        want = per_side_block_mass(X, Y, blocks, q)
+        assert np.array_equal(block_mass(X, Y, blocks, q), want)
+        root = want ** (1.0 / distance_root(q))
+        for threads in (1, 2, 3):
+            assert np.array_equal(glue(fam, n_terms=3, threads=threads).image_distances(X, Y),
+                                  root), threads
+        monkeypatch.setattr(gaussian, "_SCRATCH_BYTES", 1)
+        assert np.array_equal(block_mass(X, Y, blocks, q), want)
 
     def test_envelope_at_zero_and_floor(self):
         lo, hi = sphere_block_interval(psi_distance_exact(0.0, 1.0), 2.0)

@@ -18,7 +18,7 @@ from embedlab.glue import (
     preset_schedule,
 )
 
-from oracles import glued_interval
+from oracles import glued_interval, glued_mass_interval
 
 
 class TestSequences:
@@ -232,11 +232,11 @@ class TestGluedEmbedding:
         pytest.param("exp", np.float64, 64, id="exp-float64"),
     ])
     def test_thread_count_never_changes_image_distances(self, backend, dtype, n_features):
-        # 2049 rows are 8 tiles of 256 rows and a one-row tail at 512
-        # float32 features, 64 tiles of 32 and a one-row tail at 4096, and
-        # tiles of 1456 and 593 rows at the series' 45 float64 coordinates.
-        # Two and three threads take runs of 5 and 3 tiles, 33 and 22, and
-        # one each.
+        # 2049 pairs are 16 tiles of 128 pairs and a one-pair tail at 512
+        # float32 features, 128 tiles of 16 and a one-pair tail at 4096,
+        # and tiles of 728, 728 and 593 pairs at the series' 45 float64
+        # coordinates.  Two and three threads take runs of 9 and 6 tiles,
+        # 65 and 43, and 2 and 1.
         fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1),
                                   backend=backend, base_seed=5, n_features=n_features,
                                   exp_degree=8, ambient_dim=2)
@@ -281,6 +281,8 @@ class TestGluedEmbedding:
         want_lo, want_hi = glued_interval(e, d)
         assert np.array_equal(lo, want_lo) and np.array_equal(hi, want_hi)
         assert np.array_equal(lo, hi) == (q is None)
+        for got, want in zip(e.mass_interval(d), glued_mass_interval(e, d)):
+            assert np.array_equal(got, want)
 
     def test_thread_count_below_one_is_refused(self):
         fam = GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0))
@@ -341,6 +343,25 @@ class TestPerPairBounds:
         rep = per_pair_bounds_check(e, d, image_distances=e.image_distances(X, Y))
         assert rep.violations == 0
         assert rep.indeterminate == 0
+
+    @pytest.mark.parametrize("preset, q", [("warmup_l2", None), ("strong_qge2", 4.0)])
+    def test_kernel_audit_compares_the_summed_masses(self, monkeypatch, preset, q):
+        # The audit reads the block masses as summed, never the m-th power
+        # of their roots: at q = 2 over 200 blocks (the gluing suite's
+        # schedule) 2302 of these 4000 masses differ from that round trip.
+        e = glue(GaussianBlockFamily(preset_schedule(preset, q=q, beta=2.0)), n_terms=200)
+        d = np.geomspace(1.0, 1e3, 4000)
+        lo_m, hi_m = e.mass_interval(d)
+        monkeypatch.setattr(e, "distance_interval", None)  # the audit takes no roots
+        rep = per_pair_bounds_check(e, d)
+        assert rep.violations == 0 and rep.indeterminate == 0
+        sched = e.schedule
+        m = sched.mass_power
+        upper = sched.eps_mass_partial(e.n_terms) * (d ** sched.gamma) ** m
+        assert rep.worst_upper_margin == float(np.min((upper - hi_m) / upper))
+        step = e.step_count(d) * sched.eta ** m
+        on = step > 0
+        assert rep.worst_step_margin == float(np.min((lo_m[on] - step[on]) / step[on]))
 
     def test_negative_distances_rejected(self):
         e = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0)), n_terms=5)

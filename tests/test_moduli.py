@@ -75,6 +75,22 @@ class TestPairSampler:
         with pytest.raises(ValueError, match="non-negative"):
             PairSampler(0.1, 1.0).sample(1, -1)
 
+    @pytest.mark.parametrize("seed", [7, 2 ** 70 + 3])  # 2^70 + 3 keys with three words
+    def test_rows_are_stored_once_in_the_engine_dtype(self, seed):
+        # The pairs span two key chunks; float32 rows are the float64 rows
+        # rounded once, and no rows at all leave t as it was.
+        s = PairSampler(0.1, 100.0, dim=16)
+        n = _KEY_CHUNK + 3
+        X, Y, t = s.sample(n, seed)
+        X32, Y32, t32 = s.sample(n, seed, dtype=np.float32)
+        assert X32.dtype == Y32.dtype == np.float32
+        assert np.array_equal(X32, X.astype(np.float32))
+        assert np.array_equal(Y32, Y.astype(np.float32))
+        assert np.array_equal(t32, t)
+        none = s.sample(n, seed, dtype=None)
+        assert none[0] is None and none[1] is None
+        assert np.array_equal(none[2], t)
+
     def test_per_pair_streams_are_batch_independent(self):
         s = PairSampler(0.1, 10.0, dim=4)
         X10, Y10, t10 = s.sample(10, seed=9)
@@ -355,7 +371,7 @@ class TestEngines:
     @pytest.mark.parametrize("threads", [1, 2])
     def test_tables_drawn_once_per_block_per_worker_past_512_blocks(self, monkeypatch,
                                                                      threads):
-        # Two tiles of 256 rows over 600 blocks, in one call per worker:
+        # Three tiles of 128 pairs over 600 blocks, in one call per worker:
         # every call draws each table once, so a second tile or a later
         # group never redraws one.
         draws = []
@@ -378,11 +394,12 @@ class TestEngines:
     @pytest.mark.parametrize("q, preset, beta", [(4.0, "strong_qge2", 1.05),
                                                  (1.5, "strong_1leqle2", 1.1)])
     def test_row_tile_size_never_changes_results(self, monkeypatch, q, preset, beta):
-        # The byte budget sizes both the tiles and the groups.  2049 rows
-        # leave a one-row tail at every tile size, and none of the float32
-        # tiles of 2048, 256 and 32 rows (1024, 128 and 16 in float64) is a
-        # multiple of the 30-row product slab at 512 features x (16 + 1)
-        # columns; the groups hold 120, 15 and 1 float32 tables.
+        # The byte budget sizes both the tiles and the groups.  2049 pairs
+        # leave a one-pair tail at every tile size, and none of the float32
+        # tiles of 1024, 128 and 16 pairs (512, 64 and 8 in float64), whose
+        # stacked x and y rows are twice as many, is a multiple of the 30-row
+        # product slab at 512 features x (16 + 1) columns; the groups hold
+        # 120, 15 and 1 float32 tables.
         fam = GaussianBlockFamily(preset_schedule(preset, q=q, beta=beta), backend="rff",
                                   base_seed=31, n_features=512, ambient_dim=16)
         e = glue(fam, n_terms=16)
@@ -398,11 +415,12 @@ class TestEngines:
             assert np.array_equal(coord, runs[0][1])
 
     def test_row_tile_scratch_stays_cache_sized(self):
-        # Traced peak of a 8192-row, 512-feature pass: 1.8 MiB with
-        # 256-row tiles (passes), 3.4 MiB with 512-row tiles and 12.6 MiB
-        # with 2048-row tiles (both fail).  The three per-block scratch
-        # arrays grow with the tile; the rows are cast to float32 a tile
-        # at a time, into a reused buffer.
+        # Traced peak of a 8192-row, 512-feature pass with three per-side
+        # scratch arrays: 1.8 MiB with 256-row tiles (passes), 3.4 MiB with
+        # 512-row tiles and 12.6 MiB with 2048-row tiles (both fail); 1.3
+        # MiB with two arrays of 128 stacked pairs.  The scratch arrays
+        # grow with the tile; the rows are cast to float32 a tile at a
+        # time, into a reused buffer.
         import tracemalloc
 
         fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.05),
@@ -419,6 +437,63 @@ class TestEngines:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2 ** 20
+
+    def test_stacked_tile_scratch_holds_two_arrays(self):
+        # Bound set at the two 512 KiB scratch arrays, the tables and the
+        # stacked rows, below the 1.5 MiB of three arrays alone.
+        fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.05),
+                                  backend="rff", base_seed=9, n_features=512,
+                                  ambient_dim=16)
+        blocks = glue(fam, n_terms=3)._blocks
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(8192, 16)).astype(np.float32)
+        Y = (X + rng.normal(size=X.shape)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            gaussian.block_mass(X, Y, blocks, 4.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2 ** 20
+
+    def test_rff_estimate_holds_its_rows_once_in_float32(self):
+        # Bound set at the float32 rows (1 MiB at 8192 pairs), the
+        # sampler's float64 chunk and the kernel's working set, below the
+        # 2 MiB of float64 rows alone.
+        fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.05),
+                                  backend="rff", base_seed=9, n_features=512,
+                                  ambient_dim=16)
+        engine = fast_rff_engine(glue(fam, n_terms=3))
+        tracemalloc.start()
+        try:
+            estimate_moduli(engine, PairSampler(0.1, 100.0), bins=36, pairs=8192, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2 ** 20
+
+    def test_kernel_estimate_keeps_no_rows(self):
+        seen = []
+
+        class Recording(PairSampler):
+            def sample(self, n_pairs, seed, dtype=np.float64):
+                X, Y, t = super().sample(n_pairs, seed, dtype)
+                seen.append((X, Y))
+                return X, Y, t
+
+        e = glue(GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0)), n_terms=30)
+        engine = exact_kernel_engine(e)
+        sampler = Recording(0.01, 10.0)
+        est = estimate_moduli(engine, sampler, bins=12, pairs=1500, seed=4,
+                              certifier=glued_certifier(e))
+        assert seen == [(None, None)]
+        # the same envelopes as the engine on float64 rows of the same pairs
+        rows = estimate_moduli(lambda X, Y, t: engine(X, Y, t), sampler, bins=12,
+                               pairs=1500, seed=4, certifier=glued_certifier(e))
+        assert seen[1][0].shape == (1500, 16)
+        for name in ("edges", "rho_hat", "omega_hat", "counts", "certified_lower",
+                     "certified_upper"):
+            assert np.array_equal(getattr(est, name), getattr(rows, name), equal_nan=True)
 
     @pytest.mark.parametrize("n_terms", [300, 6400])
     def test_interval_working_set_stays_within_the_budget(self, n_terms):
@@ -437,12 +512,14 @@ class TestEngines:
         assert peak < 2 ** 20
 
     def test_series_tile_scratch_stays_within_the_budget(self):
-        # verify --suite kernel's series: 1000 rows at degree 32 in
-        # dimension 3, 6545 float64 coordinates, so tiles of 10 rows whose
-        # three scratch arrays take 1.5 MiB.  The coordinates are written
-        # into the first of them and gathered and normed a run of rows at a
-        # time; a fresh coordinate array, full-size gathers and a squared
-        # copy for the norms peaked at 3.0 MiB.
+        # verify --suite kernel's series: 1000 pairs at degree 32 in
+        # dimension 3, 6545 float64 coordinates, so tiles of 5 pairs whose
+        # two scratch arrays of 10 stacked rows take 1 MiB (1.1 MiB traced
+        # peak; 1.6 MiB with three arrays of 10 rows a side).  The
+        # coordinates are written into the first of them and gathered and
+        # normed a run of rows at a time; a fresh coordinate array,
+        # full-size gathers and a squared copy for the norms peaked at
+        # 3.0 MiB.
         backend = gaussian.TruncatedExp(0.5, 32, 3)
         rng = np.random.default_rng(3)
         X, Y = (P * 1.2 * rng.random((1000, 1)) / np.linalg.norm(P, axis=1, keepdims=True)
