@@ -677,6 +677,8 @@ class GluedGroupEmbedding:
     def certified_upper_pth(self, d):
         """2^p k + K with k the blocks below distance d and K the capped
         sum of the certified block bounds (:meth:`tail_constant`)."""
+        if self.p >= 1024:  # where 2.0 ** p overflows
+            raise ValueError(f"the upper bound's 2^p leaves the float range at p = {self.p:g}")
         return 2.0 ** self.p * self.coarse_step_count(d) + self.tail_constant()
 
     def bounds_check(self, d, image_pth, *, upper_scale: float = 1.0) -> dict:

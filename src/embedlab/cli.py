@@ -208,12 +208,13 @@ def _suite_kernel(args: argparse.Namespace) -> dict:
     rng = _batch_rng(args.seed, 102)
     P = rng.standard_normal((args.samples, rdim))
     Q = rng.standard_normal((args.samples, rdim)) * rng.uniform(0.0, 3.0, (args.samples, 1))
-    # The kernel every rff moduli run takes, in float32 as there: at q = 2
-    # a block's mass is |psi(p) - psi(q)|^2 = 2 - 2 <psi(p), psi(q)>, since
-    # the psi rows are unit vectors.  block_mass tiles the rows itself and
-    # draws the table once.
-    kernel_est = 1.0 - block_mass(P, Q, [feats], 2.0, dtype=np.float32) / 2.0
     kernel_true = np.exp(-args.r * np.sum((P - Q) ** 2, axis=1))
+    # The kernel every rff moduli run takes, on float32 rows as there: at
+    # q = 2 a block's mass is |psi(p) - psi(q)|^2 = 2 - 2 <psi(p), psi(q)>,
+    # since the psi rows are unit vectors.  block_mass tiles the rows
+    # itself and draws the table once.
+    P, Q = P.astype(np.float32), Q.astype(np.float32)
+    kernel_est = 1.0 - block_mass(P, Q, [feats], 2.0) / 2.0
     rff_err = float(np.max(np.abs(kernel_est - kernel_true)))
     rff_viol = int(np.sum(np.abs(kernel_est - kernel_true) > 0.08 * tol))
 

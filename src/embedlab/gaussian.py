@@ -30,8 +30,8 @@ sqrt, cbrt and square passes (``mazur._power``).  Each block's row sums
 are einsums in the dtype of its coordinates, by the q-th power sum that
 the Mazur audit shares (``mazur._row_power_sums``); the blocks are
 accumulated in float64.  Random-feature coordinates are computed in the floating
-dtype of the input points, or in a given one, so float32 rows give
-float32 arithmetic with the same feature tables.  Their feature product
+dtype of the input points (float64 for other input), so float32 rows
+give float32 arithmetic with the same feature tables.  Their feature product
 multiplies the rows [x, 1] by the table [w; b], so it also adds the
 phases, and runs in row slabs that OpenBLAS keeps on the calling thread.  The kernel runs groups
 of blocks outside and row tiles inside, both sized from one byte budget,
@@ -141,13 +141,13 @@ class RandomFeatures:
 
     Frequencies are Gaussian with variance 2r per coordinate (matching the
     kernel exp(-r d^2)), phases uniform on [0, 2 pi).  The whole feature
-    table is a pure function of (seed, dim), drawn through a counter-based
-    generator, so results never depend on evaluation order.
+    table is a pure function of the tuple seed + (dim,), drawn through a
+    counter-based generator, so results never depend on evaluation order.
     """
 
     r: float
     n_features: int
-    seed: int | tuple[int, ...]
+    seed: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not 0 < self.r < math.inf:
@@ -174,13 +174,12 @@ def _multi_indices(dim: int, degree: int) -> np.ndarray:
     return np.array(rows, dtype=np.int64).T.copy()
 
 
-def _rff_table(r: float, n_features: int, seed, dim: int, dtype: np.dtype) -> np.ndarray:
+def _rff_table(r: float, n_features: int, seed: tuple, dim: int, dtype: np.dtype) -> np.ndarray:
     """The (dim + 1) x n_features table [w; b]: frequencies w with the
     phases b as one more row, so that rows [x, 1] times the table are
     w.x + b.  Drawn in float64 a row at a time, in the stream order of
     one (dim, n_features) draw, and stored in ``dtype``."""
-    entropy = (seed if isinstance(seed, tuple) else (seed,)) + (dim,)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed + (dim,))))
     wb = np.empty((dim + 1, n_features), dtype=dtype)
     for row in wb[:dim]:  # no float64 copy of the table, one of a row
         row[:] = rng.normal(0.0, math.sqrt(2.0 * r), size=n_features)
@@ -413,20 +412,16 @@ def _width(backend: TruncatedExp | RandomFeatures) -> int:
     return backend.n_coords if isinstance(backend, TruncatedExp) else backend.n_features
 
 
-def _plan(X: np.ndarray, backends: tuple,
-          dtype=None) -> tuple[np.dtype, np.dtype, int, int, int]:
+def _plan(X: np.ndarray, backends: tuple) -> tuple[np.dtype, np.dtype, int, int, int]:
     """How :func:`block_mass` runs ``backends`` on the points ``X``: the
-    dtype of the rows [x, 1] (``dtype``, else that of X if floating, else
-    float64), the dtype of the coordinates (float64 for the series), the
-    widest block's coordinate count, the pairs of a tile and the blocks
-    of a group.  One (2 pairs x coordinates) array of a tile's stacked
-    rows, and the (dim + 1) x features tables of a group, each take about
-    _SCRATCH_BYTES."""
+    dtype of the rows [x, 1] (that of X if floating, else float64), the
+    dtype of the coordinates (float64 for the series), the widest block's
+    coordinate count, the pairs of a tile and the blocks of a group.  One
+    (2 pairs x coordinates) array of a tile's stacked rows, and the
+    (dim + 1) x features tables of a group, each take about _SCRATCH_BYTES."""
     if len({type(b) for b in backends}) > 1:
         raise ValueError("the blocks of one call must share one backend")
-    if dtype is None:
-        dtype = X.dtype if X.dtype.kind == "f" else float
-    dtype = np.dtype(dtype)
+    dtype = X.dtype if X.dtype.kind == "f" else np.dtype(float)
     cdt = np.dtype(float) if backends and isinstance(backends[0], TruncatedExp) else dtype
     width = max((_width(b) for b in backends), default=1)
     row = cdt.itemsize * width
@@ -434,15 +429,15 @@ def _plan(X: np.ndarray, backends: tuple,
             max(1, _SCRATCH_BYTES // ((X.shape[1] + 1) * row)))
 
 
-def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float, dtype=None) -> np.ndarray:
+def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float) -> np.ndarray:
     """Power mass of paired rows summed over the blocks ``backends``, each
     mapped into l_q.
 
     Block n maps a row x to phi_n(x) = s_a(psi_r(x)) with a = 2/q: the
     backend's unit-sphere coordinates psi_r(x) (truncated series or random
     features) under the coordinatewise signed power s_a, the (2, q) Mazur
-    map, which lands on the unit q-sphere.  Random features run in
-    ``dtype``, by default the floating dtype of ``X``; the series is
+    map, which lands on the unit q-sphere.  Random features run in the
+    floating dtype of ``X`` (float64 for other input); the series is
     evaluated in float64.  All blocks of one call share one backend.
 
     Block n adds sum_i |phi_n(x)_i - phi_n(y)_i|^q, its share of the
@@ -476,7 +471,7 @@ def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float, dtype=None) -> 
     """
     X, Y = (np.atleast_2d(np.asarray(P)) for P in (X, Y))
     backends = tuple(backends)
-    dtype, cdt, width, rows, group = _plan(X, backends, dtype)
+    dtype, cdt, width, rows, group = _plan(X, backends)
     n, dim = X.shape
     XY1 = np.ones((2 * rows, dim + 1), dtype=dtype)
     flats = np.empty((2, 2 * rows * width), dtype=cdt)

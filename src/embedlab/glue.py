@@ -325,6 +325,9 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
     )
 
 
+_EXP_DEGREE = 32  # degree of the truncated series of every exp block
+
+
 class GaussianBlockFamily:
     """Realizes a schedule's blocks with a chosen coordinate backend.
 
@@ -336,15 +339,13 @@ class GaussianBlockFamily:
     """
 
     def __init__(self, schedule: ParamSchedule, backend: str = "kernel",
-                 base_seed: int = 0, n_features: int = 512,
-                 exp_degree: int = 32, ambient_dim: int = 16):
+                 base_seed: int = 0, n_features: int = 512, ambient_dim: int = 16):
         if backend not in ("kernel", "exp", "rff"):
             raise ValueError(f"unknown backend {backend!r}")
         self.schedule = schedule
         self.backend = backend
         self.base_seed = base_seed
         self.n_features = n_features
-        self.exp_degree = exp_degree
         self.ambient_dim = ambient_dim
 
     @property
@@ -358,7 +359,7 @@ class GaussianBlockFamily:
                              "use distance_interval")
         r = float(self.schedule.bandwidth(n))
         if self.backend == "exp":
-            return TruncatedExp(r, self.exp_degree, self.ambient_dim)
+            return TruncatedExp(r, _EXP_DEGREE, self.ambient_dim)
         return RandomFeatures(r, self.n_features, seed=(self.base_seed, n))
 
 
@@ -417,26 +418,25 @@ class GluedEmbedding:
             out[..., sl] = got
         return out
 
-    def image_distances(self, X: np.ndarray, Y: np.ndarray, dtype=None) -> np.ndarray:
+    def image_distances(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Glued distances for paired rows of X and Y (coordinate mode).
 
         The glued mass is :func:`~embedlab.gaussian.block_mass` over the
         blocks, one call per worker of ``threads``, each on one contiguous
         run of the kernel's row tiles.  The block maps run in the floating
-        dtype of the points, or in ``dtype`` if given (float32 rows give
-        float32 random features and float32 per-block row sums); the
-        blocks are summed in float64.  Every row adds its blocks in order
-        and the tiles do not depend on the runs, so neither do the bytes.
+        dtype of ``X`` (float32 rows give float32 random features and row
+        sums); the blocks are summed in float64.  Every row adds its blocks
+        in order and the tiles do not depend on the runs, nor the bytes.
         """
         if self.family.kernel_mode:
             raise ValueError("kernel-mode embeddings have interval distances; "
                              "use distance_interval")
         X, Y = self._rows(X), self._rows(Y)
         blocks, q = self._blocks, self.schedule.q  # built here, never in a worker
-        tile = _plan(X, blocks, dtype)[3]
+        tile = _plan(X, blocks)[3]
         tiles = -(-len(X) // tile)
         run = tile * max(1, -(-tiles // self.threads))  # whole tiles per worker
-        total = self._chunked(lambda sl: block_mass(X[sl], Y[sl], blocks, q, dtype),
+        total = self._chunked(lambda sl: block_mass(X[sl], Y[sl], blocks, q),
                               run, len(X))
         return total ** (1.0 / self.schedule.mass_power)
 

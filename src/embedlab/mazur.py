@@ -19,7 +19,7 @@ for 0 < q < p and x, y on the unit sphere of l_p,
 
 where S_p = sum |x_i - y_i|^p and S_q(Mx, My) = sum |Mx_i - My_i|^q.
 For p < q the inequalities reverse; the constants are derived from the
-(q, p) direction through the involution and flagged as such in reports.
+(q, p) direction through the involution (``derived_by_involution``).
 
 Powers go through chains of sqrt, cbrt and square passes where the
 exponent allows one (``_ROOT_STEPS``, ``_ROOT_PRODUCTS``), else numpy's
@@ -41,7 +41,7 @@ whatever the number of pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -215,35 +215,35 @@ class MazurConstants:
     lower_exponent: float  # S_p exponent in the lower bound
     upper_exponent: float  # S_p exponent in the upper bound
     derived_by_involution: bool
-    derivation: dict = field(default_factory=dict)
 
 
 def mazur_constants(p: float, q: float) -> MazurConstants:
-    """Certified sphere-to-sphere constants for the (p, q) Mazur map."""
+    """Certified sphere-to-sphere constants for the (p, q) Mazur map;
+    ValueError where one overflows or a lower one underflows to 0 and is inverted."""
     if not (0 < p < math.inf and 0 < q < math.inf) or p == q:
         raise ValueError(f"need distinct finite positive exponents, got p={p}, q={q}")
-    if q < p:
-        alpha = p / q
-        c_low = signed_power_constant(alpha) ** q
-        c_up = alpha ** q * 2.0 ** (1.0 - q / p)
+    try:
+        if q < p:
+            alpha = p / q
+            return MazurConstants(
+                p=p, q=q, c_lower=signed_power_constant(alpha) ** q,
+                c_upper=alpha ** q * 2.0 ** (1.0 - q / p),
+                lower_exponent=1.0, upper_exponent=q / p,
+                derived_by_involution=False,
+            )
+        # p < q: apply the forward estimates to the inverse map M_{q,p} and invert.
+        alpha = q / p
+        c_low_fwd = signed_power_constant(alpha) ** p          # S_p >= c_low_fwd * S_Mq
+        c_up_fwd = alpha ** p * 2.0 ** (1.0 - p / q)           # S_p <= c_up_fwd * S_Mq^(p/q)
         return MazurConstants(
-            p=p, q=q, c_lower=c_low, c_upper=c_up,
-            lower_exponent=1.0, upper_exponent=q / p,
-            derived_by_involution=False,
-            derivation={"alpha": alpha, "scalar_constant": signed_power_constant(alpha)},
+            p=p, q=q,
+            c_lower=c_up_fwd ** (-q / p),   # S_Mq >= (S_p / c_up_fwd)^(q/p)
+            c_upper=1.0 / c_low_fwd,        # S_Mq <= S_p / c_low_fwd
+            lower_exponent=q / p, upper_exponent=1.0,
+            derived_by_involution=True,
         )
-    # p < q: apply the forward estimates to the inverse map M_{q,p} and invert.
-    alpha = q / p
-    c_low_fwd = signed_power_constant(alpha) ** p          # S_p >= c_low_fwd * S_Mq
-    c_up_fwd = alpha ** p * 2.0 ** (1.0 - p / q)           # S_p <= c_up_fwd * S_Mq^(p/q)
-    return MazurConstants(
-        p=p, q=q,
-        c_lower=c_up_fwd ** (-q / p),   # S_Mq >= (S_p / c_up_fwd)^(q/p)
-        c_upper=1.0 / c_low_fwd,        # S_Mq <= S_p / c_low_fwd
-        lower_exponent=q / p, upper_exponent=1.0,
-        derived_by_involution=True,
-        derivation={"alpha": alpha, "scalar_constant": signed_power_constant(alpha)},
-    )
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError(f"Mazur constants at p={p:g}, q={q:g} leave the float range") from None
 
 
 # Byte budget of the rows of one tile, sized for one core's L2.  The audit

@@ -225,7 +225,10 @@ class ModuliEstimate:
             raise AssertionError("bin counts do not sum to the in-range pair count")
 
     def certified_violations(self) -> int:
-        """Rows where an envelope crosses its certified bound (real errors)."""
+        """Rows where an envelope crosses its certified bound.  In kernel
+        mode the engine is the lower end of ``distance_interval(t)`` and the
+        certifier that interval at the bin edges, so only an interval not
+        nondecreasing in t trips it; ``verify --suite gluing`` audits pairs."""
         if self.certified_lower is None or self.certified_upper is None:
             return 0
         bad = 0
@@ -416,17 +419,22 @@ def exact_kernel_engine(e: GluedEmbedding) -> Callable:
     return engine
 
 
+def _rows_engine(e: GluedEmbedding, rows) -> Callable:
+    """``e.image_distances`` on the points cast once, on entry, to ``rows``."""
+
+    def engine(X, Y, t):
+        return e.image_distances(np.asarray(X, dtype=rows), np.asarray(Y, dtype=rows))
+
+    engine.rows = rows
+    return engine
+
+
 def coordinate_engine(e: GluedEmbedding) -> Callable:
     """Float64 evaluation of a coordinate-backed (exp or rff) glued embedding:
     :meth:`GluedEmbedding.image_distances` on float64 points."""
     if getattr(e.family, "kernel_mode", False):
         raise ValueError("coordinate engine needs a coordinate backend")
-
-    def engine(X, Y, t):
-        return e.image_distances(X, Y, dtype=np.float64)
-
-    engine.rows = np.float64
-    return engine
+    return _rows_engine(e, np.float64)
 
 
 def fast_rff_engine(e: GluedEmbedding) -> Callable:
@@ -436,8 +444,8 @@ def fast_rff_engine(e: GluedEmbedding) -> Callable:
     float32: cosine features, per-row norms and signed power in float32,
     block masses summed in float64.  :func:`estimate_moduli` holds its
     pair rows in float32 (``engine.rows``), each rounded once from the
-    sampler's float64 chunk; float64 points passed directly are rounded
-    a row tile at a time, the same rounding.  The feature tables are the
+    sampler's float64 chunk; float64 points passed directly are cast
+    once on entry, the same rounding.  The feature tables are the
     float64 path's draws, so the two agree up to float32 rounding.  This
     is what makes 2e4-pair moduli runs over a few hundred blocks
     affordable, in memory that does not grow with the block count: the
@@ -452,12 +460,7 @@ def fast_rff_engine(e: GluedEmbedding) -> Callable:
     """
     if getattr(e.family, "backend", None) != "rff":
         raise ValueError("fast engine needs an rff-backed family")
-
-    def engine(X, Y, t):
-        return e.image_distances(X, Y, dtype=np.float32)
-
-    engine.rows = np.float32
-    return engine
+    return _rows_engine(e, np.float32)
 
 
 def glued_certifier(e: GluedEmbedding) -> Callable:

@@ -370,7 +370,7 @@ def rff_block_mass(X, Y, backends, q: float) -> np.ndarray:
     return mass
 
 
-def per_side_block_mass(X, Y, backends, q: float, dtype=None) -> np.ndarray:
+def per_side_block_mass(X, Y, backends, q: float) -> np.ndarray:
     """The block kernel of ``embedlab.gaussian.block_mass`` as it ran before
     its tiles stacked x over y, in one tile of all the pairs: per block,
     the x rows' coordinates into one (pairs x coordinates) array and their
@@ -381,7 +381,7 @@ def per_side_block_mass(X, Y, backends, q: float, dtype=None) -> np.ndarray:
     a feature product per side."""
     X, Y = np.atleast_2d(X), np.atleast_2d(Y)
     backends = tuple(backends)
-    dtype, cdt = gaussian._plan(X, backends, dtype)[:2]
+    dtype, cdt = gaussian._plan(X, backends)[:2]
     n, dim = X.shape
     x1, y1 = np.ones((2, n, dim + 1), dtype=dtype)
     x1[:, :-1], y1[:, :-1] = X, Y

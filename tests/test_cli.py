@@ -69,6 +69,30 @@ class TestExitCodes:
         assert "at degree 32 and dim 16 exceeds cap" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv, message", [
+        (["moduli", "--preset", "strong_qge2", "--q", "2000", "--beta", "1.05"],
+         "Mazur constants at p=2, q=2000 leave the float range"),
+        (["moduli", "--preset", "strong_qge2", "--q", "1e300", "--beta", "1.05"],
+         "Mazur constants at p=2, q=1e+300 leave the float range"),
+        (["verify", "--suite", "mazur", "--grid", "1,1100", "--samples", "10"],
+         "Mazur constants at p=1, q=1100 leave the float range"),
+        (["folner", "--group", "z2", "--p", "1024", "--n-max", "6", "--max-dist", "50",
+          "--pairs", "20"], "the upper bound's 2^p leaves the float range at p = 1024"),
+        (["folner", "--group", "tree", "--p", "1024", "--n-max", "6", "--max-dist", "50",
+          "--pairs", "20"], "the upper bound's 2^p leaves the float range at p = 1024"),
+    ], ids=["moduli-q2000", "moduli-q1e300", "mazur-grid", "folner-z2", "folner-tree"])
+    def test_constants_beyond_the_float_range_are_usage_errors(self, tmp_path, capsys,
+                                                               argv, message):
+        # A constant that overflows, or underflows to 0 and is inverted,
+        # names its exponent and exits 2, not 1 (a violated bound).
+        out = tmp_path / "out.json"
+        flag = "--out" if argv[0] == "verify" else "--json-out"
+        assert run([*argv, flag, str(out)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"embedlab: {message}\n"  # no traceback
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
         ([], "--preset strong_qge2 needs --q and --beta"),
         (["--beta", "2"], "--preset strong_qge2 needs --q"),
         (["--q", "4"], "--preset strong_qge2 needs --beta"),
@@ -564,8 +588,8 @@ class TestVerifyCommand:
 
         calls, block_mass = [], gaussian.block_mass
 
-        def recording(X, Y, backends, q, dtype=None):
-            mass = block_mass(X, Y, backends, q, dtype)
+        def recording(X, Y, backends, q):
+            mass = block_mass(X, Y, backends, q)
             calls.append((X, Y, list(backends), q, mass))
             return mass
 

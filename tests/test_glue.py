@@ -175,7 +175,7 @@ class TestGluedEmbedding:
         # The base point cancels in every glued distance, so only the
         # pair matters: the distance is symmetric and zero on the diagonal.
         sched = preset_schedule("warmup_l2", beta=2.0)
-        fam = GaussianBlockFamily(sched, backend="exp", exp_degree=16, ambient_dim=2)
+        fam = GaussianBlockFamily(sched, backend="exp", ambient_dim=2)
         e = glue(fam, n_terms=8)
         x, y = np.array([[0.3, -0.2]]), np.array([[0.9, 0.4]])
         assert e.image_distances(x, y)[0] == pytest.approx(e.image_distances(y, x)[0])
@@ -192,7 +192,7 @@ class TestGluedEmbedding:
 
     def test_interval_brackets_coordinate_distances(self):
         sched = preset_schedule("strong_1leqle2", q=1.5, beta=1.2)
-        fam = GaussianBlockFamily(sched, backend="exp", exp_degree=20, ambient_dim=2)
+        fam = GaussianBlockFamily(sched, backend="exp", ambient_dim=2)
         e = glue(fam, n_terms=6)
         x = np.array([[0.0, 0.0]])
         for d in (0.3, 1.0, 2.0):
@@ -234,12 +234,12 @@ class TestGluedEmbedding:
     def test_thread_count_never_changes_image_distances(self, backend, dtype, n_features):
         # 2049 pairs are 16 tiles of 128 pairs and a one-pair tail at 512
         # float32 features, 128 tiles of 16 and a one-pair tail at 4096,
-        # and tiles of 728, 728 and 593 pairs at the series' 45 float64
-        # coordinates.  Two and three threads take runs of 9 and 6 tiles,
-        # 65 and 43, and 2 and 1.
+        # and 35 tiles of 58 pairs and a 19-pair tail at the series' 561
+        # float64 coordinates (degree 32).  Two and three threads take
+        # runs of 9 and 6 tiles, 65 and 43, and 18 and 12.
         fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1),
                                   backend=backend, base_seed=5, n_features=n_features,
-                                  exp_degree=8, ambient_dim=2)
+                                  ambient_dim=2)
         rng = np.random.default_rng(24)
         X = rng.normal(size=(2049, 2)).astype(dtype)
         Y = (X + rng.normal(size=X.shape)).astype(dtype)
@@ -335,7 +335,7 @@ class TestPerPairBounds:
 
     def test_coordinate_mode_audit(self):
         sched = preset_schedule("warmup_l2", beta=2.0)
-        fam = GaussianBlockFamily(sched, backend="exp", exp_degree=24, ambient_dim=2)
+        fam = GaussianBlockFamily(sched, backend="exp", ambient_dim=2)
         e = glue(fam, n_terms=25)
         d = np.linspace(0.2, 2.5, 24)
         X = np.zeros((len(d), 2))

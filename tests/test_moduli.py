@@ -368,6 +368,31 @@ class TestEngines:
             np.testing.assert_allclose(fast_rff_engine(e)(X, Y, None), want, rtol=rtol)
             np.testing.assert_allclose(coordinate_engine(e)(X, Y, None), want, rtol=1e-12)
 
+    @pytest.mark.parametrize("q, preset", [(4.0, "strong_qge2"), (1.5, "strong_1leqle2"),
+                                           (0.5, "strong_qle1")])
+    def test_fast_rff_casts_float64_rows_once_to_float32(self, q, preset):
+        # The engine names the kernel's dtype: float64 rows are cast to
+        # float32 once, on entry, as the sampler rounds its float32 rows,
+        # so both give the same bytes.  2049 pairs end on a one-pair tile,
+        # and two workers split the tiles into runs.
+        fam = GaussianBlockFamily(preset_schedule(preset, q=q, beta=1.1), backend="rff",
+                                  base_seed=6, n_features=512, ambient_dim=16)
+        engine = fast_rff_engine(glue(fam, n_terms=8, threads=2))
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(2049, 16))
+        Y = X + rng.normal(size=X.shape) * rng.uniform(0.0, 3.0, (2049, 1))
+        got = engine(X, Y, None)
+        want = engine(X.astype(np.float32), Y.astype(np.float32), None)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    def test_fast_rff_refuses_a_row_beyond_float32(self):
+        # finite in float64, but not once cast to float32
+        fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.1),
+                                  backend="rff", n_features=8, ambient_dim=1)
+        engine = fast_rff_engine(glue(fam, n_terms=2))
+        with pytest.raises(ValueError, match="non-finite"), np.errstate(over="ignore"):
+            engine(np.zeros((1, 1)), np.array([[1e39]]), None)
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_tables_drawn_once_per_block_per_worker_past_512_blocks(self, monkeypatch,
                                                                      threads):
@@ -416,11 +441,12 @@ class TestEngines:
 
     def test_row_tile_scratch_stays_cache_sized(self):
         # Traced peak of a 8192-row, 512-feature pass with three per-side
-        # scratch arrays: 1.8 MiB with 256-row tiles (passes), 3.4 MiB with
-        # 512-row tiles and 12.6 MiB with 2048-row tiles (both fail); 1.3
-        # MiB with two arrays of 128 stacked pairs.  The scratch arrays
-        # grow with the tile; the rows are cast to float32 a tile at a
-        # time, into a reused buffer.
+        # scratch arrays and the rows cast a tile at a time: 1.8 MiB with
+        # 256-row tiles, 3.4 MiB with 512-row tiles and 12.6 MiB with
+        # 2048-row tiles; 1.3 MiB with two arrays of 128 stacked pairs.
+        # The engine's float32 copy of the rows, cast once on entry, adds
+        # 1 MiB to each, so 512-row tiles fail.  The scratch arrays grow
+        # with the tile.
         import tracemalloc
 
         fam = GaussianBlockFamily(preset_schedule("strong_qge2", q=4.0, beta=1.05),
