@@ -9,14 +9,16 @@ block distance), the worst box defect, and the Heisenberg gauge-ball
 defect as a sum of z-fiber interval overlaps.  Nothing here enumerates
 a Folner set or keeps a scalar group law; the enumerations and scalar
 group operations live in the tests as the oracles these closed forms are
-checked against.  The support-radius audit measures a box at its 2^k
-corners and walks the short tree segments of the first indices; the
-glued-bound audit is one array pass over all pairs.
+checked against.  The support radius rad(n) is a closed form too: the
+box corners and the segment vertices it bounds are walked only by the
+test oracles.  The glued-bound audit is one array pass over all pairs.
 
-Both set systems (boxes of Z^k, tree segments) share one array interface,
-``model`` and ``sample_pairs`` through ``support_reach``, and
-:func:`folner_system` looks one up by group name: callers run one path
-for every group.  The Heisenberg group has no set system yet.
+Both set systems (boxes of Z^k, tree segments) share one array interface
+(``model``, the schedule ``r``, ``eps``, ``a_eps``, ``size`` and ``rad``,
+``sample_pairs``, ``distances``, ``sym_diff_counts``, ``worst_defects``
+and ``defect_budget``), and :func:`folner_system` looks one up by group
+name: callers run one path for every group.  The Heisenberg group has no
+set system yet.
 
 The pair samplers draw arrays from counter-based streams.  Z^k pairs
 take each field (base points, lengths, multinomial splits, signs) from
@@ -29,7 +31,6 @@ n-pair draw are the m-pair draw.  A different max_dist moves every pair.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -59,9 +60,6 @@ class ZkModel:
         if not isinstance(self.k, int) or self.k < 1:
             raise ValueError("k must be a positive integer")
         object.__setattr__(self, "name", f"z{self.k}")
-
-    def metric(self, g, h) -> float:
-        return float(sum(abs(a - b) for a, b in zip(g, h)))
 
 
 @dataclass(frozen=True)
@@ -100,13 +98,6 @@ class TreeModel:
         if self.branching < 1 or self.depth < 1:
             raise ValueError("branching and depth must be positive")
 
-    def check_node(self, x):
-        if len(x) > self.depth or any(not 0 <= c < self.branching for c in x):
-            raise ValueError("node outside the truncated tree")
-
-    def metric(self, x, y) -> float:
-        return float(len(x) + len(y) - 2 * _common_prefix(x, y))
-
     def zeros_prefix(self, x) -> int:
         """Depth of the deepest ancestor of x lying on the designated ray."""
         z = 0
@@ -115,27 +106,6 @@ class TreeModel:
                 break
             z += 1
         return z
-
-    def ray_segment(self, x, n_vertices: int) -> tuple[tuple[int, ...], ...]:
-        """First ``n_vertices`` vertices of the merging ray started at x.
-
-        The ray climbs from x to its deepest all-zeros ancestor, then
-        follows the designated ray outward; consecutive vertices are at
-        graph distance 1 and positions realize distances from x.
-        """
-        self.check_node(x)
-        z = self.zeros_prefix(x)
-        out = []
-        for j in range(n_vertices):
-            up = len(x) - j
-            if up >= z:
-                out.append(tuple(x[:up]))
-            else:
-                d = z + (j - (len(x) - z))  # back on the zeros ray, going out
-                if d > self.depth:
-                    raise ValueError("truncation depth insufficient for segment")
-                out.append((0,) * d)
-        return tuple(out)
 
 
 def _common_prefix(x, y) -> int:
@@ -269,7 +239,10 @@ class ZkFolnerSystem:
         return math.ceil(self.r(n) / self.eps(n))
 
     def rad(self, n: int) -> float:
-        # circumradius of the box in the ell_1 word metric (corner norm)
+        """Support reach of x F_n: the largest ell_1 distance from x to a
+        point of the box x + [-M_n, M_n]^k.  The distance to x is convex on
+        the box, so its maximum sits at a corner, and every corner lies at
+        distance k M_n; the test oracles walk the corners."""
         return float(self.group.k * self.half_side(n))
 
     def size(self, n: int) -> int:
@@ -313,14 +286,6 @@ class ZkFolnerSystem:
         return {n: box_defect(self.half_side(n), (int(self.r(n)),) + (0,) * (self.group.k - 1))
                 for n in range(self.n_min, self.n_max + 1)}
 
-    def support_reach(self, x, n: int) -> float:
-        """Largest distance from x to a point of x F_n.  The distance to x
-        is convex on the box x + [-M, M]^k, so its maximum sits at one of
-        the 2^k corners."""
-        m = self.half_side(n)
-        return max(self.group.metric(x, tuple(c + s * m for c, s in zip(x, signs)))
-                   for signs in itertools.product((-1, 1), repeat=len(x)))
-
 
 @dataclass(frozen=True)
 class TreeACollection:
@@ -358,10 +323,11 @@ class TreeACollection:
         return math.ceil(self.r(n) / self.eps(n))
 
     def rad(self, n: int) -> float:
+        """Support reach of A_n(x): the segment is a path of s_n vertices
+        starting at x, climbing to the ray and then out along it, and vertex
+        j lies at graph distance j from x, so the reach is s_n - 1; the test
+        oracles walk the segment."""
         return float(self.size(n) - 1)
-
-    def set_at(self, x, n: int) -> tuple:
-        return self.tree.ray_segment(x, self.size(n))
 
     def sample_pairs(self, n_pairs: int, max_dist: float, seed: int) -> list:
         return sample_tree_pairs(self.tree, n_pairs, int(max_dist), seed)
@@ -416,10 +382,6 @@ class TreeACollection:
         return {n: float(ad[d <= self.r(n), j].max(initial=0.0))
                 for j, n in enumerate(range(self.n_min, self.n_max + 1))}
 
-    def support_reach(self, x, n: int) -> float:
-        """Largest distance from x to a vertex of A_n(x), walked vertex by vertex."""
-        return max(self.tree.metric(x, v) for v in self.set_at(x, n))
-
     def block_distance_pth(self, x, y, n: int, p: float) -> float:
         # segments share the size, so the equal-measure identity applies
         s = self.size(n)
@@ -466,7 +428,6 @@ class CharBoundReport:
     n_pairs: int
     n_checks: int
     violations: int
-    support_violations: int
     worst_margin: float  # min over checks of bound - value; negative = violated
     bound_scale: float
 
@@ -577,22 +538,21 @@ def _tree_walks(tree: TreeModel, keep: int, max_dist: int,
     return out
 
 
-def char_embedding_bound_check(sys, pairs, p, *, d, counts,
+def char_embedding_bound_check(sys, p, *, d, counts,
                                bound_scale: float = 1.0) -> CharBoundReport:
     """Verify ||phi_n(x) - phi_n(y)||_p^p <= 2 eps'_n on certified pairs.
 
     Each sampled pair is checked at every schedule index n with
     d(x, y) <= r_n, where ``d`` holds the pair separations d(x, y) and
-    ``counts`` their ``sys.sym_diff_counts``, both in the order of
-    ``pairs``.  ``bound_scale``, in (0, 1], shrinks the bound for
-    negative controls.  The supports of the first eight base points are
-    audited against rad(n) at the first four indices.
+    ``counts`` their ``sys.sym_diff_counts``, row for row.
+    ``bound_scale``, in (0, 1], shrinks the bound for negative controls.
+    The supports need no audit: ``sys.rad`` is their reach in closed form.
     """
     if not 1 <= p < math.inf:
         raise ValueError(f"characteristic-function blocks need a finite p >= 1, got {p}")
     if not 0 < bound_scale <= 1:
         raise ValueError(f"bound_scale must lie in (0, 1], got {bound_scale:g}")
-    checks = violations = support_bad = 0
+    checks = violations = 0
     worst = math.inf
     d = np.asarray(d, dtype=float)
     vals = block_distances_pth(sys, counts)
@@ -604,13 +564,8 @@ def char_embedding_bound_check(sys, pairs, p, *, d, counts,
         worst = float(np.fmin.reduce(bound - val, initial=worst))
         checks += val.size
         violations += int(np.count_nonzero(val > bound * (1.0 + _REL_TOL)))
-    for x, _ in pairs[:8]:
-        for n in range(sys.n_min, min(sys.n_min + 3, sys.n_max) + 1):
-            if sys.support_reach(x, n) > sys.rad(n) + 1e-9:
-                support_bad += 1
     return CharBoundReport(
-        model=sys.model.name, p=p, n_pairs=len(pairs), n_checks=checks,
-        violations=violations, support_violations=support_bad,
+        model=sys.model.name, p=p, n_pairs=len(d), n_checks=checks, violations=violations,
         worst_margin=worst if checks else math.nan, bound_scale=bound_scale,
     )
 
@@ -636,6 +591,10 @@ class GluedGroupEmbedding:
     def __post_init__(self):
         if not 1 <= self.p < math.inf:
             raise ValueError(f"group blocks need a finite p >= 1, got {self.p}")
+        # the upper bound's largest term, 2^p times every block, must stay a
+        # float with the audit's relative slack on top (2.0 ** 1024 raises)
+        if self.p >= 1024 or 2.0 ** self.p * len(self.n_range) * (1.0 + _REL_TOL) == math.inf:
+            raise ValueError(f"the upper bound's 2^p leaves the float range at p = {self.p:g}")
 
     @property
     def n_range(self) -> range:
@@ -677,8 +636,6 @@ class GluedGroupEmbedding:
     def certified_upper_pth(self, d):
         """2^p k + K with k the blocks below distance d and K the capped
         sum of the certified block bounds (:meth:`tail_constant`)."""
-        if self.p >= 1024:  # where 2.0 ** p overflows
-            raise ValueError(f"the upper bound's 2^p leaves the float range at p = {self.p:g}")
         return 2.0 ** self.p * self.coarse_step_count(d) + self.tail_constant()
 
     def bounds_check(self, d, image_pth, *, upper_scale: float = 1.0) -> dict:

@@ -259,8 +259,7 @@ def _folner_audit(system, n_pairs: int, max_dist: float, seed: int, p: float,
     d = system.distances(pairs)
     counts = system.sym_diff_counts(pairs)
     defects = system.worst_defects(counts, d)
-    char = char_embedding_bound_check(system, pairs, p, d=d, counts=counts,
-                                      bound_scale=bound_scale)
+    char = char_embedding_bound_check(system, p, d=d, counts=counts, bound_scale=bound_scale)
     return d, counts, defects, char
 
 
@@ -290,8 +289,7 @@ def _suite_folner(args: argparse.Namespace) -> dict:
             "a_defect_violations": a_defect_viol,
             "worst_defect_slack": worst_defect_slack,
             "char_check": char.to_dict(),
-            "violations": (defect_viol + a_defect_viol + char.violations
-                           + char.support_violations)}
+            "violations": defect_viol + a_defect_viol + char.violations}
 
 
 def _suite_cube(args: argparse.Namespace) -> dict:
@@ -443,7 +441,7 @@ def cmd_folner(args: argparse.Namespace) -> int:
     fields.update({"domain": args.group, "target": "lp", "regime": "large_t",
                    "defect_violations": defect_viol, "char_check": char.to_dict(),
                    "glued_bounds": bounds,
-                   "violations": (defect_viol + char.violations + char.support_violations
+                   "violations": (defect_viol + char.violations
                                   + bounds["upper_violations"] + bounds["lower_violations"])})
     return _emit_run(args, fields, est, (est.edges[0], est.edges[-1]), extra={
         "n": list(n_range), "eps_n": [system.eps(n) for n in n_range],

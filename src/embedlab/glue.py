@@ -308,6 +308,9 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
     else:
         raise ValueError(f"unknown schedule preset {name!r}")
 
+    eta = delta_q(q)
+    if eta == 0:  # the reversed Mazur lower constant underflowed
+        raise ValueError(f"{name} at q={q:g}: the block floor delta_q leaves the float range")
     # Plain budgets: eps_n = r_n^gamma_q, mu_n = r_n^xi_q; the certified
     # multipliers lift them to bounds valid for the actual block maps.
     eps_seq = PowerLogSeq(1.0, r_seq.n_pow * gamma_q, r_seq.log_pow * gamma_q)
@@ -315,7 +318,7 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
     return ParamSchedule(
         name=name, q=q, kind="strong",
         r_seq=r_seq, eps_seq=eps_seq, s_seq=s_seq, mu_seq=mu_seq,
-        eta=delta_q(q),
+        eta=eta,
         gamma=2.0 * gamma_q,
         xi=2.0 * xi_q,
         eps_mult=c_hi * 2.0 ** gamma_q,
@@ -558,19 +561,29 @@ def _coarse_step_count(schedule: ParamSchedule, d: np.ndarray) -> np.ndarray:
     return np.searchsorted(r_vals, d, side="right")
 
 
+def _lower_claim(lo_m: np.ndarray, hi_m: np.ndarray,
+                 claim: np.ndarray) -> tuple[int, int, float]:
+    """(violations, indeterminate, worst margin) of a lower claim on the
+    [lo, hi] glued masses, over the entries where the claim is positive;
+    margins are relative to the claim, +inf where none is positive."""
+    pos = claim > 0
+    lo, hi, c = lo_m[pos], hi_m[pos], claim[pos]
+    floor = c * (1 - _REL_TOL)
+    return (int(np.sum(hi < floor)), int(np.sum((lo < floor) & (hi >= floor))),
+            float(np.min((lo - c) / c, initial=math.inf)))
+
+
 def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
-                          image_distances: np.ndarray | None = None,
                           eps_scale: float = 1.0) -> GluingCheckReport:
     """Audit every certified per-pair claim at the given separations.
 
-    In kernel mode the glued distance is only known as a certified
-    interval [L, U]; a claim counts as violated when it fails even for
-    the favourable endpoint and as verified when it holds for the
-    unfavourable one, anything in between landing in ``indeterminate``.
+    The glued power mass is known as the certified interval [L, U] of
+    :meth:`GluedEmbedding.mass_interval`; a claim counts as violated when
+    it fails even for the favourable endpoint and as verified when it
+    holds for the unfavourable one, anything in between landing in
+    ``indeterminate``.
     For the presets the claims hold analytically for the unfavourable
     endpoints, so a nonzero indeterminate count is itself a red flag.
-    With ``image_distances`` supplied (coordinate mode) the interval
-    collapses to the measured values.
 
     Margins are relative slacks of the unfavourable endpoint; the worst
     (smallest) one is reported per claim.  ``eps_scale`` rescales the
@@ -586,12 +599,9 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
     rep = GluingCheckReport(schedule=sched.name, kind=sched.kind,
                             n_pairs=len(d), n_terms=e.n_terms)
 
-    # Work with the glued power mass throughout: in kernel mode the summed
-    # masses themselves, never powers of their roots.
-    if image_distances is None:
-        lo_m, hi_m = e.mass_interval(d)
-    else:
-        lo_m = hi_m = np.atleast_1d(np.asarray(image_distances, dtype=float)) ** m
+    # Work with the glued power mass throughout: the summed masses
+    # themselves, never powers of their roots.
+    lo_m, hi_m = e.mass_interval(d)
 
     if sched.kind == "strong":
         upper_claim = eps_scale ** m * sched.eps_mass_partial(e.n_terms) * (d ** sched.gamma) ** m
@@ -604,15 +614,9 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
                                     & (lo_m <= upper_claim + _REL_TOL * floor)))
     rep.worst_upper_margin = float(np.min((upper_claim - hi_m) / floor))
 
-    k_step = e.step_count(d)
-    step_claim = k_step * sched.eta ** m
-    active = step_claim > 0
-    if np.any(active):
-        sc = step_claim[active]
-        rep.step_violations = int(np.sum(hi_m[active] < sc * (1 - _REL_TOL)))
-        rep.indeterminate += int(np.sum((lo_m[active] < sc * (1 - _REL_TOL))
-                                        & (hi_m[active] >= sc * (1 - _REL_TOL))))
-        rep.worst_step_margin = float(np.min((lo_m[active] - sc) / sc))
+    rep.step_violations, indet, rep.worst_step_margin = _lower_claim(
+        lo_m, hi_m, e.step_count(d) * sched.eta ** m)
+    rep.indeterminate += indet
 
     if sched.kind == "strong" and sched.mu_seq is not None:
         # The compression envelope needs bandwidth * d^2 <= 1 for every
@@ -621,15 +625,10 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
         r_max = float(np.max(e.bandwidths))
         valid = r_max * d ** 2 <= 1.0
         rep.small_checked = int(np.sum(valid))
-        if rep.small_checked:
-            small_claim = sched.mu_mass_partial(e.n_terms) * (d[valid] ** sched.xi) ** m
-            pos = small_claim > 0
-            if np.any(pos):
-                sc = small_claim[pos]
-                rep.small_violations = int(np.sum(hi_m[valid][pos] < sc * (1 - _REL_TOL)))
-                rep.indeterminate += int(np.sum((lo_m[valid][pos] < sc * (1 - _REL_TOL))
-                                                & (hi_m[valid][pos] >= sc * (1 - _REL_TOL))))
-                rep.worst_small_margin = float(np.min((lo_m[valid][pos] - sc) / sc))
+        small_claim = sched.mu_mass_partial(e.n_terms) * (d[valid] ** sched.xi) ** m
+        rep.small_violations, indet, rep.worst_small_margin = _lower_claim(
+            lo_m[valid], hi_m[valid], small_claim)
+        rep.indeterminate += indet
         rep.constants["small_validity_t_max"] = r_max ** -0.5
         # The shared shape hypothesis xi <= gamma also only holds there.
         rep.constants["shape_order_region"] = "restricted_to_small_validity"

@@ -1,13 +1,16 @@
 """Set enumerations and per-pair loops that the closed forms and array
 audits of ``embedlab.amenable`` are checked against: the scalar group
-laws of Z^k and the Heisenberg group, lattice and gauge balls, the gauge
-ball's volume as a fiber sum, box Folner
-sets and their translates, the defect |F Delta gF| / |F| by explicit
-translation and, for the gauge ball, from the closed-form intersection
-count of ``heis_intersection_count``, the symmetric difference and block distance of one pair,
-the support reach of a materialized box, and the glued-bound audit pair
-by pair.  The Mazur map is the package's signed power on a checked
-copy (:func:`mazur_map`), and the Mazur grid audit of
+laws and word metrics of Z^k and the Heisenberg group, the tree's graph
+metric, node check and merging-ray segments walked vertex by vertex,
+lattice and gauge balls, the gauge ball's volume as a fiber sum, box
+Folner sets and their translates, the defect |F Delta gF| / |F| by
+explicit translation and, for the gauge ball, from the closed-form
+intersection count of ``heis_intersection_count``, the symmetric
+difference and block distance of one pair, the support reach of a box at
+its 2^k corners and as a materialized box and of a tree segment vertex by
+vertex (the closed form ``rad`` is checked against these), and the
+glued-bound audit pair by pair.  The Mazur map is the package's signed
+power on a checked copy (:func:`mazur_map`), and the Mazur grid audit of
 ``embedlab.mazur`` is checked against a loop over the cells on whole
 arrays, with a fresh draw per exponent p and its sums by the package's
 one power-sum kernel, and against the same loop with its sums by numpy's
@@ -60,6 +63,11 @@ def zk_gauge(g) -> int:
     return sum(abs(a) for a in g)
 
 
+def zk_metric(g, h) -> float:
+    """The ell_1 word distance of g^-1 h in Z^k."""
+    return float(zk_gauge(zk_mul(zk_inv(g), h)))
+
+
 def heis_mul(g, h):
     """(x,y,z)(x',y',z') = (x+x', y+y', z+z'+x y') in the integer Heisenberg group."""
     return (g[0] + h[0], g[1] + h[1], g[2] + h[2] + g[0] * h[1])
@@ -78,6 +86,62 @@ def heis_gauge(g) -> int:
 def heis_metric(g, h) -> float:
     """The left-invariant gauge distance of g^-1 h."""
     return float(heis_gauge(heis_mul(heis_inv(g), h)))
+
+
+def check_node(tree, x) -> None:
+    """Refuse x unless it is a label path of the truncated ``tree``."""
+    if len(x) > tree.depth or any(not 0 <= c < tree.branching for c in x):
+        raise ValueError("node outside the truncated tree")
+
+
+def _common_prefix(x, y) -> int:
+    c = 0
+    for a, b in zip(x, y):
+        if a != b:
+            break
+        c += 1
+    return c
+
+
+def tree_metric(x, y) -> float:
+    """The graph distance of two tree nodes: both climbs to their deepest
+    common ancestor."""
+    return float(len(x) + len(y) - 2 * _common_prefix(x, y))
+
+
+def group_metric(model, x, y) -> float:
+    """The word metric of a ``ZkModel`` or the graph metric of a ``TreeModel``."""
+    return tree_metric(x, y) if model.name == "tree" else zk_metric(x, y)
+
+
+def ray_segment(tree, x, n_vertices: int) -> tuple[tuple[int, ...], ...]:
+    """First ``n_vertices`` vertices of the merging ray started at x, one by
+    one: the ray climbs from x to its deepest all-zeros ancestor, then
+    follows the designated all-zeros ray outward."""
+    check_node(tree, x)
+    z = tree.zeros_prefix(x)
+    out = []
+    for j in range(n_vertices):
+        up = len(x) - j
+        if up >= z:
+            out.append(tuple(x[:up]))
+        else:
+            d = z + (j - (len(x) - z))  # back on the zeros ray, going out
+            if d > tree.depth:
+                raise ValueError("truncation depth insufficient for segment")
+            out.append((0,) * d)
+    return tuple(out)
+
+
+def support_reach(sys, x, n: int) -> float:
+    """Largest distance from x to a point of A_n(x): over the 2^k corners
+    of the box x + [-M_n, M_n]^k (the distance to x is convex on the box),
+    or over the vertices of the tree segment."""
+    if isinstance(sys, ZkFolnerSystem):
+        m = sys.half_side(n)
+        return max(zk_metric(x, tuple(c + s * m for c, s in zip(x, signs)))
+                   for signs in itertools.product((-1, 1), repeat=len(x)))
+    return max(tree_metric(x, v) for v in ray_segment(sys.tree, x, sys.size(n)))
 
 
 def zk_ball(model, radius: int) -> list[tuple[int, ...]]:
@@ -125,7 +189,7 @@ def set_at(sys, x, n: int) -> set:
     """A_n(x): the translate x F_n of a box, or the tree segment at x."""
     if isinstance(sys, ZkFolnerSystem):
         return {zk_mul(x, f) for f in folner_set(sys, n)}
-    return set(sys.set_at(x, n))
+    return set(ray_segment(sys.tree, x, sys.size(n)))
 
 
 def folner_defect(F, g, group) -> float:
@@ -153,7 +217,7 @@ def sym_diff_count(sys, x, y, n: int) -> int:
         g = zk_mul(zk_inv(x), y)
         return 2 * (sys.size(n) - box_intersection_count(sys.half_side(n), g))
     s = sys.size(n)
-    return len(set(sys.tree.ray_segment(x, s)) ^ set(sys.tree.ray_segment(y, s)))
+    return len(set(ray_segment(sys.tree, x, s)) ^ set(ray_segment(sys.tree, y, s)))
 
 
 def block_distance_pth(sys, x, y, n: int) -> float:
@@ -164,7 +228,7 @@ def block_distance_pth(sys, x, y, n: int) -> float:
 
 def zk_support_reach(sys, x, n: int) -> float:
     """Largest ell_1 distance from x to the box x + [-M_n, M_n]^k, built as
-    one integer array."""
+    one integer array: the check of :func:`support_reach`'s corner walk."""
     if sys.size(n) > MAX_SET_SIZE:
         raise ValueError("Folner set too large to materialize")
     m = sys.half_side(n)
@@ -180,7 +244,7 @@ def bounds_check_per_pair(emb, pairs, image_pth, upper_scale: float = 1.0) -> di
     upper_viol = lower_viol = 0
     worst_upper = worst_lower = math.inf
     for (x, y), val in zip(pairs, np.asarray(image_pth).tolist()):
-        d = emb.model.metric(x, y)
+        d = group_metric(emb.model, x, y)
         ub = (2.0 ** emb.p * sum(1 for n in emb.n_range if emb.sys.r(n) < d) + tail) * upper_scale
         lb = 2.0 * sum(1 for n in emb.n_range if d > 2.0 * emb.sys.rad(n))
         worst_upper = min(worst_upper, ub - val)

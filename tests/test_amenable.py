@@ -29,10 +29,11 @@ from embedlab.amenable import (
     sample_tree_pairs,
     sample_zk_pairs,
 )
-from oracles import (MAX_SET_SIZE, block_distance_pth, bounds_check_per_pair, folner_defect,
-                     folner_set, heis_ball, heis_ball_count, heis_defect, heis_gauge, heis_inv,
-                     heis_metric, heis_mul, set_at, sym_diff_count, zk_ball, zk_gauge, zk_inv,
-                     zk_mul, zk_support_reach)
+from oracles import (MAX_SET_SIZE, block_distance_pth, bounds_check_per_pair, check_node,
+                     folner_defect, folner_set, group_metric, heis_ball, heis_ball_count,
+                     heis_defect, heis_gauge, heis_inv, heis_metric, heis_mul, ray_segment,
+                     set_at, support_reach, sym_diff_count, tree_metric, zk_ball, zk_gauge,
+                     zk_inv, zk_metric, zk_mul, zk_support_reach)
 
 
 class TestZkModel:
@@ -41,8 +42,9 @@ class TestZkModel:
         assert zk_mul((1, 2), (3, -1)) == (4, 1)
         assert zk_inv((1, -2)) == (-1, 2)
         assert zk_mul((1, -2), zk_inv((1, -2))) == (0,) * g.k
-        assert g.metric((0, 0), (2, -3)) == 5.0
-        assert g.metric((1, 2), (3, -4)) == zk_gauge(zk_mul(zk_inv((1, 2)), (3, -4)))
+        assert zk_metric((0, 0), (2, -3)) == 5.0
+        assert ZkFolnerSystem(g).distances([((0, 0), (2, -3)), ((1, 2), (3, -4))]).tolist() == [
+            5.0, zk_gauge(zk_mul(zk_inv((1, 2)), (3, -4)))]
 
     def test_ball_enumeration(self):
         assert len(zk_ball(ZkModel(1), 3)) == 7
@@ -92,36 +94,34 @@ class TestHeisenberg:
 
 class TestTreeModel:
     def test_metric_counts_edges(self):
-        t = TreeModel()
-        assert t.metric((0, 1, 0), (0, 1, 0)) == 0.0
-        assert t.metric((0, 1), (0, 1, 0, 0)) == 2.0
-        assert t.metric((0, 1, 1), (0, 0)) == 3.0
-        assert t.metric((), (1, 0)) == 2.0
+        pairs = [((0, 1, 0), (0, 1, 0)), ((0, 1), (0, 1, 0, 0)), ((0, 1, 1), (0, 0)), ((), (1, 0))]
+        assert [tree_metric(x, y) for x, y in pairs] == [0.0, 2.0, 3.0, 2.0]
+        assert TreeACollection(TreeModel()).distances(pairs).tolist() == [0.0, 2.0, 3.0, 2.0]
 
     def test_node_validation(self):
         t = TreeModel(branching=2, depth=5)
         with pytest.raises(ValueError):
-            t.check_node((0, 2))
+            check_node(t, (0, 2))
         with pytest.raises(ValueError):
-            t.check_node((0,) * 6)
+            check_node(t, (0,) * 6)
         with pytest.raises(ValueError):
             TreeModel(branching=0)
 
     def test_ray_segment_realizes_distances(self):
         t = TreeModel()
         for x in [(0, 1, 0), (), (0, 0), (1, 1, 0, 1)]:
-            seg = t.ray_segment(x, 8)
+            seg = ray_segment(t, x, 8)
             assert seg[0] == tuple(x)
             assert len(set(seg)) == 8
             for j, v in enumerate(seg):
-                assert t.metric(x, v) == j
+                assert tree_metric(x, v) == j
             for a, b in zip(seg, seg[1:]):
-                assert t.metric(a, b) == 1.0
+                assert tree_metric(a, b) == 1.0
 
     def test_segment_depth_cap(self):
         t = TreeModel(branching=2, depth=5)
         with pytest.raises(ValueError):
-            t.ray_segment((), 7)
+            ray_segment(t, (), 7)
 
 
 class TestDefects:
@@ -142,7 +142,7 @@ class TestDefects:
         got = col.a_defects(col.sym_diff_counts([(x, x), (x, far), (x, near)]))[:, 0]
         assert got[0] == 0.0
         assert got[1] == math.inf
-        a, b = set(tree.ray_segment(x, 11)), set(tree.ray_segment(near, 11))
+        a, b = set(ray_segment(tree, x, 11)), set(ray_segment(tree, near, 11))
         assert got[2] == len(a ^ b) / len(a & b) == 4 / 9
 
     def test_box_defect_matches_enumeration(self):
@@ -230,14 +230,14 @@ class TestTreeACollection:
         for x, y in cases:
             for n in range(2, 7):
                 s = col.size(n)
-                brute = len(set(tree.ray_segment(x, s)) ^ set(tree.ray_segment(y, s)))
+                brute = len(set(ray_segment(tree, x, s)) ^ set(ray_segment(tree, y, s)))
                 assert col.sym_diff_counts([(x, y)])[0, n - 2] == brute
 
     def test_on_ray_difference_is_twice_the_distance(self):
         tree = TreeModel()
         col = TreeACollection(tree)
         x, y = (0,) * 3, (0,) * 7
-        assert tree.metric(x, y) == 4.0
+        assert col.distances([(x, y)])[0] == 4.0
         for n in (5, 8, 12):
             if col.size(n) > 8:
                 assert col.sym_diff_counts([(x, y)])[0, n - 2] == 8
@@ -285,7 +285,7 @@ class TestSamplers:
         assert pairs == again
         assert sample_zk_pairs(g, 8, 12, seed=5) == pairs[:8]
         for x, y in pairs:
-            assert 1 <= g.metric(x, y) <= 12
+            assert 1 <= zk_metric(x, y) <= 12
 
     @pytest.mark.parametrize("k,max_dist", [(1, 1), (2, 1.9), (2, 6.8), (2, 40), (3, 7.9),
                                             (3, 1000)])
@@ -294,7 +294,7 @@ class TestSamplers:
         # the draws below a fractional max_dist (about 37% at 1.9, 2% at
         # 6.8); the cap at floor(max_dist) keeps them in range
         g = ZkModel(k)
-        d = [g.metric(x, y) for x, y in sample_zk_pairs(g, 500, max_dist, seed=k)]
+        d = [zk_metric(x, y) for x, y in sample_zk_pairs(g, 500, max_dist, seed=k)]
         assert 1 <= min(d) and max(d) <= max_dist
 
     def test_zk_pairs_need_a_unit_range(self):
@@ -311,9 +311,9 @@ class TestSamplers:
         pairs = sample_tree_pairs(tree, 30, 10, seed=2)
         assert pairs == sample_tree_pairs(tree, 30, 10, seed=2)
         for x, y in pairs:
-            tree.check_node(x)
-            tree.check_node(y)
-            assert 1 <= tree.metric(x, y) <= 10
+            check_node(tree, x)
+            check_node(tree, y)
+            assert 1 <= tree_metric(x, y) <= 10
 
     @pytest.mark.parametrize("tree,n_pairs,max_dist", [
         (TreeModel(), 600, 1000),  # two blocks
@@ -325,9 +325,9 @@ class TestSamplers:
         pairs = sample_tree_pairs(tree, n_pairs, max_dist, seed=11)
         assert len(pairs) == n_pairs
         for x, y in pairs:
-            tree.check_node(x)
-            tree.check_node(y)
-            assert 1 <= tree.metric(x, y) <= max_dist
+            check_node(tree, x)
+            check_node(tree, y)
+            assert 1 <= tree_metric(x, y) <= max_dist
 
     @pytest.mark.parametrize("m,n", [(8, 100), (500, 530), (512, 1100)])
     def test_tree_pairs_prefix(self, m, n):
@@ -346,13 +346,13 @@ class TestSamplers:
         code = (
             "import resource\n"
             "import numpy as np\n"
-            "from embedlab.amenable import TreeModel, sample_tree_pairs\n"
+            "from embedlab.amenable import TreeACollection, TreeModel, sample_tree_pairs\n"
             "tree = TreeModel()\n"
             "np.random.Generator(np.random.Philox(1)).integers(0, 4, 64, dtype=np.uint8)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
             "pairs = sample_tree_pairs(tree, 4, 10 ** 5, 1)\n"
             "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "assert all(1 <= tree.metric(x, y) <= 10 ** 5 for x, y in pairs)\n"
+            "assert all(1 <= d <= 10 ** 5 for d in TreeACollection(tree).distances(pairs))\n"
             "print(after - before)\n")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(
             [str(Path(amenable.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
@@ -365,12 +365,11 @@ class TestCharBoundCheck:
     def test_clean_run_on_z2(self):
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         pairs = sample_zk_pairs(ZkModel(2), 40, 16, seed=1)
-        d = [ZkModel(2).metric(x, y) for x, y in pairs]
-        rep = char_embedding_bound_check(sys, pairs, 1.0, d=d,
+        rep = char_embedding_bound_check(sys, 1.0, d=sys.distances(pairs),
                                          counts=sys.sym_diff_counts(pairs))
+        assert rep.n_pairs == 40
         assert rep.n_checks > 0
         assert rep.violations == 0
-        assert rep.support_violations == 0
         assert rep.worst_margin > 0
         assert rep.to_dict()["model"] == "z2"
 
@@ -378,8 +377,7 @@ class TestCharBoundCheck:
         tree = TreeModel()
         col = TreeACollection(tree, n_min=2, n_max=10)
         pairs = sample_tree_pairs(tree, 40, 8, seed=3)
-        d = [tree.metric(x, y) for x, y in pairs]
-        rep = char_embedding_bound_check(col, pairs, 2.0, d=d,
+        rep = char_embedding_bound_check(col, 2.0, d=col.distances(pairs),
                                          counts=col.sym_diff_counts(pairs))
         assert rep.n_checks > 0
         assert rep.violations == 0
@@ -387,8 +385,7 @@ class TestCharBoundCheck:
     def test_shrunken_bound_is_detected(self):
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         pairs = sample_zk_pairs(ZkModel(2), 40, 16, seed=1)
-        d = [ZkModel(2).metric(x, y) for x, y in pairs]
-        rep = char_embedding_bound_check(sys, pairs, 1.0, d=d,
+        rep = char_embedding_bound_check(sys, 1.0, d=sys.distances(pairs),
                                          counts=sys.sym_diff_counts(pairs), bound_scale=0.01)
         assert rep.violations > 0
         assert rep.worst_margin < 0
@@ -398,21 +395,19 @@ class TestCharBoundCheck:
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         pairs = sample_zk_pairs(ZkModel(2), 4, 16, seed=1)
         with pytest.raises(ValueError, match=r"bound_scale must lie in \(0, 1\]"):
-            char_embedding_bound_check(sys, pairs, 1.0, d=sys.distances(pairs),
+            char_embedding_bound_check(sys, 1.0, d=sys.distances(pairs),
                                        counts=sys.sym_diff_counts(pairs), bound_scale=scale)
 
     def test_p_validation(self):
         sys = ZkFolnerSystem(ZkModel(1))
         with pytest.raises(ValueError):
-            char_embedding_bound_check(sys, [], 0.5, d=[],
-                                       counts=sys.sym_diff_counts([]))
+            char_embedding_bound_check(sys, 0.5, d=[], counts=sys.sym_diff_counts([]))
 
     @pytest.mark.parametrize("p", [math.nan, math.inf])
     def test_non_finite_p_is_refused(self, p):
         sys = ZkFolnerSystem(ZkModel(1))
         with pytest.raises(ValueError, match="blocks need a finite p >= 1"):
-            char_embedding_bound_check(sys, [], p, d=[],
-                                       counts=sys.sym_diff_counts([]))
+            char_embedding_bound_check(sys, p, d=[], counts=sys.sym_diff_counts([]))
 
 
 class TestGluedGroupEmbedding:
@@ -445,8 +440,8 @@ class TestGluedGroupEmbedding:
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
         e = glued_group_embedding(sys, ZkModel(2), 1.0)
         pairs = sample_zk_pairs(ZkModel(2), 50, 30, seed=7)
-        d = [ZkModel(2).metric(x, y) for x, y in pairs]
-        rep = e.bounds_check(d, e.image_distances_pth(sys.sym_diff_counts(pairs)))
+        image_pth = e.image_distances_pth(sys.sym_diff_counts(pairs))
+        rep = e.bounds_check(sys.distances(pairs), image_pth)
         assert rep["upper_violations"] == 0
         assert rep["lower_violations"] == 0
         assert rep["worst_upper_margin"] > 0
@@ -462,7 +457,7 @@ class TestGluedGroupEmbedding:
         assert math.isfinite(e.tail_constant())
         pairs = sample_tree_pairs(tree, 60, 1000, seed=8484)
         image_pth = e.image_distances_pth(sys.sym_diff_counts(pairs))
-        d = [tree.metric(x, y) for x, y in pairs]
+        d = sys.distances(pairs)
         clean = e.bounds_check(d, image_pth)
         assert clean["upper_violations"] == 0
         assert 0 < clean["worst_upper_margin"] < math.inf
@@ -478,6 +473,18 @@ class TestGluedGroupEmbedding:
     def test_non_finite_p_is_refused(self, p):
         with pytest.raises(ValueError, match="group blocks need a finite p >= 1"):
             GluedGroupEmbedding(sys=None, model=None, p=p)
+
+    @pytest.mark.parametrize("n_max, p_ok, p_bad", [(20, 1019, 1020), (6, 1021, 1022),
+                                                    (2, 1023, 1024)])
+    def test_p_whose_upper_bound_overflows_is_refused(self, n_max, p_ok, p_bad):
+        # 2^p times the block count is the upper bound's largest term: 19
+        # blocks hold p = 1019 and not 1020, 5 blocks 1021 and not 1022.
+        for group in ("z2", "tree"):
+            sys = amenable.folner_system(group, 2, n_max)
+            e = glued_group_embedding(sys, sys.model, p_ok)
+            assert math.isfinite(e.certified_upper_pth(1e9) * (1.0 + 1e-9))
+            with pytest.raises(ValueError, match=rf"float range at p = {p_bad}$"):
+                glued_group_embedding(sys, sys.model, p_bad)
 
 
 class TestRadialWitness:
@@ -526,7 +533,7 @@ class TestClosedFormOracles:
         a_def = col.a_defects(counts)
         for j, n in enumerate(range(2, 5)):
             s = col.size(n)
-            segs = {x: set(tree.ray_segment(x, s)) for x in nodes}
+            segs = {x: set(ray_segment(tree, x, s)) for x in nodes}
             for i, (x, y) in enumerate(pairs):
                 assert counts[i, j] == len(segs[x] ^ segs[y]), (x, y, n)
                 inter = len(segs[x] & segs[y])
@@ -539,7 +546,7 @@ class TestClosedFormOracles:
         tree = TreeModel(depth=6)
         col = TreeACollection(tree, n_min=2, n_max=3)  # 11-vertex segments
         with pytest.raises(ValueError, match="truncation depth"):
-            tree.ray_segment((0, 0), col.size(3))
+            ray_segment(tree, (0, 0), col.size(3))
         with pytest.raises(ValueError, match="truncation depth"):
             col.sym_diff_counts([((0, 0), (0,))])
         with pytest.raises(ValueError, match="truncation depth"):
@@ -635,7 +642,7 @@ class TestFolnerSystemRegistry:
         pairs = system.sample_pairs(200, 60, seed=12)
         got = system.distances(pairs)
         assert got.dtype == float and len(got) == 200
-        assert got.tolist() == [system.model.metric(x, y) for x, y in pairs]
+        assert got.tolist() == [group_metric(system.model, x, y) for x, y in pairs]
 
     @pytest.mark.parametrize("group", ["heis", "z", "z0", "zz", "tree2", ""])
     def test_unknown_group_is_rejected(self, group):
@@ -664,55 +671,25 @@ class TestArrayAuditsMatchOracles:
     def test_bounds_check_equals_the_per_pair_loop(self, group, upper_scale):
         emb, pairs = _audit_case(group)
         image_pth = emb.image_distances_pth(emb.sys.sym_diff_counts(pairs))
-        d = [emb.model.metric(x, y) for x, y in pairs]
-        got = emb.bounds_check(d, image_pth, upper_scale=upper_scale)
+        got = emb.bounds_check(emb.sys.distances(pairs), image_pth, upper_scale=upper_scale)
         want = bounds_check_per_pair(emb, pairs, image_pth, upper_scale)
         assert got == want  # margins bit for bit, violation counts exactly
         assert (got["upper_violations"] > 0) == (upper_scale < 1)
 
-    @pytest.mark.parametrize("group", ["z1", "z2", "z3"])
-    def test_corner_reach_equals_the_materialized_box(self, group):
-        emb, pairs = _audit_case(group)
-        for x, _ in pairs[:8]:
-            for n in range(2, 6):
-                if emb.sys.size(n) <= MAX_SET_SIZE:
-                    assert emb.sys.support_reach(x, n) == zk_support_reach(emb.sys, x, n)
 
+class TestSupportReach:
+    """rad(n) against the supports walked point by point."""
 
-class TestSupportAudit:
-    """rad(n) shrunk by one must trip the support-radius audit."""
-
-    def test_zk_shrunken_radius_detected(self):
-        class Shrunk(ZkFolnerSystem):
-            def rad(self, n):
-                return super().rad(n) - 1.0
-
-        model = ZkModel(3)
-        pairs = sample_zk_pairs(model, 10, 8, seed=2)
-        d = [model.metric(x, y) for x, y in pairs]
-        counts = ZkFolnerSystem(model, n_max=6).sym_diff_counts(pairs)
-        clean = char_embedding_bound_check(ZkFolnerSystem(model, n_max=6), pairs, 1.0,
-                                           d=d, counts=counts)
-        assert clean.support_violations == 0
-        rep = char_embedding_bound_check(Shrunk(model, n_max=6), pairs, 1.0, d=d,
-                                         counts=counts)
-        # every audited (point, n): n = 2..5, boxes of up to 131^3 points
-        # measured at their corners
-        assert rep.support_violations == 8 * 4
-        assert rep.violations == 0
-
-    def test_tree_shrunken_radius_detected(self):
-        class Shrunk(TreeACollection):
-            def rad(self, n):
-                return super().rad(n) - 1.0
-
-        tree = TreeModel()
-        pairs = sample_tree_pairs(tree, 10, 8, seed=2)
-        d = [tree.metric(x, y) for x, y in pairs]
-        counts = TreeACollection(tree, n_max=6).sym_diff_counts(pairs)
-        clean = char_embedding_bound_check(TreeACollection(tree, n_max=6), pairs, 1.0,
-                                           d=d, counts=counts)
-        assert clean.support_violations == 0
-        rep = char_embedding_bound_check(Shrunk(tree, n_max=6), pairs, 1.0, d=d,
-                                         counts=counts)
-        assert rep.support_violations == 8 * 4  # n = 2..5 for each audited point
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("group", ["z1", "z2", "z3", "tree"])
+    def test_rad_is_the_enumerated_reach(self, group, seed):
+        # Every corner of a box lies at ell_1 distance k M_n and vertex j of
+        # a segment at graph distance j, so the walks hit rad(n) exactly;
+        # where the box is small enough, it is materialized as well.
+        sys = amenable.folner_system(group, 2, 8)
+        for x, _ in sys.sample_pairs(64, 1000, seed):
+            for n in range(2, 9):
+                reach = support_reach(sys, x, n)
+                assert reach == sys.rad(n), (x, n)
+                if group != "tree" and sys.size(n) <= MAX_SET_SIZE:
+                    assert reach == zk_support_reach(sys, x, n), (x, n)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from embedlab import amenable, cli, mazur, moduli
-from oracles import block_distance_pth, mazur_grid_audit, zk_ball
+from oracles import block_distance_pth, group_metric, mazur_grid_audit, zk_ball
 
 
 def run(argv):
@@ -79,17 +79,29 @@ class TestExitCodes:
           "--pairs", "20"], "the upper bound's 2^p leaves the float range at p = 1024"),
         (["folner", "--group", "tree", "--p", "1024", "--n-max", "6", "--max-dist", "50",
           "--pairs", "20"], "the upper bound's 2^p leaves the float range at p = 1024"),
-    ], ids=["moduli-q2000", "moduli-q1e300", "mazur-grid", "folner-z2", "folner-tree"])
-    def test_constants_beyond_the_float_range_are_usage_errors(self, tmp_path, capsys,
-                                                               argv, message):
+        (["moduli", "--preset", "strong_qge2", "--q", "300", "--beta", "1.05"],
+         "strong_qge2 at q=300: the block floor delta_q leaves the float range"),
+        (["moduli", "--preset", "strong_qge2", "--q", "1000", "--beta", "1.05"],
+         "strong_qge2 at q=1000: the block floor delta_q leaves the float range"),
+        (["folner", "--group", "z2", "--p", "1020", "--max-dist", "50", "--pairs", "20"],
+         "the upper bound's 2^p leaves the float range at p = 1020"),
+        (["folner", "--group", "tree", "--p", "1023", "--max-dist", "50", "--pairs", "20"],
+         "the upper bound's 2^p leaves the float range at p = 1023"),
+    ], ids=["moduli-q2000", "moduli-q1e300", "mazur-grid", "folner-z2", "folner-tree",
+            "moduli-q300", "moduli-q1000", "folner-z2-p1020", "folner-tree-p1023"])
+    def test_constants_beyond_the_float_range_are_usage_errors(self, tmp_path, argv, message):
         # A constant that overflows, or underflows to 0 and is inverted,
-        # names its exponent and exits 2, not 1 (a violated bound).
+        # names its exponent and exits 2, not 1 (a violated bound).  A
+        # fresh process turns every RuntimeWarning into an error, so an
+        # overflow cannot run on to an artifact of inf.
         out = tmp_path / "out.json"
         flag = "--out" if argv[0] == "verify" else "--json-out"
-        assert run([*argv, flag, str(out)]) == cli.EXIT_USAGE
-        captured = capsys.readouterr()
-        assert captured.err == f"embedlab: {message}\n"  # no traceback
-        assert captured.out == ""
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "embedlab.cli", *argv, flag, str(out)],
+                              capture_output=True, text=True)
+        assert proc.returncode == cli.EXIT_USAGE
+        assert proc.stderr == f"embedlab: {message}\n"  # no traceback
+        assert proc.stdout == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -805,7 +817,7 @@ class TestFolnerCommand:
             system = amenable.ZkFolnerSystem(model, n_min=n_min, n_max=n_max)
             pairs = amenable.sample_zk_pairs(model, int(flag["--pairs"]), max_dist, 5)
         emb = amenable.glued_group_embedding(system, model, p)
-        d = [model.metric(x, y) for x, y in pairs]
+        d = [group_metric(model, x, y) for x, y in pairs]
         img = [sum(block_distance_pth(system, x, y, n) for n in range(n_min, n_max + 1))
                ** (1.0 / p) for x, y in pairs]
         edges = [float(n) for n in range(n_min, n_max + 1)] + [max_dist]

@@ -333,17 +333,6 @@ class TestPerPairBounds:
         rep = per_pair_bounds_check(e, d, eps_scale=0.5)
         assert rep.upper_violations > 0
 
-    def test_coordinate_mode_audit(self):
-        sched = preset_schedule("warmup_l2", beta=2.0)
-        fam = GaussianBlockFamily(sched, backend="exp", ambient_dim=2)
-        e = glue(fam, n_terms=25)
-        d = np.linspace(0.2, 2.5, 24)
-        X = np.zeros((len(d), 2))
-        Y = np.stack([d, np.zeros_like(d)], axis=1)
-        rep = per_pair_bounds_check(e, d, image_distances=e.image_distances(X, Y))
-        assert rep.violations == 0
-        assert rep.indeterminate == 0
-
     @pytest.mark.parametrize("preset, q", [("warmup_l2", None), ("strong_qge2", 4.0)])
     def test_kernel_audit_compares_the_summed_masses(self, monkeypatch, preset, q):
         # The audit reads the block masses as summed, never the m-th power
