@@ -41,7 +41,6 @@ _MAX_DIST = 1 << 62  # keeps Z^k lengths plus the +-1000 base points inside int6
 _TREE_BASE_DEPTH = 40  # sampled tree pairs start at depth 0.._TREE_BASE_DEPTH
 _TREE_BLOCK = 512  # tree walks per sampling block, each block its own stream
 _TREE_CHUNK = 256  # walk steps drawn at once
-_HEIS_GENERATORS = ((1, 0, 0), (0, 1, 0))  # one of each inverse pair (+-1, 0, 0), (0, +-1, 0)
 _HEIS_SLAB = 1 << 16  # grid points per vectorized slab of the fiber sum
 
 
@@ -166,22 +165,23 @@ def heis_intersection_count(radius: int, g) -> int:
 
 def heis_worst_defects(radii: dict[int, int]) -> dict[int, float]:
     """Worst generator defect of the gauge ball of radius ``radii[n]``,
-    over the generators (+-1, 0, 0) and (0, +-1, 0).
+    over the generators (+-1, 0, 0) and (0, +-1, 0): that of (1, 0, 0).
 
     For any finite F and any g, |F cap gF| = |F cap g^-1 F|: left
     translation by g^-1 is a bijection of the group, so it carries
     F cap gF onto g^-1 F cap F with the same count.  Under the product
     (x, y, z)(x', y', z') = (x + x', y + y', z + z' + x y') the inverse of
     (1, 0, 0) is (-1, 0, 0) and that of (0, 1, 0) is (0, -1, 0), so the
-    four generators are two inverse pairs, and (1, 0, 0) and (0, 1, 0)
-    give all four counts: one intersection count each, one ball count
-    per radius.
+    four counts are those of (1, 0, 0) and (0, 1, 0).  The gauge is
+    symmetric in x and y, so swapping them maps the column pairs of one
+    onto those of the other, fiber heights h and h' kept.  A (0, 1, 0)
+    overlap is 2 min(h, h') + 1, both fibers centred; a (1, 0, 0) overlap
+    shears the same two fibers, so it is at most that: the least count.
     """
     out = {}
     for n, radius in radii.items():
         total = HeisenbergModel().ball_count(radius)
-        common = min(heis_intersection_count(radius, g) for g in _HEIS_GENERATORS)
-        out[n] = 2 * (total - common) / total
+        out[n] = 2 * (total - heis_intersection_count(radius, (1, 0, 0))) / total
     return out
 
 

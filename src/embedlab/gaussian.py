@@ -41,10 +41,10 @@ takes one feature product, one cos, one norm einsum and one signed power
 per tile, in two scratch arrays: the coordinates and the images.  The
 series coordinates are written into the kernel's coordinate array,
 gathered and normed a run of rows at a time.  Block
-distances are sandwiched by transporting the exact psi distance through
-the certified signed-power constants (:func:`sphere_block_interval` of
-:func:`psi_distance_exact`); kernel-mode intervals size their slices of
-separations from the same byte budget.
+distances are sandwiched by transporting the exact psi distance D of
+:func:`psi_distance_exact` through the certified signed-power constants
+c D^e of :func:`_transport_constants`; kernel-mode intervals size their
+slices of separations from the same byte budget.
 
 This module needs no scipy: the series residual is a Poisson tail,
 summed in closed form by :func:`_poisson_tail`.  Only the certifier
@@ -69,7 +69,6 @@ __all__ = [
     "psi_distance_exact",
     "exp_coordinates_batch",
     "block_mass",
-    "sphere_block_interval",
     "moduli_exponents",
     "delta_q",
     "SATURATION_LEVEL",
@@ -330,25 +329,6 @@ def _rff_cosines(X1: np.ndarray, wb: np.ndarray,
     return z, np.einsum("ij,ij->i", z, z)
 
 
-def moduli_exponents(q: float) -> tuple[float, float]:
-    """(gamma_q, xi_q): growth exponents of the block expansion / compression.
-
-    The block maps satisfy, with bandwidth r and domain separation t,
-
-        expansion  <= const * (r t^2)^gamma_q
-        compression >= const * (r t^2)^xi_q     (valid while r t^2 <= 1)
-
-    in the block's own distance (q-norm for q >= 1, power sum for q < 1).
-    """
-    if q <= 0:
-        raise ValueError("q must be positive")
-    if q >= 2:
-        return 1.0 / q, 0.5
-    if q >= 1:
-        return 0.5, 1.0 / q
-    return q / 2.0, 1.0
-
-
 @functools.lru_cache(maxsize=None)
 def _transport_constants(q: float) -> tuple[float, float, float, float]:
     """(c_lo, e_lo, c_hi, e_hi): block distance bounds c * D^e from psi distance D.
@@ -366,11 +346,21 @@ def _transport_constants(q: float) -> tuple[float, float, float, float]:
             mc.c_upper ** (1.0 / m), 2.0 * mc.upper_exponent / m)
 
 
-def sphere_block_interval(D, q: float):
-    """Certified [lower, upper] block distance for unit-sphere pairs at l_2 distance D."""
-    c_lo, e_lo, c_hi, e_hi = _transport_constants(q)
-    D = np.asarray(D, dtype=float)
-    return c_lo * D ** e_lo, c_hi * D ** e_hi
+def moduli_exponents(q: float) -> tuple[float, float]:
+    """(gamma_q, xi_q): growth exponents of the block expansion / compression.
+
+    The block maps satisfy, with bandwidth r and domain separation t,
+
+        expansion  <= const * (r t^2)^gamma_q
+        compression >= const * (r t^2)^xi_q     (valid while r t^2 <= 1)
+
+    in the block's own distance (q-norm for q >= 1, power sum for q < 1).
+    The block distance is c D^e of the psi distance D, with D^2 between
+    (2/e) r t^2 and 2 r t^2 there, so these are the transport exponents
+    halved: (1/q, 1/2) for q >= 2, (1/2, 1/q) for 1 <= q <= 2, (q/2, 1) below.
+    """
+    _, e_lo, _, e_hi = _transport_constants(q)
+    return e_hi / 2.0, e_lo / 2.0
 
 
 def delta_q(q: float) -> float:
@@ -378,10 +368,12 @@ def delta_q(q: float) -> float:
 
     At that threshold the squared psi distance is at least 2 (e-1)/e, and
     it only grows with separation; transporting the floor through the
-    certified lower constant gives a uniform compression level.
+    certified lower constant gives a uniform compression level
+    c_lo D^e_lo.  The power is numpy's on a 0-d array, whose last bit
+    differs from Python's scalar pow at a few exponents.
     """
-    lo, _ = sphere_block_interval(math.sqrt(SATURATION_LEVEL), q)
-    return float(lo)
+    c_lo, e_lo, _, _ = _transport_constants(q)
+    return float(c_lo * np.asarray(math.sqrt(SATURATION_LEVEL)) ** e_lo)
 
 
 def _block_coordinates(X1: np.ndarray, backend: TruncatedExp | RandomFeatures,

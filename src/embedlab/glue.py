@@ -14,11 +14,13 @@ base point cancels in every distance, so only differences are computed):
 * ``gamma`` / ``xi`` -- the exponents of d in the shared expansion /
   compression shapes ``d^gamma`` and ``d^xi``.
 
-The preset budgets are stored in their plain power-log form, and the
-*certified* per-block bounds carry an extra multiplier (``eps_mult`` /
-``mu_mult``) absorbing the exact transport constants: the sqrt(2) from
-``1 - e^{-u} <= u``, the 1/e from ``1 - e^{-u} >= u/e`` on u <= 1, and
-the signed-power sphere constants.  All claims audited by
+A preset chooses only q, beta or nu, and r_n; :class:`ParamSchedule`
+derives the rest from r_n and the transport constants of q.  The budgets
+keep their plain power-log form, and the *certified* per-block bounds
+carry an extra multiplier (``eps_mult`` / ``mu_mult``) absorbing the
+exact transport constants: the sqrt(2) from ``1 - e^{-u} <= u``, the 1/e
+from ``1 - e^{-u} >= u/e`` on u <= 1, and the signed-power sphere
+constants.  All claims audited by
 :func:`per_pair_bounds_check` use the certified budgets, so a zero
 violation count is an exact statement about the maps as built, with no
 asymptotic slack hiding in a constant.
@@ -85,10 +87,6 @@ class PowerLogSeq:
         if self.log_pow != 0 and self.n_min < 2:
             raise ValueError("log powers need n_min >= 2 (log 1 = 0 degenerates)")
 
-    @property
-    def unbounded(self) -> bool:
-        return self.n_pow > 0 or (self.n_pow == 0 and self.log_pow > 0)
-
     def value(self, n) -> np.ndarray:
         n = np.asarray(n, dtype=float)
         if np.any(n < self.n_min):
@@ -131,61 +129,94 @@ _REL_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ParamSchedule:
-    """A gluing schedule: plain budget sequences plus certified multipliers.
+    """A gluing schedule: what its preset chooses, and what follows from it.
 
-    ``eps_mult`` / ``mu_mult`` rescale the stored sequences into the
-    budgets actually certified for the block maps; the presets derive
-    them from the transport constants, custom schedules default to 1.
+    A schedule is given its name, q, kind and block scales r_n, and the
+    exponent of its budgets: ``beta`` for a strong schedule, whose budgets
+    r_n^gamma_q must be (n ln^beta n)^(-1/q), ``nu`` for a coarse one,
+    whose budgets are n^-nu.  The rest is derived once from r_n and the
+    transport constants (c_lo, e_lo, c_hi, e_hi) of q, with (gamma_q,
+    xi_q) = (e_hi, e_lo) / 2 (:func:`moduli_exponents`): the budgets
+    ``eps_seq`` and, strong only, ``mu_seq`` = r_n^xi_q; the thresholds
+    ``s_seq`` = b_n^(-1/2) of the bandwidths b_n, the saturation rule
+    b_n s_n^2 = 1 of the step claim (r_n^(-1/2) strong, r_n / eps_n
+    coarse); the shapes ``gamma`` = 2 gamma_q and ``xi`` = 2 xi_q; the
+    floor ``eta`` = delta_q; the multipliers ``eps_mult`` = c_hi 2^gamma_q
+    (sqrt(2) at q = 2) and ``mu_mult`` = c_lo (2/e)^xi_q; and ``n0``, the
+    first index of r_n.
+
+    Budget tails come from the construction, not from products of rounded
+    exponents: a strong eps_n^p is (n ln^beta n)^(-p/q), whose tail takes
+    the exponents (p/q, (p/q) beta), (1, beta) at p = q; a coarse one is
+    n^(-p nu).
     """
 
     name: str
     q: float
     kind: str                      # "strong" | "coarse"
     r_seq: PowerLogSeq
-    eps_seq: PowerLogSeq
-    s_seq: PowerLogSeq
-    mu_seq: PowerLogSeq | None
-    eta: float
-    gamma: float | None
-    xi: float | None
-    eps_mult: float = 1.0
-    mu_mult: float = 1.0
-    n0: int = 2
-    eta_source: str = "explicit"
-    params: dict = field(default_factory=dict)
+    beta: float | None = None
+    nu: float | None = None
+    eps_seq: PowerLogSeq = field(init=False)
+    mu_seq: PowerLogSeq | None = field(init=False)
+    s_seq: PowerLogSeq = field(init=False)
+    eta: float = field(init=False)
+    gamma: float = field(init=False)
+    xi: float = field(init=False)
+    eps_mult: float = field(init=False)
+    mu_mult: float = field(init=False)
+    n0: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.kind not in ("strong", "coarse"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
-        if self.kind == "strong" and self.gamma is None:
-            raise ValueError("strong schedules need an expansion exponent gamma")
-        for e in (self.gamma, self.xi):
-            if e is not None and not (math.isfinite(e) and e >= 0):
-                raise ValueError(f"shape exponents must be finite and >= 0, got {e!r}")
-        for seq in (self.r_seq, self.eps_seq, self.s_seq, self.mu_seq):
-            if seq is not None and self.n0 < seq.n_min:
-                raise ValueError("n0 below a sequence's first index")
-        # Budgets must be summable at both the tail-bookkeeping power q
-        # and the gluing power m; certify now so construction fails early.
+        need = "beta" if self.kind == "strong" else "nu"
+        if getattr(self, need) is None:
+            raise ValueError(f"{self.kind} schedules need {need}")
         m = self.mass_power  # refuses q outside (0, inf) first
-        self.eps_seq.power_tail(self.q, max(self.n0, 2))
-        if m != self.q:
-            self.eps_seq.power_tail(m, max(self.n0, 2))
-        if not self.s_seq.unbounded:
-            raise ValueError("activation thresholds s_n must be unbounded")
-        ns = np.arange(self.n0, self.n0 + 64)
-        r = self.r_seq.value(ns)
-        s = self.s_seq.value(ns)
-        if np.any(r <= 0) or np.any(np.diff(s) < 0):
-            raise ValueError("need positive r_n and nondecreasing s_n")
+        r = self.r_seq
+        ns = np.arange(r.n_min, r.n_min + 64)
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            r_vals = r.value(ns)
+        if not np.all((r_vals > 0) & (r_vals < math.inf)):
+            raise ValueError(f"{self.name} at q={self.q:g}: the bandwidths r_n "
+                             "leave the float range")
         # Block scales shrink in strong schedules (they are bandwidths)
         # and grow in coarse ones (they are ranges).
-        if self.kind == "strong" and np.any(np.diff(r) > 0):
+        if self.kind == "strong" and np.any(np.diff(r_vals) > 0):
             raise ValueError("strong schedules need nonincreasing bandwidths")
-        if self.kind == "coarse" and np.any(np.diff(r) < 0):
+        if self.kind == "coarse" and np.any(np.diff(r_vals) < 0):
             raise ValueError("coarse schedules need nondecreasing ranges")
+        eta = delta_q(self.q)
+        if eta == 0:  # the reversed Mazur lower constant underflowed
+            raise ValueError(f"{self.name} at q={self.q:g}: the block floor delta_q "
+                             "leaves the float range")
+        gamma_q, xi_q = moduli_exponents(self.q)
+        c_lo, _, c_hi, _ = _transport_constants(self.q)
+
+        def power(e):  # r_n^e
+            return PowerLogSeq(r.coef ** e, r.n_pow * e, r.log_pow * e, r.n_min)
+
+        if self.kind == "strong":
+            eps, mu, s = power(gamma_q), power(xi_q), power(-0.5)
+            # The tails below hold for eps_n^q = 1 / (n ln^beta n) only.
+            if not (math.isclose(eps.coef, 1.0) and math.isclose(-self.q * eps.n_pow, 1.0)
+                    and math.isclose(-self.q * eps.log_pow, self.beta)):
+                raise ValueError("strong schedules need budgets r_n^gamma_q "
+                                 "= (n ln^beta n)^(-1/q)")
+        else:
+            eps, mu = PowerLogSeq(1.0, -self.nu, 0.0, r.n_min), None
+            s = PowerLogSeq(r.coef, r.n_pow + self.nu, r.log_pow, r.n_min)
+        derived = dict(eps_seq=eps, mu_seq=mu, s_seq=s, eta=eta,
+                       gamma=2.0 * gamma_q, xi=2.0 * xi_q,
+                       eps_mult=c_hi * 2.0 ** gamma_q,
+                       mu_mult=c_lo * (2.0 / math.e) ** xi_q, n0=r.n_min)
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+        # Budgets must be summable at both the tail-bookkeeping power q
+        # and the gluing power m; certify now so construction fails early.
+        for p in dict.fromkeys((self.q, m)):
+            self._eps_tail(p, max(self.n0, 2))
 
     # -- sequence access -------------------------------------------------
 
@@ -197,11 +228,6 @@ class ParamSchedule:
 
     def s(self, n):
         return self.s_seq.value(n)
-
-    def mu(self, n):
-        if self.mu_seq is None:
-            raise ValueError(f"schedule {self.name} has no compression budget")
-        return self.mu_seq.value(n)
 
     def bandwidth(self, n):
         """Gaussian bandwidth of block n (coarse schedules derive it)."""
@@ -219,13 +245,19 @@ class ParamSchedule:
     def certified_eps(self, n):
         return self.eps_mult * self.eps(n)
 
-    def certified_mu(self, n):
-        return self.mu_mult * self.mu(n)
+    def _eps_tail(self, power: float, n_last: int) -> float:
+        """Certified bound on sum_{n > n_last} ceps_n^power, from the
+        construction: ceps_n^power is eps_mult^power times n^(-power nu)
+        (coarse) or (n ln^beta n)^(-power/q) (strong)."""
+        if self.kind == "coarse":
+            tail = self.eps_seq.power_tail(power, n_last)
+        else:
+            tail = PowerLogSeq(1.0, 1.0, self.beta).power_tail(-power / self.q, n_last)
+        return self.eps_mult ** power * tail
 
     def eps_q_tail(self, n_terms: int) -> float:
         """Certified bound on sum_{n > last} ceps_n^q (tail bookkeeping mass)."""
-        last = self.n0 + n_terms - 1
-        return self.eps_mult ** self.q * self.eps_seq.power_tail(self.q, last)
+        return self._eps_tail(self.q, self.n0 + n_terms - 1)
 
     def eps_mass_partial(self, n_terms: int) -> float:
         ns = np.arange(self.n0, self.n0 + n_terms)
@@ -233,18 +265,17 @@ class ParamSchedule:
 
     def eps_mass_total(self) -> float:
         """Certified upper bound on the full budget mass sum_n ceps_n^m."""
-        last = self.n0 + _MASS_TERMS - 1
-        tail = self.eps_mult ** self.mass_power * self.eps_seq.power_tail(self.mass_power, last)
+        tail = self._eps_tail(self.mass_power, self.n0 + _MASS_TERMS - 1)
         return self.eps_mass_partial(_MASS_TERMS) + tail
 
     def mu_mass_partial(self, n_terms: int) -> float:
         ns = np.arange(self.n0, self.n0 + n_terms)
-        return float(np.sum(self.certified_mu(ns) ** self.mass_power))
+        return float(np.sum((self.mu_mult * self.mu_seq.value(ns)) ** self.mass_power))
 
     def to_json_dict(self) -> dict:
         out = {"name": self.name, "q": self.q, "kind": self.kind,
-               "eta": self.eta, "eta_source": self.eta_source, "n0": self.n0}
-        out.update(self.params)
+               "eta": self.eta, "n0": self.n0}
+        out.update({k: v for k, v in (("beta", self.beta), ("nu", self.nu)) if v is not None})
         return out
 
 
@@ -257,27 +288,18 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
     ``strong_1leqle2``  1 <= q <= 2, needs beta > 1
     ``strong_qle1``     0 < q <= 1, needs beta > 1
     ``coarse_l2``       q = 2, needs nu > 1/2
+
+    A preset chooses its bandwidths r_n, or for ``coarse_l2`` its ranges
+    r_n = n; :class:`ParamSchedule` derives the rest.  The strong r_n are
+    (n ln^beta n)^(-k) with k = 1, 2/q and 2/q^2, so that r_n^gamma_q is
+    (n ln^beta n)^(-1/q) in each regime.
     """
     if name == "coarse_l2":
         if nu is None or not 0.5 < nu < math.inf:
             raise ValueError(f"coarse_l2 requires a finite nu > 1/2, got {nu}")
         if q not in (None, 2.0):
             raise ValueError("coarse_l2 is an l_2 construction")
-        return ParamSchedule(
-            name=name, q=2.0, kind="coarse",
-            r_seq=PowerLogSeq(1.0, 1.0, 0.0, n_min=1),
-            eps_seq=PowerLogSeq(1.0, -nu, 0.0, n_min=1),
-            s_seq=PowerLogSeq(1.0, 1.0 + nu, 0.0, n_min=1),
-            mu_seq=None,
-            eta=delta_q(2.0),
-            gamma=None,
-            xi=None,
-            # Block distance <= sqrt(2 t_n) d = sqrt(2) eps_n (d / r_n).
-            eps_mult=math.sqrt(2.0),
-            n0=1,
-            eta_source="derived_delta_q",
-            params={"nu": nu},
-        )
+        return ParamSchedule(name, 2.0, "coarse", PowerLogSeq(1.0, 1.0, 0.0, n_min=1), nu=nu)
 
     if beta is None or not 1 < beta < math.inf:
         raise ValueError(f"{name} requires a finite beta > 1, got {beta}")
@@ -287,45 +309,21 @@ def preset_schedule(name: str, q: float | None = None, beta: float | None = None
         q = 2.0
     if q is None or not math.isfinite(q):
         raise ValueError(f"{name} requires a finite q, got {q}")
-    gamma_q, xi_q = moduli_exponents(q)
-    c_lo, _, c_hi, _ = _transport_constants(q)
-
     if name in ("warmup_l2", "strong_qge2"):
         if q < 2:
             raise ValueError(f"{name} requires q >= 2")
         r_seq = PowerLogSeq(1.0, -1.0, -beta)
-        s_seq = PowerLogSeq(1.0, 0.5, beta / 2.0)
     elif name == "strong_1leqle2":
         if not (1 <= q <= 2):
             raise ValueError("strong_1leqle2 requires 1 <= q <= 2")
         r_seq = PowerLogSeq(1.0, -2.0 / q, -2.0 * beta / q)
-        s_seq = PowerLogSeq(1.0, 1.0 / q, beta / q)
     elif name == "strong_qle1":
         if not (0 < q <= 1):
             raise ValueError("strong_qle1 requires 0 < q <= 1")
         r_seq = PowerLogSeq(1.0, -2.0 / q ** 2, -2.0 * beta / q ** 2)
-        s_seq = PowerLogSeq(1.0, 1.0 / q ** 2, beta / q ** 2)
     else:
         raise ValueError(f"unknown schedule preset {name!r}")
-
-    eta = delta_q(q)
-    if eta == 0:  # the reversed Mazur lower constant underflowed
-        raise ValueError(f"{name} at q={q:g}: the block floor delta_q leaves the float range")
-    # Plain budgets: eps_n = r_n^gamma_q, mu_n = r_n^xi_q; the certified
-    # multipliers lift them to bounds valid for the actual block maps.
-    eps_seq = PowerLogSeq(1.0, r_seq.n_pow * gamma_q, r_seq.log_pow * gamma_q)
-    mu_seq = PowerLogSeq(1.0, r_seq.n_pow * xi_q, r_seq.log_pow * xi_q)
-    return ParamSchedule(
-        name=name, q=q, kind="strong",
-        r_seq=r_seq, eps_seq=eps_seq, s_seq=s_seq, mu_seq=mu_seq,
-        eta=eta,
-        gamma=2.0 * gamma_q,
-        xi=2.0 * xi_q,
-        eps_mult=c_hi * 2.0 ** gamma_q,
-        mu_mult=c_lo * (2.0 / math.e) ** xi_q,
-        eta_source="derived_delta_q",
-        params={"q": q, "beta": beta},
-    )
+    return ParamSchedule(name, q, "strong", r_seq, beta=beta)
 
 
 _EXP_DEGREE = 32  # degree of the truncated series of every exp block
@@ -618,7 +616,7 @@ def per_pair_bounds_check(e: GluedEmbedding, distances: np.ndarray,
         lo_m, hi_m, e.step_count(d) * sched.eta ** m)
     rep.indeterminate += indet
 
-    if sched.kind == "strong" and sched.mu_seq is not None:
+    if sched.kind == "strong":
         # The compression envelope needs bandwidth * d^2 <= 1 for every
         # truncated block; with nonincreasing bandwidths that pins the
         # validity region to the first block's scale.

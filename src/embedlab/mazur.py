@@ -310,7 +310,9 @@ def audit_sphere_pairs(tiles, grid, *, upper_scale: float = 1.0) -> dict:
     as |Mx| - |My| with the sign bits where x and y differ ORed into |My|
     (the flips, taken once per tile): its magnitude is that of Mx - My bit
     for bit.  Every sum, S_p, the sphere sums and S_Mq, is
-    :func:`_row_power_sums`, the block kernel's.  The deviations and both
+    :func:`_row_power_sums`, the block kernel's.  A margin past the float
+    range (a loose constant over an S_Mq at the 1e-300 floor of its
+    scale) is +inf, taken without a warning.  The deviations and both
     margins of a p are reduced once, over its cells stacked as (cells,
     rows) arrays; only the powers of S_p and the roots of the sphere sums
     are taken per cell, with a scalar exponent, because numpy takes its
@@ -388,7 +390,8 @@ def audit_sphere_pairs(tiles, grid, *, upper_scale: float = 1.0) -> dict:
             upper -= s_mq
             zero = s_p == 0
             for margin in (lower, upper):
-                margin /= scale
+                with np.errstate(over="ignore"):  # 2^999 S_p / 1e-300 is +inf
+                    margin /= scale
                 margin[:, zero] = 0.0
                 bad[i, cells] += np.count_nonzero(margin < 0, axis=1)
                 worst[i, cells] = np.minimum(worst[i, cells], margin.min(axis=1))

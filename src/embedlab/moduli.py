@@ -420,10 +420,17 @@ def exact_kernel_engine(e: GluedEmbedding) -> Callable:
 
 
 def _rows_engine(e: GluedEmbedding, rows) -> Callable:
-    """``e.image_distances`` on the points cast once, on entry, to ``rows``."""
+    """``e.image_distances`` on the points cast once, on entry, to ``rows``;
+    a block's |h|^q reaches 2^q per coordinate, so a distance past the
+    range of ``rows`` (float32 from q = 121) is refused, naming q."""
+    name = np.dtype(rows).name
 
     def engine(X, Y, t):
-        return e.image_distances(np.asarray(X, dtype=rows), np.asarray(Y, dtype=rows))
+        img = e.image_distances(np.asarray(X, dtype=rows), np.asarray(Y, dtype=rows))
+        if not np.all(np.isfinite(img)):
+            raise ValueError(f"the {name} block masses at q={e.schedule.q:g} "
+                             f"leave the {name} range")
+        return img
 
     engine.rows = rows
     return engine

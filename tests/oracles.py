@@ -5,7 +5,8 @@ metric, node check and merging-ray segments walked vertex by vertex,
 lattice and gauge balls, the gauge ball's volume as a fiber sum, box
 Folner sets and their translates, the defect |F Delta gF| / |F| by
 explicit translation and, for the gauge ball, from the closed-form
-intersection count of ``heis_intersection_count``, the symmetric
+intersection count of ``heis_intersection_count``, which is also summed
+column by column in scalar arithmetic, the symmetric
 difference and block distance of one pair, the support reach of a box at
 its 2^k corners and as a materialized box and of a tree segment vertex by
 vertex (the closed form ``rad`` is checked against these), and the
@@ -19,7 +20,10 @@ pow and sum; its sampler against whole-array normalization.  The closed-form ser
 decimal arithmetic, its block kernel on random features against the
 glued mass in textbook order in float64 and, on both backends, against
 the kernel that took x and y rows through their own arrays, and the sliced kernel-mode
-intervals of ``embedlab.glue`` against one whole-array evaluation.  The Hamming-cube distance rows of
+intervals of ``embedlab.glue`` against one whole-array evaluation by the
+block transport :func:`sphere_block_interval`.  The schedules that
+``embedlab.glue`` derives are checked against each preset's formulas
+written out by hand (:func:`preset_formulas`).  The Hamming-cube distance rows of
 ``embedlab.finite_geometry`` are checked against the popcount of one
 pair's XOR and against the dense distance matrix of the bit-matrix
 product, and its closed-form distortion of the cube identity against
@@ -43,7 +47,8 @@ from embedlab.amenable import (HeisenbergModel, ZkFolnerSystem, box_intersection
                                heis_intersection_count)
 from embedlab import gaussian
 from embedlab.finite_geometry import GkSpace
-from embedlab.gaussian import RandomFeatures, sphere_block_interval
+from embedlab.gaussian import SATURATION_LEVEL, RandomFeatures
+from embedlab.glue import PowerLogSeq
 from embedlab.mazur import _row_power_sums, _signed_power, mazur_constants
 from embedlab.metric_core import distance_root
 
@@ -175,6 +180,24 @@ def heis_ball(model, radius: int) -> list[tuple[int, int, int]]:
             zmax = (r - abs(x) - abs(y)) ** 2
             out.extend((x, y, z) for z in range(-zmax, zmax + 1))
     return out
+
+
+def heis_fiber_overlap(radius: int, g) -> int:
+    """|B(R) cap gB(R)| column by column: over each (x, y) of the ball, the
+    integer overlap of its z-fiber [-h, h], h = (R - |x| - |y|)^2, with the
+    fiber that left translation by g = (a, b, c) carries there, that over
+    (x - a, y - b) shifted by c + a (y - b)."""
+    r = int(radius)
+    a, b, c = g
+    total = 0
+    for x in range(-r, r + 1):
+        for y in range(-r + abs(x), r - abs(x) + 1):
+            moved = r - abs(x - a) - abs(y - b)
+            if moved < 0:
+                continue
+            h, h_moved, shift = (r - abs(x) - abs(y)) ** 2, moved ** 2, c + a * (y - b)
+            total += max(0, min(h, shift + h_moved) - max(-h, shift - h_moved) + 1)
+    return total
 
 
 def folner_set(sys, n: int) -> set:
@@ -472,6 +495,63 @@ def rff_glued_distance(e, X, Y) -> np.ndarray:
     backends = [RandomFeatures(float(r), fam.n_features, (fam.base_seed, int(n)))
                 for n, r in zip(e.block_ids, e.bandwidths)]
     return rff_block_mass(X, Y, backends, q) ** (1.0 / distance_root(q))
+
+
+def sphere_block_interval(D, q: float):
+    """Certified [lower, upper] block distance for unit-sphere pairs at l_2
+    distance D: both ends c D^e of the transport constants of q."""
+    c_lo, e_lo, c_hi, e_hi = gaussian._transport_constants(q)
+    D = np.asarray(D, dtype=float)
+    return c_lo * D ** e_lo, c_hi * D ** e_hi
+
+
+def branch_exponents(q: float) -> tuple[float, float]:
+    """(gamma_q, xi_q) by regime: (1/q, 1/2) for q >= 2, (1/2, 1/q) for
+    1 <= q < 2 and (q/2, 1) for q < 1."""
+    if q <= 0:
+        raise ValueError("q must be positive")
+    if q >= 2:
+        return 1.0 / q, 0.5
+    if q >= 1:
+        return 0.5, 1.0 / q
+    return q / 2.0, 1.0
+
+
+def preset_formulas(name: str, q: float | None = None, beta: float | None = None,
+                    nu: float | None = None) -> dict:
+    """A preset schedule's attributes by hand: the bandwidths, thresholds
+    and budgets of each preset written out, the exponents of
+    :func:`branch_exponents`, the block floor delta_q by
+    :func:`sphere_block_interval` at the saturation level, and the
+    multipliers.  ``coarse_l2`` has no compression budget, shapes or
+    mu_mult."""
+    def eta(q):
+        return float(sphere_block_interval(math.sqrt(SATURATION_LEVEL), q)[0])
+
+    if name == "coarse_l2":
+        return {"r_seq": PowerLogSeq(1.0, 1.0, 0.0, n_min=1),
+                "eps_seq": PowerLogSeq(1.0, -nu, 0.0, n_min=1),
+                "s_seq": PowerLogSeq(1.0, 1.0 + nu, 0.0, n_min=1),
+                "mu_seq": None, "eta": eta(2.0), "eps_mult": math.sqrt(2.0), "n0": 1}
+    if name == "warmup_l2":
+        q = 2.0
+    gamma_q, xi_q = branch_exponents(q)
+    c_lo, _, c_hi, _ = gaussian._transport_constants(q)
+    if name in ("warmup_l2", "strong_qge2"):
+        r_seq = PowerLogSeq(1.0, -1.0, -beta)
+        s_seq = PowerLogSeq(1.0, 0.5, beta / 2.0)
+    elif name == "strong_1leqle2":
+        r_seq = PowerLogSeq(1.0, -2.0 / q, -2.0 * beta / q)
+        s_seq = PowerLogSeq(1.0, 1.0 / q, beta / q)
+    else:
+        r_seq = PowerLogSeq(1.0, -2.0 / q ** 2, -2.0 * beta / q ** 2)
+        s_seq = PowerLogSeq(1.0, 1.0 / q ** 2, beta / q ** 2)
+    return {"r_seq": r_seq, "s_seq": s_seq,
+            "eps_seq": PowerLogSeq(1.0, r_seq.n_pow * gamma_q, r_seq.log_pow * gamma_q),
+            "mu_seq": PowerLogSeq(1.0, r_seq.n_pow * xi_q, r_seq.log_pow * xi_q),
+            "eta": eta(q), "gamma": 2.0 * gamma_q, "xi": 2.0 * xi_q,
+            "eps_mult": c_hi * 2.0 ** gamma_q, "mu_mult": c_lo * (2.0 / math.e) ** xi_q,
+            "n0": 2}
 
 
 def glued_mass_interval(e, d) -> tuple[np.ndarray, np.ndarray]:

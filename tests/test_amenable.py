@@ -31,7 +31,8 @@ from embedlab.amenable import (
 )
 from oracles import (MAX_SET_SIZE, block_distance_pth, bounds_check_per_pair, check_node,
                      folner_defect, folner_set, group_metric, heis_ball, heis_ball_count,
-                     heis_defect, heis_gauge, heis_inv, heis_metric, heis_mul, ray_segment,
+                     heis_defect, heis_fiber_overlap, heis_gauge, heis_inv, heis_metric,
+                     heis_mul, ray_segment,
                      set_at, support_reach, sym_diff_count, tree_metric, zk_ball, zk_gauge,
                      zk_inv, zk_metric, zk_mul, zk_support_reach)
 
@@ -610,6 +611,16 @@ class TestClosedFormOracles:
             assert counts[0] == counts[1] and counts[2] == counts[3], radius
             assert counts[0] == len(F & {heis_mul((1, 0, 0), f) for f in F}), radius
             assert counts[2] == len(F & {heis_mul((0, 1, 0), f) for f in F}), radius
+
+    def test_heisenberg_x_generator_overlaps_least(self):
+        # |B cap (1,0,0)B| <= |B cap (0,1,0)B| at every radius, so the
+        # worst generator defect is that of (1, 0, 0) alone.
+        for radius in range(151):
+            counts = [heis_intersection_count(radius, g) for g in ((1, 0, 0), (0, 1, 0))]
+            assert counts[0] <= counts[1], radius
+            if radius % 10 == 0 or radius < 10:
+                assert counts == [heis_fiber_overlap(radius, g)
+                                  for g in ((1, 0, 0), (0, 1, 0))], radius
 
     @pytest.mark.parametrize("slab", [1, 50, 100])  # 1, 2 and 4 of the 25 rows per slab
     def test_heisenberg_count_ignores_the_slab_size(self, monkeypatch, slab):

@@ -87,8 +87,14 @@ class TestExitCodes:
          "the upper bound's 2^p leaves the float range at p = 1020"),
         (["folner", "--group", "tree", "--p", "1023", "--max-dist", "50", "--pairs", "20"],
          "the upper bound's 2^p leaves the float range at p = 1023"),
+        (["moduli", "--preset", "strong_qle1", "--q", "0.1", "--beta", "1.1"],
+         "strong_qle1 at q=0.1: the bandwidths r_n leave the float range"),
+        (["moduli", "--preset", "strong_qge2", "--q", "130", "--beta", "1.05",
+          "--n-terms", "20", "--pairs", "512"],
+         "the float32 block masses at q=130 leave the float32 range"),
     ], ids=["moduli-q2000", "moduli-q1e300", "mazur-grid", "folner-z2", "folner-tree",
-            "moduli-q300", "moduli-q1000", "folner-z2-p1020", "folner-tree-p1023"])
+            "moduli-q300", "moduli-q1000", "folner-z2-p1020", "folner-tree-p1023",
+            "moduli-qle1-q0.1", "moduli-rff-q130"])
     def test_constants_beyond_the_float_range_are_usage_errors(self, tmp_path, argv, message):
         # A constant that overflows, or underflows to 0 and is inverted,
         # names its exponent and exits 2, not 1 (a violated bound).  A
@@ -103,6 +109,22 @@ class TestExitCodes:
         assert proc.stderr == f"embedlab: {message}\n"  # no traceback
         assert proc.stdout == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["moduli", "--preset", "strong_qge2", "--q", "3.7", "--beta", "1.05",
+         "--n-terms", "20", "--pairs", "512"],
+        ["verify", "--suite", "mazur", "--grid", "1,1000", "--samples", "200"],
+    ], ids=["moduli-q3.7", "mazur-grid-1-1000"])
+    def test_exponents_inside_the_float_range_run_clean(self, tmp_path, argv):
+        # The budget tail sits on the borderline at every q, and a Mazur
+        # margin past the float range is +inf: no refusal, no warning.
+        out = tmp_path / "out.json"
+        flag = "--out" if argv[0] == "verify" else "--json-out"
+        proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
+                               "embedlab.cli", *argv, flag, str(out)],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert out.exists()
 
     @pytest.mark.parametrize("argv, message", [
         ([], "--preset strong_qge2 needs --q and --beta"),

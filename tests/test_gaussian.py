@@ -3,6 +3,7 @@ random features, and the certified block-distance envelopes."""
 
 import math
 import os
+import threading
 import time
 import warnings
 
@@ -21,13 +22,12 @@ from embedlab.gaussian import (
     exp_coordinates_batch,
     moduli_exponents,
     psi_distance_exact,
-    sphere_block_interval,
 )
 from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
 from embedlab.mazur import signed_power_constant
 from embedlab.metric_core import distance_root
 from oracles import (mazur_map, per_side_block_mass, poisson_tail, rff_block_mass,
-                     rff_coordinates)
+                     rff_coordinates, sphere_block_interval)
 
 
 class TestPsiDistance:
@@ -260,6 +260,20 @@ def _cpu_per_wall(fn):
     return (time.process_time() - c0) / (time.perf_counter() - t0)
 
 
+def _thread_cpu_ticks() -> dict[int, int]:
+    """utime + stime, in clock ticks, of each thread of this process, by
+    thread id, from /proc/self/task/<tid>/stat."""
+    ticks = {}
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/stat", encoding="ascii") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except FileNotFoundError:  # the thread ended
+            continue
+        ticks[int(tid)] = int(fields[11]) + int(fields[12])  # stat fields 14, 15
+    return ticks
+
+
 def _blas_may_thread():
     n = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
@@ -291,6 +305,8 @@ class TestKernelStaysOnCallingThread:
     def test_control_plain_matmul_spins_a_worker(self):
         if not _blas_may_thread():
             pytest.skip("BLAS runs on one thread")
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no per-thread CPU times in /proc/self/task")
         X, Y = self._points()
         rng = np.random.default_rng(6)
         w = rng.normal(size=(self.DIM, self.N_FEATURES)).astype(np.float32)
@@ -307,9 +323,16 @@ class TestKernelStaysOnCallingThread:
                     np.abs(z, out=z)
                     z **= 0.5
 
-        # Best of three: the spinning worker needs the second CPU to itself,
-        # which a burst of other load on the machine can take for a while.
-        assert max(_cpu_per_wall(unslabbed) for _ in range(3)) > self.LIMIT
+        # Each thread's own CPU time, read before and after the loop: a
+        # thread other than the caller must gain some.  A ratio of process
+        # CPU to wall time would need a spare CPU for the worker to show.
+        unslabbed()  # starts the BLAS pool
+        before = _thread_cpu_ticks()
+        unslabbed()
+        after = _thread_cpu_ticks()
+        caller = threading.get_native_id()
+        assert any(ticks > before.get(tid, 0)
+                   for tid, ticks in after.items() if tid != caller)
 
 
 class TestModuliExponents:

@@ -18,7 +18,12 @@ from embedlab.glue import (
     preset_schedule,
 )
 
-from oracles import glued_interval, glued_mass_interval
+from oracles import glued_interval, glued_mass_interval, preset_formulas
+
+# Exponent grids of the strong presets, each over its whole range.
+GRIDS = {"strong_qle1": [k / 100 for k in range(14, 101)],
+         "strong_1leqle2": [k / 100 for k in range(100, 201)],
+         "strong_qge2": [k / 20 for k in range(40, 241)]}
 
 
 class TestSequences:
@@ -49,11 +54,6 @@ class TestSequences:
     def test_growing_log_tail_rejected(self):
         with pytest.raises(ValueError, match="growing log factor"):
             PowerLogSeq(1.0, -2.0, 1.0).power_tail(1.5, 10)  # a = 3, b = -1.5
-
-    def test_unbounded_flags(self):
-        assert PowerLogSeq(1.0, 0.5, 1.0).unbounded
-        assert PowerLogSeq(1.0, 0.0, 1.0).unbounded
-        assert not PowerLogSeq(1.0, -0.5, 0.0).unbounded
 
 
 class TestPresets:
@@ -113,7 +113,6 @@ class TestPresets:
     def test_eta_is_block_floor(self, name, q):
         sched = preset_schedule(name, q=q, beta=1.1)
         assert sched.eta == pytest.approx(delta_q(q))
-        assert sched.eta_source == "derived_delta_q"
 
     def test_mass_power_regimes(self):
         assert preset_schedule("strong_qge2", q=4.0, beta=1.1).mass_power == 4.0
@@ -128,28 +127,48 @@ class TestScheduleInvariants:
         assert sched.certified_eps(4) == pytest.approx(sched.eps_mult * float(sched.eps(4)))
 
     def test_structural_validation(self):
-        shrinking, growing = PowerLogSeq(1.0, -1.0, 0.0), PowerLogSeq(1.0, 1.0, 0.0)
-        ok = dict(name="x", q=2.0, kind="strong", eps_seq=shrinking,
-                  s_seq=growing, mu_seq=None, eta=0.5, gamma=1.0, xi=None)
+        shrinking = PowerLogSeq(1.0, -1.0, -2.0)  # 1 / (n ln^2 n)
+        ok = dict(name="x", q=2.0, kind="strong", beta=2.0)
         ParamSchedule(r_seq=shrinking, **ok)
         with pytest.raises(ValueError):  # strong bandwidths must not grow
-            ParamSchedule(r_seq=growing, **ok)
-        with pytest.raises(ValueError):  # thresholds must be unbounded
-            ParamSchedule(r_seq=shrinking, **{**ok, "s_seq": shrinking})
-        with pytest.raises(ValueError):  # eps budget must be q-summable
-            ParamSchedule(r_seq=shrinking,
-                          **{**ok, "eps_seq": PowerLogSeq(1.0, -0.25, 0.0)})
+            ParamSchedule(r_seq=PowerLogSeq(1.0, 1.0, 2.0), **ok)
+        with pytest.raises(ValueError, match="diverges"):  # eps budget must be q-summable
+            ParamSchedule(r_seq=PowerLogSeq(1.0, -1.0, -1.0), **{**ok, "beta": 1.0})
+        with pytest.raises(ValueError, match="need budgets"):  # the tails' construction
+            ParamSchedule(r_seq=PowerLogSeq(1.0, -1.0, 0.0), **ok)
         with pytest.raises(ValueError):
             ParamSchedule(r_seq=shrinking, **{**ok, "kind": "odd"})
-        with pytest.raises(ValueError):  # shape exponents are >= 0
-            ParamSchedule(r_seq=shrinking, **{**ok, "gamma": -0.5})
-        with pytest.raises(ValueError):  # ... and finite
-            ParamSchedule(r_seq=shrinking, **{**ok, "xi": math.inf})
-        with pytest.raises(ValueError):  # strong schedules need gamma
-            ParamSchedule(r_seq=shrinking, **{**ok, "gamma": None})
+        with pytest.raises(ValueError, match="strong schedules need beta"):
+            ParamSchedule(r_seq=shrinking, **{**ok, "beta": None})
         for q in (0.0, math.inf, math.nan):  # the exponent has a distance root
             with pytest.raises(ValueError, match="exponent must be a finite positive real"):
                 ParamSchedule(r_seq=shrinking, **{**ok, "q": q})
+
+    @pytest.mark.parametrize("beta", [1.01, 1.05, 1.1, 2.0])
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_derived_attributes_are_the_preset_formulas(self, name, beta):
+        for q in GRIDS[name]:
+            sched = preset_schedule(name, q=q, beta=beta)
+            for attr, want in preset_formulas(name, q=q, beta=beta).items():
+                assert getattr(sched, attr) == want, (q, attr)
+
+    @pytest.mark.parametrize("nu", [0.51, 0.75, 1.0, 2.5])
+    def test_coarse_attributes_are_the_preset_formulas(self, nu):
+        sched = preset_schedule("coarse_l2", nu=nu)
+        for attr, want in preset_formulas("coarse_l2", nu=nu).items():
+            assert getattr(sched, attr) == want, attr
+
+    @pytest.mark.parametrize("beta", [1.01, 1.05, 1.1, 2.0])
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_budget_tail_is_the_borderline_closed_form(self, name, beta):
+        # eps_n^q = eps_mult^q / (n ln^beta n), whose tail past N is
+        # eps_mult^q ln(N)^(1 - beta) / (beta - 1) at every q: no product
+        # of rounded exponents moves it off the borderline.
+        for q in GRIDS[name]:
+            sched = preset_schedule(name, q=q, beta=beta)
+            last = sched.n0 + 99
+            want = sched.eps_mult ** q * (math.log(last) ** (1 - beta) / (beta - 1))
+            assert sched.eps_q_tail(100) == want, q
 
     def test_to_json_dict_echoes_parameters(self):
         d = preset_schedule("strong_qge2", q=4.0, beta=1.05).to_json_dict()
