@@ -34,7 +34,7 @@ _EXPORTS = {
                  "ZkModel", "char_embedding_bound_check", "glued_group_embedding",
                  "heisenberg_growth_fit"),
     "finite_geometry": ("GkSpace", "HammingCube", "cube_report",
-                        "enflo_lower_bound", "enflo_type2_certificate", "probe_audit"),
+                        "enflo_lower_bound", "probe_audit"),
     "gaussian": ("RandomFeatures", "TruncatedExp", "delta_q", "moduli_exponents",
                  "psi_distance_exact"),
     "glue": ("GaussianBlockFamily", "GluedEmbedding", "ParamSchedule",
@@ -53,7 +53,7 @@ __all__ = [
     "RandomFeatures", "TreeACollection", "TreeModel", "TruncatedExp",
     "ZkFolnerSystem", "ZkModel", "audit_sphere_pairs",
     "char_embedding_bound_check", "cube_report", "delta_q",
-    "enflo_lower_bound", "enflo_type2_certificate",
+    "enflo_lower_bound",
     "estimate_moduli", "fit_exponent", "glued_group_embedding",
     "heisenberg_growth_fit", "mazur_constants",
     "moduli_exponents", "per_pair_bounds_check", "preset_schedule",

@@ -8,7 +8,10 @@ distance h for the cube identity (:func:`cube_report`), the overlap
 deficit j = |A minus B| for the subset probe (:func:`probe_audit`).  No
 pair of points is enumerated; ``tests/oracles.py`` walks every pair
 (``dense_distortion``, ``gk_probe_audit``) and the tests hold the closed
-forms to those walks bit for bit.
+forms to those walks bit for bit.  Enflo's type-2 inequality, a theorem
+for every map into a Hilbert space, enters only as the floor
+:func:`enflo_lower_bound`; its diagonal/edge certificate lives in the
+test oracles (``enflo_type2_certificate``).
 """
 
 from __future__ import annotations
@@ -20,11 +23,10 @@ import numpy as np
 
 from .metric_core import distance_root
 
-# Hard caps.  Cubes beyond 2^24 vertices, bit matrices (the linear maps
-# of ``verify --suite cube``) beyond 2^14 rows and subset spaces beyond
-# 2^20 elements are out of desk-scale scope.
+# Hard caps.  Cubes beyond 2^24 vertices (whose distance rows
+# ``distances_from`` holds) and subset spaces beyond 2^20 elements are out
+# of desk-scale scope.
 MAX_CUBE_PAIR_DIM = 24
-MAX_CUBE_MATRIX_DIM = 14
 MAX_GK_ELEMENTS = 1 << 20
 
 # Relative float slack of the probe audit's comparisons.
@@ -47,17 +49,6 @@ class HammingCube:
         if self.m > MAX_CUBE_PAIR_DIM:
             raise ValueError(f"m={self.m} exceeds enumeration cap {MAX_CUBE_PAIR_DIM}")
         distance_root(self.p)  # refuses p outside (0, inf)
-
-    @property
-    def n_vertices(self) -> int:
-        return 1 << self.m
-
-    def bit_matrix(self) -> np.ndarray:
-        """(2^m, m) 0/1 matrix; row u holds the bits of vertex u."""
-        if self.m > MAX_CUBE_MATRIX_DIM:
-            raise ValueError(f"m={self.m} exceeds matrix cap {MAX_CUBE_MATRIX_DIM}")
-        u = np.arange(self.n_vertices, dtype=np.int64)
-        return ((u[:, None] >> np.arange(self.m)) & 1).astype(np.float64)
 
     def distances_from(self, u: int, v) -> np.ndarray:
         """d_p from vertex u to each vertex of the bitmask array ``v``: the
@@ -141,8 +132,8 @@ def enflo_lower_bound(m: int, p, q_type: float) -> float:
 
     Exponent-form bound: diam^(1/m - 1/q_type) with m = max(p, 1) the
     distance root and diam the cube diameter in d_p.  The hidden constant
-    is 1 for Euclidean targets (q_type = 2), where the diagonal-vs-edge
-    certificate below makes the bound exact.
+    is 1 for Euclidean targets (q_type = 2), where the identity meets the
+    bound exactly at p <= 1 and p = 2 (:func:`cube_report`).
     """
     expo = _enflo_exponent(p, q_type)
     return HammingCube(m, p).diameter() ** expo
@@ -152,46 +143,6 @@ def _enflo_exponent(p: float, q_type: float) -> float:
     if not 1 <= q_type <= 2:  # no Banach space has Rademacher type above 2
         raise ValueError(f"target type must lie in [1, 2], got {q_type}")
     return 1.0 / distance_root(p) - 1.0 / q_type
-
-
-@dataclass(frozen=True)
-class TypeTwoCertificate:
-    """Diagonal/edge quadratic sums of a map defined on cube vertices."""
-
-    m: int
-    diagonal_sum: float
-    edge_sum: float
-    ratio: float
-    degenerate: bool
-
-
-def enflo_type2_certificate(f, m: int) -> TypeTwoCertificate:
-    """Compare antipodal-diagonal and edge energies of f on {0,1}^m.
-
-    ``f`` is an array of shape (2^m, d) whose row u is the image of the
-    bitmask vertex u.  For maps into Euclidean space the ratio never
-    exceeds 1; equality holds for the identity coordinates.
-    """
-    n = 1 << m
-    imgs = np.asarray(f, dtype=float)
-    if imgs.ndim == 1:
-        imgs = imgs[:, None]
-    if imgs.shape[0] != n:
-        raise ValueError("map must be defined on all 2^m vertices")
-    if not np.all(np.isfinite(imgs)):
-        raise ValueError("map contains non-finite values")
-    full = n - 1
-    half = np.arange(n // 2)
-    diag = float(np.sum((imgs[half] - imgs[half ^ full]) ** 2))
-    edge = 0.0
-    for j in range(m):
-        lo = np.flatnonzero((np.arange(n) >> j) & 1 == 0)
-        edge += float(np.sum((imgs[lo] - imgs[lo | (1 << j)]) ** 2))
-    if edge == 0.0:
-        return TypeTwoCertificate(m=m, diagonal_sum=diag, edge_sum=0.0,
-                                  ratio=0.0, degenerate=True)
-    return TypeTwoCertificate(m=m, diagonal_sum=diag, edge_sum=edge,
-                              ratio=diag / edge, degenerate=False)
 
 
 def cube_report(m: int, p, q_type: float = 2.0) -> dict:
@@ -207,10 +158,10 @@ def cube_report(m: int, p, q_type: float = 2.0) -> dict:
     sum runs over the 2^(m-1) antipodal pairs (u, u xor (2^m - 1)), whose
     bit rows differ in all m coordinates, so it is m 2^(m-1); its edge sum
     runs over the m 2^(m-1) edges, whose bit rows differ in one, so it is
-    m 2^(m-1) as well.  :func:`enflo_type2_certificate` adds those exact
-    integers in float64 and divides them, so it returns 1.0 too, but on
-    the (2^m, m) bit matrix; the closed form holds no array, so every cube
-    up to ``MAX_CUBE_PAIR_DIM`` is reported.
+    m 2^(m-1) as well.  The tests' certificate on the (2^m, m) bit matrix
+    adds those exact integers in float64 and returns 1.0 too; the closed
+    form holds no array, so every cube up to ``MAX_CUBE_PAIR_DIM`` is
+    reported.
     """
     cube = HammingCube(m, p)
     h = np.arange(1, m + 1)

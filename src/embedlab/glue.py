@@ -5,8 +5,8 @@ A *schedule* is the bookkeeping for the glued map
 base point cancels in every distance, so only differences are computed):
 
 * ``r_n``  -- block scale (strong schedules: the Gaussian bandwidth,
-  nonincreasing; coarse schedules: the range radius, nondecreasing, with
-  bandwidth ``(eps_n / r_n)^2``),
+  decreasing; coarse schedules: the range radius r_n = n, with bandwidth
+  ``(eps_n / r_n)^2``),
 * ``eps_n`` -- expansion budget of block n,
 * ``mu_n``  -- compression budget of block n at small separations,
 * ``s_n``   -- activation threshold: block n's distance is at least
@@ -149,6 +149,15 @@ class ParamSchedule:
     exponents: a strong eps_n^p is (n ln^beta n)^(-p/q), whose tail takes
     the exponents (p/q, (p/q) beta), (1, beta) at p = q; a coarse one is
     n^(-p nu).
+
+    No r_n is evaluated here; the shapes of r_n are proofs, not probes.  A
+    strong schedule's budget form puts r_n = (n ln^beta n)^(-1/(q gamma_q))
+    with gamma_q > 0 and beta > 1 (else its tail diverges), so both
+    exponents of r_n are negative and its r_n decrease from n = 2 on.  A
+    coarse schedule needs the ranges r_n = n, so its step count past d is
+    the closed form of :func:`_coarse_step_count`.  Whether the r_n of the
+    realized blocks stay in the float range is checked where they are
+    realized, by :class:`GluedEmbedding`.
     """
 
     name: str
@@ -175,18 +184,8 @@ class ParamSchedule:
             raise ValueError(f"{self.kind} schedules need {need}")
         m = self.mass_power  # refuses q outside (0, inf) first
         r = self.r_seq
-        ns = np.arange(r.n_min, r.n_min + 64)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            r_vals = r.value(ns)
-        if not np.all((r_vals > 0) & (r_vals < math.inf)):
-            raise ValueError(f"{self.name} at q={self.q:g}: the bandwidths r_n "
-                             "leave the float range")
-        # Block scales shrink in strong schedules (they are bandwidths)
-        # and grow in coarse ones (they are ranges).
-        if self.kind == "strong" and np.any(np.diff(r_vals) > 0):
-            raise ValueError("strong schedules need nonincreasing bandwidths")
-        if self.kind == "coarse" and np.any(np.diff(r_vals) < 0):
-            raise ValueError("coarse schedules need nondecreasing ranges")
+        if self.kind == "coarse" and (r.coef, r.n_pow, r.log_pow) != (1.0, 1.0, 0.0):
+            raise ValueError("coarse schedules need ranges r_n = n")
         eta = delta_q(self.q)
         if eta == 0:  # the reversed Mazur lower constant underflowed
             raise ValueError(f"{self.name} at q={self.q:g}: the block floor delta_q "
@@ -367,7 +366,13 @@ class GaussianBlockFamily:
 class GluedEmbedding:
     """A truncated glued embedding of the family's schedule, with
     ``n_terms`` blocks from index n0 on, whose distances and intervals
-    run their row chunks on ``threads`` worker threads."""
+    run their row chunks on ``threads`` worker threads.
+
+    The bandwidths and thresholds of the realized blocks are evaluated
+    once, here; the first block whose bandwidth or threshold is not finite
+    and positive (r_n underflows to 0 at small q) is refused by number,
+    for every backend.
+    """
 
     def __init__(self, family: GaussianBlockFamily, n_terms: int = 200, threads: int = 1):
         if n_terms < 1:
@@ -379,8 +384,14 @@ class GluedEmbedding:
         self.n_terms = n_terms
         self.threads = threads
         self.block_ids = np.arange(schedule.n0, schedule.n0 + n_terms)
-        self.bandwidths = np.asarray(schedule.bandwidth(self.block_ids), dtype=float)
-        self.s_values = np.asarray(schedule.s(self.block_ids), dtype=float)
+        with np.errstate(all="ignore"):  # values past the float range are refused below
+            self.bandwidths = np.asarray(schedule.bandwidth(self.block_ids), dtype=float)
+            self.s_values = np.asarray(schedule.s(self.block_ids), dtype=float)
+            ok = ((self.bandwidths > 0) & (self.bandwidths < math.inf)
+                  & (self.s_values > 0) & (self.s_values < math.inf))
+        if not ok.all():
+            raise ValueError(f"{schedule.name} at q={schedule.q:g}: the bandwidths r_n "
+                             f"leave the float range at block {self.block_ids[~ok][0]}")
 
     @property
     def tail_constant(self) -> float:
@@ -546,17 +557,10 @@ class GluingCheckReport:
 
 
 def _coarse_step_count(schedule: ParamSchedule, d: np.ndarray) -> np.ndarray:
-    """#{n >= n0 : r_n <= d} over the *infinite* schedule (coarse upper k)."""
-    d = np.atleast_1d(d)
-    hi = float(np.max(d))
-    n_max = schedule.n0 + 4
-    while float(schedule.r(n_max)) <= hi:
-        n_max *= 2
-        if n_max > 10 ** 9:
-            raise ValueError("coarse range sequence grows too slowly for these distances")
-    ns = np.arange(schedule.n0, n_max + 1)
-    r_vals = np.asarray(schedule.r(ns), dtype=float)
-    return np.searchsorted(r_vals, d, side="right")
+    """#{n >= n0 : r_n <= d} over the *infinite* schedule (coarse upper k):
+    with the ranges r_n = n of every coarse schedule, the integers n0..d,
+    max(0, floor(d) - n0 + 1)."""
+    return np.maximum(0.0, np.floor(np.atleast_1d(d)) - schedule.n0 + 1)
 
 
 def _lower_claim(lo_m: np.ndarray, hi_m: np.ndarray,

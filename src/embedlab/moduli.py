@@ -251,16 +251,13 @@ def estimate_moduli(f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray
     The pair rows are held once, in the dtype that ``f.rows`` names: the
     engines of this module set it (float32 for :func:`fast_rff_engine`,
     None for :func:`exact_kernel_engine`, which reads only t), and any
-    other ``f`` gets float64 rows from ``sampler.sample(pairs, seed)``.
+    other ``f`` gets float64 rows.
 
     ``certifier`` is passed to :func:`reduce_envelopes`.
     """
     if bins < 1 or pairs < 1:
         raise ValueError("need bins >= 1 and pairs >= 1")
-    rows = getattr(f, "rows", np.float64)
-    # A sampler with no dtype argument serves engines that read float64 rows.
-    X, Y, t = (sampler.sample(pairs, seed) if rows is np.float64
-               else sampler.sample(pairs, seed, dtype=rows))
+    X, Y, t = sampler.sample(pairs, seed, dtype=getattr(f, "rows", np.float64))
     img = np.asarray(f(X, Y, t), dtype=float)
     if img.shape != t.shape or not np.all(np.isfinite(img)) or np.any(img < 0):
         raise ValueError("engine returned invalid image distances")

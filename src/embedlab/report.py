@@ -70,8 +70,7 @@ class ComparisonTable:
     rows: list[dict] = field(default_factory=list)
 
     def to_json(self) -> str:
-        return json.dumps({"report_kind": "comparison_table", "rows": self.rows},
-                          sort_keys=True, indent=2) + "\n"
+        return canonical_json({"report_kind": "comparison_table", "rows": self.rows})
 
     def to_text(self) -> str:
         header = ("domain", "target", "regime", "claim", "measured", "verdict", "citation")

@@ -23,13 +23,18 @@ the kernel that took x and y rows through their own arrays, and the sliced kerne
 intervals of ``embedlab.glue`` against one whole-array evaluation by the
 block transport :func:`sphere_block_interval`.  The schedules that
 ``embedlab.glue`` derives are checked against each preset's formulas
-written out by hand (:func:`preset_formulas`).  The Hamming-cube distance rows of
+written out by hand (:func:`preset_formulas`), and the closed-form coarse
+step count against the doubling search over the ranges
+(:func:`coarse_step_count_search`).  The Hamming-cube distance rows of
 ``embedlab.finite_geometry`` are checked against the popcount of one
 pair's XOR and against the dense distance matrix of the bit-matrix
-product, and its closed-form distortion of the cube identity against
-every pair of that matrix and of the images of the bit rows; its
-closed-form probe audit of k-subsets against the Gram matrix of the
-incidence rows of every subset.  The
+product (:func:`bit_matrix`), and its closed-form distortion of the cube
+identity against every pair of that matrix and of the images of the bit
+rows, and its type-2 ratio of 1 against Enflo's diagonal/edge
+certificate (:func:`enflo_type2_certificate`), which the tests also hold
+to Enflo's inequality on Gaussian clouds and to the parallelogram
+identity on linear maps; its closed-form probe audit of k-subsets
+against the Gram matrix of the incidence rows of every subset.  The
 moduli pair sampler of ``embedlab.moduli`` is checked against one fresh
 generator per pair, and its closed-form log-log fit against
 ``np.polyfit``'s least squares.
@@ -37,6 +42,7 @@ generator per pair, and its closed-form log-log fit against
 Each enumerator refuses sets past ``MAX_SET_SIZE`` points.
 """
 
+import collections
 import decimal
 import itertools
 import math
@@ -297,12 +303,51 @@ def l2_sphere_pairs(samples: int, dim: int, seed: int):
     return x2, y / np.linalg.norm(y, axis=1, keepdims=True)
 
 
+def bit_matrix(m: int) -> np.ndarray:
+    """(2^m, m) 0/1 matrix; row u holds the bits of vertex u, low bit first."""
+    if 1 << m > MAX_SET_SIZE:
+        raise ValueError(f"2^{m} vertices exceed MAX_SET_SIZE")
+    u = np.arange(1 << m, dtype=np.int64)
+    return ((u[:, None] >> np.arange(m)) & 1).astype(np.float64)
+
+
+TypeTwoCertificate = collections.namedtuple(
+    "TypeTwoCertificate", "diagonal_sum edge_sum ratio degenerate")
+
+
+def enflo_type2_certificate(f, m: int) -> TypeTwoCertificate:
+    """Compare antipodal-diagonal and edge energies of f on {0,1}^m.
+
+    ``f`` is an array of shape (2^m, d) whose row u is the image of the
+    bitmask vertex u.  For maps into Euclidean space the ratio never
+    exceeds 1 (Enflo's inequality); linear maps meet it exactly (the
+    parallelogram identity), the identity coordinates among them.
+    """
+    n = 1 << m
+    imgs = np.asarray(f, dtype=float)
+    if imgs.ndim == 1:
+        imgs = imgs[:, None]
+    if imgs.shape[0] != n:
+        raise ValueError("map must be defined on all 2^m vertices")
+    if not np.all(np.isfinite(imgs)):
+        raise ValueError("map contains non-finite values")
+    half = np.arange(n // 2)
+    diag = float(np.sum((imgs[half] - imgs[half ^ (n - 1)]) ** 2))
+    edge = 0.0
+    for j in range(m):
+        lo = np.flatnonzero((np.arange(n) >> j) & 1 == 0)
+        edge += float(np.sum((imgs[lo] - imgs[lo | (1 << j)]) ** 2))
+    if edge == 0.0:
+        return TypeTwoCertificate(diag, 0.0, 0.0, True)
+    return TypeTwoCertificate(diag, edge, diag / edge, False)
+
+
 def cube_distance_matrix(cube) -> np.ndarray:
     """Dense (2^m, 2^m) matrix of the cube's d_p distances from the bit
     matrix: popcount(u xor v) = b_u . (1 - b_v) + b_v . (1 - b_u)."""
-    b = cube.bit_matrix()
+    b = bit_matrix(cube.m)
     ham = b @ (1.0 - b).T
-    ham += ham.T  # exact in float64 for m <= 14
+    ham += ham.T  # exact integers in float64
     return ham ** (1.0 / distance_root(cube.p))
 
 
@@ -312,7 +357,7 @@ def dense_distortion(f, cube) -> float:
     their (n, n, d) difference array, and the upper-triangle pairs of it
     and of :func:`cube_distance_matrix`."""
     dom = cube_distance_matrix(cube)
-    imgs = np.asarray([np.asarray(f(b), dtype=float) for b in cube.bit_matrix()])
+    imgs = np.asarray([np.asarray(f(b), dtype=float) for b in bit_matrix(cube.m)])
     diff = imgs[:, None, :] - imgs[None, :, :]
     im = np.sqrt(np.sum(diff ** 2, axis=2))
     iu = np.triu_indices(len(imgs), k=1)
@@ -324,7 +369,7 @@ def dense_distortion(f, cube) -> float:
 
 def cube_distance(u: int, v: int, cube) -> float:
     """d_p between two vertices of ``cube`` given as bitmasks."""
-    n = cube.n_vertices
+    n = 1 << cube.m
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError("vertex masks out of range")
     h = (u ^ v).bit_count()
@@ -552,6 +597,21 @@ def preset_formulas(name: str, q: float | None = None, beta: float | None = None
             "eta": eta(q), "gamma": 2.0 * gamma_q, "xi": 2.0 * xi_q,
             "eps_mult": c_hi * 2.0 ** gamma_q, "mu_mult": c_lo * (2.0 / math.e) ** xi_q,
             "n0": 2}
+
+
+def coarse_step_count_search(schedule, d) -> np.ndarray:
+    """#{n >= n0 : r_n <= d} by a doubling search for the first range past
+    max(d), then ``searchsorted`` over the ranges up to it."""
+    d = np.atleast_1d(d)
+    hi = float(np.max(d))
+    n_max = schedule.n0 + 4
+    while float(schedule.r(n_max)) <= hi:
+        n_max *= 2
+        if n_max > 10 ** 9:
+            raise ValueError("coarse range sequence grows too slowly for these distances")
+    ns = np.arange(schedule.n0, n_max + 1)
+    r_vals = np.asarray(schedule.r(ns), dtype=float)
+    return np.searchsorted(r_vals, d, side="right")
 
 
 def glued_mass_interval(e, d) -> tuple[np.ndarray, np.ndarray]:

@@ -24,7 +24,7 @@ from embedlab.amenable import (
     sample_tree_pairs,
     sample_zk_pairs,
 )
-from embedlab.finite_geometry import cube_report, enflo_type2_certificate, probe_audit
+from embedlab.finite_geometry import cube_report, probe_audit
 from embedlab.glue import GaussianBlockFamily, glue, per_pair_bounds_check, preset_schedule
 from embedlab.mazur import audit_sphere_pairs, sphere_pair_tiles
 from embedlab.moduli import (
@@ -35,7 +35,7 @@ from embedlab.moduli import (
     fit_exponent,
     glued_certifier,
 )
-from oracles import ray_segment, zk_ball, zk_metric
+from oracles import enflo_type2_certificate, ray_segment, zk_ball, zk_metric
 
 
 def _verify_args(extra):

@@ -88,13 +88,21 @@ class TestExitCodes:
         (["folner", "--group", "tree", "--p", "1023", "--max-dist", "50", "--pairs", "20"],
          "the upper bound's 2^p leaves the float range at p = 1023"),
         (["moduli", "--preset", "strong_qle1", "--q", "0.1", "--beta", "1.1"],
-         "strong_qle1 at q=0.1: the bandwidths r_n leave the float range"),
+         "strong_qle1 at q=0.1: the bandwidths r_n leave the float range at block 15"),
         (["moduli", "--preset", "strong_qge2", "--q", "130", "--beta", "1.05",
           "--n-terms", "20", "--pairs", "512"],
          "the float32 block masses at q=130 leave the float32 range"),
+        (["moduli", "--preset", "strong_qle1", "--q", "0.14", "--beta", "1.1",
+          "--n-terms", "400", "--pairs", "512"],
+         "strong_qle1 at q=0.14: the bandwidths r_n leave the float range at block 231"),
+        (["moduli", "--preset", "strong_qle1", "--q", "0.13", "--beta", "1.1"],
+         "strong_qle1 at q=0.13: the bandwidths r_n leave the float range at block 101"),
+        (["moduli", "--preset", "strong_qle1", "--q", "0.05", "--beta", "1.1"],
+         "strong_qle1 at q=0.05: the bandwidths r_n leave the float range at block 3"),
     ], ids=["moduli-q2000", "moduli-q1e300", "mazur-grid", "folner-z2", "folner-tree",
             "moduli-q300", "moduli-q1000", "folner-z2-p1020", "folner-tree-p1023",
-            "moduli-qle1-q0.1", "moduli-rff-q130"])
+            "moduli-qle1-q0.1", "moduli-rff-q130", "moduli-qle1-q0.14-400",
+            "moduli-qle1-q0.13", "moduli-qle1-q0.05"])
     def test_constants_beyond_the_float_range_are_usage_errors(self, tmp_path, argv, message):
         # A constant that overflows, or underflows to 0 and is inverted,
         # names its exponent and exits 2, not 1 (a violated bound).  A
@@ -114,10 +122,16 @@ class TestExitCodes:
         ["moduli", "--preset", "strong_qge2", "--q", "3.7", "--beta", "1.05",
          "--n-terms", "20", "--pairs", "512"],
         ["verify", "--suite", "mazur", "--grid", "1,1000", "--samples", "200"],
-    ], ids=["moduli-q3.7", "mazur-grid-1-1000"])
+        ["moduli", "--preset", "strong_qle1", "--q", "0.14", "--beta", "1.1",
+         "--n-terms", "100", "--pairs", "512"],
+        ["moduli", "--preset", "strong_qle1", "--q", "0.1", "--beta", "1.1",
+         "--n-terms", "10", "--pairs", "512"],
+    ], ids=["moduli-q3.7", "mazur-grid-1-1000", "moduli-qle1-q0.14-100",
+            "moduli-qle1-q0.1-10"])
     def test_exponents_inside_the_float_range_run_clean(self, tmp_path, argv):
-        # The budget tail sits on the borderline at every q, and a Mazur
-        # margin past the float range is +inf: no refusal, no warning.
+        # The budget tail sits on the borderline at every q, a Mazur
+        # margin past the float range is +inf, and a strong_qle1 run whose
+        # realized bandwidths stay positive builds: no refusal, no warning.
         out = tmp_path / "out.json"
         flag = "--out" if argv[0] == "verify" else "--json-out"
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",

@@ -8,15 +8,13 @@ import pytest
 from embedlab.finite_geometry import (
     GkSpace,
     HammingCube,
-    MAX_CUBE_MATRIX_DIM,
     MAX_CUBE_PAIR_DIM,
     cube_report,
     enflo_lower_bound,
-    enflo_type2_certificate,
     probe_audit,
 )
-from oracles import (cube_distance, cube_distance_matrix, gk_elements, gk_incidence_matrix,
-                     gk_probe_audit)
+from oracles import (bit_matrix, cube_distance, cube_distance_matrix, enflo_type2_certificate,
+                     gk_elements, gk_incidence_matrix, gk_probe_audit)
 
 
 class TestHammingCube:
@@ -35,28 +33,24 @@ class TestHammingCube:
 
     def test_pairwise_matrix_matches_metric(self):
         cube = HammingCube(4, 1.5)
-        for u in range(cube.n_vertices):
-            row = cube.distances_from(u, np.arange(cube.n_vertices))
-            for v in range(cube.n_vertices):
+        for u in range(16):
+            row = cube.distances_from(u, np.arange(16))
+            for v in range(16):
                 assert row[v] == pytest.approx(cube_distance(u, v, cube), abs=1e-12)
         # the rows are the dense matrix of the bit-matrix product, bit for bit
         for m, p in ((3, 0.5), (6, 1.0), (8, 1.5), (8, 3.0)):
             cube = HammingCube(m, p)
-            rows = [cube.distances_from(u, np.arange(cube.n_vertices))
-                    for u in range(cube.n_vertices)]
+            rows = [cube.distances_from(u, np.arange(1 << m)) for u in range(1 << m)]
             assert np.array_equal(np.array(rows), cube_distance_matrix(cube))
 
     def test_bit_matrix_rows_encode_vertices(self):
-        b = HammingCube(3, 1.0).bit_matrix()
+        b = bit_matrix(3)
         assert b.shape == (8, 3)
         assert np.array_equal(b[5], [1.0, 0.0, 1.0])  # 0b101, low bit first
 
     def test_caps(self):
         with pytest.raises(ValueError):
             HammingCube(MAX_CUBE_PAIR_DIM + 1, 1.0)
-        big = HammingCube(MAX_CUBE_MATRIX_DIM + 1, 1.0)
-        with pytest.raises(ValueError):
-            big.bit_matrix()
         with pytest.raises(ValueError):
             HammingCube(0, 1.0)
 
@@ -174,9 +168,13 @@ class TestEnfloBound:
 
 
 class TestTypeTwoCertificate:
+    """Enflo's diagonal/edge certificate, a test oracle: the theorems it
+    checks hold for every map into a Hilbert space, so no map the package
+    builds is audited by it."""
+
     def test_identity_coordinates_are_extremal(self):
         m = 5
-        cert = enflo_type2_certificate(HammingCube(m, 1.0).bit_matrix(), m)
+        cert = enflo_type2_certificate(bit_matrix(m), m)
         assert cert.diagonal_sum == m * 2 ** (m - 1)
         assert cert.edge_sum == m * 2 ** (m - 1)
         assert cert.ratio == 1.0
@@ -190,6 +188,19 @@ class TestTypeTwoCertificate:
             cloud = rng.normal(size=(16, 3))
             cert = enflo_type2_certificate(cloud, 4)
             assert cert.ratio <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_the_cube_suite_draws_obey_enflo_and_the_parallelogram_identity(self, m):
+        # One Philox stream keyed (0, 104), drawn for k = 2, 3, ... in turn:
+        # a Gaussian cloud on the 2^k vertices, then a Gaussian linear map
+        # of the bit rows.  Clouds never beat Enflo's ratio of 1; linear
+        # maps meet it (the parallelogram identity).
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((0, 104))))
+        for k in range(2, m + 1):
+            cloud = rng.standard_normal((1 << k, k))
+            A = rng.standard_normal((k, k))
+        assert enflo_type2_certificate(cloud, m).ratio <= 1 + 1e-12
+        assert abs(enflo_type2_certificate(bit_matrix(m) @ A.T, m).ratio - 1.0) <= 1e-12
 
     def test_constant_map_degenerate(self):
         cert = enflo_type2_certificate(np.ones((8, 2)), 3)
@@ -215,12 +226,14 @@ class TestCubeReport:
 
     @pytest.mark.parametrize("m", range(1, 13))
     def test_certificate_ratio_is_the_bit_matrix_certificate(self, m):
-        want = enflo_type2_certificate(HammingCube(m, 1.0).bit_matrix(), m)
+        want = enflo_type2_certificate(bit_matrix(m), m)
         assert want.diagonal_sum == want.edge_sum == m * 2 ** (m - 1)
         got = cube_report(m, 1.0)["certificate_ratio"]
         assert np.float64(got).tobytes() == np.float64(want.ratio).tobytes()
 
     def test_cubes_past_the_matrix_cap_are_reported(self):
-        rep = cube_report(MAX_CUBE_MATRIX_DIM + 10, 1.0)
+        # The oracle's bit matrix stops at 2^20 rows; the closed form
+        # reports every cube up to the cap of HammingCube.
+        rep = cube_report(MAX_CUBE_PAIR_DIM, 1.0)
         assert rep["certificate_ratio"] == 1.0
-        assert rep["measured_distortion"] == pytest.approx(math.sqrt(MAX_CUBE_MATRIX_DIM + 10))
+        assert rep["measured_distortion"] == pytest.approx(math.sqrt(MAX_CUBE_PAIR_DIM))

@@ -1,7 +1,9 @@
 """Gluing schedules, certified budgets, and the per-pair bound audits."""
 
 import math
+import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from embedlab.glue import (
     GluedEmbedding,
     ParamSchedule,
     PowerLogSeq,
+    _coarse_step_count,
     glue,
     per_pair_bounds_check,
     preset_schedule,
 )
 
-from oracles import glued_interval, glued_mass_interval, preset_formulas
+from oracles import (coarse_step_count_search, glued_interval, glued_mass_interval,
+                     preset_formulas)
 
 # Exponent grids of the strong presets, each over its whole range.
 GRIDS = {"strong_qle1": [k / 100 for k in range(14, 101)],
@@ -130,7 +134,8 @@ class TestScheduleInvariants:
         shrinking = PowerLogSeq(1.0, -1.0, -2.0)  # 1 / (n ln^2 n)
         ok = dict(name="x", q=2.0, kind="strong", beta=2.0)
         ParamSchedule(r_seq=shrinking, **ok)
-        with pytest.raises(ValueError):  # strong bandwidths must not grow
+        # growing bandwidths break the budget form, which forces decrease
+        with pytest.raises(ValueError, match="need budgets"):
             ParamSchedule(r_seq=PowerLogSeq(1.0, 1.0, 2.0), **ok)
         with pytest.raises(ValueError, match="diverges"):  # eps budget must be q-summable
             ParamSchedule(r_seq=PowerLogSeq(1.0, -1.0, -1.0), **{**ok, "beta": 1.0})
@@ -143,6 +148,12 @@ class TestScheduleInvariants:
         for q in (0.0, math.inf, math.nan):  # the exponent has a distance root
             with pytest.raises(ValueError, match="exponent must be a finite positive real"):
                 ParamSchedule(r_seq=shrinking, **{**ok, "q": q})
+        coarse = dict(name="x", q=2.0, kind="coarse", nu=0.75)
+        ParamSchedule(r_seq=PowerLogSeq(1.0, 1.0, 0.0, n_min=3), **coarse)
+        for r_seq in (PowerLogSeq(2.0, 1.0, 0.0), PowerLogSeq(1.0, 2.0, 0.0),
+                      PowerLogSeq(1.0, 1.0, 1.0)):
+            with pytest.raises(ValueError, match="coarse schedules need ranges r_n = n"):
+                ParamSchedule(r_seq=r_seq, **coarse)
 
     @pytest.mark.parametrize("beta", [1.01, 1.05, 1.1, 2.0])
     @pytest.mark.parametrize("name", list(GRIDS))
@@ -169,6 +180,30 @@ class TestScheduleInvariants:
             last = sched.n0 + 99
             want = sched.eps_mult ** q * (math.log(last) ** (1 - beta) / (beta - 1))
             assert sched.eps_q_tail(100) == want, q
+
+    @pytest.mark.parametrize("n0", [1, 3])
+    def test_coarse_step_count_is_the_search(self, n0):
+        sched = ParamSchedule("x", 2.0, "coarse", PowerLogSeq(1.0, 1.0, 0.0, n_min=n0), nu=0.75)
+        rng = np.random.default_rng(39)
+        for d in (rng.uniform(0.0, 5e5, 20_000), np.arange(0.0, 2000.5, 0.5),
+                  np.array([1 - 1e-6])):
+            got = _coarse_step_count(sched, d)
+            assert np.array_equal(got, coarse_step_count_search(sched, d))
+
+    @pytest.mark.parametrize("beta", [1.01, 1.05, 1.1, 2.0])
+    @pytest.mark.parametrize("name", list(GRIDS))
+    def test_realized_bandwidths_fall_and_thresholds_rise(self, name, beta):
+        # The budget form forces both exponents of r_n negative; realized
+        # over 2000 blocks, or the blocks before the first one refused.
+        for q in GRIDS[name]:
+            fam = GaussianBlockFamily(preset_schedule(name, q=q, beta=beta))
+            try:
+                e = glue(fam, n_terms=2000)
+            except ValueError as exc:
+                first = int(re.fullmatch(r".* at block (\d+)", str(exc)).group(1))
+                e = glue(fam, n_terms=first - fam.schedule.n0)
+            assert np.all(np.diff(e.bandwidths) <= 0), q
+            assert np.all(np.diff(e.s_values) >= 0), q
 
     def test_to_json_dict_echoes_parameters(self):
         d = preset_schedule("strong_qge2", q=4.0, beta=1.05).to_json_dict()
@@ -302,6 +337,22 @@ class TestGluedEmbedding:
         assert np.array_equal(lo, hi) == (q is None)
         for got, want in zip(e.mass_interval(d), glued_mass_interval(e, d)):
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("backend", ["kernel", "exp", "rff"])
+    @pytest.mark.parametrize("q, n_terms, block", [(0.14, 400, 231), (0.13, 200, 101),
+                                                    (0.1, 200, 15), (0.05, 200, 3)])
+    def test_blocks_past_the_float_range_are_refused_by_number(self, backend, q, n_terms,
+                                                               block):
+        fam = GaussianBlockFamily(preset_schedule("strong_qle1", q=q, beta=1.1),
+                                  backend=backend)
+        message = (f"strong_qle1 at q={q:g}: the bandwidths r_n leave the float range "
+                   f"at block {block}$")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match=message):
+                glue(fam, n_terms=n_terms)
+            e = glue(fam, n_terms=block - 2)  # the blocks before it are realized
+        assert np.all(e.bandwidths > 0) and np.all(np.isfinite(e.s_values))
 
     def test_thread_count_below_one_is_refused(self):
         fam = GaussianBlockFamily(preset_schedule("warmup_l2", beta=2.0))

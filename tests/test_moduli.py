@@ -131,7 +131,7 @@ class TestEstimateModuli:
         class OnEdges:  # every separation sits exactly on a bin edge
             t_min, t_max = 0.1, 10.0
 
-            def sample(self, n, seed):
+            def sample(self, n, seed, dtype):
                 t = np.geomspace(self.t_min, self.t_max, 5)
                 return np.zeros((n, 1)), np.zeros((n, 1)), t
 
