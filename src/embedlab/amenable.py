@@ -6,12 +6,13 @@ Models are discrete (counting measure) so every defect and every block
 distance is exact integer set arithmetic, computed in closed form: box
 and tree-segment symmetric differences over arrays of pairs (hence every
 block distance), the worst box defect, and the Heisenberg gauge-ball
-defect as a sum of z-fiber interval overlaps.  Nothing here enumerates
-a Folner set or keeps a scalar group law; the enumerations and scalar
-group operations live in the tests as the oracles these closed forms are
-checked against.  The support radius rad(n) is a closed form too: the
-box corners and the segment vertices it bounds are walked only by the
-test oracles.  The glued-bound audit is one array pass over all pairs.
+defect of the generator (1, 0, 0) as O(R) arithmetic series over the
+z-fiber heights.  Nothing here enumerates a Folner set or keeps a scalar
+group law; the enumerations, the fiber sum of any translate and the
+scalar group operations live in the tests as the oracles these closed
+forms are checked against.  The support radius rad(n) is a closed form
+too: the box corners and segment vertices it bounds are walked only by
+the test oracles.  The glued-bound audit is one array pass over pairs.
 
 Both set systems (boxes of Z^k, tree segments) share one array interface
 (``model``, the schedule ``r``, ``eps``, ``a_eps``, ``size`` and ``rad``,
@@ -41,7 +42,6 @@ _MAX_DIST = 1 << 62  # keeps Z^k lengths plus the +-1000 base points inside int6
 _TREE_BASE_DEPTH = 40  # sampled tree pairs start at depth 0.._TREE_BASE_DEPTH
 _TREE_BLOCK = 512  # tree walks per sampling block, each block its own stream
 _TREE_CHUNK = 256  # walk steps drawn at once
-_HEIS_SLAB = 1 << 16  # grid points per vectorized slab of the fiber sum
 
 
 # ---------------------------------------------------------------------------
@@ -136,53 +136,54 @@ def box_defect(half_side: int, g) -> float:
     return 2 * (total - box_intersection_count(half_side, g)) / total
 
 
-def heis_intersection_count(radius: int, g) -> int:
-    """|F cap gF| for the gauge ball F = B(R) and g = (a, b, c), summed
-    fiber by fiber.
+def heis_generator_overlap(radius: int) -> int:
+    """|B(R) cap gB(R)| for the gauge ball and g = (1, 0, 0), in O(R).
 
-    F has the z-fiber [-h, h], h = (R - |x| - |y|)^2, over each (x, y)
-    with |x| + |y| <= R.  Left translation by g carries the fiber over
-    (x - a, y - b) to the fiber over (x, y), shifted by c + a (y - b), so
-    |F cap gF| is one integer interval overlap per (x, y): O(R^2) terms,
-    taken in slabs of x rows to bound the memory.
+    Translation by g carries the z-fiber over (x - 1, y) to the column
+    (x, y), shifted by y, where it meets [-h, h]: with h = (R - |x| - |y|)^2,
+    h' = (R - |x - 1| - |y|)^2 and s = |y| the overlap is
+    max(0, min(h, h' + s) + min(h, h' - s) + 1).  The columns x >= 1
+    (u = x - 1) and x <= 0 (u = -x) have the heights (o^2, (o + 1)^2) and
+    ((o + 1)^2, o^2), o = R - 1 - u - s >= 0, and both overlap in
+    f(o, s) = 2 o^2 + 1 for s <= 2 o + 1, else max(0, 2 o^2 + 2 o + 2 - s).
+    So the count is 2 sum_{o=0}^{R-1} sum_{s=0}^{R-1-o} w(s) f(o, s), with
+    w(0) = 1 and w(s) = 2 (the two signs of y) otherwise, and each inner
+    sum is two arithmetic series: the band s <= 2 o + 1 and the tail.
     """
-    r = int(radius)
-    a, b, c = g
-    y = np.arange(-r, r + 1)[None, :]
-    rows = max(1, _HEIS_SLAB // y.size)
-    total = 0
-    for x0 in range(-r, r + 1, rows):
-        x = np.arange(x0, min(x0 + rows, r + 1))[:, None]
-        own = r - np.abs(x) - np.abs(y)
-        moved = r - np.abs(x - a) - np.abs(y - b)
-        shift = c + a * (y - b)
-        lo = np.maximum(-own ** 2, shift - moved ** 2)
-        hi = np.minimum(own ** 2, shift + moved ** 2)
-        overlap = np.maximum(hi - lo + 1, 0)
-        total += int(overlap[(own >= 0) & (moved >= 0)].sum())
-    return total
+    r, total = int(radius), 0
+    for o in range(r):
+        top = r - 1 - o  # the largest s of this o
+        total += (2 * o * o + 1) * (2 * min(top, 2 * o + 1) + 1)
+        c = 2 * o * o + 2 * o + 2
+        lo, hi = 2 * o + 2, min(top, c - 1)  # the tail, where c - s > 0
+        total += max(0, hi - lo + 1) * (2 * c - lo - hi)
+    return 2 * total
 
 
-def heis_worst_defects(radii: dict[int, int]) -> dict[int, float]:
-    """Worst generator defect of the gauge ball of radius ``radii[n]``,
-    over the generators (+-1, 0, 0) and (0, +-1, 0): that of (1, 0, 0).
+def heis_worst_defects(n_min: int, n_max: int) -> list[tuple[int, float, int, float]]:
+    """(n, eps_n, R_n, worst defect) for n = n_min..n_max: the gauge ball of
+    radius R_n = floor(1/eps_n) and its worst defect over the generators
+    (+-1, 0, 0) and (0, +-1, 0), that of (1, 0, 0).
 
-    For any finite F and any g, |F cap gF| = |F cap g^-1 F|: left
-    translation by g^-1 is a bijection of the group, so it carries
-    F cap gF onto g^-1 F cap F with the same count.  Under the product
-    (x, y, z)(x', y', z') = (x + x', y + y', z + z' + x y') the inverse of
-    (1, 0, 0) is (-1, 0, 0) and that of (0, 1, 0) is (0, -1, 0), so the
-    four counts are those of (1, 0, 0) and (0, 1, 0).  The gauge is
-    symmetric in x and y, so swapping them maps the column pairs of one
-    onto those of the other, fiber heights h and h' kept.  A (0, 1, 0)
-    overlap is 2 min(h, h') + 1, both fibers centred; a (1, 0, 0) overlap
-    shears the same two fibers, so it is at most that: the least count.
+    For any finite F and g, |F cap gF| = |F cap g^-1 F| (left translation
+    by g^-1 carries one onto the other), and the inverses of (1, 0, 0) and
+    (0, 1, 0) under (x, y, z)(x', y', z') = (x + x', y + y', z + z' + x y')
+    are (-1, 0, 0) and (0, -1, 0), so the four counts are those of
+    (1, 0, 0) and (0, 1, 0).  The gauge is symmetric in x and y, so
+    swapping them maps the column pairs of one onto those of the other,
+    fiber heights h and h' kept.  A (0, 1, 0) overlap is 2 min(h, h') + 1,
+    both fibers centred; a (1, 0, 0) overlap shears the same two fibers,
+    so it is at most that: the least count.
     """
-    out = {}
-    for n, radius in radii.items():
+    if not 2 <= n_min <= n_max:
+        raise ValueError("need 2 <= n_min <= n_max")
+    rows = []
+    for n in range(n_min, n_max + 1):
+        eps = _preset_eps(n)
+        radius = int(1.0 / eps)
         total = HeisenbergModel().ball_count(radius)
-        out[n] = 2 * (total - heis_intersection_count(radius, (1, 0, 0))) / total
-    return out
+        rows.append((n, eps, radius, 2 * (total - heis_generator_overlap(radius)) / total))
+    return rows
 
 
 # ---------------------------------------------------------------------------

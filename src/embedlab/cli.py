@@ -390,22 +390,21 @@ def cmd_folner(args: argparse.Namespace) -> int:
 
     fields: dict = {"run_kind": "folner", "group": args.group}
     if args.group == "heis":  # translation defects and volume growth only
-        if not 2 <= args.n_min <= args.n_max:
-            raise ValueError("need 2 <= n_min <= n_max")
-        radii = {n: int(1.0 / amenable._preset_eps(n)) for n in range(args.n_min, args.n_max + 1)}
-        defects = amenable.heis_worst_defects(radii)
-        # volume growth over the radii r = n_min..n_max, the run's index
-        # range (not the witness radii above); one radius has no slope
+        for flag, value in (("--p", args.p), ("--bound-scale", args.bound_scale)):
+            if value != 1.0:  # a control that cannot fail: heis audits no bound yet
+                raise ValueError(f"{flag} {value:g} does not apply: --group heis audits no bound")
+        rows = amenable.heis_worst_defects(args.n_min, args.n_max)
+        ns, eps, radii, defects = (list(col) for col in zip(*rows))
+        # volume growth over the indices r = n_min..n_max, not the radii R_n; one r has no slope
         growth = (amenable.heisenberg_growth_fit(args.n_max, args.n_min)
                   if args.n_min < args.n_max else None)
         # No glued embedding is realized here, so this run must not feed
         # the comparison table's measured column.
         fields.update({"report_kind": "folner_run", "growth_fit": growth,
-                       "defects": {str(n): defects[n] for n in defects}, "violations": 0})
+                       "defects": {str(n): v for n, v in zip(ns, defects)}, "violations": 0})
         return _emit_run(args, fields, extra={
-            "n": list(radii), "eps_n": [amenable._preset_eps(n) for n in radii],
-            "rad_n": [float(r) for r in radii.values()],
-            "measured_defect_max": [defects[n] for n in radii]})
+            "n": ns, "eps_n": eps, "rad_n": [float(r) for r in radii],
+            "measured_defect_max": defects})
     system = amenable.folner_system(args.group, args.n_min, args.n_max)
     n_range = range(args.n_min, args.n_max + 1)
     edges = [system.r(n) for n in n_range] + [args.max_dist]

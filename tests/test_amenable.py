@@ -23,7 +23,7 @@ from embedlab.amenable import (
     box_intersection_count,
     char_embedding_bound_check,
     glued_group_embedding,
-    heis_intersection_count,
+    heis_generator_overlap,
     heis_worst_defects,
     heisenberg_growth_fit,
     sample_tree_pairs,
@@ -31,8 +31,8 @@ from embedlab.amenable import (
 )
 from oracles import (MAX_SET_SIZE, block_distance_pth, bounds_check_per_pair, check_node,
                      folner_defect, folner_set, group_metric, heis_ball, heis_ball_count,
-                     heis_defect, heis_fiber_overlap, heis_gauge, heis_inv, heis_metric,
-                     heis_mul, ray_segment,
+                     heis_defect, heis_fiber_overlap, heis_gauge, heis_intersection_count,
+                     heis_inv, heis_metric, heis_mul, ray_segment,
                      set_at, support_reach, sym_diff_count, tree_metric, zk_ball, zk_gauge,
                      zk_inv, zk_metric, zk_mul, zk_support_reach)
 
@@ -587,18 +587,21 @@ class TestClosedFormOracles:
                 gF = {heis_mul(g, f) for f in F}
                 assert heis_intersection_count(radius, g) == len(F & gF), (radius, g)
                 assert heis_defect(radius, g) == folner_defect(F, g, model), (radius, g)
+            gF = {heis_mul((1, 0, 0), f) for f in F}
+            assert heis_generator_overlap(radius) == len(F & gF), radius
         assert heis_defect(12, (30, 0, 0)) == 2.0  # disjoint translate
         assert heis_defect(12, (0, 0, 0)) == 0.0
 
     def test_heisenberg_worst_defect_is_the_generator_maximum(self):
         model = HeisenbergModel()
-        radii = {n: math.floor(1.0 / _preset_eps(n)) for n in range(2, 7)}
-        got = heis_worst_defects(radii)
-        assert got[2] == 34 / 29
+        rows = heis_worst_defects(2, 6)
+        assert [row[0] for row in rows] == [2, 3, 4, 5, 6]
+        assert rows[0][3] == 34 / 29
         gens = ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))
-        for n, radius in radii.items():
+        for n, eps, radius, defect in rows:
+            assert (eps, radius) == (_preset_eps(n), math.floor(1.0 / _preset_eps(n)))
             F = set(heis_ball(model, radius))
-            assert got[n] == max(folner_defect(F, g, model) for g in gens)
+            assert defect == max(folner_defect(F, g, model) for g in gens)
 
     def test_heisenberg_generator_and_inverse_counts_agree(self):
         # |F cap gF| = |F cap g^-1 F|, so the worst defect needs only one
@@ -608,7 +611,8 @@ class TestClosedFormOracles:
             F = set(heis_ball(model, radius))
             counts = [heis_intersection_count(radius, g)
                       for g in ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0))]
-            assert counts[0] == counts[1] and counts[2] == counts[3], radius
+            assert heis_generator_overlap(radius) == counts[0] == counts[1], radius
+            assert counts[2] == counts[3], radius
             assert counts[0] == len(F & {heis_mul((1, 0, 0), f) for f in F}), radius
             assert counts[2] == len(F & {heis_mul((0, 1, 0), f) for f in F}), radius
 
@@ -616,17 +620,19 @@ class TestClosedFormOracles:
         # |B cap (1,0,0)B| <= |B cap (0,1,0)B| at every radius, so the
         # worst generator defect is that of (1, 0, 0) alone.
         for radius in range(151):
-            counts = [heis_intersection_count(radius, g) for g in ((1, 0, 0), (0, 1, 0))]
+            counts = [heis_generator_overlap(radius), heis_intersection_count(radius, (0, 1, 0))]
             assert counts[0] <= counts[1], radius
             if radius % 10 == 0 or radius < 10:
                 assert counts == [heis_fiber_overlap(radius, g)
                                   for g in ((1, 0, 0), (0, 1, 0))], radius
 
-    @pytest.mark.parametrize("slab", [1, 50, 100])  # 1, 2 and 4 of the 25 rows per slab
-    def test_heisenberg_count_ignores_the_slab_size(self, monkeypatch, slab):
-        want = [heis_intersection_count(12, g) for g in ((1, 0, 0), (2, -1, 3))]
-        monkeypatch.setattr(amenable, "_HEIS_SLAB", slab)
-        assert [heis_intersection_count(12, g) for g in ((1, 0, 0), (2, -1, 3))] == want
+    def test_heisenberg_generator_overlap_is_the_fiber_sum(self):
+        # every radius to 400, the n = 60 and n = 120 witness radii, and
+        # 4.6 times the n = 60 radius
+        assert [math.floor(1.0 / _preset_eps(n)) for n in (60, 120)] == [1005, 2750]
+        for radius in [*range(401), 1005, 2750, 4620]:
+            assert heis_generator_overlap(radius) == heis_intersection_count(radius, (1, 0, 0)), \
+                radius
 
     @pytest.mark.parametrize("tree", [False, True])
     def test_glued_distances_equal_the_scalar_sum_bitwise(self, tree):

@@ -330,6 +330,20 @@ class TestExitCodes:
         assert "argument --p: must be a finite number >= 1, got 0.5\n" in err
         assert not out_csv.exists() and not out_json.exists()
 
+    @pytest.mark.parametrize("flag, value", [("--bound-scale", "0.5"), ("--p", "3")])
+    def test_heis_refuses_a_control_that_cannot_fail(self, tmp_path, capsys, flag, value):
+        # A heis run audits no bound, so a shrunk bound or another p would
+        # pass as a clean run; only the defaults apply.
+        out_csv, out_json = tmp_path / "h.csv", tmp_path / "h.json"
+        code = run(["folner", "--group", "heis", flag, value, "--n-max", "6",
+                    "--out", str(out_csv), "--json-out", str(out_json)])
+        assert code == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == (f"embedlab: {flag} {value} does not apply: "
+                                "--group heis audits no bound\n")
+        assert captured.out == ""
+        assert not out_csv.exists() and not out_json.exists()
+
     def test_folner_suite_p_below_one_is_a_usage_error(self, tmp_path, capsys):
         # verify's --p is shared with the cube and gk suites, which take any
         # p > 0, so the folner suite names the flag itself.
