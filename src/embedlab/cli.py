@@ -425,9 +425,9 @@ def cmd_folner(args: argparse.Namespace) -> int:
         d, root(image_pth), edges,
         certifier=lambda ts: (root(emb.certified_lower_pth(ts)),
                               root(emb.certified_upper_pth(ts))))
-    # Group runs carry the same report kind as l_2 moduli runs so the
-    # comparison table can pick up their fitted exponents.
-    fields.update({"domain": args.group, "target": "lp", "regime": "large_t",
+    # Group runs carry the same report kind as l_2 moduli runs, and name
+    # their p as those name q, so the comparison table matches them on it.
+    fields.update({"domain": args.group, "target": f"l{args.p:g}", "regime": "large_t",
                    "defect_violations": defect_viol, "char_check": char.to_dict(),
                    "glued_bounds": bounds,
                    "violations": (defect_viol + char.violations

@@ -54,12 +54,12 @@ CLAIMS: tuple[ClaimRow, ...] = (
     ClaimRow("l2", "l2", "coarse", 0.5, 0.2, "gaussian-block-gluing",
              "coarse-only preset; envelope must keep rising, slope is "
              "range-dependent"),
-    ClaimRow("z2", "lp", "large_t", 0.5, 0.2, "charfn-block-gluing",
+    ClaimRow("z2", "l1", "large_t", 0.5, 0.2, "charfn-block-gluing",
              "certified witness radius grows like n^2 log^2 n for every "
              "rank, so the lower envelope tracks its inverse"),
-    ClaimRow("tree", "lp", "large_t", 0.5, 0.2, "charfn-block-gluing",
+    ClaimRow("tree", "l1", "large_t", 0.5, 0.2, "charfn-block-gluing",
              "ray-segment collection; same radius growth as the lattice"),
-    ClaimRow("heis", "lp", "large_t", 1.0, 0.2, "charfn-block-gluing",
+    ClaimRow("heis", "l1", "large_t", 1.0, 0.2, "charfn-block-gluing",
              "gauge-ball witness radius is nearly linear; constant in "
              "the defect bound is absolute, not 1"),
 )

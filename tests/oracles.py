@@ -292,16 +292,24 @@ def zk_support_reach(sys, x, n: int) -> float:
     return float(np.abs(box - np.asarray(x)).sum(axis=-1).max())
 
 
+def glued_upper_pth(emb, d: float) -> float:
+    """2 k + K at one separation d: 2 for each of the k blocks with r(n) < d
+    (a block's p-th mass is at most 2 at every p) plus K, the sum over
+    the blocks of min(2 eps'_n, 2)."""
+    tail = sum(min(2.0 * emb.sys.a_eps(n), 2.0) for n in emb.n_range)
+    return 2.0 * sum(1 for n in emb.n_range if emb.sys.r(n) < d) + tail
+
+
 def bounds_check_per_pair(emb, pairs, image_pth, upper_scale: float = 1.0) -> dict:
     """``GluedGroupEmbedding.bounds_check`` as a Python loop over pairs: the
-    separation from the model metric, the step counts as sums over the
-    index range, and the margins reduced by ``min``."""
-    tail = sum(min(2.0 * emb.sys.a_eps(n), 2.0) for n in emb.n_range)
+    separation from the model metric, the upper bound from
+    :func:`glued_upper_pth`, the lower step count as a sum over the index
+    range, and the margins reduced by ``min``."""
     upper_viol = lower_viol = 0
     worst_upper = worst_lower = math.inf
     for (x, y), val in zip(pairs, np.asarray(image_pth).tolist()):
         d = group_metric(emb.model, x, y)
-        ub = (2.0 ** emb.p * sum(1 for n in emb.n_range if emb.sys.r(n) < d) + tail) * upper_scale
+        ub = glued_upper_pth(emb, d) * upper_scale
         lb = 2.0 * sum(1 for n in emb.n_range if d > 2.0 * emb.sys.rad(n))
         worst_upper = min(worst_upper, ub - val)
         worst_lower = min(worst_lower, val - lb)

@@ -434,8 +434,33 @@ class TestGluedGroupEmbedding:
         sys = ZkFolnerSystem(ZkModel(1), n_min=2, n_max=8)
         e = glued_group_embedding(sys, ZkModel(1), 2.0)
         assert e.coarse_step_count(4.5) == 3  # r_n = n < 4.5 for n = 2, 3, 4
+        # 2 per block below the separation, at p = 2 as at every p
         assert e.certified_upper_pth(4.5) == pytest.approx(
-            4.0 * 3 + e.tail_constant(), rel=1e-15)
+            2.0 * 3 + e.tail_constant(), rel=1e-15)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 5.0])
+    @pytest.mark.parametrize("group", ["z1", "z2", "tree"])
+    def test_indicator_blocks_carry_at_most_two(self, group, p):
+        # f = 1_A / |A|^(1/p) and g = 1_B / |B|^(1/p) with |A| = |B|: the
+        # p-th mass sum |f - g|^p is |A Delta B| / |A| <= 2 at every p,
+        # and pointwise |f - g|^p <= f^p + g^p, since f and g are >= 0.
+        sys = amenable.folner_system(group, 2, 4)
+        pairs = sys.sample_pairs(12, 60, seed=3)
+        pairs.append((pairs[0][0], pairs[0][0]))  # one pair of equal sets
+        vals = block_distances_pth(sys, sys.sym_diff_counts(pairs))
+        for n in range(2, 5):  # at most 63^2 points per set
+            for (x, y), val in zip(pairs, vals[:, n - 2].tolist()):
+                a, b = set_at(sys, x, n), set_at(sys, y, n)
+                assert len(a) == len(b) == sys.size(n)
+                f = {v: len(a) ** (-1.0 / p) for v in a}
+                g = {v: len(b) ** (-1.0 / p) for v in b}
+                terms = [(abs(f.get(v, 0.0) - g.get(v, 0.0)) ** p,
+                          f.get(v, 0.0) ** p + g.get(v, 0.0) ** p) for v in a | b]
+                assert all(t <= cap for t, cap in terms)
+                mass = math.fsum(t for t, _ in terms)
+                assert mass == pytest.approx(len(a ^ b) / len(a), rel=1e-12, abs=0)
+                assert mass == pytest.approx(val, rel=1e-12, abs=0)
+                assert mass <= 2.0 * (1 + 1e-12)
 
     def test_bounds_check_clean(self):
         sys = ZkFolnerSystem(ZkModel(2), n_min=2, n_max=8)
@@ -474,18 +499,6 @@ class TestGluedGroupEmbedding:
     def test_non_finite_p_is_refused(self, p):
         with pytest.raises(ValueError, match="group blocks need a finite p >= 1"):
             GluedGroupEmbedding(sys=None, model=None, p=p)
-
-    @pytest.mark.parametrize("n_max, p_ok, p_bad", [(20, 1019, 1020), (6, 1021, 1022),
-                                                    (2, 1023, 1024)])
-    def test_p_whose_upper_bound_overflows_is_refused(self, n_max, p_ok, p_bad):
-        # 2^p times the block count is the upper bound's largest term: 19
-        # blocks hold p = 1019 and not 1020, 5 blocks 1021 and not 1022.
-        for group in ("z2", "tree"):
-            sys = amenable.folner_system(group, 2, n_max)
-            e = glued_group_embedding(sys, sys.model, p_ok)
-            assert math.isfinite(e.certified_upper_pth(1e9) * (1.0 + 1e-9))
-            with pytest.raises(ValueError, match=rf"float range at p = {p_bad}$"):
-                glued_group_embedding(sys, sys.model, p_bad)
 
 
 class TestRadialWitness:

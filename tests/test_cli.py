@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from embedlab import amenable, cli, mazur, moduli
-from oracles import block_distance_pth, group_metric, mazur_grid_audit, zk_ball
+from oracles import (block_distance_pth, glued_upper_pth, group_metric, mazur_grid_audit,
+                     zk_ball)
 
 
 def run(argv):
@@ -75,18 +76,10 @@ class TestExitCodes:
          "Mazur constants at p=2, q=1e+300 leave the float range"),
         (["verify", "--suite", "mazur", "--grid", "1,1100", "--samples", "10"],
          "Mazur constants at p=1, q=1100 leave the float range"),
-        (["folner", "--group", "z2", "--p", "1024", "--n-max", "6", "--max-dist", "50",
-          "--pairs", "20"], "the upper bound's 2^p leaves the float range at p = 1024"),
-        (["folner", "--group", "tree", "--p", "1024", "--n-max", "6", "--max-dist", "50",
-          "--pairs", "20"], "the upper bound's 2^p leaves the float range at p = 1024"),
         (["moduli", "--preset", "strong_qge2", "--q", "300", "--beta", "1.05"],
          "strong_qge2 at q=300: the block floor delta_q leaves the float range"),
         (["moduli", "--preset", "strong_qge2", "--q", "1000", "--beta", "1.05"],
          "strong_qge2 at q=1000: the block floor delta_q leaves the float range"),
-        (["folner", "--group", "z2", "--p", "1020", "--max-dist", "50", "--pairs", "20"],
-         "the upper bound's 2^p leaves the float range at p = 1020"),
-        (["folner", "--group", "tree", "--p", "1023", "--max-dist", "50", "--pairs", "20"],
-         "the upper bound's 2^p leaves the float range at p = 1023"),
         (["moduli", "--preset", "strong_qle1", "--q", "0.1", "--beta", "1.1"],
          "strong_qle1 at q=0.1: the bandwidths r_n leave the float range at block 15"),
         (["moduli", "--preset", "strong_qge2", "--q", "130", "--beta", "1.05",
@@ -99,8 +92,7 @@ class TestExitCodes:
          "strong_qle1 at q=0.13: the bandwidths r_n leave the float range at block 101"),
         (["moduli", "--preset", "strong_qle1", "--q", "0.05", "--beta", "1.1"],
          "strong_qle1 at q=0.05: the bandwidths r_n leave the float range at block 3"),
-    ], ids=["moduli-q2000", "moduli-q1e300", "mazur-grid", "folner-z2", "folner-tree",
-            "moduli-q300", "moduli-q1000", "folner-z2-p1020", "folner-tree-p1023",
+    ], ids=["moduli-q2000", "moduli-q1e300", "mazur-grid", "moduli-q300", "moduli-q1000",
             "moduli-qle1-q0.1", "moduli-rff-q130", "moduli-qle1-q0.14-400",
             "moduli-qle1-q0.13", "moduli-qle1-q0.05"])
     def test_constants_beyond_the_float_range_are_usage_errors(self, tmp_path, argv, message):
@@ -126,12 +118,21 @@ class TestExitCodes:
          "--n-terms", "100", "--pairs", "512"],
         ["moduli", "--preset", "strong_qle1", "--q", "0.1", "--beta", "1.1",
          "--n-terms", "10", "--pairs", "512"],
+        ["folner", "--group", "z2", "--p", "1024", "--n-max", "6", "--max-dist", "50",
+         "--pairs", "20"],
+        ["folner", "--group", "tree", "--p", "1024", "--n-max", "6", "--max-dist", "50",
+         "--pairs", "20"],
+        ["folner", "--group", "z2", "--p", "1020", "--max-dist", "50", "--pairs", "20"],
+        ["folner", "--group", "tree", "--p", "1023", "--max-dist", "50", "--pairs", "20"],
+        ["folner", "--group", "z2", "--p", "1e300", "--max-dist", "50", "--pairs", "20"],
     ], ids=["moduli-q3.7", "mazur-grid-1-1000", "moduli-qle1-q0.14-100",
-            "moduli-qle1-q0.1-10"])
+            "moduli-qle1-q0.1-10", "folner-z2-p1024", "folner-tree-p1024", "folner-z2-p1020",
+            "folner-tree-p1023", "folner-z2-p1e300"])
     def test_exponents_inside_the_float_range_run_clean(self, tmp_path, argv):
         # The budget tail sits on the borderline at every q, a Mazur
-        # margin past the float range is +inf, and a strong_qle1 run whose
-        # realized bandwidths stay positive builds: no refusal, no warning.
+        # margin past the float range is +inf, a strong_qle1 run whose
+        # realized bandwidths stay positive builds, and a group block's
+        # upper bound is 2 at every p: no refusal, no warning.
         out = tmp_path / "out.json"
         flag = "--out" if argv[0] == "verify" else "--json-out"
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
@@ -139,6 +140,10 @@ class TestExitCodes:
                               capture_output=True, text=True)
         assert (proc.returncode, proc.stderr) == (0, "")
         assert out.exists()
+        if argv[0] == "folner":
+            doc = json.loads(out.read_text())
+            assert doc["violations"] == 0
+            assert 0 < doc["glued_bounds"]["worst_upper_margin"] < math.inf
 
     @pytest.mark.parametrize("argv, message", [
         ([], "--preset strong_qge2 needs --q and --beta"),
@@ -883,7 +888,7 @@ class TestFolnerCommand:
             assert row["rho_hat"] == moduli._cell(min(above) if above else math.nan)
             assert row["omega_hat"] == moduli._cell(max(below) if below else math.nan)
             assert row["count"] == str(count)
-            lower, upper = emb.certified_lower_pth(left), emb.certified_upper_pth(right)
+            lower, upper = emb.certified_lower_pth(left), glued_upper_pth(emb, right)
             assert row["certified_lower"] == moduli._cell(lower ** (1 / p))
             assert row["certified_upper"] == moduli._cell(upper ** (1 / p))
         assert sum(int(r["count"]) for r in rows) == sum(1 for t in d if edges[0] <= t <= max_dist)
@@ -899,6 +904,43 @@ class TestFolnerCommand:
         for env in ("rho", "omega"):
             assert doc[f"{env}_fit"]["slope"] == doc[f"{env}_slope"]
             assert doc[f"{env}_fit"]["range"] == [edges[0], max_dist]
+
+    @pytest.mark.parametrize("group,argv", [
+        ("z2", ["--n-max", "8", "--max-dist", "40", "--pairs", "120"]),
+        ("z3", ["--n-min", "3", "--n-max", "9", "--max-dist", "40.6", "--pairs", "120"]),
+        ("tree", ["--n-max", "8", "--max-dist", "30", "--pairs", "150"]),
+    ])
+    def test_a_run_at_p_is_the_p1_run_rooted(self, tmp_path, group, argv):
+        # A block's p-th mass |A Delta B| / |A| and every certified p-th
+        # mass bound are the same at every p, so a run at p is the p = 1
+        # run with each envelope and certified cell raised to 1/p, its
+        # audits unchanged, and its target names its p.
+        def folner(p):
+            out_csv, out_json = tmp_path / f"p{p}.csv", tmp_path / f"p{p}.json"
+            assert run(["folner", "--group", group, "--seed", "5", "--p", p, *argv,
+                        "--out", str(out_csv), "--json-out", str(out_json)]) == cli.EXIT_OK
+            return _csv_rows(out_csv), json.loads(out_json.read_text())
+
+        rows1, doc1 = folner("1")
+        assert doc1["target"] == "l1"
+        rooted = ("rho_hat", "omega_hat", "certified_lower", "certified_upper")
+        for p in ("2", "5", "1024"):
+            rows, doc = folner(p)
+            assert doc["target"] == f"l{p}"
+            assert len(rows) == len(rows1)
+            for row, row1 in zip(rows, rows1):
+                assert {k: v for k, v in row.items() if k not in rooted} == {
+                    k: v for k, v in row1.items() if k not in rooted}
+                for col in rooted:
+                    want = float(row1[col]) ** (1 / float(p))
+                    if math.isnan(want):
+                        assert row[col] == "nan"
+                    else:
+                        assert float(row[col]) == pytest.approx(want, rel=1e-11, abs=0)
+            assert doc["glued_bounds"] == doc1["glued_bounds"]
+            assert doc["violations"] == doc1["violations"] == 0
+            assert doc["char_check"].pop("p") == float(p)
+            assert doc["char_check"] == {k: v for k, v in doc1["char_check"].items() if k != "p"}
 
     def test_few_populated_rows_leave_the_slopes_null(self, tmp_path):
         # n = 2..6 gives five rows and two pairs populate at most two of

@@ -49,16 +49,21 @@ class TestReportTables:
         _write_run(tmp_path, "a.json", rho_slope=0.45, violations=0)
         _write_run(tmp_path, "b.json", domain="l2", target="l1.5",
                    rho_slope=0.3, violations=0, preset="strong_1leqle2")
-        _write_run(tmp_path, "c.json", domain="z2", target="lp",
+        _write_run(tmp_path, "c.json", domain="z2", target="l1",
                    rho_slope=0.4, violations=3, preset=None)
+        # a clean group run at p = 5, whose slope is the p = 1 slope over 5:
+        # no row claims l5, so it must not be read against the l1 row
+        _write_run(tmp_path, "d.json", domain="tree", target="l5",
+                   rho_slope=0.116, violations=0, preset=None)
         table = report_tables(str(tmp_path))
         by_key = {(r["domain"], r["target"], r["regime"]): r for r in table.rows}
         assert by_key[("l2", "l4", "large_t")]["verdict"] == "consistent"
         assert by_key[("l2", "l4", "large_t")]["source"] == "strong_qge2"
         assert by_key[("l2", "l1.5", "large_t")]["verdict"] == "inconsistent"
-        assert by_key[("z2", "lp", "large_t")]["verdict"] == "inconsistent"
-        assert by_key[("tree", "lp", "large_t")]["verdict"] == "not-run"
-        assert by_key[("tree", "lp", "large_t")]["measured_slope"] is None
+        assert by_key[("z2", "l1", "large_t")]["verdict"] == "inconsistent"
+        assert by_key[("tree", "l1", "large_t")]["verdict"] == "not-run"
+        assert by_key[("tree", "l1", "large_t")]["measured_slope"] is None
+        assert not any(r["target"] == "l5" for r in table.rows)
         for row in table.rows:
             assert row["verdict"] in VERDICTS
 
