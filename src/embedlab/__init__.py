@@ -40,7 +40,7 @@ _EXPORTS = {
     "glue": ("GaussianBlockFamily", "GluedEmbedding", "ParamSchedule",
              "per_pair_bounds_check", "preset_schedule"),
     "mazur": ("audit_sphere_pairs", "mazur_constants"),
-    "moduli": ("PairSampler", "estimate_moduli", "fit_exponent", "write_moduli_csv"),
+    "moduli": ("PairSampler", "estimate_moduli", "write_moduli_csv"),
     "report": ("ComparisonTable", "report_tables"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
@@ -54,7 +54,7 @@ __all__ = [
     "ZkFolnerSystem", "ZkModel", "audit_sphere_pairs",
     "char_embedding_bound_check", "cube_report", "delta_q",
     "enflo_lower_bound",
-    "estimate_moduli", "fit_exponent", "glued_group_embedding",
+    "estimate_moduli", "glued_group_embedding",
     "heisenberg_growth_fit", "mazur_constants",
     "moduli_exponents", "per_pair_bounds_check", "preset_schedule",
     "probe_audit", "psi_distance_exact", "report_tables", "write_moduli_csv",

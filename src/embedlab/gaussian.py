@@ -91,14 +91,15 @@ _GATHER_ENTRIES = 16384
 
 
 def psi_distance_exact(d, r):
-    """Exact image distance sqrt(2 (1 - exp(-r d^2))); lives in [0, sqrt(2))."""
+    """Exact image distance sqrt(2 (1 - exp(-r d^2))), in [0, sqrt(2)]."""
     d = np.asarray(d, dtype=float)
     r = np.asarray(r, dtype=float)
     if np.any(d < 0):
         raise ValueError("distances must be nonnegative")
     if np.any(r < 0):
         raise ValueError("bandwidth must be nonnegative")
-    out = np.asarray(-r * d ** 2)  # the one array of the broadcast shape
+    with np.errstate(over="ignore"):  # r d^2 = inf saturates at exactly sqrt(2)
+        out = np.asarray(-r * d ** 2)  # the one array of the broadcast shape
     np.sqrt(np.multiply(np.expm1(out, out=out), -2.0, out=out), out=out)
     return out if out.shape else float(out)
 
@@ -177,11 +178,17 @@ def _rff_table(r: float, n_features: int, seed: tuple, dim: int, dtype: np.dtype
     """The (dim + 1) x n_features table [w; b]: frequencies w with the
     phases b as one more row, so that rows [x, 1] times the table are
     w.x + b.  Drawn in float64 a row at a time, in the stream order of
-    one (dim, n_features) draw, and stored in ``dtype``."""
+    one (dim, n_features) draw, and stored in ``dtype``; a frequency past its
+    range is refused, naming it and block n (``seed`` ends in n in a family)."""
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed + (dim,))))
     wb = np.empty((dim + 1, n_features), dtype=dtype)
-    for row in wb[:dim]:  # no float64 copy of the table, one of a row
-        row[:] = rng.normal(0.0, math.sqrt(2.0 * r), size=n_features)
+    try:
+        with np.errstate(over="raise"):
+            for row in wb[:dim]:  # no float64 copy of the table, one of a row
+                row[:] = rng.normal(0.0, math.sqrt(2.0 * r), size=n_features)
+    except FloatingPointError:
+        raise ValueError(f"the feature table of block {seed[-1]} leaves the {dtype.name} "
+                         f"range: sqrt(2 r_n) = {math.sqrt(2.0 * r):.6g}") from None
     wb[dim] = rng.uniform(0.0, 2.0 * math.pi, size=n_features)
     return wb
 

@@ -148,7 +148,8 @@ class ParamSchedule:
     Budget tails come from the construction, not from products of rounded
     exponents: a strong eps_n^p is (n ln^beta n)^(-p/q), whose tail takes
     the exponents (p/q, (p/q) beta), (1, beta) at p = q; a coarse one is
-    n^(-p nu).
+    n^(-p nu).  The tail from n = 2 bounds the later ones; one past the
+    float range (ln(2)^(1 - beta) at p = q) is refused by preset, q and beta.
 
     No r_n is evaluated here; the shapes of r_n are proofs, not probes.  A
     strong schedule's budget form puts r_n = (n ln^beta n)^(-1/(q gamma_q))
@@ -215,7 +216,13 @@ class ParamSchedule:
         # Budgets must be summable at both the tail-bookkeeping power q
         # and the gluing power m; certify now so construction fails early.
         for p in dict.fromkeys((self.q, m)):
-            self._eps_tail(p, max(self.n0, 2))
+            try:
+                tail = self._eps_tail(p, max(self.n0, 2))
+            except OverflowError:  # Python's float pow raises past the range
+                tail = math.inf
+            if not tail < math.inf:
+                raise ValueError(f"{self.name} at q={self.q:g}, {need}={getattr(self, need):g}: "
+                                 "the budget tail leaves the float range")
 
     # -- sequence access -------------------------------------------------
 

@@ -19,7 +19,7 @@ for 0 < q < p and x, y on the unit sphere of l_p,
 
 where S_p = sum |x_i - y_i|^p and S_q(Mx, My) = sum |Mx_i - My_i|^q.
 For p < q the inequalities reverse; the constants are derived from the
-(q, p) direction through the involution (``derived_by_involution``).
+(q, p) direction through the involution.
 
 Powers go through chains of sqrt, cbrt and square passes where the
 exponent allows one (``_ROOT_STEPS``, ``_ROOT_PRODUCTS``), else numpy's
@@ -214,7 +214,6 @@ class MazurConstants:
     c_upper: float
     lower_exponent: float  # S_p exponent in the lower bound
     upper_exponent: float  # S_p exponent in the upper bound
-    derived_by_involution: bool
 
 
 def mazur_constants(p: float, q: float) -> MazurConstants:
@@ -229,7 +228,6 @@ def mazur_constants(p: float, q: float) -> MazurConstants:
                 p=p, q=q, c_lower=signed_power_constant(alpha) ** q,
                 c_upper=alpha ** q * 2.0 ** (1.0 - q / p),
                 lower_exponent=1.0, upper_exponent=q / p,
-                derived_by_involution=False,
             )
         # p < q: apply the forward estimates to the inverse map M_{q,p} and invert.
         alpha = q / p
@@ -240,7 +238,6 @@ def mazur_constants(p: float, q: float) -> MazurConstants:
             c_lower=c_up_fwd ** (-q / p),   # S_Mq >= (S_p / c_up_fwd)^(q/p)
             c_upper=1.0 / c_low_fwd,        # S_Mq <= S_p / c_low_fwd
             lower_exponent=q / p, upper_exponent=1.0,
-            derived_by_involution=True,
         )
     except (OverflowError, ZeroDivisionError):
         raise ValueError(f"Mazur constants at p={p:g}, q={q:g} leave the float range") from None

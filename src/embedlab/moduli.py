@@ -15,14 +15,15 @@ is closed.  Separations outside ``[edges[0], edges[-1]]`` fall in no row
 but still enter both envelopes.  :func:`reduce_envelopes` is that
 reduction over explicit edges: ``moduli`` runs use log-spaced edges
 through :func:`estimate_moduli`, ``folner`` runs the schedule brackets.
-Both then fit with :func:`fit_envelopes` (a slope is null below five
-usable rows) and render with :func:`write_moduli_csv`.
+Both then fit in one step, :func:`fit_envelopes` (a slope is null below
+five usable rows), and render with :func:`write_moduli_csv`.
 
 Those directions matter: certified theory bounds are checked as
 ``rho_hat >= certified_lower`` and ``omega_hat <= certified_upper``;
 violations of these cannot be explained by sampling and are real
-errors.  Both envelopes are nondecreasing by construction, and
-``rho_hat <= omega_hat`` on every row whose own bin is nonempty.
+errors.  For every input both envelopes are nondecreasing, ``rho_hat <=
+omega_hat`` on every row whose own bin is nonempty, and the counts sum to
+the separations in range (proved in ``tests/oracles.py::envelope_invariants``).
 
 All randomness is derived per pair from (seed, pair index) through a
 counter-based generator, so results are identical for any evaluation
@@ -45,10 +46,8 @@ if TYPE_CHECKING:  # annotations only: folner runs never load the l_2 side
 __all__ = [
     "PairSampler",
     "ModuliEstimate",
-    "ExponentFit",
     "estimate_moduli",
     "reduce_envelopes",
-    "fit_exponent",
     "fit_envelopes",
     "loglog_fit",
     "exact_kernel_engine",
@@ -70,7 +69,8 @@ class PairSampler:
     points) guarantees coverage at every scale; independent sampling
     concentrates all mass at one distance scale.  Base points are
     standard Gaussian, directions uniform on the sphere, and pair i
-    consumes only the stream keyed by (seed, i).
+    consumes only the stream keyed by (seed, i).  A t_max / t_min past
+    the float range, whose log scales the draws, is refused.
     """
 
     t_min: float
@@ -80,6 +80,9 @@ class PairSampler:
     def __post_init__(self) -> None:
         if not (0 < self.t_min < self.t_max):
             raise ValueError("need 0 < t_min < t_max")
+        if not self.t_max / self.t_min < math.inf:
+            raise ValueError(f"t_max / t_min = {self.t_max:g} / {self.t_min:g} "
+                             "leaves the float range")
         if self.dim < 1:
             raise ValueError("need dim >= 1")
 
@@ -198,31 +201,19 @@ def _seed_keys(words: list[int], start: int, stop: int) -> np.ndarray:
 
 @dataclass
 class ModuliEstimate:
-    """Envelope estimates over bins; row j covers [edges[j], edges[j+1]),
-    and the last row also its right edge."""
+    """Envelope estimates over bins, built by :func:`reduce_envelopes`; row
+    j covers [edges[j], edges[j+1]), and the last row also its right edge."""
 
     edges: np.ndarray          # len B+1
     rho_hat: np.ndarray        # len B, at left edges
     omega_hat: np.ndarray      # len B, at right edges
     counts: np.ndarray         # len B
-    n_pairs: int               # separations in [edges[0], edges[-1]]
     certified_lower: np.ndarray | None = None   # at left edges
     certified_upper: np.ndarray | None = None   # at right edges
 
     @property
     def n_bins(self) -> int:
         return len(self.edges) - 1
-
-    def validate(self) -> None:
-        for name, env in (("rho_hat", self.rho_hat), ("omega_hat", self.omega_hat)):
-            vals = env[np.isfinite(env)]
-            if np.any(np.diff(vals) < -1e-12 * (1 + np.abs(vals[:-1]))):
-                raise AssertionError(f"{name} is not nondecreasing")
-        both = np.isfinite(self.rho_hat) & np.isfinite(self.omega_hat) & (self.counts > 0)
-        if np.any(self.rho_hat[both] > self.omega_hat[both] * (1 + 1e-12)):
-            raise AssertionError("rho_hat exceeds omega_hat on a populated bin")
-        if int(self.counts.sum()) != self.n_pairs:
-            raise AssertionError("bin counts do not sum to the in-range pair count")
 
     def certified_violations(self) -> int:
         """Rows where an envelope crosses its certified bound.  In kernel
@@ -273,7 +264,8 @@ def reduce_envelopes(t, img, edges, *,
                      certifier: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
                      ) -> ModuliEstimate:
     """Envelope rows of image distances ``img`` at separations ``t`` over
-    the strictly increasing bin ``edges`` (see the module docstring).
+    the strictly increasing bin ``edges`` (see the module docstring), with
+    no run-time check of the identities that hold for every input.
 
     ``certifier(t)`` may supply certified (lower, upper) image-distance
     bounds; they are recorded per row, and
@@ -305,55 +297,9 @@ def reduce_envelopes(t, img, edges, *,
         cert_lo = np.asarray(certifier(edges[:-1])[0], dtype=float)
         cert_hi = np.asarray(certifier(edges[1:])[1], dtype=float)
 
-    est = ModuliEstimate(edges=edges, rho_hat=rho, omega_hat=omega,
-                         counts=(hi - lo).astype(np.int64),
-                         n_pairs=int(hi[-1] - lo[0]),
-                         certified_lower=cert_lo, certified_upper=cert_hi)
-    est.validate()
-    return est
-
-
-@dataclass(frozen=True)
-class ExponentFit:
-    """Least-squares log-log slope of an envelope over a distance window.
-
-    The slope is an *achieved* scaling of this particular embedding, not
-    a modulus of the underlying space (which takes a supremum over all
-    embeddings and is not observable here).
-    """
-
-    envelope: str
-    slope: float
-    intercept: float
-    t_lo: float
-    t_hi: float
-    residual_rms: float
-    n_bins: int
-
-    def to_dict(self) -> dict:
-        return {"envelope": self.envelope, "range": [self.t_lo, self.t_hi],
-                "slope": self.slope, "intercept": self.intercept,
-                "residual": self.residual_rms, "bins": self.n_bins}
-
-
-def fit_exponent(m: ModuliEstimate, envelope: str, t_lo: float, t_hi: float) -> ExponentFit:
-    """Fit log(envelope) against log(t) on the usable rows inside
-    [t_lo, t_hi] (populated, finite and positive), by the closed-form
-    least squares of :func:`loglog_fit`."""
-    if not (0 < t_lo < t_hi):
-        raise ValueError("need 0 < t_lo < t_hi")
-    if envelope == "rho":
-        ts, vals = m.edges[:-1], m.rho_hat
-    elif envelope == "omega":
-        ts, vals = m.edges[1:], m.omega_hat
-    else:
-        raise ValueError("envelope must be 'rho' or 'omega'")
-    use = (ts >= t_lo) & (ts <= t_hi) & (m.counts > 0) & np.isfinite(vals) & (vals > 0)
-    if int(use.sum()) < 5:
-        raise ValueError(f"only {int(use.sum())} usable bins in range; need >= 5")
-    slope, intercept, residual = loglog_fit(ts[use].tolist(), vals[use].tolist())
-    return ExponentFit(envelope=envelope, slope=slope, intercept=intercept,
-                       t_lo=t_lo, t_hi=t_hi, residual_rms=residual, n_bins=int(use.sum()))
+    return ModuliEstimate(edges=edges, rho_hat=rho, omega_hat=omega,
+                          counts=(hi - lo).astype(np.int64),
+                          certified_lower=cert_lo, certified_upper=cert_hi)
 
 
 def loglog_fit(xs, ys) -> tuple[float, float, float]:
@@ -383,16 +329,20 @@ def loglog_fit(xs, ys) -> tuple[float, float, float]:
 
 def fit_envelopes(m: ModuliEstimate, t_lo: float, t_hi: float) -> dict:
     """``rho_slope``, ``omega_slope``, ``rho_fit`` and ``omega_fit`` over
-    [t_lo, t_hi]; an envelope with fewer than five usable rows there has
-    a null (None) slope and fit."""
+    [t_lo, t_hi], the one fit of an estimate: :func:`loglog_fit` on the rows
+    inside the window, populated, finite and positive (rho at left edges,
+    omega at right), null below five.  A slope is an *achieved* scaling of
+    this embedding, not the space's modulus, which is not observable."""
     if not (0 < t_lo < t_hi):
         raise ValueError("need 0 < t_lo < t_hi")
     doc = {}
-    for env in ("rho", "omega"):
-        try:
-            fit = fit_exponent(m, env, t_lo, t_hi).to_dict()
-        except ValueError:  # too few usable rows: the window is checked above
-            fit = None
+    for env, ts, vals in (("rho", m.edges[:-1], m.rho_hat), ("omega", m.edges[1:], m.omega_hat)):
+        use = (ts >= t_lo) & (ts <= t_hi) & (m.counts > 0) & np.isfinite(vals) & (vals > 0)
+        n, fit = int(use.sum()), None
+        if n >= 5:
+            slope, intercept, residual = loglog_fit(ts[use].tolist(), vals[use].tolist())
+            fit = {"envelope": env, "range": [t_lo, t_hi], "slope": slope,
+                   "intercept": intercept, "residual": residual, "bins": n}
         doc.update({f"{env}_slope": None if fit is None else fit["slope"], f"{env}_fit": fit})
     return doc
 

@@ -38,8 +38,9 @@ to Enflo's inequality on Gaussian clouds and to the parallelogram
 identity on linear maps; its closed-form probe audit of k-subsets
 against the Gram matrix of the incidence rows of every subset.  The
 moduli pair sampler of ``embedlab.moduli`` is checked against one fresh
-generator per pair, and its closed-form log-log fit against
-``np.polyfit``'s least squares.
+generator per pair, its closed-form log-log fit against
+``np.polyfit``'s least squares, and its envelope reductions against the
+three identities proved for every input (:func:`envelope_invariants`).
 
 Each enumerator refuses sets past ``MAX_SET_SIZE`` points.
 """
@@ -697,6 +698,39 @@ def polyfit_loglog(xs, ys) -> tuple[float, float, float]:
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     return float(slope), float(intercept), float(np.sqrt(np.mean(resid ** 2)))
+
+
+def envelope_invariants(est, t) -> None:
+    """Raise AssertionError unless the estimate ``est`` of the separations
+    ``t`` holds the three identities that ``reduce_envelopes`` makes true
+    for every input, each checked exactly, with no tolerance.
+
+    With the pairs sorted by separation, row j reads the suffix minimum
+    of the images at lo_j, the index of the first separation >= edges[j],
+    and their prefix maximum below hi_j, the index of the first one
+    >= edges[j+1] (> edges[-1] on the last row), and counts hi_j - lo_j.
+
+    * Each envelope is nondecreasing where it is defined.  rho_j is the
+      suffix minimum at lo_j, and omega_j the prefix maximum before hi_j;
+      both lo and hi are nondecreasing in j.
+    * rho_j <= omega_j on a populated row.  Some separation t_k lies in
+      the row, so rho_j <= img_k <= omega_j.
+    * The counts sum to the separations in [edges[0], edges[-1]].  Below
+      the last row hi_j = lo_{j+1}, so the sum of hi_j - lo_j telescopes
+      to hi_B - lo_1.
+    """
+    t = np.asarray(t, dtype=float)
+    for name in ("rho_hat", "omega_hat"):
+        env = getattr(est, name)
+        if np.any(np.diff(env[np.isfinite(env)]) < 0):
+            raise AssertionError(f"{name} is not nondecreasing")
+    populated = est.counts > 0
+    if np.any(est.rho_hat[populated] > est.omega_hat[populated]):
+        raise AssertionError("rho_hat exceeds omega_hat on a populated row")
+    in_range = int(np.sum((t >= est.edges[0]) & (t <= est.edges[-1])))
+    if int(est.counts.sum()) != in_range:
+        raise AssertionError(f"the counts sum to {int(est.counts.sum())}, "
+                             f"not to the {in_range} separations in range")
 
 
 def gk_elements(space) -> list[tuple[int, ...]]:

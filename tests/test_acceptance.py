@@ -32,7 +32,7 @@ from embedlab.moduli import (
     estimate_moduli,
     exact_kernel_engine,
     fast_rff_engine,
-    fit_exponent,
+    fit_envelopes,
     glued_certifier,
 )
 from oracles import enflo_type2_certificate, ray_segment, zk_ball, zk_metric
@@ -93,10 +93,9 @@ def test_c04_moduli_slopes_match_the_claimed_exponents():
     e = glue(fam, n_terms=400)
     est = estimate_moduli(fast_rff_engine(e), PairSampler(0.1, 100.0),
                           bins=36, pairs=20000, seed=13)
-    rho = fit_exponent(est, "rho", 1.0, 8.0).slope
-    omega = fit_exponent(est, "omega", 1.0, 8.0).slope
-    assert rho >= 0.35
-    assert 0.4 <= omega <= 0.6
+    doc = fit_envelopes(est, 1.0, 8.0)
+    assert doc["rho_slope"] >= 0.35
+    assert 0.4 <= doc["omega_slope"] <= 0.6
     assert time.monotonic() - start < 180.0
 
     # q = 1.5: compression slope floor 0.5.
@@ -106,7 +105,7 @@ def test_c04_moduli_slopes_match_the_claimed_exponents():
     e = glue(fam, n_terms=160)
     est = estimate_moduli(fast_rff_engine(e), PairSampler(0.1, 100.0),
                           bins=36, pairs=20000, seed=13)
-    assert fit_exponent(est, "rho", 2.0, 20.0).slope >= 0.5
+    assert fit_envelopes(est, 2.0, 20.0)["rho_slope"] >= 0.5
     assert time.monotonic() - start < 180.0
 
     # warm-up at small separations: both slopes within 1 +- 0.1, certified.
@@ -117,8 +116,9 @@ def test_c04_moduli_slopes_match_the_claimed_exponents():
                           bins=36, pairs=20000, seed=11,
                           certifier=glued_certifier(e))
     assert est.certified_violations() == 0
-    assert 0.9 <= fit_exponent(est, "rho", 1e-3, 1e-1).slope <= 1.1
-    assert 0.9 <= fit_exponent(est, "omega", 1e-3, 1e-1).slope <= 1.1
+    doc = fit_envelopes(est, 1e-3, 1e-1)
+    assert 0.9 <= doc["rho_slope"] <= 1.1
+    assert 0.9 <= doc["omega_slope"] <= 1.1
     assert time.monotonic() - start < 180.0
 
 

@@ -92,12 +92,34 @@ class TestExitCodes:
          "strong_qle1 at q=0.13: the bandwidths r_n leave the float range at block 101"),
         (["moduli", "--preset", "strong_qle1", "--q", "0.05", "--beta", "1.1"],
          "strong_qle1 at q=0.05: the bandwidths r_n leave the float range at block 3"),
+        (["verify", "--suite", "gluing", "--beta", "1e4"],
+         "warmup_l2 at q=2, beta=10000: the budget tail leaves the float range"),
+        (["moduli", "--preset", "warmup_l2", "--beta", "2000", "--backend", "kernel"],
+         "warmup_l2 at q=2, beta=2000: the budget tail leaves the float range"),
+        (["moduli", "--preset", "strong_qle1", "--q", "0.5", "--beta", "1000"],
+         "strong_qle1 at q=0.5, beta=1000: the budget tail leaves the float range"),
+        (["moduli", "--preset", "strong_qle1", "--q", "0.5", "--beta", "100",
+          "--n-terms", "5", "--pairs", "64"],
+         "the feature table of block 2 leaves the float32 range: sqrt(2 r_n) = 4.13248e+62"),
+        (["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", "1000",
+          "--n-terms", "5", "--pairs", "64"],
+         "the feature table of block 2 leaves the float32 range: sqrt(2 r_n) = 3.86607e+79"),
+        (["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
+          "--t-min", "1e-200", "--t-max", "1e200"],
+         "t_max / t_min = 1e+200 / 1e-200 leaves the float range"),
+        (["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", "1.05",
+          "--t-min", "1e-200", "--t-max", "1e200"],
+         "t_max / t_min = 1e+200 / 1e-200 leaves the float range"),
     ], ids=["moduli-q2000", "moduli-q1e300", "mazur-grid", "moduli-q300", "moduli-q1000",
             "moduli-qle1-q0.1", "moduli-rff-q130", "moduli-qle1-q0.14-400",
-            "moduli-qle1-q0.13", "moduli-qle1-q0.05"])
+            "moduli-qle1-q0.13", "moduli-qle1-q0.05", "gluing-beta1e4",
+            "moduli-warmup-beta2000", "moduli-qle1-beta1000", "moduli-rff-qle1-beta100",
+            "moduli-rff-q4-beta1000", "moduli-kernel-t-ratio", "moduli-rff-t-ratio"])
     def test_constants_beyond_the_float_range_are_usage_errors(self, tmp_path, argv, message):
         # A constant that overflows, or underflows to 0 and is inverted,
-        # names its exponent and exits 2, not 1 (a violated bound).  A
+        # names its exponent and exits 2, not 1 (a violated bound); so do a
+        # budget tail, a float32 feature table and a separation ratio past
+        # the float range.  A
         # fresh process turns every RuntimeWarning into an error, so an
         # overflow cannot run on to an artifact of inf.
         out = tmp_path / "out.json"
@@ -144,6 +166,32 @@ class TestExitCodes:
             doc = json.loads(out.read_text())
             assert doc["violations"] == 0
             assert 0 < doc["glued_bounds"]["worst_upper_margin"] < math.inf
+
+    def test_inputs_at_the_edge_of_the_float_range_exit_clean(self, tmp_path):
+        # Each run ends in 0 or a typed refusal (2), with no exception and
+        # no warning, whatever beta, nu or separation range it is given.
+        betas = ["1.000000001", "10", "100", "1000", "1e4", "1e300"]
+        runs = []
+        for beta in betas:
+            runs += [["moduli", "--preset", "warmup_l2", "--beta", beta, "--backend", "kernel"],
+                     ["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", beta],
+                     ["moduli", "--preset", "strong_1leqle2", "--q", "1.5", "--beta", beta],
+                     ["moduli", "--preset", "strong_qle1", "--q", "0.5", "--beta", beta],
+                     ["verify", "--suite", "gluing", "--beta", beta]]
+        runs += [["moduli", "--preset", "coarse_l2", "--nu", nu, "--backend", "kernel"]
+                 for nu in ("0.500000001", "10", "1e300")]
+        runs += [["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
+                  "--t-min", t_min, "--t-max", "1e200"] for t_min in ("1e-200", "1e-100")]
+        assert len(runs) == 35
+        codes = []
+        for argv in runs:
+            flag = "--out" if argv[0] == "verify" else "--json-out"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                codes.append(run([*argv, "--n-terms", "5", "--pairs", "64",
+                                  flag, str(tmp_path / "out.json")]))
+            assert codes[-1] in (cli.EXIT_OK, cli.EXIT_USAGE), argv
+        assert codes.count(cli.EXIT_USAGE) == 16  # the other 19 run clean
 
     @pytest.mark.parametrize("argv, message", [
         ([], "--preset strong_qge2 needs --q and --beta"),

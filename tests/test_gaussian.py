@@ -3,6 +3,7 @@ random features, and the certified block-distance envelopes."""
 
 import math
 import os
+import re
 import threading
 import time
 import warnings
@@ -42,6 +43,17 @@ class TestPsiDistance:
     def test_sqrt_two_asymptote(self):
         v = psi_distance_exact(1e3, 1.0)
         assert math.sqrt(2.0) - 1e-12 <= v <= math.sqrt(2.0)
+
+    def test_saturation_past_the_float_range_is_silent(self):
+        # d^2 or r d^2 overflows to +inf: exp(-inf) is 0, so the distance
+        # is exactly sqrt(2), and the overflow is no warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scalars = [psi_distance_exact(1e200, 2.0), psi_distance_exact(1e154, 10.0)]
+            grid = psi_distance_exact(np.array([1e-3, 1e200]), np.array([[2.0], [1e300]]))
+        assert scalars == [math.sqrt(2.0)] * 2
+        assert grid[0, 0] == psi_distance_exact(1e-3, 2.0) < 0.01
+        assert np.all(grid.ravel()[1:] == math.sqrt(2.0))
 
     def test_inner_product_consistency(self):
         d = np.linspace(0.0, 3.0, 7)
@@ -157,6 +169,17 @@ class TestRandomFeatures:
         # the float32 table holds the float64 draws, rounded
         f = gaussian._rff_table(1.0, 64, (5, 2), 3, np.dtype(np.float32))
         assert np.array_equal(f, a.astype(np.float32))
+
+    def test_a_table_past_the_float32_range_is_refused_by_block(self):
+        # sqrt(2 r) = 1.4e40: finite in float64, past float32.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            wide = gaussian._rff_table(1e80, 16, (5, 3), 2, np.dtype(np.float64))
+            with pytest.raises(ValueError, match=re.escape(
+                    "the feature table of block 3 leaves the float32 range: "
+                    "sqrt(2 r_n) = 1.41421e+40")):
+                gaussian._rff_table(1e80, 16, (5, 3), 2, np.dtype(np.float32))
+        assert np.all(np.isfinite(wide))
 
     def test_batch_matches_single(self):
         # BLAS picks shape-dependent kernels, so rows of a batched matmul can

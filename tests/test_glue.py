@@ -110,6 +110,26 @@ class TestPresets:
         with pytest.raises(ValueError, match=f"{name} requires a finite {param}"):
             preset_schedule(name, **kwargs, **{param: bad})
 
+    @pytest.mark.parametrize("name, q, beta, refused", [
+        ("warmup_l2", None, 1900.0, False), ("warmup_l2", None, 2000.0, True),
+        ("strong_qle1", 0.5, 900.0, False), ("strong_qle1", 0.5, 1000.0, True),
+    ])
+    def test_budget_tail_past_the_float_range_is_refused(self, name, q, beta, refused):
+        # The tail from n = 2 at the power q holds ln(2)^(1 - beta), past the
+        # float range from beta near 1937; strong_qle1 at q = 1/2 also sums
+        # the power m = 1, whose tail holds ln(2)^(-2 beta), past it from
+        # beta near 968.  Python's pow raises there rather than warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if refused:
+                with pytest.raises(ValueError, match=re.escape(
+                        f"{name} at q={q or 2:g}, beta={beta:g}: "
+                        "the budget tail leaves the float range")):
+                    preset_schedule(name, q=q, beta=beta)
+            else:
+                sched = preset_schedule(name, q=q, beta=beta)
+                assert 0 < sched.eps_q_tail(1) < math.inf
+
     @pytest.mark.parametrize("name,q", [
         ("warmup_l2", 2.0), ("strong_qge2", 4.0), ("strong_1leqle2", 1.5),
         ("strong_qle1", 0.5),

@@ -234,9 +234,8 @@ class TestSignedPowerConstant:
 class TestMazurConstants:
     def test_forward_orientation(self):
         mc = mazur_constants(2.0, 1.0)
-        assert not mc.derived_by_involution
-        assert mc.lower_exponent == 1.0
-        assert mc.upper_exponent == 0.5
+        # the forward orientation: c_lower S_p <= S_Mq <= c_upper S_p^(q/p)
+        assert (mc.lower_exponent, mc.upper_exponent) == (1.0, 0.5)
         assert mc.c_lower == pytest.approx(signed_power_constant(2.0))
         assert mc.c_upper == pytest.approx(2.0 * 2.0 ** 0.5)
 
@@ -244,13 +243,12 @@ class TestMazurConstants:
         # p < q constants come from the forward (q, p) direction by inverting
         # both inequalities; check the arithmetic explicitly.
         mc = mazur_constants(2.0, 4.0)
-        assert mc.derived_by_involution
+        # the reversed orientation: c_lower S_p^(q/p) <= S_Mq <= c_upper S_p
+        assert (mc.lower_exponent, mc.upper_exponent) == (2.0, 1.0)
         c_low_fwd = signed_power_constant(2.0) ** 2
         c_up_fwd = 2.0 ** 2 * 2.0 ** 0.5
         assert mc.c_upper == pytest.approx(1.0 / c_low_fwd)
         assert mc.c_lower == pytest.approx(c_up_fwd ** -2.0)
-        assert mc.lower_exponent == 2.0
-        assert mc.upper_exponent == 1.0
 
     def test_equal_exponents_rejected(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Envelope estimation, exponent fits, the engines, and the cube identity's
 distortion against the all-pairs oracle."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from embedlab.finite_geometry import HammingCube, cube_report
-from embedlab import gaussian, moduli
+from embedlab import cli, gaussian, moduli
 from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
 from embedlab.moduli import (
     _KEY_CHUNK,
@@ -19,14 +20,14 @@ from embedlab.moduli import (
     exact_kernel_engine,
     fast_rff_engine,
     fit_envelopes,
-    fit_exponent,
     glued_certifier,
     loglog_fit,
     reduce_envelopes,
     _seed_keys,
     write_moduli_csv,
 )
-from oracles import dense_distortion, pair_sample_loop, polyfit_loglog, rff_glued_distance
+from oracles import (dense_distortion, envelope_invariants, pair_sample_loop, polyfit_loglog,
+                     rff_glued_distance)
 
 
 def identity_engine(X, Y, t):
@@ -39,6 +40,13 @@ class TestPairSampler:
             PairSampler(1.0, 0.5)
         with pytest.raises(ValueError):
             PairSampler(0.1, 1.0, dim=0)
+
+    def test_a_ratio_past_the_float_range_is_refused(self):
+        with pytest.raises(ValueError, match=r"t_max / t_min = 1e\+200 / 1e-200 leaves"):
+            PairSampler(1e-200, 1e200)
+        # a finite ratio of 1e300 still draws t_min exp(u log ratio)
+        s = PairSampler(1e-100, 1e200, dim=3)
+        assert np.array_equal(s.sample(40, seed=2)[2], pair_sample_loop(s, 40, 2)[2])
 
     def test_separations_are_realized(self):
         X, Y, t = PairSampler(0.1, 100.0, dim=6).sample(200, seed=4)
@@ -102,9 +110,9 @@ class TestPairSampler:
 
 class TestEstimateModuli:
     def test_identity_envelopes_track_bin_edges(self):
-        est = estimate_moduli(identity_engine, PairSampler(0.1, 100.0), bins=24,
-                              pairs=1500, seed=3)
-        est.validate()
+        sampler = PairSampler(0.1, 100.0)
+        est = estimate_moduli(identity_engine, sampler, bins=24, pairs=1500, seed=3)
+        envelope_invariants(est, sampler.sample(1500, seed=3)[2])
         for j in range(est.n_bins):
             if est.counts[j] == 0:
                 continue
@@ -137,7 +145,7 @@ class TestEstimateModuli:
 
         est = estimate_moduli(lambda X, Y, t: 2.0 * t, OnEdges(), bins=4, pairs=5, seed=0)
         assert est.counts.tolist() == [1, 1, 1, 2]
-        assert est.n_pairs == 5
+        assert est.counts.sum() == 5
         # omega is taken below the right edge, and at it on the last row
         assert est.omega_hat.tolist() == (2.0 * est.edges[[0, 1, 2, 4]]).tolist()
         assert est.rho_hat.tolist() == (2.0 * est.edges[:-1]).tolist()
@@ -154,12 +162,14 @@ class TestEstimateModuli:
         with pytest.raises(ValueError, match="bins are empty"):
             estimate_moduli(clumped, sampler, bins=200, pairs=8, seed=0)
 
-    def test_validate_catches_tampering(self):
-        est = estimate_moduli(identity_engine, PairSampler(0.1, 10.0), bins=8,
-                              pairs=300, seed=1)
+    def test_the_envelope_oracle_catches_tampering(self):
+        sampler = PairSampler(0.1, 10.0)
+        est = estimate_moduli(identity_engine, sampler, bins=8, pairs=300, seed=1)
+        t = sampler.sample(300, seed=1)[2]
+        envelope_invariants(est, t)
         est.rho_hat = est.rho_hat[::-1].copy()
-        with pytest.raises(AssertionError):
-            est.validate()
+        with pytest.raises(AssertionError, match="rho_hat is not nondecreasing"):
+            envelope_invariants(est, t)
 
     def test_certified_violation_count(self):
         est = estimate_moduli(identity_engine, PairSampler(0.1, 10.0), bins=8,
@@ -176,7 +186,8 @@ class TestReduceEnvelopes:
         img = np.array([7.0, 2.0, 3.0, 5.0, 0.5])
         est = reduce_envelopes(t, img, [2.0, 4.0, 8.0])
         assert est.counts.tolist() == [2, 1]  # 1.0 and 9.0 lie in no row
-        assert est.n_pairs == 3
+        assert est.counts.sum() == 3
+        envelope_invariants(est, t)
         assert est.rho_hat.tolist() == [0.5, 0.5]  # the pair at 9.0 still counts
         assert est.omega_hat.tolist() == [7.0, 7.0]  # and so does the pair at 1.0
 
@@ -191,28 +202,105 @@ class TestReduceEnvelopes:
             reduce_envelopes([1.5], [1.0], edges)
 
 
-class TestFitExponent:
+class TestEnvelopeInvariants:
+    """``envelope_invariants`` on the estimates of every engine, and its
+    negative controls."""
+
+    @pytest.mark.parametrize("seed", [0, 7, 4242])
+    @pytest.mark.parametrize("bins", [1, 7, 48])
+    def test_identity_estimates_hold_the_identities(self, seed, bins):
+        # Separations from 0.01 to 1000 over edges from 0.1 to 100: some
+        # fall outside every row and still enter both envelopes.
+        X, Y, t = PairSampler(0.01, 1000.0, dim=4).sample(200, seed)
+        est = reduce_envelopes(t, identity_engine(X, Y, t), np.geomspace(0.1, 100.0, bins + 1))
+        assert est.counts.sum() < t.size
+        envelope_invariants(est, t)
+        if bins == 1:
+            return
+        # Negative controls: a reversed rho, and a count moved from a
+        # populated row into an empty one, whose rho lies a bin above its
+        # omega for the identity.
+        tampered = dataclasses.replace(est, rho_hat=est.rho_hat[::-1].copy())
+        with pytest.raises(AssertionError, match="rho_hat is not nondecreasing"):
+            envelope_invariants(tampered, t)
+        empty = np.flatnonzero((est.counts == 0) & np.isfinite(est.rho_hat)
+                               & np.isfinite(est.omega_hat))
+        if bins == 48:
+            assert empty.size  # 200 pairs leave rows of a sixteenth decade empty
+        first = np.flatnonzero(est.counts)[0]
+        for j in empty:
+            counts = est.counts.copy()
+            counts[first] -= 1
+            counts[j] += 1
+            with pytest.raises(AssertionError, match="exceeds omega_hat"):
+                envelope_invariants(dataclasses.replace(est, counts=counts), t)
+
+    @pytest.mark.parametrize("argv", [
+        ["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
+         "--n-terms", "30", "--pairs", "500", "--t-min", "0.001", "--t-max", "0.1"],
+        ["moduli", "--preset", "coarse_l2", "--nu", "0.75", "--backend", "kernel",
+         "--n-terms", "50", "--pairs", "500", "--t-min", "1", "--t-max", "1000"],
+        ["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", "1.05",
+         "--n-features", "64", "--n-terms", "8", "--pairs", "300"],
+        ["folner", "--group", "z2", "--pairs", "200", "--n-max", "12", "--max-dist", "200"],
+        ["folner", "--group", "tree", "--pairs", "100", "--n-max", "8", "--max-dist", "30"],
+    ], ids=["kernel-warmup_l2", "kernel-coarse_l2", "rff-q4", "folner-z2", "folner-tree"])
+    def test_every_reduction_of_a_run_holds_the_identities(self, tmp_path, monkeypatch, argv):
+        seen = []
+
+        def recording(t, img, edges, **kwargs):
+            est = reduce_envelopes(t, img, edges, **kwargs)
+            seen.append((np.array(t, dtype=float), est))
+            return est
+
+        monkeypatch.setattr(moduli, "reduce_envelopes", recording)
+        assert cli.main([*argv, "--json-out", str(tmp_path / "run.json")]) == cli.EXIT_OK
+        assert len(seen) == 1
+        t, est = seen[0]
+        envelope_invariants(est, t)
+        tampered = dataclasses.replace(est, rho_hat=est.rho_hat[::-1].copy())
+        with pytest.raises(AssertionError, match="rho_hat is not nondecreasing"):
+            envelope_invariants(tampered, t)
+        dropped = est.counts.copy()
+        dropped[np.argmax(dropped)] -= 1
+        with pytest.raises(AssertionError, match="separations in range"):
+            envelope_invariants(dataclasses.replace(est, counts=dropped), t)
+
+
+class TestFitEnvelopes:
     def test_pure_power_recovery(self):
         est = estimate_moduli(lambda X, Y, t: t ** 0.5, PairSampler(0.1, 100.0),
                               bins=24, pairs=2000, seed=5)
+        doc = fit_envelopes(est, 0.1, 100.0)
         for env in ("rho", "omega"):
-            fit = fit_exponent(est, env, 0.1, 100.0)
-            assert fit.slope == pytest.approx(0.5, abs=0.02)
-            assert fit.residual_rms < 0.05
-        assert fit.to_dict()["range"] == [0.1, 100.0]
+            fit = doc[f"{env}_fit"]
+            assert fit["slope"] == doc[f"{env}_slope"] == pytest.approx(0.5, abs=0.02)
+            assert fit["residual"] < 0.05
+            assert (fit["envelope"], fit["range"]) == (env, [0.1, 100.0])
 
     def test_constant_envelope_zero_slope(self):
         est = estimate_moduli(lambda X, Y, t: np.ones_like(t), PairSampler(0.1, 100.0),
                               bins=12, pairs=500, seed=2)
-        assert fit_exponent(est, "rho", 0.1, 100.0).slope == pytest.approx(0.0, abs=1e-9)
+        assert fit_envelopes(est, 0.1, 100.0)["rho_slope"] == pytest.approx(0.0, abs=1e-9)
 
-    def test_fit_envelopes_matches_fit_exponent(self):
-        est = estimate_moduli(lambda X, Y, t: t ** 0.5, PairSampler(0.1, 100.0),
-                              bins=24, pairs=2000, seed=5)
-        doc = fit_envelopes(est, 1.0, 50.0)
-        for env in ("rho", "omega"):
-            assert doc[f"{env}_fit"] == fit_exponent(est, env, 1.0, 50.0).to_dict()
-            assert doc[f"{env}_slope"] == doc[f"{env}_fit"]["slope"]
+    def test_fit_is_loglog_fit_on_the_usable_rows(self):
+        # rho is 0 on the rows whose left edge is at most 1, which are
+        # populated and finite but not positive: only the rows past them
+        # and inside the window enter, rho at left edges, omega at right.
+        est = estimate_moduli(lambda X, Y, t: np.sqrt(np.maximum(t - 1.0, 0.0)),
+                              PairSampler(0.1, 100.0), bins=24, pairs=2000, seed=5)
+        doc = fit_envelopes(est, 0.5, 50.0)
+        for env, ts, vals in (("rho", est.edges[:-1], est.rho_hat),
+                              ("omega", est.edges[1:], est.omega_hat)):
+            use = [j for j in range(est.n_bins) if 0.5 <= ts[j] <= 50.0
+                   and est.counts[j] > 0 and vals[j] > 0]
+            slope, intercept, residual = loglog_fit(ts[use].tolist(), vals[use].tolist())
+            assert doc[f"{env}_fit"] == {"envelope": env, "range": [0.5, 50.0],
+                                         "slope": slope, "intercept": intercept,
+                                         "residual": residual, "bins": len(use)}
+            assert doc[f"{env}_slope"] == slope
+        inside = (est.edges[:-1] >= 0.5) & (est.edges[:-1] <= 50.0) & (est.counts > 0)
+        assert doc["rho_fit"]["bins"] < int(inside.sum())  # zero rows left out
 
     def test_fit_envelopes_is_null_below_five_usable_rows(self):
         est = estimate_moduli(identity_engine, PairSampler(0.1, 100.0), bins=12,
@@ -231,20 +319,22 @@ class TestFitExponent:
     def test_fit_is_the_oracle_least_squares(self):
         est = estimate_moduli(lambda X, Y, t: t ** 0.5 * (1.2 + np.sin(t)),
                               PairSampler(0.1, 100.0), bins=24, pairs=2000, seed=5)
-        fit = fit_exponent(est, "omega", 0.5, 50.0)
+        fit = fit_envelopes(est, 0.5, 50.0)["omega_fit"]
         use = (est.edges[1:] >= 0.5) & (est.edges[1:] <= 50.0) & (est.counts > 0)
         want = polyfit_loglog(est.edges[1:][use], est.omega_hat[use])
-        got = (fit.slope, fit.intercept, fit.residual_rms)
-        assert fit.n_bins == int(use.sum())
+        got = (fit["slope"], fit["intercept"], fit["residual"])
+        assert fit["bins"] == int(use.sum())
         assert got == pytest.approx(want, rel=1e-12)
 
-    def test_window_and_name_validation(self):
-        est = estimate_moduli(identity_engine, PairSampler(0.1, 100.0), bins=12,
-                              pairs=500, seed=2)
-        with pytest.raises(ValueError):
-            fit_exponent(est, "rho", 50.0, 60.0)  # too few bins inside
-        with pytest.raises(ValueError):
-            fit_exponent(est, "sigma", 0.1, 100.0)
+    def test_too_few_rows_inside_the_window_give_a_null_fit(self):
+        # Five usable rows fit and four do not: rows of width 1 from 1 to
+        # 12, rho = t^2 read at the left edges.
+        t = np.arange(1.0, 13.0)
+        est = reduce_envelopes(t, t ** 2, np.arange(1.0, 13.0))
+        assert fit_envelopes(est, 1.0, 5.0)["rho_slope"] == pytest.approx(2.0, rel=1e-12)
+        assert fit_envelopes(est, 1.0, 4.0)["rho_fit"] is None
+        assert fit_envelopes(est, 1.5, 5.5)["rho_fit"] is None
+        assert fit_envelopes(est, 2.0, 6.0)["omega_fit"]["bins"] == 5  # right edges 2..6
 
 
 class TestLoglogFit:
@@ -520,6 +610,7 @@ class TestEngines:
         for name in ("edges", "rho_hat", "omega_hat", "counts", "certified_lower",
                      "certified_upper"):
             assert np.array_equal(getattr(est, name), getattr(rows, name), equal_nan=True)
+        envelope_invariants(est, PairSampler(0.01, 10.0).sample(1500, seed=4, dtype=None)[2])
 
     @pytest.mark.parametrize("n_terms", [300, 6400])
     def test_interval_working_set_stays_within_the_budget(self, n_terms):
