@@ -1,6 +1,7 @@
-"""Lattice groups and trees with explicit almost-invariant set systems,
-characteristic-function embeddings into ell_p over the group, and the
-certified distance bounds of the glued coarse embeddings.
+"""Lattice groups and the infinite binary tree with explicit
+almost-invariant set systems, characteristic-function embeddings into
+ell_p over the group, and the certified distance bounds of the glued
+coarse embeddings.
 
 Models are discrete (counting measure) so every defect and every block
 distance is exact integer set arithmetic, computed in closed form: box
@@ -25,9 +26,11 @@ The pair samplers draw arrays from counter-based streams.  Z^k pairs
 take each field (base points, lengths, multinomial splits, signs) from
 its own stream keyed by (seed, 9, field); tree walks run in blocks of
 _TREE_BLOCK, block j from the stream keyed by (seed, 10, j), all walks of
-a block advanced together one step at a time.  Both keep the prefix
-property: for one model, max_dist and seed, the first m pairs of an
-n-pair draw are the m-pair draw.  A different max_dist moves every pair.
+a block advanced together one step at a time and held at depth
+_TREE_WALK_DEPTH, the sampler's law and no bound of the tree.  Both keep
+the prefix property: for one model, max_dist and seed, the first m pairs
+of an n-pair draw are the m-pair draw.  A different max_dist moves every
+pair.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ import numpy as np
 _REL_TOL = 1e-9  # relative float slack of the certified-bound audits
 _MAX_DIST = 1 << 62  # keeps Z^k lengths plus the +-1000 base points inside int64
 _TREE_BASE_DEPTH = 40  # sampled tree pairs start at depth 0.._TREE_BASE_DEPTH
+_TREE_WALK_DEPTH = 4000  # sampled walks are held at this depth
 _TREE_BLOCK = 512  # tree walks per sampling block, each block its own stream
 _TREE_CHUNK = 256  # walk steps drawn at once
 
@@ -83,19 +87,13 @@ class HeisenbergModel:
 
 @dataclass(frozen=True)
 class TreeModel:
-    """Rooted tree with uniform branching; nodes are label paths.
+    """The infinite rooted binary tree; nodes are label paths of 0s and 1s.
 
-    The designated ray to infinity is the all-zeros branch.  ``depth``
-    caps how far segments may reach; constructions needing more raise.
+    The designated ray to infinity is the all-zeros branch.  Segments are
+    interval arithmetic on depths, exact at every depth.
     """
 
-    branching: int = 2
-    depth: int = 4000
     name: str = "tree"
-
-    def __post_init__(self):
-        if self.branching < 1 or self.depth < 1:
-            raise ValueError("branching and depth must be positive")
 
     def zeros_prefix(self, x) -> int:
         """Depth of the deepest ancestor of x lying on the designated ray."""
@@ -352,8 +350,6 @@ class TreeACollection:
         lx, ly, zx, zy, cp = geometry
         top_x = np.where(lx - zx < s, 2 * zx + s - lx - 1, zx - 1)  # zx - 1: none
         top_y = np.where(ly - zy < s, 2 * zy + s - ly - 1, zy - 1)
-        if np.any(np.maximum(top_x, top_y) > self.tree.depth):
-            raise ValueError("truncation depth insufficient for segment")
         on_ray = np.minimum(top_x, top_y) - np.maximum(zx, zy) + 1
         climb = cp - np.maximum.reduce([zx + 1, zy + 1, lx - s + 1, ly - s + 1]) + 1
         return 2 * (s - np.maximum(on_ray, 0) - np.maximum(climb, 0))
@@ -475,11 +471,13 @@ def sample_tree_pairs(tree: TreeModel, n_pairs: int, max_dist: int,
     """Deterministic tree pairs at graph distance in [1, max_dist < 2^62].
 
     Pair i is a random walk: it starts at x, a node of uniform depth in
-    [0, min(_TREE_BASE_DEPTH, depth)] with uniform labels, and takes a
-    uniform number of steps in [1, max_dist], each to the parent or to a
-    uniform child with probability 1/2 (always a child at the root, and
-    the parent or nothing at the truncation depth).  y is where it ends,
-    or a neighbour of x if it ends at x.
+    [0, _TREE_BASE_DEPTH] with uniform labels, and takes a uniform number
+    of steps in [1, max_dist], each to the parent or to a uniform child
+    with probability 1/2 (always a child at the root, and the parent or
+    nothing at depth _TREE_WALK_DEPTH, where the walk is held).  The hold
+    is the sampler's law, not a bound of the tree: it sizes the walks'
+    path arrays.  y is where the walk ends, or the child x + (0,) if it
+    ends at x.  ``tree`` changes no draw: there is one binary tree.
 
     Pairs come in blocks of _TREE_BLOCK walks, block j drawn from the
     stream keyed by (seed, 10, j).  A block's draws are always made for
@@ -490,11 +488,11 @@ def sample_tree_pairs(tree: TreeModel, n_pairs: int, max_dist: int,
     out = []
     for block, start in enumerate(range(0, n_pairs, _TREE_BLOCK)):
         keep = min(_TREE_BLOCK, n_pairs - start)
-        out += _tree_walks(tree, keep, max_dist, _stream(seed, 10, block))
+        out += _tree_walks(keep, max_dist, _stream(seed, 10, block))
     return out
 
 
-def _tree_walks(tree: TreeModel, keep: int, max_dist: int,
+def _tree_walks(keep: int, max_dist: int,
                 rng: np.random.Generator) -> list[tuple[tuple, tuple]]:
     """The first ``keep`` walks of one block, all advanced together.
 
@@ -502,39 +500,37 @@ def _tree_walks(tree: TreeModel, keep: int, max_dist: int,
     labels are the node.  A step writes its label at the slot above the
     top, which only a move to a child keeps, then moves the depth by the
     step's sign: |depth + sign| reflects at the root and the minimum with
-    the truncation depth holds the walk there.  ``path`` is allocated
-    once, as wide as the deepest node a walk can reach, and signs and
-    labels are drawn in chunks of _TREE_CHUNK steps, so the draws do not
-    grow with keep * max_dist.
+    _TREE_WALK_DEPTH holds the walk there.  ``path`` is allocated once, as
+    wide as the deepest node a walk can reach, and signs and labels are
+    drawn in chunks of _TREE_CHUNK steps, so the draws do not grow with
+    keep * max_dist.
     """
-    b, cap = tree.branching, tree.depth
-    base = min(_TREE_BASE_DEPTH, cap)
+    base = _TREE_BASE_DEPTH
     d0 = rng.integers(0, base + 1, size=_TREE_BLOCK)[:keep]
-    start = rng.integers(0, b, size=(_TREE_BLOCK, base))[:keep]
+    start = rng.integers(0, 2, size=(_TREE_BLOCK, base))[:keep]
     steps = rng.integers(1, max_dist + 1, size=_TREE_BLOCK)[:keep]
-    label_type = np.min_scalar_type(2 * b - 1)
     n_steps = int(steps.max())
-    path = np.zeros((keep, min(base + n_steps, cap) + 1), dtype=label_type)
+    path = np.zeros((keep, min(base + n_steps, _TREE_WALK_DEPTH) + 1), dtype=np.uint8)
     path[:, :base] = start
     depth = d0.copy()
     rows = np.arange(keep)
     for t0 in range(0, n_steps, _TREE_CHUNK):
-        # one draw per step: below b asks for the parent, and mod b is the label
-        u = rng.integers(0, 2 * b, size=(_TREE_BLOCK, _TREE_CHUNK), dtype=label_type)[:keep]
-        sign = np.where(u < b, -1, 1)
+        # one draw per step: below 2 asks for the parent, and mod 2 is the label
+        u = rng.integers(0, 4, size=(_TREE_BLOCK, _TREE_CHUNK), dtype=np.uint8)[:keep]
+        sign = np.where(u < 2, -1, 1)
         sign[np.arange(t0, t0 + _TREE_CHUNK) >= steps[:, None]] = 0  # walk over
-        sign, label = sign.T.copy(), (u % b).T.copy()
+        sign, label = sign.T.copy(), (u % 2).T.copy()
         for t in range(min(_TREE_CHUNK, n_steps - t0)):
             path[rows, depth] = label[t]
             depth += sign[t]
             np.abs(depth, out=depth)
-            np.minimum(depth, cap, out=depth)
+            np.minimum(depth, _TREE_WALK_DEPTH, out=depth)
     out = []
     for i in range(keep):
         x = tuple(start[i, :d0[i]].tolist())
         y = tuple(path[i, :depth[i]].tolist())
         if y == x:
-            y = x + (0,) if len(x) < cap else x[:-1]
+            y = x + (0,)
         out.append((x, y))
     return out
 

@@ -416,7 +416,7 @@ def cmd_folner(args: argparse.Namespace) -> int:
                                              args.seed, args.p, args.bound_scale)
     defect_viol, _ = amenable.defect_budget_check(system, defects)
     image_pth = emb.image_distances_pth(counts)
-    bounds = emb.bounds_check(d, image_pth)
+    bounds = emb.bounds_check(d, image_pth, upper_scale=args.bound_scale)
 
     def root(pth):  # Python's pow, which numpy's SIMD power can differ from
         return [v ** (1.0 / emb.p) for v in np.asarray(pth).tolist()]

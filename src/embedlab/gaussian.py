@@ -328,10 +328,12 @@ def _rff_cosines(X1: np.ndarray, wb: np.ndarray,
     """Raw features cos(w.x + b) of the rows [x, 1] of ``X1`` under the
     table ``wb`` = [w; b], in their dtype, and their squared row norms;
     ``out`` receives the features and must be C-contiguous.  The sqrt(2/D)
-    feature scale cancels in the normalisation, so it is never applied."""
+    feature scale cancels in the normalisation, so it is never applied.
+    A w.x past the dtype's range raises ``FloatingPointError``, not a cos."""
     if not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
-    z = np.cos(_feature_product(X1, wb, out), out=out)
+    with np.errstate(over="raise"):
+        z = np.cos(_feature_product(X1, wb, out), out=out)
     # einsum takes the squared norms without a squared copy of z
     return z, np.einsum("ij,ij->i", z, z)
 
@@ -490,7 +492,11 @@ def block_mass(X: np.ndarray, Y: np.ndarray, backends, q: float) -> np.ndarray:
             for backend, wb in zip(blocks, tables):
                 shape = (2 * m, _width(backend))
                 c, p = (f[:shape[0] * shape[1]].reshape(shape) for f in flats)
-                c, n2 = _block_coordinates(xy1, backend, wb, c)
+                try:
+                    c, n2 = _block_coordinates(xy1, backend, wb, c)
+                except FloatingPointError:
+                    raise ValueError(f"the feature product of block {backend.seed[-1]} "
+                                     f"leaves the {cdt.name} range") from None
                 p = _signed_power(c, a, out=p)
                 scale = np.divide(n2[:m], n2[m:], dtype=float) ** (1.0 / q)  # (n_x / n_y)^a
                 p[m:] *= scale.astype(p.dtype)[:, None]

@@ -101,10 +101,10 @@ def heis_metric(g, h) -> float:
     return float(heis_gauge(heis_mul(heis_inv(g), h)))
 
 
-def check_node(tree, x) -> None:
-    """Refuse x unless it is a label path of the truncated ``tree``."""
-    if len(x) > tree.depth or any(not 0 <= c < tree.branching for c in x):
-        raise ValueError("node outside the truncated tree")
+def check_node(x) -> None:
+    """Refuse x unless it is a label path of the binary tree."""
+    if any(c not in (0, 1) for c in x):
+        raise ValueError("node outside the binary tree")
 
 
 def _common_prefix(x, y) -> int:
@@ -127,22 +127,20 @@ def group_metric(model, x, y) -> float:
     return tree_metric(x, y) if model.name == "tree" else zk_metric(x, y)
 
 
-def ray_segment(tree, x, n_vertices: int) -> tuple[tuple[int, ...], ...]:
+def ray_segment(tree, x, n_vertices: int, ray=lambda d: (0,) * d) -> tuple:
     """First ``n_vertices`` vertices of the merging ray started at x, one by
     one: the ray climbs from x to its deepest all-zeros ancestor, then
-    follows the designated all-zeros ray outward."""
-    check_node(tree, x)
+    follows the designated all-zeros ray outward.  Vertices off the ray are
+    their label paths; the ray's vertex at depth d is ``ray(d)``, its path
+    by default.  ``ray=int`` keys it by its depth, which keeps segments
+    tens of thousands of vertices deep small enough to enumerate."""
+    check_node(x)
     z = tree.zeros_prefix(x)
     out = []
     for j in range(n_vertices):
         up = len(x) - j
-        if up >= z:
-            out.append(tuple(x[:up]))
-        else:
-            d = z + (j - (len(x) - z))  # back on the zeros ray, going out
-            if d > tree.depth:
-                raise ValueError("truncation depth insufficient for segment")
-            out.append((0,) * d)
+        # from up = z on, the vertex is the zeros ray's at depth 2z - up
+        out.append(tuple(x[:up]) if up > z else ray(2 * z - up))
     return tuple(out)
 
 
@@ -401,6 +399,17 @@ def dense_distortion(f, cube) -> float:
     if np.any(im_u <= 0):
         raise ValueError("map is not injective on the cube (zero image distance)")
     return float(np.max(im_u / dom_u) * np.max(dom_u / im_u))
+
+
+def distance_sweep_distortion(m: int, p) -> float:
+    """The identity's distortion on the m-cube from every Hamming distance
+    h = 1..m, each met by the pair (0, 2^h - 1): domain distances h^(1/r),
+    r = max(p, 1), image distances sqrt(h), and the product of the two
+    ratio maxima over the whole sweep."""
+    h = np.arange(1, m + 1)
+    dom = h.astype(float) ** (1.0 / distance_root(p))
+    im = np.sqrt(h)
+    return float(np.max(im / dom) * np.max(dom / im))
 
 
 def cube_distance(u: int, v: int, cube) -> float:

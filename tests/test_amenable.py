@@ -100,13 +100,11 @@ class TestTreeModel:
         assert TreeACollection(TreeModel()).distances(pairs).tolist() == [0.0, 2.0, 3.0, 2.0]
 
     def test_node_validation(self):
-        t = TreeModel(branching=2, depth=5)
         with pytest.raises(ValueError):
-            check_node(t, (0, 2))
+            check_node((0, 2))
         with pytest.raises(ValueError):
-            check_node(t, (0,) * 6)
-        with pytest.raises(ValueError):
-            TreeModel(branching=0)
+            check_node((1, -1))
+        check_node((0, 1) * 3000)
 
     def test_ray_segment_realizes_distances(self):
         t = TreeModel()
@@ -118,11 +116,6 @@ class TestTreeModel:
                 assert tree_metric(x, v) == j
             for a, b in zip(seg, seg[1:]):
                 assert tree_metric(a, b) == 1.0
-
-    def test_segment_depth_cap(self):
-        t = TreeModel(branching=2, depth=5)
-        with pytest.raises(ValueError):
-            ray_segment(t, (), 7)
 
 
 class TestDefects:
@@ -219,14 +212,15 @@ class TestTreeACollection:
         assert col.a_eps(5) == pytest.approx(10.0 / 55.0)
 
     def test_encoded_sets_match_brute_force(self):
-        tree = TreeModel(branching=3)
+        tree = TreeModel()
         col = TreeACollection(tree)
         cases = [
             ((0, 0), (0, 0, 0, 0)),     # both on the designated ray
-            ((1, 0, 2), (1, 1)),        # private climbs off the ray
+            ((1, 0, 1), (1, 1)),        # private climbs off the ray
             ((0, 1), (0, 1, 0, 1)),     # nested
-            ((1,), (2,)),               # divergent at the root
-            ((), (0, 2)),
+            ((1,), (1, 1, 0)),          # one climb through the other
+            ((1, 0), (0, 1)),           # divergent at the root
+            ((), (0, 1)),
         ]
         for x, y in cases:
             for n in range(2, 7):
@@ -312,23 +306,32 @@ class TestSamplers:
         pairs = sample_tree_pairs(tree, 30, 10, seed=2)
         assert pairs == sample_tree_pairs(tree, 30, 10, seed=2)
         for x, y in pairs:
-            check_node(tree, x)
-            check_node(tree, y)
+            check_node(x)
+            check_node(y)
             assert 1 <= tree_metric(x, y) <= 10
 
-    @pytest.mark.parametrize("tree,n_pairs,max_dist", [
-        (TreeModel(), 600, 1000),  # two blocks
-        (TreeModel(branching=3, depth=7), 300, 40),  # walks held at the truncation
-        (TreeModel(branching=1, depth=3), 50, 5),
-        (TreeModel(), 200, 1),
+    @pytest.mark.parametrize("base,hold,n_pairs,max_dist", [
+        (None, None, 600, 1000),  # two blocks
+        (3, 7, 300, 40),  # walks held at the sampler's depth
+        (3, 3, 50, 5),
+        (None, None, 200, 1),
     ])
-    def test_tree_pairs_stay_in_the_tree_and_the_range(self, tree, n_pairs, max_dist):
-        pairs = sample_tree_pairs(tree, n_pairs, max_dist, seed=11)
+    def test_tree_pairs_stay_in_the_tree_and_the_range(self, monkeypatch, base, hold,
+                                                        n_pairs, max_dist):
+        # the walks start at depth <= _TREE_BASE_DEPTH <= _TREE_WALK_DEPTH
+        if hold is not None:
+            monkeypatch.setattr(amenable, "_TREE_BASE_DEPTH", base)
+            monkeypatch.setattr(amenable, "_TREE_WALK_DEPTH", hold)
+        hold = amenable._TREE_WALK_DEPTH
+        pairs = sample_tree_pairs(TreeModel(), n_pairs, max_dist, seed=11)
         assert len(pairs) == n_pairs
         for x, y in pairs:
-            check_node(tree, x)
-            check_node(tree, y)
+            check_node(x)
+            check_node(y)
             assert 1 <= tree_metric(x, y) <= max_dist
+            assert len(x) <= hold and (len(y) <= hold or y == x + (0,))
+        if hold < max_dist:  # some walk reaches the hold
+            assert max(len(y) for _, y in pairs) >= hold
 
     @pytest.mark.parametrize("m,n", [(8, 100), (500, 530), (512, 1100)])
     def test_tree_pairs_prefix(self, m, n):
@@ -556,16 +559,41 @@ class TestClosedFormOracles:
         assert sym_diff_count(col, (0, 0, 0), (1,), 3) == counts[
             pairs.index(((0, 0, 0), (1,))), 1]
 
-    def test_tree_depth_overflow_still_raises(self):
-        tree = TreeModel(depth=6)
-        col = TreeACollection(tree, n_min=2, n_max=3)  # 11-vertex segments
-        with pytest.raises(ValueError, match="truncation depth"):
-            ray_segment(tree, (0, 0), col.size(3))
-        with pytest.raises(ValueError, match="truncation depth"):
-            col.sym_diff_counts([((0, 0), (0,))])
-        with pytest.raises(ValueError, match="truncation depth"):
-            col.sym_diff_counts([((1,), (0, 0))])
-        assert col.sym_diff_counts([((1, 1, 1, 1, 1), (1, 1, 1, 1))])[0, 2 - 2] == 2
+    def test_segments_past_depth_4000_equal_the_oracle(self):
+        # The tree is infinite: segments reaching past depth 4000, where the
+        # sampler holds its walks, are as exact as those below it.
+        tree = TreeModel()
+        col = TreeACollection(tree, n_min=2, n_max=6)  # 4- to 93-vertex segments
+        deep = (0,) * 3990
+        pairs = [(deep, deep + (0,) * 9), (deep + (1,), deep + (0, 0, 1)),
+                 (deep + (1, 1, 0), (0,) * 4000 + (1,)), (deep[:-2] + (1,), deep + (1, 0)),
+                 ((), deep + (0,) * 20), ((1,) * 30, deep)]
+        counts = col.sym_diff_counts(pairs)
+        for j, n in enumerate(range(2, 7)):
+            s = col.size(n)
+            for i, (x, y) in enumerate(pairs):
+                want = len(set(ray_segment(tree, x, s)) ^ set(ray_segment(tree, y, s)))
+                assert counts[i, j] == want, (i, n)
+        assert max(len(v) for v in ray_segment(tree, deep, col.size(6))) > 4000
+
+    def test_sampled_counts_at_n_max_60_equal_the_enumeration(self):
+        # Segments of up to 60,350 vertices, most of them on the ray: the
+        # enumeration keys a ray vertex by its depth, which keys it as
+        # exactly as its path does (checked on the short segments).
+        col = amenable.folner_system("tree", 2, 60)
+        pairs = sample_tree_pairs(col.tree, 8, 1000, seed=7)
+        counts = col.sym_diff_counts(pairs)
+
+        def segment(x, n, ray):
+            return set(ray_segment(col.tree, x, col.size(n), ray=ray))
+
+        for i, (x, y) in enumerate(pairs):
+            for n in (2, 5, 8):
+                assert len(segment(x, n, int) ^ segment(y, n, int)) == \
+                    len(segment(x, n, lambda d: (0,) * d) ^ segment(y, n, lambda d: (0,) * d))
+            for n in (2, 8, 21, 40, 60):
+                assert counts[i, n - 2] == len(segment(x, n, int) ^ segment(y, n, int)), (i, n)
+        assert col.size(60) == 60350
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_zk_counts_match_scalar_and_sets(self, k):

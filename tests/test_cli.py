@@ -110,20 +110,29 @@ class TestExitCodes:
         (["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", "1.05",
           "--t-min", "1e-200", "--t-max", "1e200"],
          "t_max / t_min = 1e+200 / 1e-200 leaves the float range"),
+        (["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", "460",
+          "--n-terms", "5", "--pairs", "64"],
+         "the feature product of block 2 leaves the float32 range"),
+        (["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", "470",
+          "--n-terms", "5", "--pairs", "64"],
+         "the feature product of block 2 leaves the float32 range"),
+        (["cube", "--m", "9" * 400],
+         f"m={'9' * 400} must be a positive integer in the float range"),
     ], ids=["moduli-q2000", "moduli-q1e300", "mazur-grid", "moduli-q300", "moduli-q1000",
             "moduli-qle1-q0.1", "moduli-rff-q130", "moduli-qle1-q0.14-400",
             "moduli-qle1-q0.13", "moduli-qle1-q0.05", "gluing-beta1e4",
             "moduli-warmup-beta2000", "moduli-qle1-beta1000", "moduli-rff-qle1-beta100",
-            "moduli-rff-q4-beta1000", "moduli-kernel-t-ratio", "moduli-rff-t-ratio"])
+            "moduli-rff-q4-beta1000", "moduli-kernel-t-ratio", "moduli-rff-t-ratio",
+            "moduli-rff-q4-beta460", "moduli-rff-q4-beta470", "cube-m-400-digits"])
     def test_constants_beyond_the_float_range_are_usage_errors(self, tmp_path, argv, message):
         # A constant that overflows, or underflows to 0 and is inverted,
         # names its exponent and exits 2, not 1 (a violated bound); so do a
-        # budget tail, a float32 feature table and a separation ratio past
-        # the float range.  A
+        # budget tail, a float32 feature table or feature product, a
+        # separation ratio and a cube dimension past the float range.  A
         # fresh process turns every RuntimeWarning into an error, so an
         # overflow cannot run on to an artifact of inf.
         out = tmp_path / "out.json"
-        flag = "--out" if argv[0] == "verify" else "--json-out"
+        flag = "--json-out" if argv[0] == "moduli" else "--out"
         proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m",
                                "embedlab.cli", *argv, flag, str(out)],
                               capture_output=True, text=True)
@@ -182,7 +191,11 @@ class TestExitCodes:
                  for nu in ("0.500000001", "10", "1e300")]
         runs += [["moduli", "--preset", "warmup_l2", "--beta", "2", "--backend", "kernel",
                   "--t-min", t_min, "--t-max", "1e200"] for t_min in ("1e-200", "1e-100")]
-        assert len(runs) == 35
+        # float32 feature products: 430..450 run, 460 and 470 overflow w.x
+        # while the table is finite, and 480's table leaves float32
+        runs += [["moduli", "--preset", "strong_qge2", "--q", "4", "--beta", str(beta)]
+                 for beta in range(430, 490, 10)]
+        assert len(runs) == 41
         codes = []
         for argv in runs:
             flag = "--out" if argv[0] == "verify" else "--json-out"
@@ -191,7 +204,8 @@ class TestExitCodes:
                 codes.append(run([*argv, "--n-terms", "5", "--pairs", "64",
                                   flag, str(tmp_path / "out.json")]))
             assert codes[-1] in (cli.EXIT_OK, cli.EXIT_USAGE), argv
-        assert codes.count(cli.EXIT_USAGE) == 16  # the other 19 run clean
+        assert codes[-6:] == [cli.EXIT_OK] * 3 + [cli.EXIT_USAGE] * 3
+        assert codes.count(cli.EXIT_USAGE) == 19  # the other 22 run clean
 
     @pytest.mark.parametrize("argv, message", [
         ([], "--preset strong_qge2 needs --q and --beta"),
@@ -361,6 +375,14 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert f"--ground {ground} must exceed --k {k}" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gk_past_the_element_cap_names_its_count(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        assert run(["gk", "--k", "10", "--ground", "40", "--out", str(out)]) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == ("embedlab: k=10, ground=40: C(ground, k) = 847660528 "
+                                "elements exceed the cap 1048576\n")
+        assert captured.out == "" and not out.exists()
 
     @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1", "1.5", "config"])
     def test_bound_scale_outside_the_unit_interval_is_a_usage_error(self, tmp_path, capsys,
@@ -731,6 +753,29 @@ class TestVerifyCommand:
                     "--out", str(tmp_path / "fnc.json")])
         assert code == cli.EXIT_VIOLATIONS
 
+    def test_folner_suite_past_depth_4000_clean_and_control(self, tmp_path):
+        # the tree witnesses reach 21,700-vertex segments at n = 40
+        out = tmp_path / "f.json"
+        assert run(["verify", "--suite", "folner", "--n-max", "40", "--out", str(out)]) == \
+            cli.EXIT_OK
+        assert json.loads(out.read_text())["violations"] == 0
+        assert run(["verify", "--suite", "folner", "--n-max", "40", "--negative-control",
+                    "--out", str(out)]) == cli.EXIT_VIOLATIONS
+        assert json.loads(out.read_text())["a_defect_violations"] > 0
+
+    def test_cube_suite_sweeps_past_dimension_24(self, tmp_path):
+        # one row per m in 2..m_max, each clean where the identity meets
+        # the floor; the control's doubled floor flags every row
+        out = tmp_path / "c.json"
+        assert run(["verify", "--suite", "cube", "--m-max", "40", "--p", "1",
+                    "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads(out.read_text())
+        assert [r["m"] for r in doc["rows"]] == list(range(2, 41))
+        assert doc["violations"] == 0
+        assert run(["verify", "--suite", "cube", "--m-max", "40", "--p", "1",
+                    "--negative-control", "--out", str(out)]) == cli.EXIT_VIOLATIONS
+        assert json.loads(out.read_text())["violations"] == 39
+
     @pytest.mark.parametrize("p", [1.5, 3.0])
     def test_cube_suite_clean_where_the_identity_beats_the_floor(self, tmp_path, p):
         # Off p <= 1 and p = 2 the identity's distortion lies strictly
@@ -807,6 +852,16 @@ class TestSmallCommands:
         assert doc["bound"] == pytest.approx(2.0)
         assert doc["measured_distortion"] == pytest.approx(2.0)
         assert doc["certificate_ratio"] == 1.0
+
+    @pytest.mark.parametrize("m", ["25", "1000", "1000000", str(3 * 4 ** 23)])
+    def test_cubes_past_dimension_24_run_clean(self, tmp_path, m):
+        # at m = 3 * 4^23 the distortion m / sqrt(m) lies ~1.9e-9 above
+        # the bound m^(1/2): equal within the relative slack
+        out = tmp_path / "cube.json"
+        assert run(["cube", "--m", m, "--p", "1", "--out", str(out)]) == cli.EXIT_OK
+        doc = json.loads(out.read_text())
+        assert doc["violations"] == 0
+        assert doc["measured_distortion"] == pytest.approx(math.sqrt(int(m)), rel=1e-15)
 
     def test_gk(self, tmp_path):
         out = tmp_path / "gk.json"
@@ -989,6 +1044,34 @@ class TestFolnerCommand:
             assert doc["violations"] == doc1["violations"] == 0
             assert doc["char_check"].pop("p") == float(p)
             assert doc["char_check"] == {k: v for k, v in doc1["char_check"].items() if k != "p"}
+
+    @pytest.mark.parametrize("n_max", ["21", "40", "60"])
+    def test_trees_past_depth_4000_run_clean(self, tmp_path, n_max):
+        # Segments have 4,088 vertices at n = 21 and 60,350 at n = 60, past
+        # the depth where the sampler holds its walks; the tree has no cap.
+        out_csv, out_json = tmp_path / "t.csv", tmp_path / "t.json"
+        assert run(["folner", "--group", "tree", "--n-max", n_max,
+                    "--out", str(out_csv), "--json-out", str(out_json)]) == cli.EXIT_OK
+        assert len(_csv_rows(out_csv)) == int(n_max) - 1
+        doc = json.loads(out_json.read_text())
+        assert doc["violations"] == 0
+        assert doc["char_check"]["n_checks"] > 0
+
+    @pytest.mark.parametrize("group", ["z2", "tree"])
+    def test_bound_scale_also_tightens_the_glued_upper_bound(self, tmp_path, group):
+        def glued(scale):
+            out_json = tmp_path / f"{scale}.json"
+            code = run(["folner", "--group", group, "--bound-scale", scale,
+                        "--json-out", str(out_json)])
+            doc = json.loads(out_json.read_text())
+            assert code == (cli.EXIT_VIOLATIONS if doc["violations"] else cli.EXIT_OK)
+            return doc["glued_bounds"]
+
+        full, quarter = glued("1"), glued("0.25")
+        assert full["upper_scale"] == 1.0 and full["upper_violations"] == 0
+        assert quarter["upper_scale"] == 0.25 and quarter["upper_violations"] > 0
+        assert quarter["worst_upper_margin"] < 0 < full["worst_upper_margin"]
+        assert quarter["lower_violations"] == full["lower_violations"] == 0
 
     def test_few_populated_rows_leave_the_slopes_null(self, tmp_path):
         # n = 2..6 gives five rows and two pairs populate at most two of

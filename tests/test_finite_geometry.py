@@ -1,6 +1,7 @@
 """Hamming cubes, k-subset spaces, probes, and type-2 certificates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,40 +9,37 @@ import pytest
 from embedlab.finite_geometry import (
     GkSpace,
     HammingCube,
-    MAX_CUBE_PAIR_DIM,
     cube_report,
+    cube_violations,
     enflo_lower_bound,
     probe_audit,
 )
-from oracles import (bit_matrix, cube_distance, cube_distance_matrix, enflo_type2_certificate,
-                     gk_elements, gk_incidence_matrix, gk_probe_audit)
+from oracles import (bit_matrix, cube_distance, cube_distance_matrix, distance_sweep_distortion,
+                     enflo_type2_certificate, gk_elements, gk_incidence_matrix, gk_probe_audit)
 
 
 class TestHammingCube:
     def test_distance_is_popcount(self):
         cube = HammingCube(3, 1.0)
-        assert cube.distances_from(0b000, 0b111) == 3.0
-        assert cube.distances_from(0b101, 0b101) == 0.0
-        assert cube.distances_from(0b101, 0b100) == 1.0
+        assert cube_distance(0b000, 0b111, cube) == 3.0
+        assert cube_distance(0b101, 0b101, cube) == 0.0
+        assert cube_distance(0b101, 0b100, cube) == 1.0
+        assert cube_distance_matrix(cube)[0b000, 0b111] == 3.0
 
     def test_root_applied_in_norm_regime(self):
         cube = HammingCube(4, 2.0)
-        assert cube.distances_from(0b0000, 0b1111) == pytest.approx(2.0)
+        assert cube_distance(0b0000, 0b1111, cube) == pytest.approx(2.0)
+        assert cube_distance_matrix(cube)[0b0000, 0b1111] == pytest.approx(2.0)
         assert cube.diameter() == pytest.approx(2.0)
         assert HammingCube(9, 1.0).diameter() == 9.0
         assert HammingCube(4, 0.5).diameter() == 4.0
 
     def test_pairwise_matrix_matches_metric(self):
-        cube = HammingCube(4, 1.5)
-        for u in range(16):
-            row = cube.distances_from(u, np.arange(16))
-            for v in range(16):
-                assert row[v] == pytest.approx(cube_distance(u, v, cube), abs=1e-12)
-        # the rows are the dense matrix of the bit-matrix product, bit for bit
-        for m, p in ((3, 0.5), (6, 1.0), (8, 1.5), (8, 3.0)):
+        # the bit-matrix product's dense matrix against the popcount per pair
+        for m, p in ((3, 0.5), (4, 1.5), (6, 1.0), (8, 1.5), (8, 3.0)):
             cube = HammingCube(m, p)
-            rows = [cube.distances_from(u, np.arange(1 << m)) for u in range(1 << m)]
-            assert np.array_equal(np.array(rows), cube_distance_matrix(cube))
+            want = [[cube_distance(u, v, cube) for v in range(1 << m)] for u in range(1 << m)]
+            np.testing.assert_allclose(cube_distance_matrix(cube), want, rtol=0, atol=1e-12)
 
     def test_bit_matrix_rows_encode_vertices(self):
         b = bit_matrix(3)
@@ -49,8 +47,6 @@ class TestHammingCube:
         assert np.array_equal(b[5], [1.0, 0.0, 1.0])  # 0b101, low bit first
 
     def test_caps(self):
-        with pytest.raises(ValueError):
-            HammingCube(MAX_CUBE_PAIR_DIM + 1, 1.0)
         with pytest.raises(ValueError):
             HammingCube(0, 1.0)
 
@@ -81,8 +77,11 @@ class TestGkSpace:
     def test_construction_caps(self):
         with pytest.raises(ValueError):
             GkSpace(0, 5)
-        with pytest.raises(ValueError):
-            GkSpace(10, 40)  # comb(40, 10) blows the enumeration cap
+        with pytest.raises(ValueError, match=r"^k=10, ground=40: C\(ground, k\) = 847660528 "
+                                             r"elements exceed the cap 1048576$"):
+            GkSpace(10, 40)
+        with pytest.raises(ValueError, match=r"C\(ground, k\) = 2\^9993 or more elements"):
+            GkSpace(5000, 10000)
 
 
 class TestProbe:
@@ -233,7 +232,49 @@ class TestCubeReport:
 
     def test_cubes_past_the_matrix_cap_are_reported(self):
         # The oracle's bit matrix stops at 2^20 rows; the closed form
-        # reports every cube up to the cap of HammingCube.
-        rep = cube_report(MAX_CUBE_PAIR_DIM, 1.0)
-        assert rep["certificate_ratio"] == 1.0
-        assert rep["measured_distortion"] == pytest.approx(math.sqrt(MAX_CUBE_PAIR_DIM))
+        # reports the cubes past it too.
+        for m in (24, 25, 40):
+            rep = cube_report(m, 1.0)
+            assert rep["certificate_ratio"] == 1.0
+            assert rep["measured_distortion"] == pytest.approx(math.sqrt(m))
+
+    @pytest.mark.parametrize("p", [0.1, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0, 7.3])
+    @pytest.mark.parametrize("m", [25, 64, 1000, 10 ** 6])
+    def test_large_cubes_equal_the_closed_forms(self, m, p):
+        # Each ratio is a power of h, so the report's two ends give the
+        # maxima of the sweep over every Hamming distance h = 1..m, bit for
+        # bit, and the distortion is m^|1/2 - 1/r|.
+        got = cube_report(m, p)["measured_distortion"]
+        assert got == distance_sweep_distortion(m, p)
+        assert got == pytest.approx(m ** abs(0.5 - 1.0 / max(p, 1.0)), rel=1e-12)
+        if p == 1.0:
+            assert got == pytest.approx(math.sqrt(m), rel=1e-15)
+
+    def test_a_cube_report_holds_no_array_that_grows_with_m(self):
+        # The sweep's h = 1..10^6 alone would take 8 MB.
+        tracemalloc.start()
+        try:
+            rep = cube_report(10 ** 6, 1.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep["measured_distortion"] == distance_sweep_distortion(10 ** 6, 1.5)
+        assert peak < 2 ** 16
+
+    def test_m_past_the_float_range_is_refused(self):
+        m = 10 ** 400
+        with pytest.raises(ValueError, match=f"^m={m} must be a positive integer in the float"):
+            cube_report(m, 1.0)
+        assert cube_report(10 ** 300, 1.0)["measured_distortion"] == pytest.approx(1e150)
+
+    @pytest.mark.parametrize("m", [3, 3 * 4 ** 23, 3 * 4 ** 100, 10 ** 300],
+                             ids=["3", "3x4^23", "3x4^100", "10^300"])
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.0])
+    def test_the_identity_meets_its_floor_at_every_size(self, m, p):
+        # At p <= 1, m / sqrt(m) and m^(1/2) may differ in their last bit
+        # (they do at m = 3), and scaling by 4^k scales the gap with the
+        # distortion: an absolute slack would flag m = 3 * 4^23.
+        rep = cube_report(m, p)
+        assert rep["measured_distortion"] == pytest.approx(rep["bound"], rel=1e-15)
+        assert cube_violations(rep) == 0
+        assert cube_violations(rep, 2.0) == 1

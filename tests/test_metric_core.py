@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from embedlab.finite_geometry import HammingCube
 from embedlab.glue import GaussianBlockFamily, glue, preset_schedule
 from embedlab.metric_core import distance_root
-from oracles import bit_matrix, cube_distance, mazur_map, rff_coordinates
+from oracles import bit_matrix, cube_distance, cube_distance_matrix, mazur_map, rff_coordinates
 
 
 class TestExponentRegime:
@@ -36,19 +36,16 @@ class TestLpDistance:
         for p, dist in ((2.0, lambda d: np.linalg.norm(d)),
                         (1.0, lambda d: np.abs(d).sum()),
                         (0.5, lambda d: (np.abs(d) ** 0.5).sum())):
-            cube = HammingCube(4, p)
-            bits, everyone = bit_matrix(4), np.arange(16)
-            for u in range(16):
-                row = cube.distances_from(u, everyone)
+            mat, bits = cube_distance_matrix(HammingCube(4, p)), bit_matrix(4)
+            for u, row in enumerate(mat):
                 for v in range(16):
                     assert row[v] == pytest.approx(dist(bits[u] - bits[v]), rel=1e-12)
 
     def test_regimes_agree_at_one(self):
         by_int, by_float = HammingCube(3, 1), HammingCube(3, 1.0)
-        assert by_int.distances_from(0b011, 0b110) == by_float.distances_from(0b011, 0b110) == 2.0
-        for u in range(8):
-            assert np.array_equal(by_int.distances_from(u, np.arange(8)),
-                                  by_float.distances_from(u, np.arange(8)))
+        mat_int, mat_float = cube_distance_matrix(by_int), cube_distance_matrix(by_float)
+        assert mat_int[0b011, 0b110] == mat_float[0b011, 0b110] == 2.0
+        assert np.array_equal(mat_int, mat_float)
         assert by_int.diameter() == by_float.diameter() == 3.0
 
     def test_shape_and_finiteness_validation(self):
@@ -66,7 +63,11 @@ class TestLpDistance:
     )
     def test_metric_axioms(self, x, y, z, p):
         cube = HammingCube(6, p)
-        d = cube.distances_from
+        mat = cube_distance_matrix(cube)
+
+        def d(u, v):
+            return mat[u, v]
+
         dxy = d(x, y)
         assert dxy == pytest.approx(cube_distance(x, y, cube), rel=1e-12)
         assert dxy >= 0
